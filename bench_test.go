@@ -275,8 +275,8 @@ func BenchmarkAblation_CoarseTimers(b *testing.B) {
 // BenchmarkFleet regenerates a synthetic-fleet UDP-1 population figure
 // end to end — profile sampling, sharded bring-up, the parallel sweep
 // and the cross-shard merge — at several shard counts. More shards cut
-// both wall-clock (shards probe concurrently) and total event cost
-// (per-shard broadcast domains and event queues stay small), so the
+// both wall-clock (shards probe concurrently) and total cost (each
+// shard's working set, live heap and event queue stay small), so the
 // sharded rows should beat shards=1 even on one core.
 func BenchmarkFleet(b *testing.B) {
 	const fleet = 256

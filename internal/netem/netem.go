@@ -7,6 +7,8 @@ package netem
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"time"
 
 	"hgw/internal/netpkt"
@@ -308,8 +310,10 @@ func (p *pipe) popQueue() *netpkt.Frame {
 // an access VLAN; frames are forwarded only among ports of the same
 // VLAN. Unknown destinations and broadcasts flood the VLAN.
 type Switch struct {
-	s     *sim.Sim
-	name  string
+	s    *sim.Sim
+	name string
+	// ports is kept sorted by VLAN, and in AddPort order within a
+	// VLAN, so a flood visits only its own VLAN's ports.
 	ports []*Iface
 	table map[fdbKey]*Iface
 }
@@ -325,15 +329,24 @@ func NewSwitch(s *sim.Sim, name string) *Switch {
 }
 
 // AddPort creates a new access port on the given VLAN and returns its
-// interface, ready to be linked to a host interface.
+// interface, ready to be linked to a host interface. A port's VLAN is
+// fixed when it is added.
 func (sw *Switch) AddPort(vlan uint16) *Iface {
 	port := &Iface{
 		Name: fmt.Sprintf("%s.p%d", sw.name, len(sw.ports)),
 		VLAN: vlan,
 	}
 	port.Recv = func(f *netpkt.Frame) { sw.forward(port, f) }
-	sw.ports = append(sw.ports, port)
+	_, end := sw.vlanPorts(vlan)
+	sw.ports = slices.Insert(sw.ports, end, port)
 	return port
+}
+
+// vlanPorts returns the range sw.ports[lo:hi] of vlan's member ports.
+func (sw *Switch) vlanPorts(vlan uint16) (lo, hi int) {
+	lo = sort.Search(len(sw.ports), func(i int) bool { return sw.ports[i].VLAN >= vlan })
+	hi = sort.Search(len(sw.ports), func(i int) bool { return sw.ports[i].VLAN > vlan })
+	return lo, hi
 }
 
 // NumPorts returns the number of ports on the switch.
@@ -362,31 +375,27 @@ func (sw *Switch) forward(in *Iface, f *netpkt.Frame) {
 		}
 	}
 	// Flood the VLAN. Only fan-out beyond one port needs copies: the
-	// last matching port gets the original frame (last, so that the
+	// last member port gets the original frame (last, so that the
 	// per-port delivery order — and therefore the event sequence — is
 	// identical to the clone-everything behavior).
-	last := -1
-	for i, p := range sw.ports {
-		if p != in && p.VLAN == vlan {
-			last = i
-		}
+	lo, hi := sw.vlanPorts(vlan)
+	members := sw.ports[lo:hi]
+	if n := len(members); n > 0 && members[n-1] == in {
+		members = members[:n-1]
 	}
-	if last < 0 {
+	if len(members) == 0 {
 		// No member ports: the frame dies here.
 		netpkt.PutBuf(f.Payload)
 		netpkt.PutFrame(f)
 		return
 	}
-	for i, p := range sw.ports {
-		if p == in || p.VLAN != vlan {
-			continue
-		}
-		if i == last {
-			p.Send(f)
-		} else {
+	last := len(members) - 1
+	for _, p := range members[:last] {
+		if p != in {
 			p.Send(f.Clone())
 		}
 	}
+	members[last].Send(f)
 }
 
 // FDBSize returns the number of learned MAC entries (for tests).

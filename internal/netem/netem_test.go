@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -382,5 +383,97 @@ func TestFaultFilterAllocs(t *testing.T) {
 	l.SetLoss(0.5)
 	if n := testing.AllocsPerRun(100, send); n != 0 {
 		t.Fatalf("lossy send allocates %.1f objects per run, want 0", n)
+	}
+}
+
+// TestSwitchFloodOrder checks that a flood visits the ingress VLAN's
+// member ports in AddPort order, with VLANs interleaved on the switch:
+// every member but the last gets a clone, the last gets the original
+// frame, other VLANs see nothing, and a VLAN with no other member
+// recycles the frame. The learned unicast path must still pass the
+// original frame to the one port that owns the destination.
+func TestSwitchFloodOrder(t *testing.T) {
+	s := sim.New(1)
+	sw := NewSwitch(s, "sw0")
+	type rx struct {
+		port int
+		f    *netpkt.Frame
+	}
+	var log []rx
+	vlans := []uint16{1, 2, 1, 1}
+	hosts := make([]*Iface, len(vlans))
+	for i, v := range vlans {
+		h := &Iface{Name: "h", MAC: netpkt.MAC{2, 0, 0, 0, 0, byte(i + 1)}}
+		h.Recv = func(f *netpkt.Frame) { log = append(log, rx{i, f}) }
+		Connect(s, h, sw.AddPort(v), LinkConfig{})
+		hosts[i] = h
+	}
+	flood := func(from int, dst netpkt.MAC) (*netpkt.Frame, []rx) {
+		log = nil
+		f := &netpkt.Frame{Src: hosts[from].MAC, Dst: dst, Type: netpkt.EtherTypeIPv4,
+			Payload: []byte("flood")}
+		s.After(0, func() { hosts[from].Send(f) })
+		s.Run(0)
+		return f, log
+	}
+
+	for _, tc := range []struct {
+		from int
+		want []int // receiving hosts, in delivery order
+	}{
+		{0, []int{2, 3}},
+		{2, []int{0, 3}},
+		{3, []int{0, 2}}, // ingress is the VLAN's last member
+	} {
+		f, got := flood(tc.from, netpkt.BroadcastMAC)
+		if len(got) != len(tc.want) {
+			t.Fatalf("broadcast from h%d reached %d ports, want %v", tc.from, len(got), tc.want)
+		}
+		for k, r := range got {
+			if r.port != tc.want[k] {
+				t.Fatalf("broadcast from h%d: delivery %d went to h%d, want order %v", tc.from, k, r.port, tc.want)
+			}
+			if string(r.f.Payload) != "flood" {
+				t.Fatalf("broadcast from h%d: h%d got payload %q", tc.from, r.port, r.f.Payload)
+			}
+			if isLast := k == len(got)-1; (r.f == f) != isLast {
+				t.Fatalf("broadcast from h%d: h%d got original=%v, want original only on the last member",
+					tc.from, r.port, r.f == f)
+			}
+		}
+	}
+
+	// VLAN 2 has one member: the flood has nowhere to go and the frame
+	// is recycled (PutFrame zeroes it).
+	if f, got := flood(1, netpkt.BroadcastMAC); len(got) != 0 || !f.Src.IsZero() || f.Payload != nil {
+		t.Fatalf("lone-member flood delivered %d frames, frame %+v; want none, recycled", len(got), f)
+	}
+
+	// All of VLAN 1 is learned now: unicast reaches only its owner, as
+	// the original frame.
+	if f, got := flood(0, hosts[3].MAC); len(got) != 1 || got[0].port != 3 || got[0].f != f {
+		t.Fatalf("learned unicast delivered %+v, want the original frame to h3 only", got)
+	}
+}
+
+// BenchmarkSwitchFlood times one broadcast through a switch whose ports
+// form 2-port VLANs, the testbed's layout. The ports are not linked, so
+// only the forwarding decision is measured; its cost should not grow
+// with the number of ports.
+func BenchmarkSwitchFlood(b *testing.B) {
+	for _, n := range []int{8, 512, 8192} {
+		b.Run(fmt.Sprintf("ports=%d", n), func(b *testing.B) {
+			sw := NewSwitch(sim.New(1), "sw0")
+			ports := make([]*Iface, n)
+			for i := range ports {
+				ports[i] = sw.AddPort(uint16(i / 2))
+			}
+			f := &netpkt.Frame{Src: netpkt.MAC{2, 0, 0, 0, 0, 1}, Dst: netpkt.BroadcastMAC}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ports[2*i%n].Recv(f)
+			}
+		})
 	}
 }

@@ -8,6 +8,8 @@ package stack
 import (
 	"fmt"
 	"net/netip"
+	"slices"
+	"sort"
 	"time"
 
 	"hgw/internal/netem"
@@ -36,7 +38,9 @@ type Host struct {
 	Name string
 
 	ifaces []*NetIf
-	routes []Route
+	// routes is the routing table, kept in the order that after
+	// defines so that Lookup binary-searches instead of scanning.
+	routes []route
 	protos map[uint8]ProtoHandler
 
 	icmpListeners []ICMPListener
@@ -147,10 +151,44 @@ func (n *NetIf) SetAddr(addr netip.Addr, plen int) {
 // Ifaces returns the host's interfaces.
 func (h *Host) Ifaces() []*NetIf { return h.ifaces }
 
+// route is a routing-table entry with its precomputed sort key: bits is
+// the IPv4 prefix length (-1 for a prefix that can match no IPv4
+// destination, so those sort last and are never searched) and net the
+// masked network. Route.Prefix keeps the prefix exactly as added.
+type route struct {
+	Route
+	bits int
+	net  uint32
+}
+
+// addr32 returns an IPv4 address as a big-endian integer.
+func addr32(a netip.Addr) uint32 {
+	b := a.As4()
+	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
+}
+
+// mask returns the netmask of an IPv4 prefix length in [0, 32].
+func mask(bits int) uint32 { return ^uint32(0) << (32 - bits) }
+
+// after returns the first index in [lo, len(rs)) whose entry sorts
+// after the key (bits, net): the table orders prefix length descending,
+// then masked network ascending, then insertion order.
+func after(rs []route, lo, bits int, net uint32) int {
+	return lo + sort.Search(len(rs)-lo, func(i int) bool {
+		r := &rs[lo+i]
+		return r.bits < bits || r.bits == bits && r.net > net
+	})
+}
+
 // AddRoute installs a route. More-specific prefixes win; among equal
-// lengths the most recently added wins.
+// prefixes the most recently added wins.
 func (h *Host) AddRoute(prefix netip.Prefix, nextHop netip.Addr, ifc *NetIf) {
-	h.routes = append(h.routes, Route{Prefix: prefix, NextHop: nextHop, If: ifc})
+	e := route{Route: Route{Prefix: prefix, NextHop: nextHop, If: ifc}, bits: -1}
+	if prefix.Addr().Is4() && prefix.Bits() >= 0 {
+		e.bits = prefix.Bits()
+		e.net = addr32(prefix.Addr()) & mask(e.bits)
+	}
+	h.routes = slices.Insert(h.routes, after(h.routes, 0, e.bits, e.net), e)
 }
 
 // RemoveRoutesVia removes all routes using the given interface.
@@ -164,17 +202,28 @@ func (h *Host) RemoveRoutesVia(ifc *NetIf) {
 	h.routes = out
 }
 
-// Lookup finds the best route for dst (longest prefix; latest tie-break).
+// Lookup finds the best route for dst (longest prefix; latest
+// tie-break). It binary-searches each distinct prefix length, longest
+// first, so its cost grows with the number of lengths in the table,
+// not with the number of routes.
 func (h *Host) Lookup(dst netip.Addr) (Route, bool) {
-	best := -1
-	var found Route
-	for _, r := range h.routes {
-		if r.Prefix.Contains(dst) && r.Prefix.Bits() >= best {
-			best = r.Prefix.Bits()
-			found = r
-		}
+	if !dst.Is4() {
+		return Route{}, false
 	}
-	return found, best >= 0
+	a := addr32(dst)
+	rs := h.routes
+	for i := 0; i < len(rs) && rs[i].bits >= 0; {
+		bits := rs[i].bits
+		net := a & mask(bits)
+		// The last entry not after (bits, net) is the latest route
+		// added for that prefix, if there is one.
+		j := after(rs, i, bits, net)
+		if j > i && rs[j-1].bits == bits && rs[j-1].net == net {
+			return rs[j-1].Route, true
+		}
+		i = after(rs, j, bits, ^uint32(0)) // next shorter length
+	}
+	return Route{}, false
 }
 
 // Handle registers the handler for an IP protocol number.
@@ -345,7 +394,9 @@ func (h *Host) recvIP(ifc *NetIf, f *netpkt.Frame) {
 	if h.RawHook != nil && h.RawHook(ifc, ip) {
 		return
 	}
-	if !h.IsLocal(ip.Dst) {
+	// The receiving interface's own address is the common case; it
+	// spares the scan over every interface.
+	if ip.Dst != ifc.Addr && !h.IsLocal(ip.Dst) {
 		if h.ForwardHook != nil {
 			h.ForwardHook(ifc, ip)
 		}

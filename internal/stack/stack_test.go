@@ -1,6 +1,7 @@
 package stack
 
 import (
+	"net/netip"
 	"testing"
 	"time"
 
@@ -75,6 +76,9 @@ func TestRoutingLongestPrefix(t *testing.T) {
 	mustPrefix := func(a string) (p netipPrefix) { return parsePrefix(t, a) }
 	h.AddRoute(mustPrefix("0.0.0.0/0"), netpkt.Addr4(10, 0, 0, 254), if1)
 	h.AddRoute(mustPrefix("192.168.0.0/16"), netpkt.Addr4(10, 0, 1, 254), if2)
+	// Prefixes that cannot hold an IPv4 address never match.
+	h.AddRoute(netipPrefix{}, netipAddr{}, if2)
+	h.AddRoute(mustPrefix("::/0"), netipAddr{}, if2)
 
 	r, ok := h.Lookup(netpkt.Addr4(192, 168, 5, 5))
 	if !ok || r.If != if2 {
@@ -87,6 +91,9 @@ func TestRoutingLongestPrefix(t *testing.T) {
 	r, ok = h.Lookup(netpkt.Addr4(10, 0, 1, 7))
 	if !ok || r.If != if2 || r.NextHop.IsValid() {
 		t.Fatalf("connected route lookup -> %+v", r)
+	}
+	if r, ok = h.Lookup(netip.MustParseAddr("::ffff:8.8.8.8")); ok {
+		t.Fatalf("IPv4-mapped IPv6 lookup -> %+v", r)
 	}
 	h.RemoveRoutesVia(if2)
 	r, ok = h.Lookup(netpkt.Addr4(192, 168, 5, 5))
