@@ -16,6 +16,12 @@ import (
 // filtering, preservation-or-sequential port allocation) reproduce the
 // monolithic engine byte for byte. Regenerate only when a behavior
 // change is intended: HGW_UPDATE_GOLDEN=1 go test -run BehaviorGolden .
+//
+// inventory.golden was re-pinned once, on purpose, when inventory
+// experiments became sealed domains (each on a testbed of its own): it
+// is the concatenation of each of its ids' single-experiment renders
+// from the engine before that change. TestInventoryDeterminismMatrix
+// keeps asserting that equality against the current engine.
 const updateEnv = "HGW_UPDATE_GOLDEN"
 
 // goldenRuns lists the acceptance renders: the UDP-1..5, TCP-1..4 and

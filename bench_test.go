@@ -11,8 +11,7 @@ package hgw_test
 //
 // Benchmarks use reduced iteration counts / transfer sizes so a full
 // sweep stays fast; cmd/hgbench -iters 100 -bytes 100000000 runs at
-// paper strength. Everything runs through hgw.Run registry ids — the
-// deprecated RunXXX wrappers are not exercised here.
+// paper strength. Everything runs through hgw.Run registry ids.
 
 import (
 	"context"
@@ -21,6 +20,7 @@ import (
 
 	"hgw"
 	"hgw/internal/probe"
+	"hgw/internal/testbed"
 )
 
 var quickOpts = hgw.Options{Iterations: 1, TransferBytes: 2 << 20}
@@ -72,7 +72,7 @@ func BenchmarkFigure5_UDP3(b *testing.B) {
 
 func BenchmarkFigure2_UDP123Combined(b *testing.B) {
 	// Figure 2 overlays UDP-1/2/3; one registry run regenerates all
-	// three series, sharing lane testbeds where settings allow.
+	// three series, each on a testbed of its own.
 	for i := 0; i < b.N; i++ {
 		if _, err := hgw.Run(context.Background(), []string{"udp1", "udp2", "udp3"},
 			hgw.WithSeed(int64(i)), hgw.WithOptions(quickOpts)); err != nil {
@@ -227,10 +227,11 @@ func BenchmarkAblation_TestbedBringup(b *testing.B) {
 	// Substrate cost: full 34-device Figure 1 topology with 68 DHCP
 	// exchanges.
 	for i := 0; i < b.N; i++ {
-		tb, _ := hgw.NewTestbed(hgw.Config{Seed: int64(i)})
+		tb, s := testbed.Run(testbed.Config{Seed: int64(i)})
 		if len(tb.Nodes) != 34 {
 			b.Fatal("bad testbed")
 		}
+		s.Shutdown()
 	}
 }
 

@@ -25,7 +25,7 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 		{"duplicates dedupe", []string{"tcp2", "tcp2"}, nil},
 		{"whitespace trims", []string{" tcp2 "}, nil},
 		{"zero options take defaults", []string{"tcp2"}, []hgw.Option{hgw.WithIterations(0)}},
-		{"explicit defaults match", []string{"tcp2"}, []hgw.Option{hgw.WithIterations(5), hgw.WithParallelism(4)}},
+		{"explicit defaults match", []string{"tcp2"}, []hgw.Option{hgw.WithIterations(5)}},
 	}
 	canonical, err := hgw.CacheKey([]string{"tcp2"})
 	if err != nil {
@@ -51,7 +51,6 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 		{"id order matters", []string{"udp2", "udp1"}, []hgw.Option{hgw.WithSeed(1)}},
 		{"tags matter", []string{"udp1"}, []hgw.Option{hgw.WithSeed(1), hgw.WithTags("je")}},
 		{"iterations matter", []string{"udp1"}, []hgw.Option{hgw.WithSeed(1), hgw.WithIterations(9)}},
-		{"parallelism matters", []string{"udp1"}, []hgw.Option{hgw.WithSeed(1), hgw.WithParallelism(2)}},
 		{"fleet matters", []string{"udp1"}, []hgw.Option{hgw.WithSeed(1), hgw.WithFleet(10)}},
 		{"shards matter", []string{"udp1"}, []hgw.Option{hgw.WithSeed(1), hgw.WithFleet(10), hgw.WithShards(2)}},
 	}
@@ -67,45 +66,49 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 		seen[got] = tc.name
 	}
 	// udp1+udp2 in either order: both valid, but distinct keys because
-	// lane assignment (and thus testbed history) follows request order.
+	// results come back in request order and fault plans seed-split by
+	// experiment index.
 	ab, _ := hgw.CacheKey([]string{"udp1", "udp2"}, hgw.WithSeed(1))
 	ba, _ := hgw.CacheKey([]string{"udp2", "udp1"}, hgw.WithSeed(1))
 	if ab == ba {
-		t.Error("id order canonicalized away; lane assignment depends on it")
+		t.Error("id order canonicalized away; result order depends on it")
 	}
 }
 
-// TestCacheKeyFleetIgnoresParallelism proves hit-equivalence across
-// core counts for fleet jobs: shard execution renders byte-identically
-// at any parallelism or maxProcs, so hgwd must answer the same fleet
-// job submitted from differently-sized machines out of one cache
-// entry. Inventory keys still fold parallelism in (lane assignment
-// depends on it — the "parallelism matters" case above).
-func TestCacheKeyFleetIgnoresParallelism(t *testing.T) {
-	fleet := []hgw.Option{hgw.WithSeed(1), hgw.WithFleet(64), hgw.WithShards(4)}
-	base, err := hgw.CacheKey([]string{"udp1"}, fleet...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	same := []struct {
+// TestCacheKeyIgnoresMaxProcs proves hit-equivalence across core
+// counts: inventory experiments and fleet shards each run in a sealed
+// domain and render byte-identically at any maxProcs, so hgwd must
+// answer the same job submitted from differently-sized machines out of
+// one cache entry.
+func TestCacheKeyIgnoresMaxProcs(t *testing.T) {
+	for _, mode := range []struct {
 		name string
-		opt  hgw.Option
+		opts []hgw.Option
 	}{
-		{"parallelism 1", hgw.WithParallelism(1)},
-		{"parallelism 16", hgw.WithParallelism(16)},
-		{"maxprocs 1", hgw.WithMaxProcs(1)},
-		{"maxprocs 64", hgw.WithMaxProcs(64)},
-	}
-	for _, tc := range same {
-		got, err := hgw.CacheKey([]string{"udp1"}, append(append([]hgw.Option{}, fleet...), tc.opt)...)
+		{"inventory", []hgw.Option{hgw.WithSeed(1), hgw.WithTags("je", "owrt")}},
+		{"fleet", []hgw.Option{hgw.WithSeed(1), hgw.WithFleet(64), hgw.WithShards(4)}},
+	} {
+		base, err := hgw.CacheKey([]string{"udp1", "udp2"}, mode.opts...)
 		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+			t.Fatal(err)
 		}
-		if got != base {
-			t.Errorf("%s: fleet key %s != base %s; identical fleet jobs would miss the cache", tc.name, got, base)
+		for _, procs := range []int{1, 2, 64} {
+			opts := append(append([]hgw.Option{}, mode.opts...), hgw.WithMaxProcs(procs))
+			got, err := hgw.CacheKey([]string{"udp1", "udp2"}, opts...)
+			if err != nil {
+				t.Fatalf("%s maxprocs %d: %v", mode.name, procs, err)
+			}
+			if got != base {
+				t.Errorf("%s maxprocs %d: key %s != base %s; identical jobs would miss the cache",
+					mode.name, procs, got, base)
+			}
 		}
 	}
 	// The knobs that do change fleet output still change the key.
+	base, err := hgw.CacheKey([]string{"udp1"}, hgw.WithSeed(1), hgw.WithFleet(64), hgw.WithShards(4))
+	if err != nil {
+		t.Fatal(err)
+	}
 	shards, err := hgw.CacheKey([]string{"udp1"}, hgw.WithSeed(1), hgw.WithFleet(64), hgw.WithShards(8))
 	if err != nil {
 		t.Fatal(err)

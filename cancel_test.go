@@ -178,7 +178,7 @@ func TestStandaloneCancelMidRun(t *testing.T) {
 }
 
 // TestRunErrorListsAllFailures checks the typed run error: every failed
-// experiment id is reported, not just the first one a lane returned.
+// experiment id is reported, not just the first one to fail.
 func TestRunErrorListsAllFailures(t *testing.T) {
 	_, err := hgw.Run(context.Background(), []string{"tcp2", "holepunch"},
 		hgw.WithTags("zzz"), hgw.WithIterations(1))

@@ -28,12 +28,11 @@ var (
 	iters    = flag.Int("iters", 5, "iterations per device (paper: 100)")
 	bytesF   = flag.Int("bytes", 8<<20, "TCP-2 transfer size (paper: 100 MB)")
 	seed     = flag.Int64("seed", 1, "simulation seed")
-	parallel = flag.Int("parallel", 0, "max concurrent experiments (0 = default 4; affects testbed sharing)")
 	markdown = flag.Bool("markdown", false, "also emit markdown tables for figure results")
 	csvOut   = flag.Bool("csv", false, "emit Table 2 as CSV instead of the dot matrix")
 	fleet    = flag.Int("fleet", 0, "fleet mode: measure N synthetic devices instead of the 34-device inventory")
 	shards   = flag.Int("shards", 1, "partition the fleet across K concurrent sub-testbeds")
-	maxprocs = flag.Int("maxprocs", 0, "max concurrent fleet shard workers (0 = NumCPU; output is identical at any value)")
+	maxprocs = flag.Int("maxprocs", 0, "max concurrent experiments or fleet shards (0 = NumCPU; output is identical at any value)")
 
 	benchjson = flag.Bool("benchjson", false, "run each experiment as a benchmark and write a JSON trajectory file instead of rendering")
 	benchout  = flag.String("benchout", "BENCH_pr.json", "output path for the -benchjson trajectory file")
@@ -159,9 +158,6 @@ func main() {
 	}
 	if *tags != "" {
 		opts = append(opts, hgw.WithTags(strings.Split(*tags, ",")...))
-	}
-	if *parallel > 0 {
-		opts = append(opts, hgw.WithParallelism(*parallel))
 	}
 	if *fleet > 0 {
 		// Fleet mode: synthetic population, sharded testbeds. With -exp

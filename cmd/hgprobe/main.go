@@ -2,7 +2,7 @@
 // devices.
 //
 //	hgprobe -exp udp1 -tags je,ls1,owrt -iters 10
-//	hgprobe -exp icmp,sctp,dccp,dns          # shares one testbed
+//	hgprobe -exp icmp,sctp,dccp,dns -maxprocs 1   # one at a time
 //	hgprobe -exp udp1 -fleet 200 -shards 4   # synthetic fleet sweep
 //	hgprobe -list                            # the experiment catalog
 //	hgprobe -exp udp1 -fleet 200 -shards 4 -stats   # plus run telemetry
@@ -38,10 +38,9 @@ func main() {
 	iters := flag.Int("iters", 3, "iterations per device")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	bytes := flag.Int("bytes", 8<<20, "transfer size for tcp2")
-	parallel := flag.Int("parallel", 0, "max concurrent experiments (0 = default 4; affects testbed sharing)")
 	fleet := flag.Int("fleet", 0, "fleet mode: measure N synthetic devices instead of the 34-device inventory")
 	shards := flag.Int("shards", 1, "partition the fleet across K concurrent sub-testbeds")
-	maxprocs := flag.Int("maxprocs", 0, "max concurrent fleet shard workers (0 = NumCPU; output is identical at any value)")
+	maxprocs := flag.Int("maxprocs", 0, "max concurrent experiments or fleet shards (0 = NumCPU; output is identical at any value)")
 	faults := flag.Float64("faults", 0, "fault injection: mean seeded faults per gateway per class (0 = off)")
 	retries := flag.Int("retries", 0, "probe exchange retry budget under injected loss")
 	jsonOut := flag.Bool("json", false, "emit result envelopes as JSON")
@@ -66,20 +65,17 @@ func main() {
 	if *tags != "" {
 		opts = append(opts, hgw.WithTags(strings.Split(*tags, ",")...))
 	}
-	if *parallel > 0 {
-		opts = append(opts, hgw.WithParallelism(*parallel))
-	}
 	if *faults > 0 {
 		opts = append(opts, hgw.WithFaultRate(*faults))
 	}
 	if *retries > 0 {
 		opts = append(opts, hgw.WithRetries(*retries))
 	}
+	if *maxprocs > 0 {
+		opts = append(opts, hgw.WithMaxProcs(*maxprocs))
+	}
 	if *fleet > 0 {
 		opts = append(opts, hgw.WithFleet(*fleet), hgw.WithShards(*shards))
-		if *maxprocs > 0 {
-			opts = append(opts, hgw.WithMaxProcs(*maxprocs))
-		}
 		if *verbose {
 			opts = append(opts, hgw.WithDeviceResults(func(ev hgw.DeviceEvent) {
 				fmt.Fprintf(os.Stderr, "  %-10s shard %d %s done\n", ev.ExperimentID, ev.Shard, ev.Result.Tag)

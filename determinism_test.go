@@ -111,6 +111,61 @@ func TestFleetDeterminismMatrix(t *testing.T) {
 	}
 }
 
+// TestInventoryDeterminismMatrix is the inventory counterpart: the
+// golden inventory configuration, telemetry on, must render — and
+// report, canonically — byte-identically at maxProcs 1, 2 and NumCPU,
+// and match the committed golden. Every experiment runs in a sealed
+// domain, so each one's result must also equal a run of that id alone.
+func TestInventoryDeterminismMatrix(t *testing.T) {
+	g := goldenRuns[0]
+	if g.name != "inventory" {
+		t.Fatalf("goldenRuns[0] is %q, want the inventory configuration", g.name)
+	}
+	run := func(procs int) (hgw.Results, string) {
+		var canon string
+		opts := append(append([]hgw.Option{}, g.opts...), hgw.WithMaxProcs(procs),
+			hgw.WithRunReport(func(rep *hgw.RunReport) { canon = rep.Canonical() }))
+		results, err := hgw.Run(context.Background(), g.ids, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if canon == "" {
+			t.Fatal("no run report delivered")
+		}
+		return results, canon
+	}
+	base, baseCanon := run(1)
+	golden, err := os.ReadFile(filepath.Join("testdata", "behavior", "inventory.golden"))
+	if err != nil {
+		t.Fatalf("missing inventory golden: %v", err)
+	}
+	if base.Render() != string(golden) {
+		t.Errorf("maxProcs=1 render (telemetry on) differs from the committed golden\n--- got ---\n%s\n--- want ---\n%s",
+			base.Render(), golden)
+	}
+	for _, procs := range []int{2, runtime.NumCPU()} {
+		results, canon := run(procs)
+		if got := results.Render(); got != base.Render() {
+			t.Errorf("render at maxProcs=%d differs from maxProcs=1\n--- got ---\n%s\n--- want ---\n%s",
+				procs, got, base.Render())
+		}
+		if canon != baseCanon {
+			t.Errorf("canonical telemetry report at maxProcs=%d differs from maxProcs=1\n--- got ---\n%s\n--- want ---\n%s",
+				procs, canon, baseCanon)
+		}
+	}
+	for i, id := range g.ids {
+		alone, err := hgw.Run(context.Background(), []string{id}, g.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := base[i].Render(), alone[0].Render(); got != want {
+			t.Errorf("%s in the inventory run differs from %s run alone\n--- got ---\n%s\n--- want ---\n%s",
+				id, id, got, want)
+		}
+	}
+}
+
 // TestFaultedFleetDeterminismMatrix extends the determinism contract
 // to chaos runs: a fleet job with fault injection enabled — link flaps,
 // loss/corrupt windows, blackholes and gateway reboots all in play —

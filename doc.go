@@ -21,11 +21,11 @@
 //	}
 //	fmt.Print(results.Render())
 //
-// Run schedules experiments concurrently and reuses Figure 1 testbeds
-// across experiments sharing the run's (tags, seed) requirements — a
-// lane of experiments runs sequentially on one testbed — so a
-// multi-experiment run builds far fewer testbeds than it runs
-// experiments. Registry, ExperimentIDs and Lookup expose the catalog,
+// Run executes experiments concurrently, each in a sealed domain: every
+// experiment except the Standalone ones gets a freshly built Figure 1
+// testbed of its own (bring-up of all 34 devices costs milliseconds of
+// wall time), so it observes exactly what a run of it alone observes.
+// Registry, ExperimentIDs and Lookup expose the catalog,
 // so front-ends render table-driven instead of hand-maintaining
 // experiment lists; new experiments plug in once via Register.
 //
@@ -61,8 +61,8 @@
 // # Errors and cancellation
 //
 // When experiments fail, Run returns a *RunError carrying one
-// *ExperimentError per failed experiment — every failure across every
-// lane, not just the first one encountered — alongside the Results
+// *ExperimentError per failed experiment — every failure, not just
+// the first one encountered — alongside the Results
 // that did complete; RunError.IDs lists exactly which experiments need
 // re-running, and errors.Is/As see each underlying cause through the
 // usual unwrapping. Cancelling the context interrupts in-flight
@@ -73,21 +73,21 @@
 //
 // # Reproducibility
 //
-// All scheduling knobs that influence what an experiment observes —
-// WithParallelism lane assignment, the fleet shard count, every seed —
-// are explicit parts of the contract rather than machine-dependent
-// defaults, which is why equal-seed runs are comparable across CI and
-// laptops alike. Fleet worker counts (WithMaxProcs) are the deliberate
-// exception: shards are isolated time domains, so maxProcs moves only
-// wall clock, never output, and may safely default to NumCPU. CacheKey
-// condenses the contract into a content address: a stable hash of
-// everything output is a function of (parallelism is dropped for fleet
-// requests, where it cannot matter), which is what lets the hgwd
-// daemon (internal/service, DESIGN.md §8) answer repeated requests
-// from cache byte-identically.
+// Output is a pure function of the request: the id list, tags, seed,
+// probe options, fault plan and the fleet shard count are explicit
+// parts of the contract, and nothing machine-dependent is, which is why
+// equal-seed runs are comparable across CI and laptops alike. The one
+// concurrency knob, WithMaxProcs, moves only wall clock: every
+// experiment and every fleet shard is an isolated time domain whose
+// results are assembled in request (or shard) order, so maxProcs may
+// safely default to NumCPU. CacheKey condenses the contract into a
+// content address: a stable hash of everything output is a function
+// of, which is what lets the hgwd daemon (internal/service, DESIGN.md
+// §8) answer repeated requests from cache byte-identically.
 //
-// The legacy per-experiment entry points (RunUDP1, RunICMP, ...) remain
-// as thin wrappers over the registry and are deprecated.
+// Run (with Results.Table2 and Result.ThroughputFigures) is the only
+// way to execute an experiment; the earlier per-experiment entry
+// points (RunUDP1, RunICMP, ...) have been removed.
 //
 // Lower-level building blocks (the simulator, packet codecs, transport
 // stacks, the NAT engine, the device profiles and the probers) live in

@@ -2,9 +2,9 @@
 // device, combining the RFC 4787 mapping/filtering probe (natmap), the
 // port-preservation/reuse probe (UDP-4), the hairpinning check, the
 // ICMP translation quality and the unknown-protocol fallback — the
-// properties that matter for NAT traversal (paper §2 and §4.4). All
-// five experiments run on ONE shared testbed: the runner reuses it
-// across the whole id list.
+// properties that matter for NAT traversal (paper §2 and §4.4). Each
+// of the five experiments runs on a testbed of its own, so each reports
+// exactly what a run of it alone would.
 package main
 
 import (
@@ -25,7 +25,6 @@ func main() {
 		[]string{"udp4", "quirks", "sctp", "icmp", "natmap"},
 		hgw.WithTags(*tag),
 		hgw.WithIterations(1),
-		hgw.WithParallelism(1), // one lane => one testbed for all five
 	)
 	if err != nil {
 		log.Fatal(err)

@@ -90,8 +90,8 @@ func TestFleetRejectsNonSweepExperiments(t *testing.T) {
 	}
 }
 
-// TestFleetTestbedReuse mirrors the lane-sharing guarantee within one
-// Run: every experiment sweeps the same shard testbeds, so a
+// TestFleetTestbedReuse checks testbed sharing within one fleet Run:
+// every experiment sweeps the same shard testbeds, so a
 // multi-experiment fleet run builds one testbed per shard, not one per
 // (experiment, shard). Shards are ephemeral to their Run — a second
 // Run rebuilds them — which is what keeps million-device fleets in

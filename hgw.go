@@ -1,8 +1,6 @@
 package hgw
 
 import (
-	"context"
-
 	"hgw/internal/gateway"
 	"hgw/internal/probe"
 	"hgw/internal/report"
@@ -68,19 +66,6 @@ const (
 	NoPreservation     = probe.NoPreservation
 )
 
-// Config parameterizes a legacy RunXXX call.
-//
-// Deprecated: pass Options (WithTags, WithSeed, WithIterations, ...) to
-// Run instead.
-type Config struct {
-	// Tags selects gateways by their paper tag (default: all 34).
-	Tags []string
-	// Seed makes runs reproducible; runs with equal seeds are identical.
-	Seed int64
-	// Options tunes the probes.
-	Options Options
-}
-
 // Devices returns the 34 emulated gateway profiles (the paper's
 // Table 1).
 func Devices() []Profile { return gateway.Profiles() }
@@ -94,49 +79,6 @@ func DeviceTags() []string { return gateway.Tags() }
 // populations with exactly this function; it is exported so callers can
 // inspect a fleet's profiles or build custom testbeds from them.
 func SyntheticDevices(n int, seed int64) []Profile { return gateway.Synthesize(n, seed) }
-
-// NewTestbed builds and boots a testbed for custom experiments.
-func NewTestbed(cfg Config) (*Testbed, *Sim) {
-	return testbed.Run(testbed.Config{Tags: cfg.Tags, Seed: cfg.Seed})
-}
-
-// runLegacy executes one registry experiment with a legacy Config.
-// The legacy entry points have no error path, so failures panic — the
-// pre-registry behavior of every prober.
-func runLegacy(id string, cfg Config) *Result {
-	results, err := Run(context.Background(), []string{id},
-		WithTags(cfg.Tags...), WithSeed(cfg.Seed), WithOptions(cfg.Options))
-	if err != nil {
-		panic("hgw: " + id + ": " + err.Error())
-	}
-	return results[0]
-}
-
-// RunUDP1 measures UDP binding timeouts after a solitary outbound
-// packet (Figure 3), in seconds.
-//
-// Deprecated: use Run with id "udp1".
-func RunUDP1(cfg Config) Figure { return *runLegacy("udp1", cfg).Figure }
-
-// RunUDP2 measures UDP binding timeouts with inbound refresh traffic
-// (Figure 4), in seconds.
-//
-// Deprecated: use Run with id "udp2".
-func RunUDP2(cfg Config) Figure { return *runLegacy("udp2", cfg).Figure }
-
-// RunUDP3 measures UDP binding timeouts with bidirectional traffic
-// (Figure 5), in seconds.
-//
-// Deprecated: use Run with id "udp3".
-func RunUDP3(cfg Config) Figure { return *runLegacy("udp3", cfg).Figure }
-
-// RunUDP4 classifies port preservation and expired-binding reuse
-// (§4.1's UDP-4 counts).
-//
-// Deprecated: use Run with id "udp4".
-func RunUDP4(cfg Config) []PortReuseResult {
-	return runLegacy("udp4", cfg).Payload.([]PortReuseResult)
-}
 
 // UDP4Counts tallies UDP-4 classes like the paper's prose (27 preserve,
 // of which 23 reuse and 4 rebind; 7 never preserve).
@@ -152,108 +94,4 @@ func UDP4Counts(results []PortReuseResult) (preserveReuse, preserveNew, noPreser
 		}
 	}
 	return
-}
-
-// RunUDP5 measures per-service binding timeouts (Figure 6): one Figure
-// per well-known port, keyed by service name (dns, http, ntp, snmp,
-// tftp).
-//
-// Deprecated: use Run with id "udp5".
-func RunUDP5(cfg Config) map[string]Figure {
-	return runLegacy("udp5", cfg).Payload.(map[string]Figure)
-}
-
-// RunTCP1 measures idle TCP binding timeouts (Figure 7), in minutes;
-// values at the 24-hour cut-off mean "longer than 24 h".
-//
-// Deprecated: use Run with id "tcp1".
-func RunTCP1(cfg Config) Figure { return *runLegacy("tcp1", cfg).Figure }
-
-// RunThroughput runs the TCP-2 bulk transfers and the TCP-3 embedded-
-// timestamp delay measurement for each selected device, one at a time
-// on fresh testbeds (as the paper does), parallelized across real CPUs.
-//
-// Deprecated: use Run with id "tcp2".
-func RunThroughput(cfg Config) []Throughput {
-	return runLegacy("tcp2", cfg).Payload.([]Throughput)
-}
-
-// RunTCP4 measures the maximum number of concurrent TCP bindings to a
-// single server port (Figure 10).
-//
-// Deprecated: use Run with id "tcp4".
-func RunTCP4(cfg Config) Figure { return *runLegacy("tcp4", cfg).Figure }
-
-// RunICMP measures the ICMP error translation matrix (Table 2).
-//
-// Deprecated: use Run with id "icmp".
-func RunICMP(cfg Config) []ICMPMatrix {
-	return runLegacy("icmp", cfg).Payload.([]ICMPMatrix)
-}
-
-// RunSCTP tests SCTP association establishment (Table 2).
-//
-// Deprecated: use Run with id "sctp".
-func RunSCTP(cfg Config) []ConnResult {
-	return runLegacy("sctp", cfg).Payload.([]ConnResult)
-}
-
-// RunDCCP tests DCCP connection establishment (Table 2).
-//
-// Deprecated: use Run with id "dccp".
-func RunDCCP(cfg Config) []ConnResult {
-	return runLegacy("dccp", cfg).Payload.([]ConnResult)
-}
-
-// RunDNS tests each gateway's DNS proxy over UDP and TCP (Table 2).
-//
-// Deprecated: use Run with id "dns".
-func RunDNS(cfg Config) []DNSResult {
-	return runLegacy("dns", cfg).Payload.([]DNSResult)
-}
-
-// RunQuirks probes the §4.4 IP-layer quirks.
-//
-// Deprecated: use Run with id "quirks".
-func RunQuirks(cfg Config) []QuirkResult {
-	return runLegacy("quirks", cfg).Payload.([]QuirkResult)
-}
-
-// RunBindRate measures UDP binding-creation rates (the paper's §5
-// future-work item), in bindings per second.
-//
-// Deprecated: use Run with id "bindrate".
-func RunBindRate(cfg Config) Figure { return *runLegacy("bindrate", cfg).Figure }
-
-// RunKeepalive tests §4.4's observation that RFC 1122's 2-hour minimum
-// TCP keepalive interval cannot reliably hold NAT bindings: each
-// device's connection idles for 6 hours with 2-hour keepalives.
-//
-// Deprecated: use Run with id "keepalive".
-func RunKeepalive(cfg Config) []KeepaliveResult {
-	return runLegacy("keepalive", cfg).Payload.([]KeepaliveResult)
-}
-
-// RunHolePunch attempts UDP hole punching between one host behind
-// gateway tagA and one behind tagB (related work §2, Ford et al.).
-//
-// Deprecated: use Run with id "holepunch" and WithTags(tagA, tagB).
-func RunHolePunch(tagA, tagB string, seed int64) HolePunchResult {
-	return probe.HolePunch(tagA, tagB, seed)
-}
-
-// Table2 renders the Table 2 dot matrix from its component results.
-//
-// Deprecated: use Results.Table2, which assembles the table from a
-// run's result envelopes.
-func Table2(matrices []ICMPMatrix, sctp, dccp []ConnResult, dns []DNSResult) string {
-	return report.Table2(matrices, sctp, dccp, dns)
-}
-
-// ThroughputFigures splits throughput results into the four series of
-// Figure 8 (and the delay results into Figure 9's series).
-//
-// Deprecated: use Result.ThroughputFigures on a tcp2 result.
-func ThroughputFigures(results []Throughput) (fig8, fig9 map[string]map[string]float64) {
-	return throughputSeries(results)
 }

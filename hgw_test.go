@@ -1,6 +1,7 @@
 package hgw_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -11,11 +12,12 @@ import (
 // device subset; the full-population run lives in the benchmarks and
 // cmd/hgbench.
 func TestEndToEndSmall(t *testing.T) {
-	cfg := hgw.Config{
-		Tags:    []string{"je", "be2", "owrt", "nw1"},
-		Options: hgw.Options{Iterations: 2},
+	results, err := hgw.Run(context.Background(), []string{"udp1", "icmp", "dns", "sctp", "dccp"},
+		hgw.WithTags("je", "be2", "owrt", "nw1"), hgw.WithIterations(2))
+	if err != nil {
+		t.Fatal(err)
 	}
-	f1 := hgw.RunUDP1(cfg)
+	f1 := results.Get("udp1").Figure
 	if len(f1.Points) != 4 {
 		t.Fatalf("points = %d", len(f1.Points))
 	}
@@ -26,12 +28,8 @@ func TestEndToEndSmall(t *testing.T) {
 		t.Errorf("longest UDP-1 = %s, want be2", f1.Points[3].Tag)
 	}
 
-	m := hgw.RunICMP(cfg)
-	dns := hgw.RunDNS(cfg)
-	sctp := hgw.RunSCTP(cfg)
-	dccp := hgw.RunDCCP(cfg)
-	table := hgw.Table2(m, sctp, dccp, dns)
-	if !strings.Contains(table, "owrt") || !strings.Contains(table, "•") {
+	table, ok := results.Table2()
+	if !ok || !strings.Contains(table, "owrt") || !strings.Contains(table, "•") {
 		t.Errorf("table 2 rendering broken:\n%s", table)
 	}
 }
@@ -62,9 +60,15 @@ func TestDevicesMatchTable1(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	cfg := hgw.Config{Tags: []string{"je", "ls1"}, Seed: 42, Options: hgw.Options{Iterations: 2}}
-	a := hgw.RunUDP1(cfg)
-	b := hgw.RunUDP1(cfg)
+	run := func() *hgw.Figure {
+		results, err := hgw.Run(context.Background(), []string{"udp1"},
+			hgw.WithTags("je", "ls1"), hgw.WithSeed(42), hgw.WithIterations(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return results[0].Figure
+	}
+	a, b := run(), run()
 	if len(a.Points) != len(b.Points) {
 		t.Fatal("length mismatch")
 	}

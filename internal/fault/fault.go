@@ -31,7 +31,7 @@ const (
 )
 
 // PlanSeed derives the fault-plan rng seed for one fleet shard or
-// inventory lane from the run seed.
+// inventory experiment from the run seed.
 func PlanSeed(seed int64, index int) int64 {
 	return seed + int64(index)*planSeedStride + planSeedOffset
 }

@@ -9,7 +9,7 @@
 // (DESIGN.md §13):
 //
 //   - Registry values are deterministic: they are written single-
-//     threaded by the shard (or lane) that owns the registry, they
+//     threaded by the domain (shard or experiment) owning it, they
 //     count simulation events whose number and order are pure
 //     functions of the seed, and they are merged strictly in shard-
 //     index order. Equal-seed runs produce byte-identical merged

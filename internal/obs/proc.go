@@ -53,7 +53,8 @@ func (p *ProcStats) SimProcUp() { p.simProcs.Add(1) }
 // SimProcDown is SimProcUp's exit-side counterpart.
 func (p *ProcStats) SimProcDown() { p.simProcs.Add(-1) }
 
-// ShardUp / ShardDown track fleet shards built and not yet released.
+// ShardUp / ShardDown track testbed domains (fleet shards and inventory
+// experiments) built and not yet released.
 func (p *ProcStats) ShardUp() { p.liveShards.Add(1) }
 
 // ShardDown is ShardUp's release-side counterpart.

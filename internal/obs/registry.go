@@ -8,7 +8,7 @@ type gauge struct {
 	peak int64
 }
 
-// A Registry is one shard's (or lane's) deterministic metric block.
+// A Registry is one shard's (or experiment's) deterministic metric block.
 // It is strictly single-writer: the goroutine that owns the shard's
 // simulator writes it with plain stores, and readers only see it after
 // the shard's completion signal (a channel close) establishes the

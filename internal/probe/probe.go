@@ -123,7 +123,7 @@ func RunPerDevice(tb *testbed.Testbed, s *sim.Sim, name string,
 
 // dropDelta subtracts a before-probe snapshot of Engine.DropCounts
 // from an after-probe one, so results attribute only the drops the
-// probe itself caused (experiments sharing a lane's testbed would
+// probe itself caused (experiments sweeping the same fleet shard would
 // otherwise leak their drops into later results).
 func dropDelta(before, after map[string]int) map[string]int {
 	out := make(map[string]int)

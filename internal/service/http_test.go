@@ -194,6 +194,18 @@ func TestDaemonErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("POST malformed spec = %d, want 400", resp.StatusCode)
 	}
+
+	// "parallelism" was removed from the Spec: strict decoding rejects
+	// it rather than silently ignoring a knob that no longer exists.
+	resp, err = http.Post(srv.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"ids":["udp1"],"parallelism":2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("POST spec with removed parallelism field = %d, want 400", resp.StatusCode)
+	}
 }
 
 // TestQueueFullRetryAfter: the 429 response carries a Retry-After

@@ -33,13 +33,13 @@ type Spec struct {
 	Seed          int64    `json:"seed"`
 	Iterations    int      `json:"iterations,omitempty"`
 	TransferBytes int      `json:"transfer_bytes,omitempty"`
-	Parallelism   int      `json:"parallelism,omitempty"`
 	Fleet         int      `json:"fleet,omitempty"`
 	Shards        int      `json:"shards,omitempty"`
-	// MaxProcs bounds fleet shard workers (0 = NumCPU on the serving
-	// node). It is a pure throughput knob: fleet output — and therefore
-	// the job's cache key — is identical at any value, so clients on
-	// differently-sized machines share cache entries.
+	// MaxProcs bounds concurrent experiments or fleet shard workers
+	// (0 = NumCPU on the serving node). It is a pure throughput knob:
+	// output — and therefore the job's cache key — is identical at any
+	// value, so clients on differently-sized machines share cache
+	// entries.
 	MaxProcs int `json:"max_procs,omitempty"`
 	// Faults enables deterministic fault injection (hgw.WithFaults).
 	// Absent or all-zero it contributes nothing to the cache key, so
@@ -59,9 +59,6 @@ func (sp Spec) options() []hgw.Option {
 	}
 	if sp.TransferBytes > 0 {
 		opts = append(opts, hgw.WithTransferBytes(sp.TransferBytes))
-	}
-	if sp.Parallelism > 0 {
-		opts = append(opts, hgw.WithParallelism(sp.Parallelism))
 	}
 	if sp.Fleet > 0 {
 		opts = append(opts, hgw.WithFleet(sp.Fleet), hgw.WithShards(sp.Shards))

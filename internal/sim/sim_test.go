@@ -329,6 +329,25 @@ func TestPending(t *testing.T) {
 // countGoroutines samples runtime.NumGoroutine with a settle loop:
 // exiting goroutines hand their token back before the runtime retires
 // them, so give the scheduler a few beats to drain.
+// settledGoroutines reads a goroutine-count baseline once the count
+// stops moving. A process goroutine that exited in an earlier test has
+// already returned the scheduler token, but the runtime still counts it
+// until its final instructions run; reading the baseline inside that
+// window would overcount by one.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		runtime.Gosched()
+		time.Sleep(time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			break
+		}
+		n = m
+	}
+	return n
+}
+
 func countGoroutines(baseline int) int {
 	n := runtime.NumGoroutine()
 	for i := 0; i < 100 && n > baseline; i++ {
@@ -340,7 +359,7 @@ func countGoroutines(baseline int) int {
 }
 
 func TestShutdownReleasesGoroutines(t *testing.T) {
-	baseline := runtime.NumGoroutine()
+	baseline := settledGoroutines()
 	s := New(1)
 	const procs = 50
 	cleaned := 0
@@ -370,7 +389,7 @@ func TestShutdownReleasesGoroutines(t *testing.T) {
 }
 
 func TestShutdownIdempotentAndCleanExit(t *testing.T) {
-	baseline := runtime.NumGoroutine()
+	baseline := settledGoroutines()
 	s := New(1)
 	ran := false
 	s.Spawn("worker", func(p *Proc) {
@@ -391,7 +410,7 @@ func TestShutdownIdempotentAndCleanExit(t *testing.T) {
 }
 
 func TestShutdownInterruptedRun(t *testing.T) {
-	baseline := runtime.NumGoroutine()
+	baseline := settledGoroutines()
 	s := New(1)
 	for i := 0; i < 8; i++ {
 		s.Spawn("ticker", func(p *Proc) {
@@ -414,7 +433,7 @@ func TestShutdownInterruptedRun(t *testing.T) {
 }
 
 func TestShutdownSurvivesReparkingCleanup(t *testing.T) {
-	baseline := runtime.NumGoroutine()
+	baseline := settledGoroutines()
 	s := New(1)
 	s.Spawn("stubborn", func(p *Proc) {
 		defer func() {

@@ -12,39 +12,27 @@ import (
 // Option configures a Runner (and thus a Run call).
 type Option func(*settings)
 
-// defaultParallelism is a fixed constant, not GOMAXPROCS: lane
-// assignment (and therefore which testbed an experiment observes)
-// follows parallelism, so a hardware-dependent default would make
-// equal-seed runs render differently across machines. Fleet mode has
-// no such coupling — shards are independent time domains — so its
-// worker count (maxProcs) defaults to the machine's core count.
-const defaultParallelism = 4
-
 // settings is the resolved option set shared by every experiment in a
-// run. Experiments with identical settings can share a testbed.
+// run.
 type settings struct {
-	tags        []string
-	seed        int64
-	probeOpts   Options
-	parallelism int
-	maxProcs    int
-	progress    func(Progress)
-	fleet       int
-	shards      int
-	deviceCB    func(DeviceEvent)
-	report      bool
-	reportCB    func(*RunReport)
-	faults      FaultSpec
-	memo        *MemoStore
+	tags      []string
+	seed      int64
+	probeOpts Options
+	maxProcs  int
+	progress  func(Progress)
+	fleet     int
+	shards    int
+	deviceCB  func(DeviceEvent)
+	report    bool
+	reportCB  func(*RunReport)
+	faults    FaultSpec
+	memo      *MemoStore
 }
 
 func newSettings(opts []Option) settings {
-	s := settings{parallelism: defaultParallelism, shards: 1}
+	s := settings{shards: 1}
 	for _, o := range opts {
 		o(&s)
-	}
-	if s.parallelism < 1 {
-		s.parallelism = 1
 	}
 	if s.maxProcs < 1 {
 		s.maxProcs = runtime.NumCPU()
@@ -64,15 +52,15 @@ func newSettings(opts []Option) settings {
 // CacheKey returns a stable content address for a Run request: the
 // SHA-256 (hex) of the canonical form of everything the output is a
 // function of — the resolved experiment ids, seed, tags, normalized
-// probe options, parallelism, and the fleet/shard parameters. Because
-// Run output is a pure function of exactly these inputs, two requests
-// with equal keys render byte-identical results, which is what lets a
-// service answer repeated requests from cache (see internal/service and
-// DESIGN.md §8).
+// probe options, the fleet/shard parameters and an enabled fault plan.
+// Because Run output is a pure function of exactly these inputs, two
+// requests with equal keys render byte-identical results, which is
+// what lets a service answer repeated requests from cache (see
+// internal/service and DESIGN.md §8).
 //
-// Fleet requests (WithFleet > 0) do not key on parallelism or
-// WithMaxProcs: shard execution is deterministic at any worker count,
-// so the same fleet job submitted from a 1-core client and a 64-core
+// No request keys on WithMaxProcs: every experiment and every fleet
+// shard runs in a sealed domain, so output is identical at any worker
+// count and the same job submitted from a 1-core client and a 64-core
 // client hits the same cache entry.
 //
 // Canonicalization matches Run's own request handling: ids are
@@ -80,10 +68,10 @@ func newSettings(opts []Option) settings {
 // an empty id list resolves to DefaultIDs — or FleetIDs when the
 // options request fleet mode — and zero probe-option fields take their
 // defaults (a zero Options and an explicit {Iterations: 5} share a
-// key). Order stays significant where Run makes it significant: both
-// the id list (lane assignment) and the tag list (testbed node order)
-// are hashed in request order. Unknown ids return an
-// *UnknownExperimentError, like Run.
+// key). Order stays significant where Run makes it significant: the id
+// list (result order, fault plans seed-split by experiment index) and
+// the tag list (testbed node order) are hashed in request order.
+// Unknown ids return an *UnknownExperimentError, like Run.
 func CacheKey(ids []string, opts ...Option) (string, error) {
 	set := newSettings(opts)
 	if len(ids) == 0 {
@@ -118,17 +106,9 @@ func (s settings) canonical(exps []*Experiment) string {
 	fmt.Fprintf(&sb, "opts=iters:%d,res:%d,maxudp:%d,maxtcp:%d,bytes:%d,verdict:%d\n",
 		o.Iterations, int64(o.Resolution), int64(o.MaxUDPTimeout),
 		int64(o.MaxTCPTimeout), o.TransferBytes, int64(o.Verdict))
-	if s.fleet > 0 {
-		// Fleet output is independent of every concurrency knob: shards
-		// are isolated time domains and the merge is ordered, so runs at
-		// parallelism 1 and NumCPU render byte-identically. Hash a
-		// wildcard so those runs share a cache entry. ("*" cannot
-		// collide with the inventory form, which always prints a
-		// number.) maxProcs is likewise absent from the hash.
-		fmt.Fprintf(&sb, "parallelism=*\nfleet=%d\nshards=%d\n", s.fleet, s.shards)
-	} else {
-		fmt.Fprintf(&sb, "parallelism=%d\nfleet=%d\nshards=%d\n", s.parallelism, s.fleet, s.shards)
-	}
+	// maxProcs is absent: domains are sealed, so output is independent
+	// of the worker count.
+	fmt.Fprintf(&sb, "fleet=%d\nshards=%d\n", s.fleet, s.shards)
 	if o.Retries > 0 {
 		// Appended (rather than folded into the opts line) and omitted
 		// at the zero default, so pre-existing keys are untouched.
@@ -155,10 +135,10 @@ func WithTags(tags ...string) Option {
 }
 
 // WithSeed seeds the simulations. Output is a pure function of (ids,
-// tags, seed, options, parallelism): runs agreeing on all of them
-// render byte-identically, on any machine. Experiments sharing a lane
-// run on a testbed with history, so their values can differ slightly
-// from a single-experiment run of the same seed.
+// tags, seed, options): runs agreeing on all of them render
+// byte-identically, on any machine and at any WithMaxProcs. Every
+// experiment runs on a testbed of its own, so its result equals a
+// single-experiment run of the same seed.
 func WithSeed(seed int64) Option {
 	return func(s *settings) { s.seed = seed }
 }
@@ -182,30 +162,16 @@ func WithOptions(o Options) Option {
 	return func(s *settings) { s.probeOpts = o }
 }
 
-// WithParallelism bounds how many experiments execute concurrently and
-// therefore how many testbeds an inventory run builds: shared-testbed
-// experiments are split deterministically across at most n lanes, each
-// lane reusing a single testbed. Parallelism is part of the inventory
-// reproducibility contract — it decides lane assignment, and a lane's
-// later experiments observe its earlier experiments' testbed history —
-// so it defaults to a fixed 4 rather than the machine's core count.
-// Fleet runs ignore it entirely (shards are independent; see
-// WithMaxProcs), which is why CacheKey drops it for fleet requests.
-func WithParallelism(n int) Option {
-	return func(s *settings) { s.parallelism = n }
-}
-
-// WithMaxProcs bounds how many fleet shards execute concurrently
-// (default: runtime.NumCPU; values below 1 select the default). Unlike
-// WithParallelism, maxProcs is a pure throughput knob with no
-// reproducibility weight: every shard is an independent virtual time
-// domain whose simulator seed, device partition and rng stream depend
-// only on (seed, shard index), and the merge step reassembles shard
-// results in shard order, so a fleet run renders byte-identically at
-// maxProcs 1, 4 or 64. It also sets the run's memory budget: at most
-// maxProcs shards (plus a small pipeline window) are resident at once,
+// WithMaxProcs bounds how many experiments (inventory runs) or fleet
+// shards execute concurrently (default: runtime.NumCPU; values below 1
+// select the default). It is a pure throughput knob with no
+// reproducibility weight: every experiment and every shard is a sealed
+// virtual time domain whose inputs depend only on the run's settings
+// and the domain's index, and results are assembled in request (or
+// shard) order, so a run renders byte-identically at maxProcs 1, 4 or
+// 64. It also sets the run's memory budget: at most maxProcs testbeds
+// (plus, for fleets, a small pipeline window) are resident at once,
 // which is what lets WithFleet(1_000_000) run in bounded memory.
-// Inventory runs ignore it.
 func WithMaxProcs(n int) Option {
 	return func(s *settings) { s.maxProcs = n }
 }
@@ -242,10 +208,10 @@ func WithShards(k int) Option {
 	return func(s *settings) { s.shards = k }
 }
 
-// WithRunReport requests run telemetry: each fleet shard (or inventory
-// lane) gets a per-shard obs registry, and when the run finishes fn
-// receives the assembled RunReport (fn may be nil to collect the
-// report for Runner.Report only). Telemetry observes a run without
+// WithRunReport requests run telemetry: each domain (fleet shard or
+// non-Standalone inventory experiment) gets its own obs registry, and
+// when the run finishes fn receives the assembled RunReport (fn may be
+// nil to collect the report for Runner.Report only). Telemetry observes a run without
 // influencing it — registries are write-only from simulation code
 // (obslint) and the report rides outside the result path — so CacheKey
 // deliberately ignores this option, like the other callbacks, and
@@ -338,9 +304,10 @@ func (f FaultSpec) normalized() FaultSpec {
 	return f
 }
 
-// WithFaults installs a fault-injection plan on the run: every fleet
-// shard (and inventory lane) compiles a per-shard plan from the spec
-// and its seed-split plan seed and executes it against its devices.
+// WithFaults installs a fault-injection plan on the run: every domain
+// (fleet shard or non-Standalone inventory experiment) compiles its
+// own plan from the spec and its index-split plan seed and executes it
+// against its devices.
 // Faults are part of the output contract — CacheKey folds an enabled
 // spec in — and of the determinism contract: equal-seed faulted runs
 // render byte-identically at any WithMaxProcs setting. A zero spec is

@@ -78,11 +78,11 @@ func TestRunAliases(t *testing.T) {
 
 // TestRunDeterminism checks that two multi-experiment runs with equal
 // seeds produce byte-identical Result.Render output, even with
-// concurrent lanes and testbed reuse.
+// experiments executing concurrently.
 func TestRunDeterminism(t *testing.T) {
 	ids := []string{"udp1", "udp4", "quirks", "sctp", "dns"}
 	run := func() string {
-		results, err := hgw.Run(context.Background(), ids, smallOpts(hgw.WithParallelism(2))...)
+		results, err := hgw.Run(context.Background(), ids, smallOpts(hgw.WithMaxProcs(2))...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,12 +121,13 @@ func TestFleetRenderDeterministicPooled(t *testing.T) {
 	}
 }
 
-// TestRunSharesTestbeds checks the scheduler's reuse guarantee: a
-// multi-experiment run builds strictly fewer testbeds than the number
-// of experiments requested.
-func TestRunSharesTestbeds(t *testing.T) {
-	ids := []string{"udp1", "udp4", "quirks", "sctp", "dns"}
-	r := hgw.NewRunner(smallOpts(hgw.WithParallelism(2))...)
+// TestRunTestbedPerExperiment checks the sealed-domain contract: every
+// non-Standalone experiment gets a testbed of its own, Standalone ones
+// (tcp2 here) get none from the Runner, and results come back in
+// requested order whatever order the domains finish in.
+func TestRunTestbedPerExperiment(t *testing.T) {
+	ids := []string{"udp1", "tcp2", "udp4", "quirks", "sctp", "dns"}
+	r := hgw.NewRunner(smallOpts(hgw.WithMaxProcs(2))...)
 	results, err := r.Run(context.Background(), ids)
 	if err != nil {
 		t.Fatal(err)
@@ -134,10 +135,9 @@ func TestRunSharesTestbeds(t *testing.T) {
 	if len(results) != len(ids) {
 		t.Fatalf("got %d results, want %d", len(results), len(ids))
 	}
-	if built := r.TestbedsBuilt(); built >= len(ids) || built > 2 {
-		t.Errorf("built %d testbeds for %d experiments, want at most 2", built, len(ids))
+	if built := r.TestbedsBuilt(); built != len(ids)-1 {
+		t.Errorf("built %d testbeds for %d non-Standalone experiments", built, len(ids)-1)
 	}
-	// Results come back in requested order regardless of lane placement.
 	for i, id := range ids {
 		if results[i].ID != id {
 			t.Errorf("results[%d] = %s, want %s", i, results[i].ID, id)
@@ -147,7 +147,7 @@ func TestRunSharesTestbeds(t *testing.T) {
 
 func TestRunResultsCollection(t *testing.T) {
 	results, err := hgw.Run(context.Background(), []string{"icmp", "sctp", "dccp", "dns"},
-		smallOpts(hgw.WithParallelism(1))...)
+		smallOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}

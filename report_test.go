@@ -88,16 +88,17 @@ func TestFleetRunReport(t *testing.T) {
 }
 
 // TestInventoryRunReport checks inventory (non-fleet) runs report one
-// section per shared-testbed lane, with lane registries accounting the
-// lane's whole build+probe trajectory.
+// section per non-Standalone experiment, in id order, with each
+// domain's registry accounting its whole build+probe trajectory;
+// Standalone experiments (tcp2) build private testbeds and get none.
 func TestInventoryRunReport(t *testing.T) {
 	var rep *hgw.RunReport
 	r := hgw.NewRunner(
 		hgw.WithSeed(3), hgw.WithTags("al", "ap"),
-		hgw.WithParallelism(2), hgw.WithIterations(1),
+		hgw.WithIterations(1), hgw.WithTransferBytes(1<<20),
 		hgw.WithRunReport(func(got *hgw.RunReport) { rep = got }),
 	)
-	if _, err := r.Run(context.Background(), []string{"udp1", "udp3"}); err != nil {
+	if _, err := r.Run(context.Background(), []string{"udp1", "tcp2", "udp3"}); err != nil {
 		t.Fatal(err)
 	}
 	if rep == nil {
@@ -107,14 +108,15 @@ func TestInventoryRunReport(t *testing.T) {
 		t.Error("inventory report marked fleet")
 	}
 	if len(rep.Shards) != 2 {
-		t.Fatalf("report has %d lane sections, want 2", len(rep.Shards))
+		t.Fatalf("report has %d sections, want one per non-Standalone experiment (2)", len(rep.Shards))
 	}
-	for i, lane := range rep.Shards {
-		if lane.Index != i {
-			t.Errorf("lane section %d has index %d", i, lane.Index)
+	for i, want := range []int{0, 2} { // udp1 and udp3's positions in the id list
+		sec := rep.Shards[i]
+		if sec.Index != want {
+			t.Errorf("section %d has index %d, want %d", i, sec.Index, want)
 		}
-		if lane.Metrics.Counters["sim_events_fired"] == 0 {
-			t.Errorf("lane %d fired no simulator events", i)
+		if sec.Metrics.Counters["sim_events_fired"] == 0 {
+			t.Errorf("section %d fired no simulator events", i)
 		}
 	}
 	if rep.Totals.Counters["nat_translations"] == 0 {

@@ -110,20 +110,6 @@ func throughputSeries(results []Throughput) (fig8, fig9 map[string]map[string]fl
 	return fig8, fig9
 }
 
-// MergeFigure pools per-device results from several shards (or several
-// partial runs) into one population Figure: points are re-sorted by
-// ascending median across the whole pool and the population median and
-// mean are recomputed over every device. The fleet runner uses it to
-// aggregate each experiment's shard sweeps; it is exported so custom
-// sharded experiments can do the same.
-func MergeFigure(title, unit string, shardResults ...[]DeviceResult) Figure {
-	var all []DeviceResult
-	for _, part := range shardResults {
-		all = append(all, part...)
-	}
-	return report.NewFigure(title, unit, all)
-}
-
 // Results is an ordered collection of experiment results, as returned
 // by Run (in requested-id order).
 type Results []*Result

@@ -37,7 +37,7 @@ const (
 // experiment starts (Done false) and finishes (Done true). Every
 // experiment in a run emits exactly one Done event; the preceding
 // start event is omitted for experiments that never began executing
-// (context cancelled, or their lane's testbed failed to build). Fleet
+// (context cancelled, or their testbed failed to build). Fleet
 // runs additionally emit ProgressShard events bracketing each shard's
 // build/sweep and merge.
 type Progress struct {
@@ -105,7 +105,7 @@ func (e *ShardError) Error() string {
 func (e *ShardError) Unwrap() error { return e.Err }
 
 // RunError is the error Run returns when experiments fail: it carries
-// every failed experiment, not just the first one a lane encountered,
+// every failed experiment, not just the first one to fail,
 // so callers can tell exactly which subset of a multi-experiment run
 // needs re-running. Failures preserve requested-id order.
 type RunError struct {
@@ -157,22 +157,24 @@ func runError(exps []*Experiment, errs []error) error {
 	return &RunError{Failures: failures}
 }
 
-// Runner schedules registry experiments over shared testbeds.
+// Runner executes registry experiments, each in its own sealed domain.
 //
-// Experiments that run on a shared testbed (all but the Standalone
-// ones) are split deterministically across at most WithParallelism
-// lanes; each lane builds one Figure 1 testbed and runs its experiments
-// on it sequentially, so a multi-experiment run builds min(parallelism,
-// experiments) testbeds instead of one per experiment. Lanes — and
-// Standalone experiments — execute concurrently, bounded by the same
-// parallelism. The lane assignment depends only on the id list and the
-// parallelism, so runs with equal seeds render byte-identically.
+// A domain is one freshly built Figure 1 testbed with its own
+// simulator, fault plan, interrupt hook and (with WithRunReport)
+// telemetry registry; it is built, run and shut down on its own, and
+// nothing else ever touches it. Inventory runs give every experiment
+// except the Standalone ones a domain of its own — built from the
+// run's tags and seed, so an experiment observes exactly what a
+// single-experiment run of it observes — and fleet runs (WithFleet)
+// give every shard one, swept by each experiment in turn. Standalone
+// experiments build their own testbeds (per device or per pair).
 //
-// Fleet runs (WithFleet) schedule differently: shards stream through a
-// bounded pipeline of WithMaxProcs workers, each shard built, swept by
-// every experiment, and released within one Run. Shards are ephemeral —
+// Domains share nothing, so scheduling cannot reach the output: up to
+// WithMaxProcs experiments (or shards) execute at once and results are
+// assembled in request (or shard) order, so runs with equal seeds
+// render byte-identically at any worker count. Domains are ephemeral —
 // nothing carries over between runs — so a Runner stays reusable even
-// after a cancelled or failed fleet run.
+// after a cancelled or failed run.
 type Runner struct {
 	set settings
 
@@ -241,158 +243,44 @@ func (r *Runner) Run(ctx context.Context, ids []string) (Results, error) {
 		return nil, err
 	}
 
-	total := len(exps)
-	slots := make([]*Result, total)
-	errs := make([]error, total)
-
-	var sharedIdx, soloIdx []int
-	for i, e := range exps {
-		if e.Standalone {
-			soloIdx = append(soloIdx, i)
-		} else {
-			sharedIdx = append(sharedIdx, i)
-		}
-	}
-
-	// sem bounds concurrently executing experiments across lanes and
-	// standalone runs.
-	sem := make(chan struct{}, r.set.parallelism)
-	var wg sync.WaitGroup
-
-	// Telemetry: each lane gets its own registry (single-writer: the
-	// lane goroutine), snapshotted when the lane unwinds. Lane count
-	// and assignment are deterministic, so so are the lane sections.
 	var runStart time.Time
-	var laneSnaps []*obs.Snapshot
-	var laneReps []ShardReport
 	if r.set.report {
 		runStart = obs.Now()
 	}
-
-	runOne := func(i int, env *Env) {
+	total := len(exps)
+	slots := make([]*Result, total)
+	errs := make([]error, total)
+	doms := make([]*domain, total)
+	sem := make(chan struct{}, r.set.maxProcs)
+	var wg sync.WaitGroup
+	for i, e := range exps {
 		sem <- struct{}{}
-		defer func() { <-sem }()
-		defer func() {
-			if p := recover(); p != nil {
-				errs[i] = fmt.Errorf("panic: %v", p)
-				r.emit(Progress{ID: exps[i].ID, Index: i, Total: total, Done: true, Err: errs[i]})
-			}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { <-sem }()
+			slots[i], doms[i], errs[i] = r.runExperiment(ctx, e, i, total)
+			r.emit(Progress{ID: e.ID, Index: i, Total: total, Done: true, Err: errs[i]})
 		}()
-		r.emit(Progress{ID: exps[i].ID, Index: i, Total: total})
-		res, err := exps[i].Run(ctx, env)
-		if err == nil {
-			// A cancelled context may have interrupted the probe
-			// mid-simulation; the (possibly partial) result is unusable.
-			if cerr := ctx.Err(); cerr != nil {
-				res, err = nil, cerr
-			}
-		}
-		slots[i], errs[i] = res, err
-		r.emit(Progress{ID: exps[i].ID, Index: i, Total: total, Done: true, Err: err})
-	}
-
-	// Shared-testbed lanes: lane l runs sharedIdx[l], sharedIdx[l+L], ...
-	lanes := r.set.parallelism
-	if lanes > len(sharedIdx) {
-		lanes = len(sharedIdx)
-	}
-	if r.set.report {
-		laneSnaps = make([]*obs.Snapshot, lanes)
-		laneReps = make([]ShardReport, lanes)
-	}
-	for l := 0; l < lanes; l++ {
-		var mine []int
-		for j := l; j < len(sharedIdx); j += lanes {
-			mine = append(mine, sharedIdx[j])
-		}
-		wg.Add(1)
-		go func(l int, mine []int) {
-			defer wg.Done()
-			var tb *Testbed
-			var s *Sim
-			var buildErr error
-			var reg *obs.Registry
-			var laneStart time.Time
-			if r.set.report {
-				reg = obs.NewRegistry()
-				laneStart = obs.Now()
-			}
-			// Drop the lane's testbed with its process goroutines
-			// unwound; parked servers would otherwise outlive the Run.
-			// Then snapshot the lane's registry: the Shutdown above is
-			// the lane's last simulator activity, so the snapshot is
-			// complete, and wg.Wait publishes it to the assembler.
-			defer func() {
-				if s != nil {
-					s.Shutdown()
-				}
-				if reg != nil {
-					snap := reg.Snapshot()
-					laneSnaps[l] = snap
-					laneReps[l] = ShardReport{
-						Index:   l,
-						WallMS:  float64(obs.Since(laneStart)) / 1e6,
-						Metrics: metricsFromSnapshot(snap),
-						Trace:   traceEntries(snap.Trace),
-					}
-					if s != nil {
-						laneReps[l].SimEndNS = int64(s.Now())
-					}
-				}
-			}()
-			for _, i := range mine {
-				err := ctx.Err()
-				if err == nil {
-					// A failed build poisons the whole lane: the same
-					// (tags, seed) would fail identically, so don't
-					// rebuild per experiment.
-					err = buildErr
-				}
-				if err == nil && tb == nil {
-					if tb, s, buildErr = r.newTestbed(reg); buildErr != nil {
-						err = buildErr
-					} else {
-						// The lane goroutine owns this simulator: poll ctx
-						// between events so cancellation interrupts a probe
-						// mid-run instead of waiting out the experiment.
-						s.SetInterrupt(func() bool { return ctx.Err() != nil })
-						// Chaos: lanes seed-split fault plans by lane
-						// index, like fleet shards do by shard index.
-						r.installFaults(s, tb, l)
-					}
-				}
-				if err != nil {
-					errs[i] = err
-					r.emit(Progress{ID: exps[i].ID, Index: i, Total: total, Done: true, Err: err})
-					continue
-				}
-				runOne(i, &Env{Tags: r.set.tags, Seed: r.set.seed, Options: r.set.probeOpts, Testbed: tb, Sim: s})
-			}
-		}(l, mine)
-	}
-
-	// Standalone experiments build their own testbeds.
-	for _, i := range soloIdx {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := ctx.Err(); err != nil {
-				errs[i] = err
-				r.emit(Progress{ID: exps[i].ID, Index: i, Total: total, Done: true, Err: err})
-				return
-			}
-			runOne(i, &Env{Tags: r.set.tags, Seed: r.set.seed, Options: r.set.probeOpts})
-		}(i)
 	}
 	wg.Wait()
 
 	if r.set.report {
-		r.finishReport(&RunReport{
-			Shards:  laneReps,
-			Totals:  metricsFromSnapshot(obs.Merge(laneSnaps...)),
-			WallMS:  float64(obs.Since(runStart)) / 1e6,
-			Process: processStats(),
-		})
+		// Domains are sealed and finished (wg.Wait published them), so
+		// their sections fold in id order, like fleet shards do.
+		rep := &RunReport{}
+		var snaps []*obs.Snapshot
+		for _, d := range doms {
+			if d != nil && d.reg != nil {
+				sec, snap := d.section()
+				rep.Shards = append(rep.Shards, sec)
+				snaps = append(snaps, snap)
+			}
+		}
+		rep.Totals = metricsFromSnapshot(obs.Merge(snaps...))
+		rep.WallMS = float64(obs.Since(runStart)) / 1e6
+		rep.Process = processStats()
+		r.finishReport(rep)
 	}
 
 	out := make(Results, 0, total)
@@ -402,6 +290,116 @@ func (r *Runner) Run(ctx context.Context, ids []string) (Results, error) {
 		}
 	}
 	return out, runError(exps, errs)
+}
+
+// runExperiment runs inventory experiment e (position i of total): a
+// Standalone experiment directly, any other in a sealed domain of its
+// own, which it returns for the run report. A panicking experiment
+// fails alone, with the panic as its error.
+func (r *Runner) runExperiment(ctx context.Context, e *Experiment, i, total int) (res *Result, d *domain, err error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	env := &Env{Tags: r.set.tags, Seed: r.set.seed, Options: r.set.probeOpts}
+	call := func() (res *Result, err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				res, err = nil, fmt.Errorf("panic: %v", p)
+			}
+		}()
+		r.emit(Progress{ID: e.ID, Index: i, Total: total})
+		return e.Run(ctx, env)
+	}
+	if e.Standalone {
+		res, err = call()
+	} else {
+		d, err = r.runDomain(ctx, i, r.buildTestbed, func(tb *Testbed, s *Sim) error {
+			env.Testbed, env.Sim = tb, s
+			res, err = call()
+			return err
+		})
+	}
+	if err == nil {
+		// A cancelled context may have interrupted the probe
+		// mid-simulation; the (possibly partial) result is unusable.
+		if cerr := ctx.Err(); cerr != nil {
+			res, err = nil, cerr
+		}
+	}
+	return res, d, err
+}
+
+// domain is one sealed execution domain's record: its index (the
+// experiment's position in the resolved id list, or the fleet shard
+// index) and, with WithRunReport, the registry that observed it plus
+// the frame its report section needs.
+type domain struct {
+	index  int
+	reg    *obs.Registry
+	simEnd time.Duration
+	wallMS float64
+}
+
+// runDomain is the lifecycle every testbed the Runner builds goes
+// through, inventory experiment and fleet shard alike: attach a
+// registry (WithRunReport), build, count the build, hook ctx into the
+// simulator, install the fault plan seed-split by index, run, and
+// shut the simulator down. The calling goroutine owns the simulator
+// throughout. build's error, else run's, is returned; the domain
+// record is returned either way.
+func (r *Runner) runDomain(ctx context.Context, index int,
+	build func(reg *obs.Registry) (*Testbed, *Sim, error),
+	run func(tb *Testbed, s *Sim) error) (*domain, error) {
+
+	d := &domain{index: index}
+	var start time.Time
+	if r.set.report {
+		d.reg = obs.NewRegistry()
+		d.reg.Trace(obs.TraceShardStart, 0, uint32(index))
+		start = obs.Now()
+	}
+	// The live-shard gauge brackets the domain's whole life: Up before
+	// the build, Down after the deferred Shutdown unwinds the
+	// simulator — the pairing the goroutine-leak tripwire test asserts
+	// returns to baseline.
+	obs.Proc.ShardUp()
+	defer obs.Proc.ShardDown()
+	tb, s, err := build(d.reg)
+	if err != nil {
+		return d, err
+	}
+	// Unwind the domain's process goroutines before returning: servers
+	// park forever and the Go runtime never collects a blocked
+	// goroutine, so skipping this leaks the whole testbed per domain.
+	defer s.Shutdown()
+	r.mu.Lock()
+	r.testbedsBuilt++
+	r.mu.Unlock()
+	// Poll ctx between events so cancellation interrupts a probe
+	// mid-run instead of waiting it out.
+	s.SetInterrupt(func() bool { return ctx.Err() != nil })
+	// Chaos: the plan schedules its events before anything runs,
+	// mirroring real faults striking mid-measurement.
+	r.installFaults(s, tb, index)
+	err = run(tb, s)
+	if r.set.report {
+		d.simEnd = time.Duration(s.Now())
+		d.wallMS = float64(obs.Since(start)) / 1e6
+	}
+	return d, err
+}
+
+// section snapshots a finished domain's registry into its report
+// section. The caller must own the registry (the domain's run is over).
+func (d *domain) section() (ShardReport, *obs.Snapshot) {
+	snap := d.reg.Snapshot()
+	return ShardReport{
+		Index:    d.index,
+		SimEndNS: int64(d.simEnd),
+		WallMS:   d.wallMS,
+		Metrics:  metricsFromSnapshot(snap),
+		Trace:    traceEntries(snap.Trace),
+	}, snap
 }
 
 // resolveIDs looks up, trims and deduplicates a requested id list.
@@ -502,17 +500,15 @@ func (r *Runner) runFleet(ctx context.Context, ids []string) (Results, error) {
 // cancellation, for which no window token was taken.
 //
 // When telemetry is on (WithRunReport), the batch also carries the
-// shard's registry plus the wall/sim-time frame the report needs. The
-// registry rides the same happens-before edge as the points (the
-// done-channel close), so the merger reads it race-free; the merger
-// stamps the TraceShardMerge event itself — it is the registry's owner
-// from that point on.
+// shard's domain record: its registry plus the wall/sim-time frame the
+// report needs. The registry rides the same happens-before edge as the
+// points (the done-channel close), so the merger reads it race-free;
+// the merger stamps the TraceShardMerge event itself — it is the
+// registry's owner from that point on.
 type shardBatch struct {
 	pts     [][]stats.DevicePoint
 	rows    [][]DeviceResult
-	reg     *obs.Registry
-	simEnd  time.Duration
-	wallMS  float64
+	dom     *domain
 	devices int
 	err     error
 	skipped bool
@@ -635,84 +631,56 @@ func (r *Runner) sweepShards(ctx context.Context, exps []*Experiment) ([][]stats
 			b.err = err
 			return
 		}
-		var start time.Time
-		if r.set.report {
-			b.reg = obs.NewRegistry()
-			b.reg.Trace(obs.TraceShardStart, 0, uint32(i))
-			b.devices = len(profiles)
-			start = obs.Now()
-		}
 		r.emit(Progress{Kind: ProgressShard, Shard: i, Index: i, Total: n})
-		// The live-shard gauge brackets the shard's whole life: Up
-		// before the build, Down (deferred) after the deferred
-		// Shutdown unwinds the simulator — the pairing the
-		// goroutine-leak tripwire test asserts returns to baseline.
-		obs.Proc.ShardUp()
-		defer obs.Proc.ShardDown()
-		sh, err := testbed.BuildShard(profiles, i, bounds[i], r.set.seed, b.reg)
-		if err != nil {
-			b.err = err
-			return
-		}
-		// Unwind the shard's process goroutines before publishing the
-		// batch: servers park forever and the Go runtime never collects
-		// a blocked goroutine, so skipping this leaks the entire shard
-		// per shard processed (§12's memory budget depends on it).
-		defer sh.Sim.Shutdown()
-		r.mu.Lock()
-		r.testbedsBuilt++
-		r.mu.Unlock()
-		// This goroutine owns the shard's simulator for the shard's
-		// whole life: poll ctx between events so cancellation
-		// interrupts a sweep mid-run instead of waiting it out.
-		sh.Sim.SetInterrupt(func() bool { return ctx.Err() != nil })
-		// Chaos: the shard's fault plan (seed-split per shard index)
-		// schedules its events before any sweep runs, mirroring real
-		// faults striking mid-measurement.
-		r.installFaults(sh.Sim, sh.Testbed, i)
-		b.pts = make([][]stats.DevicePoint, len(exps))
-		if r.set.deviceCB != nil {
-			b.rows = make([][]DeviceResult, len(exps))
-		}
-		var memoRows [][]DeviceResult
-		if memoKeys != nil {
-			memoRows = make([][]DeviceResult, len(exps))
-		}
-		for j, e := range exps {
-			curExp = e.ID
-			rows := e.Sweep(&Env{
-				Seed:    r.set.seed + int64(i),
-				Options: r.set.probeOpts,
-				Testbed: sh.Testbed,
-				Sim:     sh.Sim,
-			})
-			if err := ctx.Err(); err != nil {
-				b.err = err // interrupted mid-sweep: rows are incomplete
-				return
+		build := func(reg *obs.Registry) (*Testbed, *Sim, error) {
+			sh, err := testbed.BuildShard(profiles, i, bounds[i], r.set.seed, reg)
+			if err != nil {
+				return nil, nil, err
 			}
-			// Reduce rows to points here, matching report.NewFigure's
-			// reduction, so the merge accumulates three floats per
-			// device instead of every raw sample.
-			b.pts[j] = pointsFromRows(rows)
-			if b.rows != nil {
-				b.rows[j] = rows
+			return sh.Testbed, sh.Sim, nil
+		}
+		b.devices = len(profiles)
+		b.dom, b.err = r.runDomain(ctx, i, build, func(tb *Testbed, s *Sim) error {
+			b.pts = make([][]stats.DevicePoint, len(exps))
+			if r.set.deviceCB != nil {
+				b.rows = make([][]DeviceResult, len(exps))
+			}
+			var memoRows [][]DeviceResult
+			if memoKeys != nil {
+				memoRows = make([][]DeviceResult, len(exps))
+			}
+			for j, e := range exps {
+				curExp = e.ID
+				rows := e.Sweep(&Env{
+					Seed:    r.set.seed + int64(i),
+					Options: r.set.probeOpts,
+					Testbed: tb,
+					Sim:     s,
+				})
+				if err := ctx.Err(); err != nil {
+					return err // interrupted mid-sweep: rows are incomplete
+				}
+				// Reduce rows to points here, matching report.NewFigure's
+				// reduction, so the merge accumulates three floats per
+				// device instead of every raw sample.
+				b.pts[j] = pointsFromRows(rows)
+				if b.rows != nil {
+					b.rows[j] = rows
+				}
+				if memoRows != nil {
+					memoRows[j] = rows
+				}
 			}
 			if memoRows != nil {
-				memoRows[j] = rows
+				// Encode here (off the merge path), but let the merger do
+				// the Put: only a shard that reaches a successful merge is
+				// recorded, so a cancelled run never persists partial work.
+				if blob, eerr := encodeShardRows(memoRows); eerr == nil {
+					b.blob = blob
+				}
 			}
-		}
-		if memoRows != nil {
-			// Encode here (off the merge path), but let the merger do the
-			// Put: only a shard that reaches a successful merge is
-			// recorded, so a cancelled run never persists partial work.
-			if blob, eerr := encodeShardRows(memoRows); eerr == nil {
-				b.blob = blob
-			}
-		}
-		if r.set.report {
-			b.simEnd = time.Duration(sh.Sim.Now())
-			b.wallMS = float64(obs.Since(start)) / 1e6
-		}
+			return nil
+		})
 	}
 
 	// Dispatcher: in-order shard launch under the window bound.
@@ -760,21 +728,15 @@ func (r *Runner) sweepShards(ctx context.Context, exps []*Experiment) ([][]stats
 				// fully and its rows are now part of the run's output.
 				r.set.memo.Put(memoKeys[i], b.blob)
 			}
-			if b.reg != nil {
+			if b.dom != nil && b.dom.reg != nil {
 				// The worker is done with the registry (done[i] is
 				// closed); the merger owns it now and stamps the
 				// merge marker before snapshotting.
-				b.reg.Trace(obs.TraceShardMerge, b.simEnd, uint32(i))
-				snap := b.reg.Snapshot()
+				b.dom.reg.Trace(obs.TraceShardMerge, b.dom.simEnd, uint32(i))
+				sec, snap := b.dom.section()
+				sec.Devices = b.devices
 				shardSnaps = append(shardSnaps, snap)
-				shardReps = append(shardReps, ShardReport{
-					Index:    i,
-					Devices:  b.devices,
-					SimEndNS: int64(b.simEnd),
-					WallMS:   b.wallMS,
-					Metrics:  metricsFromSnapshot(snap),
-					Trace:    traceEntries(snap.Trace),
-				})
+				shardReps = append(shardReps, sec)
 			} else if b.memo && r.set.report {
 				// A memoized shard ran no simulator: its section records
 				// the replay, carrying no metrics or trace.
@@ -815,12 +777,13 @@ func (r *Runner) sweepShards(ctx context.Context, exps []*Experiment) ([][]stats
 	return pts, rep, nil
 }
 
-// installFaults compiles the run's fault plan for one fleet shard (or
-// inventory lane) and schedules it on the simulator. index seed-splits
-// the plan (fault.PlanSeed), so each shard draws an independent event
-// schedule while equal-seed runs reproduce it exactly; a disabled spec
-// is a no-op, costing unfaulted runs nothing. Standalone experiments
-// build their own testbeds out of the Runner's sight and run unfaulted.
+// installFaults compiles the run's fault plan for one domain (a fleet
+// shard or an inventory experiment) and schedules it on the simulator.
+// index seed-splits the plan (fault.PlanSeed), so each domain draws an
+// independent event schedule while equal-seed runs reproduce it
+// exactly; a disabled spec is a no-op, costing unfaulted runs nothing.
+// Standalone experiments build their own testbeds out of the Runner's
+// sight and run unfaulted.
 func (r *Runner) installFaults(s *Sim, tb *Testbed, index int) {
 	if !r.set.faults.Enabled() {
 		return
@@ -857,14 +820,11 @@ func (r *Runner) emitDevice(ev DeviceEvent) {
 	r.set.deviceCB(ev)
 }
 
-// newTestbed builds and boots one Figure 1 testbed for a lane,
-// translating the testbed package's setup panics into errors. reg,
-// when non-nil, is attached to the lane's simulator before any event
-// runs (WithRunReport).
-func (r *Runner) newTestbed(reg *obs.Registry) (tb *Testbed, s *Sim, err error) {
-	r.mu.Lock()
-	r.testbedsBuilt++
-	r.mu.Unlock()
+// buildTestbed builds and boots the run's Figure 1 testbed for one
+// inventory domain, translating the testbed package's setup panics into
+// errors. reg, when non-nil, is attached to the simulator before any
+// event runs (WithRunReport).
+func (r *Runner) buildTestbed(reg *obs.Registry) (tb *Testbed, s *Sim, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			tb, s, err = nil, nil, fmt.Errorf("testbed setup: %v", p)

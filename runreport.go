@@ -13,7 +13,7 @@ import (
 )
 
 // A RunReport is the telemetry side-channel of one Run: per-shard (or,
-// for inventory runs, per-lane) metric sections plus a deterministic
+// for inventory runs, per-experiment) metric sections plus a deterministic
 // merged total and a handful of process-wide diagnostics. Reports
 // observe a run without influencing it — CacheKey ignores
 // WithRunReport, and the instrumented packages only ever write their
@@ -28,13 +28,13 @@ import (
 type RunReport struct {
 	// Fleet is true for WithFleet runs; Shards then holds one section
 	// per fleet shard. Inventory runs report one section per
-	// shared-testbed lane instead (standalone experiments build
+	// non-Standalone experiment instead (Standalone experiments build
 	// private testbeds and are not sectioned).
 	Fleet bool `json:"fleet"`
 	// Devices is the fleet population (0 for inventory runs).
 	Devices int `json:"devices,omitempty"`
-	// Shards holds the per-shard (or per-lane) sections, in shard
-	// order — the same order the merge consumes them.
+	// Shards holds the per-shard (or per-experiment) sections, in
+	// shard (or id) order — the same order the merge consumes them.
 	Shards []ShardReport `json:"shards"`
 	// Totals is the deterministic merge of every section's metrics,
 	// folded in shard order.
@@ -49,12 +49,13 @@ type RunReport struct {
 	Process ProcessStats `json:"process"`
 }
 
-// ShardReport is one fleet shard's (or inventory lane's) telemetry
-// section.
+// ShardReport is one fleet shard's (or inventory experiment's)
+// telemetry section.
 type ShardReport struct {
-	// Index is the shard index (fleet) or lane index (inventory).
+	// Index is the shard index (fleet) or the experiment's position in
+	// the run's id list (inventory).
 	Index int `json:"index"`
-	// Devices is the shard's device count (0 for lanes).
+	// Devices is the shard's device count (0 for inventory runs).
 	Devices int `json:"devices,omitempty"`
 	// SimEndNS is the shard simulator's final virtual time.
 	SimEndNS int64 `json:"sim_end_ns"`
@@ -232,14 +233,14 @@ func (r *RunReport) Render() string {
 		fmt.Fprintf(&sb, "run telemetry: fleet, %d devices, %d shards, %.1f ms wall\n",
 			r.Devices, len(r.Shards), r.WallMS)
 	} else {
-		fmt.Fprintf(&sb, "run telemetry: inventory, %d lanes, %.1f ms wall\n",
+		fmt.Fprintf(&sb, "run telemetry: inventory, %d experiments, %.1f ms wall\n",
 			len(r.Shards), r.WallMS)
 	}
 	sb.WriteString("totals:\n")
 	renderMetrics(&sb, "  ", r.Totals)
 	for i := range r.Shards {
 		sh := &r.Shards[i]
-		section := "lane"
+		section := "experiment"
 		if r.Fleet {
 			section = "shard"
 		}
