@@ -52,7 +52,10 @@ func New(h *stack.Host) *Stack {
 		listeners: make(map[uint16]*Listener),
 		nextPort:  45000,
 	}
-	h.Handle(netpkt.ProtoDCCP, st.input)
+	h.Handle(netpkt.ProtoDCCP, func(ifc *stack.NetIf, ip *netpkt.IPv4) bool {
+		st.input(ifc, ip)
+		return true // parsed views of the payload may outlive the call
+	})
 	return st
 }
 

@@ -19,8 +19,12 @@ import (
 //     pool API itself transfers by convention and is annotated);
 //   - capturing the value in a closure (a callback scheduled on sim may
 //     run after the buffer was recycled);
-//   - calling netpkt.PutBuf on a buffer while a zero-copy view parsed
-//     from it in the same function is still used afterwards.
+//   - calling netpkt.PutBuf on a buffer while a zero-copy view of it is
+//     still used on a path after the call. The buffer may be one the
+//     function drew, a field a view was parsed from (PutBuf(f.Payload)
+//     after ParseIPv4(f.Payload)), or the buffer a packet owns
+//     (PutBuf(ip.Buf) for a netpkt.IPv4, whose Options and Payload
+//     alias it; resetting ip.Buf afterwards is not a use).
 //
 // netpkt.Clone severs aliasing: a cloned value is not tracked. The
 // sanctioned handoff — building a Frame and passing it to a send/
@@ -88,20 +92,25 @@ func poolFunc(pass *Pass, call *ast.CallExpr) (name string, ok bool) {
 	return fn.Name(), true
 }
 
+// poolSource describes a tracked pooled value.
+type poolSource struct {
+	kind string // "buffer" or "frame"
+}
+
 // checkPoolFunc analyzes one function declaration.
 func checkPoolFunc(pass *Pass, fd *ast.FuncDecl) {
 	// Pass 1: find tracked pooled values (idents assigned directly from
 	// GetBuf/GetFrame) and aliases (zero-copy views parsed from a
 	// tracked buffer, or subslices of one).
-	type source struct {
-		kind string // "buffer" or "frame"
-	}
-	tracked := make(map[types.Object]source)
+	tracked := make(map[types.Object]poolSource)
 	// owner records the innermost function literal in which each
 	// tracked value was drawn (nil = the declaration's own body): a use
 	// in any *other* function literal is a capture.
 	owner := make(map[types.Object]*ast.FuncLit)
 	aliasOf := make(map[types.Object]types.Object) // view -> tracked buffer
+	// fieldViews records views parsed from a buffer-valued field
+	// (f.Payload), keyed by the field expression.
+	fieldViews := make(map[string][]types.Object)
 	propagate := func(as *ast.AssignStmt, curLit *ast.FuncLit) {
 		if len(as.Rhs) != 1 {
 			return
@@ -116,7 +125,7 @@ func checkPoolFunc(pass *Pass, fd *ast.FuncDecl) {
 						if name == "GetFrame" {
 							kind = "frame"
 						}
-						tracked[obj] = source{kind: kind}
+						tracked[obj] = poolSource{kind: kind}
 						owner[obj] = curLit
 					}
 				}
@@ -125,7 +134,11 @@ func checkPoolFunc(pass *Pass, fd *ast.FuncDecl) {
 			// v, ok := netpkt.ParseX(buf): v aliases buf.
 			if ok && strings.HasPrefix(name, "Parse") {
 				var base types.Object
+				field := ""
 				for _, arg := range rhs.Args {
+					if sel, ok := arg.(*ast.SelectorExpr); ok && field == "" {
+						field = exprString(sel)
+					}
 					if id, ok := arg.(*ast.Ident); ok {
 						if obj := pass.TypesInfo.Uses[id]; obj != nil {
 							if _, isTracked := tracked[obj]; isTracked {
@@ -139,7 +152,7 @@ func checkPoolFunc(pass *Pass, fd *ast.FuncDecl) {
 						}
 					}
 				}
-				if base == nil {
+				if base == nil && field == "" {
 					return
 				}
 				for _, lhs := range as.Lhs {
@@ -151,7 +164,14 @@ func checkPoolFunc(pass *Pass, fd *ast.FuncDecl) {
 						if basic, ok := obj.Type().Underlying().(*types.Basic); ok && basic.Info()&types.IsBoolean != 0 {
 							continue // the ok result
 						}
-						aliasOf[obj] = base
+						if _, isErr := obj.Type().Underlying().(*types.Interface); isErr {
+							continue // the error result
+						}
+						if base != nil {
+							aliasOf[obj] = base
+						} else {
+							fieldViews[field] = append(fieldViews[field], obj)
+						}
 					}
 				}
 			}
@@ -202,6 +222,7 @@ func checkPoolFunc(pass *Pass, fd *ast.FuncDecl) {
 		})
 	}
 	scan(fd.Body, nil)
+	checkPrematurePut(pass, fd, tracked, aliasOf, fieldViews)
 	if len(tracked) == 0 {
 		return
 	}
@@ -274,31 +295,160 @@ func checkPoolFunc(pass *Pass, fd *ast.FuncDecl) {
 					}
 				}
 				return true
-			case *ast.CallExpr:
-				name, ok := poolFunc(pass, m)
-				if !ok || name != "PutBuf" || len(m.Args) != 1 {
-					return true
-				}
-				obj, _, ok := trackedIdent(m.Args[0])
-				if !ok {
-					return true
-				}
-				// A parsed zero-copy view of obj used after this PutBuf
-				// means the recycled bytes are still reachable.
-				for view, base := range aliasOf {
-					if base != obj {
-						continue
-					}
-					if use := usedAfter(pass, fd.Body, m.End(), view); use.IsValid() {
-						pass.Reportf(m.Pos(), "PutBuf(%s) while zero-copy view %q parsed from it is still used at %s; recycle after the last use or Clone the view", obj.Name(), view.Name(), pass.Fset.Position(use))
-					}
-				}
-				return true
 			}
 			return true
 		})
 	}
 	walk(fd.Body, nil, make(map[types.Object]bool))
+}
+
+// checkPrematurePut reports each netpkt.PutBuf call in fd after which
+// a zero-copy view of the recycled buffer is still used on some path:
+// the recycled bytes are then still reachable.
+func checkPrematurePut(pass *Pass, fd *ast.FuncDecl, tracked map[types.Object]poolSource, aliasOf map[types.Object]types.Object, fieldViews map[string][]types.Object) {
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		name, ok := poolFunc(pass, call)
+		if !ok || name != "PutBuf" || len(call.Args) != 1 {
+			return true
+		}
+		var views []types.Object
+		var owner types.Object // a packet whose Buf is recycled
+		arg := call.Args[0]
+		switch a := arg.(type) {
+		case *ast.Ident:
+			obj := pass.TypesInfo.Uses[a]
+			if _, ok := tracked[obj]; !ok {
+				return true
+			}
+			for view, base := range aliasOf {
+				if base == obj {
+					views = append(views, view)
+				}
+			}
+		case *ast.SelectorExpr:
+			views = fieldViews[exprString(a)]
+			if id, ok := a.X.(*ast.Ident); ok && a.Sel.Name == "Buf" && isNetpktIPv4(pass.TypesInfo.TypeOf(id)) {
+				owner = pass.TypesInfo.Uses[id]
+			}
+		}
+		regions := reachableAfter(fd.Body, call)
+		for _, view := range views {
+			if use := usedIn(pass, fd.Body, regions, view, false); use.IsValid() {
+				pass.Reportf(call.Pos(), "PutBuf(%s) while zero-copy view %q parsed from it is still used at %s; recycle after the last use or Clone the view", exprString(arg), view.Name(), pass.Fset.Position(use))
+			}
+		}
+		if owner != nil {
+			if use := usedIn(pass, fd.Body, regions, owner, true); use.IsValid() {
+				pass.Reportf(call.Pos(), "PutBuf(%s) while packet %q, whose views alias it, is still used at %s; recycle after the packet's last use", exprString(arg), owner.Name(), pass.Fset.Position(use))
+			}
+		}
+		return true
+	})
+}
+
+// isNetpktIPv4 reports whether t is netpkt.IPv4 or a pointer to it.
+func isNetpktIPv4(t types.Type) bool {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, ok := t.(*types.Named)
+	return ok && n.Obj().Name() == "IPv4" && n.Obj().Pkg() != nil && isNetpktPath(n.Obj().Pkg().Path())
+}
+
+// span is a half-open source range [from, to).
+type span struct{ from, to token.Pos }
+
+// reachableAfter returns the source ranges that can run after call
+// within its function literal or declaration, read as straight-line
+// code: the rest of each enclosing statement list, innermost first,
+// up to and including the first return, branch or panic, which ends
+// the path. Loops are not followed back to their start.
+func reachableAfter(body *ast.BlockStmt, call *ast.CallExpr) []span {
+	var path []ast.Node
+	ast.Inspect(body, func(n ast.Node) bool {
+		if n == nil || path != nil && path[len(path)-1] == call {
+			return false
+		}
+		if n.Pos() <= call.Pos() && call.End() <= n.End() {
+			path = append(path, n)
+			return n != call
+		}
+		return false
+	})
+	var regions []span
+	for i := len(path) - 2; i >= 0; i-- {
+		var list []ast.Stmt
+		switch n := path[i].(type) {
+		case *ast.FuncLit:
+			return regions
+		case *ast.BlockStmt:
+			list = n.List
+		case *ast.CaseClause:
+			list = n.Body
+		case *ast.CommClause:
+			list = n.Body
+		}
+		for j, s := range list {
+			if s != path[i+1] {
+				continue
+			}
+			for _, rest := range list[j+1:] {
+				regions = append(regions, span{rest.Pos(), rest.End()})
+				if terminates(rest) {
+					return regions
+				}
+			}
+		}
+	}
+	return regions
+}
+
+// terminates reports whether s ends a straight-line path.
+func terminates(s ast.Stmt) bool {
+	switch s := s.(type) {
+	case *ast.ReturnStmt, *ast.BranchStmt:
+		return true
+	case *ast.ExprStmt:
+		if c, ok := s.X.(*ast.CallExpr); ok {
+			if id, ok := c.Fun.(*ast.Ident); ok && id.Name == "panic" {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// usedIn returns the position of the first use of obj inside regions,
+// or token.NoPos. With skipBuf, uses of the form obj.Buf (clearing the
+// recycled field) do not count.
+func usedIn(pass *Pass, body *ast.BlockStmt, regions []span, obj types.Object, skipBuf bool) token.Pos {
+	var found token.Pos
+	ast.Inspect(body, func(n ast.Node) bool {
+		if found.IsValid() {
+			return false
+		}
+		if sel, ok := n.(*ast.SelectorExpr); ok && skipBuf && sel.Sel.Name == "Buf" {
+			if id, ok := sel.X.(*ast.Ident); ok && pass.TypesInfo.Uses[id] == obj {
+				return false
+			}
+		}
+		id, ok := n.(*ast.Ident)
+		if !ok || pass.TypesInfo.Uses[id] != obj {
+			return true
+		}
+		for _, r := range regions {
+			if r.from <= id.Pos() && id.Pos() < r.to {
+				found = id.Pos()
+				return false
+			}
+		}
+		return true
+	})
+	return found
 }
 
 // lhsObj resolves the object an assignment LHS ident binds or uses.
@@ -307,24 +457,4 @@ func lhsObj(pass *Pass, id *ast.Ident) types.Object {
 		return obj
 	}
 	return pass.TypesInfo.Uses[id]
-}
-
-// usedAfter returns the position of the first use of obj after pos in
-// body, or token.NoPos.
-func usedAfter(pass *Pass, body *ast.BlockStmt, pos token.Pos, obj types.Object) token.Pos {
-	var found token.Pos
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found.IsValid() {
-			return false
-		}
-		id, ok := n.(*ast.Ident)
-		if !ok || id.Pos() <= pos {
-			return true
-		}
-		if pass.TypesInfo.Uses[id] == obj {
-			found = id.Pos()
-		}
-		return true
-	})
-	return found
 }

@@ -12,6 +12,11 @@ type UDP struct {
 	Raw []byte
 }
 
+type IPv4 struct {
+	Payload []byte
+	Buf     []byte
+}
+
 func GetBuf(n int) []byte { return make([]byte, 0, n) }
 
 func PutBuf(b []byte) {}
@@ -23,3 +28,5 @@ func PutFrame(f *Frame) {}
 func Clone(b []byte) []byte { return append([]byte(nil), b...) }
 
 func ParseUDP(b []byte) (*UDP, bool) { return &UDP{Raw: b}, true }
+
+func ParseIPv4(b []byte) (*IPv4, error) { return &IPv4{Payload: b}, nil }

@@ -1,5 +1,5 @@
 // Package bad holds poollint true positives: pooled values escaping
-// their ownership scope and a premature PutBuf.
+// their ownership scope and premature PutBufs.
 package bad
 
 import "netpkt"
@@ -37,4 +37,27 @@ func Premature() int {
 	u, _ := netpkt.ParseUDP(b)
 	netpkt.PutBuf(b) // want `still used at`
 	return len(u.Raw)
+}
+
+func PrematureField(f *netpkt.Frame) int {
+	ip, _ := netpkt.ParseIPv4(f.Payload)
+	if ip == nil {
+		return 0
+	}
+	netpkt.PutBuf(f.Payload) // want `still used at`
+	return len(ip.Payload)
+}
+
+func PrematureBranch(f *netpkt.Frame, keep bool) int {
+	ip, _ := netpkt.ParseIPv4(f.Payload)
+	if !keep {
+		netpkt.PutBuf(f.Payload) // want `still used at`
+	}
+	return len(ip.Payload)
+}
+
+func PrematureOwned(ip *netpkt.IPv4, send func([]byte)) {
+	netpkt.PutBuf(ip.Buf) // want `still used at`
+	ip.Buf = nil
+	send(ip.Payload)
 }

@@ -1,6 +1,7 @@
 // Package clean holds poollint-legal idioms: Clone before retention,
 // PutBuf after the last aliased use, pooled values drawn and recycled
-// inside the same closure.
+// inside the same closure, and recycling a received packet's buffer on
+// paths where its views are dead.
 package clean
 
 import "netpkt"
@@ -34,4 +35,25 @@ func SameClosure(run func(func())) {
 func Handoff(send func(*netpkt.Frame)) {
 	f := netpkt.GetFrame()
 	send(f) // passing as a call argument is the sanctioned transfer
+}
+
+func Deliver(f *netpkt.Frame, handle func(*netpkt.IPv4) bool, forward func(*netpkt.IPv4)) {
+	ip, err := netpkt.ParseIPv4(f.Payload)
+	if err != nil {
+		netpkt.PutBuf(f.Payload)
+		return
+	}
+	if len(ip.Payload) > 0 {
+		if !handle(ip) {
+			netpkt.PutBuf(f.Payload)
+		}
+		return
+	}
+	forward(ip)
+}
+
+func Emit(ip *netpkt.IPv4, send func([]byte)) {
+	send(netpkt.Clone(ip.Payload))
+	netpkt.PutBuf(ip.Buf)
+	ip.Buf = nil
 }

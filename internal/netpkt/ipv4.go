@@ -37,6 +37,16 @@ type IPv4 struct {
 	// header checksum. It models buggy middlebox rewrites (the paper's
 	// zy1/ls1 ICMP-payload checksum bug).
 	BadChecksum bool
+
+	// Buf, when set, is a pooled buffer (GetBuf) that Options and
+	// Payload may alias, and the packet owns it: whoever ends the
+	// packet's life recycles it. A received packet owns its frame
+	// buffer, a sender the buffer it drew with Reserve. Parse leaves
+	// Buf unset and Clone does not copy it.
+	Buf []byte
+	// reserved marks a Buf drawn by Reserve, with the payload written
+	// right after room for the header.
+	reserved bool
 }
 
 // ErrShortPacket is returned when a buffer is too small to contain the
@@ -61,7 +71,32 @@ func (ip *IPv4) Marshal() []byte { return ip.AppendMarshal(nil) }
 // MarshalPooled serializes like Marshal but draws the buffer from the
 // packet-buffer pool (GetBuf). The caller owns the result; it may be
 // recycled with PutBuf once provably dead.
-func (ip *IPv4) MarshalPooled() []byte { return ip.AppendMarshal(GetBuf(ip.TotalLen())) }
+//
+// A packet whose Payload still sits where Reserve put it is not copied:
+// the header is written in front of the payload, and the packet's Buf
+// itself, handed from the packet to the caller, is the result.
+func (ip *IPv4) MarshalPooled() []byte {
+	hl := ip.HeaderLen()
+	if ip.reserved && len(ip.Payload) > 0 && cap(ip.Buf) > hl && &ip.Buf[:hl+1][hl] == &ip.Payload[0] {
+		b := ip.Buf[:hl+len(ip.Payload)]
+		ip.putHeader(b[:hl])
+		ip.Buf, ip.reserved = nil, false
+		return b
+	}
+	return ip.AppendMarshal(GetBuf(ip.TotalLen()))
+}
+
+// Reserve draws a pooled buffer with room for the packet's header (its
+// Options must be final) and n payload bytes, and gives it to the
+// packet (Buf). It returns the empty payload slice: the sender appends
+// its transport header and data to it and stores the result in
+// Payload, and MarshalPooled then writes only the IPv4 header in front
+// of them.
+func (ip *IPv4) Reserve(n int) []byte {
+	hl := ip.HeaderLen()
+	ip.Buf, ip.reserved = GetBuf(hl+n), true
+	return ip.Buf[hl:hl]
+}
 
 // AppendMarshal serializes the packet onto dst and returns the extended
 // slice. It is the allocation-free core of Marshal/MarshalPooled.
@@ -69,7 +104,15 @@ func (ip *IPv4) AppendMarshal(dst []byte) []byte {
 	hl := ip.HeaderLen()
 	off := len(dst)
 	dst = growZero(dst, hl+len(ip.Payload))
-	b := dst[off:]
+	ip.putHeader(dst[off : off+hl])
+	copy(dst[off+hl:], ip.Payload)
+	return dst
+}
+
+// putHeader writes the header, options and padding into b, which is
+// HeaderLen bytes long, and may hold stale bytes.
+func (ip *IPv4) putHeader(b []byte) {
+	hl := len(b)
 	b[0] = 0x40 | uint8(hl/4)
 	b[1] = ip.TOS
 	binary.BigEndian.PutUint16(b[2:4], uint16(ip.TotalLen()))
@@ -79,16 +122,15 @@ func (ip *IPv4) AppendMarshal(dst []byte) []byte {
 	b[9] = ip.Protocol
 	s4 := ip.Src.As4()
 	d4 := ip.Dst.As4()
+	b[10], b[11] = 0, 0
 	copy(b[12:16], s4[:])
 	copy(b[16:20], d4[:])
-	copy(b[20:], ip.Options)
-	csum := Checksum(b[:hl])
+	clear(b[20+copy(b[20:], ip.Options):])
+	csum := Checksum(b)
 	if ip.BadChecksum {
 		csum ^= 0x5555
 	}
 	binary.BigEndian.PutUint16(b[10:12], csum)
-	copy(b[hl:], ip.Payload)
-	return dst
 }
 
 // Clone returns a deep copy whose Options and Payload no longer alias
@@ -98,6 +140,7 @@ func (ip *IPv4) Clone() *IPv4 {
 	cp := *ip
 	cp.Options = append([]byte(nil), ip.Options...)
 	cp.Payload = append([]byte(nil), ip.Payload...)
+	cp.Buf, cp.reserved = nil, false
 	return &cp
 }
 

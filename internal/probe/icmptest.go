@@ -78,10 +78,7 @@ func (h *hijacker) hook(ifc *stack.NetIf, ip *netpkt.IPv4) bool {
 	if h.match == nil || h.captured != nil || !h.match(ifc, ip) {
 		return false
 	}
-	cp := *ip
-	cp.Payload = append([]byte(nil), ip.Payload...)
-	cp.Options = append([]byte(nil), ip.Options...)
-	h.captured = &cp
+	h.captured = ip.Clone()
 	return h.consume
 }
 

@@ -48,7 +48,10 @@ func New(h *stack.Host) *Stack {
 		listeners: make(map[uint16]*Listener),
 		nextPort:  40000,
 	}
-	h.Handle(netpkt.ProtoSCTP, st.input)
+	h.Handle(netpkt.ProtoSCTP, func(ifc *stack.NetIf, ip *netpkt.IPv4) bool {
+		st.input(ifc, ip)
+		return true // parsed views of the payload may outlive the call
+	})
 	return st
 }
 

@@ -257,3 +257,40 @@ func TestProcGoroutineGaugeBaseline(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocsChanPingPong pins a steady Send/Recv exchange between two
+// processes at zero allocations: both queues reuse their storage and
+// each receiver's waiter record, timeout callback included, is
+// recycled.
+func TestAllocsChanPingPong(t *testing.T) {
+	s := New(1)
+	ping, pong := NewChan[int](s), NewChan[int](s)
+	s.Spawn("ponger", func(p *Proc) {
+		for {
+			if v, ok := ping.Recv(p, time.Hour); ok {
+				pong.Send(v + 1)
+			}
+		}
+	})
+	s.Spawn("pinger", func(p *Proc) {
+		for {
+			if v, ok := pong.Recv(p, 0); ok && v < 64 {
+				ping.Send(v)
+			}
+		}
+	})
+	round := func() {
+		ping.Send(0)
+		s.Run(s.Now() + time.Millisecond)
+	}
+	for i := 0; i < 16; i++ {
+		round()
+	}
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Fatalf("ping-pong allocates %.1f objects per 64 exchanges, want 0", n)
+	}
+	if pong.Len() != 0 || ping.Len() != 0 {
+		t.Fatalf("values left buffered: ping %d pong %d", ping.Len(), pong.Len())
+	}
+	s.Shutdown()
+}

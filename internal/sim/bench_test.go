@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -57,5 +58,29 @@ func BenchmarkTimerRefresh(b *testing.B) {
 		}
 		timer.Cancel()
 		s.Run(0)
+	}
+}
+
+// BenchmarkEventChurnWithTimers is BenchmarkEventChurn with 0, 1 k and
+// 64 k long timers parked in the queue, the way live NAT bindings park
+// their expiry events while packets flow. The short events must cost
+// the same whatever the number of parked timers.
+func BenchmarkEventChurnWithTimers(b *testing.B) {
+	for _, timers := range []int{0, 1 << 10, 1 << 16} {
+		b.Run(fmt.Sprintf("timers=%d", timers), func(b *testing.B) {
+			s := New(1)
+			fn := func() {}
+			for i := 0; i < timers; i++ {
+				s.After(1000*time.Hour+time.Duration(i), fn)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < 64; j++ {
+					s.After(time.Duration(j)*time.Microsecond, fn)
+				}
+				s.Run(s.Now() + time.Millisecond)
+			}
+		})
 	}
 }

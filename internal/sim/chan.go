@@ -6,19 +6,27 @@ import "time"
 // block; receivers are simulator processes that park until a value
 // arrives or their deadline passes. Send may be called from event
 // callbacks (scheduler context) or from processes.
+//
+// A steady Send/Recv exchange allocates nothing: both queues reuse their
+// storage, and a receiver's waiter record (with its timeout callback)
+// is recycled once the receiver has read its result.
 type Chan[T any] struct {
 	s       *Sim
-	buf     []T
-	waiters []*chanWaiter[T]
+	buf     fifo[T]
+	waiters fifo[*chanWaiter[T]] // parked receivers, oldest first
+	spare   []*chanWaiter[T]     // resolved waiters for reuse
 	closed  bool
 }
 
+// chanWaiter is one parked receiver. It sits in waiters exactly while
+// it is unresolved: Send and Close pop it, and its timeout removes it.
 type chanWaiter[T any] struct {
+	c        *Chan[T]
 	p        *Proc
 	val      T
 	ok       bool
-	resolved bool
 	timeout  Event
+	expireFn func() // cached method value of expire
 }
 
 // NewChan returns an empty channel bound to s.
@@ -27,7 +35,7 @@ func NewChan[T any](s *Sim) *Chan[T] {
 }
 
 // Len returns the number of buffered values.
-func (c *Chan[T]) Len() int { return len(c.buf) }
+func (c *Chan[T]) Len() int { return c.buf.len() }
 
 // Send enqueues v, waking the oldest waiting receiver if any. Sending on
 // a closed channel is a no-op (the value is dropped), mirroring how a
@@ -36,18 +44,14 @@ func (c *Chan[T]) Send(v T) {
 	if c.closed {
 		return
 	}
-	for len(c.waiters) > 0 {
-		w := c.waiters[0]
-		c.waiters = c.waiters[1:]
-		if w.resolved {
-			continue
-		}
-		w.val, w.ok, w.resolved = v, true, true
+	if c.waiters.len() > 0 {
+		w := c.waiters.pop()
+		w.val, w.ok = v, true
 		w.timeout.Cancel()
 		w.p.scheduleWake()
 		return
 	}
-	c.buf = append(c.buf, v)
+	c.buf.push(v)
 }
 
 // Close marks the channel closed, waking all waiting receivers with
@@ -57,15 +61,11 @@ func (c *Chan[T]) Close() {
 		return
 	}
 	c.closed = true
-	for _, w := range c.waiters {
-		if w.resolved {
-			continue
-		}
-		w.resolved = true
+	for c.waiters.len() > 0 {
+		w := c.waiters.pop()
 		w.timeout.Cancel()
 		w.p.scheduleWake()
 	}
-	c.waiters = nil
 }
 
 // Closed reports whether Close was called.
@@ -75,46 +75,105 @@ func (c *Chan[T]) Closed() bool { return c.closed }
 // forever. ok is false if the deadline passed (or the channel was closed)
 // before a value arrived.
 func (c *Chan[T]) Recv(p *Proc, timeout time.Duration) (v T, ok bool) {
-	if len(c.buf) > 0 {
-		v = c.buf[0]
-		var zero T
-		c.buf[0] = zero
-		c.buf = c.buf[1:]
-		return v, true
+	if c.buf.len() > 0 {
+		return c.buf.pop(), true
 	}
 	if c.closed {
 		return v, false
 	}
-	w := &chanWaiter[T]{p: p}
-	if timeout > 0 {
-		w.timeout = c.s.After(timeout, func() {
-			if w.resolved {
-				return
-			}
-			w.resolved = true
-			p.scheduleWake()
-		})
+	var w *chanWaiter[T]
+	if n := len(c.spare); n > 0 {
+		w = c.spare[n-1]
+		c.spare = c.spare[:n-1]
+	} else {
+		w = &chanWaiter[T]{c: c}
+		w.expireFn = w.expire
 	}
-	c.waiters = append(c.waiters, w)
+	w.p = p
+	if timeout > 0 {
+		w.timeout = c.s.After(timeout, w.expireFn)
+	}
+	c.waiters.push(w)
 	p.park()
-	return w.val, w.ok
+	v, ok = w.val, w.ok
+	*w = chanWaiter[T]{c: c, expireFn: w.expireFn}
+	c.spare = append(c.spare, w)
+	return v, ok
+}
+
+// expire resolves a receiver whose deadline passed: it leaves the
+// waiter queue at once, so a channel that never receives again does
+// not accumulate dead waiters.
+func (w *chanWaiter[T]) expire() {
+	q := &w.c.waiters
+	for i := q.head; i < len(q.items); i++ {
+		if q.items[i] == w {
+			q.delete(i)
+			break
+		}
+	}
+	w.p.scheduleWake()
 }
 
 // TryRecv dequeues a value without blocking.
 func (c *Chan[T]) TryRecv() (v T, ok bool) {
-	if len(c.buf) == 0 {
+	if c.buf.len() == 0 {
 		return v, false
 	}
-	v = c.buf[0]
-	var zero T
-	c.buf[0] = zero
-	c.buf = c.buf[1:]
-	return v, true
+	return c.buf.pop(), true
 }
 
 // Drain discards all buffered values and returns how many were dropped.
 func (c *Chan[T]) Drain() int {
-	n := len(c.buf)
-	c.buf = nil
+	n := c.buf.len()
+	c.buf = fifo[T]{}
 	return n
+}
+
+// fifo is a slice-backed queue that keeps its storage: pops advance a
+// head index instead of re-slicing the front away, and a push into a
+// full backing array first slides the live items down when at least
+// half of it is dead, so a queue whose length stays bounded stops
+// allocating.
+type fifo[T any] struct {
+	items []T // live items are items[head:]
+	head  int
+}
+
+func (q *fifo[T]) len() int { return len(q.items) - q.head }
+
+func (q *fifo[T]) push(v T) {
+	if len(q.items) == cap(q.items) && q.head > 0 && q.head >= q.len() {
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items = q.items[:n]
+		q.head = 0
+	}
+	q.items = append(q.items, v)
+}
+
+// pop removes and returns the oldest item; the queue must be non-empty.
+func (q *fifo[T]) pop() T {
+	v := q.items[q.head]
+	var zero T
+	q.items[q.head] = zero
+	q.head++
+	if q.head == len(q.items) {
+		q.items = q.items[:0]
+		q.head = 0
+	}
+	return v
+}
+
+// delete removes the item at absolute index i (head <= i < len(items)).
+func (q *fifo[T]) delete(i int) {
+	n := len(q.items) - 1
+	copy(q.items[i:], q.items[i+1:])
+	var zero T
+	q.items[n] = zero
+	q.items = q.items[:n]
+	if q.head == len(q.items) {
+		q.items = q.items[:0]
+		q.head = 0
+	}
 }

@@ -91,7 +91,8 @@ type Sim struct {
 	seq         uint64
 	slab        []eventRec // event records, indexed by heap entries
 	free        []int32    // recycled slab slots
-	heap        []int32    // binary min-heap of slab indices, keyed by (at, seq)
+	near        eventHeap  // events due within nearHorizon when scheduled
+	far         eventHeap  // every later event: the long timers
 	live        int        // scheduled, uncanceled events (Pending)
 	dead        int        // canceled records still occupying heap entries
 	rng         *rand.Rand
@@ -167,7 +168,11 @@ func (s *Sim) At(t Time, fn func()) Event {
 	}
 	rec := &s.slab[idx]
 	rec.at, rec.seq, rec.fn, rec.canceled = t, s.seq, fn, false
-	s.heapPush(idx)
+	if t-s.now < nearHorizon {
+		s.near.push(s.slab, idx)
+	} else {
+		s.far.push(s.slab, idx)
+	}
 	s.live++
 	s.obs.Inc(obs.CSimEventsScheduled)
 	return Event{s: s, idx: idx, gen: rec.gen}
@@ -182,44 +187,55 @@ func (s *Sim) recycle(idx int32) {
 	s.free = append(s.free, idx)
 }
 
-// less orders heap entries by (at, seq).
-func (s *Sim) less(a, b int32) bool {
-	ra, rb := &s.slab[a], &s.slab[b]
+// nearHorizon splits the event queue into two tiers. An event due
+// less than nearHorizon after the moment it is scheduled — a link,
+// switch or forwarding-queue hop, a process wake — goes to the near
+// heap; everything later — NAT binding expiry, TCP and probe timeouts
+// — goes to the far heap. Thousands of parked timers then no longer
+// deepen the heap that every packet event sifts through. The split
+// never changes the fire order: Run always takes the smaller of the two
+// roots under the one (at, seq) key, so the pop sequence is exactly the
+// one a single heap would produce.
+const nearHorizon = 100 * time.Millisecond
+
+// eventHeap is a binary min-heap of slab indices keyed by (at, seq).
+type eventHeap []int32
+
+// less orders slab records by (at, seq).
+func less(slab []eventRec, a, b int32) bool {
+	ra, rb := &slab[a], &slab[b]
 	if ra.at != rb.at {
 		return ra.at < rb.at
 	}
 	return ra.seq < rb.seq
 }
 
-func (s *Sim) heapPush(idx int32) {
-	s.heap = append(s.heap, idx)
-	i := len(s.heap) - 1
-	h := s.heap
+func (h *eventHeap) push(slab []eventRec, idx int32) {
+	*h = append(*h, idx)
+	q := *h
+	i := len(q) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !s.less(h[i], h[p]) {
+		if !less(slab, q[i], q[p]) {
 			break
 		}
-		h[i], h[p] = h[p], h[i]
+		q[i], q[p] = q[p], q[i]
 		i = p
 	}
 }
 
-// heapPopMin removes and returns the root entry.
-func (s *Sim) heapPopMin() int32 {
-	h := s.heap
-	idx := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	s.heap = h[:n]
+// pop removes the root entry.
+func (h *eventHeap) pop(slab []eventRec) {
+	q := *h
+	n := len(q) - 1
+	q[0] = q[n]
+	*h = q[:n]
 	if n > 1 {
-		s.siftDown(0)
+		h.siftDown(slab, 0)
 	}
-	return idx
 }
 
-func (s *Sim) siftDown(i int) {
-	h := s.heap
+func (h eventHeap) siftDown(slab []eventRec, i int) {
 	n := len(h)
 	for {
 		l := 2*i + 1
@@ -227,10 +243,10 @@ func (s *Sim) siftDown(i int) {
 			return
 		}
 		m := l
-		if r := l + 1; r < n && s.less(h[r], h[l]) {
+		if r := l + 1; r < n && less(slab, h[r], h[l]) {
 			m = r
 		}
-		if !s.less(h[m], h[i]) {
+		if !less(slab, h[m], h[i]) {
 			return
 		}
 		h[i], h[m] = h[m], h[i]
@@ -238,27 +254,46 @@ func (s *Sim) siftDown(i int) {
 	}
 }
 
-// maybeCompact drains canceled records eagerly once they dominate the
-// heap, so a cancel-heavy workload (NAT timer refreshes) cannot keep
-// the queue arbitrarily larger than its live population.
-func (s *Sim) maybeCompact() {
-	if s.dead < 64 || s.dead*2 <= len(s.heap) {
-		return
-	}
-	s.obs.Inc(obs.CSimCompactions)
-	s.obs.Trace(obs.TraceCompaction, s.now, uint32(s.dead))
-	kept := s.heap[:0]
-	for _, idx := range s.heap {
+// compact recycles the heap's canceled records and restores the heap
+// property over the survivors.
+func (h *eventHeap) compact(s *Sim) {
+	kept := (*h)[:0]
+	for _, idx := range *h {
 		if s.slab[idx].canceled {
 			s.recycle(idx)
 		} else {
 			kept = append(kept, idx)
 		}
 	}
-	s.heap = kept
+	*h = kept
 	for i := len(kept)/2 - 1; i >= 0; i-- {
-		s.siftDown(i)
+		kept.siftDown(s.slab, i)
 	}
+}
+
+// queued returns the number of heap entries, canceled ones included.
+func (s *Sim) queued() int { return len(s.near) + len(s.far) }
+
+// first returns the heap whose root is the earliest queued record
+// (canceled or not). The queue must be non-empty.
+func (s *Sim) first() *eventHeap {
+	if len(s.far) == 0 || len(s.near) > 0 && less(s.slab, s.near[0], s.far[0]) {
+		return &s.near
+	}
+	return &s.far
+}
+
+// maybeCompact drains canceled records eagerly once they dominate the
+// heap, so a cancel-heavy workload (NAT timer refreshes) cannot keep
+// the queue arbitrarily larger than its live population.
+func (s *Sim) maybeCompact() {
+	if s.dead < 64 || s.dead*2 <= s.queued() {
+		return
+	}
+	s.obs.Inc(obs.CSimCompactions)
+	s.obs.Trace(obs.TraceCompaction, s.now, uint32(s.dead))
+	s.near.compact(s)
+	s.far.compact(s)
 	s.dead = 0
 }
 
@@ -303,7 +338,7 @@ func (s *Sim) Run(horizon time.Duration) Time {
 	s.running = true
 	defer func() { s.running = false }()
 	sincePoll := 0
-	for !s.stopped && len(s.heap) > 0 {
+	for !s.stopped && s.queued() > 0 {
 		if s.interrupt != nil {
 			if sincePoll++; sincePoll >= interruptPollInterval {
 				sincePoll = 0
@@ -313,10 +348,11 @@ func (s *Sim) Run(horizon time.Duration) Time {
 				}
 			}
 		}
-		idx := s.heap[0]
+		h := s.first()
+		idx := (*h)[0]
 		rec := &s.slab[idx]
 		if rec.canceled {
-			s.heapPopMin()
+			h.pop(s.slab)
 			s.dead--
 			s.recycle(idx)
 			continue
@@ -327,7 +363,7 @@ func (s *Sim) Run(horizon time.Duration) Time {
 			return s.now
 		}
 		at, fn := rec.at, rec.fn
-		s.heapPopMin()
+		h.pop(s.slab)
 		s.live--
 		s.recycle(idx)
 		s.now = at

@@ -188,6 +188,65 @@ func TestChanRecvTimeout(t *testing.T) {
 	}
 }
 
+// TestChanTimedOutWaitersDropped checks that a Recv that times out
+// leaves the waiter queue at once: on a channel that never receives
+// again, timed-out receivers must not pile up (each would pin its
+// process).
+func TestChanTimedOutWaitersDropped(t *testing.T) {
+	s := New(1)
+	c := NewChan[int](s)
+	const n = 10000
+	timeouts := 0
+	s.Spawn("r", func(p *Proc) {
+		for i := 0; i < n; i++ {
+			if _, ok := c.Recv(p, time.Millisecond); !ok {
+				timeouts++
+			}
+		}
+	})
+	s.Run(0)
+	if timeouts != n {
+		t.Fatalf("timeouts = %d, want %d", timeouts, n)
+	}
+	if q := c.waiters.len(); q != 0 {
+		t.Fatalf("%d timed-out waiters still queued", q)
+	}
+	if len(c.spare) > 1 {
+		t.Fatalf("%d spare waiters kept for one receiver", len(c.spare))
+	}
+	// A late Send buffers the value instead of handing it to a dead
+	// waiter.
+	c.Send(7)
+	if v, ok := c.TryRecv(); !ok || v != 7 {
+		t.Fatalf("late send: got %d, %v", v, ok)
+	}
+}
+
+// TestChanTimeoutKeepsFIFO times out the middle one of three waiting
+// receivers and checks the other two still receive in arrival order.
+func TestChanTimeoutKeepsFIFO(t *testing.T) {
+	s := New(1)
+	c := NewChan[string](s)
+	got := map[string]string{}
+	recv := func(name string, timeout time.Duration) {
+		s.Spawn(name, func(p *Proc) {
+			v, ok := c.Recv(p, timeout)
+			if !ok {
+				v = "timeout"
+			}
+			got[name] = v
+		})
+	}
+	recv("a", 0)
+	recv("b", time.Second)
+	recv("c", 0)
+	s.After(2*time.Second, func() { c.Send("x"); c.Send("y") })
+	s.Run(0)
+	if got["a"] != "x" || got["b"] != "timeout" || got["c"] != "y" {
+		t.Fatalf("got %v", got)
+	}
+}
+
 func TestChanBufferedBeforeRecv(t *testing.T) {
 	s := New(1)
 	c := NewChan[string](s)

@@ -1,0 +1,121 @@
+package stack
+
+import (
+	"net/netip"
+	"testing"
+
+	"hgw/internal/netem"
+	"hgw/internal/netpkt"
+	"hgw/internal/obs"
+	"hgw/internal/sim"
+)
+
+// chain builds a — r — b, two subnets joined by router r, whose
+// ForwardHook sends every non-local packet on. ARP is seeded on a and
+// b; r's ARP for b is seeded only when arp is true.
+func chain(s *sim.Sim, arp bool) (a, r, b *Host) {
+	a, r, b = NewHost(s, "a"), NewHost(s, "r"), NewHost(s, "b")
+	ia := a.AddIf("eth0", netpkt.Addr4(10, 0, 0, 1), 24)
+	ra := r.AddIf("eth0", netpkt.Addr4(10, 0, 0, 254), 24)
+	rb := r.AddIf("eth1", netpkt.Addr4(10, 0, 1, 254), 24)
+	ib := b.AddIf("eth0", netpkt.Addr4(10, 0, 1, 2), 24)
+	netem.Connect(s, ia.Link, ra.Link, netem.LinkConfig{})
+	netem.Connect(s, rb.Link, ib.Link, netem.LinkConfig{})
+	a.AddRoute(netip.MustParsePrefix("0.0.0.0/0"), ra.Addr, ia)
+	b.AddRoute(netip.MustParsePrefix("0.0.0.0/0"), rb.Addr, ib)
+	ia.AddARP(ra.Addr, ra.Link.MAC)
+	ra.AddARP(ia.Addr, ia.Link.MAC)
+	ib.AddARP(rb.Addr, rb.Link.MAC)
+	if arp {
+		rb.AddARP(ib.Addr, ib.Link.MAC)
+	}
+	r.ForwardHook = func(in *NetIf, ip *netpkt.IPv4) { r.Send(ip) }
+	return a, r, b
+}
+
+// TestFrameBufferRecycling checks the recycle points of DESIGN §9: a
+// forwarded packet's ingress buffer goes back to the pool once the
+// packet is re-marshaled, and a locally delivered one's when its
+// protocol handler kept no view of it.
+func TestFrameBufferRecycling(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		kept bool
+		want uint64 // pool puts per packet
+	}{
+		{"handler copies", false, 2}, // r's ingress + b's frame
+		{"handler keeps a view", true, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := sim.New(1)
+			a, _, b := chain(s, true)
+			var got []byte
+			b.Handle(240, func(ifc *NetIf, ip *netpkt.IPv4) bool {
+				got = append(got[:0], ip.Payload...)
+				return tc.kept
+			})
+			before := obs.Proc.Snapshot()
+			a.Send(&netpkt.IPv4{Protocol: 240, Dst: netpkt.Addr4(10, 0, 1, 2), Payload: []byte("forward-me")})
+			s.Run(0)
+			after := obs.Proc.Snapshot()
+			if string(got) != "forward-me" {
+				t.Fatalf("delivered %q", got)
+			}
+			if gets := after.PoolGets - before.PoolGets; gets != 2 {
+				t.Fatalf("pool gets = %d, want 2 (one marshal per hop)", gets)
+			}
+			if puts := after.PoolPuts - before.PoolPuts; puts != tc.want {
+				t.Fatalf("pool puts = %d, want %d", puts, tc.want)
+			}
+		})
+	}
+}
+
+// TestParkedPacketKeepsBuffer forwards a packet whose next hop is not
+// yet resolved: it waits behind ARP with its ingress buffer, and that
+// buffer must survive the ARP traffic (whose own buffers do go back to
+// the pool) to reach b intact.
+func TestParkedPacketKeepsBuffer(t *testing.T) {
+	s := sim.New(1)
+	a, _, b := chain(s, false)
+	var got []string
+	b.Handle(240, func(ifc *NetIf, ip *netpkt.IPv4) bool {
+		got = append(got, string(ip.Payload))
+		return false
+	})
+	a.Send(&netpkt.IPv4{Protocol: 240, Dst: netpkt.Addr4(10, 0, 1, 2), Payload: []byte("parked-1")})
+	a.Send(&netpkt.IPv4{Protocol: 240, Dst: netpkt.Addr4(10, 0, 1, 2), Payload: []byte("parked-2")})
+	s.Run(0)
+	if len(got) != 2 || got[0] != "parked-1" || got[1] != "parked-2" {
+		t.Fatalf("delivered %q", got)
+	}
+}
+
+// TestReservedSendIsInPlace checks that a packet built with
+// IPv4.Reserve leaves the host in the buffer it reserved (one pool get
+// for the whole send), byte-identical to a copied marshal.
+func TestReservedSendIsInPlace(t *testing.T) {
+	s := sim.New(1)
+	ha, hb := twoHosts(s)
+	ha.ifaces[0].AddARP(netpkt.Addr4(10, 0, 0, 2), hb.ifaces[0].Link.MAC)
+	var wire []byte
+	hb.ifaces[0].Link.Tap = func(dir string, f *netpkt.Frame) {
+		if dir == "rx" {
+			wire = append([]byte(nil), f.Payload...)
+		}
+	}
+	hb.Handle(241, func(ifc *NetIf, ip *netpkt.IPv4) bool { return false })
+	ip := &netpkt.IPv4{Protocol: 241, Dst: netpkt.Addr4(10, 0, 0, 2), Options: netpkt.RecordRouteOption(2)}
+	ip.Payload = append(ip.Reserve(5), "inner"...)
+	before := obs.Proc.Snapshot()
+	ha.Send(ip)
+	s.Run(0)
+	if gets := obs.Proc.Snapshot().PoolGets - before.PoolGets; gets != 0 {
+		t.Fatalf("send drew %d more pool buffers after Reserve, want 0", gets)
+	}
+	ref := &netpkt.IPv4{Protocol: 241, Src: netpkt.Addr4(10, 0, 0, 1), Dst: netpkt.Addr4(10, 0, 0, 2),
+		TTL: DefaultTTL, ID: 1, Options: netpkt.RecordRouteOption(2), Payload: []byte("inner")}
+	if want := ref.Marshal(); string(wire) != string(want) {
+		t.Fatalf("wire = % x\nwant   % x", wire, want)
+	}
+}

@@ -25,8 +25,10 @@ const DefaultTTL = 64
 const arpTimeout = time.Second
 
 // ProtoHandler receives a locally addressed IP packet for one transport
-// protocol.
-type ProtoHandler func(ifc *NetIf, ip *netpkt.IPv4)
+// protocol. kept reports whether the handler retained ip or any view of
+// its payload past the call; when it did not, the host recycles the
+// frame buffer the packet was parsed from.
+type ProtoHandler func(ifc *NetIf, ip *netpkt.IPv4) (kept bool)
 
 // ICMPListener observes ICMP messages addressed to the host. For error
 // messages, inner is the parsed embedded datagram (nil if unparseable).
@@ -267,20 +269,14 @@ func (h *Host) SendVia(ifc *NetIf, nextHop netip.Addr, ip *netpkt.IPv4) {
 		ip.Src = ifc.Addr
 	}
 	if ip.Dst == netip.AddrFrom4([4]byte{255, 255, 255, 255}) {
-		f := netpkt.GetFrame()
-		f.Dst, f.Src = netpkt.BroadcastMAC, ifc.Link.MAC
-		f.Type, f.Payload = netpkt.EtherTypeIPv4, ip.MarshalPooled()
-		ifc.Link.Send(f)
+		emit(ifc, netpkt.BroadcastMAC, ip)
 		return
 	}
 	if mac, ok := ifc.arp[nextHop]; ok {
-		f := netpkt.GetFrame()
-		f.Dst, f.Src = mac, ifc.Link.MAC
-		f.Type, f.Payload = netpkt.EtherTypeIPv4, ip.MarshalPooled()
-		ifc.Link.Send(f)
+		emit(ifc, mac, ip)
 		return
 	}
-	// Queue behind ARP resolution.
+	// Queue behind ARP resolution; the parked packet keeps its buffer.
 	first := len(ifc.await[nextHop]) == 0
 	ifc.await[nextHop] = append(ifc.await[nextHop], ip)
 	if first {
@@ -291,6 +287,19 @@ func (h *Host) SendVia(ifc *NetIf, nextHop netip.Addr, ip *netpkt.IPv4) {
 			}
 		})
 	}
+}
+
+// emit marshals ip into a pooled frame addressed to dst and sends it.
+// A buffer the packet still owns after marshaling — a forwarded
+// packet's ingress frame buffer — has been copied into the frame, so
+// it is dead and goes back to the pool.
+func emit(ifc *NetIf, dst netpkt.MAC, ip *netpkt.IPv4) {
+	f := netpkt.GetFrame()
+	f.Dst, f.Src = dst, ifc.Link.MAC
+	f.Type, f.Payload = netpkt.EtherTypeIPv4, ip.MarshalPooled()
+	netpkt.PutBuf(ip.Buf)
+	ip.Buf = nil
+	ifc.Link.Send(f)
 }
 
 func (n *NetIf) sendARPRequest(target netip.Addr) {
@@ -376,10 +385,12 @@ func (h *Host) IsLocal(addr netip.Addr) bool {
 }
 
 func (h *Host) recvIP(ifc *NetIf, f *netpkt.Frame) {
-	// The parse aliases f.Payload; from here on the parsed view owns
-	// the buffer (it may be retained by forwarding queues, transport
-	// stacks or ARP wait queues), so only the drop paths below — where
-	// the view provably dies — may recycle it.
+	// The parse aliases f.Payload; from here on the parsed packet owns
+	// the buffer (ip.Buf). It may be retained by forwarding queues,
+	// transport stacks or ARP wait queues, so only the points below
+	// where the view provably dies recycle it: the drop paths, and a
+	// local delivery whose handler kept nothing. Forwarded packets give
+	// it back in SendVia.
 	ip, err := netpkt.ParseIPv4(f.Payload)
 	if err != nil {
 		if ip == nil {
@@ -391,6 +402,7 @@ func (h *Host) recvIP(ifc *NetIf, f *netpkt.Frame) {
 			return
 		}
 	}
+	ip.Buf = f.Payload
 	if h.RawHook != nil && h.RawHook(ifc, ip) {
 		return
 	}
@@ -412,7 +424,9 @@ func (h *Host) recvIP(ifc *NetIf, f *netpkt.Frame) {
 		return
 	}
 	if fn, ok := h.protos[ip.Protocol]; ok {
-		fn(ifc, ip)
+		if !fn(ifc, ip) {
+			netpkt.PutBuf(f.Payload)
+		}
 		return
 	}
 	// No handler: emit Protocol Unreachable, mirroring a real host.

@@ -23,7 +23,7 @@ func TestARPAndDelivery(t *testing.T) {
 	s := sim.New(1)
 	ha, hb := twoHosts(s)
 	var got []byte
-	hb.Handle(200, func(ifc *NetIf, ip *netpkt.IPv4) { got = ip.Payload })
+	hb.Handle(200, func(ifc *NetIf, ip *netpkt.IPv4) bool { got = ip.Payload; return true })
 	s.After(0, func() {
 		ha.Send(&netpkt.IPv4{Protocol: 200, Dst: netpkt.Addr4(10, 0, 0, 2), Payload: []byte("hi")})
 	})
@@ -140,8 +140,9 @@ func TestICMPErrorEmbedsHeaders(t *testing.T) {
 	ha, hb := twoHosts(s)
 	var inner *netpkt.IPv4
 	ha.ListenICMP(func(from netipAddr, ic *netpkt.ICMP, in *netpkt.IPv4) { inner = in })
-	hb.Handle(222, func(ifc *NetIf, ip *netpkt.IPv4) {
+	hb.Handle(222, func(ifc *NetIf, ip *netpkt.IPv4) bool {
 		hb.SendICMPError(ip, netpkt.ICMPTimeExceeded, netpkt.ICMPCodeTTLExceeded, 0)
+		return false
 	})
 	s.After(0, func() {
 		ha.Send(&netpkt.IPv4{Protocol: 222, Dst: netpkt.Addr4(10, 0, 0, 2), Payload: []byte("original-payload")})
@@ -183,7 +184,7 @@ func TestRawHookConsumes(t *testing.T) {
 		return false
 	}
 	delivered := 0
-	hb.Handle(233, func(ifc *NetIf, ip *netpkt.IPv4) { delivered++ })
+	hb.Handle(233, func(ifc *NetIf, ip *netpkt.IPv4) bool { delivered++; return false })
 	s.After(0, func() {
 		ha.Send(&netpkt.IPv4{Protocol: 233, Dst: netpkt.Addr4(10, 0, 0, 2), Payload: []byte("12345678")})
 	})
@@ -215,7 +216,7 @@ func TestBroadcastDelivery(t *testing.T) {
 	s := sim.New(1)
 	ha, hb := twoHosts(s)
 	var got bool
-	hb.Handle(250, func(ifc *NetIf, ip *netpkt.IPv4) { got = true })
+	hb.Handle(250, func(ifc *NetIf, ip *netpkt.IPv4) bool { got = true; return false })
 	s.After(0, func() {
 		ha.Send(&netpkt.IPv4{
 			Protocol: 250,

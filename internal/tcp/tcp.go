@@ -89,7 +89,10 @@ func New(h *stack.Host) *Stack {
 		usedPorts: make(map[uint16]int),
 		nextPort:  32768,
 	}
-	h.Handle(netpkt.ProtoTCP, st.input)
+	h.Handle(netpkt.ProtoTCP, func(ifc *stack.NetIf, ip *netpkt.IPv4) bool {
+		st.input(ifc, ip)
+		return true // parsed views of the payload may outlive the call
+	})
 	return st
 }
 

@@ -2,6 +2,7 @@
 package udp
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net/netip"
@@ -58,7 +59,7 @@ type Conn struct {
 	remoteAddr netip.Addr
 	remotePort uint16
 	rx         *sim.Chan[Datagram]
-	icmp       *sim.Chan[ICMPEvent]
+	icmp       *sim.Chan[ICMPEvent] // created on first use; most sockets never see ICMP
 	closed     bool
 }
 
@@ -107,7 +108,6 @@ func (st *Stack) bind(addr netip.Addr, ifc *stack.NetIf, port uint16) (*Conn, er
 		iface:     ifc,
 		localPort: port,
 		rx:        sim.NewChan[Datagram](st.s),
-		icmp:      sim.NewChan[ICMPEvent](st.s),
 	}
 	st.conns[port] = append(st.conns[port], c)
 	return c, nil
@@ -165,7 +165,21 @@ func (c *Conn) Close() {
 		delete(c.st.conns, c.localPort)
 	}
 	c.rx.Close()
-	c.icmp.Close()
+	if c.icmp != nil {
+		c.icmp.Close()
+	}
+}
+
+// icmpChan returns the socket's ICMP error channel, creating it on
+// first use (closed already if the socket is).
+func (c *Conn) icmpChan() *sim.Chan[ICMPEvent] {
+	if c.icmp == nil {
+		c.icmp = sim.NewChan[ICMPEvent](c.st.s)
+		if c.closed {
+			c.icmp.Close()
+		}
+	}
+	return c.icmp
 }
 
 // SendTo transmits a datagram to dst:dport. It returns false if the host
@@ -197,24 +211,27 @@ func (c *Conn) sendFrom(src, dst netip.Addr, dport uint16, data []byte, ttl uint
 }
 
 func (c *Conn) sendFrom2(src, dst netip.Addr, dport uint16, data []byte, ttl uint8, ipOptions []byte) bool {
-	// Resolve the source address from the route when unbound, so the UDP
-	// checksum's pseudo-header matches the IP header we will emit.
+	// Check the route before drawing a buffer, and take the source
+	// address from it when unbound, so the UDP checksum's pseudo-header
+	// matches the IP header we will emit.
+	r, ok := c.st.h.Lookup(dst)
+	if !ok {
+		return false
+	}
 	if !src.IsValid() {
-		r, ok := c.st.h.Lookup(dst)
-		if !ok {
-			return false
-		}
 		src = r.If.Addr
 	}
-	u := &netpkt.UDP{SrcPort: c.localPort, DstPort: dport, Payload: data}
 	ip := &netpkt.IPv4{
 		Protocol: netpkt.ProtoUDP,
 		Src:      src,
 		Dst:      dst,
 		TTL:      ttl,
 		Options:  ipOptions,
-		Payload:  u.Marshal(src, dst),
 	}
+	// The datagram goes straight into the pooled buffer that becomes
+	// the frame: the host writes only the IP header in front of it.
+	u := netpkt.UDP{SrcPort: c.localPort, DstPort: dport, Payload: data}
+	ip.Payload = u.AppendMarshal(ip.Reserve(8+len(data)), src, dst)
 	return c.st.h.Send(ip)
 }
 
@@ -229,16 +246,18 @@ func (c *Conn) TryRecv() (Datagram, bool) { return c.rx.TryRecv() }
 
 // RecvICMP waits for an ICMP error concerning this socket.
 func (c *Conn) RecvICMP(p *sim.Proc, timeout time.Duration) (ICMPEvent, bool) {
-	return c.icmp.Recv(p, timeout)
+	return c.icmpChan().Recv(p, timeout)
 }
 
 // Drain discards buffered datagrams.
 func (c *Conn) Drain() int { return c.rx.Drain() }
 
-func (st *Stack) input(ifc *stack.NetIf, ip *netpkt.IPv4) {
-	u, err := netpkt.ParseUDP(ip.Payload, ip.Src, ip.Dst, true)
-	if err != nil {
-		return
+// input delivers a datagram to its socket. The payload is copied out,
+// so nothing keeps a view of the frame and the host may recycle it.
+func (st *Stack) input(ifc *stack.NetIf, ip *netpkt.IPv4) (kept bool) {
+	var u netpkt.UDP
+	if u.Parse(ip.Payload, ip.Src, ip.Dst, true) != nil {
+		return false
 	}
 	// Most-specific match wins: connected > interface-bound >
 	// address-bound > wildcard.
@@ -269,12 +288,13 @@ func (st *Stack) input(ifc *stack.NetIf, ip *netpkt.IPv4) {
 		}
 	}
 	if best != nil {
-		best.rx.Send(Datagram{From: ip.Src, FromPort: u.SrcPort, To: ip.Dst, ToPort: u.DstPort, TTL: ip.TTL, If: ifc, Data: u.Payload})
-		return
+		best.rx.Send(Datagram{From: ip.Src, FromPort: u.SrcPort, To: ip.Dst, ToPort: u.DstPort, TTL: ip.TTL, If: ifc, Data: bytes.Clone(u.Payload)})
+		return false
 	}
 	if st.GeneratePortUnreachable {
 		st.h.SendICMPError(ip, netpkt.ICMPDestUnreachable, netpkt.ICMPCodePortUnreachable, 0)
 	}
+	return false
 }
 
 // DeliverICMP routes an ICMP error to the socket that sent the embedded
@@ -291,7 +311,7 @@ func (st *Stack) deliverICMP(from netip.Addr, ic *netpkt.ICMP, inner *netpkt.IPv
 		if c.remoteAddr.IsValid() && (c.remoteAddr != inner.Dst || c.remotePort != dport) {
 			continue
 		}
-		c.icmp.Send(ICMPEvent{From: from, Type: ic.Type, Code: ic.Code})
+		c.icmpChan().Send(ICMPEvent{From: from, Type: ic.Type, Code: ic.Code})
 		return
 	}
 }
