@@ -85,3 +85,28 @@ func BenchmarkNATTranslateHit(b *testing.B) {
 		o.send(b, e, 5000)
 	}
 }
+
+// TestAllocsNATSessionCreate pins the bindrate path through the engine
+// at two allocations per new binding: the block holding the mapping,
+// its first session and the port's owner record, and the session's
+// expiry callback. The binding maps are warmed to their size first.
+func TestAllocsNATSessionCreate(t *testing.T) {
+	s := sim.New(1)
+	e := newEng(s, benchPolicy)
+	o := newOutboundBench()
+	const batch = 4096
+	for i := 0; i < batch; i++ {
+		o.send(t, e, uint16(10000+i))
+	}
+	e.WipeBindings()
+	port := uint16(10000)
+	if n := testing.AllocsPerRun(batch/2, func() {
+		o.send(t, e, port)
+		port++
+	}); n != 2 {
+		t.Fatalf("session create allocates %.1f objects per binding, want 2", n)
+	}
+	if got := e.BindingCount(); got != batch/2+1 {
+		t.Fatalf("%d bindings, want %d", got, batch/2+1)
+	}
+}

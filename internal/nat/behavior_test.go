@@ -113,6 +113,64 @@ func TestMappingLifetimeFollowsSessions(t *testing.T) {
 	}
 }
 
+// TestMappingSessionListUnlink expires an EIM mapping's four sessions
+// from the middle, the head and the tail of its session list, and checks
+// the session count and the per-address lookup after each removal.
+func TestMappingSessionListUnlink(t *testing.T) {
+	s := sim.New(1)
+	e := newEng(s, Policy{
+		Mapping:   MappingEndpointIndependent,
+		PortAlloc: PortAllocSequential,
+		UDP:       UDPTimeouts{Outbound: 30 * time.Second},
+	})
+	remotes := [][4]byte{{10, 0, 3, 1}, {10, 0, 3, 2}, {10, 0, 3, 3}, {10, 0, 3, 4}}
+	for i, r := range remotes {
+		s.After(time.Duration(i)*time.Second, func() { outboundUDPTo(t, e, 5000, r, 7000) })
+	}
+	// Refreshing the two oldest sessions makes the expiry order 2, 3,
+	// 0, 1: the middle of the list (newest first), its head, its tail,
+	// then the last one.
+	s.After(10*time.Second, func() { outboundUDPTo(t, e, 5000, remotes[0], 7000) })
+	s.After(11*time.Second, func() { outboundUDPTo(t, e, 5000, remotes[1], 7000) })
+	var m *Mapping
+	var ok bool
+	s.After(5*time.Second, func() {
+		m, ok = e.LookupMapping(netpkt.ProtoUDP, client, 5000, server, 7000)
+	})
+	type check struct {
+		at   time.Duration
+		live []int
+	}
+	for _, c := range []check{
+		{31 * time.Second, []int{0, 1, 2, 3}},
+		{32 * time.Second, []int{0, 1, 3}},
+		{33 * time.Second, []int{0, 1}},
+		{40 * time.Second, []int{1}},
+	} {
+		s.At(c.at+time.Millisecond, func() {
+			if m.Sessions() != len(c.live) {
+				t.Errorf("at %v: %d sessions, want %d", c.at, m.Sessions(), len(c.live))
+			}
+			for i, r := range remotes {
+				want := false
+				for _, l := range c.live {
+					want = want || l == i
+				}
+				if got := m.hasSessionToward(netpkt.Addr4(r[0], r[1], r[2], r[3])); got != want {
+					t.Errorf("at %v: session toward remote %d = %v, want %v", c.at, i, got, want)
+				}
+			}
+		})
+	}
+	s.Run(0)
+	if !ok {
+		t.Fatal("mapping not found")
+	}
+	if m.Sessions() != 0 || m.sessions != nil || e.MappingCount() != 0 {
+		t.Fatalf("after expiry: %d sessions, list %v, %d mappings", m.Sessions(), m.sessions, e.MappingCount())
+	}
+}
+
 func TestFilteringEndpointIndependent(t *testing.T) {
 	s := sim.New(1)
 	e := newEng(s, Policy{Filtering: FilteringEndpointIndependent, PortAlloc: PortAllocSequential})

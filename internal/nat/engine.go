@@ -56,6 +56,7 @@ type portOwner struct {
 	cport    uint16
 	n        int // live sessions on the port
 	mappings []*Mapping
+	inline   [1]*Mapping // mappings' storage until overloading outgrows it
 }
 
 func (o *portOwner) dropMapping(m *Mapping) {
@@ -80,28 +81,58 @@ type mapKey struct {
 	sport  uint16     // zero under EIM and ADM
 }
 
-// epKey distinguishes a mapping's sessions by remote endpoint.
-type epKey struct {
-	server netip.Addr
-	sport  uint16
-}
-
 // Mapping is the first level of the two-level binding table: one
 // external port, shared by every session the mapping behavior folds
 // onto it. A mapping lives exactly as long as it has live sessions;
 // per-session timers (the UDP-1/2/3 state machine, TCP state tracking)
 // drive the lifecycle.
 type Mapping struct {
-	key      mapKey
-	ext      uint16
-	sessions map[epKey]*Binding
+	key mapKey
+	ext uint16
+	// sessions heads the list of the mapping's live sessions, newest
+	// first, linked through Binding.prev/next; n counts them.
+	sessions *Binding
+	n        int
 }
 
 // Ext returns the mapping's external port.
 func (m *Mapping) Ext() uint16 { return m.ext }
 
 // Sessions returns the number of live sessions on the mapping.
-func (m *Mapping) Sessions() int { return len(m.sessions) }
+func (m *Mapping) Sessions() int { return m.n }
+
+// link adds session b to the mapping's list.
+func (m *Mapping) link(b *Binding) {
+	b.next = m.sessions
+	if m.sessions != nil {
+		m.sessions.prev = b
+	}
+	m.sessions = b
+	m.n++
+}
+
+// unlink removes session b from the mapping's list.
+func (m *Mapping) unlink(b *Binding) {
+	if b.prev != nil {
+		b.prev.next = b.next
+	} else {
+		m.sessions = b.next
+	}
+	if b.next != nil {
+		b.next.prev = b.prev
+	}
+	b.prev, b.next = nil, nil
+	m.n--
+}
+
+// mappingBlock is the single allocation behind a new mapping: the
+// mapping, its first session and the owner record its external port
+// needs when no other mapping holds the port yet.
+type mappingBlock struct {
+	m Mapping
+	b Binding
+	o portOwner
+}
 
 // mapKeyFor folds a flow onto its mapping key per the mapping behavior.
 func (e *Engine) mapKeyFor(f flowKey) mapKey {
@@ -120,11 +151,12 @@ func (e *Engine) mapKeyFor(f flowKey) mapKey {
 // table. Every session belongs to exactly one Mapping (which fixes its
 // external port) and carries its own refresh timers.
 type Binding struct {
-	flow    flowKey
-	ext     uint16
-	m       *Mapping
-	created sim.Time
-	timer   sim.Event
+	flow       flowKey
+	ext        uint16
+	m          *Mapping
+	prev, next *Binding // the mapping's session list
+	created    sim.Time
+	timer      sim.Event
 	// expireFn is the timer callback, built once per binding so that
 	// every packet-driven re-arm (the NAT hot path) schedules without
 	// allocating a fresh closure.
@@ -341,8 +373,8 @@ func (e *Engine) remove(b *Binding) {
 	pk := portKey{b.flow.proto, b.ext}
 	o := e.portsInUse[pk]
 	if m := b.m; m != nil {
-		delete(m.sessions, epKey{b.flow.server, b.flow.sport})
-		if len(m.sessions) == 0 {
+		m.unlink(b)
+		if m.n == 0 {
 			delete(e.mappings, m.key)
 			e.s.Obs().GaugeDec(obs.GNATMappings)
 			if o != nil {
@@ -531,45 +563,52 @@ func (e *Engine) allocPort(proto uint8, flow flowKey, desired uint16) uint16 {
 // get external "port" 0 and skip port allocation.
 func (e *Engine) newSession(flow flowKey) *Binding {
 	mk := e.mapKeyFor(flow)
-	m := e.mappings[mk]
-	if m == nil {
-		var ext uint16
-		switch flow.proto {
-		case netpkt.ProtoTCP, netpkt.ProtoUDP, netpkt.ProtoICMP:
-			ext = e.allocPort(flow.proto, flow, flow.cport)
-			if ext == 0 {
-				return nil
-			}
-		}
-		m = &Mapping{key: mk, ext: ext, sessions: make(map[epKey]*Binding, 1)}
-		e.mappings[mk] = m
-		if r := e.s.Obs(); r != nil {
-			r.Inc(obs.CNATMappingsCreated)
-			r.GaugeInc(obs.GNATMappings)
+	if m := e.mappings[mk]; m != nil {
+		return e.addSession(m, flow, new(Binding), nil)
+	}
+	var ext uint16
+	switch flow.proto {
+	case netpkt.ProtoTCP, netpkt.ProtoUDP, netpkt.ProtoICMP:
+		ext = e.allocPort(flow.proto, flow, flow.cport)
+		if ext == 0 {
+			return nil
 		}
 	}
-	return e.addSession(m, flow)
+	blk := &mappingBlock{m: Mapping{key: mk, ext: ext}}
+	e.mappings[mk] = &blk.m
+	if r := e.s.Obs(); r != nil {
+		r.Inc(obs.CNATMappingsCreated)
+		r.GaugeInc(obs.GNATMappings)
+	}
+	return e.addSession(&blk.m, flow, &blk.b, &blk.o)
 }
 
-// addSession attaches one session for flow to mapping m and indexes it.
-func (e *Engine) addSession(m *Mapping, flow flowKey) *Binding {
-	b := &Binding{flow: flow, ext: m.ext, m: m, created: e.s.Now()}
+// addSession fills in b as the session for flow, attaches it to mapping
+// m and indexes it. o is the owner record to use if m's port has none
+// yet; nil allocates one.
+func (e *Engine) addSession(m *Mapping, flow flowKey, b *Binding, o *portOwner) *Binding {
+	*b = Binding{flow: flow, ext: m.ext, m: m, created: e.s.Now()}
 	b.expireFn = func() { e.expire(b) }
 	e.byFlow[flow] = b
 	e.byExt[extKey{flow.proto, m.ext, flow.server, flow.sport}] = b
-	m.sessions[epKey{flow.server, flow.sport}] = b
+	m.link(b)
 	pk := portKey{flow.proto, m.ext}
 	if e.lost != nil {
 		// The port is live again; inbound misses on it are ordinary.
 		delete(e.lost, pk)
 	}
-	o := e.portsInUse[pk]
-	if o == nil {
-		o = &portOwner{client: flow.client, cport: flow.cport}
+	if owner := e.portsInUse[pk]; owner != nil {
+		o = owner
+	} else {
+		if o == nil {
+			o = new(portOwner)
+		}
+		o.client, o.cport = flow.client, flow.cport
+		o.mappings = o.inline[:0]
 		e.portsInUse[pk] = o
 	}
 	o.n++
-	if len(m.sessions) == 1 {
+	if m.n == 1 {
 		o.mappings = append(o.mappings, m)
 	}
 	if flow.proto == netpkt.ProtoTCP {
@@ -792,17 +831,16 @@ func (e *Engine) filterInbound(proto uint8, ext uint16, src netip.Addr, sport ui
 	if proto == netpkt.ProtoTCP && e.tcpCount >= e.pol.MaxTCPBindings {
 		return nil, DropTCPTableFull
 	}
-	b := e.addSession(m, flow)
+	b := e.addSession(m, flow, new(Binding), nil)
 	b.inboundInitiated = true
 	return b, DropNone
 }
 
 // hasSessionToward reports whether the mapping holds a session whose
-// remote endpoint is the address src (any port). The early return makes
-// the map iteration order-insensitive.
+// remote endpoint is the address src (any port).
 func (m *Mapping) hasSessionToward(src netip.Addr) bool {
-	for ep := range m.sessions {
-		if ep.server == src {
+	for b := m.sessions; b != nil; b = b.next {
+		if b.flow.server == src {
 			return true
 		}
 	}

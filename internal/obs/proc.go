@@ -7,7 +7,7 @@ import "sync/atomic"
 // timing, goroutine and shard counts on scheduling — and therefore
 // live outside the per-shard Registry and outside every determinism-
 // compared form. Writers are concurrent (netpkt's pools, every sim
-// process goroutine, every fleet worker), so the slots are atomics.
+// worker coroutine, every fleet worker), so the slots are atomics.
 //
 // The same write-only discipline applies: deterministic packages bump
 // these counters and never read them back (obslint enforces it); the
@@ -45,9 +45,10 @@ func (p *ProcStats) FrameGet() { p.frameGets.Add(1) }
 // FramePut counts one frame returned to the pool.
 func (p *ProcStats) FramePut() { p.framePuts.Add(1) }
 
-// SimProcUp / SimProcDown track live simulator process goroutines.
-// The pair is the goroutine-leak tripwire: after a completed run whose
-// simulators were Shutdown, the gauge must return to its baseline.
+// SimProcUp / SimProcDown track live simulator worker coroutines,
+// those running a process and idle ones alike. The pair is the
+// goroutine-leak tripwire: after a completed run whose simulators were
+// Shutdown, the gauge must return to its baseline.
 func (p *ProcStats) SimProcUp() { p.simProcs.Add(1) }
 
 // SimProcDown is SimProcUp's exit-side counterpart.

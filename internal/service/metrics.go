@@ -75,7 +75,7 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("hgw_pool_puts_total", "Packet buffers returned to the netpkt pools.", proc.PoolPuts)
 	counter("hgw_frame_gets_total", "Frames handed out by the netpkt frame pool.", proc.FrameGets)
 	counter("hgw_frame_puts_total", "Frames returned to the netpkt frame pool.", proc.FramePuts)
-	gauge("hgw_sim_procs", "Live simulated-process goroutines across all runs.", float64(proc.SimProcs))
+	gauge("hgw_sim_procs", "Live simulator worker coroutines (busy and idle) across all runs.", float64(proc.SimProcs))
 	gauge("hgw_live_shards", "Fleet shards currently being built or swept.", float64(proc.LiveShards))
 	gauge("go_goroutines", "Goroutines in the serving process.", float64(runtime.NumGoroutine()))
 }

@@ -225,9 +225,9 @@ func TestObsCountersMatchQueueSemantics(t *testing.T) {
 }
 
 // TestProcGoroutineGaugeBaseline is the tripwire for the Shutdown leak
-// fix: spawned process goroutines must return the process-wide gauge
-// to its baseline both when processes exit on their own and when
-// Shutdown unwinds parked ones.
+// fix: worker coroutines must return the process-wide gauge to its
+// baseline, both the idle ones whose processes exited on their own and
+// those whose parked processes Shutdown unwinds.
 func TestProcGoroutineGaugeBaseline(t *testing.T) {
 	base := obs.Proc.Snapshot().SimProcs
 	s := New(3)
@@ -291,6 +291,30 @@ func TestAllocsChanPingPong(t *testing.T) {
 	}
 	if pong.Len() != 0 || ping.Len() != 0 {
 		t.Fatalf("values left buffered: ping %d pong %d", ping.Len(), pong.Len())
+	}
+	s.Shutdown()
+}
+
+// TestAllocsSpawnExit pins the cost of a short process once a worker
+// is idle: spawning it, one Sleep and its exit allocate only the Proc
+// and its two cached method values. The coroutine is recycled, not
+// created again.
+func TestAllocsSpawnExit(t *testing.T) {
+	s := New(1)
+	body := func(p *Proc) { p.Sleep(time.Microsecond) }
+	round := func() {
+		s.Spawn("short", body)
+		s.Run(0)
+	}
+	for i := 0; i < 256; i++ {
+		round()
+	}
+	w := s.idle[0]
+	if n := testing.AllocsPerRun(100, round); n != 3 {
+		t.Fatalf("spawn/sleep/exit allocates %.1f objects, want 3", n)
+	}
+	if len(s.idle) != 1 || s.idle[0] != w {
+		t.Fatalf("idle workers %v, want the one recycled worker %p", s.idle, w)
 	}
 	s.Shutdown()
 }

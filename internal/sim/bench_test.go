@@ -84,3 +84,40 @@ func BenchmarkEventChurnWithTimers(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkProcSwitch is one Sleep round trip of a process: schedule
+// the wake, switch out to the scheduler, fire the wake event and switch
+// back in. Every probe timeout, every blocking socket read and every
+// paced send pays it.
+func BenchmarkProcSwitch(b *testing.B) {
+	s := New(1)
+	s.Spawn("sleeper", func(p *Proc) {
+		for {
+			p.Sleep(time.Microsecond)
+		}
+	})
+	s.Run(s.Now() + time.Millisecond)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Run(s.Now() + time.Microsecond)
+	}
+	b.StopTimer()
+	s.Shutdown()
+}
+
+// BenchmarkSpawnExit is the life of a short process: spawn, one Sleep,
+// exit. Once the first process has exited, every later one runs on its
+// recycled worker.
+func BenchmarkSpawnExit(b *testing.B) {
+	s := New(1)
+	body := func(p *Proc) { p.Sleep(time.Microsecond) }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Spawn("short", body)
+		s.Run(0)
+	}
+	b.StopTimer()
+	s.Shutdown()
+}

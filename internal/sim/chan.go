@@ -9,10 +9,11 @@ import "time"
 //
 // A steady Send/Recv exchange allocates nothing: both queues reuse their
 // storage, and a receiver's waiter record (with its timeout callback)
-// is recycled once the receiver has read its result.
+// is recycled once the receiver has read its result. A long backlog
+// grows in fixed segments, so it is never copied.
 type Chan[T any] struct {
 	s       *Sim
-	buf     fifo[T]
+	buf     segQueue[T]
 	waiters fifo[*chanWaiter[T]] // parked receivers, oldest first
 	spare   []*chanWaiter[T]     // resolved waiters for reuse
 	closed  bool
@@ -35,7 +36,7 @@ func NewChan[T any](s *Sim) *Chan[T] {
 }
 
 // Len returns the number of buffered values.
-func (c *Chan[T]) Len() int { return c.buf.len() }
+func (c *Chan[T]) Len() int { return c.buf.n }
 
 // Send enqueues v, waking the oldest waiting receiver if any. Sending on
 // a closed channel is a no-op (the value is dropped), mirroring how a
@@ -75,7 +76,7 @@ func (c *Chan[T]) Closed() bool { return c.closed }
 // forever. ok is false if the deadline passed (or the channel was closed)
 // before a value arrived.
 func (c *Chan[T]) Recv(p *Proc, timeout time.Duration) (v T, ok bool) {
-	if c.buf.len() > 0 {
+	if c.buf.n > 0 {
 		return c.buf.pop(), true
 	}
 	if c.closed {
@@ -117,7 +118,7 @@ func (w *chanWaiter[T]) expire() {
 
 // TryRecv dequeues a value without blocking.
 func (c *Chan[T]) TryRecv() (v T, ok bool) {
-	if c.buf.len() == 0 {
+	if c.buf.n == 0 {
 		return v, false
 	}
 	return c.buf.pop(), true
@@ -125,16 +126,89 @@ func (c *Chan[T]) TryRecv() (v T, ok bool) {
 
 // Drain discards all buffered values and returns how many were dropped.
 func (c *Chan[T]) Drain() int {
-	n := c.buf.len()
-	c.buf = fifo[T]{}
+	n := c.buf.n
+	c.buf.reset()
 	return n
+}
+
+// segLen is the number of values in one segQueue segment.
+const segLen = 64
+
+// segment is one fixed-size block of a segQueue.
+type segment[T any] struct {
+	vals [segLen]T
+	next *segment[T]
+}
+
+// segQueue is a FIFO of linked fixed-size segments. Unlike a slice
+// that append grows, a long backlog never copies the values it already
+// holds, and a drained segment is kept as a spare for the next one.
+type segQueue[T any] struct {
+	head, tail *segment[T] // nil while nothing was ever queued
+	hi, ti     int         // next read index in head, next write index in tail
+	n          int
+	spare      *segment[T]
+}
+
+func (q *segQueue[T]) newSegment() *segment[T] {
+	if sg := q.spare; sg != nil {
+		q.spare = nil
+		return sg
+	}
+	return new(segment[T])
+}
+
+func (q *segQueue[T]) push(v T) {
+	switch {
+	case q.tail == nil:
+		q.head = q.newSegment()
+		q.tail = q.head
+	case q.ti == segLen:
+		sg := q.newSegment()
+		q.tail.next = sg
+		q.tail, q.ti = sg, 0
+	}
+	q.tail.vals[q.ti] = v
+	q.ti++
+	q.n++
+}
+
+// pop removes and returns the oldest value; the queue must be non-empty.
+func (q *segQueue[T]) pop() T {
+	sg := q.head
+	v := sg.vals[q.hi]
+	var zero T
+	sg.vals[q.hi] = zero
+	q.hi++
+	q.n--
+	switch {
+	case q.n == 0:
+		// Empty: head == tail, and both indices restart at its front.
+		q.hi, q.ti = 0, 0
+	case q.hi == segLen:
+		q.head, q.hi = sg.next, 0
+		sg.next = nil
+		q.spare = sg
+	}
+	return v
+}
+
+// reset empties the queue, keeping its head segment as the spare.
+func (q *segQueue[T]) reset() {
+	if sg := q.head; sg != nil {
+		clear(sg.vals[:])
+		sg.next = nil
+		q.spare = sg
+	}
+	q.head, q.tail, q.hi, q.ti, q.n = nil, nil, 0, 0, 0
 }
 
 // fifo is a slice-backed queue that keeps its storage: pops advance a
 // head index instead of re-slicing the front away, and a push into a
 // full backing array first slides the live items down when at least
 // half of it is dead, so a queue whose length stays bounded stops
-// allocating.
+// allocating. It holds a Chan's waiters, where expire needs delete by
+// index.
 type fifo[T any] struct {
 	items []T // live items are items[head:]
 	head  int

@@ -5,11 +5,12 @@
 // zero) and a priority queue of events. Network elements (links, queues,
 // NAT timers) schedule plain callback events with At or After. Active
 // entities that are most naturally written as sequential code (probers,
-// protocol clients) run as processes: goroutines that are scheduled
-// cooperatively so that exactly one goroutine — the scheduler or a single
-// process — runs at any moment. This gives race-free, fully reproducible
-// runs: the same program always produces the same event ordering, and a
-// simulated 24-hour experiment completes in milliseconds of wall time.
+// protocol clients) run as processes: coroutines that the scheduler
+// switches into and that switch back when they park, so that exactly one
+// of them — the scheduler or a single process — runs at any moment. This
+// gives race-free, fully reproducible runs: the same program always
+// produces the same event ordering, and a simulated 24-hour experiment
+// completes in milliseconds of wall time.
 //
 // Processes block only through the simulator's own primitives (Sleep,
 // Chan.Recv, Join). Blocking on anything else would stall the scheduler.
@@ -17,6 +18,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 	"time"
 
@@ -96,15 +98,15 @@ type Sim struct {
 	live        int        // scheduled, uncanceled events (Pending)
 	dead        int        // canceled records still occupying heap entries
 	rng         *rand.Rand
-	token       chan struct{} // returned to the scheduler when a process parks or exits
-	procs       int           // live (not yet exited) processes
-	parked      int           // processes currently parked
+	procs       int // live (not yet exited) processes
+	parked      int // processes currently parked
 	stopped     bool
 	running     bool
 	interrupt   func() bool // polled between events; true aborts the run
 	interrupted bool
 	killing     bool          // Shutdown in progress: parked processes die on wake
 	all         []*Proc       // every spawned process, for Shutdown
+	idle        []*worker     // workers whose process exited, for reuse
 	label       func() string // optional diagnostics
 	// obs is the telemetry registry this simulator writes (nil = no
 	// telemetry; every write is a nil-safe no-op). The simulator only
@@ -116,10 +118,7 @@ type Sim struct {
 // New returns a simulator whose random source is seeded with seed.
 // The same seed always yields the same simulation trajectory.
 func New(seed int64) *Sim {
-	return &Sim{
-		rng:   rand.New(rand.NewSource(seed)),
-		token: make(chan struct{}),
-	}
+	return &Sim{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -383,12 +382,15 @@ func (s *Sim) Stalled() int { return s.parked }
 func (s *Sim) Pending() int { return s.live }
 
 // A Proc is a cooperatively scheduled simulator process. All methods
-// must be called from the process's own goroutine.
+// must be called from the process's own body.
 type Proc struct {
-	s       *Sim
-	name    string
-	resume  chan struct{}
-	started bool // the spawn event fired: a goroutine owns this process
+	s    *Sim
+	name string
+	fn   func(p *Proc)
+	// w is the coroutine running the process: set by the start event,
+	// cleared when the body returns and w goes back to the idle list.
+	w       *worker
+	started bool // the spawn event fired: a worker owns this process
 	exited  bool
 	joiners []*Proc
 	// wakeArmed guards against double wake-ups: each park consumes
@@ -399,6 +401,20 @@ type Proc struct {
 	// process instead of once per park.
 	handoffFn func()
 	wakeFn    func()
+}
+
+// worker is a coroutine (iter.Pull) that runs process bodies one after
+// another. Switching into it (next) and out of it (yield) is a direct
+// goroutine switch with no trip through the Go scheduler. A worker
+// whose process exits parks on the simulator's idle list and runs the
+// next spawned process, so a coroutine is created only when every
+// existing one is busy.
+type worker struct {
+	s     *Sim
+	p     *Proc // the process being run; nil while idle
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 }
 
 // Name returns the name given to Spawn.
@@ -413,42 +429,73 @@ func (p *Proc) Now() Time { return p.s.now }
 // Spawn starts fn as a new simulator process at the current virtual
 // time. fn begins executing when the scheduler reaches the start event.
 func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{s: s, name: name, resume: make(chan struct{})}
+	p := &Proc{s: s, name: name, fn: fn}
 	p.handoffFn = p.handoff
 	p.wakeFn = p.scheduleWake
 	s.procs++
 	s.obs.Inc(obs.CSimProcsSpawned)
 	s.all = append(s.all, p)
-	s.At(s.now, func() {
-		p.started = true
-		go func() {
-			// The process-goroutine gauge brackets the goroutine's whole
-			// life; Down runs before the final token send so the count is
-			// back at baseline by the time Run or Shutdown returns (the
-			// goroutine-leak tripwire test depends on that ordering).
-			obs.Proc.SimProcUp()
-			<-p.resume
-			runProc(fn, p)
-			p.exited = true
-			s.procs--
-			for _, j := range p.joiners {
-				j.scheduleWake()
-			}
-			p.joiners = nil
-			obs.Proc.SimProcDown()
-			s.token <- struct{}{}
-		}()
-		p.handoff()
-	})
+	s.At(s.now, p.handoffFn)
 	return p
 }
 
+// worker returns an idle worker, or a new one when none is idle.
+func (s *Sim) worker() *worker {
+	if n := len(s.idle); n > 0 {
+		w := s.idle[n-1]
+		s.idle = s.idle[:n-1]
+		return w
+	}
+	w := &worker{s: s}
+	w.next, w.stop = iter.Pull(w.loop)
+	return w
+}
+
+// loop is the worker coroutine's body: run the bound process to exit,
+// then go idle until the next spawn binds another one. yield returns
+// false once Shutdown has stopped the worker.
+//
+// A panic in a process body is not recovered here: iter.Pull carries it
+// out of next, so it surfaces from Run in the caller's goroutine, and
+// the worker dies with it.
+func (w *worker) loop(yield func(struct{}) bool) {
+	// The gauge brackets the coroutine's whole life; Down runs before
+	// the final switch back, so the count is at baseline by the time
+	// Run or Shutdown returns (the goroutine-leak tripwire test depends
+	// on that ordering).
+	obs.Proc.SimProcUp()
+	defer obs.Proc.SimProcDown()
+	w.yield = yield
+	for {
+		p := w.p
+		runProc(p.fn, p)
+		p.exit()
+		w.p = nil
+		w.s.idle = append(w.s.idle, w)
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// exit does a returned (or killed) process's bookkeeping and wakes its
+// joiners.
+func (p *Proc) exit() {
+	p.exited = true
+	p.fn, p.w = nil, nil
+	p.s.procs--
+	for _, j := range p.joiners {
+		j.scheduleWake()
+	}
+	p.joiners = nil
+}
+
 // procKilled is the panic sentinel Shutdown throws through a parked
-// process to unwind its goroutine.
+// process to unwind it.
 type procKilled struct{}
 
 // runProc runs the process body, absorbing the Shutdown kill panic so
-// the exit bookkeeping in Spawn's goroutine still runs.
+// the worker's exit bookkeeping still runs. Any other panic passes on.
 func runProc(fn func(p *Proc), p *Proc) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -460,45 +507,51 @@ func runProc(fn func(p *Proc), p *Proc) {
 	fn(p)
 }
 
-// Shutdown unwinds every live process goroutine. A simulation that ends
-// with processes still parked — servers park forever by design, and an
-// interrupted or horizon-bounded run parks everything mid-flight —
-// leaves those goroutines blocked on channels the scheduler will never
-// signal again; the Go runtime does not collect blocked goroutines, so
-// each would pin its stack and everything reachable from it (transitively,
-// the whole simulation) for the life of the program. Callers that drop a
-// simulator before process exit MUST call Shutdown first; ephemeral fleet
-// shards are the high-volume case.
+// Shutdown unwinds every live process and stops every worker coroutine.
+// A simulation that ends with processes still parked — servers park
+// forever by design, and an interrupted or horizon-bounded run parks
+// everything mid-flight — leaves their coroutines suspended, and so
+// does every idle worker. The Go runtime does not collect a suspended
+// coroutine, so each would pin its stack and everything reachable from
+// it (transitively, the whole simulation) for the life of the program.
+// Callers that drop a simulator MUST call Shutdown first; ephemeral
+// fleet shards are the high-volume case.
 //
-// Shutdown wakes each parked process into a panic that unwinds its
-// goroutine (deferred cleanup in process bodies runs normally). The
-// simulator must not be resumed afterwards. Calling Shutdown again, or
-// on a fully exited simulation, is a no-op.
+// Shutdown stops each parked process's coroutine, which makes its park
+// panic with a sentinel that unwinds the body (deferred cleanup runs
+// normally), in spawn order; then it stops the idle workers. The
+// simulator must not be resumed afterwards. Calling Shutdown again, on
+// a fully exited simulation, or after Run re-panicked a process's
+// panic, is safe.
 func (s *Sim) Shutdown() {
 	if s.running {
 		panic("sim: Shutdown called during Run")
 	}
 	s.killing = true
 	for _, p := range s.all {
-		if !p.started || p.exited {
-			// Never-started processes have no goroutine: their spawn
-			// event never fired.
-			continue
+		// Never-started processes have no worker: their spawn event
+		// never fired. A worker whose process panicked is already
+		// dead, and stopping it is a no-op.
+		if p.w != nil {
+			p.w.stop()
 		}
-		// Between events every live started process is blocked in
-		// park() on resume; the kill panic unwinds it and the exit
-		// path returns the scheduler token.
-		p.resume <- struct{}{}
-		<-s.token
 	}
-	s.all = nil
+	for _, w := range s.idle {
+		w.stop()
+	}
+	s.all, s.idle = nil, nil
 }
 
-// handoff transfers control to the process goroutine and blocks until it
-// parks again or exits. It must run in scheduler (event callback) context.
+// handoff transfers control to the process and returns once it parks
+// again or exits. Its first call, the spawn event, binds the process to
+// a worker. It must run in scheduler (event callback) context.
 func (p *Proc) handoff() {
-	p.resume <- struct{}{}
-	<-p.s.token
+	if !p.started {
+		p.started = true
+		p.w = p.s.worker()
+		p.w.p = p
+	}
+	p.w.next()
 }
 
 // park yields control back to the scheduler until the process is woken.
@@ -506,16 +559,15 @@ func (p *Proc) handoff() {
 func (p *Proc) park() {
 	if p.s.killing {
 		// Refuses re-parking from deferred cleanup while this process
-		// is being unwound by Shutdown; a re-park would strand the
-		// goroutine forever.
+		// is being unwound by Shutdown; the worker is already stopped.
 		panic(procKilled{})
 	}
 	p.s.parked++
 	p.wakeArmed = true
-	p.s.token <- struct{}{}
-	<-p.resume
+	ok := p.w.yield(struct{}{})
 	p.s.parked--
-	if p.s.killing {
+	if !ok {
+		// Shutdown stopped the worker.
 		panic(procKilled{})
 	}
 }

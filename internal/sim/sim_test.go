@@ -1,9 +1,12 @@
 package sim
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
+
+	"hgw/internal/obs"
 )
 
 func TestEventOrdering(t *testing.T) {
@@ -385,14 +388,10 @@ func TestPending(t *testing.T) {
 	}
 }
 
-// countGoroutines samples runtime.NumGoroutine with a settle loop:
-// exiting goroutines hand their token back before the runtime retires
-// them, so give the scheduler a few beats to drain.
 // settledGoroutines reads a goroutine-count baseline once the count
-// stops moving. A process goroutine that exited in an earlier test has
-// already returned the scheduler token, but the runtime still counts it
-// until its final instructions run; reading the baseline inside that
-// window would overcount by one.
+// stops moving, so goroutines an earlier test left finishing are not
+// counted. (A worker coroutine is retired within the switch that ends
+// it, so the simulator itself leaves none behind.)
 func settledGoroutines() int {
 	n := runtime.NumGoroutine()
 	for i := 0; i < 100; i++ {
@@ -407,6 +406,8 @@ func settledGoroutines() int {
 	return n
 }
 
+// countGoroutines samples runtime.NumGoroutine, giving the count a few
+// beats to fall back to baseline.
 func countGoroutines(baseline int) int {
 	n := runtime.NumGoroutine()
 	for i := 0; i < 100 && n > baseline; i++ {
@@ -417,33 +418,223 @@ func countGoroutines(baseline int) int {
 	return n
 }
 
+// TestShutdownReleasesGoroutines parks processes forever and checks
+// that Shutdown unwinds them, runs their deferred cleanup and returns
+// the goroutine count to its baseline: with idle recycled workers
+// beside the parked ones, and after Run re-panicked a process's panic.
 func TestShutdownReleasesGoroutines(t *testing.T) {
-	baseline := settledGoroutines()
-	s := New(1)
-	const procs = 50
-	cleaned := 0
-	ch := NewChan[int](s)
-	for i := 0; i < procs; i++ {
-		s.Spawn("server", func(p *Proc) {
-			defer func() { cleaned++ }()
-			// Parks forever: nothing ever sends, like a device's DHCP
-			// or DNS server process after its testbed is abandoned.
-			ch.Recv(p, 0)
+	for _, tc := range []struct {
+		name  string
+		idle  int  // short processes that exit before the run ends
+		panic bool // one process panics mid-run
+	}{
+		{name: "parked"},
+		{name: "parked_and_idle", idle: 10},
+		{name: "after_panic", idle: 10, panic: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			baseline := settledGoroutines()
+			gauge := obs.Proc.Snapshot().SimProcs
+			s := New(1)
+			const procs = 50
+			cleaned := 0
+			ch := NewChan[int](s)
+			for i := 0; i < procs; i++ {
+				s.Spawn("server", func(p *Proc) {
+					defer func() { cleaned++ }()
+					// Parks forever: nothing ever sends, like a device's
+					// DHCP or DNS server process after its testbed is
+					// abandoned.
+					ch.Recv(p, 0)
+				})
+			}
+			// Short processes run beside the servers, so each needs a
+			// worker of its own; all of them are idle once they exit.
+			for i := 0; i < tc.idle; i++ {
+				s.Spawn("short", func(p *Proc) { p.Sleep(time.Second) })
+			}
+			if tc.panic {
+				s.Spawn("faulty", func(p *Proc) {
+					p.Sleep(2 * time.Second)
+					panic("boom")
+				})
+				if r := runRecover(s); r != "boom" {
+					t.Fatalf("Run recovered %v, want boom", r)
+				}
+			} else {
+				s.Run(0)
+			}
+			if s.Stalled() != procs {
+				t.Fatalf("stalled = %d, want %d", s.Stalled(), procs)
+			}
+			if len(s.idle) != tc.idle {
+				t.Fatalf("idle workers = %d, want %d", len(s.idle), tc.idle)
+			}
+			if n := runtime.NumGoroutine(); n < baseline+procs+tc.idle {
+				t.Fatalf("expected %d suspended coroutines resident, have %d over baseline", procs+tc.idle, n-baseline)
+			}
+			s.Shutdown()
+			if n := countGoroutines(baseline); n > baseline {
+				t.Errorf("goroutines after Shutdown = %d, baseline %d: parked processes leaked", n, baseline)
+			}
+			if got := obs.Proc.Snapshot().SimProcs; got != gauge {
+				t.Errorf("sim proc gauge = %d after Shutdown, want baseline %d", got, gauge)
+			}
+			if cleaned != procs {
+				t.Errorf("deferred cleanup ran in %d/%d killed processes", cleaned, procs)
+			}
 		})
 	}
+}
+
+// runRecover runs s to completion and returns what Run panicked with.
+func runRecover(s *Sim) (r any) {
+	defer func() { r = recover() }()
 	s.Run(0)
-	if s.Stalled() != procs {
-		t.Fatalf("stalled = %d, want %d", s.Stalled(), procs)
+	return nil
+}
+
+// TestProcPanicSurfacesFromRun checks that a panic in a process body
+// comes out of Run, in the goroutine that called it, with the value it
+// was raised with; that the simulator is no longer running afterwards;
+// and that Shutdown then unwinds the other parked processes.
+func TestProcPanicSurfacesFromRun(t *testing.T) {
+	s := New(1)
+	unwound := false
+	s.Spawn("server", func(p *Proc) {
+		defer func() { unwound = true }()
+		p.Sleep(time.Hour)
+	})
+	var panicked *Proc
+	panicked = s.Spawn("faulty", func(p *Proc) {
+		p.Sleep(time.Second)
+		panic(fmt.Errorf("probe: %s failed", p.Name()))
+	})
+	r := runRecover(s)
+	err, ok := r.(error)
+	if !ok || err.Error() != "probe: faulty failed" {
+		t.Fatalf("Run panicked with %v, want the process's error", r)
 	}
-	if n := runtime.NumGoroutine(); n < baseline+procs {
-		t.Fatalf("expected %d parked goroutines resident, have %d over baseline", procs, n-baseline)
+	if s.Now() != time.Second {
+		t.Fatalf("Run stopped at %v, want 1s", s.Now())
+	}
+	if panicked.Exited() {
+		t.Fatal("panicked process reports a normal exit")
 	}
 	s.Shutdown()
-	if n := countGoroutines(baseline); n > baseline {
-		t.Errorf("goroutines after Shutdown = %d, baseline %d: parked processes leaked", n, baseline)
+	if !unwound {
+		t.Fatal("Shutdown did not unwind the parked server")
 	}
-	if cleaned != procs {
-		t.Errorf("deferred cleanup ran in %d/%d killed processes", cleaned, procs)
+	s.Shutdown()
+}
+
+// TestRecycledWorkerIgnoresStaleWake lets a process exit while its
+// canceled receive timeout and its waker both outlive it, and runs a
+// second process on the recycled worker: neither stale wake may resume
+// the new process early.
+func TestRecycledWorkerIgnoresStaleWake(t *testing.T) {
+	s := New(1)
+	c := NewChan[int](s)
+	var first *worker
+	p1 := s.Spawn("first", func(p *Proc) {
+		first = p.w
+		// Woken by the Send at 500 ms; the 1 s timeout is canceled.
+		if _, ok := c.Recv(p, time.Second); !ok {
+			t.Error("first process timed out")
+		}
+	})
+	var woke []Time
+	var second *worker
+	s.After(600*time.Millisecond, func() {
+		if !p1.Exited() {
+			t.Error("first process still running at 600 ms")
+		}
+		s.Spawn("second", func(p *Proc) {
+			second = p.w
+			p.Sleep(10 * time.Second)
+			woke = append(woke, p.Now())
+			c.Recv(p, 0) // park for good
+			woke = append(woke, p.Now())
+		})
+	})
+	s.After(500*time.Millisecond, func() { c.Send(1) })
+	// The first process's waker fires after it exited and while the
+	// second one is parked on the same worker.
+	s.After(700*time.Millisecond, p1.scheduleWake)
+	s.After(time.Second+time.Millisecond, p1.wakeFn)
+	s.Run(0)
+	if first == nil || second != first {
+		t.Fatalf("second process ran on worker %p, want the recycled %p", second, first)
+	}
+	if len(woke) != 1 || woke[0] != 10600*time.Millisecond {
+		t.Fatalf("second process woke at %v, want only [10.6s]", woke)
+	}
+	if s.Stalled() != 1 {
+		t.Fatalf("stalled = %d, want 1", s.Stalled())
+	}
+	s.Shutdown()
+}
+
+// TestChanSegmentFIFO pushes backlogs across several segment
+// boundaries and checks FIFO order through interleaved Send/Recv,
+// receive timeouts between bursts, and Drain.
+func TestChanSegmentFIFO(t *testing.T) {
+	s := New(1)
+	c := NewChan[int](s)
+	next := 0 // next value to send
+	send := func(n int) {
+		for i := 0; i < n; i++ {
+			c.Send(next)
+			next++
+		}
+	}
+	var got []int
+	timeouts := 0
+	recv := func(p *Proc, n int) {
+		for i := 0; i < n; i++ {
+			v, ok := c.Recv(p, time.Millisecond)
+			if !ok {
+				timeouts++
+				return
+			}
+			got = append(got, v)
+		}
+	}
+	dropped := 0
+	s.Spawn("recv", func(p *Proc) {
+		send(3*segLen + 5)
+		recv(p, segLen+1) // the head segment empties and becomes the spare
+		send(2 * segLen)  // the tail grows into the spare, then past it
+		recv(p, 4*segLen+4)
+		recv(p, 1) // the queue is empty again: this times out
+		for i := 0; i < 3*segLen; i++ {
+			send(2) // interleaved, always one value behind
+			recv(p, 1)
+		}
+		dropped = c.Drain()
+		send(segLen + 1)
+		recv(p, segLen+2) // the last one times out
+	})
+	s.Run(0)
+	if timeouts != 2 {
+		t.Fatalf("timeouts = %d, want 2", timeouts)
+	}
+	if dropped != 3*segLen {
+		t.Fatalf("Drain dropped %d, want %d", dropped, 3*segLen)
+	}
+	// Every value arrives in order, with one gap: the drained ones.
+	want, gap := 0, false
+	for i, v := range got {
+		if v != want {
+			if gap || v != want+dropped {
+				t.Fatalf("got[%d] = %d, want %d", i, v, want)
+			}
+			gap, want = true, v
+		}
+		want++
+	}
+	if want != next || c.Len() != 0 {
+		t.Fatalf("received up to %d of %d, %d left buffered", want, next, c.Len())
 	}
 }
 

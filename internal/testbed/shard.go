@@ -30,11 +30,11 @@ type Shard struct {
 	Offset int
 }
 
-// Close unwinds the shard's simulator process goroutines
-// (sim.Shutdown). A shard's servers park forever by design, and the Go
-// runtime never collects a blocked goroutine, so dropping a shard
-// without Close pins the whole sub-testbed in memory for the life of
-// the process. Callers that discard shards — the streaming fleet
+// Close unwinds the shard's simulator processes and stops their
+// coroutines (sim.Shutdown). A shard's servers park forever by design,
+// and the Go runtime never collects a suspended coroutine, so dropping
+// a shard without Close pins the whole sub-testbed in memory for the
+// life of the process. Callers that discard shards — the streaming fleet
 // runner above all — must Close each one when done with it.
 func (sh *Shard) Close() { sh.Sim.Shutdown() }
 

@@ -368,9 +368,9 @@ func (r *Runner) runDomain(ctx context.Context, index int,
 	if err != nil {
 		return d, err
 	}
-	// Unwind the domain's process goroutines before returning: servers
-	// park forever and the Go runtime never collects a blocked
-	// goroutine, so skipping this leaks the whole testbed per domain.
+	// Unwind the domain's processes before returning: servers park
+	// forever and the Go runtime never collects a suspended coroutine,
+	// so skipping this leaks the whole testbed per domain.
 	defer s.Shutdown()
 	r.mu.Lock()
 	r.testbedsBuilt++

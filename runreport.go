@@ -174,7 +174,7 @@ func traceEntries(evs []obs.TraceEvent) []TraceEntry {
 }
 
 // ProcessStats is the process-wide diagnostic section: sync.Pool
-// traffic, simulator process goroutines and live shards (obs.Proc)
+// traffic, simulator worker coroutines and live shards (obs.Proc)
 // plus the runtime goroutine count. All of it depends on GC timing
 // and scheduling — never compare it across runs.
 type ProcessStats struct {
