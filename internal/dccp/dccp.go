@@ -54,7 +54,7 @@ func New(h *stack.Host) *Stack {
 	}
 	h.Handle(netpkt.ProtoDCCP, func(ifc *stack.NetIf, ip *netpkt.IPv4) bool {
 		st.input(ifc, ip)
-		return true // parsed views of the payload may outlive the call
+		return true // received data is queued as views of the payload (rx)
 	})
 	return st
 }

@@ -527,11 +527,10 @@ func (d *Device) dnsProxyTCPConn(p *sim.Proc, c *tcp.Conn) {
 	mode := d.Profile.DNSTCP
 	var buf []byte
 	for {
-		data, err := c.Read(p, 4096, 10*time.Second)
-		if err != nil {
+		var err error
+		if buf, err = c.ReadAppend(p, buf, 4096, 10*time.Second); err != nil {
 			return
 		}
-		buf = append(buf, data...)
 		msg, rest, ok := dnsmsg.UnframeTCP(buf)
 		if !ok {
 			continue
@@ -588,11 +587,10 @@ func (d *Device) forwardDNSOverTCP(p *sim.Proc, msg []byte) ([]byte, bool) {
 	var buf []byte
 	deadline := d.S.Now() + 5*time.Second
 	for d.S.Now() < deadline {
-		data, err := c.Read(p, 4096, deadline-d.S.Now())
-		if err != nil {
+		var err error
+		if buf, err = c.ReadAppend(p, buf, 4096, deadline-d.S.Now()); err != nil {
 			return nil, false
 		}
-		buf = append(buf, data...)
 		if msg, _, ok := dnsmsg.UnframeTCP(buf); ok {
 			return msg, true
 		}

@@ -7,8 +7,9 @@ import (
 	"strings"
 )
 
-// PoolLint enforces DESIGN.md §9: a pooled buffer or frame obtained
-// from netpkt.GetBuf / netpkt.GetFrame is owned by the scope that drew
+// PoolLint enforces DESIGN.md §9: a pooled buffer, frame or packet
+// record obtained from netpkt.GetBuf / netpkt.GetFrame /
+// netpkt.GetPacket / netpkt.ParsePooled is owned by the scope that drew
 // it until it is handed to exactly one consumer. Within the function
 // that drew a pooled value it flags the escapes that break the
 // recycling contract:
@@ -23,8 +24,15 @@ import (
 //     still used on a path after the call. The buffer may be one the
 //     function drew, a field a view was parsed from (PutBuf(f.Payload)
 //     after ParseIPv4(f.Payload)), or the buffer a packet owns
-//     (PutBuf(ip.Buf) for a netpkt.IPv4, whose Options and Payload
-//     alias it; resetting ip.Buf afterwards is not a use).
+//     (PutBuf(ip.Buf) or PutBuf(b) after b := ip.Buf, for a
+//     netpkt.IPv4 whose Options and Payload alias it; resetting ip.Buf
+//     afterwards is not a use). So a packet record goes back with
+//     PutPacket before its buffer.
+//
+// In any function it also flags a packet record used on a path after
+// netpkt.PutPacket recycled it, or after it was handed to the host
+// stack's Send or SendVia, which recycle a pooled record once it is on
+// the wire.
 //
 // netpkt.Clone severs aliasing: a cloned value is not tracked. The
 // sanctioned handoff — building a Frame and passing it to a send/
@@ -32,7 +40,7 @@ import (
 // argument, which transfers ownership).
 var PoolLint = &Analyzer{
 	Name: "poollint",
-	Doc:  "flag pooled netpkt buffers/frames escaping their ownership scope and premature PutBuf",
+	Doc:  "flag pooled netpkt buffers/frames/packet records escaping their ownership scope, premature PutBuf/PutPacket and use after Send",
 	Run:  runPoolLint,
 }
 
@@ -60,7 +68,7 @@ func isPoolAPI(pass *Pass, fd *ast.FuncDecl) bool {
 		return false
 	}
 	switch fd.Name.Name {
-	case "GetBuf", "PutBuf", "GetFrame", "PutFrame":
+	case "GetBuf", "PutBuf", "GetFrame", "PutFrame", "GetPacket", "PutPacket", "ParsePooled":
 		return fd.Recv == nil
 	}
 	return false
@@ -94,8 +102,11 @@ func poolFunc(pass *Pass, call *ast.CallExpr) (name string, ok bool) {
 
 // poolSource describes a tracked pooled value.
 type poolSource struct {
-	kind string // "buffer" or "frame"
+	kind string // "buffer", "frame" or "packet"
 }
+
+// poolKinds maps each drawing call to the kind of value it returns.
+var poolKinds = map[string]string{"GetBuf": "buffer", "GetFrame": "frame", "GetPacket": "packet", "ParsePooled": "packet"}
 
 // checkPoolFunc analyzes one function declaration.
 func checkPoolFunc(pass *Pass, fd *ast.FuncDecl) {
@@ -111,6 +122,9 @@ func checkPoolFunc(pass *Pass, fd *ast.FuncDecl) {
 	// fieldViews records views parsed from a buffer-valued field
 	// (f.Payload), keyed by the field expression.
 	fieldViews := make(map[string][]types.Object)
+	// bufOf records locals holding a packet's buffer (b := ip.Buf):
+	// recycling b recycles what the packet's views alias.
+	bufOf := make(map[types.Object]types.Object)
 	propagate := func(as *ast.AssignStmt, curLit *ast.FuncLit) {
 		if len(as.Rhs) != 1 {
 			return
@@ -118,18 +132,18 @@ func checkPoolFunc(pass *Pass, fd *ast.FuncDecl) {
 		switch rhs := as.Rhs[0].(type) {
 		case *ast.CallExpr:
 			name, ok := poolFunc(pass, rhs)
-			if ok && (name == "GetBuf" || name == "GetFrame") && len(as.Lhs) == 1 {
+			if kind := poolKinds[name]; ok && kind != "" {
+				// The drawn value is the first result (ParsePooled's
+				// second is its error).
 				if id, ok := as.Lhs[0].(*ast.Ident); ok {
 					if obj := lhsObj(pass, id); obj != nil {
-						kind := "buffer"
-						if name == "GetFrame" {
-							kind = "frame"
-						}
 						tracked[obj] = poolSource{kind: kind}
 						owner[obj] = curLit
 					}
 				}
-				return
+				if name != "ParsePooled" {
+					return
+				}
 			}
 			// v, ok := netpkt.ParseX(buf): v aliases buf.
 			if ok && strings.HasPrefix(name, "Parse") {
@@ -172,6 +186,15 @@ func checkPoolFunc(pass *Pass, fd *ast.FuncDecl) {
 						} else {
 							fieldViews[field] = append(fieldViews[field], obj)
 						}
+					}
+				}
+			}
+		case *ast.SelectorExpr:
+			// b := ip.Buf holds the buffer packet ip owns.
+			if id, ok := rhs.X.(*ast.Ident); ok && rhs.Sel.Name == "Buf" && len(as.Lhs) == 1 && isNetpktIPv4(pass.TypesInfo.TypeOf(id)) {
+				if lid, ok := as.Lhs[0].(*ast.Ident); ok {
+					if lobj := lhsObj(pass, lid); lobj != nil {
+						bufOf[lobj] = pass.TypesInfo.Uses[id]
 					}
 				}
 			}
@@ -222,7 +245,8 @@ func checkPoolFunc(pass *Pass, fd *ast.FuncDecl) {
 		})
 	}
 	scan(fd.Body, nil)
-	checkPrematurePut(pass, fd, tracked, aliasOf, fieldViews)
+	checkPrematurePut(pass, fd, tracked, aliasOf, fieldViews, bufOf)
+	checkPacketHandoff(pass, fd)
 	if len(tracked) == 0 {
 		return
 	}
@@ -305,7 +329,7 @@ func checkPoolFunc(pass *Pass, fd *ast.FuncDecl) {
 // checkPrematurePut reports each netpkt.PutBuf call in fd after which
 // a zero-copy view of the recycled buffer is still used on some path:
 // the recycled bytes are then still reachable.
-func checkPrematurePut(pass *Pass, fd *ast.FuncDecl, tracked map[types.Object]poolSource, aliasOf map[types.Object]types.Object, fieldViews map[string][]types.Object) {
+func checkPrematurePut(pass *Pass, fd *ast.FuncDecl, tracked map[types.Object]poolSource, aliasOf map[types.Object]types.Object, fieldViews map[string][]types.Object, bufOf map[types.Object]types.Object) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -321,6 +345,10 @@ func checkPrematurePut(pass *Pass, fd *ast.FuncDecl, tracked map[types.Object]po
 		switch a := arg.(type) {
 		case *ast.Ident:
 			obj := pass.TypesInfo.Uses[a]
+			if pkt, ok := bufOf[obj]; ok {
+				owner = pkt
+				break
+			}
 			if _, ok := tracked[obj]; !ok {
 				return true
 			}
@@ -348,6 +376,71 @@ func checkPrematurePut(pass *Pass, fd *ast.FuncDecl, tracked map[types.Object]po
 		}
 		return true
 	})
+}
+
+// checkPacketHandoff reports each use of a packet record on a path
+// after a call that ends the record's life: netpkt.PutPacket(ip), or
+// Send/SendVia of the host stack, which recycles a pooled record once
+// the packet is on the wire. The record need not have been drawn here:
+// a parameter may be a pooled record the stack handed in.
+func checkPacketHandoff(pass *Pass, fd *ast.FuncDecl) {
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		name, ok := poolFunc(pass, call)
+		putPacket := ok && name == "PutPacket"
+		if !putPacket && !isHostSend(pass, call) {
+			return true
+		}
+		var regions []span
+		for _, arg := range call.Args {
+			id, ok := arg.(*ast.Ident)
+			if !ok || !isNetpktIPv4(pass.TypesInfo.TypeOf(id)) {
+				continue
+			}
+			if regions == nil {
+				regions = reachableAfter(fd.Body, call)
+			}
+			use := usedIn(pass, fd.Body, regions, pass.TypesInfo.Uses[id], false)
+			switch {
+			case !use.IsValid():
+			case putPacket:
+				pass.Reportf(call.Pos(), "PutPacket(%s) while the record is still used at %s; recycle it after its last use", id.Name, pass.Fset.Position(use))
+			default:
+				pass.Reportf(call.Pos(), "packet %q is used at %s after %s took it over: the host recycles a pooled record once it is on the wire", id.Name, pass.Fset.Position(use), exprString(call.Fun))
+			}
+		}
+		return true
+	})
+}
+
+// isHostSend reports whether call is Send or SendVia of the host
+// stack's Host (hgw/internal/stack, or a fixture package "stack").
+func isHostSend(pass *Pass, call *ast.CallExpr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Send" && sel.Sel.Name != "SendVia" {
+		return false
+	}
+	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+	if !ok {
+		return false
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	t := recv.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, ok := t.(*types.Named)
+	if !ok || n.Obj().Name() != "Host" || n.Obj().Pkg() == nil {
+		return false
+	}
+	path := n.Obj().Pkg().Path()
+	return path == "stack" || strings.HasSuffix(path, "/stack")
 }
 
 // isNetpktIPv4 reports whether t is netpkt.IPv4 or a pointer to it.

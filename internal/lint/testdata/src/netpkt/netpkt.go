@@ -13,6 +13,7 @@ type UDP struct {
 }
 
 type IPv4 struct {
+	TTL     uint8
 	Payload []byte
 	Buf     []byte
 }
@@ -30,3 +31,9 @@ func Clone(b []byte) []byte { return append([]byte(nil), b...) }
 func ParseUDP(b []byte) (*UDP, bool) { return &UDP{Raw: b}, true }
 
 func ParseIPv4(b []byte) (*IPv4, error) { return &IPv4{Payload: b}, nil }
+
+func GetPacket() *IPv4 { return &IPv4{} }
+
+func PutPacket(ip *IPv4) {}
+
+func ParsePooled(b []byte) (*IPv4, error) { return &IPv4{Payload: b}, nil }

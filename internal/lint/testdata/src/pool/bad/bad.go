@@ -1,12 +1,17 @@
 // Package bad holds poollint true positives: pooled values escaping
-// their ownership scope and premature PutBufs.
+// their ownership scope, premature PutBufs and PutPackets, and packet
+// records used after the host took them over.
 package bad
 
-import "netpkt"
+import (
+	"netpkt"
+	"stack"
+)
 
 type Queue struct {
 	pending []byte
 	frame   *netpkt.Frame
+	pkt     *netpkt.IPv4
 }
 
 func (q *Queue) Stash() {
@@ -60,4 +65,41 @@ func PrematureOwned(ip *netpkt.IPv4, send func([]byte)) {
 	netpkt.PutBuf(ip.Buf) // want `still used at`
 	ip.Buf = nil
 	send(ip.Payload)
+}
+
+func StashRecord(q *Queue, f *netpkt.Frame) {
+	ip, _ := netpkt.ParsePooled(f.Payload)
+	q.pkt = ip // want `escapes its ownership scope`
+}
+
+func RecordAfterPut(ip *netpkt.IPv4, send func([]byte)) {
+	netpkt.PutPacket(ip) // want `PutPacket\(ip\) while the record is still used`
+	send(ip.Payload)
+}
+
+func BufferBeforeRecord(f *netpkt.Frame, handle func(*netpkt.IPv4) bool) {
+	ip, _ := netpkt.ParsePooled(f.Payload)
+	if !handle(ip) {
+		netpkt.PutBuf(f.Payload) // want `still used at`
+		netpkt.PutPacket(ip)
+	}
+}
+
+func HeldBufferBeforeRecord(ip *netpkt.IPv4) {
+	buf := ip.Buf
+	ip.Buf = nil
+	netpkt.PutBuf(buf) // want `while packet "ip", whose views alias it, is still used`
+	netpkt.PutPacket(ip)
+}
+
+func UseAfterSend(h *stack.Host, ttl uint8) int {
+	ip := netpkt.GetPacket()
+	ip.TTL = ttl
+	h.Send(ip) // want `packet "ip" is used at .* after h.Send took it over`
+	return len(ip.Payload)
+}
+
+func ForwardThenCount(h *stack.Host, ifc *stack.NetIf, ip *netpkt.IPv4) int {
+	h.SendVia(ifc, ip) // want `after h.SendVia took it over`
+	return int(ip.TTL)
 }

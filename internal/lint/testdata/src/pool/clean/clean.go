@@ -1,10 +1,14 @@
 // Package clean holds poollint-legal idioms: Clone before retention,
 // PutBuf after the last aliased use, pooled values drawn and recycled
-// inside the same closure, and recycling a received packet's buffer on
-// paths where its views are dead.
+// inside the same closure, recycling a received packet's record and
+// then its buffer on paths where its views are dead, and handing a
+// pooled record to the host as the last use.
 package clean
 
-import "netpkt"
+import (
+	"netpkt"
+	"stack"
+)
 
 type Queue struct {
 	pending []byte
@@ -56,4 +60,35 @@ func Emit(ip *netpkt.IPv4, send func([]byte)) {
 	send(netpkt.Clone(ip.Payload))
 	netpkt.PutBuf(ip.Buf)
 	ip.Buf = nil
+}
+
+func DeliverPooled(f *netpkt.Frame, handle func(*netpkt.IPv4) bool) {
+	ip, err := netpkt.ParsePooled(f.Payload)
+	if err != nil {
+		netpkt.PutBuf(f.Payload)
+		return
+	}
+	if !handle(ip) {
+		netpkt.PutPacket(ip)
+		netpkt.PutBuf(f.Payload)
+	}
+}
+
+func EmitPooled(ip *netpkt.IPv4, send func([]byte)) {
+	send(netpkt.Clone(ip.Payload))
+	buf := ip.Buf
+	ip.Buf = nil
+	netpkt.PutPacket(ip)
+	netpkt.PutBuf(buf)
+}
+
+func SendPooled(h *stack.Host, ttl uint8) bool {
+	ip := netpkt.GetPacket()
+	ip.TTL = ttl
+	return h.Send(ip)
+}
+
+func Forward(h *stack.Host, ifc *stack.NetIf, ip *netpkt.IPv4) {
+	ip.TTL--
+	h.SendVia(ifc, ip)
 }

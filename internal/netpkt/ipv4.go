@@ -47,6 +47,9 @@ type IPv4 struct {
 	// reserved marks a Buf drawn by Reserve, with the payload written
 	// right after room for the header.
 	reserved bool
+	// pooled marks a record drawn by GetPacket or ParsePooled, which
+	// PutPacket recycles; records built by callers are never pooled.
+	pooled bool
 }
 
 // ErrShortPacket is returned when a buffer is too small to contain the
@@ -140,7 +143,7 @@ func (ip *IPv4) Clone() *IPv4 {
 	cp := *ip
 	cp.Options = append([]byte(nil), ip.Options...)
 	cp.Payload = append([]byte(nil), ip.Payload...)
-	cp.Buf, cp.reserved = nil, false
+	cp.Buf, cp.reserved, cp.pooled = nil, false, false
 	return &cp
 }
 
@@ -162,11 +165,25 @@ func ParseIPv4(b []byte) (*IPv4, error) {
 	return ip, err
 }
 
-// Parse decodes b into ip, overwriting every field. It is the
-// allocation-free core of ParseIPv4: callers on hot paths reuse one
-// IPv4 value across packets. Aliasing semantics match ParseIPv4. On a
-// hard error (not ErrBadChecksum) the receiver's contents are
-// unspecified.
+// ParsePooled decodes b like ParseIPv4 into a record drawn from the
+// record pool (GetPacket). Aliasing semantics match ParseIPv4; the
+// record goes back with PutPacket where its buffer dies, before the
+// buffer itself.
+func ParsePooled(b []byte) (*IPv4, error) {
+	ip := GetPacket()
+	err := ip.Parse(b)
+	if err != nil && err != ErrBadChecksum {
+		PutPacket(ip)
+		return nil, err
+	}
+	return ip, err
+}
+
+// Parse decodes b into ip, overwriting every field except whether the
+// record is pooled. It is the allocation-free core of ParseIPv4:
+// callers on hot paths reuse one IPv4 value across packets. Aliasing
+// semantics match ParseIPv4. On a hard error (not ErrBadChecksum) the
+// receiver's contents are unspecified.
 func (ip *IPv4) Parse(b []byte) error {
 	if len(b) < 20 {
 		return ErrShortPacket
@@ -191,6 +208,7 @@ func (ip *IPv4) Parse(b []byte) error {
 		Protocol: b[9],
 		Src:      netip.AddrFrom4([4]byte(b[12:16])),
 		Dst:      netip.AddrFrom4([4]byte(b[16:20])),
+		pooled:   ip.pooled,
 	}
 	if hl > 20 {
 		ip.Options = b[20:hl:hl]

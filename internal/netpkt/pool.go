@@ -89,6 +89,31 @@ func PutFrame(f *Frame) {
 	framePool.Put(f)
 }
 
+var packetPool = sync.Pool{New: func() any { return new(IPv4) }}
+
+// GetPacket returns a zeroed packet record from the record pool. A
+// record follows its frame buffer (DESIGN.md §9): it goes back with
+// PutPacket at exactly the points where the buffer does, and before
+// it, since Options and Payload alias the buffer.
+func GetPacket() *IPv4 {
+	ip := packetPool.Get().(*IPv4)
+	ip.pooled = true
+	return ip
+}
+
+// PutPacket recycles a record drawn by GetPacket or ParsePooled. The
+// caller must guarantee no other reference to it remains. Records that
+// callers built themselves (&IPv4{...}, Clone) are ignored, so a recycle
+// point need not know where the packet it ends came from. The buffer
+// the record owns is NOT recycled (use PutBuf separately).
+func PutPacket(ip *IPv4) {
+	if !ip.pooled {
+		return
+	}
+	*ip = IPv4{}
+	packetPool.Put(ip)
+}
+
 // growZero extends b by n zeroed bytes, reusing capacity when it can.
 // Zeroing matters for pooled buffers: option padding and similar gaps
 // must not leak a previous packet's bytes.

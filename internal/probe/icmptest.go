@@ -234,7 +234,8 @@ func probeICMPTCP(p *sim.Proc, tb *testbed.Testbed, n *testbed.Node,
 		hj.match = nil
 		return VerdictNone
 	}
-	if _, err := sc.Read(p, 64, opts.Verdict); err != nil || hj.captured == nil {
+	var buf [64]byte
+	if _, err := sc.Read(p, buf[:], opts.Verdict); err != nil || hj.captured == nil {
 		hj.match = nil
 		return VerdictNone
 	}

@@ -127,11 +127,10 @@ func DNSProxy(tb *testbed.Testbed, s *sim.Sim, opts Options) []DNSResult {
 					var buf []byte
 					deadline := s.Now() + opts.Verdict + 5*time.Second
 					for s.Now() < deadline {
-						data, err := c.Read(p, 4096, deadline-s.Now())
-						if err != nil {
+						var err error
+						if buf, err = c.ReadAppend(p, buf, 4096, deadline-s.Now()); err != nil {
 							break
 						}
-						buf = append(buf, data...)
 						if msg, _, ok := dnsmsg.UnframeTCP(buf); ok {
 							if m, err := dnsmsg.Parse(msg); err == nil && m.Response() && len(m.Answers) > 0 {
 								r.TCPAnswers = true

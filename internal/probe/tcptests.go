@@ -64,8 +64,9 @@ func tcpAlive(p *sim.Proc, tb *testbed.Testbed, n *testbed.Node,
 	p.Sleep(t)
 	alive := false
 	if err := sc.Write(p, []byte("binding-check")); err == nil {
-		data, err := c.Read(p, 64, opts.Verdict+3*time.Second)
-		alive = err == nil && len(data) > 0
+		var buf [64]byte
+		n, err := c.Read(p, buf[:], opts.Verdict+3*time.Second)
+		alive = err == nil && n > 0
 	}
 	c.Abort()
 	sc.Abort()
@@ -180,9 +181,14 @@ func oneTransfer(p *sim.Proc, tb *testbed.Testbed, n *testbed.Node, up bool, tot
 	var rx rxResult
 
 	recvLoop := func(rp *sim.Proc, c *tcp.Conn) {
-		var pending []byte
+		// Blocks are parsed as the bytes stream through buf: off is the
+		// position in the current block, whose leading timestamp
+		// collects in ts, even when it straddles two reads.
+		buf := make([]byte, 1<<16)
+		var ts [8]byte
+		off := 0
 		for rx.bytes < total {
-			data, err := c.Read(rp, 1<<16, 2*time.Minute)
+			n, err := c.Read(rp, buf, 2*time.Minute)
 			if err != nil {
 				break
 			}
@@ -190,14 +196,20 @@ func oneTransfer(p *sim.Proc, tb *testbed.Testbed, n *testbed.Node, up bool, tot
 				rx.started = true
 				rx.start = rp.Now()
 			}
-			rx.bytes += len(data)
+			rx.bytes += n
 			rx.end = rp.Now()
-			pending = append(pending, data...)
-			for len(pending) >= blockSize {
-				ts := binary.BigEndian.Uint64(pending[:8])
-				d := float64(rp.Now()-sim.Time(ts)) / float64(time.Millisecond)
-				rx.delays = append(rx.delays, d)
-				pending = pending[blockSize:]
+			for data := buf[:n]; len(data) > 0; {
+				k := min(blockSize-off, len(data))
+				if off < len(ts) {
+					copy(ts[off:], data[:k])
+				}
+				off += k
+				data = data[k:]
+				if off == blockSize {
+					d := float64(rp.Now()-sim.Time(binary.BigEndian.Uint64(ts[:]))) / float64(time.Millisecond)
+					rx.delays = append(rx.delays, d)
+					off = 0
+				}
 			}
 		}
 	}
@@ -293,7 +305,8 @@ func MaxBindings(tb *testbed.Testbed, s *sim.Sim, opts Options) []DeviceResult {
 				sc.Abort()
 				break
 			}
-			if _, err := sc.Read(p, 16, opts.Verdict); err != nil {
+			var buf [16]byte
+			if _, err := sc.Read(p, buf[:], opts.Verdict); err != nil {
 				c.Abort()
 				sc.Abort()
 				break

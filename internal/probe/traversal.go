@@ -48,8 +48,9 @@ func KeepaliveSurvival(tb *testbed.Testbed, s *sim.Sim, interval, idleFor time.D
 				c.SetKeepAlive(interval)
 				p.Sleep(idleFor)
 				if err := sc.Write(p, []byte("still-there?")); err == nil {
-					data, err := c.Read(p, 64, opts.Verdict+3*time.Second)
-					survived = err == nil && len(data) > 0
+					var buf [64]byte
+					n, err := c.Read(p, buf[:], opts.Verdict+3*time.Second)
+					survived = err == nil && n > 0
 				}
 				sc.Abort()
 			}

@@ -50,7 +50,7 @@ func New(h *stack.Host) *Stack {
 	}
 	h.Handle(netpkt.ProtoSCTP, func(ifc *stack.NetIf, ip *netpkt.IPv4) bool {
 		st.input(ifc, ip)
-		return true // parsed views of the payload may outlive the call
+		return false // ParseSCTP copies every chunk value it returns
 	})
 	return st
 }

@@ -35,6 +35,11 @@ func NewChan[T any](s *Sim) *Chan[T] {
 	return &Chan[T]{s: s}
 }
 
+// Init binds a zero Chan embedded in another value to s, so the
+// channel costs no allocation of its own. It must not be copied after
+// first use: parked receivers point back at it.
+func (c *Chan[T]) Init(s *Sim) { c.s = s }
+
 // Len returns the number of buffered values.
 func (c *Chan[T]) Len() int { return c.buf.n }
 

@@ -36,7 +36,9 @@ func chain(s *sim.Sim, arp bool) (a, r, b *Host) {
 // TestFrameBufferRecycling checks the recycle points of DESIGN §9: a
 // forwarded packet's ingress buffer goes back to the pool once the
 // packet is re-marshaled, and a locally delivered one's when its
-// protocol handler kept no view of it.
+// protocol handler kept no view of it. The packet records parsed at r
+// and b follow their buffers: each comes back zeroed from the point
+// where its buffer is recycled.
 func TestFrameBufferRecycling(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -48,10 +50,25 @@ func TestFrameBufferRecycling(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := sim.New(1)
-			a, _, b := chain(s, true)
+			a, r, b := chain(s, true)
+			// r's record must be back in the pool by the time its frame
+			// goes on the wire.
+			var fwd *netpkt.IPv4
+			var fwdRecycled bool
+			r.ForwardHook = func(in *NetIf, ip *netpkt.IPv4) {
+				fwd = ip
+				r.Send(ip)
+			}
+			r.ifaces[1].Link.Tap = func(dir string, f *netpkt.Frame) {
+				if dir == "tx" {
+					fwdRecycled = recycled(fwd)
+				}
+			}
 			var got []byte
+			var rec *netpkt.IPv4
 			b.Handle(240, func(ifc *NetIf, ip *netpkt.IPv4) bool {
 				got = append(got[:0], ip.Payload...)
+				rec = ip
 				return tc.kept
 			})
 			before := obs.Proc.Snapshot()
@@ -67,8 +84,21 @@ func TestFrameBufferRecycling(t *testing.T) {
 			if puts := after.PoolPuts - before.PoolPuts; puts != tc.want {
 				t.Fatalf("pool puts = %d, want %d", puts, tc.want)
 			}
+			if !fwdRecycled {
+				t.Fatal("forwarded packet record not recycled after its send")
+			}
+			if recycled(rec) == tc.kept {
+				t.Fatalf("delivered packet record recycled = %v, want %v", recycled(rec), !tc.kept)
+			}
 		})
 	}
+}
+
+// recycled reports whether ip was zeroed by netpkt.PutPacket. Nothing
+// draws a record between the recycle points and the checks, so the
+// record is still as the pool received it.
+func recycled(ip *netpkt.IPv4) bool {
+	return ip.Buf == nil && ip.Payload == nil && !ip.Src.IsValid() && ip.Protocol == 0
 }
 
 // TestParkedPacketKeepsBuffer forwards a packet whose next hop is not

@@ -27,7 +27,7 @@ const arpTimeout = time.Second
 // ProtoHandler receives a locally addressed IP packet for one transport
 // protocol. kept reports whether the handler retained ip or any view of
 // its payload past the call; when it did not, the host recycles the
-// frame buffer the packet was parsed from.
+// packet record and the frame buffer it was parsed from.
 type ProtoHandler func(ifc *NetIf, ip *netpkt.IPv4) (kept bool)
 
 // ICMPListener observes ICMP messages addressed to the host. For error
@@ -242,7 +242,8 @@ func (h *Host) NextIPID() uint16 {
 
 // Send routes and transmits an IP packet. The TTL and ID fields are
 // filled in if zero. Packets with no route are dropped and false is
-// returned.
+// returned. The packet is handed over: the caller must not use it
+// again, since a pooled record is recycled once it is on the wire.
 func (h *Host) Send(ip *netpkt.IPv4) bool {
 	r, ok := h.Lookup(ip.Dst)
 	if !ok {
@@ -257,7 +258,8 @@ func (h *Host) Send(ip *netpkt.IPv4) bool {
 }
 
 // SendVia transmits ip out of a specific interface toward nextHop,
-// resolving the next hop's MAC with ARP as needed.
+// resolving the next hop's MAC with ARP as needed. Like Send, it takes
+// the packet over.
 func (h *Host) SendVia(ifc *NetIf, nextHop netip.Addr, ip *netpkt.IPv4) {
 	if ip.TTL == 0 {
 		ip.TTL = DefaultTTL
@@ -290,15 +292,18 @@ func (h *Host) SendVia(ifc *NetIf, nextHop netip.Addr, ip *netpkt.IPv4) {
 }
 
 // emit marshals ip into a pooled frame addressed to dst and sends it.
-// A buffer the packet still owns after marshaling — a forwarded
-// packet's ingress frame buffer — has been copied into the frame, so
-// it is dead and goes back to the pool.
+// The packet ends here: a pooled record goes back to the pool, and a
+// buffer it still owns after marshaling — a forwarded packet's ingress
+// frame buffer — has been copied into the frame, so it is dead and
+// goes back too, after the record.
 func emit(ifc *NetIf, dst netpkt.MAC, ip *netpkt.IPv4) {
 	f := netpkt.GetFrame()
 	f.Dst, f.Src = dst, ifc.Link.MAC
 	f.Type, f.Payload = netpkt.EtherTypeIPv4, ip.MarshalPooled()
-	netpkt.PutBuf(ip.Buf)
+	buf := ip.Buf
 	ip.Buf = nil
+	netpkt.PutPacket(ip)
+	netpkt.PutBuf(buf)
 	ifc.Link.Send(f)
 }
 
@@ -388,16 +393,17 @@ func (h *Host) recvIP(ifc *NetIf, f *netpkt.Frame) {
 	// The parse aliases f.Payload; from here on the parsed packet owns
 	// the buffer (ip.Buf). It may be retained by forwarding queues,
 	// transport stacks or ARP wait queues, so only the points below
-	// where the view provably dies recycle it: the drop paths, and a
-	// local delivery whose handler kept nothing. Forwarded packets give
-	// it back in SendVia.
-	ip, err := netpkt.ParseIPv4(f.Payload)
+	// where the view provably dies recycle it, and the pooled record
+	// with it: the drop paths, and a local delivery whose handler kept
+	// nothing. Forwarded packets give both back in SendVia.
+	ip, err := netpkt.ParsePooled(f.Payload)
 	if err != nil {
 		if ip == nil {
 			netpkt.PutBuf(f.Payload)
 			return
 		}
 		if err == netpkt.ErrBadChecksum && h.DropBadIPChecksum {
+			netpkt.PutPacket(ip)
 			netpkt.PutBuf(f.Payload)
 			return
 		}
@@ -425,6 +431,7 @@ func (h *Host) recvIP(ifc *NetIf, f *netpkt.Frame) {
 	}
 	if fn, ok := h.protos[ip.Protocol]; ok {
 		if !fn(ifc, ip) {
+			netpkt.PutPacket(ip)
 			netpkt.PutBuf(f.Payload)
 		}
 		return

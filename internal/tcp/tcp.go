@@ -10,6 +10,7 @@ import (
 	"errors"
 	"io"
 	"net/netip"
+	"slices"
 	"time"
 
 	"hgw/internal/netpkt"
@@ -91,7 +92,7 @@ func New(h *stack.Host) *Stack {
 	}
 	h.Handle(netpkt.ProtoTCP, func(ifc *stack.NetIf, ip *netpkt.IPv4) bool {
 		st.input(ifc, ip)
-		return true // parsed views of the payload may outlive the call
+		return false // processData copies every payload it keeps
 	})
 	return st
 }
@@ -162,7 +163,7 @@ type Conn struct {
 	sndUna  uint32
 	sndNxt  uint32
 	sndMax  uint32 // highest sequence ever sent (sndNxt may roll back on RTO)
-	sndBuf  []byte // bytes [sndUna, sndUna+len)
+	sndBuf  store  // bytes [sndUna, sndUna+len)
 	finQed  bool
 	finSent bool
 	peerWnd int
@@ -179,6 +180,7 @@ type Conn struct {
 	srtt       time.Duration
 	rttvar     time.Duration
 	rtoTimer   sim.Event
+	rtoFn      func() // cached method value of onRTO
 	rttSeq     uint32
 	rttStart   sim.Time
 	rttPending bool
@@ -186,8 +188,8 @@ type Conn struct {
 
 	// Receive state.
 	rcvNxt uint32
-	rcvBuf []byte
-	ooo    map[uint32][]byte
+	rcvBuf store
+	ooo    map[uint32][]byte // created on the first out-of-order segment
 	gotFin bool
 	finSeq uint32
 
@@ -196,9 +198,9 @@ type Conn struct {
 	kaTimer    sim.Event
 	kaInterval time.Duration
 
-	rxN     *sim.Chan[struct{}]
-	txN     *sim.Chan[struct{}]
-	connN   *sim.Chan[error]
+	rxN     sim.Chan[struct{}]
+	txN     sim.Chan[struct{}]
+	connN   sim.Chan[error]
 	err     error
 	removed bool
 	parent  *Listener
@@ -254,7 +256,7 @@ func (c *Conn) armKeepAlive() {
 // (unacknowledged plus unsent). Applications that need timestamps close
 // to wire transmission (the paper's TCP-3 delay probe) pace their
 // writes on this.
-func (c *Conn) Buffered() int { return len(c.sndBuf) }
+func (c *Conn) Buffered() int { return c.sndBuf.len() }
 
 func (st *Stack) allocPort() uint16 {
 	for i := 0; i < 65536; i++ {
@@ -283,12 +285,12 @@ func (st *Stack) newConn(key fourTuple) *Conn {
 		st: st, key: key,
 		cwnd: initCwndSegs * MSS, ssthresh: 1 << 30,
 		rto: initialRTO, peerWnd: recvWndMax,
-		ooo:      make(map[uint32][]byte),
-		rxN:      sim.NewChan[struct{}](st.s),
-		txN:      sim.NewChan[struct{}](st.s),
-		connN:    sim.NewChan[error](st.s),
 		openTime: st.s.Now(),
 	}
+	c.rtoFn = c.onRTO
+	c.rxN.Init(st.s)
+	c.txN.Init(st.s)
+	c.connN.Init(st.s)
 	st.conns[key] = c
 	st.usedPorts[key.lport]++
 	return c
@@ -329,24 +331,26 @@ func (st *Stack) Connect(p *sim.Proc, remote netip.Addr, rport uint16, lport uin
 	return c, nil
 }
 
+// sendSeg marshals a segment straight into the pooled buffer that
+// becomes its frame (the host writes only the IP header in front of
+// it), so payload bytes are copied once, from the send store to the
+// wire.
 func (c *Conn) sendSeg(seq, ack uint32, flags uint8, payload []byte) {
-	seg := &netpkt.TCP{
+	seg := netpkt.TCP{
 		SrcPort: c.key.lport, DstPort: c.key.rport,
 		Seq: seq, Ack: ack, Flags: flags,
 		Window:  uint16(c.advertisedWnd()),
 		Payload: payload,
 	}
-	ip := &netpkt.IPv4{
-		Protocol: netpkt.ProtoTCP,
-		Src:      c.key.local, Dst: c.key.remote,
-		Payload: seg.Marshal(c.key.local, c.key.remote),
-	}
+	ip := netpkt.GetPacket()
+	ip.Protocol, ip.Src, ip.Dst = netpkt.ProtoTCP, c.key.local, c.key.remote
+	ip.Payload = seg.AppendMarshal(ip.Reserve(seg.HeaderLen()+len(payload)), c.key.local, c.key.remote)
 	c.SegsOut++
 	c.st.h.Send(ip)
 }
 
 func (c *Conn) advertisedWnd() int {
-	w := recvWndMax - len(c.rcvBuf)
+	w := recvWndMax - c.rcvBuf.len()
 	if w < 0 {
 		w = 0
 	}
@@ -378,9 +382,9 @@ func (c *Conn) output() {
 			wnd = c.peerWnd
 		}
 		flight := c.flight()
-		unsent := len(c.sndBuf) - flight
+		unsent := c.sndBuf.len() - flight
 		if c.finSent {
-			unsent = len(c.sndBuf) - (flight - 1) // FIN consumed one seq
+			unsent = c.sndBuf.len() - (flight - 1) // FIN consumed one seq
 		}
 		if unsent <= 0 {
 			// Maybe send FIN.
@@ -416,9 +420,9 @@ func (c *Conn) output() {
 		if c.finSent {
 			off = flight - 1
 		}
-		data := c.sndBuf[off : off+n]
+		data := c.sndBuf.bytes()[off : off+n]
 		flags := uint8(netpkt.TCPAck)
-		if off+n == len(c.sndBuf) {
+		if off+n == c.sndBuf.len() {
 			flags |= netpkt.TCPPsh
 		}
 		c.sendSeg(c.sndNxt, c.rcvNxt, flags, data)
@@ -447,7 +451,7 @@ func (c *Conn) Write(p *sim.Proc, data []byte) error {
 		default:
 			return ErrClosed
 		}
-		room := sndBufLimit - len(c.sndBuf)
+		room := sndBufLimit - c.sndBuf.len()
 		if room <= 0 {
 			if _, ok := c.txN.Recv(p, time.Hour); !ok {
 				return c.errOr(ErrTimeout)
@@ -458,7 +462,7 @@ func (c *Conn) Write(p *sim.Proc, data []byte) error {
 		if n > room {
 			n = room
 		}
-		c.sndBuf = append(c.sndBuf, data[:n]...)
+		c.sndBuf.append(data[:n])
 		data = data[n:]
 		c.output()
 	}
@@ -472,41 +476,46 @@ func (c *Conn) errOr(def error) error {
 	return def
 }
 
-// Read returns up to max buffered bytes, blocking until data arrives,
-// EOF, or timeout. It returns io.EOF after the peer's FIN once the
-// buffer is drained.
-func (c *Conn) Read(p *sim.Proc, max int, timeout time.Duration) ([]byte, error) {
+// Read copies up to len(buf) received bytes into buf, blocking until
+// data arrives, EOF, or timeout, and returns how many it copied. It
+// returns io.EOF after the peer's FIN once the buffer is drained.
+func (c *Conn) Read(p *sim.Proc, buf []byte, timeout time.Duration) (int, error) {
 	deadline := c.st.s.Now() + timeout
 	for {
-		if len(c.rcvBuf) > 0 {
-			n := len(c.rcvBuf)
-			if n > max {
-				n = max
-			}
-			data := append([]byte(nil), c.rcvBuf[:n]...)
-			c.rcvBuf = c.rcvBuf[n:]
+		if c.rcvBuf.len() > 0 {
+			n := copy(buf, c.rcvBuf.bytes())
+			c.rcvBuf.consume(n)
 			c.BytesIn += int64(n)
-			return data, nil
+			return n, nil
 		}
 		if c.gotFin {
-			return nil, io.EOF
+			return 0, io.EOF
 		}
 		if c.err != nil {
-			return nil, c.err
+			return 0, c.err
 		}
 		remain := deadline - c.st.s.Now()
 		if timeout <= 0 {
 			remain = 0
 		} else if remain <= 0 {
-			return nil, ErrTimeout
+			return 0, ErrTimeout
 		}
 		if _, ok := c.rxN.Recv(p, remain); !ok && timeout > 0 {
-			if len(c.rcvBuf) > 0 || c.gotFin || c.err != nil {
+			if c.rcvBuf.len() > 0 || c.gotFin || c.err != nil {
 				continue
 			}
-			return nil, ErrTimeout
+			return 0, ErrTimeout
 		}
 	}
+}
+
+// ReadAppend is Read into buf's spare room: it appends up to n received
+// bytes to buf, growing it when needed, and returns the extended slice.
+// It suits callers that collect a message across reads.
+func (c *Conn) ReadAppend(p *sim.Proc, buf []byte, n int, timeout time.Duration) ([]byte, error) {
+	buf = slices.Grow(buf, n)
+	k, err := c.Read(p, buf[len(buf):len(buf)+n], timeout)
+	return buf[:len(buf)+k], err
 }
 
 // Close initiates an orderly shutdown (FIN). Reading remains possible.
@@ -568,7 +577,7 @@ func (c *Conn) notifyAll() {
 
 func (c *Conn) armRTO() {
 	c.rtoTimer.Cancel()
-	c.rtoTimer = c.st.s.After(c.rto, c.onRTO)
+	c.rtoTimer = c.st.s.After(c.rto, c.rtoFn)
 }
 
 func (c *Conn) disarmRTO() {
@@ -605,10 +614,10 @@ func (c *Conn) onRTO() {
 			c.teardown(ErrTimeout)
 			return
 		}
-		if c.peerWnd == 0 && c.flight() == 0 && len(c.sndBuf) > 0 {
+		if c.peerWnd == 0 && c.flight() == 0 && c.sndBuf.len() > 0 {
 			// Zero-window persist probe: one byte, so the peer's next
 			// ACK reports its reopened window.
-			c.sendSeg(c.sndNxt, c.rcvNxt, netpkt.TCPAck, c.sndBuf[:1])
+			c.sendSeg(c.sndNxt, c.rcvNxt, netpkt.TCPAck, c.sndBuf.bytes()[:1])
 			c.sndNxt++
 			c.bumpSndMax()
 			c.Retransmits++
@@ -647,8 +656,8 @@ func (c *Conn) retransmitOne() {
 	fl := c.flight()
 	if fl <= 0 {
 		// Persist probe: one byte of unsent data if any.
-		if len(c.sndBuf) > 0 {
-			c.sendSeg(c.sndNxt, c.rcvNxt, netpkt.TCPAck, c.sndBuf[:1])
+		if c.sndBuf.len() > 0 {
+			c.sendSeg(c.sndNxt, c.rcvNxt, netpkt.TCPAck, c.sndBuf.bytes()[:1])
 			c.sndNxt++
 			c.bumpSndMax()
 			c.Retransmits++
@@ -665,7 +674,7 @@ func (c *Conn) retransmitOne() {
 			n = MSS
 		}
 		c.Retransmits++
-		c.sendSeg(c.sndUna, c.rcvNxt, netpkt.TCPAck, c.sndBuf[:n])
+		c.sendSeg(c.sndUna, c.rcvNxt, netpkt.TCPAck, c.sndBuf.bytes()[:n])
 		return
 	}
 	if c.finSent {
@@ -677,23 +686,25 @@ func (c *Conn) retransmitOne() {
 func seqLT(a, b uint32) bool  { return int32(a-b) < 0 }
 func seqLEQ(a, b uint32) bool { return int32(a-b) <= 0 }
 
+// input demultiplexes one received segment. Nothing it calls keeps a
+// view of the segment: processData copies payloads into rcvBuf or ooo.
 func (st *Stack) input(ifc *stack.NetIf, ip *netpkt.IPv4) {
-	seg, err := netpkt.ParseTCP(ip.Payload, ip.Src, ip.Dst, true)
-	if err != nil {
+	var seg netpkt.TCP
+	if seg.Parse(ip.Payload, ip.Src, ip.Dst, true) != nil {
 		return
 	}
 	key := fourTuple{local: ip.Dst, lport: seg.DstPort, remote: ip.Src, rport: seg.SrcPort}
 	if c, ok := st.conns[key]; ok {
-		c.segment(seg)
+		c.segment(&seg)
 		return
 	}
 	if l, ok := st.listeners[seg.DstPort]; ok && seg.Flags&netpkt.TCPSyn != 0 && seg.Flags&netpkt.TCPAck == 0 {
-		st.acceptSyn(l, key, seg)
+		st.acceptSyn(l, key, &seg)
 		return
 	}
 	// No connection: RST unless the segment is itself a RST.
 	if seg.Flags&netpkt.TCPRst == 0 {
-		st.sendRST(key, seg)
+		st.sendRST(key, &seg)
 	}
 }
 
@@ -830,10 +841,10 @@ func (c *Conn) processAck(seg *netpkt.TCP) {
 		if c.finSent && ack == c.sndMax {
 			dataAcked-- // FIN consumed one
 		}
-		if dataAcked > len(c.sndBuf) {
-			dataAcked = len(c.sndBuf)
+		if dataAcked > c.sndBuf.len() {
+			dataAcked = c.sndBuf.len()
 		}
-		c.sndBuf = c.sndBuf[dataAcked:]
+		c.sndBuf.consume(dataAcked)
 		c.sndUna = ack
 		if seqLT(c.sndNxt, ack) {
 			// A cumulative ACK jumped past our rolled-back send point
@@ -877,7 +888,7 @@ func (c *Conn) processAck(seg *netpkt.TCP) {
 		} else {
 			c.armRTO()
 		}
-		if len(c.sndBuf) < 4*recvWndMax && c.txN.Len() == 0 {
+		if c.sndBuf.len() < 4*recvWndMax && c.txN.Len() == 0 {
 			c.txN.Send(struct{}{})
 		}
 
@@ -963,6 +974,9 @@ func (c *Conn) processData(seg *netpkt.TCP) {
 		// Out of order: stash and send duplicate ACK.
 		if len(payload) > 0 {
 			if _, dup := c.ooo[seq]; !dup && len(c.ooo) < 256 {
+				if c.ooo == nil {
+					c.ooo = make(map[uint32][]byte)
+				}
 				c.ooo[seq] = append([]byte(nil), payload...)
 			}
 		}
@@ -970,7 +984,7 @@ func (c *Conn) processData(seg *netpkt.TCP) {
 		return
 	}
 	if len(payload) > 0 {
-		c.rcvBuf = append(c.rcvBuf, payload...)
+		c.rcvBuf.append(payload)
 		c.rcvNxt += uint32(len(payload))
 		// Merge contiguous out-of-order segments.
 		for {
@@ -979,7 +993,7 @@ func (c *Conn) processData(seg *netpkt.TCP) {
 				break
 			}
 			delete(c.ooo, c.rcvNxt)
-			c.rcvBuf = append(c.rcvBuf, next...)
+			c.rcvBuf.append(next)
 			c.rcvNxt += uint32(len(next))
 		}
 		if c.rxN.Len() == 0 {
@@ -1018,4 +1032,49 @@ func (c *Conn) enterTimeWait() {
 			c.teardown(ErrClosed)
 		}
 	})
+}
+
+// store is a byte FIFO holding a connection's send or receive data: the
+// application appends at the tail and acknowledgments or reads consume
+// at the head. When the tail runs out of room, the live bytes slide to
+// the front if, with the new bytes, they fill at most half of the
+// backing array; otherwise the array is replaced by one twice that
+// size. So a store reaches a fixed size once its backlog stops growing
+// (the send store holds at most 4 × recvWndMax live bytes, the receive
+// store about one window) and then allocates nothing, and each byte is
+// moved at most about once.
+type store struct {
+	buf  []byte // live bytes are buf[head:]
+	head int
+}
+
+// minStore is a new store's first capacity: most connections (probes,
+// DNS) carry a few bytes.
+const minStore = 512
+
+func (b *store) len() int { return len(b.buf) - b.head }
+
+// bytes returns the live bytes; the view is valid until the next append.
+func (b *store) bytes() []byte { return b.buf[b.head:] }
+
+func (b *store) consume(n int) {
+	b.head += n
+	if b.head == len(b.buf) {
+		b.buf, b.head = b.buf[:0], 0
+	}
+}
+
+func (b *store) append(p []byte) {
+	if len(p) > cap(b.buf)-len(b.buf) {
+		live := b.len()
+		if need := live + len(p); need > cap(b.buf)/2 {
+			nb := make([]byte, live, max(2*need, minStore))
+			copy(nb, b.bytes())
+			b.buf = nb
+		} else {
+			b.buf = b.buf[:copy(b.buf, b.bytes())]
+		}
+		b.head = 0
+	}
+	b.buf = append(b.buf, p...)
 }

@@ -41,7 +41,7 @@ func TestConnectTransferClose(t *testing.T) {
 			return
 		}
 		for {
-			data, err := c.Read(p, 1<<16, 10*time.Second)
+			data, err := c.ReadAppend(p, nil, 1<<16, 10*time.Second)
 			if err == io.EOF {
 				break
 			}
@@ -88,7 +88,7 @@ func TestBulkTransferFastLink(t *testing.T) {
 			return
 		}
 		for {
-			data, err := c.Read(p, 1<<16, 30*time.Second)
+			data, err := c.ReadAppend(p, nil, 1<<16, 30*time.Second)
 			if err == io.EOF {
 				break
 			}
@@ -143,7 +143,7 @@ func TestThroughputLimitedByBottleneck(t *testing.T) {
 			return
 		}
 		for {
-			data, err := c.Read(p, 1<<16, time.Minute)
+			data, err := c.ReadAppend(p, nil, 1<<16, time.Minute)
 			if err != nil {
 				break
 			}
@@ -216,7 +216,7 @@ func TestAbortSendsRST(t *testing.T) {
 			t.Errorf("accept: %v", err)
 			return
 		}
-		_, readErr = c.Read(p, 1024, 30*time.Second)
+		_, readErr = c.ReadAppend(p, nil, 1024, 30*time.Second)
 	})
 	s.Spawn("client", func(p *sim.Proc) {
 		c, err := ta.Connect(p, netpkt.Addr4(10, 0, 0, 2), 80, 0, 5*time.Second)
@@ -243,7 +243,7 @@ func TestOutOfWindowRSTIgnored(t *testing.T) {
 		if err != nil {
 			return
 		}
-		c.Read(p, 1024, 20*time.Second)
+		c.ReadAppend(p, nil, 1024, 20*time.Second)
 	})
 	s.Spawn("client", func(p *sim.Proc) {
 		c, err := ta.Connect(p, netpkt.Addr4(10, 0, 0, 2), 80, 0, 5*time.Second)
@@ -322,7 +322,7 @@ func TestEchoBothDirections(t *testing.T) {
 			return
 		}
 		for {
-			data, err := c.Read(p, 4096, 10*time.Second)
+			data, err := c.ReadAppend(p, nil, 4096, 10*time.Second)
 			if err != nil {
 				return
 			}
@@ -344,7 +344,7 @@ func TestEchoBothDirections(t *testing.T) {
 				t.Errorf("write %d: %v", i, err)
 				return
 			}
-			got, err := c.Read(p, 4096, 5*time.Second)
+			got, err := c.ReadAppend(p, nil, 4096, 5*time.Second)
 			if err != nil {
 				t.Errorf("read %d: %v", i, err)
 				return
@@ -386,7 +386,7 @@ func TestIdleConnectionSurvives(t *testing.T) {
 			t.Errorf("connect: %v", err)
 			return
 		}
-		data, err := c.Read(p, 1024, 26*time.Hour)
+		data, err := c.ReadAppend(p, nil, 1024, 26*time.Hour)
 		if err != nil || string(data) != "still-there" {
 			t.Errorf("read after idle: %q %v", data, err)
 		}
@@ -429,7 +429,7 @@ func TestSimultaneousClose(t *testing.T) {
 		}
 		p.Sleep(time.Second)
 		c.Close()
-		_, srvErr = c.Read(p, 16, 10*time.Second) // expect EOF
+		_, srvErr = c.ReadAppend(p, nil, 16, 10*time.Second) // expect EOF
 	})
 	s.Spawn("client", func(p *sim.Proc) {
 		c, err := ta.Connect(p, netpkt.Addr4(10, 0, 0, 2), 80, 0, 5*time.Second)
@@ -439,7 +439,7 @@ func TestSimultaneousClose(t *testing.T) {
 		}
 		p.Sleep(time.Second) // both sides close at the same instant
 		c.Close()
-		_, cliErr = c.Read(p, 16, 10*time.Second)
+		_, cliErr = c.ReadAppend(p, nil, 16, 10*time.Second)
 	})
 	s.Run(0)
 	if cliErr != io.EOF || srvErr != io.EOF {
@@ -460,7 +460,7 @@ func TestHalfCloseDeliversRemainingData(t *testing.T) {
 		// Server closes its direction immediately but keeps reading.
 		c.Close()
 		for {
-			data, err := c.Read(p, 4096, 10*time.Second)
+			data, err := c.ReadAppend(p, nil, 4096, 10*time.Second)
 			if err != nil {
 				return
 			}

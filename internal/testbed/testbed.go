@@ -359,11 +359,10 @@ func (tb *Testbed) startDNSServer() {
 				defer cc.Close()
 				var buf []byte
 				for {
-					data, err := cc.Read(cp, 4096, 10*time.Second)
-					if err != nil {
+					var err error
+					if buf, err = cc.ReadAppend(cp, buf, 4096, 10*time.Second); err != nil {
 						return
 					}
-					buf = append(buf, data...)
 					msg, rest, ok := dnsmsg.UnframeTCP(buf)
 					if !ok {
 						continue

@@ -105,12 +105,13 @@ func TestTCPThroughNAT(t *testing.T) {
 		if peer != n.WANAddr {
 			t.Errorf("peer = %v, want %v", peer, n.WANAddr)
 		}
-		data, err := c.Read(p, 1024, 10*time.Second)
+		var buf [1024]byte
+		k, err := c.Read(p, buf[:], 10*time.Second)
 		if err != nil {
 			t.Errorf("read: %v", err)
 			return
 		}
-		got = string(data)
+		got = string(buf[:k])
 		c.Close()
 	})
 	s.Spawn("client", func(p *sim.Proc) {

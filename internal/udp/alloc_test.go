@@ -45,16 +45,22 @@ func (d *dialCycle) run(tb testing.TB) {
 }
 
 // TestAllocsDialSendClose pins the allocations of one Dial → SendTo →
-// Close → deliver cycle. They are: the Conn, its receive channel and
-// its port-table slice on Dial; the sent packet's IPv4 header struct;
-// the received one's parsed IPv4; and the datagram's payload copy. The
-// packet buffers and frames all come back from the pools, and no ICMP
-// channel is made for a socket that never sees ICMP.
+// Close → deliver cycle at one: the Conn, which embeds its receive
+// channel and backs its port's table entry. The sent and received
+// packet records, the packet buffers and the frames all come back from
+// the pools, the payload copy lands in the server stack's chunk
+// storage (one chunk per many datagrams), and no ICMP channel is made
+// for a socket that never sees ICMP. Under the race detector the pool
+// misses add about one allocation per cycle (a mean near 2.0, which
+// AllocsPerRun rounds down to 1 or 2), so there the bound is 2.
 func TestAllocsDialSendClose(t *testing.T) {
 	d := newDialCycle(t)
-	const want = 6
-	if n := testing.AllocsPerRun(200, func() { d.run(t) }); n != want {
-		t.Fatalf("Dial/SendTo/Close/deliver allocates %.1f objects per cycle, want %d", n, want)
+	most := 1.0
+	if raceEnabled {
+		most = 2
+	}
+	if n := testing.AllocsPerRun(200, func() { d.run(t) }); n < 1 || n > most {
+		t.Fatalf("Dial/SendTo/Close/deliver allocates %.1f objects per cycle, want 1 to %.0f", n, most)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"slices"
 	"time"
 
 	"hgw/internal/netpkt"
@@ -30,6 +31,12 @@ type Stack struct {
 	s        *sim.Sim
 	conns    map[uint16][]*Conn // by local port
 	nextPort uint16
+
+	// chunk is append-only storage for delivered payloads: each
+	// Datagram.Data is a capacity-capped slice of a chunk, and no byte
+	// of a chunk is written again once handed out, so a Datagram's
+	// Data stays valid for as long as its holder keeps it.
+	chunk []byte
 
 	// GeneratePortUnreachable controls whether datagrams to closed
 	// ports trigger ICMP Port Unreachable (true for real hosts).
@@ -58,9 +65,13 @@ type Conn struct {
 	localPort  uint16
 	remoteAddr netip.Addr
 	remotePort uint16
-	rx         *sim.Chan[Datagram]
+	rx         sim.Chan[Datagram]
 	icmp       *sim.Chan[ICMPEvent] // created on first use; most sockets never see ICMP
 	closed     bool
+	// first backs the port's entry in st.conns while this socket is
+	// the port's only one, so binding a free port allocates only the
+	// Conn; a second socket on the port moves the entry to the heap.
+	first [1]*Conn
 }
 
 // ICMPEvent reports an ICMP error received about this socket's traffic.
@@ -107,9 +118,14 @@ func (st *Stack) bind(addr netip.Addr, ifc *stack.NetIf, port uint16) (*Conn, er
 		localAddr: addr,
 		iface:     ifc,
 		localPort: port,
-		rx:        sim.NewChan[Datagram](st.s),
 	}
-	st.conns[port] = append(st.conns[port], c)
+	c.rx.Init(st.s)
+	if lst := st.conns[port]; len(lst) > 0 {
+		st.conns[port] = append(lst, c)
+	} else {
+		c.first[0] = c
+		st.conns[port] = c.first[:]
+	}
 	return c, nil
 }
 
@@ -221,15 +237,11 @@ func (c *Conn) sendFrom2(src, dst netip.Addr, dport uint16, data []byte, ttl uin
 	if !src.IsValid() {
 		src = r.If.Addr
 	}
-	ip := &netpkt.IPv4{
-		Protocol: netpkt.ProtoUDP,
-		Src:      src,
-		Dst:      dst,
-		TTL:      ttl,
-		Options:  ipOptions,
-	}
+	ip := netpkt.GetPacket()
+	ip.Protocol, ip.Src, ip.Dst, ip.TTL, ip.Options = netpkt.ProtoUDP, src, dst, ttl, ipOptions
 	// The datagram goes straight into the pooled buffer that becomes
-	// the frame: the host writes only the IP header in front of it.
+	// the frame: the host writes only the IP header in front of it, and
+	// recycles the record once the frame is built.
 	u := netpkt.UDP{SrcPort: c.localPort, DstPort: dport, Payload: data}
 	ip.Payload = u.AppendMarshal(ip.Reserve(8+len(data)), src, dst)
 	return c.st.h.Send(ip)
@@ -288,13 +300,40 @@ func (st *Stack) input(ifc *stack.NetIf, ip *netpkt.IPv4) (kept bool) {
 		}
 	}
 	if best != nil {
-		best.rx.Send(Datagram{From: ip.Src, FromPort: u.SrcPort, To: ip.Dst, ToPort: u.DstPort, TTL: ip.TTL, If: ifc, Data: bytes.Clone(u.Payload)})
+		best.rx.Send(Datagram{From: ip.Src, FromPort: u.SrcPort, To: ip.Dst, ToPort: u.DstPort, TTL: ip.TTL, If: ifc, Data: st.keep(u.Payload)})
 		return false
 	}
 	if st.GeneratePortUnreachable {
 		st.h.SendICMPError(ip, netpkt.ICMPDestUnreachable, netpkt.ICMPCodePortUnreachable, 0)
 	}
 	return false
+}
+
+// Payload chunks start small and double up to a cap, which bounds what
+// one kept datagram holds in memory. They serve the small datagrams
+// that busy stacks receive by the thousand; a payload above bigPayload
+// gets a copy of its own, so a stack that receives only a few large
+// ones (a gateway's DHCP exchange) keeps no chunk alive.
+const (
+	firstChunk = 128
+	maxChunk   = 2 << 10
+	bigPayload = 128
+)
+
+// keep copies a delivered payload into the stack's chunk storage. The
+// copy's capacity is capped at its length, so an append by its holder
+// reallocates instead of reaching bytes handed out later.
+func (st *Stack) keep(p []byte) []byte {
+	if len(p) > bigPayload {
+		return slices.Clip(bytes.Clone(p))
+	}
+	if st.chunk == nil || cap(st.chunk)-len(st.chunk) < len(p) {
+		n := min(max(2*cap(st.chunk), firstChunk), maxChunk)
+		st.chunk = make([]byte, 0, max(n, len(p)))
+	}
+	off := len(st.chunk)
+	st.chunk = append(st.chunk, p...)
+	return st.chunk[off:len(st.chunk):len(st.chunk)]
 }
 
 // DeliverICMP routes an ICMP error to the socket that sent the embedded

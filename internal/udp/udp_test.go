@@ -1,6 +1,7 @@
 package udp
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -206,5 +207,93 @@ func TestDrainAndTryRecv(t *testing.T) {
 	}
 	if n := srv.Drain(); n != 2 {
 		t.Fatalf("Drain = %d", n)
+	}
+}
+
+// TestDatagramDataSurvivesLaterDeliveries keeps a small and a large
+// datagram's payload while 10 000 more of varying sizes arrive and are
+// read: the small one sits in an append-only chunk and the large one in
+// a copy of its own, so the kept bytes never change, and each Data's
+// capacity ends at its length, so appending to it cannot reach a later
+// datagram's bytes.
+func TestDatagramDataSurvivesLaterDeliveries(t *testing.T) {
+	s := sim.New(1)
+	_, _, ua, ub := pair(s)
+	srv, err := ub.Bind(netpkt.Addr4(10, 0, 0, 2), 7000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, err := ua.Dial(netpkt.Addr4(10, 0, 0, 2), 7000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	large := bytes.Repeat([]byte("large "), 50)
+	cli.Send([]byte("first datagram"))
+	cli.Send(large)
+	s.Run(0)
+	first, ok1 := srv.TryRecv()
+	kept, ok2 := srv.TryRecv()
+	if !ok1 || !ok2 {
+		t.Fatal("kept datagrams not delivered")
+	}
+	buf := make([]byte, 1200)
+	for i := range 10_000 {
+		b := buf[:1+i%len(buf)]
+		for j := range b {
+			b[j] = byte(i)
+		}
+		cli.Send(b)
+		s.Run(0)
+		d, ok := srv.TryRecv()
+		if !ok || len(d.Data) != len(b) || d.Data[len(b)-1] != byte(i) {
+			t.Fatalf("datagram %d: got %d bytes, ok %v", i, len(d.Data), ok)
+		}
+		if cap(d.Data) != len(d.Data) {
+			t.Fatalf("datagram %d: Data has capacity %d beyond its %d bytes", i, cap(d.Data), len(d.Data))
+		}
+	}
+	if string(first.Data) != "first datagram" {
+		t.Fatalf("first datagram now reads %q", first.Data)
+	}
+	if !bytes.Equal(kept.Data, large) {
+		t.Fatalf("large datagram now reads %q", kept.Data)
+	}
+}
+
+// TestCloseAfterPortReuse closes a socket a second time after a later
+// Dial reused its ephemeral port: the stale Conn must leave the port's
+// new socket registered and receiving.
+func TestCloseAfterPortReuse(t *testing.T) {
+	s := sim.New(1)
+	_, _, ua, ub := pair(s)
+	srv, err := ub.Bind(netpkt.Addr4(10, 0, 0, 2), 7000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ua.SetEphemeralBase(40000)
+	old, err := ua.Dial(netpkt.Addr4(10, 0, 0, 2), 7000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old.Close()
+	ua.SetEphemeralBase(40000)
+	cur, err := ua.Dial(netpkt.Addr4(10, 0, 0, 2), 7000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cur.LocalPort() != old.LocalPort() {
+		t.Fatalf("port %d not reused (got %d)", old.LocalPort(), cur.LocalPort())
+	}
+	old.Close()
+	cur.Send([]byte("ping"))
+	s.Run(0)
+	d, ok := srv.TryRecv()
+	if !ok {
+		t.Fatal("request not delivered")
+	}
+	srv.SendTo(d.From, d.FromPort, []byte("pong"))
+	s.Run(0)
+	if r, ok := cur.TryRecv(); !ok || string(r.Data) != "pong" {
+		t.Fatalf("reused port's socket got %q, ok %v", r.Data, ok)
 	}
 }
