@@ -11,6 +11,8 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"slices"
+	"sync"
 	"time"
 
 	"hgw/internal/netpkt"
@@ -50,21 +52,84 @@ const (
 
 var magicCookie = [4]byte{99, 130, 83, 99}
 
-// Message is a DHCP message.
+// maxMessage is the largest message every DHCP node must accept (RFC
+// 2131); the testbed's are 244–274 bytes.
+const maxMessage = 576
+
+// Message is a DHCP message. Its options sit in a short list, not a
+// map: a message carries a handful, and marshaling walks them in order.
+// A Message is reusable: Parse keeps its storage.
 type Message struct {
-	Op      uint8 // 1 request, 2 reply
-	XID     uint32
-	CIAddr  netip.Addr
-	YIAddr  netip.Addr
-	SIAddr  netip.Addr
-	GIAddr  netip.Addr
-	CHAddr  netpkt.MAC
-	Options map[uint8][]byte
+	Op     uint8 // 1 request, 2 reply
+	XID    uint32
+	CIAddr netip.Addr
+	YIAddr netip.Addr
+	SIAddr netip.Addr
+	GIAddr netip.Addr
+	CHAddr netpkt.MAC
+	// opts holds each present option once, in emit order: message
+	// type first, then ascending code.
+	opts []option
+	// vals backs the option values that setCopy copies in.
+	vals []byte
+}
+
+// option is one DHCP option.
+type option struct {
+	code uint8
+	val  []byte
+}
+
+// rank orders options for emission: message type first, then by code.
+func rank(code uint8) int {
+	if code == OptMsgType {
+		return 0
+	}
+	return int(code)
+}
+
+// reset empties the message and keeps its storage for reuse.
+func (m *Message) reset() {
+	clear(m.opts) // drop the values' references
+	*m = Message{opts: m.opts[:0], vals: m.vals[:0]}
+}
+
+// Option returns the value of option code.
+func (m *Message) Option(code uint8) ([]byte, bool) {
+	for _, o := range m.opts {
+		if o.code == code {
+			return o.val, true
+		}
+	}
+	return nil, false
+}
+
+// setOption stores v (not a copy) as the value of option code (1 to
+// 254), replacing any earlier value.
+func (m *Message) setOption(code uint8, v []byte) {
+	r := rank(code)
+	i := len(m.opts)
+	for i > 0 && rank(m.opts[i-1].code) > r {
+		i--
+	}
+	if i > 0 && m.opts[i-1].code == code {
+		m.opts[i-1].val = v
+		return
+	}
+	m.opts = slices.Insert(m.opts, i, option{code, v})
+}
+
+// setCopy stores a copy of v, kept in the message's own storage, as the
+// value of option code.
+func (m *Message) setCopy(code uint8, v ...byte) {
+	off := len(m.vals)
+	m.vals = append(m.vals, v...)
+	m.setOption(code, m.vals[off:len(m.vals):len(m.vals)])
 }
 
 // Type returns the message type from option 53 (0 if missing).
 func (m *Message) Type() uint8 {
-	if v, ok := m.Options[OptMsgType]; ok && len(v) == 1 {
+	if v, ok := m.Option(OptMsgType); ok && len(v) == 1 {
 		return v[0]
 	}
 	return 0
@@ -72,7 +137,7 @@ func (m *Message) Type() uint8 {
 
 // AddrOption decodes a 4-byte address option.
 func (m *Message) AddrOption(code uint8) (netip.Addr, bool) {
-	v, ok := m.Options[code]
+	v, ok := m.Option(code)
 	if !ok || len(v) != 4 {
 		return netip.Addr{}, false
 	}
@@ -82,7 +147,7 @@ func (m *Message) AddrOption(code uint8) (netip.Addr, bool) {
 // SetAddrOption stores a 4-byte address option.
 func (m *Message) SetAddrOption(code uint8, a netip.Addr) {
 	b := a.As4()
-	m.Options[code] = b[:]
+	m.setCopy(code, b[:]...)
 }
 
 func addr4OrZero(b []byte) netip.Addr {
@@ -101,54 +166,50 @@ func put4(b []byte, a netip.Addr) {
 }
 
 // Marshal serializes the message.
-func (m *Message) Marshal() []byte {
-	b := make([]byte, 240)
-	b[0] = m.Op
-	b[1] = 1 // Ethernet
-	b[2] = 6
-	binary.BigEndian.PutUint32(b[4:8], m.XID)
-	put4(b[12:16], m.CIAddr)
-	put4(b[16:20], m.YIAddr)
-	put4(b[20:24], m.SIAddr)
-	put4(b[24:28], m.GIAddr)
-	copy(b[28:34], m.CHAddr[:])
-	copy(b[236:240], magicCookie[:])
-	// Deterministic option order: msg type first, then ascending.
-	emit := func(code uint8) {
-		v, ok := m.Options[code]
-		if !ok {
-			return
-		}
-		b = append(b, code, uint8(len(v)))
-		b = append(b, v...)
+func (m *Message) Marshal() []byte { return m.AppendMarshal(nil) }
+
+// AppendMarshal serializes the message onto b and returns the extended
+// slice. Options come in a fixed order: message type first, then
+// ascending code.
+func (m *Message) AppendMarshal(b []byte) []byte {
+	off := len(b)
+	b = append(b, make([]byte, 240)...)
+	h := b[off:]
+	h[0] = m.Op
+	h[1] = 1 // Ethernet
+	h[2] = 6
+	binary.BigEndian.PutUint32(h[4:8], m.XID)
+	put4(h[12:16], m.CIAddr)
+	put4(h[16:20], m.YIAddr)
+	put4(h[20:24], m.SIAddr)
+	put4(h[24:28], m.GIAddr)
+	copy(h[28:34], m.CHAddr[:])
+	copy(h[236:240], magicCookie[:])
+	for _, o := range m.opts {
+		b = append(b, o.code, uint8(len(o.val)))
+		b = append(b, o.val...)
 	}
-	emit(OptMsgType)
-	for code := uint8(1); code < OptEnd; code++ {
-		if code != OptMsgType {
-			emit(code)
-		}
-	}
-	b = append(b, OptEnd)
-	return b
+	return append(b, OptEnd)
 }
 
-// Parse decodes a DHCP message.
-func Parse(b []byte) (*Message, error) {
+// Parse decodes b into m, replacing its contents. Option values are
+// views of b, capacity-clipped so that an append to one cannot reach
+// the bytes after it; a repeated option keeps its last value. On error
+// m holds whatever was decoded before it.
+func (m *Message) Parse(b []byte) error {
+	m.reset()
 	if len(b) < 240 {
-		return nil, errors.New("dhcp: short message")
+		return errors.New("dhcp: short message")
 	}
 	if [4]byte(b[236:240]) != magicCookie {
-		return nil, errors.New("dhcp: bad magic cookie")
+		return errors.New("dhcp: bad magic cookie")
 	}
-	m := &Message{
-		Op:      b[0],
-		XID:     binary.BigEndian.Uint32(b[4:8]),
-		CIAddr:  addr4OrZero(b[12:16]),
-		YIAddr:  addr4OrZero(b[16:20]),
-		SIAddr:  addr4OrZero(b[20:24]),
-		GIAddr:  addr4OrZero(b[24:28]),
-		Options: make(map[uint8][]byte),
-	}
+	m.Op = b[0]
+	m.XID = binary.BigEndian.Uint32(b[4:8])
+	m.CIAddr = addr4OrZero(b[12:16])
+	m.YIAddr = addr4OrZero(b[16:20])
+	m.SIAddr = addr4OrZero(b[20:24])
+	m.GIAddr = addr4OrZero(b[24:28])
 	copy(m.CHAddr[:], b[28:34])
 	opts := b[240:]
 	for i := 0; i < len(opts); {
@@ -161,16 +222,44 @@ func Parse(b []byte) (*Message, error) {
 			continue
 		}
 		if i+1 >= len(opts) {
-			return nil, errors.New("dhcp: truncated option")
+			return errors.New("dhcp: truncated option")
 		}
-		l := int(opts[i+1])
-		if i+2+l > len(opts) {
-			return nil, errors.New("dhcp: truncated option value")
+		end := i + 2 + int(opts[i+1])
+		if end > len(opts) {
+			return errors.New("dhcp: truncated option value")
 		}
-		m.Options[code] = append([]byte(nil), opts[i+2:i+2+l]...)
-		i += 2 + l
+		m.setOption(code, opts[i+2:end:end])
+		i = end
 	}
-	return m, nil
+	return nil
+}
+
+// msgPool recycles Messages between exchanges, so neither a server nor
+// a client process holds message storage while it waits.
+var msgPool = sync.Pool{New: func() any { return new(Message) }}
+
+func getMessage() *Message { return msgPool.Get().(*Message) }
+
+func putMessage(m *Message) {
+	m.reset()
+	msgPool.Put(m)
+}
+
+// broadcast sends m as a UDP datagram sport -> dport from src to the
+// limited broadcast address on ifc, marshaled straight into the pooled
+// buffer that becomes the frame.
+func broadcast(ifc *stack.NetIf, src netip.Addr, sport, dport uint16, m *Message) {
+	dst := netpkt.Addr4(255, 255, 255, 255)
+	ip := netpkt.GetPacket()
+	ip.Protocol, ip.Src, ip.Dst, ip.TTL, ip.ID = netpkt.ProtoUDP, src, dst, 64, ifc.Host.NextIPID()
+	w := m.AppendMarshal(ip.Reserve(8 + maxMessage)[:8])
+	netpkt.PutUDPHeader(w, sport, dport, src, dst)
+	ip.Payload = w
+	f := netpkt.GetFrame()
+	f.Dst, f.Src = netpkt.BroadcastMAC, ifc.Link.MAC
+	f.Type, f.Payload = netpkt.EtherTypeIPv4, ip.MarshalPooled()
+	netpkt.PutPacket(ip)
+	ifc.Link.Send(f)
 }
 
 // ServerConfig configures a DHCP server on one interface.
@@ -186,10 +275,12 @@ type ServerConfig struct {
 
 // Server is a single-interface DHCP server.
 type Server struct {
-	cfg    ServerConfig
-	conn   *udp.Conn
-	leases map[netpkt.MAC]netip.Addr
-	next   int
+	cfg  ServerConfig
+	conn *udp.Conn
+	// leases lists the clients in lease order: client i holds
+	// PoolStart+i. A server has one client or a few, and a list costs
+	// a fraction of a map.
+	leases []netpkt.MAC
 	// Requests counts processed DISCOVER/REQUEST messages.
 	Requests int
 }
@@ -203,7 +294,7 @@ func NewServer(us *udp.Stack, cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	srv := &Server{cfg: cfg, conn: conn, leases: make(map[netpkt.MAC]netip.Addr)}
+	srv := &Server{cfg: cfg, conn: conn}
 	cfg.If.Host.S.Spawn("dhcpd."+cfg.If.Name(), func(p *sim.Proc) {
 		for {
 			d, ok := conn.Recv(p, 0)
@@ -220,22 +311,22 @@ func NewServer(us *udp.Stack, cfg ServerConfig) (*Server, error) {
 func (s *Server) Close() { s.conn.Close() }
 
 func (s *Server) alloc(mac netpkt.MAC) (netip.Addr, bool) {
-	if a, ok := s.leases[mac]; ok {
-		return a, true
-	}
-	if s.next >= s.cfg.PoolSize {
-		return netip.Addr{}, false
+	i := slices.Index(s.leases, mac)
+	if i < 0 {
+		if len(s.leases) >= s.cfg.PoolSize {
+			return netip.Addr{}, false
+		}
+		i = len(s.leases)
+		s.leases = append(s.leases, mac)
 	}
 	base := s.cfg.PoolStart.As4()
-	a := netip.AddrFrom4([4]byte{base[0], base[1], base[2], base[3] + byte(s.next)})
-	s.next++
-	s.leases[mac] = a
-	return a, true
+	return netip.AddrFrom4([4]byte{base[0], base[1], base[2], base[3] + byte(i)}), true
 }
 
 func (s *Server) handle(d udp.Datagram) {
-	m, err := Parse(d.Data)
-	if err != nil || m.Op != 1 {
+	m := getMessage()
+	defer putMessage(m)
+	if m.Parse(d.Data) != nil || m.Op != 1 {
 		return
 	}
 	s.Requests++
@@ -252,42 +343,24 @@ func (s *Server) handle(d udp.Datagram) {
 	if !ok {
 		return
 	}
-	reply := &Message{
-		Op: 2, XID: m.XID, YIAddr: addr, SIAddr: s.cfg.If.Addr,
-		CHAddr: m.CHAddr, Options: make(map[uint8][]byte),
-	}
-	reply.Options[OptMsgType] = []byte{mtype}
-	mask := netip.AddrFrom4(maskBytes(s.cfg.Mask))
-	reply.SetAddrOption(OptSubnetMask, mask)
+	// The reply reuses the request's message.
+	xid, chaddr := m.XID, m.CHAddr
+	m.reset()
+	m.Op, m.XID, m.YIAddr, m.SIAddr, m.CHAddr = 2, xid, addr, s.cfg.If.Addr, chaddr
+	m.setCopy(OptMsgType, mtype)
+	m.SetAddrOption(OptSubnetMask, netip.AddrFrom4(maskBytes(s.cfg.Mask)))
 	if s.cfg.Router.IsValid() {
-		reply.SetAddrOption(OptRouter, s.cfg.Router)
+		m.SetAddrOption(OptRouter, s.cfg.Router)
 	}
 	if s.cfg.DNS.IsValid() {
-		reply.SetAddrOption(OptDNS, s.cfg.DNS)
+		m.SetAddrOption(OptDNS, s.cfg.DNS)
 	}
-	reply.SetAddrOption(OptServerID, s.cfg.If.Addr)
-	lease := make([]byte, 4)
-	binary.BigEndian.PutUint32(lease, uint32(s.cfg.Lease/time.Second))
-	reply.Options[OptLeaseTime] = lease
+	m.SetAddrOption(OptServerID, s.cfg.If.Addr)
+	var lease [4]byte
+	binary.BigEndian.PutUint32(lease[:], uint32(s.cfg.Lease/time.Second))
+	m.setCopy(OptLeaseTime, lease[:]...)
 	// Reply is broadcast: the client has no address yet.
-	s.sendBroadcast(reply)
-}
-
-func (s *Server) sendBroadcast(m *Message) {
-	u := &netpkt.UDP{SrcPort: ServerPort, DstPort: ClientPort, Payload: m.Marshal()}
-	dst := netpkt.Addr4(255, 255, 255, 255)
-	ip := &netpkt.IPv4{
-		Protocol: netpkt.ProtoUDP,
-		Src:      s.cfg.If.Addr,
-		Dst:      dst,
-		TTL:      64,
-		ID:       s.cfg.If.Host.NextIPID(),
-		Payload:  u.Marshal(s.cfg.If.Addr, dst),
-	}
-	f := netpkt.GetFrame()
-	f.Dst, f.Src = netpkt.BroadcastMAC, s.cfg.If.Link.MAC
-	f.Type, f.Payload = netpkt.EtherTypeIPv4, ip.MarshalPooled()
-	s.cfg.If.Link.Send(f)
+	broadcast(s.cfg.If, s.cfg.If.Addr, ServerPort, ClientPort, m)
 }
 
 func maskBytes(plen int) [4]byte {
@@ -354,64 +427,55 @@ func Acquire(p *sim.Proc, us *udp.Stack, ifc *stack.NetIf, cfg ClientConfig) (*L
 	defer conn.Close()
 	h := ifc.Host
 	xid := h.S.Rand().Uint32()
+	// m carries each outgoing message and then the reply it waits for.
+	m := getMessage()
+	defer putMessage(m)
 
 	sendBcast := func(mtype uint8, requested netip.Addr) {
-		m := &Message{Op: 1, XID: xid, CHAddr: ifc.Link.MAC, Options: make(map[uint8][]byte)}
-		m.Options[OptMsgType] = []byte{mtype}
+		m.reset()
+		m.Op, m.XID, m.CHAddr = 1, xid, ifc.Link.MAC
+		m.setCopy(OptMsgType, mtype)
 		if requested.IsValid() {
 			m.SetAddrOption(OptRequestedIP, requested)
 		}
-		u := &netpkt.UDP{SrcPort: ClientPort, DstPort: ServerPort, Payload: m.Marshal()}
-		src := netpkt.Addr4(0, 0, 0, 0)
-		dst := netpkt.Addr4(255, 255, 255, 255)
-		ip := &netpkt.IPv4{
-			Protocol: netpkt.ProtoUDP, Src: src, Dst: dst, TTL: 64,
-			ID: h.NextIPID(), Payload: u.Marshal(src, dst),
-		}
-		f := netpkt.GetFrame()
-		f.Dst, f.Src = netpkt.BroadcastMAC, ifc.Link.MAC
-		f.Type, f.Payload = netpkt.EtherTypeIPv4, ip.MarshalPooled()
-		ifc.Link.Send(f)
+		broadcast(ifc, netpkt.Addr4(0, 0, 0, 0), ClientPort, ServerPort, m)
 	}
-	recvType := func(want uint8) (*Message, bool) {
+	recvType := func(want uint8) bool {
 		deadline := h.S.Now() + cfg.Timeout
 		for {
 			remain := deadline - h.S.Now()
 			if remain <= 0 {
-				return nil, false
+				return false
 			}
 			d, ok := conn.Recv(p, remain)
 			if !ok {
-				return nil, false
+				return false
 			}
-			m, err := Parse(d.Data)
-			if err != nil || m.Op != 2 || m.XID != xid || m.CHAddr != ifc.Link.MAC {
+			if m.Parse(d.Data) != nil || m.Op != 2 || m.XID != xid || m.CHAddr != ifc.Link.MAC {
 				continue
 			}
 			if m.Type() == want {
-				return m, true
+				return true
 			}
 		}
 	}
 
 	for attempt := 0; attempt < cfg.Retries; attempt++ {
 		sendBcast(Discover, netip.Addr{})
-		offer, ok := recvType(Offer)
-		if !ok {
+		if !recvType(Offer) {
 			continue
 		}
-		sendBcast(Request, offer.YIAddr)
-		ack, ok := recvType(Ack)
-		if !ok {
+		sendBcast(Request, m.YIAddr)
+		if !recvType(Ack) {
 			continue
 		}
-		lease := &Lease{Addr: ack.YIAddr, Plen: 24, Server: ack.SIAddr}
-		if mask, ok := ack.AddrOption(OptSubnetMask); ok {
+		lease := &Lease{Addr: m.YIAddr, Plen: 24, Server: m.SIAddr}
+		if mask, ok := m.AddrOption(OptSubnetMask); ok {
 			lease.Plen = MaskLen(mask)
 		}
-		lease.Router, _ = ack.AddrOption(OptRouter)
-		lease.DNS, _ = ack.AddrOption(OptDNS)
-		if v, ok := ack.Options[OptLeaseTime]; ok && len(v) == 4 {
+		lease.Router, _ = m.AddrOption(OptRouter)
+		lease.DNS, _ = m.AddrOption(OptDNS)
+		if v, ok := m.Option(OptLeaseTime); ok && len(v) == 4 {
 			lease.TTL = time.Duration(binary.BigEndian.Uint32(v)) * time.Second
 		}
 		// Apply: address, connected route, and per-config routes.

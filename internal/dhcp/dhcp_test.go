@@ -13,14 +13,11 @@ import (
 )
 
 func TestMessageRoundtrip(t *testing.T) {
-	m := &Message{
-		Op: 1, XID: 0xdeadbeef,
-		CHAddr:  netpkt.MAC{1, 2, 3, 4, 5, 6},
-		Options: map[uint8][]byte{OptMsgType: {Discover}},
-	}
+	m := &Message{Op: 1, XID: 0xdeadbeef, CHAddr: netpkt.MAC{1, 2, 3, 4, 5, 6}}
+	m.setOption(OptMsgType, []byte{Discover})
 	m.SetAddrOption(OptRequestedIP, netpkt.Addr4(192, 168, 1, 50))
-	got, err := Parse(m.Marshal())
-	if err != nil {
+	var got Message
+	if err := got.Parse(m.Marshal()); err != nil {
 		t.Fatal(err)
 	}
 	if got.XID != m.XID || got.CHAddr != m.CHAddr || got.Type() != Discover {
@@ -32,11 +29,12 @@ func TestMessageRoundtrip(t *testing.T) {
 }
 
 func TestParseRejectsGarbage(t *testing.T) {
-	if _, err := Parse([]byte("short")); err == nil {
+	var m Message
+	if err := m.Parse([]byte("short")); err == nil {
 		t.Fatal("short message accepted")
 	}
 	b := make([]byte, 240) // zero magic
-	if _, err := Parse(b); err == nil {
+	if err := m.Parse(b); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 }

@@ -216,13 +216,16 @@ func (d *Device) rawWAN(in *stack.NetIf, ip *netpkt.IPv4) bool {
 			// A non-hairpinning NAT eats these; count the drop so the
 			// quirks probe's verdict is diagnosable.
 			d.Engine.CountDrop(nat.DropHairpinDisabled)
+			discard(ip)
 			return true
 		}
 		if !d.Engine.Outbound(ip) {
+			discard(ip)
 			return true
 		}
 		ip.Dst = d.Engine.WAN()
 		if !d.Engine.InboundHairpin(ip) {
+			discard(ip)
 			return true
 		}
 		d.transmit(d.LANIf, ip)
@@ -236,7 +239,8 @@ func (d *Device) rawWAN(in *stack.NetIf, ip *netpkt.IPv4) bool {
 	}
 	if d.Profile.NAT.DecrementTTL {
 		if ip.TTL <= 1 {
-			return true // swallow
+			discard(ip) // swallow
+			return true
 		}
 		ip.TTL--
 	}
@@ -252,6 +256,7 @@ func (d *Device) forward(in *stack.NetIf, ip *netpkt.IPv4) {
 	if d.Profile.NAT.DecrementTTL {
 		if ip.TTL <= 1 {
 			d.Host.SendICMPError(ip, netpkt.ICMPTimeExceeded, netpkt.ICMPCodeTTLExceeded, 0)
+			discard(ip)
 			return
 		}
 		ip.TTL--
@@ -273,6 +278,7 @@ func (d *Device) finishForward(q *fwdQueue, ip *netpkt.IPv4) {
 	q.noteServiced(ip.TotalLen())
 	if q == d.up {
 		if !d.Engine.Outbound(ip) {
+			discard(ip)
 			return
 		}
 		d.ForwardedUp++
@@ -295,6 +301,15 @@ func (d *Device) transmit(out *stack.NetIf, ip *netpkt.IPv4) {
 		nh = ip.Dst
 	}
 	d.Host.SendVia(out, nh, ip)
+}
+
+// discard ends a packet the device drops after the host handed it
+// over: the pooled record goes back, then the frame buffer it owns.
+func discard(ip *netpkt.IPv4) {
+	buf := ip.Buf
+	ip.Buf = nil
+	netpkt.PutPacket(ip)
+	netpkt.PutBuf(buf)
 }
 
 // fwdQueue models the device's per-direction forwarding engine: a
@@ -411,6 +426,7 @@ func (q *fwdQueue) enqueue(ip *netpkt.IPv4) {
 		}
 		if q.queued+ip.TotalLen() > buf {
 			q.drops++
+			discard(ip)
 			return
 		}
 		q.queue = append(q.queue, ip)

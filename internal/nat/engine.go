@@ -16,26 +16,59 @@ import (
 // teardown (both FINs or a RST).
 const closeLinger = 6 * time.Second
 
+// ip4 is an IPv4 address as a number. The NAT tables key on it rather
+// than on netip.Addr (24 bytes, holding a pointer), so a flow key is
+// 16 bytes without pointers and hashes as plain memory. For IPv4
+// addresses numeric order is netip.Addr's order.
+type ip4 uint32
+
+func ip4Of(a netip.Addr) ip4 {
+	b := a.As4()
+	return ip4(binary.BigEndian.Uint32(b[:]))
+}
+
+func (a ip4) as4() [4]byte {
+	var b [4]byte
+	binary.BigEndian.PutUint32(b[:], uint32(a))
+	return b
+}
+
+func (a ip4) addr() netip.Addr { return netip.AddrFrom4(a.as4()) }
+
 // flowKey identifies one internal session (5-tuple; ICMP echo uses the
-// query ID as the client "port").
+// query ID as the client "port"). Its fields are ordered so it has no
+// padding beyond the tail.
 type flowKey struct {
-	proto  uint8
-	client netip.Addr
+	client ip4
+	server ip4
 	cport  uint16
-	server netip.Addr
 	sport  uint16
+	proto  uint8
+}
+
+func flowOf(proto uint8, client netip.Addr, cport uint16, server netip.Addr, sport uint16) flowKey {
+	return flowKey{client: ip4Of(client), server: ip4Of(server), cport: cport, sport: sport, proto: proto}
 }
 
 func (k flowKey) String() string {
-	return fmt.Sprintf("%s %v:%d->%v:%d", netpkt.ProtoName(k.proto), k.client, k.cport, k.server, k.sport)
+	return fmt.Sprintf("%s %v:%d->%v:%d", netpkt.ProtoName(k.proto), k.client.addr(), k.cport, k.server.addr(), k.sport)
 }
 
 // extKey identifies a session from the WAN side.
 type extKey struct {
-	proto  uint8
+	server ip4
 	ext    uint16
-	server netip.Addr
 	sport  uint16
+	proto  uint8
+}
+
+func extOf(proto uint8, ext uint16, server netip.Addr, sport uint16) extKey {
+	return extKey{server: ip4Of(server), ext: ext, sport: sport, proto: proto}
+}
+
+// wanKey is the WAN-side key of the flow translated to external port ext.
+func (k flowKey) wanKey(ext uint16) extKey {
+	return extKey{server: k.server, ext: ext, sport: k.sport, proto: k.proto}
 }
 
 type portKey struct {
@@ -52,7 +85,7 @@ type portKey struct {
 // consults it when deciding whether a packet without an exact session
 // may pass.
 type portOwner struct {
-	client   netip.Addr
+	client   ip4
 	cport    uint16
 	n        int // live sessions on the port
 	mappings []*Mapping
@@ -74,11 +107,11 @@ func (o *portOwner) dropMapping(m *Mapping) {
 // full endpoint under APDM (where mappings and sessions are 1:1, the
 // pre-refactor table shape).
 type mapKey struct {
-	proto  uint8
-	client netip.Addr
+	client ip4
+	server ip4 // zero under EIM
 	cport  uint16
-	server netip.Addr // zero under EIM
-	sport  uint16     // zero under EIM and ADM
+	sport  uint16 // zero under EIM and ADM
+	proto  uint8
 }
 
 // Mapping is the first level of the two-level binding table: one
@@ -261,14 +294,14 @@ func (e *Engine) TCPBindingCount() int { return e.tcpCount }
 
 // LookupFlow returns the session for a 5-tuple, if active.
 func (e *Engine) LookupFlow(proto uint8, client netip.Addr, cport uint16, server netip.Addr, sport uint16) (*Binding, bool) {
-	b, ok := e.byFlow[flowKey{proto, client, cport, server, sport}]
+	b, ok := e.byFlow[flowOf(proto, client, cport, server, sport)]
 	return b, ok
 }
 
 // LookupMapping returns the mapping an outbound flow would use, if one
 // is active.
 func (e *Engine) LookupMapping(proto uint8, client netip.Addr, cport uint16, server netip.Addr, sport uint16) (*Mapping, bool) {
-	m, ok := e.mappings[e.mapKeyFor(flowKey{proto, client, cport, server, sport})]
+	m, ok := e.mappings[e.mapKeyFor(flowOf(proto, client, cport, server, sport))]
 	return m, ok
 }
 
@@ -369,7 +402,7 @@ func (e *Engine) expire(b *Binding) {
 func (e *Engine) remove(b *Binding) {
 	b.timer.Cancel()
 	delete(e.byFlow, b.flow)
-	delete(e.byExt, extKey{b.flow.proto, b.ext, b.flow.server, b.flow.sport})
+	delete(e.byExt, b.flow.wanKey(b.ext))
 	pk := portKey{b.flow.proto, b.ext}
 	o := e.portsInUse[pk]
 	if m := b.m; m != nil {
@@ -420,13 +453,13 @@ func (e *Engine) WipeBindings() int {
 				return a.proto < b.proto
 			}
 			if a.client != b.client {
-				return a.client.Less(b.client)
+				return a.client < b.client
 			}
 			if a.cport != b.cport {
 				return a.cport < b.cport
 			}
 			if a.server != b.server {
-				return a.server.Less(b.server)
+				return a.server < b.server
 			}
 			return a.sport < b.sport
 		})
@@ -590,7 +623,7 @@ func (e *Engine) addSession(m *Mapping, flow flowKey, b *Binding, o *portOwner) 
 	*b = Binding{flow: flow, ext: m.ext, m: m, created: e.s.Now()}
 	b.expireFn = func() { e.expire(b) }
 	e.byFlow[flow] = b
-	e.byExt[extKey{flow.proto, m.ext, flow.server, flow.sport}] = b
+	e.byExt[flow.wanKey(m.ext)] = b
 	m.link(b)
 	pk := portKey{flow.proto, m.ext}
 	if e.lost != nil {
@@ -693,7 +726,7 @@ func (e *Engine) Outbound(ip *netpkt.IPv4) bool {
 			e.drop(DropUDPShort)
 			return false
 		}
-		flow := flowKey{netpkt.ProtoUDP, client, sport, ip.Dst, dport}
+		flow := flowOf(netpkt.ProtoUDP, client, sport, ip.Dst, dport)
 		b, ok := e.byFlow[flow]
 		if !ok {
 			b = e.newSession(flow)
@@ -727,7 +760,7 @@ func (e *Engine) Outbound(ip *netpkt.IPv4) bool {
 			return false
 		}
 		flags := ip.Payload[13] & 0x3f
-		flow := flowKey{netpkt.ProtoTCP, client, sport, ip.Dst, dport}
+		flow := flowOf(netpkt.ProtoTCP, client, sport, ip.Dst, dport)
 		b, ok := e.byFlow[flow]
 		if !ok {
 			if flags&netpkt.TCPSyn == 0 {
@@ -763,7 +796,7 @@ func (e *Engine) Outbound(ip *netpkt.IPv4) bool {
 			e.drop(DropUnknownProto)
 			return false
 		case UnknownTranslateIPOnly:
-			flow := flowKey{ip.Protocol, client, 0, ip.Dst, 0}
+			flow := flowOf(ip.Protocol, client, 0, ip.Dst, 0)
 			if _, ok := e.byFlow[flow]; !ok {
 				if b := e.newSession(flow); b != nil {
 					e.arm(b, e.pol.UDP.Bidir) // generic session timeout
@@ -821,7 +854,7 @@ func (e *Engine) filterInbound(proto uint8, ext uint16, src netip.Addr, sport ui
 			return nil, filtered
 		}
 	}
-	flow := flowKey{proto, o.client, o.cport, src, sport}
+	flow := flowKey{client: o.client, server: ip4Of(src), cport: o.cport, sport: sport, proto: proto}
 	if existing, ok := e.byFlow[flow]; ok {
 		// The endpoint already talks to this remote through another
 		// mapping (its own external port): refresh that session rather
@@ -839,8 +872,9 @@ func (e *Engine) filterInbound(proto uint8, ext uint16, src netip.Addr, sport ui
 // hasSessionToward reports whether the mapping holds a session whose
 // remote endpoint is the address src (any port).
 func (m *Mapping) hasSessionToward(src netip.Addr) bool {
+	s4 := ip4Of(src)
 	for b := m.sessions; b != nil; b = b.next {
-		if b.flow.server == src {
+		if b.flow.server == s4 {
 			return true
 		}
 	}
@@ -857,7 +891,7 @@ func (e *Engine) Inbound(ip *netpkt.IPv4) bool {
 			e.drop(DropUDPShort)
 			return false
 		}
-		b, ok := e.byExt[extKey{netpkt.ProtoUDP, dport, ip.Src, sport}]
+		b, ok := e.byExt[extOf(netpkt.ProtoUDP, dport, ip.Src, sport)]
 		if !ok {
 			var reason DropReason
 			b, reason = e.filterInbound(netpkt.ProtoUDP, dport, ip.Src, sport)
@@ -871,13 +905,13 @@ func (e *Engine) Inbound(ip *netpkt.IPv4) bool {
 		netpkt.SetUDPPorts(ip.Payload, sport, b.flow.cport)
 		if sum != 0 {
 			sum = netpkt.ChecksumAdjustU16(sum, dport, b.flow.cport)
-			sum = netpkt.ChecksumAdjustAddr(sum, ip.Dst, b.flow.client)
+			sum = netpkt.ChecksumAdjustAddr(sum, ip.Dst, b.flow.client.addr())
 			if sum == 0 {
 				sum = 0xffff
 			}
 			binary.BigEndian.PutUint16(ip.Payload[6:8], sum)
 		}
-		ip.Dst = b.flow.client
+		ip.Dst = b.flow.client.addr()
 		e.translated()
 		return true
 
@@ -887,7 +921,7 @@ func (e *Engine) Inbound(ip *netpkt.IPv4) bool {
 			e.drop(DropTCPShort)
 			return false
 		}
-		b, ok := e.byExt[extKey{netpkt.ProtoTCP, dport, ip.Src, sport}]
+		b, ok := e.byExt[extOf(netpkt.ProtoTCP, dport, ip.Src, sport)]
 		if !ok {
 			var reason DropReason
 			b, reason = e.filterInbound(netpkt.ProtoTCP, dport, ip.Src, sport)
@@ -900,9 +934,9 @@ func (e *Engine) Inbound(ip *netpkt.IPv4) bool {
 		sum := binary.BigEndian.Uint16(ip.Payload[16:18])
 		netpkt.SetTCPPorts(ip.Payload, sport, b.flow.cport)
 		sum = netpkt.ChecksumAdjustU16(sum, dport, b.flow.cport)
-		sum = netpkt.ChecksumAdjustAddr(sum, ip.Dst, b.flow.client)
+		sum = netpkt.ChecksumAdjustAddr(sum, ip.Dst, b.flow.client.addr())
 		binary.BigEndian.PutUint16(ip.Payload[16:18], sum)
-		ip.Dst = b.flow.client
+		ip.Dst = b.flow.client.addr()
 		e.translated()
 		return true
 
@@ -919,13 +953,13 @@ func (e *Engine) Inbound(ip *netpkt.IPv4) bool {
 				return false
 			}
 			// Find the session by protocol + server address.
-			b, ok := e.byExt[extKey{ip.Protocol, 0, ip.Src, 0}]
+			b, ok := e.byExt[extOf(ip.Protocol, 0, ip.Src, 0)]
 			if !ok {
 				e.drop(DropUnknownNoBinding)
 				return false
 			}
 			e.arm(b, e.pol.UDP.Bidir)
-			ip.Dst = b.flow.client
+			ip.Dst = b.flow.client.addr()
 			e.translated()
 			return true
 		case UnknownPassUntouched:
@@ -974,13 +1008,13 @@ func (e *Engine) InboundHairpin(ip *netpkt.IPv4) bool {
 		zero := binary.BigEndian.Uint16(ip.Payload[6:8]) == 0
 		netpkt.SetUDPPorts(ip.Payload, sport, o.cport)
 		if !zero {
-			netpkt.FixUDPChecksum(ip.Payload, ip.Src, o.client)
+			netpkt.FixUDPChecksum(ip.Payload, ip.Src, o.client.addr())
 		}
 	case netpkt.ProtoTCP:
 		netpkt.SetTCPPorts(ip.Payload, sport, o.cport)
-		netpkt.FixTCPChecksum(ip.Payload, ip.Src, o.client)
+		netpkt.FixTCPChecksum(ip.Payload, ip.Src, o.client.addr())
 	}
-	ip.Dst = o.client
+	ip.Dst = o.client.addr()
 	e.translated()
 	return true
 }

@@ -34,7 +34,7 @@ func (e *Engine) outboundICMP(ip *netpkt.IPv4) bool {
 	switch typ {
 	case netpkt.ICMPEchoRequest:
 		id, _ := echoID(ip.Payload)
-		flow := flowKey{netpkt.ProtoICMP, ip.Src, id, ip.Dst, 0}
+		flow := flowOf(netpkt.ProtoICMP, ip.Src, id, ip.Dst, 0)
 		b, ok := e.byFlow[flow]
 		if !ok {
 			b = e.newSession(flow)
@@ -67,10 +67,10 @@ func (e *Engine) outboundICMP(ip *netpkt.IPv4) bool {
 				e.drop(DropICMPInnerShort)
 				return false
 			}
-			b = e.byFlow[flowKey{inner.Protocol, inner.Dst, dport, inner.Src, sport}]
+			b = e.byFlow[flowOf(inner.Protocol, inner.Dst, dport, inner.Src, sport)]
 		case netpkt.ProtoICMP:
 			if id, ok2 := echoID(inner.Payload); ok2 {
-				b = e.byFlow[flowKey{netpkt.ProtoICMP, inner.Dst, id, inner.Src, 0}]
+				b = e.byFlow[flowOf(netpkt.ProtoICMP, inner.Dst, id, inner.Src, 0)]
 			}
 		}
 		if b == nil {
@@ -96,14 +96,14 @@ func (e *Engine) inboundICMP(ip *netpkt.IPv4) bool {
 	typ, code := ip.Payload[0], ip.Payload[1]
 	if typ == netpkt.ICMPEchoReply {
 		id, _ := echoID(ip.Payload)
-		b, ok := e.byExt[extKey{netpkt.ProtoICMP, id, ip.Src, 0}]
+		b, ok := e.byExt[extOf(netpkt.ProtoICMP, id, ip.Src, 0)]
 		if !ok {
 			e.drop(DropICMPNoBinding)
 			return false
 		}
 		e.arm(b, e.pol.ICMPQueryTimeout)
 		setEchoID(ip.Payload, b.flow.cport)
-		ip.Dst = b.flow.client
+		ip.Dst = b.flow.client.addr()
 		e.translated()
 		return true
 	}
@@ -129,7 +129,7 @@ func (e *Engine) inboundICMP(ip *netpkt.IPv4) bool {
 			e.drop(DropICMPInnerShort)
 			return false
 		}
-		b = e.byExt[extKey{inner.Protocol, sport, inner.Dst, dport}]
+		b = e.byExt[extOf(inner.Protocol, sport, inner.Dst, dport)]
 		if inner.Protocol == netpkt.ProtoTCP {
 			mode = e.pol.ICMPTCP[kind]
 		} else {
@@ -141,7 +141,7 @@ func (e *Engine) inboundICMP(ip *netpkt.IPv4) bool {
 			e.drop(DropICMPInnerShort)
 			return false
 		}
-		b = e.byExt[extKey{netpkt.ProtoICMP, id, inner.Dst, 0}]
+		b = e.byExt[extOf(netpkt.ProtoICMP, id, inner.Dst, 0)]
 		mode = e.pol.ICMPEcho
 	default:
 		e.drop(DropICMPInnerProto)
@@ -164,7 +164,7 @@ func (e *Engine) inboundICMP(ip *netpkt.IPv4) bool {
 	case ICMPToRST:
 		e.synthesizeRST(ip, b)
 	}
-	ip.Dst = b.flow.client
+	ip.Dst = b.flow.client.addr()
 	e.translated()
 	return true
 }
@@ -192,7 +192,7 @@ func (e *Engine) translateInnerToInternal(ip *netpkt.IPv4, b *Binding, badIPCsum
 	}
 	var oldAddr [4]byte
 	copy(oldAddr[:], body[12:16])
-	client4 := b.flow.client.As4()
+	client4 := b.flow.client.as4()
 
 	// Rewrite the embedded source address (the client's).
 	copy(body[12:16], client4[:])
@@ -302,6 +302,6 @@ func (e *Engine) synthesizeRST(ip *netpkt.IPv4, b *Binding) {
 		Flags:   netpkt.TCPRst,
 	}
 	ip.Protocol = netpkt.ProtoTCP
-	ip.Src = b.flow.server
-	ip.Payload = rst.Marshal(b.flow.server, b.flow.client)
+	ip.Src = b.flow.server.addr()
+	ip.Payload = rst.Marshal(ip.Src, b.flow.client.addr())
 }

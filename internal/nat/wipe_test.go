@@ -1,7 +1,9 @@
 package nat
 
 import (
+	"net/netip"
 	"testing"
+	"testing/quick"
 
 	"hgw/internal/netpkt"
 	"hgw/internal/obs"
@@ -114,5 +116,18 @@ func TestWipedInboundDropAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("wiped-binding inbound drop allocates %.1f objects per run, want 0", n)
+	}
+}
+
+// TestIP4KeyOrder: the NAT tables key on IPv4 addresses as numbers, and
+// WipeBindings sorts by them, so numeric order must be netip.Addr's
+// order and the conversion must round-trip.
+func TestIP4KeyOrder(t *testing.T) {
+	f := func(a, b [4]byte) bool {
+		x, y := netip.AddrFrom4(a), netip.AddrFrom4(b)
+		return (ip4Of(x) < ip4Of(y)) == x.Less(y) && ip4Of(x).addr() == x
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 10000}); err != nil {
+		t.Fatal(err)
 	}
 }

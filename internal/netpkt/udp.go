@@ -23,17 +23,25 @@ func (u *UDP) Marshal(src, dst netip.Addr) []byte {
 func (u *UDP) AppendMarshal(b []byte, src, dst netip.Addr) []byte {
 	off := len(b)
 	b = growZero(b, 8+len(u.Payload))
-	w := b[off:]
-	binary.BigEndian.PutUint16(w[0:2], u.SrcPort)
-	binary.BigEndian.PutUint16(w[2:4], u.DstPort)
+	copy(b[off+8:], u.Payload)
+	PutUDPHeader(b[off:], u.SrcPort, u.DstPort, src, dst)
+	return b
+}
+
+// PutUDPHeader writes the 8-byte header of w, a datagram whose payload
+// already follows it, with the checksum over the pseudo-header for
+// src/dst. It lets a sender build its payload in place behind the
+// header instead of copying it in.
+func PutUDPHeader(w []byte, sport, dport uint16, src, dst netip.Addr) {
+	binary.BigEndian.PutUint16(w[0:2], sport)
+	binary.BigEndian.PutUint16(w[2:4], dport)
 	binary.BigEndian.PutUint16(w[4:6], uint16(len(w)))
-	copy(w[8:], u.Payload)
+	w[6], w[7] = 0, 0
 	csum := TransportChecksum(src, dst, ProtoUDP, w)
 	if csum == 0 {
 		csum = 0xffff // RFC 768: transmitted all-ones when computed zero
 	}
 	binary.BigEndian.PutUint16(w[6:8], csum)
-	return b
 }
 
 // Clone returns a deep copy whose Payload no longer aliases the parse

@@ -33,8 +33,6 @@ type Time = time.Duration
 // through a free list; gen distinguishes the current occupant from
 // stale Event handles that still point at the slot.
 type eventRec struct {
-	at       Time
-	seq      uint64 // tie-breaker: FIFO among equal timestamps
 	fn       func()
 	gen      uint32
 	canceled bool
@@ -166,11 +164,12 @@ func (s *Sim) At(t Time, fn func()) Event {
 		s.obs.GaugeSet(obs.GSimSlabSlots, int64(len(s.slab)))
 	}
 	rec := &s.slab[idx]
-	rec.at, rec.seq, rec.fn, rec.canceled = t, s.seq, fn, false
+	rec.fn, rec.canceled = fn, false
+	e := entry{at: t, seq: s.seq, idx: idx}
 	if t-s.now < nearHorizon {
-		s.near.push(s.slab, idx)
+		s.near.push(e)
 	} else {
-		s.far.push(s.slab, idx)
+		s.far.push(e)
 	}
 	s.live++
 	s.obs.Inc(obs.CSimEventsScheduled)
@@ -197,25 +196,32 @@ func (s *Sim) recycle(idx int32) {
 // one a single heap would produce.
 const nearHorizon = 100 * time.Millisecond
 
-// eventHeap is a binary min-heap of slab indices keyed by (at, seq).
-type eventHeap []int32
-
-// less orders slab records by (at, seq).
-func less(slab []eventRec, a, b int32) bool {
-	ra, rb := &slab[a], &slab[b]
-	if ra.at != rb.at {
-		return ra.at < rb.at
-	}
-	return ra.seq < rb.seq
+// entry is one heap entry: a slab index beside its record's key, so
+// that heap comparisons read only the heap's own contiguous memory.
+type entry struct {
+	at  Time
+	seq uint64 // tie-breaker: FIFO among equal timestamps
+	idx int32
 }
 
-func (h *eventHeap) push(slab []eventRec, idx int32) {
-	*h = append(*h, idx)
+// before orders entries by (at, seq).
+func (a entry) before(b entry) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+// eventHeap is a binary min-heap of entries keyed by (at, seq).
+type eventHeap []entry
+
+func (h *eventHeap) push(e entry) {
+	*h = append(*h, e)
 	q := *h
 	i := len(q) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !less(slab, q[i], q[p]) {
+		if !q[i].before(q[p]) {
 			break
 		}
 		q[i], q[p] = q[p], q[i]
@@ -224,17 +230,17 @@ func (h *eventHeap) push(slab []eventRec, idx int32) {
 }
 
 // pop removes the root entry.
-func (h *eventHeap) pop(slab []eventRec) {
+func (h *eventHeap) pop() {
 	q := *h
 	n := len(q) - 1
 	q[0] = q[n]
 	*h = q[:n]
 	if n > 1 {
-		h.siftDown(slab, 0)
+		h.siftDown(0)
 	}
 }
 
-func (h eventHeap) siftDown(slab []eventRec, i int) {
+func (h eventHeap) siftDown(i int) {
 	n := len(h)
 	for {
 		l := 2*i + 1
@@ -242,10 +248,10 @@ func (h eventHeap) siftDown(slab []eventRec, i int) {
 			return
 		}
 		m := l
-		if r := l + 1; r < n && less(slab, h[r], h[l]) {
+		if r := l + 1; r < n && h[r].before(h[l]) {
 			m = r
 		}
-		if !less(slab, h[m], h[i]) {
+		if !h[m].before(h[i]) {
 			return
 		}
 		h[i], h[m] = h[m], h[i]
@@ -257,16 +263,16 @@ func (h eventHeap) siftDown(slab []eventRec, i int) {
 // property over the survivors.
 func (h *eventHeap) compact(s *Sim) {
 	kept := (*h)[:0]
-	for _, idx := range *h {
-		if s.slab[idx].canceled {
-			s.recycle(idx)
+	for _, e := range *h {
+		if s.slab[e.idx].canceled {
+			s.recycle(e.idx)
 		} else {
-			kept = append(kept, idx)
+			kept = append(kept, e)
 		}
 	}
 	*h = kept
 	for i := len(kept)/2 - 1; i >= 0; i-- {
-		kept.siftDown(s.slab, i)
+		kept.siftDown(i)
 	}
 }
 
@@ -276,7 +282,7 @@ func (s *Sim) queued() int { return len(s.near) + len(s.far) }
 // first returns the heap whose root is the earliest queued record
 // (canceled or not). The queue must be non-empty.
 func (s *Sim) first() *eventHeap {
-	if len(s.far) == 0 || len(s.near) > 0 && less(s.slab, s.near[0], s.far[0]) {
+	if len(s.far) == 0 || len(s.near) > 0 && s.near[0].before(s.far[0]) {
 		return &s.near
 	}
 	return &s.far
@@ -348,24 +354,24 @@ func (s *Sim) Run(horizon time.Duration) Time {
 			}
 		}
 		h := s.first()
-		idx := (*h)[0]
-		rec := &s.slab[idx]
+		top := (*h)[0]
+		rec := &s.slab[top.idx]
 		if rec.canceled {
-			h.pop(s.slab)
+			h.pop()
 			s.dead--
-			s.recycle(idx)
+			s.recycle(top.idx)
 			continue
 		}
-		if horizon > 0 && rec.at > horizon {
+		if horizon > 0 && top.at > horizon {
 			// Leave it queued for a potential later Run call.
 			s.now = horizon
 			return s.now
 		}
-		at, fn := rec.at, rec.fn
-		h.pop(s.slab)
+		fn := rec.fn
+		h.pop()
 		s.live--
-		s.recycle(idx)
-		s.now = at
+		s.recycle(top.idx)
+		s.now = top.at
 		s.obs.Inc(obs.CSimEventsFired)
 		fn()
 	}

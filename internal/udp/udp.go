@@ -27,20 +27,40 @@ type Datagram struct {
 
 // Stack manages the UDP sockets of one host.
 type Stack struct {
-	h        *stack.Host
-	s        *sim.Sim
-	conns    map[uint16][]*Conn // by local port
-	nextPort uint16
-
+	h *stack.Host
+	s *sim.Sim
+	// conns indexes the sockets by local port and interface: the
+	// sockets bound to no interface under (port, nil), those bound to
+	// interface ifc under (port, ifc). A datagram for one of many
+	// per-interface sockets on a port (the test server runs a DHCP and
+	// a probe server per VLAN) then costs a lookup, not a scan of them
+	// all. A port's (port, nil) entry exists while any socket holds the
+	// port.
+	conns map[ifPort]sockets
 	// chunk is append-only storage for delivered payloads: each
 	// Datagram.Data is a capacity-capped slice of a chunk, and no byte
 	// of a chunk is written again once handed out, so a Datagram's
 	// Data stays valid for as long as its holder keeps it.
-	chunk []byte
+	chunk    []byte
+	binds    uint64 // sockets bound so far; orders ICMP delivery
+	nextPort uint16
 
 	// GeneratePortUnreachable controls whether datagrams to closed
 	// ports trigger ICMP Port Unreachable (true for real hosts).
 	GeneratePortUnreachable bool
+}
+
+// ifPort keys Stack.conns; iface is nil for sockets bound to no
+// interface.
+type ifPort struct {
+	port  uint16
+	iface *stack.NetIf
+}
+
+// sockets is one entry of Stack.conns.
+type sockets struct {
+	head  *Conn // the entry's sockets in bind order, linked through Conn.next
+	bound int   // in a (port, nil) entry: the interface-bound sockets on the port
 }
 
 // New attaches a UDP stack to host h.
@@ -48,7 +68,7 @@ func New(h *stack.Host) *Stack {
 	st := &Stack{
 		h:                       h,
 		s:                       h.S,
-		conns:                   make(map[uint16][]*Conn),
+		conns:                   make(map[ifPort]sockets),
 		nextPort:                32768,
 		GeneratePortUnreachable: true,
 	}
@@ -62,16 +82,14 @@ type Conn struct {
 	st         *Stack
 	localAddr  netip.Addr   // zero = any local address
 	iface      *stack.NetIf // non-nil = only packets arriving on this interface
-	localPort  uint16
 	remoteAddr netip.Addr
+	next       *Conn  // next socket in the same Stack.conns entry
+	seq        uint64 // bind order within the stack
+	localPort  uint16
 	remotePort uint16
+	closed     bool
 	rx         sim.Chan[Datagram]
 	icmp       *sim.Chan[ICMPEvent] // created on first use; most sockets never see ICMP
-	closed     bool
-	// first backs the port's entry in st.conns while this socket is
-	// the port's only one, so binding a free port allocates only the
-	// Conn; a second socket on the port moves the entry to the heap.
-	first [1]*Conn
 }
 
 // ICMPEvent reports an ICMP error received about this socket's traffic.
@@ -106,27 +124,48 @@ func (st *Stack) bind(addr netip.Addr, ifc *stack.NetIf, port uint16) (*Conn, er
 		if port == 0 {
 			return nil, errPortInUse
 		}
-	} else {
-		for _, c := range st.conns[port] {
-			if c.localAddr == addr && c.iface == ifc && !c.remoteAddr.IsValid() {
-				return nil, fmt.Errorf("%w: %d", errPortInUse, port)
-			}
-		}
 	}
+	k := ifPort{port, ifc}
+	e := st.conns[k]
+	last := &e.head
+	for c := e.head; c != nil; c = c.next {
+		if c.localAddr == addr && !c.remoteAddr.IsValid() {
+			return nil, fmt.Errorf("%w: %d", errPortInUse, port)
+		}
+		last = &c.next
+	}
+	st.binds++
 	c := &Conn{
 		st:        st,
 		localAddr: addr,
 		iface:     ifc,
 		localPort: port,
+		seq:       st.binds,
 	}
 	c.rx.Init(st.s)
-	if lst := st.conns[port]; len(lst) > 0 {
-		st.conns[port] = append(lst, c)
-	} else {
-		c.first[0] = c
-		st.conns[port] = c.first[:]
+	*last = c
+	st.conns[k] = e
+	if ifc != nil {
+		st.addBound(port, 1)
 	}
 	return c, nil
+}
+
+// addBound adjusts the count of interface-bound sockets on port.
+func (st *Stack) addBound(port uint16, n int) {
+	k := ifPort{port, nil}
+	e := st.conns[k]
+	e.bound += n
+	st.put(k, e)
+}
+
+// put stores entry e under k, or drops k once e is empty.
+func (st *Stack) put(k ifPort, e sockets) {
+	if e.head == nil && e.bound == 0 {
+		delete(st.conns, k)
+	} else {
+		st.conns[k] = e
+	}
 }
 
 // Dial opens a connected socket toward remote:rport from an ephemeral
@@ -151,7 +190,7 @@ func (st *Stack) allocPort() uint16 {
 		if p < 1024 {
 			continue
 		}
-		if len(st.conns[p]) == 0 {
+		if _, held := st.conns[ifPort{p, nil}]; !held {
 			return p
 		}
 	}
@@ -170,15 +209,18 @@ func (c *Conn) Close() {
 		return
 	}
 	c.closed = true
-	lst := c.st.conns[c.localPort]
-	for i, x := range lst {
-		if x == c {
-			c.st.conns[c.localPort] = append(lst[:i], lst[i+1:]...)
+	st := c.st
+	k := ifPort{c.localPort, c.iface}
+	e := st.conns[k]
+	for p := &e.head; *p != nil; p = &(*p).next {
+		if *p == c {
+			*p, c.next = c.next, nil
 			break
 		}
 	}
-	if len(c.st.conns[c.localPort]) == 0 {
-		delete(c.st.conns, c.localPort)
+	st.put(k, e)
+	if c.iface != nil {
+		st.addBound(c.localPort, -1)
 	}
 	c.rx.Close()
 	if c.icmp != nil {
@@ -271,26 +313,53 @@ func (st *Stack) input(ifc *stack.NetIf, ip *netpkt.IPv4) (kept bool) {
 	if u.Parse(ip.Payload, ip.Src, ip.Dst, true) != nil {
 		return false
 	}
-	// Most-specific match wins: connected > interface-bound >
-	// address-bound > wildcard.
+	if c := st.demux(ifc, ip.Dst, ip.Src, u.SrcPort, u.DstPort); c != nil {
+		c.rx.Send(Datagram{From: ip.Src, FromPort: u.SrcPort, To: ip.Dst, ToPort: u.DstPort, TTL: ip.TTL, If: ifc, Data: st.keep(u.Payload)})
+		return false
+	}
+	if st.GeneratePortUnreachable {
+		st.h.SendICMPError(ip, netpkt.ICMPDestUnreachable, netpkt.ICMPCodePortUnreachable, 0)
+	}
+	return false
+}
+
+// demux returns the socket a datagram to dst:dport from src:sport,
+// arriving on ifc, is delivered to: the most specific match (connected
+// > interface-bound > address-bound > wildcard), the earliest bound
+// among equals. An interface-bound socket scores 2, 3, 6 or 7 and one
+// bound to no interface 0, 1, 4 or 5, so the best of each group is
+// found on its own and the two never tie.
+func (st *Stack) demux(ifc *stack.NetIf, dst, src netip.Addr, sport, dport uint16) *Conn {
+	e, ok := st.conns[ifPort{dport, nil}]
+	if !ok {
+		return nil
+	}
+	c, score := bestMatch(e.head, 0, dst, src, sport)
+	if e.bound > 0 {
+		if cb, sb := bestMatch(st.conns[ifPort{dport, ifc}].head, 2, dst, src, sport); sb > score {
+			c = cb
+		}
+	}
+	return c
+}
+
+// bestMatch returns the most specific socket in the list at head that
+// accepts a datagram to dst from src:sport, the earliest among equals,
+// and its score; base is the score of the interface binding, which the
+// caller has matched. The score is -1 when none accepts it.
+func bestMatch(head *Conn, base int, dst, src netip.Addr, sport uint16) (*Conn, int) {
 	var best *Conn
 	bestScore := -1
-	for _, c := range st.conns[u.DstPort] {
-		if c.localAddr.IsValid() && c.localAddr != ip.Dst {
-			continue
-		}
-		if c.iface != nil && c.iface != ifc {
-			continue
-		}
-		score := 0
+	for c := head; c != nil; c = c.next {
+		score := base
 		if c.localAddr.IsValid() {
-			score += 1
-		}
-		if c.iface != nil {
-			score += 2
+			if c.localAddr != dst {
+				continue
+			}
+			score++
 		}
 		if c.remoteAddr.IsValid() {
-			if c.remoteAddr != ip.Src || c.remotePort != u.SrcPort {
+			if c.remoteAddr != src || c.remotePort != sport {
 				continue
 			}
 			score += 4
@@ -299,14 +368,7 @@ func (st *Stack) input(ifc *stack.NetIf, ip *netpkt.IPv4) (kept bool) {
 			best, bestScore = c, score
 		}
 	}
-	if best != nil {
-		best.rx.Send(Datagram{From: ip.Src, FromPort: u.SrcPort, To: ip.Dst, ToPort: u.DstPort, TTL: ip.TTL, If: ifc, Data: st.keep(u.Payload)})
-		return false
-	}
-	if st.GeneratePortUnreachable {
-		st.h.SendICMPError(ip, netpkt.ICMPDestUnreachable, netpkt.ICMPCodePortUnreachable, 0)
-	}
-	return false
+	return best, bestScore
 }
 
 // Payload chunks start small and double up to a cap, which bounds what
@@ -346,13 +408,38 @@ func (st *Stack) deliverICMP(from netip.Addr, ic *netpkt.ICMP, inner *netpkt.IPv
 	if !ok {
 		return
 	}
-	for _, c := range st.conns[sport] {
-		if c.remoteAddr.IsValid() && (c.remoteAddr != inner.Dst || c.remotePort != dport) {
-			continue
-		}
+	if c := st.icmpTarget(sport, inner.Dst, dport); c != nil {
 		c.icmpChan().Send(ICMPEvent{From: from, Type: ic.Type, Code: ic.Code})
-		return
 	}
+}
+
+// icmpTarget returns the socket an ICMP error about a datagram sent
+// from port sport to dst:dport concerns: the first bound, on any
+// interface or none, that is unconnected or connected to dst:dport.
+func (st *Stack) icmpTarget(sport uint16, dst netip.Addr, dport uint16) *Conn {
+	e, ok := st.conns[ifPort{sport, nil}]
+	if !ok {
+		return nil
+	}
+	var first *Conn
+	consider := func(head *Conn) {
+		for c := head; c != nil; c = c.next {
+			if c.remoteAddr.IsValid() && (c.remoteAddr != dst || c.remotePort != dport) {
+				continue
+			}
+			if first == nil || c.seq < first.seq {
+				first = c
+			}
+			return
+		}
+	}
+	consider(e.head)
+	if e.bound > 0 {
+		for _, ifc := range st.h.Ifaces() {
+			consider(st.conns[ifPort{sport, ifc}].head)
+		}
+	}
+	return first
 }
 
 // EnableICMPErrors subscribes the UDP stack to host ICMP errors so that
