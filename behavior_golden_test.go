@@ -27,7 +27,10 @@ const updateEnv = "HGW_UPDATE_GOLDEN"
 // goldenRuns lists the acceptance renders: the UDP-1..5, TCP-1..4 and
 // ICMP experiments on a mixed device subset (preserve+reuse,
 // preserve+new, no-preservation, coarse timers, >24 h TCP all covered),
-// plus a 256-device / 8-shard fleet sweep.
+// a 256-device / 8-shard fleet sweep, and the binding-rate probe on the
+// two devices of the flow_churn benchmark (its rate is an exact count
+// of arrivals over simulated time, so any change to how the probe
+// creates bindings or counts them shows here).
 var goldenRuns = []struct {
 	name string
 	ids  []string
@@ -51,6 +54,14 @@ var goldenRuns = []struct {
 			hgw.WithFleet(256),
 			hgw.WithShards(8),
 			hgw.WithIterations(1),
+		},
+	},
+	{
+		name: "bindrate",
+		ids:  []string{"bindrate"},
+		opts: []hgw.Option{
+			hgw.WithTags("al", "ap"),
+			hgw.WithSeed(1),
 		},
 	},
 }

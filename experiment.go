@@ -62,6 +62,10 @@ type Env struct {
 	Options Options
 	Testbed *Testbed
 	Sim     *Sim
+
+	// maxProcs bounds the testbeds a Standalone experiment keeps alive
+	// at once (the run's WithMaxProcs; below 1, NumCPU).
+	maxProcs int
 }
 
 // result wraps an experiment's output in the uniform envelope.
@@ -355,7 +359,7 @@ func newICMPExperiment() *Experiment {
 
 // newThroughputExperiment runs the TCP-2 bulk transfers and TCP-3
 // embedded-timestamp delay measurement, one device at a time on fresh
-// testbeds (as the paper does), parallelized across real CPUs.
+// testbeds (as the paper does), up to the run's maxProcs at once.
 func newThroughputExperiment() *Experiment {
 	e := &Experiment{ID: "tcp2", Title: "TCP-2/TCP-3: throughput and queuing delay (Figures 8 & 9)",
 		Ref: "Figures 8-9", Standalone: true,
@@ -383,6 +387,10 @@ func newThroughputExperiment() *Experiment {
 	return e
 }
 
+// measureThroughput is the per-device TCP-2/TCP-3 measurement; tests
+// replace it to watch how many run at once.
+var measureThroughput = probe.MeasureThroughputInterruptible
+
 func measureThroughputAll(ctx context.Context, env *Env) ([]Throughput, error) {
 	tags := env.Tags
 	if len(tags) == 0 {
@@ -397,7 +405,11 @@ func measureThroughputAll(ctx context.Context, env *Env) ([]Throughput, error) {
 	}
 	interrupt := func() bool { return ctx.Err() != nil }
 	results := make([]Throughput, len(tags))
-	sem := make(chan struct{}, runtime.NumCPU())
+	workers := env.maxProcs
+	if workers < 1 {
+		workers = runtime.NumCPU()
+	}
+	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
 	for i, tag := range tags {
 		i, tag := i, tag
@@ -409,7 +421,7 @@ func measureThroughputAll(ctx context.Context, env *Env) ([]Throughput, error) {
 			if ctx.Err() != nil {
 				return
 			}
-			results[i] = probe.MeasureThroughputInterruptible(tag, env.Options, env.Seed, interrupt)
+			results[i] = measureThroughput(tag, env.Options, env.Seed, interrupt)
 		}()
 	}
 	wg.Wait()

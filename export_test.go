@@ -12,3 +12,11 @@ func Unregister(id string) {
 		}
 	}
 }
+
+// SetThroughputProbe replaces tcp2's per-device measurement with f
+// until the returned restore func runs.
+func SetThroughputProbe(f func(tag string) Throughput) (restore func()) {
+	old := measureThroughput
+	measureThroughput = func(tag string, _ Options, _ int64, _ func() bool) Throughput { return f(tag) }
+	return func() { measureThroughput = old }
+}

@@ -319,8 +319,7 @@ type fwdQueue struct {
 	d      *Device
 	name   string
 	other  *fwdQueue
-	queue  []*netpkt.IPv4
-	qhead  int
+	queue  sim.FIFO[*netpkt.IPv4]
 	queued int
 	busy   bool
 	drops  int
@@ -429,7 +428,7 @@ func (q *fwdQueue) enqueue(ip *netpkt.IPv4) {
 			discard(ip)
 			return
 		}
-		q.queue = append(q.queue, ip)
+		q.queue.Push(ip)
 		q.queued += ip.TotalLen()
 		return
 	}
@@ -461,18 +460,10 @@ func (q *fwdQueue) serveDone() {
 }
 
 func (q *fwdQueue) next() {
-	if q.qhead == len(q.queue) {
-		q.queue = q.queue[:0]
-		q.qhead = 0
+	if q.queue.Len() == 0 {
 		return
 	}
-	ip := q.queue[q.qhead]
-	q.queue[q.qhead] = nil
-	q.qhead++
-	if q.qhead == len(q.queue) {
-		q.queue = q.queue[:0]
-		q.qhead = 0
-	}
+	ip := q.queue.Pop()
 	q.queued -= ip.TotalLen()
 	q.serve(ip)
 }

@@ -24,7 +24,7 @@ type rig struct {
 	cUDP   *udp.Stack
 }
 
-func buildRig(t *testing.T, prof Profile) *rig {
+func buildRig(t testing.TB, prof Profile) *rig {
 	t.Helper()
 	s := sim.New(9)
 	r := &rig{s: s}
@@ -64,7 +64,7 @@ func buildRig(t *testing.T, prof Profile) *rig {
 	return r
 }
 
-func mustPrefix(t *testing.T, s string) (p netipPrefix) {
+func mustPrefix(t testing.TB, s string) (p netipPrefix) {
 	t.Helper()
 	var err error
 	p, err = parsePrefix(s)

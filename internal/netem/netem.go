@@ -174,14 +174,12 @@ type pipe struct {
 	s      *sim.Sim
 	cfg    LinkConfig
 	dst    *Iface
-	queue  []*netpkt.Frame // awaiting serialization
-	qhead  int
-	queued int // bytes in queue
+	queue  sim.FIFO[*netpkt.Frame] // awaiting serialization
+	queued int                     // bytes in queue
 	busy   bool
 
-	txFrame *netpkt.Frame   // currently serializing
-	propq   []*netpkt.Frame // serialized, propagating (delivery FIFO)
-	proph   int
+	txFrame *netpkt.Frame           // currently serializing
+	propq   sim.FIFO[*netpkt.Frame] // serialized, propagating (delivery order)
 
 	drops     int
 	delivered int
@@ -242,7 +240,7 @@ func (p *pipe) send(f *netpkt.Frame) {
 			}
 			return
 		}
-		p.queue = append(p.queue, f)
+		p.queue.Push(f)
 		p.queued += f.Len()
 		return
 	}
@@ -267,9 +265,10 @@ func (p *pipe) transmit(f *netpkt.Frame) {
 func (p *pipe) txDone() {
 	f := p.txFrame
 	p.txFrame = nil
-	p.propq = append(p.propq, f)
+	p.propq.Push(f)
 	p.s.After(p.cfg.Delay, p.deliverFn)
-	if next := p.popQueue(); next != nil {
+	if p.queue.Len() > 0 {
+		next := p.queue.Pop()
 		p.queued -= next.Len()
 		p.transmit(next)
 		return
@@ -279,31 +278,9 @@ func (p *pipe) txDone() {
 
 // deliverHead hands the oldest propagating frame to the destination.
 func (p *pipe) deliverHead() {
-	f := p.propq[p.proph]
-	p.propq[p.proph] = nil
-	p.proph++
-	if p.proph == len(p.propq) {
-		p.propq = p.propq[:0]
-		p.proph = 0
-	}
+	f := p.propq.Pop()
 	p.delivered++
 	p.dst.deliver(f)
-}
-
-func (p *pipe) popQueue() *netpkt.Frame {
-	if p.qhead == len(p.queue) {
-		p.queue = p.queue[:0]
-		p.qhead = 0
-		return nil
-	}
-	f := p.queue[p.qhead]
-	p.queue[p.qhead] = nil
-	p.qhead++
-	if p.qhead == len(p.queue) {
-		p.queue = p.queue[:0]
-		p.qhead = 0
-	}
-	return f
 }
 
 // Switch is a VLAN-partitioned learning Ethernet switch. Each port has

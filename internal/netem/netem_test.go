@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -475,5 +476,57 @@ func BenchmarkSwitchFlood(b *testing.B) {
 				ports[2*i%n].Recv(f)
 			}
 		})
+	}
+}
+
+// TestLinkBacklogKeepsStorage keeps a link's transmit queue and its
+// propagation queue busy for thousands of frames, so neither ever
+// drains. Their backing arrays must stay bounded by their live lengths
+// rather than grow with every frame served, and frames must arrive in
+// the order sent.
+func TestLinkBacklogKeepsStorage(t *testing.T) {
+	s := sim.New(1)
+	a, b := mkIface("a"), mkIface("b")
+	// 1000 B frames: 80 µs to serialize, and 50 of them in flight.
+	l := Connect(s, a, b, LinkConfig{Rate: 100e6, Delay: 4 * time.Millisecond})
+	const frames = 5000
+	longestQ, longestP, got := 0, 0, 0
+	b.Recv = func(f *netpkt.Frame) {
+		if seq := int(binary.BigEndian.Uint32(f.Payload)); seq != got {
+			t.Fatalf("frame %d arrived as number %d", seq, got)
+		}
+		got++
+	}
+	// Four frames ahead of the link, then one per serialization time.
+	sent, burst := 0, 4
+	var tick func()
+	tick = func() {
+		for ; burst > 0 && sent < frames; burst-- {
+			f := &netpkt.Frame{Payload: make([]byte, 982)}
+			binary.BigEndian.PutUint32(f.Payload, uint32(sent))
+			a.Send(f)
+			sent++
+		}
+		if sent == frames {
+			return
+		}
+		burst = 1
+		longestQ = max(longestQ, l.ab.queue.Len())
+		longestP = max(longestP, l.ab.propq.Len())
+		s.After(80*time.Microsecond, tick)
+	}
+	s.After(0, tick)
+	s.Run(0)
+	if got != frames {
+		t.Fatalf("delivered %d of %d frames", got, frames)
+	}
+	if longestQ == 0 || longestP < 40 {
+		t.Fatalf("no standing backlog: at most %d queued and %d in flight", longestQ, longestP)
+	}
+	if c := l.ab.queue.Cap(); c > 4*longestQ+8 {
+		t.Errorf("transmit queue holds at most %d frames but its array grew to %d", longestQ, c)
+	}
+	if c := l.ab.propq.Cap(); c > 4*longestP+8 {
+		t.Errorf("propagation queue holds at most %d frames but its array grew to %d", longestP, c)
 	}
 }

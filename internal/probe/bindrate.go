@@ -10,9 +10,11 @@ import (
 
 // BindRate measures how fast a gateway can create fresh UDP bindings
 // (the paper's §5 lists "the rate at which NATs are capable of creating
-// new bindings" as planned future work). The prober opens new flows
-// back-to-back for the given duration and counts how many reach the
-// server; the sample unit is bindings per second.
+// new bindings" as planned future work). The prober sends one datagram
+// from a fresh ephemeral port back-to-back for the given duration (each
+// new source port is a new flow, hence a new binding at the NAT) and
+// counts how many reach the server, as they land and then through a
+// 50 ms straggler wait; the sample unit is bindings per second.
 //
 // On the emulated devices the ceiling comes from the forwarding-plane
 // rate (binding setup is one small packet each), so this doubles as an
@@ -22,6 +24,7 @@ func BindRate(tb *testbed.Testbed, s *sim.Sim, duration time.Duration, opts Opti
 	if duration <= 0 {
 		duration = 2 * time.Second
 	}
+	payload := []byte("bind-rate")
 	return RunPerDevice(tb, s, "udp-bindrate", func(p *sim.Proc, n *testbed.Node) DeviceResult {
 		port := uint16(udpProbeBasePort + 50)
 		srv, err := tb.Server.UDP.BindIf(n.ServerIf, port)
@@ -31,20 +34,18 @@ func BindRate(tb *testbed.Testbed, s *sim.Sim, duration time.Duration, opts Opti
 		defer srv.Close()
 
 		start := p.Now()
-		sent := 0
+		got := 0
 		for p.Now()-start < duration {
-			c, err := tb.Client.UDP.Dial(n.ServerAddr, port)
-			if err != nil {
+			// Count what has landed so far (taking no simulated time),
+			// so the server's queue stays short.
+			got += srv.Drain()
+			if tb.Client.UDP.SendOnce(n.ServerAddr, port, payload) != nil {
 				break
 			}
-			c.SendTo(n.ServerAddr, port, []byte("bind-rate"))
-			c.Close()
-			sent++
 			// Pace lightly so the LAN link is not the artificial limit.
 			p.Sleep(20 * time.Microsecond)
 		}
-		// Count arrivals (each created one binding at the NAT).
-		got := 0
+		// Count the rest (each arrival created one binding at the NAT).
 		for {
 			if _, ok := srv.TryRecv(); !ok {
 				// Allow stragglers to drain once.
@@ -56,7 +57,6 @@ func BindRate(tb *testbed.Testbed, s *sim.Sim, duration time.Duration, opts Opti
 		}
 		elapsed := (p.Now() - start).Seconds()
 		rate := float64(got) / elapsed
-		_ = sent
 		return DeviceResult{Tag: n.Tag, Samples: []float64{rate}}
 	})
 }

@@ -14,7 +14,7 @@ import "time"
 type Chan[T any] struct {
 	s       *Sim
 	buf     segQueue[T]
-	waiters fifo[*chanWaiter[T]] // parked receivers, oldest first
+	waiters FIFO[*chanWaiter[T]] // parked receivers, oldest first
 	spare   []*chanWaiter[T]     // resolved waiters for reuse
 	closed  bool
 }
@@ -50,8 +50,8 @@ func (c *Chan[T]) Send(v T) {
 	if c.closed {
 		return
 	}
-	if c.waiters.len() > 0 {
-		w := c.waiters.pop()
+	if c.waiters.Len() > 0 {
+		w := c.waiters.Pop()
 		w.val, w.ok = v, true
 		w.timeout.Cancel()
 		w.p.scheduleWake()
@@ -67,8 +67,8 @@ func (c *Chan[T]) Close() {
 		return
 	}
 	c.closed = true
-	for c.waiters.len() > 0 {
-		w := c.waiters.pop()
+	for c.waiters.Len() > 0 {
+		w := c.waiters.Pop()
 		w.timeout.Cancel()
 		w.p.scheduleWake()
 	}
@@ -99,7 +99,7 @@ func (c *Chan[T]) Recv(p *Proc, timeout time.Duration) (v T, ok bool) {
 	if timeout > 0 {
 		w.timeout = c.s.After(timeout, w.expireFn)
 	}
-	c.waiters.push(w)
+	c.waiters.Push(w)
 	p.park()
 	v, ok = w.val, w.ok
 	*w = chanWaiter[T]{c: c, expireFn: w.expireFn}
@@ -208,21 +208,30 @@ func (q *segQueue[T]) reset() {
 	q.head, q.tail, q.hi, q.ti, q.n = nil, nil, 0, 0, 0
 }
 
-// fifo is a slice-backed queue that keeps its storage: pops advance a
+// FIFO is a slice-backed queue that keeps its storage: pops advance a
 // head index instead of re-slicing the front away, and a push into a
 // full backing array first slides the live items down when at least
 // half of it is dead, so a queue whose length stays bounded stops
-// allocating. It holds a Chan's waiters, where expire needs delete by
-// index.
-type fifo[T any] struct {
+// allocating, even one that never drains (a standing backlog): the
+// array grows only while more than half of it is live, so it stays
+// below four times the longest backlog. It holds a Chan's waiters
+// (where expire needs delete by index) and the packet queues of links
+// and gateway forwarding engines. The zero FIFO is empty and ready to
+// use.
+type FIFO[T any] struct {
 	items []T // live items are items[head:]
 	head  int
 }
 
-func (q *fifo[T]) len() int { return len(q.items) - q.head }
+// Len returns the number of queued items.
+func (q *FIFO[T]) Len() int { return len(q.items) - q.head }
 
-func (q *fifo[T]) push(v T) {
-	if len(q.items) == cap(q.items) && q.head > 0 && q.head >= q.len() {
+// Cap returns the capacity of the backing array.
+func (q *FIFO[T]) Cap() int { return cap(q.items) }
+
+// Push appends v at the tail.
+func (q *FIFO[T]) Push(v T) {
+	if len(q.items) == cap(q.items) && q.head > 0 && q.head >= q.Len() {
 		n := copy(q.items, q.items[q.head:])
 		clear(q.items[n:])
 		q.items = q.items[:n]
@@ -231,8 +240,8 @@ func (q *fifo[T]) push(v T) {
 	q.items = append(q.items, v)
 }
 
-// pop removes and returns the oldest item; the queue must be non-empty.
-func (q *fifo[T]) pop() T {
+// Pop removes and returns the oldest item; the queue must be non-empty.
+func (q *FIFO[T]) Pop() T {
 	v := q.items[q.head]
 	var zero T
 	q.items[q.head] = zero
@@ -245,7 +254,7 @@ func (q *fifo[T]) pop() T {
 }
 
 // delete removes the item at absolute index i (head <= i < len(items)).
-func (q *fifo[T]) delete(i int) {
+func (q *FIFO[T]) delete(i int) {
 	n := len(q.items) - 1
 	copy(q.items[i:], q.items[i+1:])
 	var zero T

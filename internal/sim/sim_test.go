@@ -211,7 +211,7 @@ func TestChanTimedOutWaitersDropped(t *testing.T) {
 	if timeouts != n {
 		t.Fatalf("timeouts = %d, want %d", timeouts, n)
 	}
-	if q := c.waiters.len(); q != 0 {
+	if q := c.waiters.Len(); q != 0 {
 		t.Fatalf("%d timed-out waiters still queued", q)
 	}
 	if len(c.spare) > 1 {

@@ -7,24 +7,26 @@ import (
 	"hgw/internal/sim"
 )
 
-// dialCycle is the per-binding cycle of the bindrate probe without the
-// NAT: open a connected socket, send one datagram, close the socket,
-// and run the simulator until the server holds the datagram, which is
-// then read.
+// dialCycle sends one datagram that needs no reply from a fresh
+// ephemeral port, without a NAT: by opening a connected socket,
+// sending and closing it (as the UDP timeout probes do), or with
+// SendOnce when once is set (as the bindrate probe does). It then runs
+// the simulator until the server holds the datagram, which is read.
 type dialCycle struct {
-	s   *sim.Sim
-	cli *Stack
-	srv *Conn
+	s    *sim.Sim
+	cli  *Stack
+	srv  *Conn
+	once bool
 }
 
-func newDialCycle(tb testing.TB) *dialCycle {
+func newDialCycle(tb testing.TB, once bool) *dialCycle {
 	s := sim.New(1)
 	_, _, ua, ub := pair(s)
 	srv, err := ub.Bind(netpkt.Addr4(10, 0, 0, 2), 7000)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	d := &dialCycle{s: s, cli: ua, srv: srv}
+	d := &dialCycle{s: s, cli: ua, srv: srv, once: once}
 	d.run(tb) // resolves ARP and warms the pools
 	return d
 }
@@ -32,12 +34,19 @@ func newDialCycle(tb testing.TB) *dialCycle {
 var bindRatePayload = []byte("bind-rate")
 
 func (d *dialCycle) run(tb testing.TB) {
-	c, err := d.cli.Dial(netpkt.Addr4(10, 0, 0, 2), 7000)
-	if err != nil {
-		tb.Fatal(err)
+	dst := netpkt.Addr4(10, 0, 0, 2)
+	if d.once {
+		if err := d.cli.SendOnce(dst, 7000, bindRatePayload); err != nil {
+			tb.Fatal(err)
+		}
+	} else {
+		c, err := d.cli.Dial(dst, 7000)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		c.SendTo(dst, 7000, bindRatePayload)
+		c.Close()
 	}
-	c.SendTo(netpkt.Addr4(10, 0, 0, 2), 7000, bindRatePayload)
-	c.Close()
 	d.s.Run(0)
 	if _, ok := d.srv.TryRecv(); !ok {
 		tb.Fatal("datagram not delivered")
@@ -54,7 +63,7 @@ func (d *dialCycle) run(tb testing.TB) {
 // misses add about one allocation per cycle (a mean near 2.0, which
 // AllocsPerRun rounds down to 1 or 2), so there the bound is 2.
 func TestAllocsDialSendClose(t *testing.T) {
-	d := newDialCycle(t)
+	d := newDialCycle(t, false)
 	most := 1.0
 	if raceEnabled {
 		most = 2
@@ -64,8 +73,27 @@ func TestAllocsDialSendClose(t *testing.T) {
 	}
 }
 
-func BenchmarkDialSendClose(b *testing.B) {
-	d := newDialCycle(b)
+// TestAllocsSendOnce pins the SendOnce → deliver cycle at zero
+// allocations: it is the Dial/SendTo/Close cycle without the Conn.
+// Under the race detector the pool misses add about one allocation per
+// cycle, so there the bound is 1.
+func TestAllocsSendOnce(t *testing.T) {
+	d := newDialCycle(t, true)
+	most := 0.0
+	if raceEnabled {
+		most = 1
+	}
+	if n := testing.AllocsPerRun(200, func() { d.run(t) }); n > most {
+		t.Fatalf("SendOnce/deliver allocates %.1f objects per cycle, want at most %.0f", n, most)
+	}
+}
+
+func BenchmarkDialSendClose(b *testing.B) { benchmarkCycle(b, false) }
+
+func BenchmarkSendOnce(b *testing.B) { benchmarkCycle(b, true) }
+
+func benchmarkCycle(b *testing.B, once bool) {
+	d := newDialCycle(b, once)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

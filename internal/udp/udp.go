@@ -243,7 +243,7 @@ func (c *Conn) icmpChan() *sim.Chan[ICMPEvent] {
 // SendTo transmits a datagram to dst:dport. It returns false if the host
 // has no route.
 func (c *Conn) SendTo(dst netip.Addr, dport uint16, data []byte) bool {
-	return c.sendFrom(c.localAddr, dst, dport, data, 0)
+	return c.st.send(c.localAddr, dst, c.localPort, dport, 0, data, nil)
 }
 
 // Send transmits on a connected socket.
@@ -256,23 +256,43 @@ func (c *Conn) Send(data []byte) bool {
 
 // SendWithOptions transmits with explicit IP options (e.g. Record Route).
 func (c *Conn) SendWithOptions(dst netip.Addr, dport uint16, data, ipOptions []byte) bool {
-	return c.sendFrom2(c.localAddr, dst, dport, data, 0, ipOptions)
+	return c.st.send(c.localAddr, dst, c.localPort, dport, 0, data, ipOptions)
 }
 
 // SendTTL transmits with an explicit TTL (0 = default).
 func (c *Conn) SendTTL(dst netip.Addr, dport uint16, data []byte, ttl uint8) bool {
-	return c.sendFrom(c.localAddr, dst, dport, data, ttl)
+	return c.st.send(c.localAddr, dst, c.localPort, dport, ttl, data, nil)
 }
 
-func (c *Conn) sendFrom(src, dst netip.Addr, dport uint16, data []byte, ttl uint8) bool {
-	return c.sendFrom2(src, dst, dport, data, ttl, nil)
+// SendOnce sends one datagram to dst:dport from a fresh ephemeral port
+// and releases the port at once: Dial, SendTo and Close in one step,
+// for a datagram that needs no reply, without building a socket. It
+// takes the port Dial would and fails as Dial does when none is free;
+// a destination without a route drops the datagram, as SendTo does.
+//
+// The two are equivalent because no simulated time passes between Dial
+// and Close and the send path delivers nothing synchronously (link
+// transmission, ARP and queues are all events), so no datagram or ICMP
+// error could reach the socket while it existed. Afterwards the port is
+// free either way: a datagram to it draws Port Unreachable and an ICMP
+// error about it finds no socket.
+func (st *Stack) SendOnce(dst netip.Addr, dport uint16, data []byte) error {
+	port := st.allocPort()
+	if port == 0 {
+		return errPortInUse
+	}
+	st.send(netip.Addr{}, dst, port, dport, 0, data, nil)
+	return nil
 }
 
-func (c *Conn) sendFrom2(src, dst netip.Addr, dport uint16, data []byte, ttl uint8, ipOptions []byte) bool {
+// send transmits a datagram from local port sport (and address src, or
+// the route's interface address when src is zero) to dst:dport. It
+// returns false if the host has no route.
+func (st *Stack) send(src, dst netip.Addr, sport, dport uint16, ttl uint8, data, ipOptions []byte) bool {
 	// Check the route before drawing a buffer, and take the source
 	// address from it when unbound, so the UDP checksum's pseudo-header
 	// matches the IP header we will emit.
-	r, ok := c.st.h.Lookup(dst)
+	r, ok := st.h.Lookup(dst)
 	if !ok {
 		return false
 	}
@@ -284,9 +304,16 @@ func (c *Conn) sendFrom2(src, dst netip.Addr, dport uint16, data []byte, ttl uin
 	// The datagram goes straight into the pooled buffer that becomes
 	// the frame: the host writes only the IP header in front of it, and
 	// recycles the record once the frame is built.
-	u := netpkt.UDP{SrcPort: c.localPort, DstPort: dport, Payload: data}
+	u := netpkt.UDP{SrcPort: sport, DstPort: dport, Payload: data}
 	ip.Payload = u.AppendMarshal(ip.Reserve(8+len(data)), src, dst)
-	return c.st.h.Send(ip)
+	// Send along the route already found (Host.Send would look it up
+	// again).
+	nh := r.NextHop
+	if !nh.IsValid() {
+		nh = dst
+	}
+	st.h.SendVia(r.If, nh, ip)
+	return true
 }
 
 // Recv waits for the next datagram. ok is false on timeout or close.

@@ -169,9 +169,11 @@ func WithOptions(o Options) Option {
 // virtual time domain whose inputs depend only on the run's settings
 // and the domain's index, and results are assembled in request (or
 // shard) order, so a run renders byte-identically at maxProcs 1, 4 or
-// 64. It also sets the run's memory budget: at most maxProcs testbeds
-// (plus, for fleets, a small pipeline window) are resident at once,
-// which is what lets WithFleet(1_000_000) run in bounded memory.
+// 64. It also sets the run's memory budget: at most maxProcs
+// experiments or shards hold a testbed at once (plus, for fleets, a
+// small pipeline window), which is what lets WithFleet(1_000_000) run
+// in bounded memory, and an experiment that builds a testbed per
+// device (tcp2) keeps at most maxProcs of those alive itself.
 func WithMaxProcs(n int) Option {
 	return func(s *settings) { s.maxProcs = n }
 }

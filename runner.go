@@ -300,7 +300,7 @@ func (r *Runner) runExperiment(ctx context.Context, e *Experiment, i, total int)
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	env := &Env{Tags: r.set.tags, Seed: r.set.seed, Options: r.set.probeOpts}
+	env := &Env{Tags: r.set.tags, Seed: r.set.seed, Options: r.set.probeOpts, maxProcs: r.set.maxProcs}
 	call := func() (res *Result, err error) {
 		defer func() {
 			if p := recover(); p != nil {
