@@ -318,3 +318,43 @@ func TestFleetMillion(t *testing.T) {
 		t.Errorf("fleet result materialized a %T payload; rows must stream", r.Payload)
 	}
 }
+
+// TestStandalonePoolDeterminism covers the Standalone experiments,
+// whose testbeds queue on the run's slot pool beside a shared-testbed
+// domain (bindrate): the render and the canonical run report must be
+// byte-identical at maxProcs 1, 2 and NumCPU, and equal the committed
+// golden, which was recorded while each Standalone experiment still
+// built its testbeds one after another (tcp2 on a private pool).
+func TestStandalonePoolDeterminism(t *testing.T) {
+	ids := []string{"bindrate", "tcp2", "fig2", "holepunch", "punchmatrix"}
+	run := func(procs int) string {
+		var canon string
+		results, err := hgw.Run(context.Background(), ids,
+			hgw.WithTags("al", "ap"), hgw.WithSeed(1), hgw.WithIterations(1),
+			hgw.WithTransferBytes(1<<20), hgw.WithMaxProcs(procs),
+			hgw.WithRunReport(func(rep *hgw.RunReport) { canon = rep.Canonical() }))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return results.Render() + "\n--- canonical run report ---\n" + canon + "\n"
+	}
+	base := run(1)
+	path := filepath.Join("testdata", "behavior", "standalone.golden")
+	if os.Getenv(updateEnv) != "" {
+		if err := os.WriteFile(path, []byte(base), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	golden, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing standalone golden: %v", err)
+	}
+	if base != string(golden) {
+		t.Errorf("maxProcs=1 output differs from the committed golden\n--- got ---\n%s\n--- want ---\n%s", base, golden)
+	}
+	for _, procs := range []int{2, runtime.NumCPU()} {
+		if got := run(procs); got != base {
+			t.Errorf("output at maxProcs=%d differs from maxProcs=1\n--- got ---\n%s\n--- want ---\n%s", procs, got, base)
+		}
+	}
+}

@@ -24,7 +24,9 @@
 // Run executes experiments concurrently, each in a sealed domain: every
 // experiment except the Standalone ones gets a freshly built Figure 1
 // testbed of its own (bring-up of all 34 devices costs milliseconds of
-// wall time), so it observes exactly what a run of it alone observes.
+// wall time), so it observes exactly what a run of it alone observes;
+// the Standalone ones build a testbed per device, mode or pair, each
+// under the same WithMaxProcs bound.
 // Registry, ExperimentIDs and Lookup expose the catalog,
 // so front-ends render table-driven instead of hand-maintaining
 // experiment lists; new experiments plug in once via Register.
@@ -78,9 +80,11 @@
 // parts of the contract, and nothing machine-dependent is, which is why
 // equal-seed runs are comparable across CI and laptops alike. The one
 // concurrency knob, WithMaxProcs, moves only wall clock: every
-// experiment and every fleet shard is an isolated time domain whose
-// results are assembled in request (or shard) order, so maxProcs may
-// safely default to NumCPU. CacheKey condenses the contract into a
+// testbed a run builds — a shared-testbed experiment's, each of a
+// Standalone experiment's own, a fleet shard — is an isolated time
+// domain whose results are assembled in request (or shard) order, so
+// maxProcs may safely default to NumCPU. It bounds the testbeds alive
+// at once across the whole run, not per experiment. CacheKey condenses the contract into a
 // content address: a stable hash of everything output is a function
 // of, which is what lets the hgwd daemon (internal/service, DESIGN.md
 // §8) answer repeated requests from cache byte-identically.

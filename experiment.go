@@ -31,9 +31,10 @@ type Experiment struct {
 	Note string
 	// LogScale renders the figure on a log axis (Figures 7 and 10).
 	LogScale bool
-	// Standalone experiments build their own testbeds (per device or
-	// per pair) instead of running on a shared one; their Env carries a
-	// nil Testbed.
+	// Standalone experiments build their own testbeds (per device, mode
+	// or pair) instead of running on a shared one; their Env carries a
+	// nil Testbed. The built-in ones queue each testbed on the run's
+	// slot pool, so WithMaxProcs bounds them too.
 	Standalone bool
 	// ExplicitOnly excludes the experiment from DefaultIDs (fig2
 	// duplicates udp1-3; bindrate/keepalive/holepunch go beyond the
@@ -63,9 +64,47 @@ type Env struct {
 	Testbed *Testbed
 	Sim     *Sim
 
-	// maxProcs bounds the testbeds a Standalone experiment keeps alive
-	// at once (the run's WithMaxProcs; below 1, NumCPU).
-	maxProcs int
+	// pool is the run's slot pool, on which a Standalone experiment
+	// queues each testbed it builds (each); nil outside a Runner.
+	pool pool
+}
+
+// each runs task(0), ..., task(n-1), one per testbed a Standalone
+// experiment builds, each holding one of the run's slots, and returns
+// once all have finished. Slots are taken in index order and the caller
+// waits holding none. Tasks write their results by index, so the output
+// does not depend on the schedule. Once ctx is cancelled no further
+// task starts. A task's panic (the lowest index's, if several) is
+// re-raised here after all have finished, so the Runner charges it to
+// the experiment. An Env built outside a Runner gets a private pool of
+// NumCPU slots. Only a Standalone experiment may call it: a
+// shared-testbed experiment's domain already holds a slot, and at
+// maxProcs 1 it would wait for itself.
+func (env *Env) each(ctx context.Context, n int, task func(i int)) {
+	p := env.pool
+	if p == nil {
+		p = make(pool, runtime.NumCPU())
+	}
+	panics := make([]any, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n && ctx.Err() == nil; i++ {
+		p.acquire()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer p.release()
+			defer func() { panics[i] = recover() }()
+			if ctx.Err() == nil {
+				task(i)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, v := range panics {
+		if v != nil {
+			panic(v)
+		}
+	}
 }
 
 // result wraps an experiment's output in the uniform envelope.
@@ -256,7 +295,11 @@ func newPunchMatrixExperiment() *Experiment {
 		Ref:   "§2", Standalone: true, ExplicitOnly: true,
 		Note: "EIM x EIF punches; APDM x APDF with fresh ports fails without port prediction; port preservation rescues it"}
 	e.Run = func(ctx context.Context, env *Env) (*Result, error) {
-		res := probe.PunchMatrix(nil, env.Seed, func() bool { return ctx.Err() != nil })
+		pairs := probe.PunchPairs(probe.PunchClasses)
+		res := make([]probe.PunchMatrixResult, len(pairs))
+		env.each(ctx, len(pairs), func(i int) {
+			res[i] = probe.PunchPair(pairs[i][0], pairs[i][1], env.Seed)
+		})
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -277,31 +320,32 @@ func newPunchMatrixExperiment() *Experiment {
 
 // newFig2Experiment overlays the UDP-1/2/3 series, ordered by the
 // UDP-1 medians like the paper's Figure 2. It is Standalone and runs
-// each sweep on a fresh testbed so its columns reproduce the
-// standalone udp1/udp2/udp3 figures exactly.
+// each sweep on a fresh testbed, one task per mode, so its columns
+// reproduce the standalone udp1/udp2/udp3 figures exactly.
 func newFig2Experiment() *Experiment {
 	e := &Experiment{ID: "fig2", Title: "Figure 2: UDP-1/2/3 combined (ordered by UDP-1)",
 		Unit: "sec", Ref: "Figure 2", Standalone: true, ExplicitOnly: true}
+	sweeps := []struct {
+		name string
+		mode probe.UDPMode
+	}{{"UDP-1", probe.UDPSolitary}, {"UDP-2", probe.UDPInbound}, {"UDP-3", probe.UDPEcho}}
 	e.Run = func(ctx context.Context, env *Env) (*Result, error) {
+		res := make([]Figure, len(sweeps))
+		env.each(ctx, len(sweeps), func(i int) {
+			tb, s := testbed.Run(testbed.Config{Tags: env.Tags, Seed: env.Seed})
+			defer s.Shutdown()
+			s.SetInterrupt(func() bool { return ctx.Err() != nil })
+			res[i] = report.NewFigure(sweeps[i].name, "sec", probe.UDPTimeouts(tb, s, sweeps[i].mode, 0, env.Options))
+		})
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		figs := map[string]Figure{}
 		series := map[string]map[string]float64{}
-		for _, st := range []struct {
-			name string
-			mode probe.UDPMode
-		}{{"UDP-1", probe.UDPSolitary}, {"UDP-2", probe.UDPInbound}, {"UDP-3", probe.UDPEcho}} {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			tb, s := testbed.Run(testbed.Config{Tags: env.Tags, Seed: env.Seed})
-			s.SetInterrupt(func() bool { return ctx.Err() != nil })
-			f := report.NewFigure(st.name, "sec", probe.UDPTimeouts(tb, s, st.mode, 0, env.Options))
-			s.Shutdown()
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			figs[st.name] = f
+		for i, st := range sweeps {
+			figs[st.name] = res[i]
 			series[st.name] = map[string]float64{}
-			for _, p := range f.Points {
+			for _, p := range res[i].Points {
 				series[st.name][p.Tag] = p.Median
 			}
 		}
@@ -358,8 +402,9 @@ func newICMPExperiment() *Experiment {
 }
 
 // newThroughputExperiment runs the TCP-2 bulk transfers and TCP-3
-// embedded-timestamp delay measurement, one device at a time on fresh
-// testbeds (as the paper does), up to the run's maxProcs at once.
+// embedded-timestamp delay measurement, each device on fresh testbeds
+// of its own (as the paper does), one task per device on the run's
+// pool.
 func newThroughputExperiment() *Experiment {
 	e := &Experiment{ID: "tcp2", Title: "TCP-2/TCP-3: throughput and queuing delay (Figures 8 & 9)",
 		Ref: "Figures 8-9", Standalone: true,
@@ -396,8 +441,8 @@ func measureThroughputAll(ctx context.Context, env *Env) ([]Throughput, error) {
 	if len(tags) == 0 {
 		tags = DeviceTags()
 	}
-	// Validate up front: a bad tag would otherwise panic inside the
-	// per-device worker goroutines, beyond the Runner's recover.
+	// Validate up front, so a bad tag fails with a clean error instead of
+	// a panic in every device's task.
 	for _, tag := range tags {
 		if _, ok := gateway.ByTag(tag); !ok {
 			return nil, fmt.Errorf("unknown gateway tag %q", tag)
@@ -405,26 +450,9 @@ func measureThroughputAll(ctx context.Context, env *Env) ([]Throughput, error) {
 	}
 	interrupt := func() bool { return ctx.Err() != nil }
 	results := make([]Throughput, len(tags))
-	workers := env.maxProcs
-	if workers < 1 {
-		workers = runtime.NumCPU()
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, tag := range tags {
-		i, tag := i, tag
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if ctx.Err() != nil {
-				return
-			}
-			results[i] = measureThroughput(tag, env.Options, env.Seed, interrupt)
-		}()
-	}
-	wg.Wait()
+	env.each(ctx, len(tags), func(i int) {
+		results[i] = measureThroughput(tags[i], env.Options, env.Seed, interrupt)
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -492,14 +520,15 @@ func newHolePunchExperiment() *Experiment {
 				pairs = append(pairs, [2]string{env.Tags[i], env.Tags[i+1]})
 			}
 		}
-		var res []HolePunchResult
+		res := make([]HolePunchResult, len(pairs))
+		env.each(ctx, len(pairs), func(i int) {
+			res[i] = probe.HolePunch(pairs[i][0], pairs[i][1], env.Seed)
+		})
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		var sb strings.Builder
-		for _, pr := range pairs {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			r := probe.HolePunch(pr[0], pr[1], env.Seed)
-			res = append(res, r)
+		for _, r := range res {
 			fmt.Fprintf(&sb, "%-5s <-> %-5s success=%v (extA=%v extB=%v)\n",
 				r.TagA, r.TagB, r.Success, r.ExtA, r.ExtB)
 		}

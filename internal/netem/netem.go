@@ -287,22 +287,33 @@ func (p *pipe) deliverHead() {
 // an access VLAN; frames are forwarded only among ports of the same
 // VLAN. Unknown destinations and broadcasts flood the VLAN.
 type Switch struct {
-	s    *sim.Sim
-	name string
-	// ports is kept sorted by VLAN, and in AddPort order within a
-	// VLAN, so a flood visits only its own VLAN's ports.
-	ports []*Iface
-	table map[fdbKey]*Iface
+	s      *sim.Sim
+	name   string
+	nports int
+	// vlans holds one group per VLAN, sorted by VLAN id. A port finds
+	// its group once, at AddPort; forwarding never looks it up.
+	vlans []*vlanGroup
 }
 
-type fdbKey struct {
-	vlan uint16
+// vlanGroup is one VLAN of a switch: its member ports, in AddPort
+// order, and the MAC addresses learned on them. Every testbed VLAN has
+// two ports and learns a few addresses, so learning and lookup scan
+// fdb instead of hashing a (VLAN, MAC) key per frame.
+type vlanGroup struct {
+	vlan    uint16
+	members []*Iface
+	fdb     []fdbEntry
+}
+
+// fdbEntry is one learned address and the port it was last seen on.
+type fdbEntry struct {
 	mac  netpkt.MAC
+	port *Iface
 }
 
 // NewSwitch creates a switch with no ports.
 func NewSwitch(s *sim.Sim, name string) *Switch {
-	return &Switch{s: s, name: name, table: make(map[fdbKey]*Iface)}
+	return &Switch{s: s, name: name}
 }
 
 // AddPort creates a new access port on the given VLAN and returns its
@@ -310,36 +321,54 @@ func NewSwitch(s *sim.Sim, name string) *Switch {
 // fixed when it is added.
 func (sw *Switch) AddPort(vlan uint16) *Iface {
 	port := &Iface{
-		Name: fmt.Sprintf("%s.p%d", sw.name, len(sw.ports)),
+		Name: fmt.Sprintf("%s.p%d", sw.name, sw.nports),
 		VLAN: vlan,
 	}
-	port.Recv = func(f *netpkt.Frame) { sw.forward(port, f) }
-	_, end := sw.vlanPorts(vlan)
-	sw.ports = slices.Insert(sw.ports, end, port)
+	sw.nports++
+	k := sort.Search(len(sw.vlans), func(i int) bool { return sw.vlans[i].vlan >= vlan })
+	if k == len(sw.vlans) || sw.vlans[k].vlan != vlan {
+		sw.vlans = slices.Insert(sw.vlans, k, &vlanGroup{vlan: vlan})
+	}
+	g := sw.vlans[k]
+	g.members = append(g.members, port)
+	port.Recv = func(f *netpkt.Frame) { g.forward(port, f) }
 	return port
 }
 
-// vlanPorts returns the range sw.ports[lo:hi] of vlan's member ports.
-func (sw *Switch) vlanPorts(vlan uint16) (lo, hi int) {
-	lo = sort.Search(len(sw.ports), func(i int) bool { return sw.ports[i].VLAN >= vlan })
-	hi = sort.Search(len(sw.ports), func(i int) bool { return sw.ports[i].VLAN > vlan })
-	return lo, hi
+// NumPorts returns the number of ports on the switch.
+func (sw *Switch) NumPorts() int { return sw.nports }
+
+// lookup returns the port mac was last learned on, or nil.
+func (g *vlanGroup) lookup(mac netpkt.MAC) *Iface {
+	for i := range g.fdb {
+		if g.fdb[i].mac == mac {
+			return g.fdb[i].port
+		}
+	}
+	return nil
 }
 
-// NumPorts returns the number of ports on the switch.
-func (sw *Switch) NumPorts() int { return len(sw.ports) }
+// learn records that mac was seen on port.
+func (g *vlanGroup) learn(mac netpkt.MAC, port *Iface) {
+	for i := range g.fdb {
+		if g.fdb[i].mac == mac {
+			g.fdb[i].port = port
+			return
+		}
+	}
+	g.fdb = append(g.fdb, fdbEntry{mac, port})
+}
 
-func (sw *Switch) forward(in *Iface, f *netpkt.Frame) {
-	vlan := in.VLAN
+func (g *vlanGroup) forward(in *Iface, f *netpkt.Frame) {
 	// Learn the source address. The paper notes some gateways use the
 	// same MAC on WAN and LAN ports, which corrupts the FDB when both
 	// sides share a switch; VLAN partitioning keeps the entries distinct
 	// only if the device is plugged into different VLANs.
 	if !f.Src.IsZero() && !f.Src.IsBroadcast() {
-		sw.table[fdbKey{vlan, f.Src}] = in
+		g.learn(f.Src, in)
 	}
 	if !f.Dst.IsBroadcast() {
-		if out, ok := sw.table[fdbKey{vlan, f.Dst}]; ok {
+		if out := g.lookup(f.Dst); out != nil {
 			if out != in {
 				out.Send(f)
 			} else {
@@ -355,8 +384,7 @@ func (sw *Switch) forward(in *Iface, f *netpkt.Frame) {
 	// last member port gets the original frame (last, so that the
 	// per-port delivery order — and therefore the event sequence — is
 	// identical to the clone-everything behavior).
-	lo, hi := sw.vlanPorts(vlan)
-	members := sw.ports[lo:hi]
+	members := g.members
 	if n := len(members); n > 0 && members[n-1] == in {
 		members = members[:n-1]
 	}
@@ -376,7 +404,13 @@ func (sw *Switch) forward(in *Iface, f *netpkt.Frame) {
 }
 
 // FDBSize returns the number of learned MAC entries (for tests).
-func (sw *Switch) FDBSize() int { return len(sw.table) }
+func (sw *Switch) FDBSize() int {
+	n := 0
+	for _, g := range sw.vlans {
+		n += len(g.fdb)
+	}
+	return n
+}
 
 // DebugDrop, when non-nil, observes every queue drop (diagnostics only).
 var DebugDrop func(*netpkt.Frame)

@@ -77,13 +77,14 @@ func TestNATMapRecoversRandomPolicies(t *testing.T) {
 // acceptance pairs must behave as the RFCs say: EIM×EIF punches,
 // fresh-port APDM×APDF does not.
 func TestPunchMatrixMatchesPrediction(t *testing.T) {
-	res := PunchMatrix(nil, 3, nil)
+	pairs := PunchPairs(PunchClasses)
 	want := len(PunchClasses) * (len(PunchClasses) + 1) / 2
-	if len(res) != want {
-		t.Fatalf("got %d pairs, want %d", len(res), want)
+	if len(pairs) != want {
+		t.Fatalf("got %d pairs, want %d", len(pairs), want)
 	}
 	byPair := map[string]PunchMatrixResult{}
-	for _, r := range res {
+	for _, pr := range pairs {
+		r := PunchPair(pr[0], pr[1], 3)
 		if !r.Agree {
 			t.Errorf("%s x %s: simulated %v, predicted %v (extA=%v extB=%v)",
 				r.ClassA, r.ClassB, r.Simulated, r.Predicted, r.ExtA, r.ExtB)

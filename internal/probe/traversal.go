@@ -224,34 +224,33 @@ type PunchMatrixResult struct {
 	ExtA, ExtB netip.AddrPort
 }
 
-// PunchMatrix sweeps UDP hole punching over every unordered pair of
-// the given behavior classes (PunchClasses when nil), one fresh
-// two-gateway testbed per pair, and checks each simulated outcome
-// against the analytic traversal prediction.
-func PunchMatrix(classes []PunchClass, seed int64, interrupt func() bool) []PunchMatrixResult {
-	if classes == nil {
-		classes = PunchClasses
-	}
-	var out []PunchMatrixResult
+// PunchPairs lists every unordered pair of the given behavior classes,
+// each class paired with itself and every later one, in sweep order.
+func PunchPairs(classes []PunchClass) [][2]PunchClass {
+	var out [][2]PunchClass
 	for i, ca := range classes {
 		for _, cb := range classes[i:] {
-			if interrupt != nil && interrupt() {
-				return out
-			}
-			profA := gateway.BehaviorProfile(ca.Label+"-a", ca.Mapping, ca.Filtering, ca.Alloc)
-			profB := gateway.BehaviorProfile(cb.Label+"-b", cb.Mapping, cb.Filtering, cb.Alloc)
-			hp := HolePunchProfiles(profA, profB, seed)
-			r := PunchMatrixResult{
-				ClassA:    ca.Label,
-				ClassB:    cb.Label,
-				Predicted: nat.PredictTraversal(ca.Mapping, ca.Filtering, ca.Preserving(), cb.Mapping, cb.Filtering, cb.Preserving()),
-				Simulated: hp.Success,
-				ExtA:      hp.ExtA,
-				ExtB:      hp.ExtB,
-			}
-			r.Agree = r.Predicted == r.Simulated
-			out = append(out, r)
+			out = append(out, [2]PunchClass{ca, cb})
 		}
 	}
 	return out
+}
+
+// PunchPair punches a UDP hole between hosts behind synthetic gateways
+// of classes ca and cb, on a fresh two-gateway testbed, and checks the
+// simulated outcome against the analytic traversal prediction.
+func PunchPair(ca, cb PunchClass, seed int64) PunchMatrixResult {
+	profA := gateway.BehaviorProfile(ca.Label+"-a", ca.Mapping, ca.Filtering, ca.Alloc)
+	profB := gateway.BehaviorProfile(cb.Label+"-b", cb.Mapping, cb.Filtering, cb.Alloc)
+	hp := HolePunchProfiles(profA, profB, seed)
+	r := PunchMatrixResult{
+		ClassA:    ca.Label,
+		ClassB:    cb.Label,
+		Predicted: nat.PredictTraversal(ca.Mapping, ca.Filtering, ca.Preserving(), cb.Mapping, cb.Filtering, cb.Preserving()),
+		Simulated: hp.Success,
+		ExtA:      hp.ExtA,
+		ExtB:      hp.ExtB,
+	}
+	r.Agree = r.Predicted == r.Simulated
+	return r
 }

@@ -121,3 +121,24 @@ func BenchmarkSpawnExit(b *testing.B) {
 	b.StopTimer()
 	s.Shutdown()
 }
+
+// BenchmarkChanSendDrain is a socket that only counts its arrivals: one
+// pointer-bearing value the size of a UDP datagram is queued and then
+// dropped with Drain, as bindrate's server socket does before each of
+// its sends. Its cost should not grow with the segment size.
+func BenchmarkChanSendDrain(b *testing.B) {
+	type datagram struct {
+		data     []byte
+		src, dst [3]uint64
+		meta     [6]uint64
+	}
+	s := New(1)
+	c := NewChan[datagram](s)
+	payload := make([]byte, 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Send(datagram{data: payload})
+		c.Drain()
+	}
+}

@@ -198,10 +198,17 @@ func (q *segQueue[T]) pop() T {
 	return v
 }
 
-// reset empties the queue, keeping its head segment as the spare.
+// reset empties the queue, keeping its head segment as the spare. Only
+// the head's live slots hold values (pop clears each slot it reads), so
+// only they are cleared: draining one value costs one slot, not a
+// segment.
 func (q *segQueue[T]) reset() {
 	if sg := q.head; sg != nil {
-		clear(sg.vals[:])
+		if sg == q.tail {
+			clear(sg.vals[q.hi:q.ti])
+		} else {
+			clear(sg.vals[q.hi:])
+		}
 		sg.next = nil
 		q.spare = sg
 	}

@@ -149,3 +149,61 @@ func TestReservedSendIsInPlace(t *testing.T) {
 		t.Fatalf("wire = % x\nwant   % x", wire, want)
 	}
 }
+
+// TestAllocsSendVia pins a send to a resolved neighbour, and its
+// delivery to a handler that keeps nothing, at zero allocations: the
+// neighbour and protocol lookups scan short slices, and the record,
+// frame and buffer all come from and return to the pools.
+func TestAllocsSendVia(t *testing.T) {
+	s := sim.New(1)
+	ha, hb := twoHosts(s)
+	ifc, dst := ha.ifaces[0], netpkt.Addr4(10, 0, 0, 2)
+	ifc.AddARP(dst, hb.ifaces[0].Link.MAC)
+	got := 0
+	hb.Handle(242, func(ifc *NetIf, ip *netpkt.IPv4) bool {
+		got++
+		return false
+	})
+	send := func() {
+		ip := netpkt.GetPacket()
+		ip.Protocol, ip.Dst = 242, dst
+		ip.Payload = append(ip.Reserve(8), "sendvia!"...)
+		ha.SendVia(ifc, dst, ip)
+		s.Run(0)
+	}
+	for i := 0; i < 8; i++ {
+		send()
+	}
+	most := 0.0
+	if raceEnabled {
+		most = 2
+	}
+	if n := testing.AllocsPerRun(100, send); n > most {
+		t.Fatalf("SendVia to a resolved neighbour allocates %.1f objects per packet, want at most %.0f", n, most)
+	}
+	if got != 109 {
+		t.Fatalf("delivered %d packets, want 109", got)
+	}
+}
+
+// TestTablesOverwrite: a later ARP entry for an address replaces the
+// earlier one, and a later handler for a protocol replaces the earlier
+// one, as map stores did.
+func TestTablesOverwrite(t *testing.T) {
+	s := sim.New(1)
+	ha, hb := twoHosts(s)
+	ifc, dst := ha.ifaces[0], netpkt.Addr4(10, 0, 0, 2)
+	ifc.AddARP(dst, netpkt.MAC{2, 0, 0, 0, 0, 9})
+	ifc.AddARP(dst, hb.ifaces[0].Link.MAC)
+	if mac, ok := ifc.arp.get(dst); !ok || mac != hb.ifaces[0].Link.MAC || len(ifc.arp) != 1 {
+		t.Fatalf("neighbour table %v, want one entry for %v", ifc.arp, dst)
+	}
+	var got []string
+	hb.Handle(243, func(ifc *NetIf, ip *netpkt.IPv4) bool { got = append(got, "first"); return false })
+	hb.Handle(243, func(ifc *NetIf, ip *netpkt.IPv4) bool { got = append(got, "second"); return false })
+	ha.Send(&netpkt.IPv4{Protocol: 243, Dst: dst, Payload: []byte("x")})
+	s.Run(0)
+	if len(got) != 1 || got[0] != "second" || len(hb.protos) != 1 {
+		t.Fatalf("handlers ran %q with %d registered, want only the second", got, len(hb.protos))
+	}
+}

@@ -43,7 +43,7 @@ type Host struct {
 	// routes is the routing table, kept in the order that after
 	// defines so that Lookup binary-searches instead of scanning.
 	routes []route
-	protos map[uint8]ProtoHandler
+	protos table[uint8, ProtoHandler]
 
 	icmpListeners []ICMPListener
 
@@ -70,7 +70,6 @@ func NewHost(s *sim.Sim, name string) *Host {
 	return &Host{
 		S:                 s,
 		Name:              name,
-		protos:            make(map[uint8]ProtoHandler),
 		DropBadIPChecksum: true,
 	}
 }
@@ -91,8 +90,50 @@ type NetIf struct {
 	Addr  netip.Addr
 	Plen  int // prefix length of the connected subnet
 	name  string
-	arp   map[netip.Addr]netpkt.MAC
-	await map[netip.Addr][]*netpkt.IPv4
+	arp   table[netip.Addr, netpkt.MAC]
+	await table[netip.Addr, []*netpkt.IPv4] // packets parked behind ARP
+}
+
+// table is a short list of key-value pairs scanned in place. Every
+// testbed interface has one or two neighbours and a host registers at
+// most four protocols, so a scan beats hashing the key per packet.
+type table[K comparable, V any] []entry[K, V]
+
+type entry[K comparable, V any] struct {
+	k K
+	v V
+}
+
+func (t table[K, V]) get(k K) (v V, ok bool) {
+	for i := range t {
+		if t[i].k == k {
+			return t[i].v, true
+		}
+	}
+	return v, false
+}
+
+// set stores v under k, overwriting k's earlier value in place.
+func (t *table[K, V]) set(k K, v V) {
+	for i := range *t {
+		if (*t)[i].k == k {
+			(*t)[i].v = v
+			return
+		}
+	}
+	*t = append(*t, entry[K, V]{k, v})
+}
+
+// take removes k's entry and returns its value.
+func (t *table[K, V]) take(k K) (v V, ok bool) {
+	for i := range *t {
+		if (*t)[i].k == k {
+			v = (*t)[i].v
+			*t = slices.Delete(*t, i, i+1)
+			return v, true
+		}
+	}
+	return v, false
 }
 
 // Name returns the interface name.
@@ -126,12 +167,10 @@ func (h *Host) NewMAC() netpkt.MAC {
 // netem.Connect.
 func (h *Host) AddIf(name string, addr netip.Addr, plen int) *NetIf {
 	n := &NetIf{
-		Host:  h,
-		Addr:  addr,
-		Plen:  plen,
-		name:  name,
-		arp:   make(map[netip.Addr]netpkt.MAC),
-		await: make(map[netip.Addr][]*netpkt.IPv4),
+		Host: h,
+		Addr: addr,
+		Plen: plen,
+		name: name,
 	}
 	n.Link = &netem.Iface{Name: h.Name + "." + name, MAC: h.NewMAC()}
 	n.Link.Recv = func(f *netpkt.Frame) { h.recvFrame(n, f) }
@@ -229,7 +268,7 @@ func (h *Host) Lookup(dst netip.Addr) (Route, bool) {
 }
 
 // Handle registers the handler for an IP protocol number.
-func (h *Host) Handle(proto uint8, fn ProtoHandler) { h.protos[proto] = fn }
+func (h *Host) Handle(proto uint8, fn ProtoHandler) { h.protos.set(proto, fn) }
 
 // ListenICMP registers an ICMP observer.
 func (h *Host) ListenICMP(fn ICMPListener) { h.icmpListeners = append(h.icmpListeners, fn) }
@@ -274,18 +313,18 @@ func (h *Host) SendVia(ifc *NetIf, nextHop netip.Addr, ip *netpkt.IPv4) {
 		emit(ifc, netpkt.BroadcastMAC, ip)
 		return
 	}
-	if mac, ok := ifc.arp[nextHop]; ok {
+	if mac, ok := ifc.arp.get(nextHop); ok {
 		emit(ifc, mac, ip)
 		return
 	}
 	// Queue behind ARP resolution; the parked packet keeps its buffer.
-	first := len(ifc.await[nextHop]) == 0
-	ifc.await[nextHop] = append(ifc.await[nextHop], ip)
-	if first {
+	q, waiting := ifc.await.get(nextHop)
+	ifc.await.set(nextHop, append(q, ip))
+	if !waiting {
 		ifc.sendARPRequest(nextHop)
 		h.S.After(arpTimeout, func() {
-			if _, ok := ifc.arp[nextHop]; !ok {
-				delete(ifc.await, nextHop) // unresolved: drop the queue
+			if _, ok := ifc.arp.get(nextHop); !ok {
+				ifc.await.take(nextHop) // unresolved: drop the queue
 			}
 		})
 	}
@@ -322,7 +361,7 @@ func (n *NetIf) sendARPRequest(target netip.Addr) {
 
 // AddARP seeds a static ARP entry (used by tests and by DHCP clients that
 // learned the server's MAC from the exchange).
-func (n *NetIf) AddARP(addr netip.Addr, mac netpkt.MAC) { n.arp[addr] = mac }
+func (n *NetIf) AddARP(addr netip.Addr, mac netpkt.MAC) { n.arp.set(addr, mac) }
 
 func (h *Host) recvFrame(ifc *NetIf, f *netpkt.Frame) {
 	if !f.Dst.IsBroadcast() && f.Dst != ifc.Link.MAC {
@@ -351,13 +390,11 @@ func (h *Host) recvARP(ifc *NetIf, f *netpkt.Frame) {
 		return
 	}
 	if a.SenderIP.IsValid() && !a.SenderMAC.IsZero() {
-		ifc.arp[a.SenderIP] = a.SenderMAC
+		ifc.arp.set(a.SenderIP, a.SenderMAC)
 		// Flush packets waiting on this resolution.
-		if q := ifc.await[a.SenderIP]; len(q) > 0 {
-			delete(ifc.await, a.SenderIP)
-			for _, ip := range q {
-				h.SendVia(ifc, a.SenderIP, ip)
-			}
+		q, _ := ifc.await.take(a.SenderIP)
+		for _, ip := range q {
+			h.SendVia(ifc, a.SenderIP, ip)
 		}
 	}
 	if a.Op == netpkt.ARPRequest && a.TargetIP == ifc.Addr && ifc.Addr.IsValid() {
@@ -429,7 +466,7 @@ func (h *Host) recvIP(ifc *NetIf, f *netpkt.Frame) {
 		h.recvICMP(ifc, ip)
 		return
 	}
-	if fn, ok := h.protos[ip.Protocol]; ok {
+	if fn, ok := h.protos.get(ip.Protocol); ok {
 		if !fn(ifc, ip) {
 			netpkt.PutPacket(ip)
 			netpkt.PutBuf(f.Payload)

@@ -162,18 +162,21 @@ func WithOptions(o Options) Option {
 	return func(s *settings) { s.probeOpts = o }
 }
 
-// WithMaxProcs bounds how many experiments (inventory runs) or fleet
-// shards execute concurrently (default: runtime.NumCPU; values below 1
-// select the default). It is a pure throughput knob with no
-// reproducibility weight: every experiment and every shard is a sealed
-// virtual time domain whose inputs depend only on the run's settings
-// and the domain's index, and results are assembled in request (or
-// shard) order, so a run renders byte-identically at maxProcs 1, 4 or
-// 64. It also sets the run's memory budget: at most maxProcs
-// experiments or shards hold a testbed at once (plus, for fleets, a
-// small pipeline window), which is what lets WithFleet(1_000_000) run
-// in bounded memory, and an experiment that builds a testbed per
-// device (tcp2) keeps at most maxProcs of those alive itself.
+// WithMaxProcs bounds how many testbeds a run keeps alive and
+// simulating at once, across the whole run (default: runtime.NumCPU;
+// values below 1 select the default). An inventory run holds one pool
+// of maxProcs slots: a shared-testbed experiment's domain holds a slot
+// for its whole life, and a Standalone experiment holds none itself
+// but queues each testbed it builds (per device, per mode, per pair)
+// on the same pool. A fleet run's shards share one pool the same way.
+// It is a pure throughput knob with no reproducibility weight: every
+// testbed is a sealed virtual time domain whose inputs depend only on
+// the run's settings and its index, and results are assembled in
+// request (or shard) order, so a run renders byte-identically at
+// maxProcs 1, 4 or 64. It also sets the run's memory budget: at most
+// maxProcs testbeds at once (plus, for fleets, a small pipeline
+// window), which is what lets WithFleet(1_000_000) run in bounded
+// memory.
 func WithMaxProcs(n int) Option {
 	return func(s *settings) { s.maxProcs = n }
 }

@@ -167,14 +167,15 @@ func runError(exps []*Experiment, errs []error) error {
 // run's tags and seed, so an experiment observes exactly what a
 // single-experiment run of it observes — and fleet runs (WithFleet)
 // give every shard one, swept by each experiment in turn. Standalone
-// experiments build their own testbeds (per device or per pair).
+// experiments build their own testbeds (per device, mode or pair).
 //
 // Domains share nothing, so scheduling cannot reach the output: up to
-// WithMaxProcs experiments (or shards) execute at once and results are
-// assembled in request (or shard) order, so runs with equal seeds
-// render byte-identically at any worker count. Domains are ephemeral —
-// nothing carries over between runs — so a Runner stays reusable even
-// after a cancelled or failed run.
+// WithMaxProcs testbeds are alive at once, run-wide (an inventory run's
+// domains and the Standalone experiments' own testbeds draw on one
+// pool), and results are assembled in request (or shard) order, so
+// runs with equal seeds render byte-identically at any worker count.
+// Domains are ephemeral — nothing carries over between runs — so a
+// Runner stays reusable even after a cancelled or failed run.
 type Runner struct {
 	set settings
 
@@ -251,15 +252,23 @@ func (r *Runner) Run(ctx context.Context, ids []string) (Results, error) {
 	slots := make([]*Result, total)
 	errs := make([]error, total)
 	doms := make([]*domain, total)
-	sem := make(chan struct{}, r.set.maxProcs)
+	p := make(pool, r.set.maxProcs)
 	var wg sync.WaitGroup
 	for i, e := range exps {
-		sem <- struct{}{}
+		// A domain holds its slot from before its build until its
+		// simulator is shut down. Taking it here, in id order, starts
+		// domains in id order; a Standalone experiment takes none itself
+		// and queues its testbeds on the same pool (Env.each).
+		if !e.Standalone {
+			p.acquire()
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer func() { <-sem }()
-			slots[i], doms[i], errs[i] = r.runExperiment(ctx, e, i, total)
+			if !e.Standalone {
+				defer p.release()
+			}
+			slots[i], doms[i], errs[i] = r.runExperiment(ctx, e, i, total, p)
 			r.emit(Progress{ID: e.ID, Index: i, Total: total, Done: true, Err: errs[i]})
 		}()
 	}
@@ -293,14 +302,15 @@ func (r *Runner) Run(ctx context.Context, ids []string) (Results, error) {
 }
 
 // runExperiment runs inventory experiment e (position i of total): a
-// Standalone experiment directly, any other in a sealed domain of its
-// own, which it returns for the run report. A panicking experiment
-// fails alone, with the panic as its error.
-func (r *Runner) runExperiment(ctx context.Context, e *Experiment, i, total int) (res *Result, d *domain, err error) {
+// Standalone experiment directly, its testbeds queued on the run's
+// pool p, any other in a sealed domain of its own, which it returns for
+// the run report. A panicking experiment fails alone, with the panic as
+// its error.
+func (r *Runner) runExperiment(ctx context.Context, e *Experiment, i, total int, p pool) (res *Result, d *domain, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	env := &Env{Tags: r.set.tags, Seed: r.set.seed, Options: r.set.probeOpts, maxProcs: r.set.maxProcs}
+	env := &Env{Tags: r.set.tags, Seed: r.set.seed, Options: r.set.probeOpts, pool: p}
 	call := func() (res *Result, err error) {
 		defer func() {
 			if p := recover(); p != nil {
@@ -328,6 +338,19 @@ func (r *Runner) runExperiment(ctx context.Context, e *Experiment, i, total int)
 	}
 	return res, d, err
 }
+
+// pool is an inventory run's WithMaxProcs slots. Every testbed the run
+// builds is alive only while it holds one: a shared-testbed
+// experiment's domain holds one for its whole life, and a Standalone
+// experiment's tasks hold one each (Env.each). So at most cap(p)
+// testbeds are alive and simulating at once, run-wide. No slot holder
+// ever waits for another slot, so every size, 1 included, makes
+// progress. Waiting acquirers are served in arrival order, since a
+// full channel queues its senders first come, first served.
+type pool chan struct{}
+
+func (p pool) acquire() { p <- struct{}{} }
+func (p pool) release() { <-p }
 
 // domain is one sealed execution domain's record: its index (the
 // experiment's position in the resolved id list, or the fleet shard
