@@ -324,7 +324,10 @@ func TestFleetMillion(t *testing.T) {
 // domain (bindrate): the render and the canonical run report must be
 // byte-identical at maxProcs 1, 2 and NumCPU, and equal the committed
 // golden, which was recorded while each Standalone experiment still
-// built its testbeds one after another (tcp2 on a private pool).
+// built its testbeds one after another (tcp2 on a private pool). Its
+// sim_compactions and sim_slab_slots lines were re-recorded once, when
+// NAT timer refreshes began moving pending events in place: they
+// describe the event queue's representation, not the run's work.
 func TestStandalonePoolDeterminism(t *testing.T) {
 	ids := []string{"bindrate", "tcp2", "fig2", "holepunch", "punchmatrix"}
 	run := func(procs int) string {

@@ -87,9 +87,10 @@ func BenchmarkNATTranslateHit(b *testing.B) {
 }
 
 // TestAllocsNATSessionCreate pins the bindrate path through the engine
-// at two allocations per new binding: the block holding the mapping,
-// its first session and the port's owner record, and the session's
-// expiry callback. The binding maps are warmed to their size first.
+// at zero allocations per new binding once the engine has held that
+// many: the session, mapping and port owner records come back from the
+// engine's free lists, and the expiry timer fires the binding itself.
+// The binding maps are warmed to their size first.
 func TestAllocsNATSessionCreate(t *testing.T) {
 	s := sim.New(1)
 	e := newEng(s, benchPolicy)
@@ -103,10 +104,33 @@ func TestAllocsNATSessionCreate(t *testing.T) {
 	if n := testing.AllocsPerRun(batch/2, func() {
 		o.send(t, e, port)
 		port++
-	}); n != 2 {
-		t.Fatalf("session create allocates %.1f objects per binding, want 2", n)
+	}); n != 0 {
+		t.Fatalf("session create allocates %.1f objects per binding, want 0", n)
 	}
 	if got := e.BindingCount(); got != batch/2+1 {
 		t.Fatalf("%d bindings, want %d", got, batch/2+1)
+	}
+}
+
+// BenchmarkNATSessionChurn is a binding's whole life on the engine: a
+// datagram from a fresh client port creates it, more datagrams refresh
+// it (each moving its expiry timer in place), its timer expires it,
+// and the next batch's bindings take over its records. One op is one
+// binding.
+func BenchmarkNATSessionChurn(b *testing.B) {
+	s := sim.New(1)
+	e := newEng(s, benchPolicy)
+	o := newOutboundBench()
+	const batch, refreshes = 256, 4
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		port := uint16(10000 + i%batch)
+		for k := 0; k <= refreshes; k++ {
+			o.send(b, e, port)
+		}
+		if i%batch == batch-1 || i == b.N-1 {
+			s.Run(s.Now() + benchPolicy.UDP.Outbound)
+		}
 	}
 }

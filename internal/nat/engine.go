@@ -90,7 +90,10 @@ type portOwner struct {
 	n        int // live sessions on the port
 	mappings []*Mapping
 	inline   [1]*Mapping // mappings' storage until overloading outgrows it
+	free     *portOwner  // next record on the engine's free list
 }
+
+func (o *portOwner) freeLink() **portOwner { return &o.free }
 
 func (o *portOwner) dropMapping(m *Mapping) {
 	for i, cand := range o.mappings {
@@ -126,7 +129,10 @@ type Mapping struct {
 	// first, linked through Binding.prev/next; n counts them.
 	sessions *Binding
 	n        int
+	free     *Mapping // next record on the engine's free list
 }
+
+func (m *Mapping) freeLink() **Mapping { return &m.free }
 
 // Ext returns the mapping's external port.
 func (m *Mapping) Ext() uint16 { return m.ext }
@@ -158,13 +164,51 @@ func (m *Mapping) unlink(b *Binding) {
 	m.n--
 }
 
-// mappingBlock is the single allocation behind a new mapping: the
-// mapping, its first session and the owner record its external port
-// needs when no other mapping holds the port yet.
-type mappingBlock struct {
-	m Mapping
-	b Binding
-	o portOwner
+// Session records (bindings, mappings and port owners) come from
+// engine-owned free lists and go back on them when their session,
+// mapping or port dies, so binding churn allocates nothing once an
+// engine has held its peak population. A list refills in chunks sized
+// to that population: the first holds firstChunk records and each
+// next one twice the last, up to maxChunk. An engine that only ever
+// holds a few sessions (a fleet device) takes one small chunk of each
+// kind and none up front.
+const (
+	firstChunk = 4
+	maxChunk   = 256
+)
+
+// freeList is an engine-owned free list of T records, linked through a
+// pointer field of the free records themselves.
+type freeList[T any, P interface {
+	*T
+	freeLink() **T
+}] struct {
+	head  *T
+	chunk int // size of the last chunk
+}
+
+// get returns a free record, refilling the list with a new chunk when
+// it is empty. The record keeps whatever its previous occupant left in
+// it; the caller resets every field.
+func (l *freeList[T, P]) get() *T {
+	if l.head == nil {
+		l.chunk = min(max(2*l.chunk, firstChunk), maxChunk)
+		recs := make([]T, l.chunk)
+		for i := len(recs) - 1; i >= 0; i-- {
+			l.put(&recs[i])
+		}
+	}
+	r := l.head
+	link := P(r).freeLink()
+	l.head, *link = *link, nil
+	return r
+}
+
+// put returns r to the list. Nothing in the engine may reach r any
+// more: not a table, a mapping's session list or a pending timer.
+func (l *freeList[T, P]) put(r *T) {
+	*P(r).freeLink() = l.head
+	l.head = r
 }
 
 // mapKeyFor folds a flow onto its mapping key per the mapping behavior.
@@ -187,14 +231,17 @@ type Binding struct {
 	flow       flowKey
 	ext        uint16
 	m          *Mapping
-	prev, next *Binding // the mapping's session list
+	prev, next *Binding // the mapping's session list; next links free records
 	created    sim.Time
-	timer      sim.Event
-	// expireFn is the timer callback, built once per binding so that
-	// every packet-driven re-arm (the NAT hot path) schedules without
-	// allocating a fresh closure.
-	expireFn func()
+	// timer fires the binding itself (as an expiry), so a session owns
+	// no callback, and a packet-driven refresh moves the pending event
+	// in place (sim.Event.Reschedule).
+	timer sim.Event
+	e     *Engine
 
+	// udp holds the UDP timeouts of the session's destination service
+	// port, resolved once: the port is part of the flow key.
+	udp UDPTimeouts
 	// UDP refresh state.
 	sawInbound           bool
 	sawOutboundAfterInbd bool
@@ -208,6 +255,17 @@ type Binding struct {
 	finClient      bool
 	finServer      bool
 	tcpClosed      bool
+}
+
+func (b *Binding) freeLink() **Binding { return &b.next }
+
+// expiry is a Binding seen as the sim.Handler of its own expiry timer,
+// which keeps Fire out of Binding's exported method set.
+type expiry Binding
+
+func (x *expiry) Fire() {
+	b := (*Binding)(x)
+	b.e.expire(b)
 }
 
 // Ext returns the binding's external port.
@@ -239,6 +297,10 @@ type Engine struct {
 	lastContig map[mapKey]uint16
 	phase      time.Duration // expiry-quantisation phase
 	tcpCount   int
+	// Free session records (see freeList).
+	bindingRecs freeList[Binding, *Binding]
+	mappingRecs freeList[Mapping, *Mapping]
+	ownerRecs   freeList[portOwner, *portOwner]
 	// lost records external ports whose bindings a reboot wiped
 	// (WipeBindings), so inbound packets to them count as §4.4 binding
 	// loss rather than plain no-binding drops. Entries clear when the
@@ -292,14 +354,17 @@ func (e *Engine) MappingCount() int { return len(e.mappings) }
 // TCPBindingCount returns the number of active TCP sessions.
 func (e *Engine) TCPBindingCount() int { return e.tcpCount }
 
-// LookupFlow returns the session for a 5-tuple, if active.
+// LookupFlow returns the session for a 5-tuple, if active. The engine
+// recycles the record once the session ends, so it must not be kept
+// past that.
 func (e *Engine) LookupFlow(proto uint8, client netip.Addr, cport uint16, server netip.Addr, sport uint16) (*Binding, bool) {
 	b, ok := e.byFlow[flowOf(proto, client, cport, server, sport)]
 	return b, ok
 }
 
 // LookupMapping returns the mapping an outbound flow would use, if one
-// is active.
+// is active. Like a session, the record is recycled once the mapping
+// ends.
 func (e *Engine) LookupMapping(proto uint8, client netip.Addr, cport uint16, server netip.Addr, sport uint16) (*Mapping, bool) {
 	m, ok := e.mappings[e.mapKeyFor(flowOf(proto, client, cport, server, sport))]
 	return m, ok
@@ -374,52 +439,56 @@ func (e *Engine) arm(b *Binding, timeout time.Duration) {
 // armQ is arm with optional expiry quantisation. Coarse-timer devices
 // only showed their coarseness once a binding was refreshed by traffic
 // (wide quartiles in the paper's UDP-2 but not UDP-1), so fresh
-// outbound-only bindings use exact timers.
+// outbound-only bindings use exact timers. A refresh moves the pending
+// timer in place when its deadline does not come earlier, which fires
+// it exactly where Cancel and a new At would.
 func (e *Engine) armQ(b *Binding, timeout time.Duration, quantise bool) {
-	b.timer.Cancel()
-	b.timer = sim.Event{}
 	if timeout <= 0 {
+		b.timer.Cancel()
+		b.timer = sim.Event{}
 		return
 	}
 	deadline := e.s.Now() + timeout
 	if quantise {
 		deadline = e.quantise(deadline)
 	}
-	b.timer = e.s.At(deadline, b.expireFn)
-}
-
-func (e *Engine) expire(b *Binding) {
-	if e.byFlow[b.flow] != b {
+	if b.timer.Reschedule(deadline) {
 		return
 	}
+	b.timer.Cancel()
+	b.timer = e.s.AtHandler(deadline, (*expiry)(b))
+}
+
+// expire ends b when its timer fires. Every path that ends a session
+// cancels its timer (remove), so b is still live.
+func (e *Engine) expire(b *Binding) {
 	e.s.Obs().Inc(obs.CNATBindingsExpired)
-	e.remove(b)
 	if !e.pol.ReuseExpiredBinding {
 		e.quarantine[b.flow] = quarEntry{port: b.ext, until: e.s.Now() + e.pol.ReuseQuarantine}
 	}
+	e.remove(b)
 }
 
+// remove ends session b and returns its record, and those of a mapping
+// or port owner it leaves without sessions, to the free lists.
 func (e *Engine) remove(b *Binding) {
 	b.timer.Cancel()
 	delete(e.byFlow, b.flow)
 	delete(e.byExt, b.flow.wanKey(b.ext))
 	pk := portKey{b.flow.proto, b.ext}
-	o := e.portsInUse[pk]
-	if m := b.m; m != nil {
-		m.unlink(b)
-		if m.n == 0 {
-			delete(e.mappings, m.key)
-			e.s.Obs().GaugeDec(obs.GNATMappings)
-			if o != nil {
-				o.dropMapping(m)
-			}
-		}
+	o := e.portsInUse[pk] // every live session's port has an owner
+	m := b.m
+	m.unlink(b)
+	if m.n == 0 {
+		delete(e.mappings, m.key)
+		e.s.Obs().GaugeDec(obs.GNATMappings)
+		o.dropMapping(m)
+		e.mappingRecs.put(m)
 	}
-	if o != nil {
-		o.n--
-		if o.n <= 0 {
-			delete(e.portsInUse, pk)
-		}
+	o.n--
+	if o.n == 0 {
+		delete(e.portsInUse, pk)
+		e.ownerRecs.put(o)
 	}
 	if b.flow.proto == netpkt.ProtoTCP {
 		e.tcpCount--
@@ -430,6 +499,7 @@ func (e *Engine) remove(b *Binding) {
 		r.Observe(obs.HNATBindingLifetime, e.s.Now()-b.created)
 		r.Trace(obs.TraceBindingExpire, e.s.Now(), uint32(b.ext))
 	}
+	e.bindingRecs.put(b)
 }
 
 // WipeBindings empties the whole binding table at once, modeling the
@@ -597,7 +667,7 @@ func (e *Engine) allocPort(proto uint8, flow flowKey, desired uint16) uint16 {
 func (e *Engine) newSession(flow flowKey) *Binding {
 	mk := e.mapKeyFor(flow)
 	if m := e.mappings[mk]; m != nil {
-		return e.addSession(m, flow, new(Binding), nil)
+		return e.addSession(m, flow)
 	}
 	var ext uint16
 	switch flow.proto {
@@ -607,21 +677,23 @@ func (e *Engine) newSession(flow flowKey) *Binding {
 			return nil
 		}
 	}
-	blk := &mappingBlock{m: Mapping{key: mk, ext: ext}}
-	e.mappings[mk] = &blk.m
+	m := e.mappingRecs.get()
+	*m = Mapping{key: mk, ext: ext}
+	e.mappings[mk] = m
 	if r := e.s.Obs(); r != nil {
 		r.Inc(obs.CNATMappingsCreated)
 		r.GaugeInc(obs.GNATMappings)
 	}
-	return e.addSession(&blk.m, flow, &blk.b, &blk.o)
+	return e.addSession(m, flow)
 }
 
-// addSession fills in b as the session for flow, attaches it to mapping
-// m and indexes it. o is the owner record to use if m's port has none
-// yet; nil allocates one.
-func (e *Engine) addSession(m *Mapping, flow flowKey, b *Binding, o *portOwner) *Binding {
-	*b = Binding{flow: flow, ext: m.ext, m: m, created: e.s.Now()}
-	b.expireFn = func() { e.expire(b) }
+// addSession installs a session for flow on mapping m and indexes it.
+func (e *Engine) addSession(m *Mapping, flow flowKey) *Binding {
+	b := e.bindingRecs.get()
+	*b = Binding{flow: flow, ext: m.ext, m: m, created: e.s.Now(), e: e}
+	if flow.proto == netpkt.ProtoUDP {
+		b.udp = e.udpTimeouts(flow.sport)
+	}
 	e.byFlow[flow] = b
 	e.byExt[flow.wanKey(m.ext)] = b
 	m.link(b)
@@ -630,13 +702,10 @@ func (e *Engine) addSession(m *Mapping, flow flowKey, b *Binding, o *portOwner) 
 		// The port is live again; inbound misses on it are ordinary.
 		delete(e.lost, pk)
 	}
-	if owner := e.portsInUse[pk]; owner != nil {
-		o = owner
-	} else {
-		if o == nil {
-			o = new(portOwner)
-		}
-		o.client, o.cport = flow.client, flow.cport
+	o := e.portsInUse[pk]
+	if o == nil {
+		o = e.ownerRecs.get()
+		*o = portOwner{client: flow.client, cport: flow.cport}
 		o.mappings = o.inline[:0]
 		e.portsInUse[pk] = o
 	}
@@ -657,7 +726,7 @@ func (e *Engine) addSession(m *Mapping, flow flowKey, b *Binding, o *portOwner) 
 
 // refreshUDP re-arms a UDP binding after a packet in the given direction.
 func (e *Engine) refreshUDP(b *Binding, inbound bool) {
-	t := e.udpTimeouts(b.flow.sport)
+	t := &b.udp
 	if inbound {
 		b.sawInbound = true
 		if b.sawOutboundAfterInbd {
@@ -864,7 +933,7 @@ func (e *Engine) filterInbound(proto uint8, ext uint16, src netip.Addr, sport ui
 	if proto == netpkt.ProtoTCP && e.tcpCount >= e.pol.MaxTCPBindings {
 		return nil, DropTCPTableFull
 	}
-	b := e.addSession(m, flow, new(Binding), nil)
+	b := e.addSession(m, flow)
 	b.inboundInitiated = true
 	return b, DropNone
 }

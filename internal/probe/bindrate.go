@@ -11,10 +11,15 @@ import (
 // BindRate measures how fast a gateway can create fresh UDP bindings
 // (the paper's §5 lists "the rate at which NATs are capable of creating
 // new bindings" as planned future work). The prober sends one datagram
-// from a fresh ephemeral port back-to-back for the given duration (each
-// new source port is a new flow, hence a new binding at the NAT) and
-// counts how many reach the server, as they land and then through a
-// 50 ms straggler wait; the sample unit is bindings per second.
+// from the client's next ephemeral port back-to-back for the given
+// duration and counts how many reach the server, as they land and then
+// through a 50 ms straggler wait; the sample is that count per second.
+// A datagram from a port the device has not seen yet is a new flow,
+// hence a new binding at the NAT. But the ephemeral range is
+// 32768–65535 and every device on the testbed draws from the one
+// client's range, so at fast devices' rates it wraps within the run:
+// on al and ap each device creates 16,384 bindings from ~88 k
+// datagrams, and the rest refresh bindings that are still live.
 //
 // On the emulated devices the ceiling comes from the forwarding-plane
 // rate (binding setup is one small packet each), so this doubles as an
@@ -45,7 +50,7 @@ func BindRate(tb *testbed.Testbed, s *sim.Sim, duration time.Duration, opts Opti
 			// Pace lightly so the LAN link is not the artificial limit.
 			p.Sleep(20 * time.Microsecond)
 		}
-		// Count the rest (each arrival created one binding at the NAT).
+		// Count the rest (each arrival passed the NAT's binding path).
 		for {
 			if _, ok := srv.TryRecv(); !ok {
 				// Allow stragglers to drain once.

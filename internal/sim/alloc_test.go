@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -317,4 +318,67 @@ func TestAllocsSpawnExit(t *testing.T) {
 		t.Fatalf("idle workers %v, want the one recycled worker %p", s.idle, w)
 	}
 	s.Shutdown()
+}
+
+// TestAllocsReschedule pins the NAT refresh path of the event queue at
+// zero allocations: moving a pending timer later in place, and the
+// re-push when its old key surfaces, allocate nothing.
+func TestAllocsReschedule(t *testing.T) {
+	s := New(1)
+	reg := obs.NewRegistry()
+	s.SetObs(reg)
+	fired, moves := 0, 0
+	timer := s.After(time.Second, func() { fired++ })
+	round := func() {
+		moves++
+		// The timer moves 1.5 s out and Run stops 1.2 s on, past the
+		// timer's previous key: its entry surfaces there and is
+		// re-pushed, and the timer never fires.
+		if !timer.Reschedule(s.Now() + 1500*time.Millisecond) {
+			t.Fatal("Reschedule of a pending timer to a later time refused")
+		}
+		s.After(time.Microsecond, func() {})
+		s.Run(s.Now() + 1200*time.Millisecond)
+	}
+	for i := 0; i < 16; i++ {
+		round()
+	}
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Fatalf("reschedule allocates %.1f objects per move, want 0", n)
+	}
+	if fired != 0 || s.Pending() != 1 || len(s.slab) != 2 {
+		t.Fatalf("fired %d, pending %d, slab %d slots; want 0, 1, 2", fired, s.Pending(), len(s.slab))
+	}
+	snap := reg.Snapshot()
+	if c := snap.Counters[obs.CSimEventsCanceled]; c != uint64(moves) {
+		t.Fatalf("canceled = %d, want one per reschedule (%d)", c, moves)
+	}
+	if c := snap.Counters[obs.CSimCompactions]; c != 0 {
+		t.Fatalf("compactions = %d, want 0: a reschedule leaves no canceled record", c)
+	}
+}
+
+// countHandler counts its firings.
+type countHandler struct{ n int }
+
+func (h *countHandler) Fire() { h.n++ }
+
+// TestAtHandler checks that a Handler event fires once, keeps its place
+// among closure events at the same instant, and is released by Cancel.
+func TestAtHandler(t *testing.T) {
+	s := New(1)
+	var order []string
+	h := &countHandler{}
+	s.After(time.Second, func() { order = append(order, "fn") })
+	s.AtHandler(time.Second, h)
+	s.After(time.Second, func() { order = append(order, fmt.Sprint("h=", h.n)) })
+	canceled := s.AtHandler(2*time.Second, h)
+	canceled.Cancel()
+	if rec := s.slab[canceled.idx]; rec.h != nil {
+		t.Fatal("Cancel kept the handler reachable from the slab")
+	}
+	s.Run(0)
+	if h.n != 1 || fmt.Sprint(order) != "[fn h=1]" {
+		t.Fatalf("handler fired %d times, order %v; want 1, [fn h=1]", h.n, order)
+	}
 }

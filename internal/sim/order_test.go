@@ -26,21 +26,30 @@ var orderDelays = [...]time.Duration{
 	time.Hour,
 }
 
-// refEvent is one entry of the reference queue.
+// refEvent is one event of the reference queue. (at, seq) is the key
+// it fires under; (pat, pseq) is where its one queue entry sits, which
+// is an older key after a reschedule until the entry surfaces.
 type refEvent struct {
 	at       Time
 	seq      uint64
+	pat      Time
+	pseq     uint64
 	id       int
 	child    time.Duration // >= 0: firing schedules a child this much later
 	canceled bool
+	fired    bool
 }
 
 // refQueue is the test-only reference for the event queue: one list
-// kept sorted by (at, seq), with lazy cancellation and compaction
+// kept sorted by entry position, with lazy cancellation and compaction
 // modeled exactly as a single binary heap performs them (a canceled
 // entry leaves when it reaches the front, or when canceled entries
 // dominate the queue), so its fire order and compaction count are what
-// the queue must reproduce.
+// the queue must reproduce. A reschedule gives the event the key that
+// Cancel followed by At of the same callback would give it, without a
+// canceled entry: its entry moves to the new key when it reaches the
+// front. run checks that events fire in strictly increasing key order,
+// which is the Cancel + At order.
 type refQueue struct {
 	now         Time
 	seq         uint64
@@ -48,23 +57,31 @@ type refQueue struct {
 	dead        int
 	compactions int
 	fired       []int
+	last        *refEvent // the most recently fired event
+	misordered  bool
 }
 
 func (r *refQueue) schedule(d time.Duration, id int, child time.Duration) *refEvent {
 	r.seq++
 	e := &refEvent{at: r.now + d, seq: r.seq, id: id, child: child}
-	i, _ := slices.BinarySearchFunc(r.list, e, func(a, b *refEvent) int {
-		if a.at != b.at {
-			return int(a.at - b.at)
-		}
-		return int(a.seq) - int(b.seq)
-	})
-	r.list = slices.Insert(r.list, i, e)
+	r.insert(e)
 	return e
 }
 
+// insert queues e's entry under e's current key.
+func (r *refQueue) insert(e *refEvent) {
+	e.pat, e.pseq = e.at, e.seq
+	i, _ := slices.BinarySearchFunc(r.list, e, func(a, b *refEvent) int {
+		if a.pat != b.pat {
+			return int(a.pat - b.pat)
+		}
+		return int(a.pseq) - int(b.pseq)
+	})
+	r.list = slices.Insert(r.list, i, e)
+}
+
 func (r *refQueue) cancel(e *refEvent) {
-	if e.canceled || !slices.Contains(r.list, e) {
+	if e.canceled || e.fired {
 		return
 	}
 	e.canceled = true
@@ -74,6 +91,16 @@ func (r *refQueue) cancel(e *refEvent) {
 		r.list = slices.DeleteFunc(r.list, func(e *refEvent) bool { return e.canceled })
 		r.dead = 0
 	}
+}
+
+// reschedule mirrors Event.Reschedule(now + d).
+func (r *refQueue) reschedule(e *refEvent, d time.Duration) bool {
+	if e.canceled || e.fired || r.now+d < e.at {
+		return false
+	}
+	r.seq++
+	e.at, e.seq = r.now+d, r.seq
+	return true
 }
 
 func (r *refQueue) live() int { return len(r.list) - r.dead }
@@ -87,12 +114,22 @@ func (r *refQueue) run(horizon Time) {
 			r.dead--
 			continue
 		}
+		if e.pseq != e.seq {
+			r.list = r.list[1:]
+			r.insert(e)
+			continue
+		}
 		if e.at > horizon {
 			r.now = horizon
 			return
 		}
 		r.list = r.list[1:]
 		r.now = e.at
+		e.fired = true
+		if l := r.last; l != nil && (e.at < l.at || e.at == l.at && e.seq <= l.seq) {
+			r.misordered = true
+		}
+		r.last = e
 		r.fired = append(r.fired, e.id)
 		if e.child >= 0 {
 			r.schedule(e.child, -e.id, -1)
@@ -100,10 +137,13 @@ func (r *refQueue) run(horizon Time) {
 	}
 }
 
-// FuzzEventOrder decodes schedule, cancel and run-until operations from
-// bytes and checks that the two-tier queue fires exactly the (at, seq)
-// sequence of the sorted-list reference, with the same clock, pending
-// count and compaction count after every operation.
+// FuzzEventOrder decodes schedule, cancel, reschedule and run-until
+// operations from bytes and checks that the two-tier queue fires
+// exactly the (at, seq) sequence of the sorted-list reference, with the
+// same clock, pending count and compaction count after every operation.
+// A reschedule that the queue refuses (an earlier time, a fired or a
+// canceled event) falls back to Cancel and At of the same callback, as
+// the NAT engine does.
 func FuzzEventOrder(f *testing.F) {
 	f.Add([]byte{0, 6, 0, 5, 2, 1, 0, 5, 0, 7, 5, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
@@ -113,6 +153,7 @@ func FuzzEventOrder(f *testing.F) {
 		ref := &refQueue{}
 		var fired []int
 		var events []Event
+		var fns []func()
 		var refs []*refEvent
 		schedule := func(d, child time.Duration) {
 			id := len(events) + 1
@@ -124,13 +165,14 @@ func FuzzEventOrder(f *testing.F) {
 				}
 			}
 			events = append(events, s.After(d, fn))
+			fns = append(fns, fn)
 			refs = append(refs, ref.schedule(d, id, child))
 		}
 		for len(ops) >= 2 {
 			op, arg := ops[0], int(ops[1])
 			ops = ops[2:]
 			d := orderDelays[arg%len(orderDelays)]
-			switch op % 6 {
+			switch op % 7 {
 			case 0: // schedule
 				schedule(d, -1)
 			case 1: // cancel one event, fired or not
@@ -154,16 +196,37 @@ func FuzzEventOrder(f *testing.F) {
 					events[j].Cancel()
 					ref.cancel(refs[j])
 				}
+			case 6: // move one of the newer events to d from now
+				if len(events) == 0 {
+					break
+				}
+				j := len(events) - 1 - arg/len(orderDelays)%len(events)
+				moved := events[j].Reschedule(s.Now() + d)
+				if moved != ref.reschedule(refs[j], d) {
+					t.Fatalf("Reschedule of event %d to now+%v returned %v, reference %v", j+1, d, moved, !moved)
+				}
+				if !moved {
+					events[j].Cancel()
+					ref.cancel(refs[j])
+					events[j] = s.At(s.Now()+d, fns[j])
+					refs[j] = ref.schedule(d, refs[j].id, refs[j].child)
+				}
 			}
 			if s.Now() != ref.now || s.Pending() != ref.live() {
 				t.Fatalf("after op %d: now %v pending %d, reference now %v pending %d",
-					op%6, s.Now(), s.Pending(), ref.now, ref.live())
+					op%7, s.Now(), s.Pending(), ref.now, ref.live())
+			}
+			if got := reg.Snapshot().Counters[obs.CSimCompactions]; got != uint64(ref.compactions) {
+				t.Fatalf("after op %d: compactions = %d, reference %d", op%7, got, ref.compactions)
 			}
 		}
 		s.Run(0)
 		ref.run(1<<63 - 1)
 		if !slices.Equal(fired, ref.fired) {
 			t.Fatalf("fire order differs from the reference:\n got %v\nwant %v", fired, ref.fired)
+		}
+		if ref.misordered {
+			t.Fatal("the reference fired out of (at, seq) order")
 		}
 		if got := reg.Snapshot().Counters[obs.CSimCompactions]; got != uint64(ref.compactions) {
 			t.Fatalf("compactions = %d, reference %d", got, ref.compactions)

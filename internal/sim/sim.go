@@ -31,18 +31,30 @@ type Time = time.Duration
 
 // eventRec is one slab slot of the event queue. Slots are recycled
 // through a free list; gen distinguishes the current occupant from
-// stale Event handles that still point at the slot.
+// stale Event handles that still point at the slot. (at, seq) is the
+// key the event fires under; its heap entry carries the key it was
+// pushed under, which is older when Reschedule moved the event since.
 type eventRec struct {
 	fn       func()
+	h        Handler // fired instead of fn when non-nil
+	at       Time
+	seq      uint64
 	gen      uint32
 	canceled bool
 }
 
+// A Handler is an event target fired through a method rather than a
+// closure, so a long-lived object (a NAT binding) can be its own timer
+// callback without allocating one.
+type Handler interface {
+	Fire()
+}
+
 // Event is a handle to a scheduled callback that can be canceled. The
 // zero value is an invalid handle on which Cancel and Canceled are
-// no-ops. Handles stay valid (as no-ops) after the event fires: slab
-// slots are recycled under a generation counter, so a stale handle can
-// never cancel an unrelated later event.
+// no-ops and Reschedule reports false. Handles stay valid (as no-ops)
+// after the event fires: slab slots are recycled under a generation
+// counter, so a stale handle can never cancel an unrelated later event.
 type Event struct {
 	s        *Sim
 	idx      int32
@@ -65,11 +77,44 @@ func (e *Event) Cancel() {
 		return
 	}
 	rec.canceled = true
-	rec.fn = nil // release the closure now; the slot drains lazily
+	rec.fn, rec.h = nil, nil // release the callback now; the slot drains lazily
 	e.s.live--
 	e.s.dead++
 	e.s.obs.Inc(obs.CSimEventsCanceled)
 	e.s.maybeCompact()
+}
+
+// Reschedule moves a pending event to the later time t (times in the
+// past are clamped to the current time) and reports whether it did. The
+// event then fires exactly where Cancel followed by At(t) of the same
+// callback would fire it: it takes the next sequence number, and it
+// counts as one canceled plus one scheduled event. Only the queue's
+// representation differs: the record takes the new key in place and
+// its heap entry stays where it is, so no canceled record is left
+// behind and neither heap is touched; Run re-pushes the entry under the
+// record's key when the old key surfaces. Moving an event earlier, or
+// one that already fired or was canceled, returns false and changes
+// nothing; the caller falls back to Cancel and At.
+func (e *Event) Reschedule(t Time) bool {
+	if e == nil || e.s == nil {
+		return false
+	}
+	s := e.s
+	rec := &s.slab[e.idx]
+	if rec.gen != e.gen || rec.canceled {
+		return false
+	}
+	if t < s.now {
+		t = s.now
+	}
+	if t < rec.at {
+		return false
+	}
+	s.seq++
+	rec.at, rec.seq = t, s.seq
+	s.obs.Inc(obs.CSimEventsCanceled)
+	s.obs.Inc(obs.CSimEventsScheduled)
+	return true
 }
 
 // Canceled reports whether Cancel was called on the event.
@@ -164,7 +209,7 @@ func (s *Sim) At(t Time, fn func()) Event {
 		s.obs.GaugeSet(obs.GSimSlabSlots, int64(len(s.slab)))
 	}
 	rec := &s.slab[idx]
-	rec.fn, rec.canceled = fn, false
+	rec.fn, rec.at, rec.seq, rec.canceled = fn, t, s.seq, false
 	e := entry{at: t, seq: s.seq, idx: idx}
 	if t-s.now < nearHorizon {
 		s.near.push(e)
@@ -176,11 +221,21 @@ func (s *Sim) At(t Time, fn func()) Event {
 	return Event{s: s, idx: idx, gen: rec.gen}
 }
 
+// AtHandler is At for a Handler: h.Fire runs at time t. It wraps At
+// instead of sharing a deeper helper with it: processes schedule their
+// wakes through At, and one more frame there tips the coroutine stacks
+// of a fleet shard's probe processes over a growth step.
+func (s *Sim) AtHandler(t Time, h Handler) Event {
+	e := s.At(t, nil)
+	s.slab[e.idx].h = h
+	return e
+}
+
 // recycle returns a slab slot to the free list. Bumping gen invalidates
 // every outstanding Event handle to the slot.
 func (s *Sim) recycle(idx int32) {
 	rec := &s.slab[idx]
-	rec.fn = nil
+	rec.fn, rec.h = nil, nil
 	rec.gen++
 	s.free = append(s.free, idx)
 }
@@ -198,6 +253,8 @@ const nearHorizon = 100 * time.Millisecond
 
 // entry is one heap entry: a slab index beside its record's key, so
 // that heap comparisons read only the heap's own contiguous memory.
+// After a Reschedule the entry's key is older than the record's until
+// Run re-pushes it.
 type entry struct {
 	at  Time
 	seq uint64 // tie-breaker: FIFO among equal timestamps
@@ -362,18 +419,35 @@ func (s *Sim) Run(horizon time.Duration) Time {
 			s.recycle(top.idx)
 			continue
 		}
+		if top.seq != rec.seq {
+			// Rescheduled since it was pushed: queue it under its
+			// current key. Its old key was smaller, so every event that
+			// fires before the new key still does.
+			h.pop()
+			e := entry{at: rec.at, seq: rec.seq, idx: top.idx}
+			if e.at-s.now < nearHorizon {
+				s.near.push(e)
+			} else {
+				s.far.push(e)
+			}
+			continue
+		}
 		if horizon > 0 && top.at > horizon {
 			// Leave it queued for a potential later Run call.
 			s.now = horizon
 			return s.now
 		}
-		fn := rec.fn
+		fn, hd := rec.fn, rec.h
 		h.pop()
 		s.live--
 		s.recycle(top.idx)
 		s.now = top.at
 		s.obs.Inc(obs.CSimEventsFired)
-		fn()
+		if hd != nil {
+			hd.Fire()
+		} else {
+			fn()
+		}
 	}
 	return s.now
 }
