@@ -2,11 +2,14 @@ package hgw_test
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"hgw"
+	"hgw/internal/obs"
 )
 
 // The goldens under testdata/behavior were rendered by the engine
@@ -27,10 +30,12 @@ const updateEnv = "HGW_UPDATE_GOLDEN"
 // goldenRuns lists the acceptance renders: the UDP-1..5, TCP-1..4 and
 // ICMP experiments on a mixed device subset (preserve+reuse,
 // preserve+new, no-preservation, coarse timers, >24 h TCP all covered),
-// a 256-device / 8-shard fleet sweep, and the binding-rate probe on the
+// a 256-device / 8-shard fleet sweep, the binding-rate probe on the
 // two devices of the flow_churn benchmark (its rate is an exact count
 // of arrivals over simulated time, so any change to how the probe
-// creates bindings or counts them shows here).
+// creates bindings or counts them shows here), and the fleet_sweep
+// benchmark's exact request. flow_churn's whole request is pinned by
+// standalone.golden (TestStandalonePoolDeterminism).
 var goldenRuns = []struct {
 	name string
 	ids  []string
@@ -64,15 +69,78 @@ var goldenRuns = []struct {
 			hgw.WithSeed(1),
 		},
 	},
+	{
+		name: "fleet_sweep",
+		ids:  hgw.FleetIDs(),
+		opts: []hgw.Option{
+			hgw.WithFleet(1024),
+			hgw.WithShards(4),
+			hgw.WithIterations(1),
+			hgw.WithSeed(1),
+		},
+	},
+}
+
+// workCountsPath holds one line of exact work counts per golden run:
+// the simulator and NAT counters of the run report's totals, and the
+// process-wide frame and buffer pool traffic the run caused. They are
+// deterministic (pool misses, which follow the GC, are left out) and
+// exact because no test in this package runs in parallel. A change that
+// moves work without moving any render fails here; re-pin it with
+// HGW_UPDATE_GOLDEN=1 and name the moved counts in CHANGES.md.
+var workCountsPath = filepath.Join("testdata", "behavior", "workcounts.golden")
+
+// workCounts formats one run's line of workcounts.golden.
+func workCounts(name string, totals hgw.MetricsSnapshot, before, after obs.ProcSnapshot) string {
+	var sb strings.Builder
+	sb.WriteString(name)
+	for _, c := range []string{
+		"sim_events_fired", "sim_events_canceled", "sim_procs_spawned",
+		"nat_bindings_created", "nat_translations", "nat_drops",
+	} {
+		fmt.Fprintf(&sb, " %s=%d", c, totals.Counters[c])
+	}
+	fmt.Fprintf(&sb, " netpkt_frames=%d netpkt_buf_gets=%d netpkt_buf_puts=%d",
+		after.FrameGets-before.FrameGets, after.PoolGets-before.PoolGets, after.PoolPuts-before.PoolPuts)
+	return sb.String()
+}
+
+// readWorkCounts maps each run name in workcounts.golden to its line.
+func readWorkCounts(t *testing.T) map[string]string {
+	t.Helper()
+	raw, err := os.ReadFile(workCountsPath)
+	if os.IsNotExist(err) && os.Getenv(updateEnv) != "" {
+		return map[string]string{}
+	}
+	if err != nil {
+		t.Fatalf("missing work counts (run with %s=1 to generate): %v", updateEnv, err)
+	}
+	lines := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		name, _, _ := strings.Cut(line, " ")
+		lines[name] = line
+	}
+	return lines
 }
 
 func TestBehaviorGoldenRenders(t *testing.T) {
+	wantCounts := readWorkCounts(t)
+	gotCounts := map[string]string{}
 	for _, g := range goldenRuns {
 		g := g
 		t.Run(g.name, func(t *testing.T) {
-			results, err := hgw.Run(context.Background(), g.ids, g.opts...)
+			var rep *hgw.RunReport
+			opts := append(g.opts[:len(g.opts):len(g.opts)], hgw.WithRunReport(func(r *hgw.RunReport) { rep = r }))
+			before := obs.Proc.Snapshot()
+			results, err := hgw.Run(context.Background(), g.ids, opts...)
+			after := obs.Proc.Snapshot()
 			if err != nil {
 				t.Fatal(err)
+			}
+			counts := workCounts(g.name, rep.Totals, before, after)
+			gotCounts[g.name] = counts
+			if os.Getenv(updateEnv) == "" && counts != wantCounts[g.name] {
+				t.Errorf("work counts differ from %s\n got: %s\nwant: %s", workCountsPath, counts, wantCounts[g.name])
 			}
 			got := results.Render()
 			path := filepath.Join("testdata", "behavior", g.name+".golden")
@@ -94,5 +162,21 @@ func TestBehaviorGoldenRenders(t *testing.T) {
 					path, got, want)
 			}
 		})
+	}
+	if os.Getenv(updateEnv) != "" {
+		// Runs a -run filter skipped keep their recorded lines.
+		var sb strings.Builder
+		for _, g := range goldenRuns {
+			line, ok := gotCounts[g.name]
+			if !ok {
+				line, ok = wantCounts[g.name]
+			}
+			if ok {
+				sb.WriteString(line + "\n")
+			}
+		}
+		if err := os.WriteFile(workCountsPath, []byte(sb.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -10,8 +10,8 @@ package hgw_test
 //	go test -bench=. -benchmem
 //
 // Benchmarks use reduced iteration counts / transfer sizes so a full
-// sweep stays fast; cmd/hgbench -iters 100 -bytes 100000000 runs at
-// paper strength. Everything runs through hgw.Run registry ids.
+// sweep stays fast; hgprobe -exp all -iters 100 -bytes 100000000 runs
+// at paper strength. Everything runs through hgw.Run registry ids.
 
 import (
 	"context"

@@ -48,7 +48,7 @@ func main() {
 			tcp1, p.NAT.MaxTCPBindings)
 	}
 
-	fmt.Printf("\nExperiments (run with hgprobe -exp <id>):\n")
+	fmt.Printf("\nExperiments (run with hgprobe -exp <id>, or -exp all for the default set):\n")
 	fmt.Printf("%-10s %-10s %-12s %s\n", "id", "ref", "unit", "title")
 	for _, e := range hgw.Registry() {
 		unit := e.Unit

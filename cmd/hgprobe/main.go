@@ -1,10 +1,14 @@
 // Command hgprobe runs registry experiments against selected gateway
-// devices.
+// devices and prints them in the paper's style: one section per
+// experiment, with the Table 2 components (icmp, sctp, dccp, dns)
+// folded into one combined table like the paper's.
 //
 //	hgprobe -exp udp1 -tags je,ls1,owrt -iters 10
+//	hgprobe -exp all -iters 5                # every table and figure
+//	hgprobe -exp all -iters 100 -bytes 100000000   # paper-strength settings
+//	hgprobe -exp icmp,sctp,dccp,dns -csv     # Table 2 as CSV
 //	hgprobe -exp icmp,sctp,dccp,dns -maxprocs 1   # one at a time
 //	hgprobe -exp udp1 -fleet 200 -shards 4   # synthetic fleet sweep
-//	hgprobe -list                            # the experiment catalog
 //	hgprobe -exp udp1 -fleet 200 -shards 4 -stats   # plus run telemetry
 //	hgprobe -exp udp3 -fleet 200 -shards 4 -faults 0.5 -retries 2  # chaos
 //
@@ -15,10 +19,11 @@
 // -retries n gives each probe exchange a retry budget so experiments
 // report degraded-but-valid figures under injected loss.
 //
-// Every id in hgw.Registry() works, including bindrate, keepalive and
-// holepunch; -json emits the result envelopes as JSON and -stats
-// appends the deterministic run report (counters, gauges, histograms
-// and sampled shard traces).
+// Every id in hgw.Registry() works (hglist prints the catalog);
+// -exp all runs the registry's default set. -json emits the result
+// envelopes as JSON, -markdown appends markdown tables for the figure
+// results, and -stats appends the deterministic run report (counters,
+// gauges, histograms and sampled shard traces).
 package main
 
 import (
@@ -33,30 +38,27 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "udp1", "comma-separated experiment ids (see -list)")
+	exp := flag.String("exp", "udp1", "comma-separated experiment ids (see hglist), or 'all' for the default set")
 	tags := flag.String("tags", "", "comma-separated device tags (default all)")
-	iters := flag.Int("iters", 3, "iterations per device")
+	iters := flag.Int("iters", 3, "iterations per device (paper: 100)")
 	seed := flag.Int64("seed", 1, "simulation seed")
-	bytes := flag.Int("bytes", 8<<20, "transfer size for tcp2")
+	bytes := flag.Int("bytes", 8<<20, "transfer size for tcp2 (paper: 100 MB)")
 	fleet := flag.Int("fleet", 0, "fleet mode: measure N synthetic devices instead of the 34-device inventory")
 	shards := flag.Int("shards", 1, "partition the fleet across K concurrent sub-testbeds")
 	maxprocs := flag.Int("maxprocs", 0, "max concurrent experiments or fleet shards (0 = NumCPU; output is identical at any value)")
 	faults := flag.Float64("faults", 0, "fault injection: mean seeded faults per gateway per class (0 = off)")
 	retries := flag.Int("retries", 0, "probe exchange retry budget under injected loss")
 	jsonOut := flag.Bool("json", false, "emit result envelopes as JSON")
+	csvOut := flag.Bool("csv", false, "emit Table 2 as CSV instead of the dot matrix")
+	markdown := flag.Bool("markdown", false, "also emit markdown tables for figure results")
 	statsOut := flag.Bool("stats", false, "print the run telemetry report after results")
 	verbose := flag.Bool("v", false, "report per-experiment progress on stderr")
-	list := flag.Bool("list", false, "list registered experiments and exit")
 	flag.Parse()
 
-	if *list {
-		fmt.Printf("%-10s %-10s %s\n", "id", "ref", "title")
-		for _, e := range hgw.Registry() {
-			fmt.Printf("%-10s %-10s %s\n", e.ID, e.Ref, e.Title)
-		}
-		return
+	var ids []string // nil = the registry's default set
+	if *exp != "all" {
+		ids = strings.Split(*exp, ",")
 	}
-
 	opts := []hgw.Option{
 		hgw.WithSeed(*seed),
 		hgw.WithIterations(*iters),
@@ -102,7 +104,7 @@ func main() {
 
 	// Print whatever completed before reporting a failure: Run returns
 	// the finished results alongside the error.
-	results, err := hgw.Run(context.Background(), strings.Split(*exp, ","), opts...)
+	results, err := hgw.Run(context.Background(), ids, opts...)
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -111,9 +113,7 @@ func main() {
 			os.Exit(1)
 		}
 	} else {
-		for _, r := range results {
-			fmt.Print(r.Render())
-		}
+		render(results, *csvOut, *markdown)
 	}
 	if report != nil {
 		// With -json the report goes to stderr so stdout stays parseable.
@@ -126,5 +126,40 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hgprobe:", err)
 		os.Exit(2)
+	}
+}
+
+// render prints the results as text: every section but the Table 2
+// components, then those once as the combined Table 2 (or its CSV),
+// then, with markdown, each figure as a markdown table.
+func render(results hgw.Results, csvOut, markdown bool) {
+	var sections hgw.Results
+	for _, r := range results {
+		if !r.IsTable2Component() {
+			sections = append(sections, r)
+		}
+	}
+	fmt.Print(sections.Render())
+
+	if csvOut {
+		if ok, err := results.Table2CSV(os.Stdout); err != nil {
+			fmt.Fprintln(os.Stderr, "hgprobe: table2 csv:", err)
+			os.Exit(1)
+		} else if !ok {
+			fmt.Fprintln(os.Stderr, "hgprobe: -csv needs at least one of icmp, sctp, dccp, dns")
+		}
+	} else if table, ok := results.Table2(); ok {
+		fmt.Printf("\n===== Table 2: ICMP / SCTP / DCCP / DNS combined =====\n")
+		fmt.Print(table)
+	}
+
+	if markdown {
+		for _, r := range results {
+			if r.Figure == nil {
+				continue
+			}
+			fmt.Printf("\n===== %s (markdown) =====\n", r.Title)
+			fmt.Print(r.Figure.Markdown())
+		}
 	}
 }

@@ -1,10 +1,10 @@
 // Command hgwload is the load generator for hgwd: it drives the
 // measurement service with configurable request mixes and reports what
-// the reuse stack (DESIGN.md §15) did about them. It is both a
-// benchmark — its reuse scenario emits BENCH_pr<N>.json trajectory
-// rows — and a regression test for queue, cache and coalescing
-// behavior under heavy traffic (CI runs a duplicate-heavy mix against
-// a live daemon and asserts the coalesce and cache-hit counters moved).
+// the reuse stack (DESIGN.md §15) did about them. It is a regression
+// test for queue, cache and coalescing behavior under heavy traffic
+// (CI runs a duplicate-heavy mix against a live daemon and asserts the
+// coalesce and cache-hit counters moved), and its reuse scenario gates
+// itself: it exits 1 when a reuse floor or count check fails.
 //
 // Two scenarios:
 //
@@ -20,8 +20,10 @@
 //	the persistent result cache), the fleet grown by one shard at
 //	constant per-shard size (every surviving shard served from the
 //	shard memo store), and the grown fleet against an empty cache dir
-//	(the memo run's cold control). -benchjson writes the four timings
-//	as hgbench-shaped rows for the benchdiff trajectory gate.
+//	(the memo run's cold control). The warm re-submit must execute no
+//	job and run at least 50x faster than cold; the grown fleet must
+//	miss the memo exactly once (its new shard) and run at least 4x
+//	faster than its cold control.
 //
 // With -addr empty, hgwload self-serves: it starts an in-process hgwd
 // on a loopback port (required for the reuse scenario, which restarts
@@ -29,7 +31,7 @@
 //
 //	hgwload -requests 64 -concurrency 8 -dup 0.7 -fleet 128 -shards 4
 //	hgwload -addr 127.0.0.1:8080 -requests 100 -dup 1 -json
-//	hgwload -scenario reuse -fleet 1024 -shards 8 -benchjson -benchout BENCH_load.json
+//	hgwload -scenario reuse -fleet 1024 -shards 8
 package main
 
 import (
@@ -68,8 +70,6 @@ var (
 	queueDepth  = flag.Int("queue", 64, "self-served daemon's queue depth")
 	cacheDir    = flag.String("cache-dir", "", "self-served daemon's persistent cache dir (reuse: empty uses a temp dir)")
 	jsonOut     = flag.Bool("json", false, "emit the mix report as JSON")
-	benchJSON   = flag.Bool("benchjson", false, "write the reuse rows as a bench trajectory file")
-	benchOut    = flag.String("benchout", "BENCH_load.json", "bench trajectory output path (-benchjson)")
 	pollEvery   = flag.Duration("poll", 5*time.Millisecond, "job status poll interval")
 	timeout     = flag.Duration("timeout", 5*time.Minute, "per-request completion timeout")
 )
@@ -81,7 +81,9 @@ func main() {
 	case "mix":
 		runMixScenario()
 	case "reuse":
-		runReuseScenario()
+		if !runReuseScenario() {
+			os.Exit(1)
+		}
 	default:
 		log.Fatalf("hgwload: unknown -scenario %q (want mix or reuse)", *scenario)
 	}
@@ -387,19 +389,10 @@ func runMixScenario() {
 	}
 }
 
-// benchRow mirrors cmd/hgbench's benchEntry, so reuse rows merge into
-// the same BENCH_pr<N>.json trajectory files.
-type benchRow struct {
-	Name      string             `json:"name"`
-	NsPerOp   int64              `json:"ns_op"`
-	AllocsOp  uint64             `json:"allocs_op"`
-	BytesOp   uint64             `json:"bytes_op"`
-	Err       string             `json:"err,omitempty"`
-	Metrics   map[string]float64 `json:"metrics,omitempty"`
-	Timestamp string             `json:"timestamp"`
-}
-
-func runReuseScenario() {
+// runReuseScenario reports whether every run, count check and floor
+// held. It returns rather than exiting so its deferred temp-dir removal
+// runs on failure too.
+func runReuseScenario() bool {
 	if flagUnset("fleet") {
 		*fleet = 1024
 	}
@@ -420,25 +413,20 @@ func runReuseScenario() {
 	}
 	defer os.RemoveAll(coldDir)
 
-	// MaxProcs 1 keeps the cold runs serial, so the recorded ratios
-	// measure reuse, not how many cores the recording machine had.
+	// MaxProcs 1 keeps the cold runs serial, so the ratios measure
+	// reuse, not how many cores the machine has.
 	spec := specFor(*seedBase)
 	spec.MaxProcs = 1
 	grown := spec
 	grown.Fleet += spec.Fleet / spec.Shards
 	grown.Shards++
 
-	stamp := time.Now().UTC().Format(time.RFC3339)
-	var rows []benchRow
 	fail := false
-	row := func(name string, d time.Duration, metrics map[string]float64, err error) {
-		r := benchRow{Name: name, NsPerOp: d.Nanoseconds(), Metrics: metrics, Timestamp: stamp}
+	check := func(name string, err error) {
 		if err != nil {
-			r.Err = err.Error()
 			fail = true
 			log.Printf("hgwload: %s: %v", name, err)
 		}
-		rows = append(rows, r)
 	}
 
 	// Cold: first sight of the spec, populates both persistent tiers.
@@ -447,7 +435,7 @@ func runReuseScenario() {
 	if err == nil && coldView.Cached {
 		err = fmt.Errorf("cold run served from cache; the cache dir was not empty")
 	}
-	row("hgwload/reuse/cold", coldDur, nil, err)
+	check("cold", err)
 	d1.stop()
 
 	// Warm: identical spec against a restarted daemon on the same dir —
@@ -463,10 +451,10 @@ func runReuseScenario() {
 	if err == nil && wd.CacheDiskHits == 0 {
 		err = fmt.Errorf("warm re-submit hit memory, not disk; restart persistence unproven")
 	}
-	row("hgwload/reuse/warm_disk", warmDur, map[string]float64{
-		"speedup_vs_cold": ratio(coldDur, warmDur),
-		"disk_hits":       float64(wd.CacheDiskHits),
-	}, err)
+	if err == nil && wd.JobsExecuted != 0 {
+		err = fmt.Errorf("warm re-submit executed %d jobs, want 0", wd.JobsExecuted)
+	}
+	check("warm_disk", err)
 
 	// Memo: grow the fleet by one shard at constant per-shard size; the
 	// surviving shards replay from the shard memo store (read back from
@@ -481,17 +469,17 @@ func runReuseScenario() {
 	if err == nil && md.MemoHits < uint64(spec.Shards) {
 		err = fmt.Errorf("grown fleet reused %d shards; want the %d surviving ones", md.MemoHits, spec.Shards)
 	}
+	if err == nil && md.MemoMisses != 1 {
+		err = fmt.Errorf("grown fleet missed the memo %d times, want 1 (its new shard)", md.MemoMisses)
+	}
+	check("memo", err)
 	d2.stop()
 
 	// Memo-cold control: the same grown fleet with nothing to reuse.
 	d3 := startDaemon(coldDir)
-	_, memoColdDur, cerr := d3.c.run(grown)
+	_, memoColdDur, err := d3.c.run(grown)
+	check("memo_cold", err)
 	d3.stop()
-	row("hgwload/reuse/memo", memoDur, map[string]float64{
-		"speedup_vs_cold": ratio(memoColdDur, memoDur),
-		"memo_hits":       float64(md.MemoHits),
-	}, err)
-	row("hgwload/reuse/memo_cold", memoColdDur, nil, cerr)
 
 	fmt.Printf("hgwload reuse (%s, fleet %d/%d shards, maxprocs 1):\n", *expID, spec.Fleet, spec.Shards)
 	fmt.Printf("  cold       %10.1f ms\n", ms(coldDur))
@@ -501,20 +489,15 @@ func runReuseScenario() {
 		ms(memoDur), ratio(memoColdDur, memoDur), md.MemoHits)
 	fmt.Printf("  memo cold  %10.1f ms\n", ms(memoColdDur))
 
-	if *benchJSON {
-		raw, err := json.MarshalIndent(rows, "", " ")
-		if err != nil {
-			log.Fatalf("hgwload: %v", err)
-		}
-		raw = append(raw, '\n')
-		if err := os.WriteFile(*benchOut, raw, 0o644); err != nil {
-			log.Fatalf("hgwload: %v", err)
-		}
-		fmt.Printf("  wrote %d rows to %s\n", len(rows), *benchOut)
+	// The floors compare runs of one invocation on one machine, so they
+	// hold wherever the scenario runs.
+	if coldDur < 50*warmDur {
+		check("floor", fmt.Errorf("restart-warm re-submit only %.1fx faster than cold, want >= 50x", ratio(coldDur, warmDur)))
 	}
-	if fail {
-		os.Exit(1)
+	if memoColdDur < 4*memoDur {
+		check("floor", fmt.Errorf("grown-fleet memo run only %.1fx faster than its cold control, want >= 4x", ratio(memoColdDur, memoDur)))
 	}
+	return !fail
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

@@ -10,7 +10,7 @@ import (
 
 // TestEndToEndSmall is the end-to-end reproduction check on a small
 // device subset; the full-population run lives in the benchmarks and
-// cmd/hgbench.
+// hgprobe -exp all.
 func TestEndToEndSmall(t *testing.T) {
 	results, err := hgw.Run(context.Background(), []string{"udp1", "icmp", "dns", "sctp", "dccp"},
 		hgw.WithTags("je", "be2", "owrt", "nw1"), hgw.WithIterations(2))

@@ -226,7 +226,7 @@ func (r *RunReport) Canonical() string {
 }
 
 // Render formats the report as a human-readable text block (the shape
-// hgprobe -stats and hgbench -report print).
+// hgprobe -stats prints).
 func (r *RunReport) Render() string {
 	var sb strings.Builder
 	if r.Fleet {
