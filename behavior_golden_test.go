@@ -84,8 +84,9 @@ var goldenRuns = []struct {
 // workCountsPath holds one line of exact work counts per golden run:
 // the simulator and NAT counters of the run report's totals, and the
 // process-wide frame and buffer pool traffic the run caused. They are
-// deterministic (pool misses, which follow the GC, are left out) and
-// exact because no test in this package runs in parallel. A change that
+// deterministic and exact because no test in this package runs in
+// parallel. Pool misses, each domain's refills of an empty free list,
+// are left out: they describe the pools' batching, not work. A change that
 // moves work without moving any render fails here; re-pin it with
 // HGW_UPDATE_GOLDEN=1 and name the moved counts in CHANGES.md.
 var workCountsPath = filepath.Join("testdata", "behavior", "workcounts.golden")

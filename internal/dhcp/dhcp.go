@@ -250,15 +250,16 @@ func putMessage(m *Message) {
 // buffer that becomes the frame.
 func broadcast(ifc *stack.NetIf, src netip.Addr, sport, dport uint16, m *Message) {
 	dst := netpkt.Addr4(255, 255, 255, 255)
-	ip := netpkt.GetPacket()
+	pool := ifc.Host.S.Pool()
+	ip := pool.GetPacket()
 	ip.Protocol, ip.Src, ip.Dst, ip.TTL, ip.ID = netpkt.ProtoUDP, src, dst, 64, ifc.Host.NextIPID()
-	w := m.AppendMarshal(ip.Reserve(8 + maxMessage)[:8])
+	w := m.AppendMarshal(ip.Reserve(pool, 8+maxMessage)[:8])
 	netpkt.PutUDPHeader(w, sport, dport, src, dst)
 	ip.Payload = w
-	f := netpkt.GetFrame()
+	f := pool.GetFrame()
 	f.Dst, f.Src = netpkt.BroadcastMAC, ifc.Link.MAC
-	f.Type, f.Payload = netpkt.EtherTypeIPv4, ip.MarshalPooled()
-	netpkt.PutPacket(ip)
+	f.Type, f.Payload = netpkt.EtherTypeIPv4, ip.MarshalPooled(pool)
+	pool.PutPacket(ip)
 	ifc.Link.Send(f)
 }
 

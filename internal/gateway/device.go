@@ -216,16 +216,16 @@ func (d *Device) rawWAN(in *stack.NetIf, ip *netpkt.IPv4) bool {
 			// A non-hairpinning NAT eats these; count the drop so the
 			// quirks probe's verdict is diagnosable.
 			d.Engine.CountDrop(nat.DropHairpinDisabled)
-			discard(ip)
+			d.discard(ip)
 			return true
 		}
 		if !d.Engine.Outbound(ip) {
-			discard(ip)
+			d.discard(ip)
 			return true
 		}
 		ip.Dst = d.Engine.WAN()
 		if !d.Engine.InboundHairpin(ip) {
-			discard(ip)
+			d.discard(ip)
 			return true
 		}
 		d.transmit(d.LANIf, ip)
@@ -239,7 +239,7 @@ func (d *Device) rawWAN(in *stack.NetIf, ip *netpkt.IPv4) bool {
 	}
 	if d.Profile.NAT.DecrementTTL {
 		if ip.TTL <= 1 {
-			discard(ip) // swallow
+			d.discard(ip) // swallow
 			return true
 		}
 		ip.TTL--
@@ -256,7 +256,7 @@ func (d *Device) forward(in *stack.NetIf, ip *netpkt.IPv4) {
 	if d.Profile.NAT.DecrementTTL {
 		if ip.TTL <= 1 {
 			d.Host.SendICMPError(ip, netpkt.ICMPTimeExceeded, netpkt.ICMPCodeTTLExceeded, 0)
-			discard(ip)
+			d.discard(ip)
 			return
 		}
 		ip.TTL--
@@ -278,7 +278,7 @@ func (d *Device) finishForward(q *fwdQueue, ip *netpkt.IPv4) {
 	q.noteServiced(ip.TotalLen())
 	if q == d.up {
 		if !d.Engine.Outbound(ip) {
-			discard(ip)
+			d.discard(ip)
 			return
 		}
 		d.ForwardedUp++
@@ -305,11 +305,12 @@ func (d *Device) transmit(out *stack.NetIf, ip *netpkt.IPv4) {
 
 // discard ends a packet the device drops after the host handed it
 // over: the pooled record goes back, then the frame buffer it owns.
-func discard(ip *netpkt.IPv4) {
+func (d *Device) discard(ip *netpkt.IPv4) {
+	pool := d.S.Pool()
 	buf := ip.Buf
 	ip.Buf = nil
-	netpkt.PutPacket(ip)
-	netpkt.PutBuf(buf)
+	pool.PutPacket(ip)
+	pool.PutBuf(buf)
 }
 
 // fwdQueue models the device's per-direction forwarding engine: a
@@ -425,7 +426,7 @@ func (q *fwdQueue) enqueue(ip *netpkt.IPv4) {
 		}
 		if q.queued+ip.TotalLen() > buf {
 			q.drops++
-			discard(ip)
+			q.d.discard(ip)
 			return
 		}
 		q.queue.Push(ip)

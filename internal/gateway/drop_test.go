@@ -9,12 +9,14 @@ import (
 )
 
 // received builds a packet the way the host stack hands one to the
-// device: a pooled record parsed from a pooled frame buffer it owns.
-func received(t *testing.T, src, dst netip.Addr, ttl uint8, payload []byte) *netpkt.IPv4 {
+// device: a pooled record parsed from a pooled frame buffer it owns,
+// both drawn from the device's domain pool.
+func received(t *testing.T, d *Device, src, dst netip.Addr, ttl uint8, payload []byte) *netpkt.IPv4 {
 	t.Helper()
+	pool := d.S.Pool()
 	ip := &netpkt.IPv4{Protocol: netpkt.ProtoUDP, Src: src, Dst: dst, TTL: ttl, Payload: payload}
-	buf := ip.AppendMarshal(netpkt.GetBuf(ip.TotalLen()))
-	rec, err := netpkt.ParsePooled(buf)
+	buf := ip.AppendMarshal(pool.GetBuf(ip.TotalLen()))
+	rec, err := pool.ParsePooled(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,23 +52,23 @@ func TestDropPointsRecyclePackets(t *testing.T) {
 		drop func(t *testing.T, d *Device) *netpkt.IPv4
 	}{
 		{"forwarding queue tail drop", func(t *testing.T, d *Device) *netpkt.IPv4 {
-			ip := received(t, client, server, 64, udpTo(client, server, 4000, 9000))
+			ip := received(t, d, client, server, 64, udpTo(client, server, 4000, 9000))
 			d.up.busy, d.up.queued = true, 1<<30 // a full queue
 			d.up.enqueue(ip)
 			return ip
 		}},
 		{"outbound translation refused", func(t *testing.T, d *Device) *netpkt.IPv4 {
-			ip := received(t, client, server, 64, []byte{0, 1}) // too short for UDP
+			ip := received(t, d, client, server, 64, []byte{0, 1}) // too short for UDP
 			d.finishForward(d.up, ip)
 			return ip
 		}},
 		{"TTL expiry while forwarding", func(t *testing.T, d *Device) *netpkt.IPv4 {
-			ip := received(t, client, server, 1, udpTo(client, server, 4000, 9000))
+			ip := received(t, d, client, server, 1, udpTo(client, server, 4000, 9000))
 			d.forward(d.LANIf, ip)
 			return ip
 		}},
 		{"TTL swallow at WAN arrival", func(t *testing.T, d *Device) *netpkt.IPv4 {
-			out := received(t, client, server, 64, udpTo(client, server, 4000, 9000))
+			out := received(t, d, client, server, 64, udpTo(client, server, 4000, 9000))
 			if !d.Engine.Outbound(out) {
 				t.Fatal("outbound translation failed")
 			}
@@ -74,14 +76,14 @@ func TestDropPointsRecyclePackets(t *testing.T) {
 			if !ok {
 				t.Fatal("no binding")
 			}
-			ip := received(t, server, d.WANAddr(), 1, udpTo(server, d.WANAddr(), 9000, b.Ext()))
+			ip := received(t, d, server, d.WANAddr(), 1, udpTo(server, d.WANAddr(), 9000, b.Ext()))
 			if !d.rawWAN(d.WANIf, ip) {
 				t.Fatal("rawWAN did not consume the packet")
 			}
 			return ip
 		}},
 		{"hairpin disabled", func(t *testing.T, d *Device) *netpkt.IPv4 {
-			ip := received(t, client, d.WANAddr(), 64, udpTo(client, d.WANAddr(), 4000, 9000))
+			ip := received(t, d, client, d.WANAddr(), 64, udpTo(client, d.WANAddr(), 4000, 9000))
 			if !d.rawWAN(d.LANIf, ip) {
 				t.Fatal("rawWAN did not consume the packet")
 			}
@@ -90,8 +92,11 @@ func TestDropPointsRecyclePackets(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := buildRig(t, hairpinOff)
+			pool := r.s.Pool()
+			pool.Flush()
 			before := obs.Proc.Snapshot()
 			ip := tc.drop(t, r.dev)
+			pool.Flush()
 			after := obs.Proc.Snapshot()
 			if ip.Buf != nil || ip.Payload != nil || ip.Src.IsValid() || ip.Protocol != 0 {
 				t.Fatal("dropped packet's record not recycled")

@@ -78,11 +78,7 @@ var obsWriteAllowed = map[string]bool{
 	// Construction.
 	"NewRegistry": true,
 	// ProcStats writes.
-	"PoolGet":     true,
-	"PoolMiss":    true,
-	"PoolPut":     true,
-	"FrameGet":    true,
-	"FramePut":    true,
+	"AddPool":     true,
 	"SimProcUp":   true,
 	"SimProcDown": true,
 	"ShardUp":     true,

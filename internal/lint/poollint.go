@@ -8,11 +8,11 @@ import (
 )
 
 // PoolLint enforces DESIGN.md §9: a pooled buffer, frame or packet
-// record obtained from netpkt.GetBuf / netpkt.GetFrame /
-// netpkt.GetPacket / netpkt.ParsePooled is owned by the scope that drew
-// it until it is handed to exactly one consumer. Within the function
-// that drew a pooled value it flags the escapes that break the
-// recycling contract:
+// record drawn from a simulator domain's netpkt.Pool (its GetBuf,
+// GetFrame, GetPacket and ParsePooled methods) is owned by the scope
+// that drew it until it is handed to exactly one consumer. Within the
+// function that drew a pooled value it flags the escapes that break
+// the recycling contract:
 //
 //   - storing the raw value into a struct field, slice/map element or
 //     composite literal (retention past the owner's scope);
@@ -20,7 +20,7 @@ import (
 //     pool API itself transfers by convention and is annotated);
 //   - capturing the value in a closure (a callback scheduled on sim may
 //     run after the buffer was recycled);
-//   - calling netpkt.PutBuf on a buffer while a zero-copy view of it is
+//   - calling Pool.PutBuf on a buffer while a zero-copy view of it is
 //     still used on a path after the call. The buffer may be one the
 //     function drew, a field a view was parsed from (PutBuf(f.Payload)
 //     after ParseIPv4(f.Payload)), or the buffer a packet owns
@@ -30,7 +30,7 @@ import (
 //     PutPacket before its buffer.
 //
 // In any function it also flags a packet record used on a path after
-// netpkt.PutPacket recycled it, or after it was handed to the host
+// Pool.PutPacket recycled it, or after it was handed to the host
 // stack's Send or SendVia, which recycle a pooled record once it is on
 // the wire.
 //
@@ -62,16 +62,13 @@ func runPoolLint(pass *Pass) error {
 }
 
 // isPoolAPI reports whether fd is part of the pool implementation
-// itself (GetBuf returning a pooled buffer is its contract).
+// itself, a method of netpkt's Pool (GetBuf returning a pooled buffer
+// is its contract).
 func isPoolAPI(pass *Pass, fd *ast.FuncDecl) bool {
-	if !isNetpktPath(pass.PkgPath) {
+	if !isNetpktPath(pass.PkgPath) || fd.Recv == nil || len(fd.Recv.List) != 1 {
 		return false
 	}
-	switch fd.Name.Name {
-	case "GetBuf", "PutBuf", "GetFrame", "PutFrame", "GetPacket", "PutPacket", "ParsePooled":
-		return fd.Recv == nil
-	}
-	return false
+	return isNetpktPool(pass.TypesInfo.TypeOf(fd.Recv.List[0].Type))
 }
 
 // isNetpktPath matches the packet-codec package in both the real module
@@ -81,9 +78,11 @@ func isNetpktPath(path string) bool {
 	return path == "netpkt" || strings.HasSuffix(path, "/netpkt")
 }
 
-// poolFunc recognizes calls to the pool/codec API by function name and
-// defining package.
-func poolFunc(pass *Pass, call *ast.CallExpr) (name string, ok bool) {
+// poolFunc recognizes calls into netpkt by name and defining package:
+// methods of its Pool type (the pool API: draws, recycles and
+// ParsePooled), reported with method set, and package-level functions
+// (the codecs' ParseX). Methods of other netpkt types are neither.
+func poolFunc(pass *Pass, call *ast.CallExpr) (name string, method, ok bool) {
 	var obj types.Object
 	switch fun := call.Fun.(type) {
 	case *ast.SelectorExpr:
@@ -91,13 +90,25 @@ func poolFunc(pass *Pass, call *ast.CallExpr) (name string, ok bool) {
 	case *ast.Ident:
 		obj = pass.TypesInfo.Uses[fun]
 	default:
-		return "", false
+		return "", false, false
 	}
 	fn, ok2 := obj.(*types.Func)
 	if !ok2 || fn.Pkg() == nil || !isNetpktPath(fn.Pkg().Path()) {
-		return "", false
+		return "", false, false
 	}
-	return fn.Name(), true
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+		return fn.Name(), true, isNetpktPool(recv.Type())
+	}
+	return fn.Name(), false, true
+}
+
+// isNetpktPool reports whether t is netpkt.Pool or a pointer to it.
+func isNetpktPool(t types.Type) bool {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, ok := t.(*types.Named)
+	return ok && n.Obj().Name() == "Pool" && n.Obj().Pkg() != nil && isNetpktPath(n.Obj().Pkg().Path())
 }
 
 // poolSource describes a tracked pooled value.
@@ -105,13 +116,14 @@ type poolSource struct {
 	kind string // "buffer", "frame" or "packet"
 }
 
-// poolKinds maps each drawing call to the kind of value it returns.
+// poolKinds maps each drawing method of Pool to the kind of value it
+// returns.
 var poolKinds = map[string]string{"GetBuf": "buffer", "GetFrame": "frame", "GetPacket": "packet", "ParsePooled": "packet"}
 
 // checkPoolFunc analyzes one function declaration.
 func checkPoolFunc(pass *Pass, fd *ast.FuncDecl) {
 	// Pass 1: find tracked pooled values (idents assigned directly from
-	// GetBuf/GetFrame) and aliases (zero-copy views parsed from a
+	// a Pool draw) and aliases (zero-copy views parsed from a
 	// tracked buffer, or subslices of one).
 	tracked := make(map[types.Object]poolSource)
 	// owner records the innermost function literal in which each
@@ -131,8 +143,8 @@ func checkPoolFunc(pass *Pass, fd *ast.FuncDecl) {
 		}
 		switch rhs := as.Rhs[0].(type) {
 		case *ast.CallExpr:
-			name, ok := poolFunc(pass, rhs)
-			if kind := poolKinds[name]; ok && kind != "" {
+			name, method, ok := poolFunc(pass, rhs)
+			if kind := poolKinds[name]; ok && method && kind != "" {
 				// The drawn value is the first result (ParsePooled's
 				// second is its error).
 				if id, ok := as.Lhs[0].(*ast.Ident); ok {
@@ -145,7 +157,8 @@ func checkPoolFunc(pass *Pass, fd *ast.FuncDecl) {
 					return
 				}
 			}
-			// v, ok := netpkt.ParseX(buf): v aliases buf.
+			// v, ok := netpkt.ParseX(buf) or pool.ParsePooled(buf): v
+			// aliases buf.
 			if ok && strings.HasPrefix(name, "Parse") {
 				var base types.Object
 				field := ""
@@ -326,7 +339,7 @@ func checkPoolFunc(pass *Pass, fd *ast.FuncDecl) {
 	walk(fd.Body, nil, make(map[types.Object]bool))
 }
 
-// checkPrematurePut reports each netpkt.PutBuf call in fd after which
+// checkPrematurePut reports each Pool.PutBuf call in fd after which
 // a zero-copy view of the recycled buffer is still used on some path:
 // the recycled bytes are then still reachable.
 func checkPrematurePut(pass *Pass, fd *ast.FuncDecl, tracked map[types.Object]poolSource, aliasOf map[types.Object]types.Object, fieldViews map[string][]types.Object, bufOf map[types.Object]types.Object) {
@@ -335,8 +348,8 @@ func checkPrematurePut(pass *Pass, fd *ast.FuncDecl, tracked map[types.Object]po
 		if !ok {
 			return true
 		}
-		name, ok := poolFunc(pass, call)
-		if !ok || name != "PutBuf" || len(call.Args) != 1 {
+		name, method, ok := poolFunc(pass, call)
+		if !ok || !method || name != "PutBuf" || len(call.Args) != 1 {
 			return true
 		}
 		var views []types.Object
@@ -379,7 +392,7 @@ func checkPrematurePut(pass *Pass, fd *ast.FuncDecl, tracked map[types.Object]po
 }
 
 // checkPacketHandoff reports each use of a packet record on a path
-// after a call that ends the record's life: netpkt.PutPacket(ip), or
+// after a call that ends the record's life: Pool.PutPacket(ip), or
 // Send/SendVia of the host stack, which recycles a pooled record once
 // the packet is on the wire. The record need not have been drawn here:
 // a parameter may be a pooled record the stack handed in.
@@ -389,8 +402,8 @@ func checkPacketHandoff(pass *Pass, fd *ast.FuncDecl) {
 		if !ok {
 			return true
 		}
-		name, ok := poolFunc(pass, call)
-		putPacket := ok && name == "PutPacket"
+		name, method, ok := poolFunc(pass, call)
+		putPacket := ok && method && name == "PutPacket"
 		if !putPacket && !isHostSend(pass, call) {
 			return true
 		}

@@ -44,9 +44,9 @@ type ProcStats struct{}
 
 var Proc ProcStats
 
-func (p *ProcStats) PoolGet()  {}
-func (p *ProcStats) PoolMiss() {}
-func (p *ProcStats) ShardUp()  {}
+func (p *ProcStats) AddPool(gets, misses, puts, frameGets, framePuts uint64) {}
+
+func (p *ProcStats) ShardUp() {}
 
 type ProcSnapshot struct{}
 

@@ -20,8 +20,8 @@ func BucketPeek() int {
 }
 
 func ProcPeek() {
-	obs.Proc.PoolGet()      // write: fine
-	_ = obs.Proc.Snapshot() // want `obs.Snapshot reads telemetry from a deterministic package`
+	obs.Proc.AddPool(1, 0, 1, 0, 0) // write: fine
+	_ = obs.Proc.Snapshot()         // want `obs.Snapshot reads telemetry from a deterministic package`
 }
 
 func WallClockLaundering() int64 {

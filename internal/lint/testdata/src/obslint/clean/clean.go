@@ -29,8 +29,7 @@ func attach() *obs.Registry {
 }
 
 func poolTraffic() {
-	obs.Proc.PoolGet()
-	obs.Proc.PoolMiss()
+	obs.Proc.AddPool(2, 1, 2, 1, 1)
 	obs.Proc.ShardUp()
 }
 

@@ -4,8 +4,8 @@ package allowed
 
 import "netpkt"
 
-func NewFrame() *netpkt.Frame {
-	f := netpkt.GetFrame()
+func NewFrame(p *netpkt.Pool) *netpkt.Frame {
+	f := p.GetFrame()
 	//hgwlint:allow poollint constructor transfers ownership to the caller by contract
 	return f
 }

@@ -9,6 +9,8 @@ type Host struct{}
 
 type NetIf struct{}
 
+func (h *Host) Pool() *netpkt.Pool { return &netpkt.Pool{} }
+
 func (h *Host) Send(ip *netpkt.IPv4) bool { return true }
 
 func (h *Host) SendVia(ifc *NetIf, ip *netpkt.IPv4) {}

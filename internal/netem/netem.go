@@ -154,8 +154,9 @@ func (p *pipe) faultFilter(f *netpkt.Frame) bool {
 		if DebugDrop != nil {
 			DebugDrop(f)
 		} else {
-			netpkt.PutBuf(f.Payload)
-			netpkt.PutFrame(f)
+			pool := p.s.Pool()
+			pool.PutBuf(f.Payload)
+			pool.PutFrame(f)
 		}
 		return true
 	}
@@ -235,8 +236,9 @@ func (p *pipe) send(f *netpkt.Frame) {
 				DebugDrop(f)
 			} else {
 				// Nobody saw the frame die: recycle it.
-				netpkt.PutBuf(f.Payload)
-				netpkt.PutFrame(f)
+				pool := p.s.Pool()
+				pool.PutBuf(f.Payload)
+				pool.PutFrame(f)
 			}
 			return
 		}
@@ -303,6 +305,7 @@ type vlanGroup struct {
 	vlan    uint16
 	members []*Iface
 	fdb     []fdbEntry
+	pool    *netpkt.Pool // the switch's domain pool
 }
 
 // fdbEntry is one learned address and the port it was last seen on.
@@ -327,7 +330,7 @@ func (sw *Switch) AddPort(vlan uint16) *Iface {
 	sw.nports++
 	k := sort.Search(len(sw.vlans), func(i int) bool { return sw.vlans[i].vlan >= vlan })
 	if k == len(sw.vlans) || sw.vlans[k].vlan != vlan {
-		sw.vlans = slices.Insert(sw.vlans, k, &vlanGroup{vlan: vlan})
+		sw.vlans = slices.Insert(sw.vlans, k, &vlanGroup{vlan: vlan, pool: sw.s.Pool()})
 	}
 	g := sw.vlans[k]
 	g.members = append(g.members, port)
@@ -374,8 +377,8 @@ func (g *vlanGroup) forward(in *Iface, f *netpkt.Frame) {
 			} else {
 				// Destination learned on the ingress port (same-MAC
 				// quirk): the frame dies here unparsed.
-				netpkt.PutBuf(f.Payload)
-				netpkt.PutFrame(f)
+				g.pool.PutBuf(f.Payload)
+				g.pool.PutFrame(f)
 			}
 			return
 		}
@@ -390,14 +393,14 @@ func (g *vlanGroup) forward(in *Iface, f *netpkt.Frame) {
 	}
 	if len(members) == 0 {
 		// No member ports: the frame dies here.
-		netpkt.PutBuf(f.Payload)
-		netpkt.PutFrame(f)
+		g.pool.PutBuf(f.Payload)
+		g.pool.PutFrame(f)
 		return
 	}
 	last := len(members) - 1
 	for _, p := range members[:last] {
 		if p != in {
-			p.Send(f.Clone())
+			p.Send(f.Clone(g.pool))
 		}
 	}
 	members[last].Send(f)

@@ -362,12 +362,13 @@ func TestFaultFilterAllocs(t *testing.T) {
 	s := sim.New(1)
 	a, b := mkIface("a"), mkIface("b")
 	// The receiver recycles like a real stack, so the pools stay primed.
-	b.Recv = func(f *netpkt.Frame) { netpkt.PutBuf(f.Payload); netpkt.PutFrame(f) }
+	pool := s.Pool()
+	b.Recv = func(f *netpkt.Frame) { pool.PutBuf(f.Payload); pool.PutFrame(f) }
 	l := Connect(s, a, b, LinkConfig{})
 	send := func() {
-		f := netpkt.GetFrame()
+		f := pool.GetFrame()
 		f.Src, f.Dst = a.MAC, b.MAC
-		f.Payload = netpkt.GetBuf(64)
+		f.Payload = pool.GetBuf(64)
 		a.Send(f)
 		s.Run(0)
 	}

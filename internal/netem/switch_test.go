@@ -16,6 +16,7 @@ import (
 type refSwitch struct {
 	ports []*Iface
 	table map[refKey]*Iface
+	pool  *netpkt.Pool
 }
 
 type refKey struct {
@@ -47,8 +48,8 @@ func (sw *refSwitch) forward(in *Iface, f *netpkt.Frame) {
 			if out != in {
 				out.Send(f)
 			} else {
-				netpkt.PutBuf(f.Payload)
-				netpkt.PutFrame(f)
+				sw.pool.PutBuf(f.Payload)
+				sw.pool.PutFrame(f)
 			}
 			return
 		}
@@ -59,14 +60,14 @@ func (sw *refSwitch) forward(in *Iface, f *netpkt.Frame) {
 		members = members[:n-1]
 	}
 	if len(members) == 0 {
-		netpkt.PutBuf(f.Payload)
-		netpkt.PutFrame(f)
+		sw.pool.PutBuf(f.Payload)
+		sw.pool.PutFrame(f)
 		return
 	}
 	last := len(members) - 1
 	for _, p := range members[:last] {
 		if p != in {
-			p.Send(f.Clone())
+			p.Send(f.Clone(sw.pool))
 		}
 	}
 	members[last].Send(f)
@@ -77,14 +78,15 @@ func (sw *refSwitch) forward(in *Iface, f *netpkt.Frame) {
 type switchRig struct {
 	ports []*Iface
 	log   []int
+	pool  *netpkt.Pool
 }
 
 func (r *switchRig) add(port *Iface) {
 	idx := len(r.ports)
 	port.send = func(f *netpkt.Frame) {
 		r.log = append(r.log, idx)
-		netpkt.PutBuf(f.Payload)
-		netpkt.PutFrame(f)
+		r.pool.PutBuf(f.Payload)
+		r.pool.PutFrame(f)
 	}
 	r.ports = append(r.ports, port)
 }
@@ -93,9 +95,9 @@ func (r *switchRig) add(port *Iface) {
 // by, in order; empty means the switch dropped it.
 func (r *switchRig) offer(i int, src, dst netpkt.MAC) []int {
 	r.log = r.log[:0]
-	f := netpkt.GetFrame()
+	f := r.pool.GetFrame()
 	f.Src, f.Dst, f.Type = src, dst, netpkt.EtherTypeIPv4
-	f.Payload = append(netpkt.GetBuf(4), "data"...)
+	f.Payload = append(r.pool.GetBuf(4), "data"...)
 	r.ports[i].Recv(f)
 	return slices.Clone(r.log)
 }
@@ -114,9 +116,10 @@ func TestSwitchMatchesMapReference(t *testing.T) {
 		macs = append(macs, netpkt.MAC{2, 0, 0, 0, 0, byte(i)})
 	}
 	for trial := 0; trial < 200; trial++ {
-		sw := NewSwitch(sim.New(1), "sw")
-		ref := &refSwitch{table: map[refKey]*Iface{}}
-		var got, want switchRig
+		s := sim.New(1)
+		sw := NewSwitch(s, "sw")
+		ref := &refSwitch{table: map[refKey]*Iface{}, pool: s.Pool()}
+		got, want := switchRig{pool: s.Pool()}, switchRig{pool: s.Pool()}
 		nports := 1 + rng.Intn(8)
 		for i := 0; i < nports; i++ {
 			vlan := uint16(1 + rng.Intn(3))

@@ -18,20 +18,21 @@ func TestAllocsMarshalParse(t *testing.T) {
 
 	// Pooled UDP-in-IPv4 round trip, structs reused: zero allocs.
 	u := &UDP{SrcPort: 4000, DstPort: 53, Payload: payload}
+	var pool Pool
 	var ipIn IPv4
 	var udpIn UDP
 	if n := testing.AllocsPerRun(100, func() {
-		seg := u.AppendMarshal(GetBuf(8+len(payload)), src, dst)
+		seg := u.AppendMarshal(pool.GetBuf(8+len(payload)), src, dst)
 		ip := IPv4{TTL: 64, Protocol: ProtoUDP, Src: src, Dst: dst, Payload: seg}
-		wire := ip.MarshalPooled()
-		PutBuf(seg)
+		wire := ip.MarshalPooled(&pool)
+		pool.PutBuf(seg)
 		if err := ipIn.Parse(wire); err != nil {
 			t.Fatal(err)
 		}
 		if err := udpIn.Parse(ipIn.Payload, ipIn.Src, ipIn.Dst, true); err != nil {
 			t.Fatal(err)
 		}
-		PutBuf(wire)
+		pool.PutBuf(wire)
 	}); n != 0 {
 		t.Fatalf("pooled UDP/IPv4 round trip allocates %.1f objects per run, want 0", n)
 	}
@@ -40,11 +41,11 @@ func TestAllocsMarshalParse(t *testing.T) {
 	seg := &TCP{SrcPort: 4000, DstPort: 80, Seq: 9, Ack: 7, Flags: TCPAck, Window: 65535, Payload: payload}
 	var tcpIn TCP
 	if n := testing.AllocsPerRun(100, func() {
-		wire := seg.AppendMarshal(GetBuf(20+len(payload)), src, dst)
+		wire := seg.AppendMarshal(pool.GetBuf(20+len(payload)), src, dst)
 		if err := tcpIn.Parse(wire, src, dst, true); err != nil {
 			t.Fatal(err)
 		}
-		PutBuf(wire)
+		pool.PutBuf(wire)
 	}); n != 0 {
 		t.Fatalf("pooled TCP round trip allocates %.1f objects per run, want 0", n)
 	}
@@ -102,28 +103,72 @@ func TestParseAliasesInput(t *testing.T) {
 // TestBufPoolRoundTrip checks that the pool recycles its own buffers
 // and safely ignores foreign or clipped slices.
 func TestBufPoolRoundTrip(t *testing.T) {
-	b := GetBuf(64)
+	var pool Pool
+	b := pool.GetBuf(64)
 	if len(b) != 0 || cap(b) < 64 {
 		t.Fatalf("GetBuf(64) = len %d cap %d", len(b), cap(b))
 	}
 	b = append(b, bytes.Repeat([]byte{1}, 64)...)
-	PutBuf(b) // must not panic
+	pool.PutBuf(b) // must not panic
+	if c := pool.GetBuf(10); &c[:1][0] != &b[0] {
+		t.Fatal("the pool did not hand back the buffer put last")
+	}
 
 	// Clipped sub-slices (parsed views) and foreign buffers are ignored.
-	PutBuf(b[8:32:32])
-	PutBuf(make([]byte, 100))
+	n := len(pool.small)
+	pool.PutBuf(b[8:32:32])
+	pool.PutBuf(make([]byte, 100))
+	if len(pool.small) != n {
+		t.Fatal("the pool took a clipped or foreign buffer")
+	}
 
-	big := GetBuf(1 << 20)
+	big := pool.GetBuf(1 << 20)
 	if cap(big) < 1<<20 {
 		t.Fatalf("oversize GetBuf cap = %d", cap(big))
 	}
-	PutBuf(big) // oversize: ignored, must not panic
+	pool.PutBuf(big) // oversize: ignored, must not panic
 
-	f := GetFrame()
+	f := pool.GetFrame()
 	f.VLAN = 42
-	PutFrame(f)
-	if g := GetFrame(); g.VLAN != 0 {
+	pool.PutFrame(f)
+	if g := pool.GetFrame(); g != f || g.VLAN != 0 {
 		t.Fatal("PutFrame leaked fields into the pool")
+	}
+}
+
+// TestPoolReleaseRefill checks the depot hand-off: a pool refills an
+// empty list from what an earlier domain released, and the depot keeps
+// at most depotMax objects of a class.
+func TestPoolReleaseRefill(t *testing.T) {
+	var a, b Pool
+	buf := a.GetBuf(64)
+	f := a.GetFrame()
+	ip := a.GetPacket()
+	a.PutBuf(buf)
+	a.PutFrame(f)
+	//hgwlint:allow poollint the test compares the recycled record's identity, never its contents
+	a.PutPacket(ip)
+	a.Release()
+	if len(a.small) != 0 || len(a.frames) != 0 || len(a.pkts) != 0 {
+		t.Fatal("Release left objects on the domain's lists")
+	}
+	if got := b.GetBuf(64); &got[:1][0] != &buf[:1][0] {
+		t.Fatal("refill did not take the released buffer")
+	}
+	if b.GetFrame() != f || b.GetPacket() != ip {
+		t.Fatal("refill did not take the released frame and record")
+	}
+
+	var big Pool
+	for range depotMax + refillBatch {
+		big.PutBuf(make([]byte, 0, bufCapSmall))
+	}
+	big.Release()
+	depotSmall.mu.Lock()
+	n := len(depotSmall.free)
+	depotSmall.mu.Unlock()
+	if n != depotMax {
+		t.Fatalf("depot keeps %d small buffers, want its bound %d", n, depotMax)
 	}
 }
 
@@ -134,9 +179,10 @@ func TestBufPoolRoundTrip(t *testing.T) {
 func TestMarshalPooledBytesIdentical(t *testing.T) {
 	src, dst := Addr4(10, 0, 0, 2), Addr4(192, 0, 2, 1)
 	// Dirty a pool buffer, then return it.
-	dirty := GetBuf(512)
+	var pool Pool
+	dirty := pool.GetBuf(512)
 	dirty = append(dirty, bytes.Repeat([]byte{0xff}, 512)...)
-	PutBuf(dirty)
+	pool.PutBuf(dirty)
 
 	ip := &IPv4{
 		TTL: 9, Protocol: ProtoUDP, Src: src, Dst: dst,
@@ -144,11 +190,11 @@ func TestMarshalPooledBytesIdentical(t *testing.T) {
 		Payload: []byte("pooled-vs-plain"),
 	}
 	plain := ip.Marshal()
-	pooled := ip.MarshalPooled()
+	pooled := ip.MarshalPooled(&pool)
 	if !bytes.Equal(plain, pooled) {
 		t.Fatalf("pooled marshal differs from plain:\nplain  %x\npooled %x", plain, pooled)
 	}
-	PutBuf(pooled)
+	pool.PutBuf(pooled)
 }
 
 // TestReserveMarshalsInPlace checks the Reserve path: the header is
@@ -159,12 +205,13 @@ func TestMarshalPooledBytesIdentical(t *testing.T) {
 // reserved buffer falls back to a copying marshal.
 func TestReserveMarshalsInPlace(t *testing.T) {
 	src, dst := Addr4(10, 0, 0, 2), Addr4(192, 0, 2, 1)
+	var pool Pool
 	for _, bad := range []bool{false, true} {
 		ip := &IPv4{
 			ID: 7, TTL: 9, Protocol: ProtoUDP, Src: src, Dst: dst, BadChecksum: bad,
 			Options: []byte{IPOptNop, IPOptNop, IPOptEnd},
 		}
-		p := ip.Reserve(16)
+		p := ip.Reserve(&pool, 16)
 		full := ip.Buf[:cap(ip.Buf)]
 		for i := range full {
 			full[i] = 0xff
@@ -172,42 +219,49 @@ func TestReserveMarshalsInPlace(t *testing.T) {
 		ip.Payload = append(p, "in-place-payload"...)
 		plain := ip.Marshal()
 		buf := ip.Buf[:1]
-		wire := ip.MarshalPooled()
+		wire := ip.MarshalPooled(&pool)
 		if !bytes.Equal(plain, wire) {
 			t.Fatalf("bad=%v: in-place marshal differs:\nplain %x\nwire  %x", bad, plain, wire)
 		}
 		if &wire[0] != &buf[0] || ip.Buf != nil {
 			t.Fatalf("bad=%v: wire image is not the reserved buffer handed over", bad)
 		}
-		PutBuf(wire)
+		pool.PutBuf(wire)
 	}
 
 	ip := &IPv4{TTL: 9, Protocol: ProtoUDP, Src: src, Dst: dst}
-	ip.Reserve(8)
+	ip.Reserve(&pool, 8)
 	ip.Payload = []byte("elsewhere")
 	buf := ip.Buf[:1]
-	if wire := ip.MarshalPooled(); &wire[0] == &buf[0] || !bytes.Equal(wire, ip.Marshal()) || ip.Buf == nil {
+	if wire := ip.MarshalPooled(&pool); &wire[0] == &buf[0] || !bytes.Equal(wire, ip.Marshal()) || ip.Buf == nil {
 		t.Fatalf("moved payload: wire %x, Buf kept %v", wire, ip.Buf != nil)
 	}
 }
 
-// TestPoolCountersTrackTraffic checks the pool reports gets/puts (and
-// frame traffic) to obs.Proc. Miss counts are GC-dependent, so only
-// monotonicity is asserted there; the alloc pins above already prove
-// the accounting itself is free.
+// TestPoolCountersTrackTraffic checks that a pool counts its gets,
+// puts, frame traffic and refills in plain fields and adds them to
+// obs.Proc only when flushed. A fresh pool's first draw of a class
+// finds its list empty: one miss.
 func TestPoolCountersTrackTraffic(t *testing.T) {
+	var pool Pool
 	before := obs.Proc.Snapshot()
-	b := GetBuf(64)
-	PutBuf(b)
-	f := GetFrame()
-	PutFrame(f)
-	GetBuf(1 << 20) // oversize: allocator path, not counted
-	after := obs.Proc.Snapshot()
-	if got := after.PoolGets - before.PoolGets; got != 1 {
-		t.Errorf("pool gets moved by %d, want 1 (oversize must not count)", got)
+	b := pool.GetBuf(64)
+	pool.PutBuf(b)
+	b = pool.GetBuf(64)
+	pool.PutBuf(b)
+	f := pool.GetFrame()
+	pool.PutFrame(f)
+	pool.GetBuf(1 << 20) // oversize: allocator path, not counted
+	if mid := obs.Proc.Snapshot(); mid != before {
+		t.Fatalf("obs.Proc moved before the flush: %+v -> %+v", before, mid)
 	}
-	if got := after.PoolPuts - before.PoolPuts; got != 1 {
-		t.Errorf("pool puts moved by %d, want 1", got)
+	pool.Flush()
+	after := obs.Proc.Snapshot()
+	if got := after.PoolGets - before.PoolGets; got != 2 {
+		t.Errorf("pool gets moved by %d, want 2 (oversize must not count)", got)
+	}
+	if got := after.PoolPuts - before.PoolPuts; got != 2 {
+		t.Errorf("pool puts moved by %d, want 2", got)
 	}
 	if got := after.FrameGets - before.FrameGets; got != 1 {
 		t.Errorf("frame gets moved by %d, want 1", got)
@@ -215,7 +269,11 @@ func TestPoolCountersTrackTraffic(t *testing.T) {
 	if got := after.FramePuts - before.FramePuts; got != 1 {
 		t.Errorf("frame puts moved by %d, want 1", got)
 	}
-	if after.PoolMisses < before.PoolMisses {
-		t.Errorf("pool misses went backwards: %d -> %d", before.PoolMisses, after.PoolMisses)
+	if got := after.PoolMisses - before.PoolMisses; got != 1 {
+		t.Errorf("pool misses moved by %d, want 1 (the first draw's refill)", got)
+	}
+	pool.Flush()
+	if again := obs.Proc.Snapshot(); again != after {
+		t.Errorf("a second flush moved obs.Proc: %+v -> %+v", after, again)
 	}
 }

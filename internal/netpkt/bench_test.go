@@ -81,27 +81,28 @@ func BenchmarkHop(b *testing.B) {
 }
 
 // BenchmarkHopPooled is BenchmarkHop on the pooled, struct-reusing hot
-// path the simulator actually runs: AppendMarshal into GetBuf buffers,
-// Parse into reused structs, PutBuf when the buffer dies. Steady state
-// must be allocation-free.
+// path the simulator actually runs: AppendMarshal into Pool.GetBuf
+// buffers, Parse into reused structs, PutBuf when the buffer dies.
+// Steady state must be allocation-free.
 func BenchmarkHopPooled(b *testing.B) {
 	u := &UDP{SrcPort: 4000, DstPort: 53, Payload: benchPayload(128)}
+	var pool Pool
 	var ipIn IPv4
 	var udpIn UDP
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		seg := u.AppendMarshal(GetBuf(8+len(u.Payload)), benchSrc, benchDst)
+		seg := u.AppendMarshal(pool.GetBuf(8+len(u.Payload)), benchSrc, benchDst)
 		ip := IPv4{TTL: 64, Protocol: ProtoUDP, Src: benchSrc, Dst: benchDst, Payload: seg}
-		wire := ip.MarshalPooled()
-		PutBuf(seg)
+		wire := ip.MarshalPooled(&pool)
+		pool.PutBuf(seg)
 		if err := ipIn.Parse(wire); err != nil {
 			b.Fatal(err)
 		}
 		if err := udpIn.Parse(ipIn.Payload, ipIn.Src, ipIn.Dst, true); err != nil {
 			b.Fatal(err)
 		}
-		PutBuf(wire)
+		pool.PutBuf(wire)
 	}
 }
 

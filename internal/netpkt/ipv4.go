@@ -38,7 +38,7 @@ type IPv4 struct {
 	// zy1/ls1 ICMP-payload checksum bug).
 	BadChecksum bool
 
-	// Buf, when set, is a pooled buffer (GetBuf) that Options and
+	// Buf, when set, is a pooled buffer (Pool.GetBuf) that Options and
 	// Payload may alias, and the packet owns it: whoever ends the
 	// packet's life recycles it. A received packet owns its frame
 	// buffer, a sender the buffer it drew with Reserve. Parse leaves
@@ -47,8 +47,9 @@ type IPv4 struct {
 	// reserved marks a Buf drawn by Reserve, with the payload written
 	// right after room for the header.
 	reserved bool
-	// pooled marks a record drawn by GetPacket or ParsePooled, which
-	// PutPacket recycles; records built by callers are never pooled.
+	// pooled marks a record drawn by Pool.GetPacket or ParsePooled,
+	// which PutPacket recycles; records built by callers are never
+	// pooled.
 	pooled bool
 }
 
@@ -72,13 +73,13 @@ func (ip *IPv4) TotalLen() int { return ip.HeaderLen() + len(ip.Payload) }
 func (ip *IPv4) Marshal() []byte { return ip.AppendMarshal(nil) }
 
 // MarshalPooled serializes like Marshal but draws the buffer from the
-// packet-buffer pool (GetBuf). The caller owns the result; it may be
+// domain's pool p (GetBuf). The caller owns the result; it may be
 // recycled with PutBuf once provably dead.
 //
 // A packet whose Payload still sits where Reserve put it is not copied:
 // the header is written in front of the payload, and the packet's Buf
 // itself, handed from the packet to the caller, is the result.
-func (ip *IPv4) MarshalPooled() []byte {
+func (ip *IPv4) MarshalPooled(p *Pool) []byte {
 	hl := ip.HeaderLen()
 	if ip.reserved && len(ip.Payload) > 0 && cap(ip.Buf) > hl && &ip.Buf[:hl+1][hl] == &ip.Payload[0] {
 		b := ip.Buf[:hl+len(ip.Payload)]
@@ -86,18 +87,18 @@ func (ip *IPv4) MarshalPooled() []byte {
 		ip.Buf, ip.reserved = nil, false
 		return b
 	}
-	return ip.AppendMarshal(GetBuf(ip.TotalLen()))
+	return ip.AppendMarshal(p.GetBuf(ip.TotalLen()))
 }
 
-// Reserve draws a pooled buffer with room for the packet's header (its
-// Options must be final) and n payload bytes, and gives it to the
-// packet (Buf). It returns the empty payload slice: the sender appends
-// its transport header and data to it and stores the result in
-// Payload, and MarshalPooled then writes only the IPv4 header in front
-// of them.
-func (ip *IPv4) Reserve(n int) []byte {
+// Reserve draws a buffer from the domain's pool p with room for the
+// packet's header (its Options must be final) and n payload bytes, and
+// gives it to the packet (Buf). It returns the empty payload slice: the
+// sender appends its transport header and data to it and stores the
+// result in Payload, and MarshalPooled then writes only the IPv4 header
+// in front of them.
+func (ip *IPv4) Reserve(p *Pool, n int) []byte {
 	hl := ip.HeaderLen()
-	ip.Buf, ip.reserved = GetBuf(hl+n), true
+	ip.Buf, ip.reserved = p.GetBuf(hl+n), true
 	return ip.Buf[hl:hl]
 }
 
@@ -160,20 +161,6 @@ func ParseIPv4(b []byte) (*IPv4, error) {
 	ip := new(IPv4)
 	err := ip.Parse(b)
 	if err != nil && err != ErrBadChecksum {
-		return nil, err
-	}
-	return ip, err
-}
-
-// ParsePooled decodes b like ParseIPv4 into a record drawn from the
-// record pool (GetPacket). Aliasing semantics match ParseIPv4; the
-// record goes back with PutPacket where its buffer dies, before the
-// buffer itself.
-func ParsePooled(b []byte) (*IPv4, error) {
-	ip := GetPacket()
-	err := ip.Parse(b)
-	if err != nil && err != ErrBadChecksum {
-		PutPacket(ip)
 		return nil, err
 	}
 	return ip, err

@@ -91,13 +91,13 @@ func (f *Frame) Len() int {
 }
 
 // Clone returns a deep copy of the frame. Both the struct and the
-// payload copy are drawn from the packet pools: broadcast fan-out
+// payload copy are drawn from the domain's pool p: broadcast fan-out
 // clones are the pools' main consumer, and uninterested receivers
 // recycle them on arrival.
-func (f *Frame) Clone() *Frame {
-	g := GetFrame()
+func (f *Frame) Clone(p *Pool) *Frame {
+	g := p.GetFrame()
 	*g = *f
-	g.Payload = append(GetBuf(len(f.Payload)), f.Payload...)
+	g.Payload = append(p.GetBuf(len(f.Payload)), f.Payload...)
 	//hgwlint:allow poollint Clone's documented contract is the ownership transfer: the caller owns the copy
 	return g
 }

@@ -78,7 +78,8 @@ func TestFrameLen(t *testing.T) {
 
 func TestFrameClone(t *testing.T) {
 	f := &Frame{Type: EtherTypeIPv4, Payload: []byte{1, 2, 3}}
-	g := f.Clone()
+	var pool Pool
+	g := f.Clone(&pool)
 	g.Payload[0] = 9
 	if f.Payload[0] != 1 {
 		t.Fatal("Clone shares payload")

@@ -2,8 +2,9 @@
 // (counters, gauges, fixed-bucket histograms, a small vector family)
 // collected on per-shard Registries, plus a sampled per-shard trace
 // ring of sim-time-stamped events and a process-wide atomic counter
-// block for the few values that are inherently nondeterministic
-// (sync.Pool hit rates, live goroutines).
+// block for the few values that are process-wide or scheduling-
+// dependent (packet-pool traffic summed over all domains, live
+// goroutines).
 //
 // The design splits telemetry along the determinism boundary
 // (DESIGN.md §13):

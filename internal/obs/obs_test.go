@@ -140,19 +140,16 @@ func TestMerge(t *testing.T) {
 
 func TestProcStats(t *testing.T) {
 	var p ProcStats
-	p.PoolGet()
-	p.PoolMiss()
-	p.PoolPut()
-	p.FrameGet()
-	p.FramePut()
+	p.AddPool(5, 1, 4, 3, 2)
+	p.AddPool(1, 0, 1, 0, 1)
 	p.SimProcUp()
 	p.SimProcUp()
 	p.SimProcDown()
 	p.ShardUp()
 	p.ShardDown()
 	s := p.Snapshot()
-	if s.PoolGets != 1 || s.PoolMisses != 1 || s.PoolPuts != 1 ||
-		s.FrameGets != 1 || s.FramePuts != 1 || s.SimProcs != 1 || s.LiveShards != 0 {
+	if s.PoolGets != 6 || s.PoolMisses != 1 || s.PoolPuts != 5 ||
+		s.FrameGets != 3 || s.FramePuts != 3 || s.SimProcs != 1 || s.LiveShards != 0 {
 		t.Errorf("snapshot = %+v", s)
 	}
 }
@@ -212,8 +209,7 @@ func TestAllocsWritePath(t *testing.T) {
 		t.Errorf("nil registry write path allocates %v/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		Proc.PoolGet()
-		Proc.PoolPut()
+		Proc.AddPool(1, 0, 1, 1, 1)
 		Proc.SimProcUp()
 		Proc.SimProcDown()
 	}); n != 0 {

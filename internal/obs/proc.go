@@ -3,11 +3,12 @@ package obs
 import "sync/atomic"
 
 // ProcStats is the process-wide telemetry block for values that are
-// inherently nondeterministic — sync.Pool hit rates depend on GC
-// timing, goroutine and shard counts on scheduling — and therefore
-// live outside the per-shard Registry and outside every determinism-
-// compared form. Writers are concurrent (netpkt's pools, every sim
-// worker coroutine, every fleet worker), so the slots are atomics.
+// process-wide or scheduling-dependent — packet-pool traffic summed
+// over every domain, goroutine and shard counts — and therefore live
+// outside the per-shard Registry and outside every determinism-
+// compared form. Writers are concurrent (every domain's pool flush,
+// every sim worker coroutine, every fleet worker), so the slots are
+// atomics.
 //
 // The same write-only discipline applies: deterministic packages bump
 // these counters and never read them back (obslint enforces it); the
@@ -30,20 +31,18 @@ type ProcStats struct {
 // Proc is the process-wide instance every writer shares.
 var Proc ProcStats
 
-// PoolGet counts one pooled-buffer draw.
-func (p *ProcStats) PoolGet() { p.poolGets.Add(1) }
-
-// PoolMiss counts a draw the pool could not serve (fresh allocation).
-func (p *ProcStats) PoolMiss() { p.poolMisses.Add(1) }
-
-// PoolPut counts one buffer returned to the pool.
-func (p *ProcStats) PoolPut() { p.poolPuts.Add(1) }
-
-// FrameGet counts one pooled-frame draw.
-func (p *ProcStats) FrameGet() { p.frameGets.Add(1) }
-
-// FramePut counts one frame returned to the pool.
-func (p *ProcStats) FramePut() { p.framePuts.Add(1) }
+// AddPool adds one simulator domain's packet-pool traffic since its
+// last flush: buffer gets, gets that found the domain's list empty and
+// refilled it from the shared depot (misses), buffer puts, and frame
+// gets and puts. Domains count in plain fields and flush in one call
+// when a run returns and at shutdown, so no Get or Put pays an atomic.
+func (p *ProcStats) AddPool(gets, misses, puts, frameGets, framePuts uint64) {
+	p.poolGets.Add(gets)
+	p.poolMisses.Add(misses)
+	p.poolPuts.Add(puts)
+	p.frameGets.Add(frameGets)
+	p.framePuts.Add(framePuts)
+}
 
 // SimProcUp / SimProcDown track live simulator worker coroutines,
 // those running a process and idle ones alike. The pair is the

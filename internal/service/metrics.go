@@ -71,7 +71,7 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "hgwd_job_duration_seconds_count %d\n", dur.Count)
 
 	counter("hgw_pool_gets_total", "Packet buffers handed out by the netpkt pools.", proc.PoolGets)
-	counter("hgw_pool_misses_total", "Pool gets that had to allocate a fresh buffer.", proc.PoolMisses)
+	counter("hgw_pool_misses_total", "Pool gets that found their domain's free list empty and refilled it from the shared depot.", proc.PoolMisses)
 	counter("hgw_pool_puts_total", "Packet buffers returned to the netpkt pools.", proc.PoolPuts)
 	counter("hgw_frame_gets_total", "Frames handed out by the netpkt frame pool.", proc.FrameGets)
 	counter("hgw_frame_puts_total", "Frames returned to the netpkt frame pool.", proc.FramePuts)

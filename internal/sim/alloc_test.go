@@ -2,8 +2,10 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"hgw/internal/obs"
 )
@@ -39,6 +41,30 @@ func TestAllocsEventChurn(t *testing.T) {
 		s.Run(0)
 	}); n != 0 {
 		t.Fatalf("schedule/cancel churn allocates %.1f objects per run, want 0", n)
+	}
+}
+
+// TestAllocsQueueGrowth pins the bytes the event slab and heaps
+// allocate while they grow: scheduling ~40 k far events (NAT binding
+// timers, in bindrate's numbers) must allocate under 2.5× the final
+// slab plus heap, which doubling gives (a geometric series sums to
+// twice its last term) and append's ~1.25× steps for large slices do
+// not (about five times).
+func TestAllocsQueueGrowth(t *testing.T) {
+	s := New(1)
+	fn := func() {}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for j := 0; j < 40_000; j++ {
+		s.At(time.Hour+time.Duration(j)*time.Millisecond, fn)
+	}
+	runtime.ReadMemStats(&m1)
+	final := uintptr(cap(s.slab))*unsafe.Sizeof(eventRec{}) + uintptr(cap(s.far))*unsafe.Sizeof(entry{})
+	if got := m1.TotalAlloc - m0.TotalAlloc; float64(got) >= 2.5*float64(final) {
+		t.Fatalf("scheduling 40k far events allocated %d bytes, want under 2.5 × the final %d", got, final)
+	}
+	if len(s.slab) != 40_000 || len(s.far) != 40_000 || len(s.near) != 0 {
+		t.Fatalf("slab %d, far heap %d, near heap %d entries; want 40000, 40000, 0", len(s.slab), len(s.far), len(s.near))
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"math/rand"
 	"time"
 
+	"hgw/internal/netpkt"
 	"hgw/internal/obs"
 )
 
@@ -156,6 +157,10 @@ type Sim struct {
 	// ever writes it — reading telemetry back into scheduling would
 	// break the equal-seed contract, and obslint forbids it.
 	obs *obs.Registry
+	// pool is the domain's packet free lists (DESIGN.md §9): every
+	// layer on this simulator draws and recycles its buffers, frames
+	// and packet records here.
+	pool netpkt.Pool
 }
 
 // New returns a simulator whose random source is seeded with seed.
@@ -177,6 +182,11 @@ func (s *Sim) SetObs(r *obs.Registry) { s.obs = r }
 // is off). Layers sharing the simulator use it as their write handle;
 // the registry's write API is nil-safe, so callers never check.
 func (s *Sim) Obs() *obs.Registry { return s.obs }
+
+// Pool returns the simulator's packet pool. Only code running in the
+// simulator's domain (its event callbacks and processes, or the
+// goroutine that builds it before Run) may use it.
+func (s *Sim) Pool() *netpkt.Pool { return &s.pool }
 
 // Rand returns the simulator's deterministic random source.
 func (s *Sim) Rand() *rand.Rand { return s.rng }
@@ -204,6 +214,9 @@ func (s *Sim) At(t Time, fn func()) Event {
 		idx = s.free[n-1]
 		s.free = s.free[:n-1]
 	} else {
+		if len(s.slab) == cap(s.slab) {
+			s.slab = grow(s.slab)
+		}
 		s.slab = append(s.slab, eventRec{gen: 1})
 		idx = int32(len(s.slab) - 1)
 		s.obs.GaugeSet(obs.GSimSlabSlots, int64(len(s.slab)))
@@ -212,8 +225,10 @@ func (s *Sim) At(t Time, fn func()) Event {
 	rec.fn, rec.at, rec.seq, rec.canceled = fn, t, s.seq, false
 	e := entry{at: t, seq: s.seq, idx: idx}
 	if t-s.now < nearHorizon {
+		s.near.reserve()
 		s.near.push(e)
 	} else {
+		s.far.reserve()
 		s.far.push(e)
 	}
 	s.live++
@@ -229,6 +244,18 @@ func (s *Sim) AtHandler(t Time, h Handler) Event {
 	e := s.At(t, nil)
 	s.slab[e.idx].h = h
 	return e
+}
+
+// grow returns a copy of q with twice its capacity. append alone grows
+// large slices by ~1.25×, which for a slab or heap that only ever grows
+// allocates and copies several times its final size. It stays out of
+// line so that At's stack frame does not grow with it.
+//
+//go:noinline
+func grow[T any](q []T) []T {
+	n := make([]T, len(q), max(2*cap(q), 8))
+	copy(n, q)
+	return n
 }
 
 // recycle returns a slab slot to the free list. Bumping gen invalidates
@@ -271,6 +298,15 @@ func (a entry) before(b entry) bool {
 
 // eventHeap is a binary min-heap of entries keyed by (at, seq).
 type eventHeap []entry
+
+// reserve makes room for one push, doubling the heap when it is full
+// (see grow). Callers reserve before each push; push itself stays
+// small enough to inline.
+func (h *eventHeap) reserve() {
+	if len(*h) == cap(*h) {
+		*h = grow(*h)
+	}
+}
 
 func (h *eventHeap) push(e entry) {
 	*h = append(*h, e)
@@ -398,7 +434,10 @@ func (s *Sim) Run(horizon time.Duration) Time {
 		panic("sim: Run called reentrantly")
 	}
 	s.running = true
-	defer func() { s.running = false }()
+	defer func() {
+		s.running = false
+		s.pool.Flush()
+	}()
 	sincePoll := 0
 	for !s.stopped && s.queued() > 0 {
 		if s.interrupt != nil {
@@ -426,8 +465,10 @@ func (s *Sim) Run(horizon time.Duration) Time {
 			h.pop()
 			e := entry{at: rec.at, seq: rec.seq, idx: top.idx}
 			if e.at-s.now < nearHorizon {
+				s.near.reserve()
 				s.near.push(e)
 			} else {
+				s.far.reserve()
 				s.far.push(e)
 			}
 			continue
@@ -599,10 +640,11 @@ func runProc(fn func(p *Proc), p *Proc) {
 //
 // Shutdown stops each parked process's coroutine, which makes its park
 // panic with a sentinel that unwinds the body (deferred cleanup runs
-// normally), in spawn order; then it stops the idle workers. The
-// simulator must not be resumed afterwards. Calling Shutdown again, on
-// a fully exited simulation, or after Run re-panicked a process's
-// panic, is safe.
+// normally), in spawn order; then it stops the idle workers and, with
+// nothing left to recycle a packet, releases the domain's pool to the
+// shared depot. The simulator must not be resumed afterwards. Calling
+// Shutdown again, on a fully exited simulation, or after Run
+// re-panicked a process's panic, is safe.
 func (s *Sim) Shutdown() {
 	if s.running {
 		panic("sim: Shutdown called during Run")
@@ -620,6 +662,7 @@ func (s *Sim) Shutdown() {
 		w.stop()
 	}
 	s.all, s.idle = nil, nil
+	s.pool.Release()
 }
 
 // handoff transfers control to the process and returns once it parks

@@ -659,6 +659,35 @@ func TestShutdownIdempotentAndCleanExit(t *testing.T) {
 	}
 }
 
+// TestShutdownReleasesPool checks the domain pool's life cycle: the
+// pool's traffic reaches obs.Proc when Run returns and at Shutdown, and
+// Shutdown hands the pool's lists to the shared depot only after every
+// parked process has unwound, so a buffer that a process's deferred
+// cleanup recycles is among what the next domain refills from.
+func TestShutdownReleasesPool(t *testing.T) {
+	s := New(1)
+	var held *byte // the buffer's first byte
+	s.Spawn("holder", func(p *Proc) {
+		pool := p.Sim().Pool()
+		b := pool.GetBuf(64)
+		held = &b[:1][0]
+		defer pool.PutBuf(b)
+		NewChan[int](s).Recv(p, 0) // parks for good
+	})
+	before := obs.Proc.Snapshot()
+	s.Run(0)
+	if mid := obs.Proc.Snapshot(); mid.PoolGets-before.PoolGets != 1 || mid.PoolPuts != before.PoolPuts {
+		t.Fatalf("pool gets, puts after Run = %d, %d; want 1, 0", mid.PoolGets-before.PoolGets, mid.PoolPuts-before.PoolPuts)
+	}
+	s.Shutdown()
+	if got := obs.Proc.Snapshot().PoolPuts - before.PoolPuts; got != 1 {
+		t.Fatalf("pool puts after Shutdown = %d, want 1 (the unwound process's)", got)
+	}
+	if b := New(2).Pool().GetBuf(64); &b[:1][0] != held {
+		t.Fatal("the next domain did not refill from the buffer released at Shutdown")
+	}
+}
+
 func TestShutdownInterruptedRun(t *testing.T) {
 	baseline := settledGoroutines()
 	s := New(1)

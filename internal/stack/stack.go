@@ -336,13 +336,14 @@ func (h *Host) SendVia(ifc *NetIf, nextHop netip.Addr, ip *netpkt.IPv4) {
 // frame buffer — has been copied into the frame, so it is dead and
 // goes back too, after the record.
 func emit(ifc *NetIf, dst netpkt.MAC, ip *netpkt.IPv4) {
-	f := netpkt.GetFrame()
+	pool := ifc.Host.S.Pool()
+	f := pool.GetFrame()
 	f.Dst, f.Src = dst, ifc.Link.MAC
-	f.Type, f.Payload = netpkt.EtherTypeIPv4, ip.MarshalPooled()
+	f.Type, f.Payload = netpkt.EtherTypeIPv4, ip.MarshalPooled(pool)
 	buf := ip.Buf
 	ip.Buf = nil
-	netpkt.PutPacket(ip)
-	netpkt.PutBuf(buf)
+	pool.PutPacket(ip)
+	pool.PutBuf(buf)
 	ifc.Link.Send(f)
 }
 
@@ -353,9 +354,10 @@ func (n *NetIf) sendARPRequest(target netip.Addr) {
 		SenderIP:  n.Addr,
 		TargetIP:  target,
 	}
-	f := netpkt.GetFrame()
+	pool := n.Host.S.Pool()
+	f := pool.GetFrame()
 	f.Dst, f.Src = netpkt.BroadcastMAC, n.Link.MAC
-	f.Type, f.Payload = netpkt.EtherTypeARP, req.AppendMarshal(netpkt.GetBuf(28))
+	f.Type, f.Payload = netpkt.EtherTypeARP, req.AppendMarshal(pool.GetBuf(28))
 	n.Link.Send(f)
 }
 
@@ -364,24 +366,25 @@ func (n *NetIf) sendARPRequest(target netip.Addr) {
 func (n *NetIf) AddARP(addr netip.Addr, mac netpkt.MAC) { n.arp.set(addr, mac) }
 
 func (h *Host) recvFrame(ifc *NetIf, f *netpkt.Frame) {
+	pool := h.S.Pool()
 	if !f.Dst.IsBroadcast() && f.Dst != ifc.Link.MAC {
 		// Not for us (switch flooded it). The frame dies here unparsed,
 		// so it can be recycled immediately.
-		netpkt.PutBuf(f.Payload)
-		netpkt.PutFrame(f)
+		pool.PutBuf(f.Payload)
+		pool.PutFrame(f)
 		return
 	}
 	switch f.Type {
 	case netpkt.EtherTypeARP:
 		h.recvARP(ifc, f)
 		// ParseARP copies everything it keeps; the buffer is dead.
-		netpkt.PutBuf(f.Payload)
+		pool.PutBuf(f.Payload)
 	case netpkt.EtherTypeIPv4:
 		h.recvIP(ifc, f)
 	}
 	// The frame struct itself dies with this delivery (parsed views
 	// alias only the payload buffer).
-	netpkt.PutFrame(f)
+	pool.PutFrame(f)
 }
 
 func (h *Host) recvARP(ifc *NetIf, f *netpkt.Frame) {
@@ -405,9 +408,10 @@ func (h *Host) recvARP(ifc *NetIf, f *netpkt.Frame) {
 			TargetMAC: a.SenderMAC,
 			TargetIP:  a.SenderIP,
 		}
-		f := netpkt.GetFrame()
+		pool := h.S.Pool()
+		f := pool.GetFrame()
 		f.Dst, f.Src = a.SenderMAC, ifc.Link.MAC
-		f.Type, f.Payload = netpkt.EtherTypeARP, reply.AppendMarshal(netpkt.GetBuf(28))
+		f.Type, f.Payload = netpkt.EtherTypeARP, reply.AppendMarshal(pool.GetBuf(28))
 		ifc.Link.Send(f)
 	}
 }
@@ -433,15 +437,16 @@ func (h *Host) recvIP(ifc *NetIf, f *netpkt.Frame) {
 	// where the view provably dies recycle it, and the pooled record
 	// with it: the drop paths, and a local delivery whose handler kept
 	// nothing. Forwarded packets give both back in SendVia.
-	ip, err := netpkt.ParsePooled(f.Payload)
+	pool := h.S.Pool()
+	ip, err := pool.ParsePooled(f.Payload)
 	if err != nil {
 		if ip == nil {
-			netpkt.PutBuf(f.Payload)
+			pool.PutBuf(f.Payload)
 			return
 		}
 		if err == netpkt.ErrBadChecksum && h.DropBadIPChecksum {
-			netpkt.PutPacket(ip)
-			netpkt.PutBuf(f.Payload)
+			pool.PutPacket(ip)
+			pool.PutBuf(f.Payload)
 			return
 		}
 	}
@@ -468,8 +473,8 @@ func (h *Host) recvIP(ifc *NetIf, f *netpkt.Frame) {
 	}
 	if fn, ok := h.protos.get(ip.Protocol); ok {
 		if !fn(ifc, ip) {
-			netpkt.PutPacket(ip)
-			netpkt.PutBuf(f.Payload)
+			pool.PutPacket(ip)
+			pool.PutBuf(f.Payload)
 		}
 		return
 	}

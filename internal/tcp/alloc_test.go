@@ -88,18 +88,11 @@ func (b *bulkPath) run(tb testing.TB, n int) {
 // MiB: segments are marshaled from the send store into pooled frame
 // buffers with pooled packet records, received frames and records go
 // back to the pools (the handler keeps no view), payloads land in the
-// fixed receive store, and Read copies into the caller's buffer. Under
-// the race detector the pool misses alone come to about 1450 per MiB,
-// so there the bound is 4096: still well below the ten thousand a path
-// that allocates per segment makes.
+// fixed receive store, and Read copies into the caller's buffer.
 func TestAllocsTCPBulk(t *testing.T) {
 	b := newBulkPath(t)
-	most := 0.0
-	if raceEnabled {
-		most = 4096
-	}
-	if n := testing.AllocsPerRun(20, func() { b.run(t, bulkRound) }); n > most {
-		t.Fatalf("bulk transfer allocates %.1f objects per %d bytes, want at most %.0f", n, bulkRound, most)
+	if n := testing.AllocsPerRun(20, func() { b.run(t, bulkRound) }); n != 0 {
+		t.Fatalf("bulk transfer allocates %.1f objects per %d bytes, want 0", n, bulkRound)
 	}
 }
 

@@ -342,9 +342,10 @@ func (c *Conn) sendSeg(seq, ack uint32, flags uint8, payload []byte) {
 		Window:  uint16(c.advertisedWnd()),
 		Payload: payload,
 	}
-	ip := netpkt.GetPacket()
+	pool := c.st.s.Pool()
+	ip := pool.GetPacket()
 	ip.Protocol, ip.Src, ip.Dst = netpkt.ProtoTCP, c.key.local, c.key.remote
-	ip.Payload = seg.AppendMarshal(ip.Reserve(seg.HeaderLen()+len(payload)), c.key.local, c.key.remote)
+	ip.Payload = seg.AppendMarshal(ip.Reserve(pool, seg.HeaderLen()+len(payload)), c.key.local, c.key.remote)
 	c.SegsOut++
 	c.st.h.Send(ip)
 }

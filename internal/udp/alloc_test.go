@@ -59,32 +59,20 @@ func (d *dialCycle) run(tb testing.TB) {
 // packet records, the packet buffers and the frames all come back from
 // the pools, the payload copy lands in the server stack's chunk
 // storage (one chunk per many datagrams), and no ICMP channel is made
-// for a socket that never sees ICMP. Under the race detector the pool
-// misses add about one allocation per cycle (a mean near 2.0, which
-// AllocsPerRun rounds down to 1 or 2), so there the bound is 2.
+// for a socket that never sees ICMP.
 func TestAllocsDialSendClose(t *testing.T) {
 	d := newDialCycle(t, false)
-	most := 1.0
-	if raceEnabled {
-		most = 2
-	}
-	if n := testing.AllocsPerRun(200, func() { d.run(t) }); n < 1 || n > most {
-		t.Fatalf("Dial/SendTo/Close/deliver allocates %.1f objects per cycle, want 1 to %.0f", n, most)
+	if n := testing.AllocsPerRun(200, func() { d.run(t) }); n != 1 {
+		t.Fatalf("Dial/SendTo/Close/deliver allocates %.1f objects per cycle, want 1", n)
 	}
 }
 
 // TestAllocsSendOnce pins the SendOnce → deliver cycle at zero
 // allocations: it is the Dial/SendTo/Close cycle without the Conn.
-// Under the race detector the pool misses add about one allocation per
-// cycle, so there the bound is 1.
 func TestAllocsSendOnce(t *testing.T) {
 	d := newDialCycle(t, true)
-	most := 0.0
-	if raceEnabled {
-		most = 1
-	}
-	if n := testing.AllocsPerRun(200, func() { d.run(t) }); n > most {
-		t.Fatalf("SendOnce/deliver allocates %.1f objects per cycle, want at most %.0f", n, most)
+	if n := testing.AllocsPerRun(200, func() { d.run(t) }); n != 0 {
+		t.Fatalf("SendOnce/deliver allocates %.1f objects per cycle, want 0", n)
 	}
 }
 

@@ -299,13 +299,14 @@ func (st *Stack) send(src, dst netip.Addr, sport, dport uint16, ttl uint8, data,
 	if !src.IsValid() {
 		src = r.If.Addr
 	}
-	ip := netpkt.GetPacket()
+	pool := st.s.Pool()
+	ip := pool.GetPacket()
 	ip.Protocol, ip.Src, ip.Dst, ip.TTL, ip.Options = netpkt.ProtoUDP, src, dst, ttl, ipOptions
 	// The datagram goes straight into the pooled buffer that becomes
 	// the frame: the host writes only the IP header in front of it, and
 	// recycles the record once the frame is built.
 	u := netpkt.UDP{SrcPort: sport, DstPort: dport, Payload: data}
-	ip.Payload = u.AppendMarshal(ip.Reserve(8+len(data)), src, dst)
+	ip.Payload = u.AppendMarshal(ip.Reserve(pool, 8+len(data)), src, dst)
 	// Send along the route already found (Host.Send would look it up
 	// again).
 	nh := r.NextHop

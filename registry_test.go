@@ -100,11 +100,11 @@ func TestRunDeterminism(t *testing.T) {
 // TestFleetRenderDeterministicPooled re-asserts the equal-seed
 // byte-identical render guarantee on top of the pooled packet codecs
 // and the slab event queue, in the configuration that stresses them
-// hardest: fleet mode, where concurrent shards share the buffer pools
-// and every shard runs its own event slab. Buffer recycling order
-// differs run to run (sync.Pool is scheduling-dependent); the rendered
-// figures — and therefore hgw.CacheKey-addressed cache entries — must
-// not.
+// hardest: fleet mode, where concurrent shards refill their packet
+// pools from one shared depot and every shard runs its own event slab.
+// Which buffers a shard gets differs run to run (the depot is served
+// in scheduling order); the rendered figures — and therefore
+// hgw.CacheKey-addressed cache entries — must not.
 func TestFleetRenderDeterministicPooled(t *testing.T) {
 	run := func() string {
 		results, err := hgw.Run(context.Background(), []string{"udp1"},

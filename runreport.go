@@ -173,10 +173,11 @@ func traceEntries(evs []obs.TraceEvent) []TraceEntry {
 	return out
 }
 
-// ProcessStats is the process-wide diagnostic section: sync.Pool
+// ProcessStats is the process-wide diagnostic section: packet-pool
 // traffic, simulator worker coroutines and live shards (obs.Proc)
-// plus the runtime goroutine count. All of it depends on GC timing
-// and scheduling — never compare it across runs.
+// plus the runtime goroutine count. The counts are cumulative over
+// every domain in the process, concurrent runs included, and the
+// gauges depend on scheduling — never compare it across runs.
 type ProcessStats struct {
 	PoolGets   uint64 `json:"pool_gets"`
 	PoolMisses uint64 `json:"pool_misses"`
