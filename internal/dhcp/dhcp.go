@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"net/netip"
 	"slices"
-	"sync"
 	"time"
 
 	"hgw/internal/netpkt"
@@ -72,6 +71,21 @@ type Message struct {
 	opts []option
 	// vals backs the option values that setCopy copies in.
 	vals []byte
+}
+
+// message is a Message with the storage a testbed exchange fills in
+// place: an ACK carries six options and 21 bytes of copied values, so
+// a message built or parsed here never grows its lists.
+type message struct {
+	Message
+	optBuf [6]option
+	valBuf [24]byte
+}
+
+// init points the Message at the inline storage and returns it.
+func (m *message) init() *Message {
+	m.opts, m.vals = m.optBuf[:0], m.valBuf[:0]
+	return &m.Message
 }
 
 // option is one DHCP option.
@@ -234,17 +248,6 @@ func (m *Message) Parse(b []byte) error {
 	return nil
 }
 
-// msgPool recycles Messages between exchanges, so neither a server nor
-// a client process holds message storage while it waits.
-var msgPool = sync.Pool{New: func() any { return new(Message) }}
-
-func getMessage() *Message { return msgPool.Get().(*Message) }
-
-func putMessage(m *Message) {
-	m.reset()
-	msgPool.Put(m)
-}
-
 // broadcast sends m as a UDP datagram sport -> dport from src to the
 // limited broadcast address on ifc, marshaled straight into the pooled
 // buffer that becomes the frame.
@@ -282,6 +285,10 @@ type Server struct {
 	// PoolStart+i. A server has one client or a few, and a list costs
 	// a fraction of a map.
 	leases []netpkt.MAC
+	// msg carries each request and then its reply. handle runs to
+	// completion without blocking, one datagram at a time in the
+	// server's process, so one message serves every exchange.
+	msg message
 	// Requests counts processed DISCOVER/REQUEST messages.
 	Requests int
 }
@@ -296,6 +303,7 @@ func NewServer(us *udp.Stack, cfg ServerConfig) (*Server, error) {
 		return nil, err
 	}
 	srv := &Server{cfg: cfg, conn: conn}
+	srv.msg.init()
 	cfg.If.Host.S.Spawn("dhcpd."+cfg.If.Name(), func(p *sim.Proc) {
 		for {
 			d, ok := conn.Recv(p, 0)
@@ -325,8 +333,8 @@ func (s *Server) alloc(mac netpkt.MAC) (netip.Addr, bool) {
 }
 
 func (s *Server) handle(d udp.Datagram) {
-	m := getMessage()
-	defer putMessage(m)
+	m := &s.msg.Message
+	defer m.reset() // drop the views of d.Data
 	if m.Parse(d.Data) != nil || m.Op != 1 {
 		return
 	}
@@ -387,6 +395,14 @@ func MaskLen(mask netip.Addr) int {
 	return n
 }
 
+// newMessage heap-allocates the message of one Acquire call. It is
+// not inlined, so the message cannot become a local in Acquire's frame:
+// a simulator process's stack, which the worker coroutine that ran it
+// keeps, would grow by the message's size.
+//
+//go:noinline
+func newMessage() *Message { return new(message).init() }
+
 // Lease is the result of a successful client exchange.
 type Lease struct {
 	Addr   netip.Addr
@@ -429,8 +445,7 @@ func Acquire(p *sim.Proc, us *udp.Stack, ifc *stack.NetIf, cfg ClientConfig) (*L
 	h := ifc.Host
 	xid := h.S.Rand().Uint32()
 	// m carries each outgoing message and then the reply it waits for.
-	m := getMessage()
-	defer putMessage(m)
+	m := newMessage()
 
 	sendBcast := func(mtype uint8, requested netip.Addr) {
 		m.reset()

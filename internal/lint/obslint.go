@@ -83,10 +83,6 @@ var obsWriteAllowed = map[string]bool{
 	"SimProcDown": true,
 	"ShardUp":     true,
 	"ShardDown":   true,
-	"MemoHit":     true,
-	"MemoMiss":    true,
-	"DiskHit":     true,
-	"Coalesce":    true,
 }
 
 func runObsLint(pass *Pass) error {

@@ -10,8 +10,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-
-	"hgw/internal/obs"
 )
 
 // Disk is the persistent tier: one checksummed file per blob under a
@@ -196,7 +194,6 @@ func (d *Disk) Get(key string) ([]byte, bool) {
 	d.ll.MoveToFront(el)
 	d.dirty = true
 	d.hits++
-	obs.Proc.DiskHit()
 	return payload, true
 }
 
@@ -213,20 +210,16 @@ func checkBlob(raw []byte) ([]byte, bool) {
 	return payload, true
 }
 
-// Put writes payload under key atomically (tmp + rename) and evicts
-// past the tier's bounds. Write failures are absorbed — the tier
-// degrades to whatever it already holds — and counted.
+// Put writes payload under key atomically (tmp + rename), replacing
+// any blob already stored there, and evicts past the tier's bounds.
+// Write failures are absorbed — the tier degrades to whatever it
+// already holds — and counted.
 func (d *Disk) Put(key string, payload []byte) {
 	if !validKey(key) {
 		return
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if el, ok := d.byKey[key]; ok {
-		d.ll.MoveToFront(el)
-		d.dirty = true
-		return
-	}
 	sum := sha256.Sum256(payload)
 	raw := make([]byte, 0, len(payload)+sumLen)
 	raw = append(raw, payload...)
@@ -240,6 +233,9 @@ func (d *Disk) Put(key string, payload []byte) {
 		os.Remove(tmp)
 		d.writeErrs++
 		return
+	}
+	if el, ok := d.byKey[key]; ok {
+		d.dropLocked(el, false)
 	}
 	d.byKey[key] = d.ll.PushFront(&diskEntry{Key: key, Size: int64(len(raw))})
 	d.bytes += int64(len(raw))

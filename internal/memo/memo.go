@@ -12,10 +12,9 @@
 package memo
 
 import (
+	"bytes"
 	"container/list"
 	"sync"
-
-	"hgw/internal/obs"
 )
 
 // Config bounds a Store. Zero values select the defaults; Dir == ""
@@ -102,33 +101,41 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	if el, ok := s.byKey[key]; ok {
 		s.ll.MoveToFront(el)
 		s.memHits++
-		obs.Proc.MemoHit()
 		return el.Value.(*memEntry).blob, true
 	}
 	if s.disk != nil {
 		if blob, ok := s.disk.Get(key); ok {
 			s.insert(key, blob)
 			s.diskHits++
-			obs.Proc.MemoHit()
 			return blob, true
 		}
 	}
 	s.misses++
-	obs.Proc.MemoMiss()
 	return nil, false
 }
 
-// Put stores blob under key in both tiers. Blobs are content-addressed
-// so a re-Put of an existing key only refreshes recency.
+// Put stores blob under key in both tiers. Keys are content
+// addresses, so a re-Put of the bytes already stored only refreshes
+// recency. Different bytes under a stored key replace them in both
+// tiers: the stored blob is stale (written by a build whose format the
+// caller no longer decodes) or damaged, and the caller has just
+// recomputed it.
 func (s *Store) Put(key string, blob []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.puts++
 	if el, ok := s.byKey[key]; ok {
 		s.ll.MoveToFront(el)
-		return
+		ent := el.Value.(*memEntry)
+		if bytes.Equal(ent.blob, blob) {
+			return
+		}
+		s.bytes += int64(len(blob) - len(ent.blob))
+		ent.blob = blob
+		s.evict()
+	} else {
+		s.insert(key, blob)
 	}
-	s.insert(key, blob)
 	if s.disk != nil {
 		s.disk.Put(key, blob)
 	}
@@ -139,6 +146,12 @@ func (s *Store) Put(key string, blob []byte) {
 func (s *Store) insert(key string, blob []byte) {
 	s.byKey[key] = s.ll.PushFront(&memEntry{key: key, blob: blob})
 	s.bytes += int64(len(blob))
+	s.evict()
+}
+
+// evict drops least recently used entries past the memory bounds,
+// always keeping the newest. Callers hold s.mu.
+func (s *Store) evict() {
 	for s.ll.Len() > 1 && (s.ll.Len() > s.cfg.MaxEntries || s.bytes > s.cfg.MaxBytes) {
 		el := s.ll.Back()
 		ent := el.Value.(*memEntry)

@@ -61,6 +61,40 @@ func TestMemoryByteBound(t *testing.T) {
 	}
 }
 
+// TestPutReplacesStaleBlob: different bytes under a stored key replace
+// the stored blob in both tiers (a caller re-Puts only after the stored
+// blob failed to decode), while an equal re-Put only refreshes recency.
+func TestPutReplacesStaleBlob(t *testing.T) {
+	dir := t.TempDir()
+	s1, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1.Put("5ca1e", []byte("stale"))
+	s1.Put("5ca1e", []byte("fresh blob"))
+	if got, ok := s1.Get("5ca1e"); !ok || !bytes.Equal(got, []byte("fresh blob")) {
+		t.Fatalf("memory tier: Get = %q, %v; want the replacement", got, ok)
+	}
+	s1.Put("5ca1e", []byte("fresh blob"))
+	st := s1.Stats()
+	if st.Entries != 1 || st.Bytes != int64(len("fresh blob")) {
+		t.Fatalf("memory accounting after replace: %+v", st)
+	}
+	if st.Disk == nil || st.Disk.Entries != 1 || st.Disk.Bytes != int64(len("fresh blob")+sumLen) {
+		t.Fatalf("disk accounting after replace: %+v", st.Disk)
+	}
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s2.Get("5ca1e"); !ok || !bytes.Equal(got, []byte("fresh blob")) {
+		t.Fatalf("disk tier: Get = %q, %v; want the replacement", got, ok)
+	}
+}
+
 func TestDiskRestartRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s1, err := Open(Config{Dir: dir})

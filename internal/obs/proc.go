@@ -22,10 +22,6 @@ type ProcStats struct {
 	framePuts  atomic.Uint64
 	simProcs   atomic.Int64
 	liveShards atomic.Int64
-	memoHits   atomic.Uint64
-	memoMisses atomic.Uint64
-	diskHits   atomic.Uint64
-	coalesced  atomic.Uint64
 }
 
 // Proc is the process-wide instance every writer shares.
@@ -60,23 +56,6 @@ func (p *ProcStats) ShardUp() { p.liveShards.Add(1) }
 // ShardDown is ShardUp's release-side counterpart.
 func (p *ProcStats) ShardDown() { p.liveShards.Add(-1) }
 
-// MemoHit counts a blob served from the memo store (either tier) —
-// work reused instead of executed (DESIGN.md §15).
-func (p *ProcStats) MemoHit() { p.memoHits.Add(1) }
-
-// MemoMiss counts a memo lookup that found nothing; the caller
-// executes and populates.
-func (p *ProcStats) MemoMiss() { p.memoMisses.Add(1) }
-
-// DiskHit counts a blob read back from the persistent tier
-// specifically (a MemoHit served across a restart, or after memory
-// eviction).
-func (p *ProcStats) DiskHit() { p.diskHits.Add(1) }
-
-// Coalesce counts a job attached to an identical in-flight execution
-// instead of enqueuing its own (single-flight).
-func (p *ProcStats) Coalesce() { p.coalesced.Add(1) }
-
 // ProcSnapshot is the read-side form of ProcStats.
 type ProcSnapshot struct {
 	PoolGets   uint64 `json:"pool_gets"`
@@ -86,10 +65,6 @@ type ProcSnapshot struct {
 	FramePuts  uint64 `json:"frame_puts"`
 	SimProcs   int64  `json:"sim_procs"`
 	LiveShards int64  `json:"live_shards"`
-	MemoHits   uint64 `json:"memo_hits"`
-	MemoMisses uint64 `json:"memo_misses"`
-	DiskHits   uint64 `json:"disk_hits"`
-	Coalesced  uint64 `json:"coalesced"`
 }
 
 // Snapshot reads the current process-wide values. Slots are loaded
@@ -103,9 +78,5 @@ func (p *ProcStats) Snapshot() ProcSnapshot {
 		FramePuts:  p.framePuts.Load(),
 		SimProcs:   p.simProcs.Load(),
 		LiveShards: p.liveShards.Load(),
-		MemoHits:   p.memoHits.Load(),
-		MemoMisses: p.memoMisses.Load(),
-		DiskHits:   p.diskHits.Load(),
-		Coalesced:  p.coalesced.Load(),
 	}
 }

@@ -1,11 +1,10 @@
 package service
 
 import (
-	"container/list"
-	"encoding/json"
-	"sync"
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 
-	"hgw"
 	"hgw/internal/memo"
 )
 
@@ -25,142 +24,88 @@ type CacheStats struct {
 	DiskCorrupt uint64 `json:"disk_corrupt,omitempty"`
 }
 
-// cacheEntry is one completed run, stored under its hgw.CacheKey
-// content address. results holds the canonical Results JSON exactly as
-// first marshalled — cache hits serve these bytes verbatim, which is
-// what makes the byte-identity guarantee testable — and events holds
-// the per-device rows for replaying a fleet job's NDJSON stream.
-type cacheEntry struct {
-	key     string
-	results []byte
-	events  []hgw.DeviceEvent
-}
-
-// diskEnvelope is a cacheEntry's on-disk JSON form. Results is a
-// RawMessage so the canonical bytes round-trip the disk verbatim: a
-// restart serves exactly what the original run marshalled.
-type diskEnvelope struct {
-	Results json.RawMessage   `json:"results"`
-	Events  []hgw.DeviceEvent `json:"events,omitempty"`
-}
-
-// resultCache is a content-addressed LRU of completed run outputs,
-// optionally backed by a memo.Disk tier (-cache-dir) so completed work
-// survives restarts. Because hgw.Run output is a pure function of the
-// cache key's inputs, entries never go stale: eviction exists only to
-// bound memory, and a disk blob written by a previous process is as
-// valid as one written by this one.
-type resultCache struct {
-	mu       sync.Mutex
-	max      int
-	ll       *list.List // front = most recently used; values are *cacheEntry
-	byKey    map[string]*list.Element
-	disk     *memo.Disk // nil when memory-only
-	hits     uint64
-	diskHits uint64
-	misses   uint64
-}
-
-func newResultCache(max int, disk *memo.Disk) *resultCache {
-	return &resultCache{max: max, ll: list.New(), byKey: map[string]*list.Element{}, disk: disk}
-}
-
-// get looks key up, counting a hit or miss and refreshing recency.
-// Submit-path lookups use it; the per-worker recheck uses peek so a
-// queued duplicate doesn't double-count a miss.
-func (c *resultCache) get(key string) (*cacheEntry, bool) {
-	return c.lookup(key, true)
-}
-
-// peek is get without hit/miss counter updates (recency still
-// refreshes, and a disk-tier read still counts — it happened): the
-// worker's pre-run recheck for flights that were queued while an
-// identical flight was running.
-func (c *resultCache) peek(key string) (*cacheEntry, bool) {
-	return c.lookup(key, false)
-}
-
-func (c *resultCache) lookup(key string, count bool) (*cacheEntry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byKey[key]; ok {
-		if count {
-			c.hits++
-		}
-		c.ll.MoveToFront(el)
-		return el.Value.(*cacheEntry), true
+// cacheStats renders the result store's counters in the CacheStats
+// shape; capacity is the memory tier's entry bound.
+func cacheStats(st memo.StoreStats, capacity int) CacheStats {
+	cs := CacheStats{Hits: st.MemHits, DiskHits: st.DiskHits, Misses: st.Misses,
+		Entries: st.Entries, Capacity: capacity}
+	if st.Disk != nil {
+		cs.DiskEntries = st.Disk.Entries
+		cs.DiskBytes = st.Disk.Bytes
+		cs.DiskCorrupt = st.Disk.Corrupt
 	}
-	if c.disk != nil {
-		if blob, ok := c.disk.Get(key); ok {
-			var env diskEnvelope
-			// A checksummed blob that fails to parse was written by an
-			// incompatible build: treated as a miss, overwritten by the
-			// re-run's put.
-			if json.Unmarshal(blob, &env) == nil && len(env.Results) > 0 {
-				e := &cacheEntry{key: key, results: env.Results, events: env.Events}
-				c.insert(e)
-				c.diskHits++
-				return e, true
-			}
-		}
-	}
-	if count {
-		c.misses++
-	}
-	return nil, false
+	return cs
 }
 
-// put stores e in both tiers, evicting the memory tier from the least
-// recently used end past max entries. Storing an already-present key
-// refreshes its recency and keeps the existing bytes (equal by
-// construction — the key is a content address).
-func (c *resultCache) put(e *cacheEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byKey[e.key]; ok {
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.insert(e)
-	if c.disk != nil {
-		if blob, err := json.Marshal(diskEnvelope{Results: e.results, Events: e.events}); err == nil {
-			c.disk.Put(e.key, blob)
-		}
-	}
+// A result blob is one completed run as the result store keeps it,
+// under its hgw.CacheKey content address, in both tiers:
+//
+//	[0]      blobVersion
+//	[1:5]    len(results), big-endian uint32
+//	[5:9]    number of event rows, big-endian uint32
+//	[9:]     the canonical Results JSON exactly as first marshalled,
+//	         then the NDJSON device-event rows, each ending in '\n'
+//	last 4   CRC-32 (IEEE) of everything before it
+//
+// A hit serves both parts by slicing the blob: no JSON is parsed, and
+// the results are the bytes the first run marshalled, which is what
+// makes the byte-identity guarantee testable. The CRC makes every
+// truncation and bit flip a miss in the memory tier as well as on
+// disk (whose own checksum covers only the file). Blobs of the earlier
+// JSON-envelope format start with '{' and decode as misses; the re-run
+// replaces them.
+const (
+	blobVersion = 1
+	blobHeader  = 9
+	blobSumLen  = 4
+)
+
+// ndjson is a run of NDJSON device rows: their bytes, each row one
+// line ending in '\n', and the row count. It is the io.Writer a
+// flight's json.Encoder writes to: Encode writes each value as one
+// newline-terminated line in one Write call.
+type ndjson struct {
+	b []byte
+	n int
 }
 
-// insert adds e to the memory tier and evicts past max. Callers hold
-// c.mu.
-func (c *resultCache) insert(e *cacheEntry) {
-	c.byKey[e.key] = c.ll.PushFront(e)
-	for c.ll.Len() > c.max {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.byKey, oldest.Value.(*cacheEntry).key)
-	}
+func (r *ndjson) Write(p []byte) (int, error) {
+	r.b = append(r.b, p...)
+	r.n++
+	return len(p), nil
 }
 
-// close flushes the disk tier's LRU index (Service.Shutdown calls it,
-// so recency survives restarts).
-func (c *resultCache) close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.disk == nil {
-		return nil
-	}
-	return c.disk.Close()
+// encodeResult frames results and rows into one result blob.
+func encodeResult(results []byte, rows ndjson) []byte {
+	b := make([]byte, blobHeader, blobHeader+len(results)+len(rows.b)+blobSumLen)
+	b[0] = blobVersion
+	binary.BigEndian.PutUint32(b[1:5], uint32(len(results)))
+	binary.BigEndian.PutUint32(b[5:9], uint32(rows.n))
+	b = append(b, results...)
+	b = append(b, rows.b...)
+	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
 }
 
-func (c *resultCache) stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := CacheStats{Hits: c.hits, DiskHits: c.diskHits, Misses: c.misses,
-		Entries: c.ll.Len(), Capacity: c.max}
-	if c.disk != nil {
-		ds := c.disk.Stats()
-		st.DiskEntries = ds.Entries
-		st.DiskBytes = ds.Bytes
-		st.DiskCorrupt = ds.Corrupt
+// decodeResult is encodeResult's inverse. The returned slices alias
+// blob. Anything but a well-formed blob — a wrong version, a failed
+// CRC, lengths or a row count that disagree with the bytes, empty
+// results — reports false, which callers treat as a miss.
+func decodeResult(blob []byte) (results []byte, rows ndjson, ok bool) {
+	if len(blob) < blobHeader+blobSumLen || blob[0] != blobVersion {
+		return nil, ndjson{}, false
 	}
-	return st
+	end := len(blob) - blobSumLen
+	if crc32.ChecksumIEEE(blob[:end]) != binary.BigEndian.Uint32(blob[end:]) {
+		return nil, ndjson{}, false
+	}
+	n := uint64(binary.BigEndian.Uint32(blob[1:5]))
+	body := blob[blobHeader:end:end]
+	if n == 0 || n > uint64(len(body)) {
+		return nil, ndjson{}, false
+	}
+	rows = ndjson{b: body[n:], n: int(binary.BigEndian.Uint32(blob[5:9]))}
+	if bytes.Count(rows.b, []byte{'\n'}) != rows.n || (len(rows.b) > 0 && rows.b[len(rows.b)-1] != '\n') {
+		return nil, ndjson{}, false
+	}
+	return body[:n:n], rows, true
 }

@@ -141,16 +141,13 @@ func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
 	stop := context.AfterFunc(r.Context(), job.Wake)
 	defer stop()
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
 	sent := 0
 	for {
-		events, terminal := job.WaitEvents(sent)
-		for _, ev := range events {
-			if err := enc.Encode(ev); err != nil {
-				return // client went away
-			}
+		rows, terminal := job.WaitEvents(sent)
+		if _, err := w.Write(rows); err != nil {
+			return // client went away
 		}
-		sent += len(events)
+		sent += len(rows)
 		if flusher != nil {
 			flusher.Flush()
 		}

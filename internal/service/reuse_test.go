@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -12,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"hgw"
+	"hgw/internal/memo"
 	"hgw/internal/service"
 )
 
@@ -316,6 +319,154 @@ func TestDiskCacheCorruptionServedAsMiss(t *testing.T) {
 	if v3 := third.Snapshot(); v3.Status != service.StatusDone || !v3.Cached {
 		t.Fatalf("post-repair re-submit status=%s cached=%v, want done from disk", v3.Status, v3.Cached)
 	}
+}
+
+// TestDiskCacheLegacyEnvelopeReplaced: a result blob in the earlier
+// JSON-envelope format (checksummed, so the disk tier serves it) is a
+// miss — the job runs instead of serving the envelope's bytes — and the
+// run's put replaces it, so the next restart serves the new blob from
+// disk without executing.
+func TestDiskCacheLegacyEnvelopeReplaced(t *testing.T) {
+	dir := t.TempDir()
+	key, err := udp3Spec.CacheKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy, err := memo.OpenDisk(filepath.Join(dir, "results"), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy.Put(key, []byte(`{"results":{"stale":true},"events":[{"ExperimentID":"udp3"}]}`))
+	if err := legacy.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	svc1 := service.New(service.Config{Workers: 1, CacheDir: dir})
+	svc1.Start(context.Background())
+	first, err := svc1.Submit(udp3Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, first, time.Minute)
+	v1 := first.Snapshot()
+	if v1.Status != service.StatusDone || v1.Cached || bytes.Contains(v1.Results, []byte("stale")) {
+		t.Fatalf("legacy-blob submit status=%s cached=%v results=%.40q, want a fresh run",
+			v1.Status, v1.Cached, v1.Results)
+	}
+	if st := svc1.Stats(); st.JobsExecuted != 1 {
+		t.Errorf("jobs executed = %d, want 1 (a legacy blob must re-run)", st.JobsExecuted)
+	}
+	svc1.Shutdown()
+
+	svc2 := service.New(service.Config{Workers: 1, CacheDir: dir})
+	svc2.Start(context.Background())
+	defer svc2.Shutdown()
+	second, err := svc2.Submit(udp3Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, second, time.Second)
+	v2 := second.Snapshot()
+	if v2.Status != service.StatusDone || !v2.Cached || !bytes.Equal(v2.Results, v1.Results) {
+		t.Fatalf("post-replace re-submit status=%s cached=%v same=%v, want the run's bytes from disk",
+			v2.Status, v2.Cached, bytes.Equal(v2.Results, v1.Results))
+	}
+	if st := svc2.Stats(); st.JobsExecuted != 0 || st.Cache.DiskHits != 1 {
+		t.Errorf("after restart: executed=%d disk hits=%d, want 0 and 1", st.JobsExecuted, st.Cache.DiskHits)
+	}
+}
+
+// TestStreamRowsByteIdentical: the /stream body of an executed job
+// (read live while it runs), a coalesced job, a memory hit and a
+// restart-warm disk hit are the same bytes, and those bytes are what a
+// json.Encoder writes for hgw.Run's device events, one Encode per row.
+func TestStreamRowsByteIdentical(t *testing.T) {
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	if _, err := hgw.Run(context.Background(), udp3Spec.IDs, hgw.WithSeed(udp3Spec.Seed),
+		hgw.WithIterations(udp3Spec.Iterations), hgw.WithFleet(udp3Spec.Fleet), hgw.WithShards(udp3Spec.Shards),
+		hgw.WithDeviceResults(func(ev hgw.DeviceEvent) {
+			if err := enc.Encode(ev); err != nil {
+				t.Error(err)
+			}
+		})); err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(want.Bytes(), []byte{'\n'}); n != udp3Spec.Fleet {
+		t.Fatalf("reference stream has %d rows, want %d", n, udp3Spec.Fleet)
+	}
+
+	dir := t.TempDir()
+	stream := func(base, id string) []byte {
+		t.Helper()
+		resp, err := http.Get(base + "/v1/jobs/" + id + "/stream")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	check := func(name string, got []byte) {
+		t.Helper()
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("%s: /stream body (%d B) differs from the encoded events (%d B)", name, len(got), want.Len())
+		}
+	}
+
+	svc1 := service.New(service.Config{Workers: 1, CacheDir: dir})
+	svc1.Start(context.Background())
+	srv1 := httptest.NewServer(svc1.Handler())
+	// A long job holds the only worker, so the leader is still queued
+	// when its duplicate arrives; canceling it then frees the worker.
+	blocker, err := svc1.Submit(service.Spec{IDs: []string{"udp3"}, Seed: 11, Iterations: 40, Fleet: 800, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	leader, err := svc1.Submit(udp3Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := svc1.Submit(udp3Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sub.Snapshot().Coalesced {
+		t.Fatal("duplicate did not coalesce onto the queued leader")
+	}
+	if _, err := svc1.Cancel(blocker.ID); err != nil {
+		t.Fatal(err)
+	}
+	check("executed, read live", stream(srv1.URL, leader.ID))
+	waitDone(t, sub, time.Minute)
+	check("coalesced", stream(srv1.URL, sub.ID))
+	hit, err := svc1.Submit(udp3Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hit.Snapshot().Cached {
+		t.Fatal("third submit was not a memory hit")
+	}
+	check("memory hit", stream(srv1.URL, hit.ID))
+	srv1.Close()
+	svc1.Shutdown()
+
+	svc2 := service.New(service.Config{Workers: 1, CacheDir: dir})
+	svc2.Start(context.Background())
+	defer svc2.Shutdown()
+	srv2 := httptest.NewServer(svc2.Handler())
+	defer srv2.Close()
+	warm, err := svc2.Submit(udp3Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := svc2.Stats(); !warm.Snapshot().Cached || st.Cache.DiskHits != 1 {
+		t.Fatalf("restart re-submit cached=%v disk hits=%d, want a disk hit", warm.Snapshot().Cached, st.Cache.DiskHits)
+	}
+	check("restart-warm disk hit", stream(srv2.URL, warm.ID))
 }
 
 // TestCacheDirUnusableDegrades: an unusable cache dir (a path through

@@ -1,11 +1,13 @@
 // Package service turns the hgw experiment registry into a shared
 // measurement facility: clients submit experiment requests as jobs, a
 // bounded FIFO queue feeds a fixed worker pool draining jobs through
-// hgw.Run, and a content-addressed LRU cache answers repeated requests
-// with the byte-identical results of the first run (hgw.Run output is a
-// pure function of the request's cache key, so cached answers are
-// exactly what a re-run would produce). Command hgwd exposes the
-// service over HTTP; DESIGN.md §8 documents the architecture.
+// hgw.Run, and a content-addressed result store (a memo.Store, the
+// same two-tier LRU that memoizes fleet shards) answers repeated
+// requests with the byte-identical results of the first run (hgw.Run
+// output is a pure function of the request's cache key, so cached
+// answers are exactly what a re-run would produce). Command hgwd
+// exposes the service over HTTP; DESIGN.md §8 documents the
+// architecture.
 package service
 
 import (
@@ -120,7 +122,7 @@ type Job struct {
 	cached    bool
 	coalesced bool // attached to an already-in-flight execution
 	results   json.RawMessage
-	events    []hgw.DeviceEvent
+	events    ndjson        // device rows streamed or replayed so far
 	elapsed   time.Duration // wall time spent in hgw.Run (0 for cache hits)
 	done      chan struct{} // closed when the job reaches a terminal state
 	submitAt  time.Time
@@ -155,24 +157,18 @@ func (j *Job) setRunning() bool {
 	return true
 }
 
-// appendEvent buffers one streamed device row and wakes stream readers.
-// Terminal jobs (a subscriber canceled mid-flight) stop accumulating.
-func (j *Job) appendEvent(ev hgw.DeviceEvent) {
+// streamed sets the job's rows to its flight's rows so far and wakes
+// stream readers. A flight only appends to its rows, so each call
+// extends what the job held, and a late subscriber sees the full
+// deterministic sequence without a copy of its own. Terminal jobs (a
+// subscriber canceled mid-flight) stop following.
+func (j *Job) streamed(rows ndjson) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.status.terminal() {
 		return
 	}
-	j.events = append(j.events, ev)
-	j.cond.Broadcast()
-}
-
-// replayEvents delivers the rows a flight streamed before this job
-// attached, so late subscribers see the full deterministic sequence.
-func (j *Job) replayEvents(evs []hgw.DeviceEvent) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.events = append(j.events, evs...)
+	j.events = rows
 	j.cond.Broadcast()
 }
 
@@ -184,8 +180,10 @@ func (j *Job) markCoalesced() {
 	j.coalesced = true
 }
 
-// finish moves the job to a terminal state exactly once.
-func (j *Job) finish(status Status, results json.RawMessage, events []hgw.DeviceEvent,
+// finish moves the job to a terminal state exactly once. Rows with
+// non-nil bytes replace the buffered ones: the same rows, now a slice
+// of the cached blob.
+func (j *Job) finish(status Status, results json.RawMessage, rows ndjson,
 	cached bool, elapsed time.Duration, errText string) {
 
 	j.mu.Lock()
@@ -195,8 +193,8 @@ func (j *Job) finish(status Status, results json.RawMessage, events []hgw.Device
 	}
 	j.status = status
 	j.results = results
-	if events != nil {
-		j.events = events
+	if rows.b != nil {
+		j.events = rows
 	}
 	j.cached = cached
 	j.elapsed = elapsed
@@ -205,18 +203,21 @@ func (j *Job) finish(status Status, results json.RawMessage, events []hgw.Device
 	j.cond.Broadcast()
 }
 
-// WaitEvents blocks until the job buffers more than sent device rows,
-// reaches a terminal state, or Wake is called, then returns the rows
-// after sent and whether the job is terminal. Callers loop; a return
-// with no new rows and terminal false is a deliberate wakeup, giving
+// WaitEvents blocks until the job buffers more than sent bytes of
+// device rows, reaches a terminal state, or Wake is called, then
+// returns the bytes after sent and whether the job is terminal. The
+// bytes are NDJSON: one hgw.DeviceEvent per line, as json.Encoder
+// writes it, and callers must not modify them. Callers loop; a return
+// with no new bytes and terminal false is a deliberate wakeup, giving
 // the caller a chance to re-check external state (a dropped client).
-func (j *Job) WaitEvents(sent int) (next []hgw.DeviceEvent, terminal bool) {
+func (j *Job) WaitEvents(sent int) (next []byte, terminal bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if len(j.events) <= sent && !j.status.terminal() {
+	if len(j.events.b) <= sent && !j.status.terminal() {
 		j.cond.Wait()
 	}
-	return append([]hgw.DeviceEvent(nil), j.events[sent:]...), j.status.terminal()
+	// Rows are only ever appended, so the bytes before len are final.
+	return j.events.b[sent:len(j.events.b):len(j.events.b)], j.status.terminal()
 }
 
 // Wake unblocks every WaitEvents caller without changing job state.
@@ -257,7 +258,7 @@ func (j *Job) Snapshot() View {
 		Cached:    j.cached,
 		Coalesced: j.coalesced,
 		ElapsedMS: float64(j.elapsed) / float64(time.Millisecond),
-		Devices:   len(j.events),
+		Devices:   j.events.n,
 		Results:   j.results,
 	}
 }
@@ -282,12 +283,15 @@ type flight struct {
 	running bool
 	done    bool
 	members []*Job
-	events  []hgw.DeviceEvent // rows streamed so far, replayed to late attachers
+	rows    ndjson        // rows streamed so far, shared with every member
+	enc     *json.Encoder // writes each row into rows
 }
 
 func newFlight(parent context.Context, key string, spec Spec) *flight {
 	ctx, cancel := context.WithCancel(parent)
-	return &flight{key: key, spec: spec, ctx: ctx, cancel: cancel}
+	fl := &flight{key: key, spec: spec, ctx: ctx, cancel: cancel}
+	fl.enc = json.NewEncoder(&fl.rows)
+	return fl
 }
 
 // attach adds j as a member, replaying already-streamed rows and the
@@ -301,8 +305,8 @@ func (fl *flight) attach(j *Job) bool {
 	}
 	fl.members = append(fl.members, j)
 	j.fl = fl
-	if len(fl.events) > 0 {
-		j.replayEvents(fl.events)
+	if fl.rows.n > 0 {
+		j.streamed(fl.rows)
 	}
 	if fl.running {
 		j.setRunning()
@@ -325,14 +329,19 @@ func (fl *flight) detach(j *Job) bool {
 	return len(fl.members) == 0 && !fl.done
 }
 
-// emit buffers one streamed device row and fans it out to every
-// current member (the worker installs it as the run's device callback).
+// emit encodes one streamed device event as an NDJSON row, appends it
+// to the flight's rows and points every current member at them (the
+// worker installs it as the run's device callback). The row is encoded
+// once, here, by a json.Encoder; jobs, the result store and /stream
+// pass its bytes through.
 func (fl *flight) emit(ev hgw.DeviceEvent) {
 	fl.mu.Lock()
 	defer fl.mu.Unlock()
-	fl.events = append(fl.events, ev)
+	if fl.enc.Encode(ev) != nil {
+		return // a DeviceEvent holds no value JSON cannot encode
+	}
 	for _, j := range fl.members {
-		j.appendEvent(ev)
+		j.streamed(fl.rows)
 	}
 }
 
@@ -383,8 +392,8 @@ type Config struct {
 	// QueueDepth bounds the FIFO of jobs waiting for a worker (default
 	// 16); Submit fails with ErrQueueFull past it.
 	QueueDepth int
-	// CacheEntries bounds the content-addressed result cache (default
-	// 64 completed runs; LRU eviction).
+	// CacheEntries bounds the memory tier of the content-addressed
+	// result cache (default 64 completed runs; LRU eviction).
 	CacheEntries int
 	// CacheDir, when non-empty, persists completed work there: the
 	// result cache's entries under CacheDir/results and the fleet shard
@@ -435,7 +444,7 @@ var allStatuses = []Status{StatusQueued, StatusRunning, StatusDone, StatusFailed
 // Create with New, begin draining with Start, stop with Shutdown.
 type Service struct {
 	cfg      Config
-	cache    *resultCache
+	results  *memo.Store    // result blobs (cache.go) under their CacheKey
 	memo     *hgw.MemoStore // shard-level memo for fleet jobs
 	queue    chan *flight
 	warnings []string // startup degradations (read-only cache dir)
@@ -469,27 +478,21 @@ func New(cfg Config) *Service {
 		jobs:    map[string]*Job{},
 		flights: map[string]*flight{},
 	}
-	var resultDisk *memo.Disk
-	if cfg.CacheDir != "" {
-		d, err := memo.OpenDisk(filepath.Join(cfg.CacheDir, "results"), 0, 0)
-		if err != nil {
-			s.warnings = append(s.warnings,
-				fmt.Sprintf("persistent result cache disabled, running memory-only: %v", err))
-		} else {
-			resultDisk = d
-		}
-	}
-	s.cache = newResultCache(cfg.CacheEntries, resultDisk)
+	resultCfg := memo.Config{MaxEntries: cfg.CacheEntries}
 	memoCfg := hgw.MemoConfig{}
 	if cfg.CacheDir != "" {
+		resultCfg.Dir = filepath.Join(cfg.CacheDir, "results")
 		memoCfg.Dir = filepath.Join(cfg.CacheDir, "shards")
 	}
-	store, err := hgw.OpenMemo(memoCfg)
-	if err != nil {
+	var err error
+	if s.results, err = memo.Open(resultCfg); err != nil {
+		s.warnings = append(s.warnings,
+			fmt.Sprintf("persistent result cache disabled, running memory-only: %v", err))
+	}
+	if s.memo, err = hgw.OpenMemo(memoCfg); err != nil {
 		s.warnings = append(s.warnings,
 			fmt.Sprintf("shard memo disk tier disabled, running memory-only: %v", err))
 	}
-	s.memo = store
 	return s
 }
 
@@ -553,22 +556,33 @@ func (s *Service) Submit(spec Spec) (*Job, error) {
 		s.jobs[job.ID] = job
 		s.order = append(s.order, job.ID)
 	}
-	if e, ok := s.cache.get(key); ok {
-		register()
-		job.finish(StatusDone, e.results, e.events, true, 0, "")
+	hit := func() bool {
+		results, rows, ok := s.lookup(key)
+		if ok {
+			register()
+			job.finish(StatusDone, results, rows, true, 0, "")
+		}
+		return ok
+	}
+	if hit() {
 		return job, nil
 	}
 	// Single-flight: an identical key already queued or running absorbs
-	// this job. attach can refuse — the flight may complete between the
-	// cache miss above and here — in which case a fresh flight is
-	// scheduled (its worker-side cache recheck will still find the
-	// fresh results).
-	if fl := s.flights[key]; fl != nil && fl.attach(job) {
-		job.markCoalesced()
-		s.coalesced.Add(1)
-		obs.Proc.Coalesce()
-		register()
-		return job, nil
+	// this job. attach refuses once the flight has completed; runFlight
+	// stores a flight's results before sealing it and unpublishes it
+	// only under s.mu, which this critical section holds, so a refused
+	// attach re-reads the cache and finds those results unless the
+	// flight failed or was canceled.
+	if fl := s.flights[key]; fl != nil {
+		if fl.attach(job) {
+			job.markCoalesced()
+			s.coalesced.Add(1)
+			register()
+			return job, nil
+		}
+		if hit() {
+			return job, nil
+		}
 	}
 	fl := newFlight(s.ctx, key, spec)
 	select {
@@ -581,6 +595,18 @@ func (s *Service) Submit(spec Spec) (*Job, error) {
 		fl.cancel() // release the child context; the flight never ran
 		return nil, ErrQueueFull
 	}
+}
+
+// lookup reads key's result blob from either tier of the result store
+// and slices it into the results bytes and the NDJSON event rows. A
+// blob that does not decode (an older format) is a miss; the re-run's
+// put replaces it.
+func (s *Service) lookup(key string) (results json.RawMessage, rows ndjson, ok bool) {
+	blob, ok := s.results.Get(key)
+	if !ok {
+		return nil, ndjson{}, false
+	}
+	return decodeResult(blob)
 }
 
 // Cancel cancels one job. A coalesced subscriber detaches without
@@ -606,7 +632,7 @@ func (s *Service) Cancel(id string) (*Job, error) {
 			delete(s.flights, fl.key)
 		}
 	}
-	j.finish(StatusCanceled, nil, nil, false, 0, "canceled by client")
+	j.finish(StatusCanceled, nil, ndjson{}, false, 0, "canceled by client")
 	return j, nil
 }
 
@@ -632,7 +658,7 @@ func (s *Service) Jobs() []*Job {
 // Stats snapshots the service counters.
 func (s *Service) Stats() Stats {
 	st := Stats{
-		Cache:         s.cache.stats(),
+		Cache:         cacheStats(s.results.Stats(), s.cfg.CacheEntries),
 		Memo:          s.memo.Stats(),
 		Coalesced:     s.coalesced.Load(),
 		JobsExecuted:  s.executed.Load(),
@@ -683,7 +709,7 @@ func (s *Service) Shutdown() {
 					delete(s.flights, fl.key)
 				}
 				for _, job := range fl.complete() {
-					job.finish(StatusCanceled, nil, nil, false, 0, "service shut down before the job ran")
+					job.finish(StatusCanceled, nil, ndjson{}, false, 0, "service shut down before the job ran")
 				}
 			default:
 				break drain
@@ -692,7 +718,7 @@ func (s *Service) Shutdown() {
 		s.mu.Unlock()
 		// Flush the persistent tiers' LRU indexes so recency — and the
 		// blobs themselves — survive into the next process.
-		s.cache.close()
+		s.results.Close()
 		s.memo.Close()
 	})
 }
@@ -745,37 +771,31 @@ func (s *Service) unpublish(fl *flight) {
 	}
 }
 
-// runFlight executes one flight through hgw.Run, stores the marshalled
-// results under its content address, and finishes every member with
-// the same bytes.
+// runFlight executes one flight through hgw.Run, stores the results
+// and event rows under its content address as one blob, and finishes
+// every member with slices of that blob.
 func (s *Service) runFlight(fl *flight) {
-	finishAll := func(status Status, results json.RawMessage, events []hgw.DeviceEvent,
-		cached bool, elapsed time.Duration, errText string) {
-		// Completion order matters: seal the flight (attach starts
-		// refusing), unpublish it, release its context, then finish the
-		// members. A concurrent identical Submit either attached before
-		// the seal (and is in members) or schedules a fresh flight whose
-		// worker-side cache recheck finds these results.
+	finishAll := func(status Status, results json.RawMessage, rows ndjson,
+		elapsed time.Duration, errText string) {
+		// Completion order matters: the caller stores the results, then
+		// this seals the flight (attach starts refusing), unpublishes
+		// it, releases its context and finishes the members. A
+		// concurrent identical Submit either attached before the seal
+		// (and is in members) or re-reads the cache after the refusal.
 		members := fl.complete()
 		s.unpublish(fl)
 		fl.cancel()
 		for _, j := range members {
-			j.finish(status, results, events, cached, elapsed, errText)
+			j.finish(status, results, rows, false, elapsed, errText)
 		}
 	}
 	if s.ctx.Err() != nil {
-		finishAll(StatusCanceled, nil, nil, false, 0, "service shut down before the job ran")
+		finishAll(StatusCanceled, nil, ndjson{}, 0, "service shut down before the job ran")
 		return
 	}
 	if fl.ctx.Err() != nil {
 		// Every member detached while the flight sat in the queue.
-		finishAll(StatusCanceled, nil, nil, false, 0, "canceled by client")
-		return
-	}
-	// An identical flight may have completed while this one sat in the
-	// queue; serve the stored bytes instead of recomputing.
-	if e, ok := s.cache.peek(fl.key); ok {
-		finishAll(StatusDone, e.results, e.events, true, 0, "")
+		finishAll(StatusCanceled, nil, ndjson{}, 0, "canceled by client")
 		return
 	}
 	fl.markRunning()
@@ -798,17 +818,20 @@ func (s *Service) runFlight(fl *flight) {
 		if fl.ctx.Err() != nil {
 			status = StatusCanceled
 		}
-		finishAll(status, nil, nil, false, elapsed, err.Error())
+		finishAll(status, nil, ndjson{}, elapsed, err.Error())
 		return
 	}
-	bytes, err := json.Marshal(results)
+	marshalled, err := json.Marshal(results)
 	if err != nil {
-		finishAll(StatusFailed, nil, nil, false, elapsed, "marshal results: "+err.Error())
+		finishAll(StatusFailed, nil, ndjson{}, elapsed, "marshal results: "+err.Error())
 		return
 	}
 	fl.mu.Lock()
-	events := fl.events
+	blob := encodeResult(marshalled, fl.rows)
 	fl.mu.Unlock()
-	s.cache.put(&cacheEntry{key: fl.key, results: bytes, events: events})
-	finishAll(StatusDone, bytes, nil, false, elapsed, "")
+	s.results.Put(fl.key, blob)
+	// The members end on slices of the stored blob, so the flight's
+	// own row buffer is garbage once they finish.
+	stored, rows, _ := decodeResult(blob)
+	finishAll(StatusDone, stored, rows, elapsed, "")
 }

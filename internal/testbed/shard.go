@@ -2,8 +2,6 @@ package testbed
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"hgw/internal/gateway"
 	"hgw/internal/obs"
@@ -37,18 +35,6 @@ type Shard struct {
 // life of the process. Callers that discard shards — the streaming fleet
 // runner above all — must Close each one when done with it.
 func (sh *Shard) Close() { sh.Sim.Shutdown() }
-
-// FleetConfig controls sharded fleet construction.
-type FleetConfig struct {
-	// Profiles is the full device population, in fleet order.
-	Profiles []gateway.Profile
-	// Shards is the number of sub-testbeds to partition the fleet
-	// across (default 1). Devices are assigned contiguously.
-	Shards int
-	// Seed seeds the fleet; shard s runs on an independent simulator
-	// seeded deterministically from Seed and s.
-	Seed int64
-}
 
 // shardSeedStride separates per-shard simulator seeds; any odd stride
 // works, a large prime keeps shard streams visibly unrelated.
@@ -122,50 +108,4 @@ func BuildShard(profiles []gateway.Profile, index, offset int, seed int64, reg *
 		Obs:      reg,
 	})
 	return &Shard{Index: index, Testbed: tb, Sim: s, Offset: offset}, nil
-}
-
-// BuildFleet partitions cfg.Profiles across shards and brings every
-// shard's testbed up, building shards concurrently on up to NumCPU
-// workers (each shard has its own simulator). Unlike Run, setup
-// failures return an error: a fleet build is driven by CLI flags, not
-// by tests that rely on a working topology.
-//
-// BuildFleet materializes every shard at once; the hgw fleet runner
-// instead streams shards through BuildShard so only a bounded window
-// is ever live. BuildFleet remains for callers that want the whole
-// fleet resident (experiments over persistent topologies, tests).
-func BuildFleet(cfg FleetConfig) ([]*Shard, error) {
-	n := len(cfg.Profiles)
-	if n == 0 {
-		return nil, fmt.Errorf("testbed: fleet has no devices")
-	}
-	bounds := Partition(n, cfg.Shards)
-	shards := make([]*Shard, len(bounds)-1)
-	errs := make([]error, len(shards))
-	sem := make(chan struct{}, runtime.NumCPU())
-	var wg sync.WaitGroup
-	for i := range shards {
-		i := i
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			shards[i], errs[i] = BuildShard(cfg.Profiles[bounds[i]:bounds[i+1]], i, bounds[i], cfg.Seed, nil)
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			// Release the shards that did build; the caller gets none
-			// of them.
-			for _, sh := range shards {
-				if sh != nil {
-					sh.Close()
-				}
-			}
-			return nil, err
-		}
-	}
-	return shards, nil
 }

@@ -29,12 +29,27 @@ func TestPartition(t *testing.T) {
 	}
 }
 
+// buildShards builds every shard of a fleet of profiles over k shards
+// the way the fleet runner does, through Partition and BuildShard, and
+// closes them when the test ends.
+func buildShards(t *testing.T, profiles []gateway.Profile, k int, seed int64) []*Shard {
+	t.Helper()
+	bounds := Partition(len(profiles), k)
+	shards := make([]*Shard, len(bounds)-1)
+	for i := range shards {
+		sh, err := BuildShard(profiles[bounds[i]:bounds[i+1]], i, bounds[i], seed, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(sh.Close)
+		shards[i] = sh
+	}
+	return shards
+}
+
 func TestBuildFleetShards(t *testing.T) {
 	profiles := gateway.Synthesize(10, 5)
-	shards, err := BuildFleet(FleetConfig{Profiles: profiles, Shards: 3, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	shards := buildShards(t, profiles, 3, 5)
 	if len(shards) != 3 {
 		t.Fatalf("shards = %d, want 3", len(shards))
 	}
@@ -79,10 +94,7 @@ func TestBuildLargeIndexAddressing(t *testing.T) {
 		t.Skip("300-device bring-up")
 	}
 	profiles := gateway.Synthesize(300, 11)
-	shards, err := BuildFleet(FleetConfig{Profiles: profiles, Shards: 1, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
+	shards := buildShards(t, profiles, 1, 11)
 	nodes := shards[0].Testbed.Nodes
 	if len(nodes) != 300 {
 		t.Fatalf("nodes = %d", len(nodes))

@@ -202,6 +202,53 @@ func TestShardMemoReport(t *testing.T) {
 	}
 }
 
+// TestShardMemoReplacesStaleBlob: a shard blob that no longer decodes
+// (written by an older build, say) is a miss, and the re-executed
+// shard's rows replace it in both tiers, so the next run — in this
+// process or after a restart — is a memo hit that simulates nothing.
+func TestShardMemoReplacesStaleBlob(t *testing.T) {
+	ids := []string{"udp1"}
+	dir := t.TempDir()
+	opts := []hgw.Option{hgw.WithSeed(5), hgw.WithIterations(1), hgw.WithFleet(32), hgw.WithShards(2)}
+	keys := shardKeys(t, 2, ids, opts...)
+	store, err := hgw.OpenMemo(hgw.MemoConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.Put(keys[0], []byte("not a gob of device rows"))
+
+	memoized := func(store *hgw.MemoStore) []bool {
+		t.Helper()
+		var rep *hgw.RunReport
+		all := append(append([]hgw.Option{}, opts...), hgw.WithShardMemo(store),
+			hgw.WithRunReport(func(r *hgw.RunReport) { rep = r }))
+		if _, err := hgw.Run(context.Background(), ids, all...); err != nil {
+			t.Fatal(err)
+		}
+		out := make([]bool, len(rep.Shards))
+		for i, sh := range rep.Shards {
+			out[i] = sh.Memoized
+		}
+		return out
+	}
+	if got := memoized(store); got[0] || got[1] {
+		t.Fatalf("first run memoized = %v; want both shards executed", got)
+	}
+	if got := memoized(store); !got[0] || !got[1] {
+		t.Fatalf("second run memoized = %v; want both shards served from memo", got)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := hgw.OpenMemo(hgw.MemoConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := memoized(reopened); !got[0] || !got[1] {
+		t.Fatalf("run after reopening memoized = %v; want both shards served from disk", got)
+	}
+}
+
 // TestMemoDeterminismMatrix extends the determinism matrix to the memo
 // path (the tentpole's acceptance bar): memo-hit renders and device
 // streams must be byte-identical to cold renders at any worker count.
