@@ -286,8 +286,8 @@ type Server struct {
 	// a fraction of a map.
 	leases []netpkt.MAC
 	// msg carries each request and then its reply. handle runs to
-	// completion without blocking, one datagram at a time in the
-	// server's process, so one message serves every exchange.
+	// completion without blocking, one datagram at a time as the
+	// socket's handler, so one message serves every exchange.
 	msg message
 	// Requests counts processed DISCOVER/REQUEST messages.
 	Requests int
@@ -304,15 +304,7 @@ func NewServer(us *udp.Stack, cfg ServerConfig) (*Server, error) {
 	}
 	srv := &Server{cfg: cfg, conn: conn}
 	srv.msg.init()
-	cfg.If.Host.S.Spawn("dhcpd."+cfg.If.Name(), func(p *sim.Proc) {
-		for {
-			d, ok := conn.Recv(p, 0)
-			if !ok {
-				return
-			}
-			srv.handle(d)
-		}
-	})
+	conn.Serve(srv.handle)
 	return srv, nil
 }
 

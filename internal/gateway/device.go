@@ -478,56 +478,41 @@ func (d *Device) startDNSProxy() {
 	if d.Profile.DNSProxyUDP {
 		conn, err := d.udpStack.Bind(d.lanAddr, 53)
 		if err == nil {
-			d.S.Spawn("dnsproxy-udp-"+d.Profile.Tag, func(p *sim.Proc) {
-				d.dnsProxyUDP(p, conn)
-			})
+			conn.Serve(func(q udp.Datagram) { d.dnsProxyUDP(conn, q) })
 		}
 	}
 	if d.Profile.DNSTCP != DNSTCPRefuse {
 		lis, err := d.tcpStack.Listen(53)
 		if err == nil {
-			d.S.Spawn("dnsproxy-tcp-"+d.Profile.Tag, func(p *sim.Proc) {
-				for {
-					c, err := lis.Accept(p, 0)
-					if err != nil {
-						return
-					}
-					cc := c
-					d.S.Spawn("dnsproxy-tcp-conn-"+d.Profile.Tag, func(cp *sim.Proc) {
-						d.dnsProxyTCPConn(cp, cc)
-					})
-				}
+			lis.Serve(func(c *tcp.Conn) {
+				d.S.Spawn("dnsproxy-tcp-conn-"+d.Profile.Tag, func(cp *sim.Proc) {
+					d.dnsProxyTCPConn(cp, c)
+				})
 			})
 		}
 	}
 }
 
-func (d *Device) dnsProxyUDP(p *sim.Proc, conn *udp.Conn) {
-	for {
-		q, ok := conn.Recv(p, 0)
+// dnsProxyUDP forwards query q, which arrived on conn, upstream from an
+// ephemeral socket, and relays one answer from a process of its own.
+func (d *Device) dnsProxyUDP(conn *udp.Conn, q udp.Datagram) {
+	if !d.upstreamDNS.IsValid() {
+		return
+	}
+	up, err := d.udpStack.Dial(d.upstreamDNS, 53)
+	if err != nil {
+		return
+	}
+	client, cport, data := q.From, q.FromPort, q.Data
+	d.S.Spawn("dnsfwd-"+d.Profile.Tag, func(fp *sim.Proc) {
+		defer up.Close()
+		up.Send(data)
+		resp, ok := up.Recv(fp, 5*time.Second)
 		if !ok {
 			return
 		}
-		if !d.upstreamDNS.IsValid() {
-			continue
-		}
-		// Forward upstream from an ephemeral socket; relay one answer.
-		up, err := d.udpStack.Dial(d.upstreamDNS, 53)
-		if err != nil {
-			continue
-		}
-		client, cport, data := q.From, q.FromPort, q.Data
-		upc := up
-		d.S.Spawn("dnsfwd-"+d.Profile.Tag, func(fp *sim.Proc) {
-			defer upc.Close()
-			upc.Send(data)
-			resp, ok := upc.Recv(fp, 5*time.Second)
-			if !ok {
-				return
-			}
-			conn.SendTo(client, cport, resp.Data)
-		})
-	}
+		conn.SendTo(client, cport, resp.Data)
+	})
 }
 
 func (d *Device) dnsProxyTCPConn(p *sim.Proc, c *tcp.Conn) {

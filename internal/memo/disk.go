@@ -197,6 +197,15 @@ func (d *Disk) Get(key string) ([]byte, bool) {
 	return payload, true
 }
 
+// remove drops the entry under key and its file.
+func (d *Disk) remove(key string) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if el, ok := d.byKey[key]; ok {
+		d.dropLocked(el, true)
+	}
+}
+
 // checkBlob splits raw into payload and checksum and verifies them.
 func checkBlob(raw []byte) ([]byte, bool) {
 	if len(raw) < sumLen {

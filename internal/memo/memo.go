@@ -92,26 +92,70 @@ func Open(cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// Get returns the blob stored under key. A disk-tier hit is promoted
-// into the memory tier. The returned slice is shared — callers must
-// not mutate it.
-func (s *Store) Get(key string) ([]byte, bool) {
+// Get returns the blob stored under key if accept, which the caller
+// decodes it in, takes it. A disk-tier hit is promoted into the memory
+// tier. accept runs outside the store's lock. A blob it refuses (one
+// written in a format the caller no longer reads, say) counts as a
+// miss, not a hit, and is dropped from both tiers. The returned slice
+// is shared — callers must not mutate it.
+func (s *Store) Get(key string, accept func(blob []byte) bool) ([]byte, bool) {
+	blob, fromDisk, found := s.find(key)
+	ok := found && accept(blob)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case !ok:
+		s.misses++
+		if found {
+			s.reject(key, blob)
+		}
+		return nil, false
+	case fromDisk:
+		s.diskHits++
+	default:
+		s.memHits++
+	}
+	return blob, true
+}
+
+// find returns the blob stored under key and whether it came from the
+// disk tier, which it then also enters into the memory tier.
+func (s *Store) find(key string) (blob []byte, fromDisk, found bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.byKey[key]; ok {
 		s.ll.MoveToFront(el)
-		s.memHits++
-		return el.Value.(*memEntry).blob, true
+		return el.Value.(*memEntry).blob, false, true
 	}
 	if s.disk != nil {
 		if blob, ok := s.disk.Get(key); ok {
 			s.insert(key, blob)
-			s.diskHits++
-			return blob, true
+			return blob, true, true
 		}
 	}
-	s.misses++
-	return nil, false
+	return nil, false, false
+}
+
+// reject drops the refused blob under key from both tiers, unless a Put
+// has replaced it since find returned it. Callers hold s.mu.
+func (s *Store) reject(key string, blob []byte) {
+	if el, ok := s.byKey[key]; ok {
+		ent := el.Value.(*memEntry)
+		if !sameSlice(ent.blob, blob) {
+			return
+		}
+		s.ll.Remove(el)
+		delete(s.byKey, key)
+		s.bytes -= int64(len(ent.blob))
+	}
+	if s.disk != nil {
+		s.disk.remove(key)
+	}
+}
+
+// sameSlice reports whether a and b are the same bytes in memory.
+func sameSlice(a, b []byte) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // Put stores blob under key in both tiers. Keys are content

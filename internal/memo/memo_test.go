@@ -8,16 +8,19 @@ import (
 	"testing"
 )
 
+// anyBlob accepts every blob: these tests store opaque bytes.
+func anyBlob([]byte) bool { return true }
+
 func TestMemoryRoundTrip(t *testing.T) {
 	s, err := Open(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Get("aaaa"); ok {
+	if _, ok := s.Get("aaaa", anyBlob); ok {
 		t.Fatal("hit on empty store")
 	}
 	s.Put("aaaa", []byte("blob-a"))
-	got, ok := s.Get("aaaa")
+	got, ok := s.Get("aaaa", anyBlob)
 	if !ok || !bytes.Equal(got, []byte("blob-a")) {
 		t.Fatalf("Get = %q, %v", got, ok)
 	}
@@ -34,13 +37,13 @@ func TestMemoryLRUEviction(t *testing.T) {
 	}
 	s.Put("k1", []byte("1"))
 	s.Put("k2", []byte("2"))
-	s.Get("k1") // refresh: k2 is now coldest
+	s.Get("k1", anyBlob) // refresh: k2 is now coldest
 	s.Put("k3", []byte("3"))
-	if _, ok := s.Get("k2"); ok {
+	if _, ok := s.Get("k2", anyBlob); ok {
 		t.Fatal("coldest entry survived eviction")
 	}
 	for _, k := range []string{"k1", "k3"} {
-		if _, ok := s.Get(k); !ok {
+		if _, ok := s.Get(k, anyBlob); !ok {
 			t.Fatalf("%s evicted; want k2 evicted", k)
 		}
 	}
@@ -53,10 +56,10 @@ func TestMemoryByteBound(t *testing.T) {
 	}
 	s.Put("big1", make([]byte, 8))
 	s.Put("big2", make([]byte, 8))
-	if _, ok := s.Get("big1"); ok {
+	if _, ok := s.Get("big1", anyBlob); ok {
 		t.Fatal("byte bound not enforced")
 	}
-	if _, ok := s.Get("big2"); !ok {
+	if _, ok := s.Get("big2", anyBlob); !ok {
 		t.Fatal("newest entry evicted")
 	}
 }
@@ -72,7 +75,7 @@ func TestPutReplacesStaleBlob(t *testing.T) {
 	}
 	s1.Put("5ca1e", []byte("stale"))
 	s1.Put("5ca1e", []byte("fresh blob"))
-	if got, ok := s1.Get("5ca1e"); !ok || !bytes.Equal(got, []byte("fresh blob")) {
+	if got, ok := s1.Get("5ca1e", anyBlob); !ok || !bytes.Equal(got, []byte("fresh blob")) {
 		t.Fatalf("memory tier: Get = %q, %v; want the replacement", got, ok)
 	}
 	s1.Put("5ca1e", []byte("fresh blob"))
@@ -90,8 +93,49 @@ func TestPutReplacesStaleBlob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := s2.Get("5ca1e"); !ok || !bytes.Equal(got, []byte("fresh blob")) {
+	if got, ok := s2.Get("5ca1e", anyBlob); !ok || !bytes.Equal(got, []byte("fresh blob")) {
 		t.Fatalf("disk tier: Get = %q, %v; want the replacement", got, ok)
+	}
+}
+
+// TestGetRejectedBlobIsMiss: a blob the caller's accept refuses counts
+// as a miss, not a hit, in the tier it came from, and is dropped from
+// both tiers, so a later Get finds nothing to re-read; a Put then
+// stores the replacement as usual.
+func TestGetRejectedBlobIsMiss(t *testing.T) {
+	reject := func([]byte) bool { return false }
+	dir := t.TempDir()
+	s1, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1.Put("01d", []byte("old format"))
+	if _, ok := s1.Get("01d", reject); ok {
+		t.Fatal("memory tier: a rejected blob was returned")
+	}
+	if st := s1.Stats(); st.MemHits != 0 || st.Misses != 1 || st.Entries != 0 || st.Disk.Entries != 0 {
+		t.Fatalf("memory tier after reject: %+v, disk %+v; want 0 hits, 1 miss, both tiers empty", st, *st.Disk)
+	}
+	s1.Put("01d", []byte("old format"))
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s2.Get("01d", reject); ok {
+		t.Fatal("disk tier: a rejected blob was returned")
+	}
+	if st := s2.Stats(); st.DiskHits != 0 || st.Misses != 1 || st.Entries != 0 || st.Disk.Entries != 0 {
+		t.Fatalf("disk tier after reject: %+v, disk %+v; want 0 disk hits, 1 miss, both tiers empty", st, *st.Disk)
+	}
+	if _, ok := s2.Get("01d", anyBlob); ok {
+		t.Fatal("a rejected blob was still stored")
+	}
+	s2.Put("01d", []byte("new format"))
+	if got, ok := s2.Get("01d", anyBlob); !ok || !bytes.Equal(got, []byte("new format")) {
+		t.Fatalf("Get after the replacing Put = %q, %v", got, ok)
 	}
 }
 
@@ -110,7 +154,7 @@ func TestDiskRestartRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := s2.Get("cafe01")
+	got, ok := s2.Get("cafe01", anyBlob)
 	if !ok || !bytes.Equal(got, []byte("persisted")) {
 		t.Fatalf("after restart: Get = %q, %v", got, ok)
 	}
@@ -119,7 +163,7 @@ func TestDiskRestartRoundTrip(t *testing.T) {
 		t.Fatalf("want 1 disk hit, stats = %+v", st)
 	}
 	// The hit was promoted: a second Get is a memory hit.
-	s2.Get("cafe01")
+	s2.Get("cafe01", anyBlob)
 	if st := s2.Stats(); st.MemHits != 1 {
 		t.Fatalf("promotion failed, stats = %+v", st)
 	}
@@ -136,7 +180,7 @@ func TestDiskSurvivesMissingIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := s2.Get("cafe02"); !ok || !bytes.Equal(got, []byte("orphan")) {
+	if got, ok := s2.Get("cafe02", anyBlob); !ok || !bytes.Equal(got, []byte("orphan")) {
 		t.Fatalf("orphaned blob not adopted: %q, %v", got, ok)
 	}
 }
@@ -156,7 +200,7 @@ func TestDiskCorruptionIsMissThenRepaired(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s2.Get("dead01"); ok {
+	if _, ok := s2.Get("dead01", anyBlob); ok {
 		t.Fatal("corrupt blob served as a hit")
 	}
 	if st := s2.Stats(); st.Disk == nil || st.Disk.Corrupt != 1 {
@@ -169,7 +213,7 @@ func TestDiskCorruptionIsMissThenRepaired(t *testing.T) {
 	s2.Put("dead01", []byte("repaired"))
 	s2.Close()
 	s3, _ := Open(Config{Dir: dir})
-	if got, ok := s3.Get("dead01"); !ok || !bytes.Equal(got, []byte("repaired")) {
+	if got, ok := s3.Get("dead01", anyBlob); !ok || !bytes.Equal(got, []byte("repaired")) {
 		t.Fatalf("repair failed: %q, %v", got, ok)
 	}
 }
@@ -189,7 +233,7 @@ func TestDiskBitRotIsMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2, _ := Open(Config{Dir: dir})
-	if _, ok := s2.Get("beef01"); ok {
+	if _, ok := s2.Get("beef01", anyBlob); ok {
 		t.Fatal("bit-rotted blob served as a hit")
 	}
 }
@@ -239,7 +283,7 @@ func TestOpenUnusableDirDegrades(t *testing.T) {
 		t.Fatal("want a degraded memory-only store alongside the error")
 	}
 	s.Put("aa", []byte("mem-only"))
-	if got, ok := s.Get("aa"); !ok || !bytes.Equal(got, []byte("mem-only")) {
+	if got, ok := s.Get("aa", anyBlob); !ok || !bytes.Equal(got, []byte("mem-only")) {
 		t.Fatalf("degraded store broken: %q %v", got, ok)
 	}
 }

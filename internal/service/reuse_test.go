@@ -353,8 +353,9 @@ func TestDiskCacheLegacyEnvelopeReplaced(t *testing.T) {
 		t.Fatalf("legacy-blob submit status=%s cached=%v results=%.40q, want a fresh run",
 			v1.Status, v1.Cached, v1.Results)
 	}
-	if st := svc1.Stats(); st.JobsExecuted != 1 {
-		t.Errorf("jobs executed = %d, want 1 (a legacy blob must re-run)", st.JobsExecuted)
+	if st := svc1.Stats(); st.JobsExecuted != 1 || st.Cache.DiskHits != 0 || st.Cache.Misses != 1 {
+		t.Errorf("executed=%d disk hits=%d misses=%d, want 1, 0 and 1 (a legacy blob is a miss and re-runs)",
+			st.JobsExecuted, st.Cache.DiskHits, st.Cache.Misses)
 	}
 	svc1.Shutdown()
 

@@ -465,6 +465,10 @@ type Service struct {
 	coalesced atomic.Uint64   // submissions attached to an in-flight execution
 	executed  atomic.Uint64   // flights that actually entered hgw.Run
 	jobDur    obs.AtomicHisto // wall durations of actually-executed jobs
+
+	// enqueued, when set (by tests), runs in Submit right after a new
+	// flight was sent to the queue, with s.mu held.
+	enqueued func(*flight)
 }
 
 // New builds a Service from cfg. Jobs are not accepted until Start. An
@@ -584,10 +588,17 @@ func (s *Service) Submit(spec Spec) (*Job, error) {
 			return job, nil
 		}
 	}
+	// The job joins the new flight before the flight is published to
+	// the workers: once it is in the queue, a worker may run and seal
+	// it at any moment, and a flight sealed with no members would leave
+	// the job queued forever.
 	fl := newFlight(s.ctx, key, spec)
+	fl.attach(job)
 	select {
 	case s.queue <- fl:
-		fl.attach(job)
+		if s.enqueued != nil {
+			s.enqueued(fl)
+		}
 		s.flights[key] = fl
 		register()
 		return job, nil
@@ -599,14 +610,14 @@ func (s *Service) Submit(spec Spec) (*Job, error) {
 
 // lookup reads key's result blob from either tier of the result store
 // and slices it into the results bytes and the NDJSON event rows. A
-// blob that does not decode (an older format) is a miss; the re-run's
-// put replaces it.
+// blob that does not decode (an older format) is a miss, and the store
+// drops it; the re-run's put stores its replacement.
 func (s *Service) lookup(key string) (results json.RawMessage, rows ndjson, ok bool) {
-	blob, ok := s.results.Get(key)
-	if !ok {
-		return nil, ndjson{}, false
-	}
-	return decodeResult(blob)
+	_, ok = s.results.Get(key, func(blob []byte) bool {
+		results, rows, ok = decodeResult(blob)
+		return ok
+	})
+	return results, rows, ok
 }
 
 // Cancel cancels one job. A coalesced subscriber detaches without

@@ -92,6 +92,30 @@ func TestSubmitCachedRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSubmitAttachesBeforeEnqueue forces the interleaving in which a
+// worker runs and seals a new flight before Submit, which sent it to
+// the queue, returns. The job must already be a member of the flight
+// then, and so reach done; a job that joined only after the send would
+// be left queued forever.
+func TestSubmitAttachesBeforeEnqueue(t *testing.T) {
+	svc := service.New(service.Config{Workers: 1})
+	service.HoldAfterEnqueue(svc, time.Minute)
+	svc.Start(context.Background())
+	defer svc.Shutdown()
+
+	job, err := svc.Submit(udp3Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, job, 10*time.Second)
+	if v := job.Snapshot(); v.Status != service.StatusDone || len(v.Results) == 0 {
+		t.Fatalf("job %s: %s with %d result bytes, want done with results", v.Status, v.Error, len(v.Results))
+	}
+	if st := svc.Stats(); st.JobsExecuted != 1 {
+		t.Fatalf("jobs executed = %d, want 1", st.JobsExecuted)
+	}
+}
+
 func TestSubmitUnknownExperiment(t *testing.T) {
 	svc := service.New(service.Config{})
 	svc.Start(context.Background())

@@ -408,3 +408,27 @@ func TestAtHandler(t *testing.T) {
 		t.Fatalf("handler fired %d times, order %v; want 1, [fn h=1]", h.n, order)
 	}
 }
+
+// TestAllocsChanServe pins a served exchange at zero allocations: the
+// value waits inline in the channel, and the drain event is the channel
+// itself as a Handler, so neither needs storage of its own.
+func TestAllocsChanServe(t *testing.T) {
+	s := New(1)
+	c := NewChan[int](s)
+	sum := 0
+	c.Serve(func(v int) { sum += v })
+	send := func() { c.Send(1) }
+	round := func() {
+		s.At(s.Now()+time.Microsecond, send)
+		s.Run(0)
+	}
+	for i := 0; i < 16; i++ {
+		round()
+	}
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Fatalf("served exchange allocates %.1f objects, want 0", n)
+	}
+	if sum != 16+101 || c.Len() != 0 || c.buf.head != nil {
+		t.Fatalf("handled sum %d, %d left buffered, segment %p; want 117, 0, none", sum, c.Len(), c.buf.head)
+	}
+}

@@ -4,7 +4,8 @@ import "time"
 
 // Chan is an unbounded, simulator-aware FIFO channel. Senders never
 // block; receivers are simulator processes that park until a value
-// arrives or their deadline passes. Send may be called from event
+// arrives or their deadline passes, or, on a served channel, one
+// handler function (see Serve). Send may be called from event
 // callbacks (scheduler context) or from processes.
 //
 // A steady Send/Recv exchange allocates nothing: both queues reuse their
@@ -16,7 +17,12 @@ type Chan[T any] struct {
 	buf     segQueue[T]
 	waiters FIFO[*chanWaiter[T]] // parked receivers, oldest first
 	spare   []*chanWaiter[T]     // resolved waiters for reuse
+	serve   func(T)              // the handler of a served channel
 	closed  bool
+	// draining is set while a served channel's drain event is
+	// scheduled or running: the state in which a receiving process
+	// would be woken or busy rather than parked.
+	draining bool
 }
 
 // chanWaiter is one parked receiver. It sits in waiters exactly while
@@ -58,15 +64,67 @@ func (c *Chan[T]) Send(v T) {
 		return
 	}
 	c.buf.push(v)
+	if c.serve != nil && !c.draining {
+		c.scheduleDrain()
+	}
+}
+
+// Serve makes fn the channel's only receiver: every value sent is
+// handed to fn in an event callback, in send order. fn takes no *Proc,
+// so it cannot block; a server that only receives and answers needs no
+// process, and so no coroutine, of its own. Values already buffered are
+// handed over as if they had been sent now. Serve must be called at
+// most once, and never on a channel a process receives from.
+//
+// Handlers fire exactly when a process looping on Recv(p, 0), spawned
+// where Serve is called, would handle the same values: a Send that
+// would wake the parked process schedules one drain event at the same
+// point in the event order, and the drain hands fn every value queued
+// by the time it runs, as the woken process empties the buffer before
+// it parks again. The process's spawn event is the only event missing.
+// TryRecv and Drain still remove buffered values, which fn then never
+// sees.
+func (c *Chan[T]) Serve(fn func(T)) {
+	if c.serve != nil || c.waiters.Len() > 0 {
+		panic("sim: Serve on a channel that already has a receiver")
+	}
+	c.serve = fn
+	if c.buf.n > 0 {
+		c.scheduleDrain()
+	}
+}
+
+// chanDrain is a served channel in its role as the Handler of its
+// drain event, so scheduling the drain allocates no closure.
+type chanDrain[T any] Chan[T]
+
+func (c *Chan[T]) scheduleDrain() {
+	c.draining = true
+	c.s.AtHandler(c.s.now, (*chanDrain[T])(c))
+}
+
+// Fire hands the handler every buffered value, including those sent
+// while it runs.
+func (d *chanDrain[T]) Fire() {
+	c := (*Chan[T])(d)
+	for c.buf.n > 0 {
+		c.serve(c.buf.pop())
+	}
+	c.draining = false
 }
 
 // Close marks the channel closed, waking all waiting receivers with
-// ok=false. Buffered values remain receivable.
+// ok=false. Buffered values remain receivable. An idle served channel
+// schedules one more drain event, where its process would have been
+// woken to see the close.
 func (c *Chan[T]) Close() {
 	if c.closed {
 		return
 	}
 	c.closed = true
+	if c.serve != nil && !c.draining {
+		c.scheduleDrain()
+	}
 	for c.waiters.Len() > 0 {
 		w := c.waiters.Pop()
 		w.timeout.Cancel()
@@ -148,8 +206,16 @@ type segment[T any] struct {
 // segQueue is a FIFO of linked fixed-size segments. Unlike a slice
 // that append grows, a long backlog never copies the values it already
 // holds, and a drained segment is kept as a spare for the next one.
+//
+// A value pushed onto an empty queue is held inline, outside the
+// segments, so a queue that never holds more than one value at a time
+// (a served socket, a one-shot result channel) allocates no segment.
+// The inline value is always the oldest: it is filled only when the
+// queue is empty, and popped first.
 type segQueue[T any] struct {
-	head, tail *segment[T] // nil while nothing was ever queued
+	first      T
+	inline     bool        // first holds the oldest value
+	head, tail *segment[T] // nil while no segment was ever needed
 	hi, ti     int         // next read index in head, next write index in tail
 	n          int
 	spare      *segment[T]
@@ -164,6 +230,10 @@ func (q *segQueue[T]) newSegment() *segment[T] {
 }
 
 func (q *segQueue[T]) push(v T) {
+	if q.n == 0 {
+		q.first, q.inline, q.n = v, true, 1
+		return
+	}
 	switch {
 	case q.tail == nil:
 		q.head = q.newSegment()
@@ -180,9 +250,15 @@ func (q *segQueue[T]) push(v T) {
 
 // pop removes and returns the oldest value; the queue must be non-empty.
 func (q *segQueue[T]) pop() T {
+	var zero T
+	if q.inline {
+		v := q.first
+		q.first, q.inline = zero, false
+		q.n--
+		return v
+	}
 	sg := q.head
 	v := sg.vals[q.hi]
-	var zero T
 	sg.vals[q.hi] = zero
 	q.hi++
 	q.n--
@@ -203,6 +279,8 @@ func (q *segQueue[T]) pop() T {
 // only they are cleared: draining one value costs one slot, not a
 // segment.
 func (q *segQueue[T]) reset() {
+	var zero T
+	q.first, q.inline = zero, false
 	if sg := q.head; sg != nil {
 		if sg == q.tail {
 			clear(sg.vals[q.hi:q.ti])

@@ -7,7 +7,9 @@
 // entities that are most naturally written as sequential code (probers,
 // protocol clients) run as processes: coroutines that the scheduler
 // switches into and that switch back when they park, so that exactly one
-// of them — the scheduler or a single process — runs at any moment. This
+// of them — the scheduler or a single process — runs at any moment. A
+// server that only receives and answers needs no process: it is the
+// handler of a served channel (Chan.Serve), run in event callbacks. This
 // gives race-free, fully reproducible runs: the same program always
 // produces the same event ordering, and a simulated 24-hour experiment
 // completes in milliseconds of wall time.
@@ -629,9 +631,10 @@ func runProc(fn func(p *Proc), p *Proc) {
 }
 
 // Shutdown unwinds every live process and stops every worker coroutine.
-// A simulation that ends with processes still parked — servers park
-// forever by design, and an interrupted or horizon-bounded run parks
-// everything mid-flight — leaves their coroutines suspended, and so
+// A simulation that ends with processes still parked — a process that
+// waits for an answer that never comes parks forever, and an
+// interrupted or horizon-bounded run parks everything mid-flight —
+// leaves their coroutines suspended, and so
 // does every idle worker. The Go runtime does not collect a suspended
 // coroutine, so each would pin its stack and everything reachable from
 // it (transitively, the whole simulation) for the life of the program.

@@ -442,8 +442,8 @@ func TestShutdownReleasesGoroutines(t *testing.T) {
 			for i := 0; i < procs; i++ {
 				s.Spawn("server", func(p *Proc) {
 					defer func() { cleaned++ }()
-					// Parks forever: nothing ever sends, like a device's
-					// DHCP or DNS server process after its testbed is
+					// Parks forever: nothing ever sends, like a probe
+					// still waiting for a reply when its testbed is
 					// abandoned.
 					ch.Recv(p, 0)
 				})

@@ -134,8 +134,13 @@ func (l *Listener) Accept(p *sim.Proc, timeout time.Duration) (*Conn, error) {
 	return c, nil
 }
 
-// Close stops the listener. Established-but-unaccepted connections are
-// aborted.
+// Serve makes fn the listener's only acceptor: fn receives each
+// established connection in an event callback and must not block (see
+// sim.Chan.Serve); it typically spawns the connection's process.
+func (l *Listener) Serve(fn func(*Conn)) { l.backlog.Serve(fn) }
+
+// Close stops the listener. Established-but-unaccepted connections,
+// including those not yet handed to a Serve handler, are aborted.
 func (l *Listener) Close() {
 	if l.closed {
 		return

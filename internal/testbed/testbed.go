@@ -67,15 +67,12 @@ type Node struct {
 	// destination the client probes).
 	ServerAddr netip.Addr
 
-	wanLink, lanLink *netem.Link
+	wanLink *netem.Link
 }
 
 // WANLink returns the node's gateway-to-WAN-switch link, the surface
 // fault injection acts on (loss/corrupt/flap windows, blackholes).
 func (n *Node) WANLink() *netem.Link { return n.wanLink }
-
-// LANLink returns the node's gateway-to-LAN-switch link.
-func (n *Node) LANLink() *netem.Link { return n.lanLink }
 
 // Config controls testbed construction.
 type Config struct {
@@ -223,7 +220,7 @@ func Build(s *sim.Sim, cfg Config) *Testbed {
 		lanVLAN := tb.lanVLAN(idx)
 		netem.Connect(s, sif.Link, tb.wanSwitch.AddPort(wanVLAN), link)
 		node.wanLink = netem.Connect(s, node.Dev.WANIf.Link, tb.wanSwitch.AddPort(wanVLAN), link)
-		node.lanLink = netem.Connect(s, node.Dev.LANIf.Link, tb.lanSwitch.AddPort(lanVLAN), link)
+		netem.Connect(s, node.Dev.LANIf.Link, tb.lanSwitch.AddPort(lanVLAN), link)
 		netem.Connect(s, cif.Link, tb.lanSwitch.AddPort(lanVLAN), link)
 
 		tb.Nodes = append(tb.Nodes, node)
@@ -326,63 +323,50 @@ func (tb *Testbed) startDNSServer() {
 	if err != nil {
 		panic("testbed: dns udp: " + err.Error())
 	}
-	tb.S.Spawn("dns-udp", func(p *sim.Proc) {
-		for {
-			d, ok := conn.Recv(p, 0)
-			if !ok {
-				return
-			}
-			q, err := dnsmsg.Parse(d.Data)
-			if err != nil {
-				continue
-			}
-			tb.DNSQueriesUDP++
-			resp, err := tb.dnsZone.Answer(q).Marshal()
-			if err != nil {
-				continue
-			}
-			conn.SendTo(d.From, d.FromPort, resp)
+	conn.Serve(func(d udp.Datagram) {
+		q, err := dnsmsg.Parse(d.Data)
+		if err != nil {
+			return
 		}
+		tb.DNSQueriesUDP++
+		resp, err := tb.dnsZone.Answer(q).Marshal()
+		if err != nil {
+			return
+		}
+		conn.SendTo(d.From, d.FromPort, resp)
 	})
 	lis, err := tb.Server.TCP.Listen(53)
 	if err != nil {
 		panic("testbed: dns tcp: " + err.Error())
 	}
-	tb.S.Spawn("dns-tcp", func(p *sim.Proc) {
-		for {
-			c, err := lis.Accept(p, 0)
-			if err != nil {
-				return
-			}
-			cc := c
-			tb.S.Spawn("dns-tcp-conn", func(cp *sim.Proc) {
-				defer cc.Close()
-				var buf []byte
-				for {
-					var err error
-					if buf, err = cc.ReadAppend(cp, buf, 4096, 10*time.Second); err != nil {
-						return
-					}
-					msg, rest, ok := dnsmsg.UnframeTCP(buf)
-					if !ok {
-						continue
-					}
-					buf = rest
-					q, err := dnsmsg.Parse(msg)
-					if err != nil {
-						continue
-					}
-					tb.DNSQueriesTCP++
-					resp, err := tb.dnsZone.Answer(q).Marshal()
-					if err != nil {
-						continue
-					}
-					if err := cc.Write(cp, dnsmsg.FrameTCP(resp)); err != nil {
-						return
-					}
+	lis.Serve(func(cc *tcp.Conn) {
+		tb.S.Spawn("dns-tcp-conn", func(cp *sim.Proc) {
+			defer cc.Close()
+			var buf []byte
+			for {
+				var err error
+				if buf, err = cc.ReadAppend(cp, buf, 4096, 10*time.Second); err != nil {
+					return
 				}
-			})
-		}
+				msg, rest, ok := dnsmsg.UnframeTCP(buf)
+				if !ok {
+					continue
+				}
+				buf = rest
+				q, err := dnsmsg.Parse(msg)
+				if err != nil {
+					continue
+				}
+				tb.DNSQueriesTCP++
+				resp, err := tb.dnsZone.Answer(q).Marshal()
+				if err != nil {
+					continue
+				}
+				if err := cc.Write(cp, dnsmsg.FrameTCP(resp)); err != nil {
+					return
+				}
+			}
+		})
 	})
 }
 

@@ -200,9 +200,6 @@ func (st *Stack) allocPort() uint16 {
 // LocalPort returns the bound local port.
 func (c *Conn) LocalPort() uint16 { return c.localPort }
 
-// RemoteAddr returns the connected peer address (zero if unconnected).
-func (c *Conn) RemoteAddr() (netip.Addr, uint16) { return c.remoteAddr, c.remotePort }
-
 // Close releases the socket.
 func (c *Conn) Close() {
 	if c.closed {
@@ -322,6 +319,12 @@ func (st *Stack) send(src, dst netip.Addr, sport, dport uint16, ttl uint8, data,
 func (c *Conn) Recv(p *sim.Proc, timeout time.Duration) (Datagram, bool) {
 	return c.rx.Recv(p, timeout)
 }
+
+// Serve makes fn the socket's only receiver: fn handles each datagram
+// in an event callback, in arrival order, and must not block (see
+// sim.Chan.Serve). A server that only answers what it receives runs as
+// a handler instead of a process.
+func (c *Conn) Serve(fn func(Datagram)) { c.rx.Serve(fn) }
 
 // TryRecv returns a buffered datagram without blocking.
 func (c *Conn) TryRecv() (Datagram, bool) { return c.rx.TryRecv() }

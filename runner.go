@@ -626,26 +626,29 @@ func (r *Runner) sweepShards(ctx context.Context, exps []*Experiment) ([][]stats
 			}
 		}()
 		if memoKeys != nil {
-			if blob, ok := r.set.memo.Get(memoKeys[i]); ok {
-				if rows, derr := decodeShardRows(blob, len(exps)); derr == nil {
-					// Memo hit: replay the recorded rows through the same
-					// reduction the cold path uses — no worker slot, no
-					// simulator, byte-identical merge. The window token
-					// still bounds how many replayed batches are resident.
-					r.emit(Progress{Kind: ProgressShard, Shard: i, Index: i, Total: n})
-					b.pts = make([][]stats.DevicePoint, len(exps))
-					for j := range rows {
-						b.pts[j] = pointsFromRows(rows[j])
-					}
-					if r.set.deviceCB != nil {
-						b.rows = rows
-					}
-					b.devices = len(profiles)
-					b.memo = true
-					return
+			// A blob that no longer decodes (e.g. written by an older
+			// build) is a miss: fall through, re-execute, re-record.
+			var rows [][]DeviceResult
+			if _, ok := r.set.memo.Get(memoKeys[i], func(blob []byte) bool {
+				var err error
+				rows, err = decodeShardRows(blob, len(exps))
+				return err == nil
+			}); ok {
+				// Memo hit: replay the recorded rows through the same
+				// reduction the cold path uses — no worker slot, no
+				// simulator, byte-identical merge. The window token
+				// still bounds how many replayed batches are resident.
+				r.emit(Progress{Kind: ProgressShard, Shard: i, Index: i, Total: n})
+				b.pts = make([][]stats.DevicePoint, len(exps))
+				for j := range rows {
+					b.pts[j] = pointsFromRows(rows[j])
 				}
-				// A blob that no longer decodes (e.g. written by an older
-				// build) is a miss: fall through, re-execute, re-record.
+				if r.set.deviceCB != nil {
+					b.rows = rows
+				}
+				b.devices = len(profiles)
+				b.memo = true
+				return
 			}
 		}
 		procSem <- struct{}{}

@@ -203,9 +203,10 @@ func TestShardMemoReport(t *testing.T) {
 }
 
 // TestShardMemoReplacesStaleBlob: a shard blob that no longer decodes
-// (written by an older build, say) is a miss, and the re-executed
-// shard's rows replace it in both tiers, so the next run — in this
-// process or after a restart — is a memo hit that simulates nothing.
+// (written by an older build, say) is counted and served as a miss,
+// and the re-executed shard's rows replace it in both tiers, so the
+// next run — in this process or after a restart — is a memo hit that
+// simulates nothing.
 func TestShardMemoReplacesStaleBlob(t *testing.T) {
 	ids := []string{"udp1"}
 	dir := t.TempDir()
@@ -233,6 +234,9 @@ func TestShardMemoReplacesStaleBlob(t *testing.T) {
 	}
 	if got := memoized(store); got[0] || got[1] {
 		t.Fatalf("first run memoized = %v; want both shards executed", got)
+	}
+	if st := store.Stats(); st.MemHits != 0 || st.Misses != 2 {
+		t.Fatalf("first run: %d memory hits, %d misses; want 0 and 2 (the undecodable blob is a miss)", st.MemHits, st.Misses)
 	}
 	if got := memoized(store); !got[0] || !got[1] {
 		t.Fatalf("second run memoized = %v; want both shards served from memo", got)
