@@ -181,3 +181,27 @@ func TestBehaviorGoldenRenders(t *testing.T) {
 		}
 	}
 }
+
+// TestInventoryBuffersReturn runs each built-in experiment alone, with
+// the inventory golden run's options, and checks that every packet
+// buffer and frame the run took from the pools went back: one that
+// never does is a drop path that skips the ownership rules (DESIGN.md
+// §9). Like the work counts, it reads the process-wide pool counters,
+// so it must not run in parallel.
+func TestInventoryBuffersReturn(t *testing.T) {
+	inv := goldenRuns[0]
+	ids := append(inv.ids[:len(inv.ids):len(inv.ids)],
+		"fig2", "sctp", "dccp", "dns", "quirks", "bindrate", "keepalive", "holepunch", "natmap", "punchmatrix")
+	for _, id := range ids {
+		before := obs.Proc.Snapshot()
+		if _, err := hgw.Run(context.Background(), []string{id}, inv.opts...); err != nil {
+			t.Fatal(err)
+		}
+		after := obs.Proc.Snapshot()
+		gets, puts := after.PoolGets-before.PoolGets, after.PoolPuts-before.PoolPuts
+		frames, framePuts := after.FrameGets-before.FrameGets, after.FramePuts-before.FramePuts
+		if gets != puts || frames != framePuts {
+			t.Errorf("%s: %d buffer gets, %d puts; %d frame gets, %d puts", id, gets, puts, frames, framePuts)
+		}
+	}
+}

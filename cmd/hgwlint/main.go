@@ -1,28 +1,23 @@
 // Command hgwlint runs the repo's invariant analyzers (internal/lint)
-// over the module: detlint (determinism, DESIGN.md §8), poollint
+// as a go vet tool: detlint (determinism, DESIGN.md §8), poollint
 // (buffer ownership, DESIGN.md §9), exhaustlint (enum switch
-// exhaustiveness) and droplint (drop-reason registry discipline).
+// exhaustiveness), droplint (drop-reason registry discipline) and
+// obslint (write-only telemetry).
 //
-// Standalone:
+//	go build -o /tmp/hgwlint ./cmd/hgwlint
+//	go vet -vettool=/tmp/hgwlint ./...
 //
-//	hgwlint ./...              # whole module (the CI lint job)
-//	hgwlint ./internal/nat     # one package
-//	hgwlint -list              # describe the analyzers
-//	hgwlint -analyzers detlint,droplint ./...
+// It speaks the part of the cmd/go vettool protocol vet needs (-V=full,
+// -flags and one *.cfg build unit per invocation), so cmd/go loads the
+// packages, test files included. internal/lint's TestModuleClean runs
+// the same suite over the whole module in process.
 //
-// It also speaks enough of the cmd/go vettool protocol to run as
-//
-//	go vet -vettool=$(which hgwlint) ./...
-//
-// (-V=full / -flags / *.cfg single-unit invocations); the standalone
-// mode is the supported entry point, the vettool mode a convenience.
-//
-// Exit status: 0 clean, 1 diagnostics reported, 2 operational error.
+// Exit status: 0 clean, 2 findings or an operational error (the
+// vettool convention).
 package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"go/ast"
 	"go/importer"
@@ -31,17 +26,12 @@ import (
 	"go/types"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"hgw/internal/lint"
 )
 
 func main() {
-	// The vettool protocol invokes the tool with -V=full (version for
-	// the build cache), -flags (supported flags as JSON) or a single
-	// *.cfg argument per package unit. Handle those before flag.Parse
-	// so the standalone flags stay separate.
 	args := os.Args[1:]
 	for _, a := range args {
 		switch {
@@ -56,159 +46,8 @@ func main() {
 	if n := len(args); n > 0 && strings.HasSuffix(args[n-1], ".cfg") {
 		os.Exit(vettool(args[n-1]))
 	}
-
-	var (
-		list      = flag.Bool("list", false, "describe the analyzers and exit")
-		analyzers = flag.String("analyzers", "", "comma-separated subset of analyzers to run (default all)")
-	)
-	flag.Parse()
-
-	if *list {
-		for _, a := range lint.Analyzers() {
-			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
-
-	suite := lint.Analyzers()
-	if *analyzers != "" {
-		suite = suite[:0]
-		for _, name := range strings.Split(*analyzers, ",") {
-			a := lint.ByName(strings.TrimSpace(name))
-			if a == nil {
-				fatalf("unknown analyzer %q (try -list)", name)
-			}
-			suite = append(suite, a)
-		}
-	}
-
-	patterns := flag.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-
-	root, err := moduleRoot()
-	if err != nil {
-		fatalf("%v", err)
-	}
-	modPath, err := lint.ModulePath(root)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	loader := lint.NewLoader(root, modPath)
-
-	var pkgs []*lint.Package
-	for _, pat := range patterns {
-		got, err := loadPattern(loader, root, modPath, pat)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		pkgs = append(pkgs, got...)
-	}
-
-	diags, err := lint.Run(pkgs, suite)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	for _, d := range diags {
-		fmt.Println(rel(root, d))
-	}
-	if len(diags) > 0 {
-		fmt.Fprintf(os.Stderr, "hgwlint: %d finding(s)\n", len(diags))
-		os.Exit(1)
-	}
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "hgwlint: "+format+"\n", args...)
+	fmt.Fprintln(os.Stderr, "usage: go vet -vettool=$(which hgwlint) ./...")
 	os.Exit(2)
-}
-
-// moduleRoot ascends from the working directory to the enclosing go.mod.
-func moduleRoot() (string, error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", err
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", fmt.Errorf("no go.mod found above the working directory")
-		}
-		dir = parent
-	}
-}
-
-// loadPattern resolves one package pattern: "./..." (whole module),
-// "dir/..." (subtree), or a single directory / import path.
-func loadPattern(loader *lint.Loader, root, modPath, pat string) ([]*lint.Package, error) {
-	if pat == "./..." || pat == "all" {
-		return loader.LoadAll()
-	}
-	clean := strings.TrimSuffix(pat, "/...")
-	subtree := clean != pat
-	var ipath string
-	switch {
-	case clean == ".":
-		ipath = modPath
-	case strings.HasPrefix(clean, "./"):
-		ipath = modPath + "/" + filepath.ToSlash(strings.TrimPrefix(clean, "./"))
-	case clean == modPath || strings.HasPrefix(clean, modPath+"/"):
-		ipath = clean
-	default:
-		ipath = modPath + "/" + filepath.ToSlash(clean)
-	}
-	if !subtree {
-		return loader.LoadPaths([]string{ipath})
-	}
-	// Subtree: enumerate directories below it.
-	relDir := strings.TrimPrefix(strings.TrimPrefix(ipath, modPath), "/")
-	var paths []string
-	base := filepath.Join(root, filepath.FromSlash(relDir))
-	err := filepath.WalkDir(base, func(path string, d os.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		name := d.Name()
-		if path != base && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-			return filepath.SkipDir
-		}
-		rel, _ := filepath.Rel(root, path)
-		if hasGo(path) {
-			paths = append(paths, modPath+"/"+filepath.ToSlash(rel))
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return loader.LoadPaths(paths)
-}
-
-func hasGo(dir string) bool {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	for _, e := range entries {
-		n := e.Name()
-		if !e.IsDir() && strings.HasSuffix(n, ".go") && !strings.HasSuffix(n, "_test.go") {
-			return true
-		}
-	}
-	return false
-}
-
-// rel renders a diagnostic with a root-relative filename.
-func rel(root string, d lint.Diagnostic) string {
-	pos := d.Position
-	if r, err := filepath.Rel(root, pos.Filename); err == nil && !strings.HasPrefix(r, "..") {
-		pos.Filename = r
-	}
-	return fmt.Sprintf("%s: %s (%s)", pos, d.Message, d.Analyzer)
 }
 
 // vetConfig is the JSON unit description cmd/go hands a vettool.

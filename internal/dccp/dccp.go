@@ -54,7 +54,7 @@ func New(h *stack.Host) *Stack {
 	}
 	h.Handle(netpkt.ProtoDCCP, func(ifc *stack.NetIf, ip *netpkt.IPv4) bool {
 		st.input(ifc, ip)
-		return true // received data is queued as views of the payload (rx)
+		return false // ParseDCCP copies the payload it returns
 	})
 	return st
 }
@@ -99,9 +99,6 @@ type Conn struct {
 	passive bool
 	backlog *sim.Chan[*Conn]
 }
-
-// Open reports whether the connection handshake completed.
-func (c *Conn) Open() bool { return c.state == 3 }
 
 func (st *Stack) allocPort() uint16 {
 	for i := 0; i < 65536; i++ {
@@ -194,11 +191,6 @@ func (c *Conn) Send(p *sim.Proc, data []byte) error {
 		}
 	}
 	return ErrTimeout
-}
-
-// Recv waits for the next datagram.
-func (c *Conn) Recv(p *sim.Proc, timeout time.Duration) ([]byte, bool) {
-	return c.rx.Recv(p, timeout)
 }
 
 // Close tears the connection down.

@@ -33,7 +33,7 @@ func TestConnectAndData(t *testing.T) {
 			t.Errorf("accept: %v", err)
 			return
 		}
-		got, _ = c.Recv(p, 10*time.Second)
+		got, _ = c.rx.Recv(p, 10*time.Second)
 	})
 	var sendErr error
 	s.Spawn("client", func(p *sim.Proc) {
@@ -42,7 +42,7 @@ func TestConnectAndData(t *testing.T) {
 			t.Errorf("connect: %v", err)
 			return
 		}
-		if !c.Open() {
+		if c.state != 3 {
 			t.Error("not open")
 			return
 		}

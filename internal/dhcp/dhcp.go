@@ -179,9 +179,6 @@ func put4(b []byte, a netip.Addr) {
 	}
 }
 
-// Marshal serializes the message.
-func (m *Message) Marshal() []byte { return m.AppendMarshal(nil) }
-
 // AppendMarshal serializes the message onto b and returns the extended
 // slice. Options come in a fixed order: message type first, then
 // ascending code.
@@ -279,8 +276,7 @@ type ServerConfig struct {
 
 // Server is a single-interface DHCP server.
 type Server struct {
-	cfg  ServerConfig
-	conn *udp.Conn
+	cfg ServerConfig
 	// leases lists the clients in lease order: client i holds
 	// PoolStart+i. A server has one client or a few, and a list costs
 	// a fraction of a map.
@@ -289,8 +285,6 @@ type Server struct {
 	// completion without blocking, one datagram at a time as the
 	// socket's handler, so one message serves every exchange.
 	msg message
-	// Requests counts processed DISCOVER/REQUEST messages.
-	Requests int
 }
 
 // NewServer starts a DHCP server on cfg.If.
@@ -302,14 +296,11 @@ func NewServer(us *udp.Stack, cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	srv := &Server{cfg: cfg, conn: conn}
+	srv := &Server{cfg: cfg}
 	srv.msg.init()
 	conn.Serve(srv.handle)
 	return srv, nil
 }
-
-// Close stops the server.
-func (s *Server) Close() { s.conn.Close() }
 
 func (s *Server) alloc(mac netpkt.MAC) (netip.Addr, bool) {
 	i := slices.Index(s.leases, mac)
@@ -330,7 +321,6 @@ func (s *Server) handle(d udp.Datagram) {
 	if m.Parse(d.Data) != nil || m.Op != 1 {
 		return
 	}
-	s.Requests++
 	var mtype uint8
 	switch m.Type() {
 	case Discover:

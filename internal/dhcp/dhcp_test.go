@@ -17,7 +17,7 @@ func TestMessageRoundtrip(t *testing.T) {
 	m.setOption(OptMsgType, []byte{Discover})
 	m.SetAddrOption(OptRequestedIP, netpkt.Addr4(192, 168, 1, 50))
 	var got Message
-	if err := got.Parse(m.Marshal()); err != nil {
+	if err := got.Parse(m.AppendMarshal(nil)); err != nil {
 		t.Fatal(err)
 	}
 	if got.XID != m.XID || got.CHAddr != m.CHAddr || got.Type() != Discover {
@@ -105,8 +105,8 @@ func TestAcquireLease(t *testing.T) {
 	if _, ok := cliHost.Lookup(netpkt.Addr4(8, 8, 8, 8)); ok {
 		t.Fatal("unexpected default route")
 	}
-	if srv.Requests < 2 {
-		t.Fatalf("server saw %d requests", srv.Requests)
+	if len(srv.leases) != 1 || srv.leases[0] != ci.Link.MAC {
+		t.Fatalf("server leases = %v, want the client's %v", srv.leases, ci.Link.MAC)
 	}
 }
 

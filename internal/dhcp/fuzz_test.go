@@ -130,10 +130,10 @@ func FuzzDHCPParse(f *testing.F) {
 				}
 			}
 		}
-		if got, want := m.Marshal(), refMarshal(ref); !bytes.Equal(got, want) {
+		if got, want := m.AppendMarshal(nil), refMarshal(ref); !bytes.Equal(got, want) {
 			t.Fatalf("Marshal\n got %x\nwant %x", got, want)
 		}
-		if err := reused.Parse(in); err != nil || !bytes.Equal(reused.Marshal(), m.Marshal()) {
+		if err := reused.Parse(in); err != nil || !bytes.Equal(reused.AppendMarshal(nil), m.AppendMarshal(nil)) {
 			t.Fatalf("reused message decodes differently (err %v)", err)
 		}
 	})
@@ -156,7 +156,7 @@ func ack(m *Message, xid uint32) {
 func TestAllocsParse(t *testing.T) {
 	var m Message
 	ack(&m, 1)
-	b := m.Marshal()
+	b := m.AppendMarshal(nil)
 	if err := m.Parse(b); err != nil {
 		t.Fatal(err)
 	}

@@ -142,9 +142,6 @@ type Plan struct {
 	Events []Event
 }
 
-// Spec returns the normalized spec the plan was compiled from.
-func (p *Plan) Spec() Spec { return p.spec }
-
 // Compile draws a plan from the spec. It is a pure function: equal
 // specs compile to equal plans. Events are sorted by (At, Node, Kind)
 // so installation order — and therefore the simulator event sequence —

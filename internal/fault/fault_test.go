@@ -118,9 +118,6 @@ func TestInjectorFlapDownsLink(t *testing.T) {
 	if *got != 2 {
 		t.Fatalf("delivered %d frames, want 2 (one shed in the down window)", *got)
 	}
-	if l.FaultDrops() != 1 {
-		t.Fatalf("FaultDrops = %d, want 1", l.FaultDrops())
-	}
 	snap := reg.Snapshot()
 	if snap.Counters[obs.CFaultLinkFlaps] != 1 {
 		t.Fatalf("flap counter = %d, want 1", snap.Counters[obs.CFaultLinkFlaps])
@@ -151,7 +148,8 @@ func TestInjectorNestedWindows(t *testing.T) {
 
 func TestInjectorLossWindowDeterministic(t *testing.T) {
 	run := func() (delivered, drops int) {
-		s := sim.New(1)
+		s, reg := sim.New(1), obs.NewRegistry()
+		s.SetObs(reg)
 		a, got, l := faultLink(s)
 		p := Compile(Spec{Seed: 9, Nodes: 1})
 		p.Events = []Event{{At: 0, Node: 0, Kind: KindLoss}}
@@ -162,7 +160,7 @@ func TestInjectorLossWindowDeterministic(t *testing.T) {
 			s.After(d, func() { a.Send(&netpkt.Frame{}) })
 		}
 		s.Run(0)
-		return *got, l.FaultDrops()
+		return *got, int(reg.Snapshot().Counters[obs.CFaultFramesDropped])
 	}
 	d1, x1 := run()
 	d2, x2 := run()

@@ -44,12 +44,13 @@ func TestRebootWipesBindingsAndReleases(t *testing.T) {
 		from, fport = d.From, d.FromPort
 		srv.SendTo(from, fport, []byte("before"))
 		_, inboundBefore = cli.Recv(p, 5*time.Second)
-		if n.Dev.Engine.BindingCount() == 0 {
+		bindings := func() int64 { return reg.Snapshot().Gauges[obs.GNATBindings].Value }
+		if bindings() == 0 {
 			t.Error("no binding before reboot")
 		}
 
 		n.Dev.Reboot(10 * time.Second)
-		if got := n.Dev.Engine.BindingCount(); got != 0 {
+		if got := bindings(); got != 0 {
 			t.Errorf("%d bindings survived the reboot, want 0", got)
 		}
 		if n.Dev.WANAddr().IsValid() {

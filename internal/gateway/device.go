@@ -79,7 +79,6 @@ type Device struct {
 
 	udpStack *udp.Stack
 	tcpStack *tcp.Stack
-	dhcpSrv  *dhcp.Server
 
 	lanAddr     netip.Addr
 	upstreamDNS netip.Addr
@@ -87,9 +86,6 @@ type Device struct {
 
 	up   *fwdQueue
 	down *fwdQueue
-
-	// ForwardedUp / ForwardedDown count forwarded packets.
-	ForwardedUp, ForwardedDown int64
 }
 
 // Config sets the per-instance parameters of a device.
@@ -138,7 +134,7 @@ func New(s *sim.Sim, prof Profile, cfg Config) *Device {
 		a := cfg.LANAddr.As4()
 		lan = netip.AddrFrom4([4]byte{a[0], a[1], a[2], 100})
 	}
-	srv, err := dhcp.NewServer(d.udpStack, dhcp.ServerConfig{
+	_, err := dhcp.NewServer(d.udpStack, dhcp.ServerConfig{
 		If:        d.LANIf,
 		PoolStart: lan,
 		PoolSize:  50,
@@ -150,7 +146,6 @@ func New(s *sim.Sim, prof Profile, cfg Config) *Device {
 	if err != nil {
 		panic("gateway: lan dhcp server: " + err.Error())
 	}
-	d.dhcpSrv = srv
 	return d
 }
 
@@ -216,16 +211,16 @@ func (d *Device) rawWAN(in *stack.NetIf, ip *netpkt.IPv4) bool {
 			// A non-hairpinning NAT eats these; count the drop so the
 			// quirks probe's verdict is diagnosable.
 			d.Engine.CountDrop(nat.DropHairpinDisabled)
-			d.discard(ip)
+			d.Host.Drop(ip)
 			return true
 		}
 		if !d.Engine.Outbound(ip) {
-			d.discard(ip)
+			d.Host.Drop(ip)
 			return true
 		}
 		ip.Dst = d.Engine.WAN()
 		if !d.Engine.InboundHairpin(ip) {
-			d.discard(ip)
+			d.Host.Drop(ip)
 			return true
 		}
 		d.transmit(d.LANIf, ip)
@@ -239,7 +234,7 @@ func (d *Device) rawWAN(in *stack.NetIf, ip *netpkt.IPv4) bool {
 	}
 	if d.Profile.NAT.DecrementTTL {
 		if ip.TTL <= 1 {
-			d.discard(ip) // swallow
+			d.Host.Drop(ip) // swallow
 			return true
 		}
 		ip.TTL--
@@ -256,7 +251,7 @@ func (d *Device) forward(in *stack.NetIf, ip *netpkt.IPv4) {
 	if d.Profile.NAT.DecrementTTL {
 		if ip.TTL <= 1 {
 			d.Host.SendICMPError(ip, netpkt.ICMPTimeExceeded, netpkt.ICMPCodeTTLExceeded, 0)
-			d.discard(ip)
+			d.Host.Drop(ip)
 			return
 		}
 		ip.TTL--
@@ -278,14 +273,12 @@ func (d *Device) finishForward(q *fwdQueue, ip *netpkt.IPv4) {
 	q.noteServiced(ip.TotalLen())
 	if q == d.up {
 		if !d.Engine.Outbound(ip) {
-			d.discard(ip)
+			d.Host.Drop(ip)
 			return
 		}
-		d.ForwardedUp++
 		d.transmit(d.WANIf, ip)
 		return
 	}
-	d.ForwardedDown++
 	d.transmit(d.LANIf, ip)
 }
 
@@ -303,16 +296,6 @@ func (d *Device) transmit(out *stack.NetIf, ip *netpkt.IPv4) {
 	d.Host.SendVia(out, nh, ip)
 }
 
-// discard ends a packet the device drops after the host handed it
-// over: the pooled record goes back, then the frame buffer it owns.
-func (d *Device) discard(ip *netpkt.IPv4) {
-	pool := d.S.Pool()
-	buf := ip.Buf
-	ip.Buf = nil
-	pool.PutPacket(ip)
-	pool.PutBuf(buf)
-}
-
 // fwdQueue models the device's per-direction forwarding engine: a
 // byte-limited drop-tail queue drained at the profile rate, degraded by
 // BidirFactor while the opposite direction is busy.
@@ -323,7 +306,6 @@ type fwdQueue struct {
 	queue  sim.FIFO[*netpkt.IPv4]
 	queued int
 	busy   bool
-	drops  int
 
 	// current is the packet being serviced; serveDoneFn is its cached
 	// completion callback (one closure per queue, not per packet).
@@ -425,8 +407,7 @@ func (q *fwdQueue) enqueue(ip *netpkt.IPv4) {
 			buf = 256 * 1024
 		}
 		if q.queued+ip.TotalLen() > buf {
-			q.drops++
-			q.d.discard(ip)
+			q.d.Host.Drop(ip)
 			return
 		}
 		q.queue.Push(ip)
@@ -468,9 +449,6 @@ func (q *fwdQueue) next() {
 	q.queued -= ip.TotalLen()
 	q.serve(ip)
 }
-
-// Drops returns (upstream, downstream) forwarding-queue drops.
-func (d *Device) Drops() (up, down int) { return d.up.drops, d.down.drops }
 
 // startDNSProxy brings up the UDP (and, per profile, TCP) DNS proxy on
 // the LAN address.

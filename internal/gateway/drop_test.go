@@ -28,7 +28,7 @@ func received(t *testing.T, d *Device, src, dst netip.Addr, ttl uint8, payload [
 // udpTo is a UDP datagram sport -> dport between src and dst.
 func udpTo(src, dst netip.Addr, sport, dport uint16) []byte {
 	u := netpkt.UDP{SrcPort: sport, DstPort: dport, Payload: []byte("drop-me")}
-	return u.Marshal(src, dst)
+	return u.AppendMarshal(nil, src, dst)
 }
 
 // TestDropPointsRecyclePackets hands the device a received packet at
@@ -72,11 +72,12 @@ func TestDropPointsRecyclePackets(t *testing.T) {
 			if !d.Engine.Outbound(out) {
 				t.Fatal("outbound translation failed")
 			}
-			b, ok := d.Engine.LookupFlow(netpkt.ProtoUDP, client, 4000, server, 9000)
+			// The translated datagram carries the binding's external port.
+			ext, _, ok := netpkt.UDPPorts(out.Payload)
 			if !ok {
-				t.Fatal("no binding")
+				t.Fatal("translated datagram too short")
 			}
-			ip := received(t, d, server, d.WANAddr(), 1, udpTo(server, d.WANAddr(), 9000, b.Ext()))
+			ip := received(t, d, server, d.WANAddr(), 1, udpTo(server, d.WANAddr(), 9000, ext))
 			if !d.rawWAN(d.WANIf, ip) {
 				t.Fatal("rawWAN did not consume the packet")
 			}

@@ -69,8 +69,8 @@ const (
 // behaviorClass pairs the two RFC 4787 behavior axes for a Table 1
 // row. The axes are stated explicitly per device even though the whole
 // inventory shares one class: what used to be an implicit hard-coding
-// of the engine is now a per-row calibration fact, and synthetic
-// populations (SynthesizeBehaviors) vary it.
+// of the engine is now a per-row calibration fact, and BehaviorProfile
+// varies it.
 type behaviorClass struct {
 	mapping   nat.MappingBehavior
 	filtering nat.FilteringBehavior
@@ -417,32 +417,6 @@ func init() {
 		profileOrder = append(profileOrder, r.tag)
 	}
 	sort.Strings(profileOrder)
-}
-
-// NATClass renders a profile's RFC 4787 behavior classes in the
-// conventional shorthand, e.g. "APDM/APDF preserve+reuse". The README
-// device table and the natclassify example print it next to the
-// probe-recovered class.
-func (p Profile) NATClass() string {
-	var alloc string
-	switch p.NAT.PortAlloc {
-	case nat.PortAllocSequential:
-		alloc = "sequential"
-	case nat.PortAllocContiguous:
-		alloc = "contiguous"
-	case nat.PortAllocRandom:
-		alloc = "random"
-	default: // preserving, explicitly or via the legacy flag
-		switch {
-		case !p.NAT.PortPreservation && p.NAT.PortAlloc == nat.PortAllocDefault:
-			alloc = "no-preservation"
-		case p.NAT.ReuseExpiredBinding:
-			alloc = "preserve+reuse"
-		default:
-			alloc = "preserve+new-binding"
-		}
-	}
-	return p.NAT.Mapping.Short() + "/" + p.NAT.Filtering.Short() + " " + alloc
 }
 
 // Tags returns the 34 device tags in alphabetical order.

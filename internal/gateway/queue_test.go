@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"encoding/binary"
+	"reflect"
 	"testing"
 	"time"
 
@@ -55,10 +56,12 @@ func TestForwardQueueBacklogKeepsStorage(t *testing.T) {
 	})
 	r.s.Run(0)
 	drain()
-	if q.drops == 0 || got < packets/2 {
-		t.Fatalf("no standing backlog: %d drops, %d of %d packets forwarded", q.drops, got, packets)
+	// 8 Mb/s offered to a 6 Mb/s forwarding plane: the links never
+	// queue, so every missing packet was dropped by the device's queue.
+	if got == packets || got < packets/2 {
+		t.Fatalf("no standing backlog: %d of %d packets forwarded", got, packets)
 	}
-	if c := q.queue.Cap(); c > 4*longest+8 {
+	if c := reflect.ValueOf(&q.queue).Elem().FieldByName("items").Cap(); c > 4*longest+8 {
 		t.Errorf("forwarding queue holds at most %d packets but its array grew to %d", longest, c)
 	}
 }

@@ -207,73 +207,6 @@ func (st *SynthStream) Next(n int) []Profile {
 	return out
 }
 
-// Index returns the fleet index of the next device Next will sample.
-func (st *SynthStream) Index() int { return st.next }
-
-// BehaviorClass is one cell of a joint (mapping, filtering)
-// distribution over RFC 4787 behavior classes.
-type BehaviorClass struct {
-	Mapping   nat.MappingBehavior
-	Filtering nat.FilteringBehavior
-	Weight    float64
-}
-
-// DefaultBehaviorMix is a plausible wide-area joint mapping×filtering
-// distribution for traversal studies. The paper's own inventory is
-// degenerate — all 34 devices are APDM×APDF (see classSymmetric) — so
-// fleets that should exercise the traversal-relevant axes need an
-// explicit mix; this one follows the shape STUN-era surveys report for
-// broader populations: endpoint-independent mapping dominates, mostly
-// with port-restricted (APDF) filtering, with a symmetric minority.
-var DefaultBehaviorMix = []BehaviorClass{
-	{nat.MappingEndpointIndependent, nat.FilteringAddressAndPortDependent, 0.35},
-	{nat.MappingEndpointIndependent, nat.FilteringAddressDependent, 0.15},
-	{nat.MappingEndpointIndependent, nat.FilteringEndpointIndependent, 0.10},
-	{nat.MappingAddressDependent, nat.FilteringAddressDependent, 0.05},
-	{nat.MappingAddressAndPortDependent, nat.FilteringAddressAndPortDependent, 0.35},
-}
-
-// behaviorSeedSalt decorrelates the behavior-class stream from the
-// base profile stream (any fixed odd constant works).
-const behaviorSeedSalt = 0x4787
-
-// SynthesizeBehaviors samples a fleet exactly like Synthesize and then
-// overlays (mapping, filtering) classes drawn jointly from mix. The
-// class draws come from an independent rng stream, so the base
-// profiles are bit-identical to Synthesize(n, seed): a
-// behavior-annotated fleet is the plain fleet plus behavior classes,
-// and existing fleet results stay reproducible. A nil or all-zero mix
-// returns the plain fleet unchanged.
-func SynthesizeBehaviors(n int, seed int64, mix []BehaviorClass) []Profile {
-	out := Synthesize(n, seed)
-	var total float64
-	for _, c := range mix {
-		if c.Weight < 0 {
-			panic("gateway: negative behavior-class weight")
-		}
-		total += c.Weight
-	}
-	if total <= 0 {
-		return out
-	}
-	rng := rand.New(rand.NewSource(seed ^ behaviorSeedSalt))
-	for i := range out {
-		u := rng.Float64() * total
-		acc := 0.0
-		cls := mix[len(mix)-1]
-		for _, c := range mix {
-			acc += c.Weight
-			if u < acc {
-				cls = c
-				break
-			}
-		}
-		out[i].NAT.Mapping = cls.Mapping
-		out[i].NAT.Filtering = cls.Filtering
-	}
-	return out
-}
-
 // BehaviorProfile builds a neutral wire-speed gateway profile with the
 // given RFC 4787 behavior classes: generous timeouts, no forwarding
 // bottleneck, no quirks. The punchmatrix experiment and the behavior

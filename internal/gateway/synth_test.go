@@ -162,8 +162,8 @@ func TestSynthStreamChunkInvariant(t *testing.T) {
 		st := NewSynthStream(seed)
 		var got []Profile
 		for _, c := range chunks {
-			if want := len(got); st.Index() != want {
-				t.Fatalf("chunks %v: Index() = %d before drawing, want %d", chunks, st.Index(), want)
+			if want := len(got); st.next != want {
+				t.Fatalf("chunks %v: next index %d before drawing, want %d", chunks, st.next, want)
 			}
 			got = append(got, st.Next(c)...)
 		}

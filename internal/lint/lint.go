@@ -35,6 +35,19 @@ import (
 	"strings"
 )
 
+// A Package is one loaded, parsed and type-checked package: the inputs
+// an analyzer Pass needs.
+type Package struct {
+	PkgPath   string
+	Dir       string
+	Fset      *token.FileSet
+	Files     []*ast.File
+	Types     *types.Package
+	TypesInfo *types.Info
+
+	LocalFunc func(*types.Package) bool
+}
+
 // An Analyzer describes one static check. The shape mirrors
 // x/tools/go/analysis.Analyzer so the suite can be ported mechanically.
 type Analyzer struct {

@@ -13,25 +13,13 @@ import (
 	"strings"
 )
 
-// A Package is one loaded, parsed and type-checked package: the inputs
-// an analyzer Pass needs.
-type Package struct {
-	PkgPath   string
-	Dir       string
-	Fset      *token.FileSet
-	Files     []*ast.File
-	Types     *types.Package
-	TypesInfo *types.Info
-
-	LocalFunc func(*types.Package) bool
-}
-
 // A Loader parses and type-checks packages rooted at a module
 // directory, resolving module-local imports from source and everything
 // else (the standard library) through go/importer's source importer.
-// It exists because the container pins a dependency-free go.mod: with
-// golang.org/x/tools unavailable, hgwlint carries its own miniature
-// go/packages.
+// The module keeps a dependency-free go.mod, so without
+// golang.org/x/tools the in-process tests (TestModuleClean,
+// TestNoTestOnlyExports and the fixture harness) load packages with
+// this miniature go/packages; go vet loads them for the hgwlint binary.
 type Loader struct {
 	root    string // module root directory
 	modPath string // module import path; "" = fixture mode (paths relative to root)
@@ -168,8 +156,8 @@ func hasGoFiles(dir string) bool {
 }
 
 // load parses and type-checks one module-local package (memoized).
-// Test files are not loaded: hgwlint checks the shipped code paths, and
-// the determinism/ownership invariants live there.
+// Test files are not loaded: the module-wide tests check the shipped
+// code paths, where the determinism/ownership invariants live.
 func (l *Loader) load(path string) (*Package, error) {
 	if pkg, ok := l.pkgs[path]; ok {
 		return pkg, nil

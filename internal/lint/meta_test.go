@@ -1,39 +1,165 @@
 package lint
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"path/filepath"
+	"sort"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
 )
 
-// TestModuleClean is the acceptance meta-test: the full hgwlint suite
-// over the entire module must report nothing. Every justified exception
-// in the tree carries an //hgwlint:allow annotation, so a new finding
-// here means either a real regression or a missing justification. It is
-// the in-process twin of the CI job running `hgwlint ./...`.
-func TestModuleClean(t *testing.T) {
+// moduleLoad is the one load of the whole module (non-test files) that
+// the module-wide meta-tests share.
+var moduleLoad = sync.OnceValues(func() ([]*Package, error) {
 	root, err := filepath.Abs("../..")
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	modPath, err := ModulePath(root)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	loader := NewLoader(root, modPath)
-	pkgs, err := loader.LoadAll()
+	return NewLoader(root, modPath).LoadAll()
+})
+
+func loadModule(t *testing.T) []*Package {
+	t.Helper()
+	pkgs, err := moduleLoad()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pkgs) < 20 {
 		t.Fatalf("loaded only %d packages; the module walk looks broken", len(pkgs))
 	}
-	diags, err := Run(pkgs, Analyzers())
+	return pkgs
+}
+
+// TestModuleClean is the acceptance meta-test: the full hgwlint suite
+// over the entire module's non-test files must report nothing. Every
+// justified exception in the tree carries an //hgwlint:allow
+// annotation, so a new finding here means either a real regression or
+// a missing justification. CI's `go vet -vettool=hgwlint ./...` step
+// runs the same suite over the test files too.
+func TestModuleClean(t *testing.T) {
+	diags, err := Run(loadModule(t), Analyzers())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range diags {
 		t.Errorf("%s", d)
 	}
+}
+
+// interfaceMethods names the exported methods that are reached through
+// an interface (fmt.Stringer, error, errors.Unwrap, sim.Handler,
+// json.Marshaler, io.Writer, types.Importer), so no static call names
+// them.
+var interfaceMethods = map[string]bool{
+	"String":      true,
+	"Error":       true,
+	"Unwrap":      true,
+	"Fire":        true,
+	"MarshalJSON": true,
+	"Write":       true,
+	"Import":      true,
+}
+
+// TestNoTestOnlyExports keeps the product packages' API to what the
+// product reads: every exported function or method declared in
+// internal/ must be used by the module's non-test code, or be selected
+// by the benchmark harness under _perfbench. Tests observe a run
+// through that surface (registry counters, endpoints they own, and
+// unexported fields in white-box tests), so a helper only a test needs
+// lives in a _test.go file.
+func TestNoTestOnlyExports(t *testing.T) {
+	pkgs := loadModule(t)
+	used := make(map[types.Object]bool)
+	for _, pkg := range pkgs {
+		for _, obj := range pkg.TypesInfo.Uses {
+			if fn, ok := obj.(*types.Func); ok {
+				used[fn.Origin()] = true
+			}
+		}
+	}
+	bench, err := benchSelections(filepath.Join("..", "..", "_perfbench"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var unused []string
+	for _, pkg := range pkgs {
+		if !strings.Contains(pkg.PkgPath, "/internal/") {
+			continue
+		}
+		for ident, obj := range pkg.TypesInfo.Defs {
+			fn, ok := obj.(*types.Func)
+			if !ok || !ident.IsExported() || used[fn] {
+				continue
+			}
+			recv := fn.Signature().Recv()
+			if recv != nil && interfaceMethods[fn.Name()] {
+				continue
+			}
+			if recv == nil && bench[pkg.PkgPath+"."+fn.Name()] ||
+				recv != nil && bench[pkg.PkgPath+".)"+fn.Name()] {
+				continue
+			}
+			pos := pkg.Fset.Position(ident.Pos())
+			unused = append(unused, pos.String()+": "+types.ObjectString(fn, types.RelativeTo(pkg.Types)))
+		}
+	}
+	sort.Strings(unused)
+	for _, u := range unused {
+		t.Errorf("%s has no caller outside tests", u)
+	}
+}
+
+// benchSelections parses the benchmark harness and returns the names
+// it selects from module packages: "path.Name" for a package-level
+// name and "path.)Name" for a method or field selected in a file that
+// imports path. Names only, no type-checking: the harness is its own
+// module, and a name match is enough to keep what it reads.
+func benchSelections(dir string) (map[string]bool, error) {
+	fset := token.NewFileSet()
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		return nil, err
+	}
+	sel := make(map[string]bool)
+	for _, name := range files {
+		f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		imports := make(map[string]string) // local name → path
+		for _, spec := range f.Imports {
+			path, _ := strconv.Unquote(spec.Path.Value)
+			local := path[strings.LastIndex(path, "/")+1:]
+			if spec.Name != nil {
+				local = spec.Name.Name
+			}
+			imports[local] = path
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			se, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if x, ok := se.X.(*ast.Ident); ok && imports[x.Name] != "" {
+				sel[imports[x.Name]+"."+se.Sel.Name] = true
+				return true
+			}
+			for _, path := range imports {
+				sel[path+".)"+se.Sel.Name] = true
+			}
+			return true
+		})
+	}
+	return sel, nil
 }
 
 // TestDetLintCoversSimCore pins the exemption lists: the packages inside

@@ -205,16 +205,6 @@ func (s *Store) evict() {
 	}
 }
 
-// Flush persists the disk tier's LRU index. A no-op when memory-only.
-func (s *Store) Flush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.disk == nil {
-		return nil
-	}
-	return s.disk.Flush()
-}
-
 // Close flushes and releases the disk tier.
 func (s *Store) Close() error {
 	s.mu.Lock()

@@ -107,7 +107,7 @@ func TestAllocsNATSessionCreate(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("session create allocates %.1f objects per binding, want 0", n)
 	}
-	if got := e.BindingCount(); got != batch/2+1 {
+	if got := len(e.byFlow); got != batch/2+1 {
 		t.Fatalf("%d bindings, want %d", got, batch/2+1)
 	}
 }

@@ -15,7 +15,7 @@ func outboundUDPTo(t *testing.T, e *Engine, sport uint16, dst [4]byte, dport uin
 	dstA := netpkt.Addr4(dst[0], dst[1], dst[2], dst[3])
 	u := &netpkt.UDP{SrcPort: sport, DstPort: dport, Payload: []byte("x")}
 	ip := &netpkt.IPv4{Protocol: netpkt.ProtoUDP, TTL: 64, Src: client, Dst: dstA,
-		Payload: u.Marshal(client, dstA)}
+		Payload: u.AppendMarshal(nil, client, dstA)}
 	if !e.Outbound(ip) {
 		t.Fatalf("outbound to %v:%d dropped", dstA, dport)
 	}
@@ -29,7 +29,7 @@ func inboundUDPFrom(e *Engine, src [4]byte, sport, ext uint16) bool {
 	srcA := netpkt.Addr4(src[0], src[1], src[2], src[3])
 	u := &netpkt.UDP{SrcPort: sport, DstPort: ext, Payload: []byte("y")}
 	ip := &netpkt.IPv4{Protocol: netpkt.ProtoUDP, TTL: 64, Src: srcA, Dst: wan,
-		Payload: u.Marshal(srcA, wan)}
+		Payload: u.AppendMarshal(nil, srcA, wan)}
 	return e.Inbound(ip)
 }
 
@@ -47,8 +47,8 @@ func TestMappingEndpointIndependent(t *testing.T) {
 	if p1 != p2 || p1 != p3 {
 		t.Fatalf("EIM ports differ: %d %d %d", p1, p2, p3)
 	}
-	if e.MappingCount() != 1 || e.BindingCount() != 3 {
-		t.Fatalf("mappings=%d sessions=%d, want 1/3", e.MappingCount(), e.BindingCount())
+	if len(e.mappings) != 1 || len(e.byFlow) != 3 {
+		t.Fatalf("mappings=%d sessions=%d, want 1/3", len(e.mappings), len(e.byFlow))
 	}
 }
 
@@ -64,8 +64,8 @@ func TestMappingAddressDependent(t *testing.T) {
 	if p1 == p3 {
 		t.Fatalf("ADM cross-address ports coincide: %d", p1)
 	}
-	if e.MappingCount() != 2 || e.BindingCount() != 3 {
-		t.Fatalf("mappings=%d sessions=%d, want 2/3", e.MappingCount(), e.BindingCount())
+	if len(e.mappings) != 2 || len(e.byFlow) != 3 {
+		t.Fatalf("mappings=%d sessions=%d, want 2/3", len(e.mappings), len(e.byFlow))
 	}
 }
 
@@ -78,8 +78,8 @@ func TestMappingAddressAndPortDependentSequential(t *testing.T) {
 	if p1 == p2 || p1 == p3 || p2 == p3 {
 		t.Fatalf("APDM ports not distinct: %d %d %d", p1, p2, p3)
 	}
-	if e.MappingCount() != 3 {
-		t.Fatalf("mappings=%d, want 3", e.MappingCount())
+	if len(e.mappings) != 3 {
+		t.Fatalf("mappings=%d, want 3", len(e.mappings))
 	}
 }
 
@@ -99,7 +99,7 @@ func TestMappingLifetimeFollowsSessions(t *testing.T) {
 	s.After(45*time.Second, func() {
 		// First session expired at 30 s, second is alive until 50 s:
 		// the mapping must still hold its port.
-		if e.MappingCount() != 1 {
+		if len(e.mappings) != 1 {
 			t.Errorf("mapping gone while a session lives")
 		}
 		portAt45 = outboundUDPTo(t, e, 5000, dstA, 7001)
@@ -108,8 +108,8 @@ func TestMappingLifetimeFollowsSessions(t *testing.T) {
 	if mid != p1 || portAt45 != p1 {
 		t.Fatalf("EIM port not stable across session churn: %d %d %d", p1, mid, portAt45)
 	}
-	if e.MappingCount() != 0 || e.BindingCount() != 0 {
-		t.Fatalf("table not empty after expiry: mappings=%d sessions=%d", e.MappingCount(), e.BindingCount())
+	if len(e.mappings) != 0 || len(e.byFlow) != 0 {
+		t.Fatalf("table not empty after expiry: mappings=%d sessions=%d", len(e.mappings), len(e.byFlow))
 	}
 }
 
@@ -135,7 +135,7 @@ func TestMappingSessionListUnlink(t *testing.T) {
 	var m *Mapping
 	var ok bool
 	s.After(5*time.Second, func() {
-		m, ok = e.LookupMapping(netpkt.ProtoUDP, client, 5000, server, 7000)
+		m, ok = e.mappings[e.mapKeyFor(flowOf(netpkt.ProtoUDP, client, 5000, server, 7000))]
 	})
 	type check struct {
 		at   time.Duration
@@ -148,8 +148,8 @@ func TestMappingSessionListUnlink(t *testing.T) {
 		{40 * time.Second, []int{1}},
 	} {
 		s.At(c.at+time.Millisecond, func() {
-			if m.Sessions() != len(c.live) {
-				t.Errorf("at %v: %d sessions, want %d", c.at, m.Sessions(), len(c.live))
+			if m.n != len(c.live) {
+				t.Errorf("at %v: %d sessions, want %d", c.at, m.n, len(c.live))
 			}
 			for i, r := range remotes {
 				want := false
@@ -166,8 +166,8 @@ func TestMappingSessionListUnlink(t *testing.T) {
 	if !ok {
 		t.Fatal("mapping not found")
 	}
-	if m.Sessions() != 0 || m.sessions != nil || e.MappingCount() != 0 {
-		t.Fatalf("after expiry: %d sessions, list %v, %d mappings", m.Sessions(), m.sessions, e.MappingCount())
+	if m.n != 0 || m.sessions != nil || len(e.mappings) != 0 {
+		t.Fatalf("after expiry: %d sessions, list %v, %d mappings", m.n, m.sessions, len(e.mappings))
 	}
 }
 
@@ -183,8 +183,8 @@ func TestFilteringEndpointIndependent(t *testing.T) {
 	}
 	// The adopted sessions must deliver replies and refresh like any
 	// other: the endpoint now has sessions to all three remotes.
-	if e.BindingCount() != 3 {
-		t.Fatalf("sessions=%d, want 3 (two adopted)", e.BindingCount())
+	if len(e.byFlow) != 3 {
+		t.Fatalf("sessions=%d, want 3 (two adopted)", len(e.byFlow))
 	}
 	if inboundUDPFrom(e, dstB, 9000, ext+1) {
 		t.Fatal("EIF passed a packet to an unmapped port")
@@ -240,8 +240,8 @@ func TestFilteringCrossPortSessionNotShadowed(t *testing.T) {
 	if !inboundUDPFrom(e, dstB, 8000, ext1) {
 		t.Fatal("EIF rejected cross-port packet")
 	}
-	if e.BindingCount() != 2 {
-		t.Fatalf("sessions=%d, want 2 (no shadow session)", e.BindingCount())
+	if len(e.byFlow) != 2 {
+		t.Fatalf("sessions=%d, want 2 (no shadow session)", len(e.byFlow))
 	}
 }
 
@@ -259,16 +259,16 @@ func TestFilteringInboundTCPSynStaysTransitory(t *testing.T) {
 	if !outboundSYN(e, 10000) {
 		t.Fatal("outbound SYN dropped")
 	}
-	b, _ := e.LookupFlow(netpkt.ProtoTCP, client, 10000, server, 80)
+	b, _ := e.byFlow[flowOf(netpkt.ProtoTCP, client, 10000, server, 80)]
 	// Unsolicited SYN from an unrelated remote to the mapped port.
 	scanner := netpkt.Addr4(10, 9, 9, 9)
-	syn := &netpkt.TCP{SrcPort: 6666, DstPort: b.Ext(), Flags: netpkt.TCPSyn, Seq: 1}
+	syn := &netpkt.TCP{SrcPort: 6666, DstPort: b.ext, Flags: netpkt.TCPSyn, Seq: 1}
 	ip := &netpkt.IPv4{Protocol: netpkt.ProtoTCP, TTL: 64, Src: scanner, Dst: wan,
 		Payload: syn.Marshal(scanner, wan)}
 	if !e.Inbound(ip) {
 		t.Fatal("EIF rejected inbound SYN")
 	}
-	adopted, ok := e.LookupFlow(netpkt.ProtoTCP, client, 10000, scanner, 6666)
+	adopted, ok := e.byFlow[flowOf(netpkt.ProtoTCP, client, 10000, scanner, 6666)]
 	if !ok {
 		t.Fatal("no adopted session")
 	}
@@ -279,7 +279,7 @@ func TestFilteringInboundTCPSynStaysTransitory(t *testing.T) {
 	// timeout, not pin a slot for TCPEstablished.
 	gone := false
 	s.After(40*time.Second, func() {
-		_, still := e.LookupFlow(netpkt.ProtoTCP, client, 10000, scanner, 6666)
+		_, still := e.byFlow[flowOf(netpkt.ProtoTCP, client, 10000, scanner, 6666)]
 		gone = !still
 	})
 	s.Run(40 * time.Second)
@@ -292,8 +292,8 @@ func TestFilteringInboundTCPSynStaysTransitory(t *testing.T) {
 	if !outboundSYN(e, 10000) {
 		t.Fatal("re-opening SYN dropped")
 	}
-	b, _ = e.LookupFlow(netpkt.ProtoTCP, client, 10000, server, 80)
-	syn2 := &netpkt.TCP{SrcPort: 7777, DstPort: b.Ext(), Flags: netpkt.TCPSyn, Seq: 1}
+	b, _ = e.byFlow[flowOf(netpkt.ProtoTCP, client, 10000, server, 80)]
+	syn2 := &netpkt.TCP{SrcPort: 7777, DstPort: b.ext, Flags: netpkt.TCPSyn, Seq: 1}
 	ip2 := &netpkt.IPv4{Protocol: netpkt.ProtoTCP, TTL: 64, Src: scanner, Dst: wan,
 		Payload: syn2.Marshal(scanner, wan)}
 	if !e.Inbound(ip2) {
@@ -305,7 +305,7 @@ func TestFilteringInboundTCPSynStaysTransitory(t *testing.T) {
 	if !e.Outbound(rip) {
 		t.Fatal("outbound reply dropped")
 	}
-	answered, _ := e.LookupFlow(netpkt.ProtoTCP, client, 10000, scanner, 7777)
+	answered, _ := e.byFlow[flowOf(netpkt.ProtoTCP, client, 10000, scanner, 7777)]
 	if answered == nil || !answered.tcpEstablished {
 		t.Fatal("answered inbound session did not establish")
 	}

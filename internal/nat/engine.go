@@ -134,12 +134,6 @@ type Mapping struct {
 
 func (m *Mapping) freeLink() **Mapping { return &m.free }
 
-// Ext returns the mapping's external port.
-func (m *Mapping) Ext() uint16 { return m.ext }
-
-// Sessions returns the number of live sessions on the mapping.
-func (m *Mapping) Sessions() int { return m.n }
-
 // link adds session b to the mapping's list.
 func (m *Mapping) link(b *Binding) {
 	b.next = m.sessions
@@ -268,12 +262,6 @@ func (x *expiry) Fire() {
 	b.e.expire(b)
 }
 
-// Ext returns the binding's external port.
-func (b *Binding) Ext() uint16 { return b.ext }
-
-// Mapping returns the mapping the session belongs to.
-func (b *Binding) Mapping() *Mapping { return b.m }
-
 type quarEntry struct {
 	port  uint16
 	until sim.Time
@@ -312,8 +300,6 @@ type Engine struct {
 	// from the DropReason registry (dropreason.go); droplint rejects
 	// ad-hoc literals.
 	Drops map[DropReason]int
-	// Translations counts successfully translated packets.
-	Translations int64
 }
 
 // NewEngine creates an engine with the given policy. The WAN address
@@ -343,33 +329,6 @@ func (e *Engine) SetWAN(addr netip.Addr) { e.wan = addr }
 // WAN returns the external address.
 func (e *Engine) WAN() netip.Addr { return e.wan }
 
-// BindingCount returns the number of active sessions.
-func (e *Engine) BindingCount() int { return len(e.byFlow) }
-
-// MappingCount returns the number of active mappings (equal to
-// BindingCount under address-and-port-dependent mapping, smaller when
-// EIM/ADM fold sessions together).
-func (e *Engine) MappingCount() int { return len(e.mappings) }
-
-// TCPBindingCount returns the number of active TCP sessions.
-func (e *Engine) TCPBindingCount() int { return e.tcpCount }
-
-// LookupFlow returns the session for a 5-tuple, if active. The engine
-// recycles the record once the session ends, so it must not be kept
-// past that.
-func (e *Engine) LookupFlow(proto uint8, client netip.Addr, cport uint16, server netip.Addr, sport uint16) (*Binding, bool) {
-	b, ok := e.byFlow[flowOf(proto, client, cport, server, sport)]
-	return b, ok
-}
-
-// LookupMapping returns the mapping an outbound flow would use, if one
-// is active. Like a session, the record is recycled once the mapping
-// ends.
-func (e *Engine) LookupMapping(proto uint8, client netip.Addr, cport uint16, server netip.Addr, sport uint16) (*Mapping, bool) {
-	m, ok := e.mappings[e.mapKeyFor(flowOf(proto, client, cport, server, sport))]
-	return m, ok
-}
-
 func (e *Engine) drop(reason DropReason) {
 	e.Drops[reason]++
 	if r := e.s.Obs(); r != nil {
@@ -381,10 +340,7 @@ func (e *Engine) drop(reason DropReason) {
 }
 
 // translated counts one successfully translated packet.
-func (e *Engine) translated() {
-	e.Translations++
-	e.s.Obs().Inc(obs.CNATTranslations)
-}
+func (e *Engine) translated() { e.s.Obs().Inc(obs.CNATTranslations) }
 
 // CountDrop lets the surrounding device attribute a drop it performs
 // on the engine's behalf (e.g. swallowing hairpin traffic when the

@@ -25,7 +25,7 @@ func udpPkt(src, dst [2]uint16) *netpkt.IPv4 {
 	return &netpkt.IPv4{
 		Protocol: netpkt.ProtoUDP, TTL: 64,
 		Src: client, Dst: server,
-		Payload: u.Marshal(client, server),
+		Payload: u.AppendMarshal(nil, client, server),
 	}
 }
 
@@ -40,7 +40,7 @@ func inboundUDP(e *Engine, extPort, sport uint16) bool {
 	ip := &netpkt.IPv4{
 		Protocol: netpkt.ProtoUDP, TTL: 64,
 		Src: server, Dst: wan,
-		Payload: u.Marshal(server, wan),
+		Payload: u.AppendMarshal(nil, server, wan),
 	}
 	return e.Inbound(ip)
 }
@@ -56,8 +56,8 @@ func TestUDPTranslationAndChecksum(t *testing.T) {
 		t.Fatalf("src = %v", ip.Src)
 	}
 	// Port preserved, checksum valid for the new pseudo-header.
-	u, err := netpkt.ParseUDP(ip.Payload, wan, server, true)
-	if err != nil {
+	var u netpkt.UDP
+	if err := u.Parse(ip.Payload, wan, server, true); err != nil {
 		t.Fatalf("checksum after translation: %v", err)
 	}
 	if u.SrcPort != 5000 {
@@ -69,11 +69,11 @@ func TestUDPOutboundOnlyTimeout(t *testing.T) {
 	s := sim.New(1)
 	e := newEng(s, Policy{UDP: UDPTimeouts{Outbound: 30 * time.Second, Inbound: 180 * time.Second, Bidir: 180 * time.Second}})
 	outboundUDP(e, 5000, 7000)
-	b, ok := e.LookupFlow(netpkt.ProtoUDP, client, 5000, server, 7000)
+	b, ok := e.byFlow[flowOf(netpkt.ProtoUDP, client, 5000, server, 7000)]
 	if !ok {
 		t.Fatal("no binding")
 	}
-	ext := b.Ext()
+	ext := b.ext
 
 	// At 29s the binding is alive; at 31s it is gone.
 	alive29, alive31 := false, false
@@ -83,8 +83,8 @@ func TestUDPOutboundOnlyTimeout(t *testing.T) {
 	s2 := sim.New(2)
 	e2 := newEng(s2, Policy{UDP: UDPTimeouts{Outbound: 30 * time.Second, Inbound: 180 * time.Second, Bidir: 180 * time.Second}})
 	outboundUDP(e2, 5000, 7000)
-	b2, _ := e2.LookupFlow(netpkt.ProtoUDP, client, 5000, server, 7000)
-	s2.After(31*time.Second, func() { alive31 = inboundUDP(e2, b2.Ext(), 7000) })
+	b2, _ := e2.byFlow[flowOf(netpkt.ProtoUDP, client, 5000, server, 7000)]
+	s2.After(31*time.Second, func() { alive31 = inboundUDP(e2, b2.ext, 7000) })
 	s2.Run(0)
 
 	if !alive29 {
@@ -102,8 +102,8 @@ func TestUDPInboundRefreshUsesInboundTimeout(t *testing.T) {
 	s := sim.New(1)
 	e := newEng(s, pol)
 	outboundUDP(e, 5000, 7000)
-	b, _ := e.LookupFlow(netpkt.ProtoUDP, client, 5000, server, 7000)
-	ext := b.Ext()
+	b, _ := e.byFlow[flowOf(netpkt.ProtoUDP, client, 5000, server, 7000)]
+	ext := b.ext
 	var aliveAt199, aliveAt202 bool
 	s.After(1*time.Second, func() { inboundUDP(e, ext, 7000) })
 	s.After(200*time.Second, func() { aliveAt199 = inboundUDP(e, ext, 7000) }) // 199s after refresh
@@ -122,8 +122,8 @@ func TestUDPBidirTimeout(t *testing.T) {
 	s := sim.New(1)
 	e := newEng(s, pol)
 	outboundUDP(e, 5000, 7000)
-	b, _ := e.LookupFlow(netpkt.ProtoUDP, client, 5000, server, 7000)
-	ext := b.Ext()
+	b, _ := e.byFlow[flowOf(netpkt.ProtoUDP, client, 5000, server, 7000)]
+	ext := b.ext
 	var alive bool
 	s.After(1*time.Second, func() { inboundUDP(e, ext, 7000) })   // inbound
 	s.After(2*time.Second, func() { outboundUDP(e, 5000, 7000) }) // outbound after inbound -> bidir
@@ -143,12 +143,12 @@ func TestUDPServiceOverride(t *testing.T) {
 	e := newEng(s, pol)
 	outboundUDP(e, 5000, 53)
 	outboundUDP(e, 5001, 123)
-	bDNS, _ := e.LookupFlow(netpkt.ProtoUDP, client, 5000, server, 53)
-	bNTP, _ := e.LookupFlow(netpkt.ProtoUDP, client, 5001, server, 123)
+	bDNS, _ := e.byFlow[flowOf(netpkt.ProtoUDP, client, 5000, server, 53)]
+	bNTP, _ := e.byFlow[flowOf(netpkt.ProtoUDP, client, 5001, server, 123)]
 	var dnsAlive, ntpAlive bool
 	s.After(25*time.Second, func() {
-		dnsAlive = inboundUDP(e, bDNS.Ext(), 53)
-		ntpAlive = inboundUDP(e, bNTP.Ext(), 123)
+		dnsAlive = inboundUDP(e, bDNS.ext, 53)
+		ntpAlive = inboundUDP(e, bNTP.ext, 123)
 	})
 	s.Run(0)
 	if dnsAlive {
@@ -167,13 +167,13 @@ func TestTimerGranularityQuantises(t *testing.T) {
 	s := sim.New(7)
 	e := newEng(s, pol)
 	outboundUDP(e, 5000, 7000)
-	b, _ := e.LookupFlow(netpkt.ProtoUDP, client, 5000, server, 7000)
+	b, _ := e.byFlow[flowOf(netpkt.ProtoUDP, client, 5000, server, 7000)]
 	// Observe (without refreshing) at 1s intervals to find the expiry.
 	expiry := -1
 	for i := 1; i <= 75; i++ {
 		i := i
 		s.After(time.Duration(i)*time.Second, func() {
-			if _, ok := e.LookupFlow(netpkt.ProtoUDP, client, 5000, server, 7000); !ok && expiry < 0 {
+			if _, ok := e.byFlow[flowOf(netpkt.ProtoUDP, client, 5000, server, 7000)]; !ok && expiry < 0 {
 				expiry = i
 			}
 		})
@@ -194,10 +194,10 @@ func TestPortOverloadingSameEndpoint(t *testing.T) {
 	// makes hole punching work through port-preserving NATs.
 	outboundUDP(e, 5000, 7000)
 	outboundUDP(e, 5000, 7001)
-	b1, _ := e.LookupFlow(netpkt.ProtoUDP, client, 5000, server, 7000)
-	b2, _ := e.LookupFlow(netpkt.ProtoUDP, client, 5000, server, 7001)
-	if b1.Ext() != 5000 || b2.Ext() != 5000 {
-		t.Fatalf("ext ports = %d, %d; want both preserved as 5000", b1.Ext(), b2.Ext())
+	b1, _ := e.byFlow[flowOf(netpkt.ProtoUDP, client, 5000, server, 7000)]
+	b2, _ := e.byFlow[flowOf(netpkt.ProtoUDP, client, 5000, server, 7001)]
+	if b1.ext != 5000 || b2.ext != 5000 {
+		t.Fatalf("ext ports = %d, %d; want both preserved as 5000", b1.ext, b2.ext)
 	}
 	// Both reverse mappings resolve independently.
 	if !inboundUDP(e, 5000, 7000) || !inboundUDP(e, 5000, 7001) {
@@ -214,15 +214,15 @@ func TestPortPreservationConflictAcrossClients(t *testing.T) {
 	client2 := netpkt.Addr4(192, 168, 1, 101)
 	u := &netpkt.UDP{SrcPort: 5000, DstPort: 7000, Payload: []byte("x")}
 	ip := &netpkt.IPv4{Protocol: netpkt.ProtoUDP, TTL: 64, Src: client2, Dst: server,
-		Payload: u.Marshal(client2, server)}
+		Payload: u.AppendMarshal(nil, client2, server)}
 	if !e.Outbound(ip) {
 		t.Fatal("second client dropped")
 	}
-	b2, ok := e.LookupFlow(netpkt.ProtoUDP, client2, 5000, server, 7000)
+	b2, ok := e.byFlow[flowOf(netpkt.ProtoUDP, client2, 5000, server, 7000)]
 	if !ok {
 		t.Fatal("no binding for second client")
 	}
-	if b2.Ext() == 5000 {
+	if b2.ext == 5000 {
 		t.Fatal("second client stole the first client's preserved port")
 	}
 }
@@ -231,8 +231,8 @@ func TestNoPreservationAllocatesSequential(t *testing.T) {
 	s := sim.New(1)
 	e := newEng(s, Policy{PortPreservation: false})
 	outboundUDP(e, 5000, 7000)
-	b, _ := e.LookupFlow(netpkt.ProtoUDP, client, 5000, server, 7000)
-	if b.Ext() == 5000 {
+	b, _ := e.byFlow[flowOf(netpkt.ProtoUDP, client, 5000, server, 7000)]
+	if b.ext == 5000 {
 		t.Fatal("port preserved despite policy")
 	}
 }
@@ -246,13 +246,13 @@ func TestQuarantinePreventsImmediateReuse(t *testing.T) {
 	s := sim.New(1)
 	e := newEng(s, pol)
 	outboundUDP(e, 5000, 7000)
-	b, _ := e.LookupFlow(netpkt.ProtoUDP, client, 5000, server, 7000)
-	first := b.Ext()
+	b, _ := e.byFlow[flowOf(netpkt.ProtoUDP, client, 5000, server, 7000)]
+	first := b.ext
 	var second uint16
 	s.After(20*time.Second, func() { // after expiry, within quarantine
 		outboundUDP(e, 5000, 7000)
-		nb, _ := e.LookupFlow(netpkt.ProtoUDP, client, 5000, server, 7000)
-		second = nb.Ext()
+		nb, _ := e.byFlow[flowOf(netpkt.ProtoUDP, client, 5000, server, 7000)]
+		second = nb.ext
 	})
 	s.Run(0)
 	if first != 5000 {
@@ -274,8 +274,8 @@ func TestReuseExpiredBinding(t *testing.T) {
 	var second uint16
 	s.After(20*time.Second, func() {
 		outboundUDP(e, 5000, 7000)
-		nb, _ := e.LookupFlow(netpkt.ProtoUDP, client, 5000, server, 7000)
-		second = nb.Ext()
+		nb, _ := e.byFlow[flowOf(netpkt.ProtoUDP, client, 5000, server, 7000)]
+		second = nb.ext
 	})
 	s.Run(0)
 	if second != 5000 {
@@ -312,8 +312,8 @@ func TestTCPBindingCap(t *testing.T) {
 	if okCount != 16 {
 		t.Fatalf("allowed %d bindings, cap is 16", okCount)
 	}
-	if e.TCPBindingCount() != 16 {
-		t.Fatalf("TCPBindingCount = %d", e.TCPBindingCount())
+	if e.tcpCount != 16 {
+		t.Fatalf("tcpCount = %d", e.tcpCount)
 	}
 	if e.Drops[DropTCPTableFull] != 16 {
 		t.Fatalf("tcp-table-full drops = %d", e.Drops[DropTCPTableFull])
@@ -335,8 +335,8 @@ func TestTCPTeardownShortensBinding(t *testing.T) {
 	s := sim.New(1)
 	e := newEng(s, Policy{TCPEstablished: time.Hour})
 	outboundSYN(e, 10000)
-	b, _ := e.LookupFlow(netpkt.ProtoTCP, client, 10000, server, 80)
-	ext := b.Ext()
+	b, _ := e.byFlow[flowOf(netpkt.ProtoTCP, client, 10000, server, 80)]
+	ext := b.ext
 	// SYN|ACK inbound establishes.
 	synack := &netpkt.TCP{SrcPort: 80, DstPort: ext, Flags: netpkt.TCPSyn | netpkt.TCPAck, Seq: 1, Ack: 2}
 	in := &netpkt.IPv4{Protocol: netpkt.ProtoTCP, TTL: 64, Src: server, Dst: wan,
@@ -351,7 +351,7 @@ func TestTCPTeardownShortensBinding(t *testing.T) {
 	e.Outbound(out)
 	gone := false
 	s.After(10*time.Second, func() {
-		_, ok := e.LookupFlow(netpkt.ProtoTCP, client, 10000, server, 80)
+		_, ok := e.byFlow[flowOf(netpkt.ProtoTCP, client, 10000, server, 80)]
 		gone = !ok
 	})
 	s.Run(0)
@@ -414,7 +414,7 @@ func buildICMPError(t *testing.T, e *Engine, kind netpkt.ICMPKind, extPort uint1
 	t.Helper()
 	inner := &netpkt.IPv4{
 		Protocol: netpkt.ProtoUDP, TTL: 63, Src: wan, Dst: server,
-		Payload: (&netpkt.UDP{SrcPort: extPort, DstPort: 7000, Payload: []byte("probe")}).Marshal(wan, server),
+		Payload: (&netpkt.UDP{SrcPort: extPort, DstPort: 7000, Payload: []byte("probe")}).AppendMarshal(nil, wan, server),
 	}
 	typ, code := kind.TypeCode()
 	ic := &netpkt.ICMP{Type: typ, Code: code, Body: inner.Marshal()}
@@ -429,8 +429,8 @@ func TestICMPErrorFullTranslation(t *testing.T) {
 	e := newEng(s, Policy{PortPreservation: true, ReuseExpiredBinding: true,
 		ICMPUDP: AllICMP(ICMPTranslate)})
 	outboundUDP(e, 5000, 7000)
-	b, _ := e.LookupFlow(netpkt.ProtoUDP, client, 5000, server, 7000)
-	errPkt := buildICMPError(t, e, netpkt.KindPortUnreachable, b.Ext())
+	b, _ := e.byFlow[flowOf(netpkt.ProtoUDP, client, 5000, server, 7000)]
+	errPkt := buildICMPError(t, e, netpkt.KindPortUnreachable, b.ext)
 	if !e.Inbound(errPkt) {
 		t.Fatal("ICMP error dropped")
 	}
@@ -454,7 +454,7 @@ func TestICMPErrorFullTranslation(t *testing.T) {
 	}
 	// Inner transport checksum must verify against the internal
 	// pseudo-header.
-	if _, err := netpkt.ParseUDP(inner.Payload, client, server, true); err != nil {
+	if err := new(netpkt.UDP).Parse(inner.Payload, client, server, true); err != nil {
 		t.Fatalf("inner UDP checksum after translation: %v", err)
 	}
 }
@@ -464,8 +464,8 @@ func TestICMPErrorNoInnerFix(t *testing.T) {
 	e := newEng(s, Policy{PortPreservation: true, ReuseExpiredBinding: true,
 		ICMPUDP: AllICMP(ICMPNoInnerFix)})
 	outboundUDP(e, 5000, 7000)
-	b, _ := e.LookupFlow(netpkt.ProtoUDP, client, 5000, server, 7000)
-	errPkt := buildICMPError(t, e, netpkt.KindTTLExceeded, b.Ext())
+	b, _ := e.byFlow[flowOf(netpkt.ProtoUDP, client, 5000, server, 7000)]
+	errPkt := buildICMPError(t, e, netpkt.KindTTLExceeded, b.ext)
 	if !e.Inbound(errPkt) {
 		t.Fatal("dropped")
 	}
@@ -484,8 +484,8 @@ func TestICMPErrorBadInnerChecksum(t *testing.T) {
 	e := newEng(s, Policy{PortPreservation: true, ReuseExpiredBinding: true,
 		ICMPUDP: AllICMP(ICMPBadInnerIPChecksum)})
 	outboundUDP(e, 5000, 7000)
-	b, _ := e.LookupFlow(netpkt.ProtoUDP, client, 5000, server, 7000)
-	errPkt := buildICMPError(t, e, netpkt.KindHostUnreachable, b.Ext())
+	b, _ := e.byFlow[flowOf(netpkt.ProtoUDP, client, 5000, server, 7000)]
+	errPkt := buildICMPError(t, e, netpkt.KindHostUnreachable, b.ext)
 	if !e.Inbound(errPkt) {
 		t.Fatal("dropped")
 	}
@@ -507,10 +507,10 @@ func TestICMPErrorToRST(t *testing.T) {
 	e := newEng(s, Policy{PortPreservation: true, ReuseExpiredBinding: true,
 		TCPEstablished: time.Hour, ICMPTCP: AllICMP(ICMPToRST)})
 	outboundSYN(e, 10000)
-	b, _ := e.LookupFlow(netpkt.ProtoTCP, client, 10000, server, 80)
+	b, _ := e.byFlow[flowOf(netpkt.ProtoTCP, client, 10000, server, 80)]
 	inner := &netpkt.IPv4{
 		Protocol: netpkt.ProtoTCP, TTL: 63, Src: wan, Dst: server,
-		Payload: (&netpkt.TCP{SrcPort: b.Ext(), DstPort: 80, Flags: netpkt.TCPSyn, Seq: 1}).Marshal(wan, server),
+		Payload: (&netpkt.TCP{SrcPort: b.ext, DstPort: 80, Flags: netpkt.TCPSyn, Seq: 1}).Marshal(wan, server),
 	}
 	ic := &netpkt.ICMP{Type: netpkt.ICMPDestUnreachable, Code: netpkt.ICMPCodeHostUnreachable, Body: inner.Marshal()}
 	errPkt := &netpkt.IPv4{Protocol: netpkt.ProtoICMP, TTL: 64, Src: server, Dst: wan, Payload: ic.Marshal()}
@@ -520,8 +520,8 @@ func TestICMPErrorToRST(t *testing.T) {
 	if errPkt.Protocol != netpkt.ProtoTCP {
 		t.Fatalf("protocol = %d, want TCP RST", errPkt.Protocol)
 	}
-	seg, err := netpkt.ParseTCP(errPkt.Payload, server, client, true)
-	if err != nil {
+	var seg netpkt.TCP
+	if err := seg.Parse(errPkt.Payload, server, client, true); err != nil {
 		t.Fatal(err)
 	}
 	if seg.Flags&netpkt.TCPRst == 0 || seg.DstPort != 10000 {
@@ -579,7 +579,7 @@ func TestExpiredTCPBindingFreesSlot(t *testing.T) {
 	count := -1
 	s.After(10*time.Second, func() { // transitory expired
 		ok = outboundSYN(e, 10003)
-		count = e.TCPBindingCount()
+		count = e.tcpCount
 	})
 	s.Run(0)
 	if !ok {

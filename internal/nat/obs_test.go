@@ -83,10 +83,11 @@ func TestObsCountersTrackEngine(t *testing.T) {
 }
 
 // TestObsNilRegistryUnchangedBehavior re-runs the same script with no
-// registry attached: the engine's own counters must be identical, and
-// nothing may panic — telemetry observes, it never influences.
+// registry attached: the engine's sessions and drop counts must be
+// identical, and nothing may panic — telemetry observes, it never
+// influences.
 func TestObsNilRegistryUnchangedBehavior(t *testing.T) {
-	run := func(reg *obs.Registry) (int64, map[DropReason]int) {
+	run := func(reg *obs.Registry) (int, map[DropReason]int) {
 		s := sim.New(1)
 		s.SetObs(reg)
 		e := newEng(s, Policy{UDP: UDPTimeouts{Outbound: 30 * time.Second, Inbound: 180 * time.Second, Bidir: 180 * time.Second}})
@@ -94,12 +95,12 @@ func TestObsNilRegistryUnchangedBehavior(t *testing.T) {
 		outboundUDP(e, 5001, 7000)
 		inboundUDP(e, 9999, 7000)
 		s.Run(0)
-		return e.Translations, e.Drops
+		return len(e.byFlow), e.Drops
 	}
 	txOn, dropsOn := run(obs.NewRegistry())
 	txOff, dropsOff := run(nil)
 	if txOn != txOff {
-		t.Errorf("translations with/without obs: %d vs %d", txOn, txOff)
+		t.Errorf("sessions with/without obs: %d vs %d", txOn, txOff)
 	}
 	if len(dropsOn) != len(dropsOff) || dropsOn[DropUDPNoBinding] != dropsOff[DropUDPNoBinding] {
 		t.Errorf("drop accounting diverges: %v vs %v", dropsOn, dropsOff)

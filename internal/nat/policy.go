@@ -220,13 +220,3 @@ func ICMPOnly(mode ICMPMode, kinds ...netpkt.ICMPKind) [netpkt.NumICMPKinds]ICMP
 	}
 	return a
 }
-
-// ICMPExcept returns a mode array with every kind set to mode except the
-// listed kinds, which get other.
-func ICMPExcept(mode, other ICMPMode, kinds ...netpkt.ICMPKind) [netpkt.NumICMPKinds]ICMPMode {
-	a := AllICMP(mode)
-	for _, k := range kinds {
-		a[k] = other
-	}
-	return a
-}

@@ -34,7 +34,7 @@ func TestQuickExternalPortsUniquePerProto(t *testing.T) {
 			if _, ok := outboundUDP(e, sp, dport); !ok {
 				continue
 			}
-			b, ok := e.LookupFlow(netpkt.ProtoUDP, client, sp, server, dport)
+			b, ok := e.byFlow[flowOf(netpkt.ProtoUDP, client, sp, server, dport)]
 			if !ok {
 				return false
 			}
@@ -69,11 +69,11 @@ func TestQuickBindingCountsConsistent(t *testing.T) {
 			}
 			outboundUDP(e, sp, 7000)
 		}
-		if e.BindingCount() > len(ports) {
+		if len(e.byFlow) > len(ports) {
 			return false
 		}
 		s.Run(0) // all expiry timers fire
-		if e.BindingCount() != 0 {
+		if len(e.byFlow) != 0 {
 			return false
 		}
 		return len(e.portsInUse) == 0
@@ -98,27 +98,27 @@ func TestQuickTranslationRoundtrip(t *testing.T) {
 		e := newEng(s, Policy{PortPreservation: false})
 		u := &netpkt.UDP{SrcPort: sp, DstPort: dp, Payload: payload}
 		out := &netpkt.IPv4{Protocol: netpkt.ProtoUDP, TTL: 64, Src: client, Dst: server,
-			Payload: u.Marshal(client, server)}
+			Payload: u.AppendMarshal(nil, client, server)}
 		if !e.Outbound(out) {
 			return false
 		}
 		// Checksum must verify on the translated pseudo-header.
-		tu, err := netpkt.ParseUDP(out.Payload, wan, server, true)
-		if err != nil {
+		var tu netpkt.UDP
+		if err := tu.Parse(out.Payload, wan, server, true); err != nil {
 			return false
 		}
 		// Server echoes back to the external port.
 		reply := &netpkt.UDP{SrcPort: dp, DstPort: tu.SrcPort, Payload: payload}
 		in := &netpkt.IPv4{Protocol: netpkt.ProtoUDP, TTL: 64, Src: server, Dst: wan,
-			Payload: reply.Marshal(server, wan)}
+			Payload: reply.AppendMarshal(nil, server, wan)}
 		if !e.Inbound(in) {
 			return false
 		}
 		if in.Dst != client {
 			return false
 		}
-		ru, err := netpkt.ParseUDP(in.Payload, server, client, true)
-		if err != nil {
+		var ru netpkt.UDP
+		if err := ru.Parse(in.Payload, server, client, true); err != nil {
 			return false
 		}
 		return ru.DstPort == sp && string(ru.Payload) == string(payload)
@@ -141,19 +141,19 @@ func TestQuickTimeoutMonotonicity(t *testing.T) {
 		})
 		outboundUDP(e, 5000, 7000)
 		// Refresh with inbound (quantised path).
-		b, _ := e.LookupFlow(netpkt.ProtoUDP, client, 5000, server, 7000)
-		inboundUDP(e, b.Ext(), 7000)
+		b, _ := e.byFlow[flowOf(netpkt.ProtoUDP, client, 5000, server, 7000)]
+		inboundUDP(e, b.ext, 7000)
 		armed := s.Now()
 		alive := true
 		s.After(timeout-time.Second, func() {
-			_, alive = e.LookupFlow(netpkt.ProtoUDP, client, 5000, server, 7000)
+			_, alive = e.byFlow[flowOf(netpkt.ProtoUDP, client, 5000, server, 7000)]
 		})
 		s.Run(armed + timeout - time.Second)
 		if !alive {
 			return false // expired before its timeout
 		}
 		s.Run(0)
-		_, stillThere := e.LookupFlow(netpkt.ProtoUDP, client, 5000, server, 7000)
+		_, stillThere := e.byFlow[flowOf(netpkt.ProtoUDP, client, 5000, server, 7000)]
 		return !stillThere // but it must expire eventually
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"hgw/internal/netpkt"
+	"hgw/internal/obs"
 	"hgw/internal/sim"
 )
 
@@ -84,7 +85,7 @@ func checkLive(t *testing.T, e *Engine, live []*Binding) {
 			t.Errorf("mapping %d lists %d sessions (n=%d), want %d", b.m.ext, n, b.m.n, want)
 		}
 	}
-	if got := e.BindingCount(); got != len(live) {
+	if got := len(e.byFlow); got != len(live) {
 		t.Errorf("%d sessions live, want %d", got, len(live))
 	}
 }
@@ -97,7 +98,7 @@ func checkTimers(t *testing.T, s *sim.Sim, e *Engine, live []*Binding, deadline 
 	s.Run(deadline - 1)
 	checkLive(t, e, live)
 	s.Run(deadline)
-	if n := e.BindingCount(); n != 0 {
+	if n := len(e.byFlow); n != 0 {
 		t.Errorf("%d sessions outlived their deadline %v", n, deadline)
 	}
 }
@@ -122,7 +123,7 @@ func TestRecycledSessionAfterExpiry(t *testing.T) {
 	s.Run(10 * time.Second)
 	oldFlows[0].open(t, e)
 	s.Run(time.Minute) // the queue drains at 40 s: the clock stops there
-	if n := e.BindingCount(); n != 0 {
+	if n := len(e.byFlow); n != 0 {
 		t.Fatalf("%d sessions survived expiry", n)
 	}
 
@@ -145,7 +146,8 @@ func TestRecycledSessionAfterExpiry(t *testing.T) {
 // its timer still pending; the recycled records must not be reached
 // through the wiped sessions' keys, mapping lists or timers.
 func TestRecycledSessionAfterWipe(t *testing.T) {
-	s := sim.New(1)
+	s, reg := sim.New(1), obs.NewRegistry()
+	s.SetObs(reg)
 	e := newEng(s, recyclePolicy)
 	old := map[*Binding]uint16{}
 	var exts []uint16
@@ -159,8 +161,9 @@ func TestRecycledSessionAfterWipe(t *testing.T) {
 	if n := e.WipeBindings(); n != len(oldFlows) {
 		t.Fatalf("wiped %d sessions, want %d", n, len(oldFlows))
 	}
-	if s.Pending() != 0 {
-		t.Fatalf("%d timers pending after the wipe, want 0", s.Pending())
+	c := reg.Snapshot().Counters
+	if n := c[obs.CSimEventsScheduled] - c[obs.CSimEventsFired] - c[obs.CSimEventsCanceled]; n != 0 {
+		t.Fatalf("%d timers pending after the wipe, want 0", n)
 	}
 
 	// New sessions at 10 s end at 40 s; the wiped ones were due at

@@ -18,17 +18,17 @@ func TestWipeBindings(t *testing.T) {
 	var exts []uint16
 	for i := 0; i < 4; i++ {
 		outboundUDP(e, uint16(5000+i), 7000)
-		b, ok := e.LookupFlow(netpkt.ProtoUDP, client, uint16(5000+i), server, 7000)
+		b, ok := e.byFlow[flowOf(netpkt.ProtoUDP, client, uint16(5000+i), server, 7000)]
 		if !ok {
 			t.Fatalf("binding %d missing", i)
 		}
-		exts = append(exts, b.Ext())
+		exts = append(exts, b.ext)
 	}
 	if n := e.WipeBindings(); n != 4 {
 		t.Fatalf("WipeBindings returned %d, want 4", n)
 	}
-	if e.BindingCount() != 0 {
-		t.Fatalf("%d bindings survived the wipe", e.BindingCount())
+	if len(e.byFlow) != 0 {
+		t.Fatalf("%d bindings survived the wipe", len(e.byFlow))
 	}
 
 	// Inbound to each wiped port is dropped with the reboot-typed
@@ -63,15 +63,15 @@ func TestWipeBindingsLostPortReclaim(t *testing.T) {
 	s := sim.New(1)
 	e := newEng(s, Policy{PortPreservation: true})
 	outboundUDP(e, 5000, 7000)
-	b, _ := e.LookupFlow(netpkt.ProtoUDP, client, 5000, server, 7000)
-	ext := b.Ext()
+	b, _ := e.byFlow[flowOf(netpkt.ProtoUDP, client, 5000, server, 7000)]
+	ext := b.ext
 	e.WipeBindings()
 
 	// The same flow re-binds (port preservation gives it the same ext
 	// port), reclaiming the port from the lost set.
 	outboundUDP(e, 5000, 7000)
-	nb, ok := e.LookupFlow(netpkt.ProtoUDP, client, 5000, server, 7000)
-	if !ok || nb.Ext() != ext {
+	nb, ok := e.byFlow[flowOf(netpkt.ProtoUDP, client, 5000, server, 7000)]
+	if !ok || nb.ext != ext {
 		t.Fatalf("re-bind ext = %v, want reclaimed %d", nb, ext)
 	}
 	if !inboundUDP(e, ext, 7000) {
@@ -97,15 +97,15 @@ func TestWipedInboundDropAllocs(t *testing.T) {
 	s := sim.New(1)
 	e := newEng(s, Policy{PortPreservation: true})
 	outboundUDP(e, 5000, 7000)
-	b, _ := e.LookupFlow(netpkt.ProtoUDP, client, 5000, server, 7000)
-	ext := b.Ext()
+	b, _ := e.byFlow[flowOf(netpkt.ProtoUDP, client, 5000, server, 7000)]
+	ext := b.ext
 	e.WipeBindings()
 
 	u := &netpkt.UDP{SrcPort: 7000, DstPort: ext, Payload: []byte("resp")}
 	ip := &netpkt.IPv4{
 		Protocol: netpkt.ProtoUDP, TTL: 64,
 		Src: server, Dst: wan,
-		Payload: u.Marshal(server, wan),
+		Payload: u.AppendMarshal(nil, server, wan),
 	}
 	if e.Inbound(ip) {
 		t.Fatal("inbound to wiped binding relayed")

@@ -55,9 +55,6 @@ func (i *Iface) deliver(f *netpkt.Frame) {
 	}
 }
 
-// Attached reports whether the interface is connected to a link.
-func (i *Iface) Attached() bool { return i.send != nil }
-
 // LinkConfig parameterises one Link. The zero value is replaced by
 // DefaultLinkConfig.
 type LinkConfig struct {
@@ -91,12 +88,9 @@ func (c LinkConfig) withDefaults() LinkConfig {
 
 // Link is a full-duplex point-to-point link between two interfaces.
 type Link struct {
-	s    *sim.Sim
-	cfg  LinkConfig
-	a, b *Iface
-	ab   *pipe
-	ba   *pipe
-	flt  linkFault
+	ab  *pipe
+	ba  *pipe
+	flt linkFault
 }
 
 // linkFault is the injected-fault state shared by both directions of a
@@ -110,14 +104,13 @@ type linkFault struct {
 	// rng drives per-frame loss/corruption draws. It is injector-owned
 	// and separate from the simulator rng, so fault draws never shift
 	// the draw sequence seen by non-fault consumers of sim.Rand.
-	rng   *rand.Rand
-	drops int
+	rng *rand.Rand
 }
 
 // SetDown forces the link administratively down (both directions).
-// Frames offered while down are counted and recycled, exactly like
-// queue drops. Fault windows nest in the caller (the fault injector);
-// the link itself is a plain switch.
+// Frames offered while down are counted (fault_frames_dropped) and
+// recycled, exactly like queue drops. Fault windows nest in the caller
+// (the fault injector); the link itself is a plain switch.
 func (l *Link) SetDown(down bool) { l.flt.down = down }
 
 // SetLoss sets the per-frame drop probability (both directions). A
@@ -135,10 +128,6 @@ func (l *Link) SetCorrupt(p float64) { l.flt.corruptP = p }
 // stream, keeping equal-seed runs byte-identical at any worker count.
 func (l *Link) SetFaultRand(r *rand.Rand) { l.flt.rng = r }
 
-// FaultDrops returns the number of frames shed by injected faults
-// (down windows plus loss draws), distinct from queue Drops.
-func (l *Link) FaultDrops() int { return l.flt.drops }
-
 // faultFilter applies the link's fault state to an offered frame.
 // It reports true when the frame was consumed (dropped and recycled).
 func (p *pipe) faultFilter(f *netpkt.Frame) bool {
@@ -147,17 +136,10 @@ func (p *pipe) faultFilter(f *netpkt.Frame) bool {
 		return false
 	}
 	if flt.down || (flt.lossP > 0 && flt.rng != nil && flt.rng.Float64() < flt.lossP) {
-		flt.drops++
-		if r := p.s.Obs(); r != nil {
-			r.Inc(obs.CFaultFramesDropped)
-		}
-		if DebugDrop != nil {
-			DebugDrop(f)
-		} else {
-			pool := p.s.Pool()
-			pool.PutBuf(f.Payload)
-			pool.PutFrame(f)
-		}
+		p.s.Obs().Inc(obs.CFaultFramesDropped)
+		pool := p.s.Pool()
+		pool.PutBuf(f.Payload)
+		pool.PutFrame(f)
 		return true
 	}
 	if flt.corruptP > 0 && flt.rng != nil && flt.rng.Float64() < flt.corruptP && len(f.Payload) > 0 {
@@ -182,9 +164,6 @@ type pipe struct {
 	txFrame *netpkt.Frame           // currently serializing
 	propq   sim.FIFO[*netpkt.Frame] // serialized, propagating (delivery order)
 
-	drops     int
-	delivered int
-
 	flt *linkFault // shared with the owning Link's other direction
 
 	txDoneFn  func()
@@ -202,7 +181,7 @@ func newPipe(s *sim.Sim, cfg LinkConfig, dst *Iface) *pipe {
 // returns the link.
 func Connect(s *sim.Sim, a, b *Iface, cfg LinkConfig) *Link {
 	cfg = cfg.withDefaults()
-	l := &Link{s: s, cfg: cfg, a: a, b: b}
+	l := &Link{}
 	l.ab = newPipe(s, cfg, b)
 	l.ba = newPipe(s, cfg, a)
 	l.ab.flt = &l.flt
@@ -212,34 +191,16 @@ func Connect(s *sim.Sim, a, b *Iface, cfg LinkConfig) *Link {
 	return l
 }
 
-// Disconnect detaches both interfaces (pulls the cable).
-func (l *Link) Disconnect() {
-	l.a.send = nil
-	l.b.send = nil
-}
-
-// Drops returns the number of frames dropped by each direction's queue
-// (a-to-b, b-to-a).
-func (l *Link) Drops() (ab, ba int) { return l.ab.drops, l.ba.drops }
-
-// Delivered returns the number of frames delivered in each direction.
-func (l *Link) Delivered() (ab, ba int) { return l.ab.delivered, l.ba.delivered }
-
 func (p *pipe) send(f *netpkt.Frame) {
 	if p.faultFilter(f) {
 		return
 	}
 	if p.busy {
 		if p.queued+f.Len() > p.cfg.QueueBytes {
-			p.drops++
-			if DebugDrop != nil {
-				DebugDrop(f)
-			} else {
-				// Nobody saw the frame die: recycle it.
-				pool := p.s.Pool()
-				pool.PutBuf(f.Payload)
-				pool.PutFrame(f)
-			}
+			// Nobody saw the frame die: recycle it.
+			pool := p.s.Pool()
+			pool.PutBuf(f.Payload)
+			pool.PutFrame(f)
 			return
 		}
 		p.queue.Push(f)
@@ -280,9 +241,7 @@ func (p *pipe) txDone() {
 
 // deliverHead hands the oldest propagating frame to the destination.
 func (p *pipe) deliverHead() {
-	f := p.propq.Pop()
-	p.delivered++
-	p.dst.deliver(f)
+	p.dst.deliver(p.propq.Pop())
 }
 
 // Switch is a VLAN-partitioned learning Ethernet switch. Each port has
@@ -337,9 +296,6 @@ func (sw *Switch) AddPort(vlan uint16) *Iface {
 	port.Recv = func(f *netpkt.Frame) { g.forward(port, f) }
 	return port
 }
-
-// NumPorts returns the number of ports on the switch.
-func (sw *Switch) NumPorts() int { return sw.nports }
 
 // lookup returns the port mac was last learned on, or nil.
 func (g *vlanGroup) lookup(mac netpkt.MAC) *Iface {
@@ -405,15 +361,3 @@ func (g *vlanGroup) forward(in *Iface, f *netpkt.Frame) {
 	}
 	members[last].Send(f)
 }
-
-// FDBSize returns the number of learned MAC entries (for tests).
-func (sw *Switch) FDBSize() int {
-	n := 0
-	for _, g := range sw.vlans {
-		n += len(g.fdb)
-	}
-	return n
-}
-
-// DebugDrop, when non-nil, observes every queue drop (diagnostics only).
-var DebugDrop func(*netpkt.Frame)

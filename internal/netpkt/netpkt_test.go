@@ -178,7 +178,7 @@ func TestIPv4RoundtripQuick(t *testing.T) {
 func TestARPRoundtrip(t *testing.T) {
 	a := &ARP{Op: ARPRequest, SenderMAC: MAC{1, 2, 3, 4, 5, 6},
 		SenderIP: srcA, TargetIP: dstA}
-	got, err := ParseARP(a.Marshal())
+	got, err := ParseARP(a.AppendMarshal(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,9 +190,9 @@ func TestARPRoundtrip(t *testing.T) {
 
 func TestUDPRoundtrip(t *testing.T) {
 	u := &UDP{SrcPort: 5000, DstPort: 53, Payload: []byte("query")}
-	b := u.Marshal(srcA, dstA)
-	got, err := ParseUDP(b, srcA, dstA, true)
-	if err != nil {
+	b := u.AppendMarshal(nil, srcA, dstA)
+	var got UDP
+	if err := got.Parse(b, srcA, dstA, true); err != nil {
 		t.Fatal(err)
 	}
 	if got.SrcPort != 5000 || got.DstPort != 53 || !bytes.Equal(got.Payload, u.Payload) {
@@ -202,24 +202,24 @@ func TestUDPRoundtrip(t *testing.T) {
 
 func TestUDPChecksumPseudoHeader(t *testing.T) {
 	u := &UDP{SrcPort: 1, DstPort: 2, Payload: []byte("data")}
-	b := u.Marshal(srcA, dstA)
+	b := u.AppendMarshal(nil, srcA, dstA)
 	// Same bytes verified against a different source address must fail:
 	// this is exactly what happens after IP-only NAT translation.
-	if _, err := ParseUDP(b, Addr4(10, 0, 9, 9), dstA, true); !errors.Is(err, ErrBadChecksum) {
+	if err := new(UDP).Parse(b, Addr4(10, 0, 9, 9), dstA, true); !errors.Is(err, ErrBadChecksum) {
 		t.Fatalf("err = %v, want ErrBadChecksum", err)
 	}
 	// Fixing the checksum for the new pseudo-header makes it verify.
 	if !FixUDPChecksum(b, Addr4(10, 0, 9, 9), dstA) {
 		t.Fatal("FixUDPChecksum failed")
 	}
-	if _, err := ParseUDP(b, Addr4(10, 0, 9, 9), dstA, true); err != nil {
+	if err := new(UDP).Parse(b, Addr4(10, 0, 9, 9), dstA, true); err != nil {
 		t.Fatalf("after fix: %v", err)
 	}
 }
 
 func TestUDPPortRewrite(t *testing.T) {
 	u := &UDP{SrcPort: 1024, DstPort: 80, Payload: []byte("x")}
-	b := u.Marshal(srcA, dstA)
+	b := u.AppendMarshal(nil, srcA, dstA)
 	if !SetUDPPorts(b, 40000, 80) {
 		t.Fatal("SetUDPPorts failed")
 	}
@@ -232,7 +232,8 @@ func TestUDPPortRewrite(t *testing.T) {
 func TestUDPRoundtripQuick(t *testing.T) {
 	f := func(sp, dp uint16, payload []byte) bool {
 		u := &UDP{SrcPort: sp, DstPort: dp, Payload: payload}
-		got, err := ParseUDP(u.Marshal(srcA, dstA), srcA, dstA, true)
+		var got UDP
+		err := got.Parse(u.AppendMarshal(nil, srcA, dstA), srcA, dstA, true)
 		return err == nil && got.SrcPort == sp && got.DstPort == dp && bytes.Equal(got.Payload, payload)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -243,8 +244,8 @@ func TestUDPRoundtripQuick(t *testing.T) {
 func TestTCPRoundtrip(t *testing.T) {
 	seg := &TCP{SrcPort: 33000, DstPort: 8080, Seq: 0xdeadbeef, Ack: 0x01020304,
 		Flags: TCPSyn | TCPAck, Window: 65535, Payload: []byte("abc")}
-	got, err := ParseTCP(seg.Marshal(srcA, dstA), srcA, dstA, true)
-	if err != nil {
+	var got TCP
+	if err := got.Parse(seg.Marshal(srcA, dstA), srcA, dstA, true); err != nil {
 		t.Fatal(err)
 	}
 	if got.Seq != seg.Seq || got.Ack != seg.Ack || got.Flags != seg.Flags ||
@@ -256,28 +257,20 @@ func TestTCPRoundtrip(t *testing.T) {
 func TestTCPChecksumCoversPseudoHeader(t *testing.T) {
 	seg := &TCP{SrcPort: 1, DstPort: 2, Flags: TCPAck}
 	b := seg.Marshal(srcA, dstA)
-	if _, err := ParseTCP(b, Addr4(9, 9, 9, 9), dstA, true); !errors.Is(err, ErrBadChecksum) {
+	if err := new(TCP).Parse(b, Addr4(9, 9, 9, 9), dstA, true); !errors.Is(err, ErrBadChecksum) {
 		t.Fatalf("err = %v, want ErrBadChecksum", err)
 	}
 	FixTCPChecksum(b, Addr4(9, 9, 9, 9), dstA)
-	if _, err := ParseTCP(b, Addr4(9, 9, 9, 9), dstA, true); err != nil {
+	if err := new(TCP).Parse(b, Addr4(9, 9, 9, 9), dstA, true); err != nil {
 		t.Fatalf("after fix: %v", err)
-	}
-}
-
-func TestTCPFlagString(t *testing.T) {
-	if s := FlagString(TCPSyn | TCPAck); s != "SYN|ACK" {
-		t.Fatalf("FlagString = %q", s)
-	}
-	if s := FlagString(0); s != "-" {
-		t.Fatalf("FlagString(0) = %q", s)
 	}
 }
 
 func TestTCPRoundtripQuick(t *testing.T) {
 	f := func(sp, dp uint16, seq, ack uint32, payload []byte) bool {
 		seg := &TCP{SrcPort: sp, DstPort: dp, Seq: seq, Ack: ack, Flags: TCPAck | TCPPsh, Payload: payload}
-		got, err := ParseTCP(seg.Marshal(srcA, dstA), srcA, dstA, true)
+		var got TCP
+		err := got.Parse(seg.Marshal(srcA, dstA), srcA, dstA, true)
 		return err == nil && got.Seq == seq && got.Ack == ack && bytes.Equal(got.Payload, payload)
 	}
 	if err := quick.Check(f, nil); err != nil {

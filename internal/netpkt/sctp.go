@@ -160,11 +160,3 @@ func SCTPSackValue(cumTSN, arwnd uint32) []byte {
 	binary.BigEndian.PutUint32(v[4:8], arwnd)
 	return v
 }
-
-// SCTPPorts extracts source and destination ports without a full parse.
-func SCTPPorts(b []byte) (src, dst uint16, ok bool) {
-	if len(b) < 4 {
-		return 0, 0, false
-	}
-	return binary.BigEndian.Uint16(b[0:2]), binary.BigEndian.Uint16(b[2:4]), true
-}

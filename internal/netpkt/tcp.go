@@ -3,7 +3,6 @@ package netpkt
 import (
 	"encoding/binary"
 	"net/netip"
-	"strings"
 )
 
 // TCP flag bits.
@@ -58,31 +57,12 @@ func (t *TCP) AppendMarshal(b []byte, src, dst netip.Addr) []byte {
 	return b
 }
 
-// Clone returns a deep copy whose Options and Payload no longer alias
-// the parse input.
-func (t *TCP) Clone() *TCP {
-	cp := *t
-	cp.Options = append([]byte(nil), t.Options...)
-	cp.Payload = append([]byte(nil), t.Payload...)
-	return &cp
-}
-
-// ParseTCP decodes a TCP segment, verifying the checksum when verify is
-// true.
+// Parse decodes b into t, overwriting every field, and verifies the
+// checksum when verify is true. A bad checksum still leaves the decoded
+// fields in t.
 //
-// The returned segment's Options and Payload alias b (see ParseIPv4 for
-// the ownership rules); Clone severs the aliasing.
-func ParseTCP(b []byte, src, dst netip.Addr, verify bool) (*TCP, error) {
-	t := new(TCP)
-	err := t.Parse(b, src, dst, verify)
-	if err != nil && err != ErrBadChecksum {
-		return nil, err
-	}
-	return t, err
-}
-
-// Parse decodes b into t, overwriting every field. It is the
-// allocation-free core of ParseTCP (aliasing semantics identical).
+// t.Options and t.Payload alias b (see ParseIPv4 for the ownership
+// rules).
 func (t *TCP) Parse(b []byte, src, dst netip.Addr, verify bool) error {
 	if len(b) < 20 {
 		return ErrShortPacket
@@ -108,23 +88,6 @@ func (t *TCP) Parse(b []byte, src, dst netip.Addr, verify bool) error {
 		return ErrBadChecksum
 	}
 	return nil
-}
-
-// FlagString renders TCP flags like "SYN|ACK".
-func FlagString(flags uint8) string {
-	var parts []string
-	for _, f := range []struct {
-		bit  uint8
-		name string
-	}{{TCPSyn, "SYN"}, {TCPAck, "ACK"}, {TCPFin, "FIN"}, {TCPRst, "RST"}, {TCPPsh, "PSH"}, {TCPUrg, "URG"}} {
-		if flags&f.bit != 0 {
-			parts = append(parts, f.name)
-		}
-	}
-	if len(parts) == 0 {
-		return "-"
-	}
-	return strings.Join(parts, "|")
 }
 
 // TCPPorts extracts source and destination ports without a full parse.

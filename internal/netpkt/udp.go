@@ -12,14 +12,9 @@ type UDP struct {
 	Payload []byte
 }
 
-// Marshal serializes the datagram with a checksum computed over the
-// pseudo-header for src/dst.
-func (u *UDP) Marshal(src, dst netip.Addr) []byte {
-	return u.AppendMarshal(nil, src, dst)
-}
-
-// AppendMarshal serializes the datagram onto b and returns the extended
-// slice. It is the allocation-free core of Marshal.
+// AppendMarshal serializes the datagram onto b, with a checksum
+// computed over the pseudo-header for src/dst, and returns the extended
+// slice.
 func (u *UDP) AppendMarshal(b []byte, src, dst netip.Addr) []byte {
 	off := len(b)
 	b = growZero(b, 8+len(u.Payload))
@@ -44,31 +39,12 @@ func PutUDPHeader(w []byte, sport, dport uint16, src, dst netip.Addr) {
 	binary.BigEndian.PutUint16(w[6:8], csum)
 }
 
-// Clone returns a deep copy whose Payload no longer aliases the parse
-// input.
-func (u *UDP) Clone() *UDP {
-	cp := *u
-	cp.Payload = append([]byte(nil), u.Payload...)
-	return &cp
-}
-
-// ParseUDP decodes a UDP datagram. When verify is true the checksum is
-// validated against the given pseudo-header addresses; a zero checksum
-// field means "no checksum" per RFC 768 and always verifies.
+// Parse decodes b into u, overwriting every field. When verify is true
+// the checksum is validated against the given pseudo-header addresses;
+// a zero checksum field means "no checksum" per RFC 768 and always
+// verifies. A bad checksum still leaves the decoded fields in u.
 //
-// The returned datagram's Payload aliases b (see ParseIPv4 for the
-// ownership rules); Clone severs the aliasing.
-func ParseUDP(b []byte, src, dst netip.Addr, verify bool) (*UDP, error) {
-	u := new(UDP)
-	err := u.Parse(b, src, dst, verify)
-	if err != nil && err != ErrBadChecksum {
-		return nil, err
-	}
-	return u, err
-}
-
-// Parse decodes b into u, overwriting every field. It is the
-// allocation-free core of ParseUDP (aliasing semantics identical).
+// u.Payload aliases b (see ParseIPv4 for the ownership rules).
 func (u *UDP) Parse(b []byte, src, dst netip.Addr, verify bool) error {
 	if len(b) < 8 {
 		return ErrShortPacket

@@ -143,18 +143,6 @@ const (
 	NumVecs
 )
 
-var vecNames = [NumVecs]string{
-	VecNATDrops: "nat_drops_by_reason",
-}
-
-// Name returns the vec's stable snake_case identifier.
-func (v Vec) Name() string {
-	if v >= NumVecs {
-		return "unknown_vec"
-	}
-	return vecNames[v]
-}
-
 // VecWidth is every vec family's fixed index capacity. Out-of-range
 // indices clamp to the last slot rather than being lost.
 const VecWidth = 32

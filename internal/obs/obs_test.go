@@ -165,11 +165,6 @@ func TestNames(t *testing.T) {
 			t.Errorf("gauge %d has no name", g)
 		}
 	}
-	for v := Vec(0); v < NumVecs; v++ {
-		if v.Name() == "" || v.Name() == "unknown_vec" {
-			t.Errorf("vec %d has no name", v)
-		}
-	}
 	for h := Histo(0); h < NumHistos; h++ {
 		if h.Name() == "" || h.Name() == "unknown_histo" {
 			t.Errorf("histo %d has no name", h)

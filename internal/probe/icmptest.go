@@ -79,7 +79,12 @@ func (h *hijacker) hook(ifc *stack.NetIf, ip *netpkt.IPv4) bool {
 		return false
 	}
 	h.captured = ip.Clone()
-	return h.consume
+	if !h.consume {
+		return false
+	}
+	// Consumed: the hook owns the packet, and only the clone lives on.
+	ifc.Host.Drop(ip)
+	return true
 }
 
 // ICMPMatrixProbe measures the full Table 2 ICMP section for every

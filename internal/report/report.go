@@ -28,6 +28,15 @@ type Figure struct {
 
 // NewFigure builds a Figure from per-device results.
 func NewFigure(title, unit string, results []probe.DeviceResult) Figure {
+	return NewFigureFromPoints(title, unit, Points(results))
+}
+
+// Points reduces per-device results to population points, dropping
+// devices with no samples. It is the one reduction from rows to
+// points: NewFigure uses it, and so do fleet runners, which reduce each
+// shard's sweep as it finishes instead of holding every device's raw
+// samples alive until the merge.
+func Points(results []probe.DeviceResult) []stats.DevicePoint {
 	pts := make([]stats.DevicePoint, 0, len(results))
 	for _, r := range results {
 		if len(r.Samples) == 0 {
@@ -35,30 +44,15 @@ func NewFigure(title, unit string, results []probe.DeviceResult) Figure {
 		}
 		pts = append(pts, r.Point())
 	}
-	sorted, med, mean := stats.Population(pts)
-	return Figure{Title: title, Unit: unit, Points: sorted, Median: med, Mean: mean}
+	return pts
 }
 
-// NewFigureFromPoints builds a Figure from per-device points that were
-// already reduced from their samples (DeviceResult.Point). It renders
-// byte-identically to NewFigure over the rows that produced the points:
-// the population statistics are computed from points either way, and
-// Population stable-sorts, so equal input order gives equal output.
-// Fleet runners use it to aggregate streamed shard sweeps without
-// holding every device's raw samples alive until the merge.
+// NewFigureFromPoints builds a Figure from per-device points (Points).
+// Population stable-sorts, so equal points in equal order give equal
+// figures, however the points were gathered.
 func NewFigureFromPoints(title, unit string, pts []stats.DevicePoint) Figure {
 	sorted, med, mean := stats.Population(pts)
 	return Figure{Title: title, Unit: unit, Points: sorted, Median: med, Mean: mean}
-}
-
-// NewFigureFromValues builds a Figure from single values per device.
-func NewFigureFromValues(title, unit string, values map[string]float64) Figure {
-	results := make([]probe.DeviceResult, 0, len(values))
-	for tag, v := range values {
-		results = append(results, probe.DeviceResult{Tag: tag, Samples: []float64{v}})
-	}
-	sort.Slice(results, func(i, j int) bool { return results[i].Tag < results[j].Tag })
-	return NewFigure(title, unit, results)
 }
 
 // Render draws the figure as an ASCII bar chart, one device per row,
@@ -290,27 +284,4 @@ func Table2CSV(w io.Writer, matrices []probe.ICMPMatrix, sctp, dccp []probe.Conn
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// CompareRow is one paper-vs-measured comparison line for markdown
-// reports.
-type CompareRow struct {
-	Item     string
-	Paper    string
-	Measured string
-	Match    bool
-}
-
-// CompareTable renders comparison rows as markdown.
-func CompareTable(rows []CompareRow) string {
-	var sb strings.Builder
-	sb.WriteString("| item | paper | measured | agrees |\n|---|---|---|---|\n")
-	for _, r := range rows {
-		mark := "yes"
-		if !r.Match {
-			mark = "≈ (see notes)"
-		}
-		fmt.Fprintf(&sb, "| %s | %s | %s | %s |\n", r.Item, r.Paper, r.Measured, mark)
-	}
-	return sb.String()
 }

@@ -65,13 +65,6 @@ func TestMarkdown(t *testing.T) {
 	}
 }
 
-func TestNewFigureFromValues(t *testing.T) {
-	f := NewFigureFromValues("v", "x", map[string]float64{"a": 1, "b": 2})
-	if len(f.Points) != 2 || f.Points[0].Tag != "a" {
-		t.Fatalf("points: %+v", f.Points)
-	}
-}
-
 func TestMultiSeries(t *testing.T) {
 	out := MultiSeries("t", "Mb/s", []string{"x", "y"},
 		map[string]map[string]float64{
@@ -107,15 +100,5 @@ func TestTable2Rendering(t *testing.T) {
 	}
 	if !strings.Contains(out, "1=DCCP") {
 		t.Errorf("legend missing:\n%s", out)
-	}
-}
-
-func TestCompareTable(t *testing.T) {
-	out := CompareTable([]CompareRow{
-		{Item: "x", Paper: "1", Measured: "1", Match: true},
-		{Item: "y", Paper: "2", Measured: "3", Match: false},
-	})
-	if !strings.Contains(out, "| x | 1 | 1 | yes |") {
-		t.Errorf("compare table:\n%s", out)
 	}
 }

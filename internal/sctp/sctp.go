@@ -83,24 +83,20 @@ func (l *Listener) Accept(p *sim.Proc, timeout time.Duration) (*Assoc, error) {
 
 // Assoc is one SCTP association endpoint.
 type Assoc struct {
-	st       *Stack
-	key      key
-	local    netip.Addr
-	myTag    uint32 // our verification tag (peer puts it in headers to us)
-	peerTag  uint32
-	state    int // 0 closed, 1 cookie-wait, 2 cookie-echoed, 3 established
-	sndTSN   uint32
-	rcvTSN   uint32
-	rx       *sim.Chan[[]byte]
-	estabN   *sim.Chan[error]
-	shutdown bool
+	st      *Stack
+	key     key
+	local   netip.Addr
+	myTag   uint32 // our verification tag (peer puts it in headers to us)
+	peerTag uint32
+	state   int // 0 closed, 1 cookie-wait, 2 cookie-echoed, 3 established
+	sndTSN  uint32
+	rcvTSN  uint32
+	rx      *sim.Chan[[]byte]
+	estabN  *sim.Chan[error]
 	// parentBacklog, when non-nil, is the listener queue this passive
 	// association joins once established.
 	parentBacklog *sim.Chan[*Assoc]
 }
-
-// Established reports whether the association completed its handshake.
-func (a *Assoc) Established() bool { return a.state == 3 }
 
 func (st *Stack) allocPort() uint16 {
 	for i := 0; i < 65536; i++ {
@@ -200,11 +196,6 @@ func (a *Assoc) Send(p *sim.Proc, data []byte) error {
 		}
 	}
 	return ErrTimeout
-}
-
-// Recv waits for the next user message.
-func (a *Assoc) Recv(p *sim.Proc, timeout time.Duration) ([]byte, bool) {
-	return a.rx.Recv(p, timeout)
 }
 
 // Shutdown tears the association down.

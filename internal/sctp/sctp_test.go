@@ -33,7 +33,7 @@ func TestAssociationAndData(t *testing.T) {
 			t.Errorf("accept: %v", err)
 			return
 		}
-		data, ok := a.Recv(p, 10*time.Second)
+		data, ok := a.rx.Recv(p, 10*time.Second)
 		if !ok {
 			t.Error("no data")
 			return
@@ -48,7 +48,7 @@ func TestAssociationAndData(t *testing.T) {
 			t.Errorf("connect: %v", err)
 			return
 		}
-		if !a.Established() {
+		if a.state != 3 {
 			t.Error("not established")
 			return
 		}
@@ -56,7 +56,7 @@ func TestAssociationAndData(t *testing.T) {
 			t.Errorf("send: %v", err)
 			return
 		}
-		echoed, _ = a.Recv(p, 10*time.Second)
+		echoed, _ = a.rx.Recv(p, 10*time.Second)
 		a.Shutdown()
 	})
 	s.Run(time.Minute)
@@ -103,7 +103,7 @@ func TestSurvivesSourceAddressRewrite(t *testing.T) {
 			return
 		}
 		for {
-			data, ok := a.Recv(p, 5*time.Second)
+			data, ok := a.rx.Recv(p, 5*time.Second)
 			if !ok {
 				return
 			}

@@ -72,7 +72,7 @@ func TestAllocsQueueGrowth(t *testing.T) {
 // fires, its slab slot is recycled, and a Cancel through the stale
 // handle must not touch the slot's next occupant.
 func TestStaleHandleCancel(t *testing.T) {
-	s := New(1)
+	s, reg := observed(1)
 	fired1 := false
 	ev1 := s.After(time.Second, func() { fired1 = true })
 	s.Run(0)
@@ -84,8 +84,8 @@ func TestStaleHandleCancel(t *testing.T) {
 	fired2 := false
 	s.After(time.Second, func() { fired2 = true })
 	ev1.Cancel() // stale: must be a no-op
-	if ev1.Canceled() {
-		t.Fatal("stale handle reports Canceled after recycling")
+	if n := reg.Snapshot().Counters[obs.CSimEventsCanceled]; n != 0 {
+		t.Fatalf("stale handle canceled %d events after recycling", n)
 	}
 	s.Run(0)
 	if !fired2 {
@@ -97,7 +97,7 @@ func TestStaleHandleCancel(t *testing.T) {
 // enough to trigger compaction and checks that the survivors still
 // fire in timestamp order.
 func TestCancelCompaction(t *testing.T) {
-	s := New(1)
+	s, reg := observed(1)
 	var order []int
 	var events []Event
 	const n = 1024
@@ -117,8 +117,8 @@ func TestCancelCompaction(t *testing.T) {
 		}
 		events[i].Cancel()
 	}
-	if got := s.Pending(); got != want {
-		t.Fatalf("Pending = %d, want %d", got, want)
+	if got := pending(reg); got != want {
+		t.Fatalf("pending = %d, want %d", got, want)
 	}
 	s.Run(0)
 	if len(order) != want {
@@ -129,47 +129,48 @@ func TestCancelCompaction(t *testing.T) {
 			t.Fatalf("events fired out of order: %v", order)
 		}
 	}
-	if s.Pending() != 0 {
-		t.Fatalf("Pending after drain = %d", s.Pending())
+	if n := pending(reg); n != 0 {
+		t.Fatalf("pending after drain = %d", n)
 	}
 }
 
-// TestPendingO1Semantics checks the live counter across the full event
-// life cycle, including double cancels and cancel-after-fire.
+// TestPendingO1Semantics checks the event counters across the full
+// event life cycle, including double cancels and cancel-after-fire:
+// each event is counted canceled or fired at most once.
 func TestPendingO1Semantics(t *testing.T) {
-	s := New(1)
+	s, reg := observed(1)
 	e1 := s.After(time.Second, func() {})
 	e2 := s.After(2*time.Second, func() {})
-	if s.Pending() != 2 {
-		t.Fatalf("Pending = %d, want 2", s.Pending())
+	if n := pending(reg); n != 2 {
+		t.Fatalf("pending = %d, want 2", n)
 	}
 	e1.Cancel()
-	e1.Cancel() // double cancel must not double-decrement
-	if s.Pending() != 1 {
-		t.Fatalf("Pending after cancel = %d, want 1", s.Pending())
+	e1.Cancel() // double cancel must not count twice
+	if n := pending(reg); n != 1 {
+		t.Fatalf("pending after cancel = %d, want 1", n)
 	}
 	s.Run(0)
-	e2.Cancel() // cancel after fire must not underflow
-	if s.Pending() != 0 {
-		t.Fatalf("Pending after run = %d, want 0", s.Pending())
+	e2.Cancel() // cancel after fire must not count
+	if n := pending(reg); n != 0 {
+		t.Fatalf("pending after run = %d, want 0", n)
 	}
 }
 
 // TestHorizonLeavesFutureEvents re-checks Run's horizon contract on the
-// slab queue: an event beyond the horizon stays queued (and Pending)
+// slab queue: an event beyond the horizon stays queued (and pending)
 // for a later Run call.
 func TestHorizonLeavesFutureEvents(t *testing.T) {
-	s := New(1)
+	s, reg := observed(1)
 	fired := 0
 	s.After(time.Second, func() { fired++ })
 	s.After(time.Minute, func() { fired++ })
 	s.Run(10 * time.Second)
-	if fired != 1 || s.Pending() != 1 {
-		t.Fatalf("fired=%d pending=%d after horizon", fired, s.Pending())
+	if n := pending(reg); fired != 1 || n != 1 {
+		t.Fatalf("fired=%d pending=%d after horizon", fired, n)
 	}
 	s.Run(0)
-	if fired != 2 || s.Pending() != 0 {
-		t.Fatalf("fired=%d pending=%d after drain", fired, s.Pending())
+	if n := pending(reg); fired != 2 || n != 0 {
+		t.Fatalf("fired=%d pending=%d after drain", fired, n)
 	}
 }
 
@@ -372,8 +373,8 @@ func TestAllocsReschedule(t *testing.T) {
 	if n := testing.AllocsPerRun(100, round); n != 0 {
 		t.Fatalf("reschedule allocates %.1f objects per move, want 0", n)
 	}
-	if fired != 0 || s.Pending() != 1 || len(s.slab) != 2 {
-		t.Fatalf("fired %d, pending %d, slab %d slots; want 0, 1, 2", fired, s.Pending(), len(s.slab))
+	if n := pending(reg); fired != 0 || n != 1 || len(s.slab) != 2 {
+		t.Fatalf("fired %d, pending %d, slab %d slots; want 0, 1, 2", fired, n, len(s.slab))
 	}
 	snap := reg.Snapshot()
 	if c := snap.Counters[obs.CSimEventsCanceled]; c != uint64(moves) {

@@ -132,9 +132,6 @@ func (c *Chan[T]) Close() {
 	}
 }
 
-// Closed reports whether Close was called.
-func (c *Chan[T]) Closed() bool { return c.closed }
-
 // Recv dequeues the next value for process p. timeout <= 0 means wait
 // forever. ok is false if the deadline passed (or the channel was closed)
 // before a value arrived.
@@ -310,9 +307,6 @@ type FIFO[T any] struct {
 
 // Len returns the number of queued items.
 func (q *FIFO[T]) Len() int { return len(q.items) - q.head }
-
-// Cap returns the capacity of the backing array.
-func (q *FIFO[T]) Cap() int { return cap(q.items) }
 
 // Push appends v at the tail.
 func (q *FIFO[T]) Push(v T) {

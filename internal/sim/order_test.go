@@ -212,9 +212,9 @@ func FuzzEventOrder(f *testing.F) {
 					refs[j] = ref.schedule(d, refs[j].id, refs[j].child)
 				}
 			}
-			if s.Now() != ref.now || s.Pending() != ref.live() {
+			if n := pending(reg); s.Now() != ref.now || n != ref.live() {
 				t.Fatalf("after op %d: now %v pending %d, reference now %v pending %d",
-					op%7, s.Now(), s.Pending(), ref.now, ref.live())
+					op%7, s.Now(), n, ref.now, ref.live())
 			}
 			if got := reg.Snapshot().Counters[obs.CSimCompactions]; got != uint64(ref.compactions) {
 				t.Fatalf("after op %d: compactions = %d, reference %d", op%7, got, ref.compactions)

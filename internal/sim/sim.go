@@ -54,15 +54,14 @@ type Handler interface {
 }
 
 // Event is a handle to a scheduled callback that can be canceled. The
-// zero value is an invalid handle on which Cancel and Canceled are
-// no-ops and Reschedule reports false. Handles stay valid (as no-ops)
+// zero value is an invalid handle on which Cancel is a no-op and
+// Reschedule reports false. Handles stay valid (as no-ops)
 // after the event fires: slab slots are recycled under a generation
 // counter, so a stale handle can never cancel an unrelated later event.
 type Event struct {
-	s        *Sim
-	idx      int32
-	gen      uint32
-	canceled bool // Cancel was called through this handle
+	s   *Sim
+	idx int32
+	gen uint32
 }
 
 // Cancel prevents the event's callback from running. Canceling an event
@@ -75,13 +74,11 @@ func (e *Event) Cancel() {
 	if rec.gen != e.gen {
 		return // already fired and recycled
 	}
-	e.canceled = true
 	if rec.canceled {
 		return
 	}
 	rec.canceled = true
 	rec.fn, rec.h = nil, nil // release the callback now; the slot drains lazily
-	e.s.live--
 	e.s.dead++
 	e.s.obs.Inc(obs.CSimEventsCanceled)
 	e.s.maybeCompact()
@@ -120,18 +117,6 @@ func (e *Event) Reschedule(t Time) bool {
 	return true
 }
 
-// Canceled reports whether Cancel was called on the event.
-func (e *Event) Canceled() bool {
-	if e == nil || e.s == nil {
-		return false
-	}
-	if e.canceled {
-		return true
-	}
-	rec := &e.s.slab[e.idx]
-	return rec.gen == e.gen && rec.canceled
-}
-
 // Sim is a discrete-event simulator instance. The zero value is not
 // usable; create one with New.
 type Sim struct {
@@ -141,19 +126,14 @@ type Sim struct {
 	free        []int32    // recycled slab slots
 	near        eventHeap  // events due within nearHorizon when scheduled
 	far         eventHeap  // every later event: the long timers
-	live        int        // scheduled, uncanceled events (Pending)
 	dead        int        // canceled records still occupying heap entries
 	rng         *rand.Rand
-	procs       int // live (not yet exited) processes
-	parked      int // processes currently parked
-	stopped     bool
 	running     bool
 	interrupt   func() bool // polled between events; true aborts the run
 	interrupted bool
-	killing     bool          // Shutdown in progress: parked processes die on wake
-	all         []*Proc       // every spawned process, for Shutdown
-	idle        []*worker     // workers whose process exited, for reuse
-	label       func() string // optional diagnostics
+	killing     bool      // Shutdown in progress: parked processes die on wake
+	all         []*Proc   // every spawned process, for Shutdown
+	idle        []*worker // workers whose process exited, for reuse
 	// obs is the telemetry registry this simulator writes (nil = no
 	// telemetry; every write is a nil-safe no-op). The simulator only
 	// ever writes it — reading telemetry back into scheduling would
@@ -233,7 +213,6 @@ func (s *Sim) At(t Time, fn func()) Event {
 		s.far.reserve()
 		s.far.push(e)
 	}
-	s.live++
 	s.obs.Inc(obs.CSimEventsScheduled)
 	return Event{s: s, idx: idx, gen: rec.gen}
 }
@@ -397,9 +376,6 @@ func (s *Sim) maybeCompact() {
 	s.dead = 0
 }
 
-// Stop makes Run return after the currently executing event completes.
-func (s *Sim) Stop() { s.stopped = true }
-
 // interruptPollInterval bounds how many events Run executes between
 // interrupt polls. The poll closure typically checks wall-clock state
 // (a context), so polling per event would dominate small event
@@ -425,12 +401,12 @@ func (s *Sim) SetInterrupt(fn func() bool) {
 func (s *Sim) Interrupted() bool { return s.interrupted }
 
 // Run executes events in timestamp order until no events remain, the
-// horizon (if positive) is reached, or Stop is called. It returns the
-// virtual time at which the simulation ended.
+// horizon (if positive) is reached, or the installed interrupt fires.
+// It returns the virtual time at which the simulation ended.
 //
 // When the event queue drains while processes are still parked, the
-// simulation simply ends (the processes are blocked forever); Stalled
-// reports how many.
+// simulation simply ends: the processes are blocked forever, and
+// Shutdown unwinds them.
 func (s *Sim) Run(horizon time.Duration) Time {
 	if s.running {
 		panic("sim: Run called reentrantly")
@@ -441,7 +417,7 @@ func (s *Sim) Run(horizon time.Duration) Time {
 		s.pool.Flush()
 	}()
 	sincePoll := 0
-	for !s.stopped && s.queued() > 0 {
+	for s.queued() > 0 {
 		if s.interrupt != nil {
 			if sincePoll++; sincePoll >= interruptPollInterval {
 				sincePoll = 0
@@ -482,7 +458,6 @@ func (s *Sim) Run(horizon time.Duration) Time {
 		}
 		fn, hd := rec.fn, rec.h
 		h.pop()
-		s.live--
 		s.recycle(top.idx)
 		s.now = top.at
 		s.obs.Inc(obs.CSimEventsFired)
@@ -494,15 +469,6 @@ func (s *Sim) Run(horizon time.Duration) Time {
 	}
 	return s.now
 }
-
-// Stalled returns the number of processes parked with no pending wake
-// event. It is only meaningful after Run returns.
-func (s *Sim) Stalled() int { return s.parked }
-
-// Pending returns the number of scheduled (uncanceled) events. It is
-// O(1): a live-event counter is maintained on schedule/cancel/fire, so
-// hot progress paths can poll it freely.
-func (s *Sim) Pending() int { return s.live }
 
 // A Proc is a cooperatively scheduled simulator process. All methods
 // must be called from the process's own body.
@@ -540,9 +506,6 @@ type worker struct {
 	yield func(struct{}) bool
 }
 
-// Name returns the name given to Spawn.
-func (p *Proc) Name() string { return p.name }
-
 // Sim returns the simulator the process belongs to.
 func (p *Proc) Sim() *Sim { return p.s }
 
@@ -555,7 +518,6 @@ func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{s: s, name: name, fn: fn}
 	p.handoffFn = p.handoff
 	p.wakeFn = p.scheduleWake
-	s.procs++
 	s.obs.Inc(obs.CSimProcsSpawned)
 	s.all = append(s.all, p)
 	s.At(s.now, p.handoffFn)
@@ -606,7 +568,6 @@ func (w *worker) loop(yield func(struct{}) bool) {
 func (p *Proc) exit() {
 	p.exited = true
 	p.fn, p.w = nil, nil
-	p.s.procs--
 	for _, j := range p.joiners {
 		j.scheduleWake()
 	}
@@ -688,10 +649,8 @@ func (p *Proc) park() {
 		// is being unwound by Shutdown; the worker is already stopped.
 		panic(procKilled{})
 	}
-	p.s.parked++
 	p.wakeArmed = true
 	ok := p.w.yield(struct{}{})
-	p.s.parked--
 	if !ok {
 		// Shutdown stopped the worker.
 		panic(procKilled{})

@@ -48,9 +48,6 @@ func TestCancel(t *testing.T) {
 	if fired {
 		t.Fatal("canceled event fired")
 	}
-	if !ev.Canceled() {
-		t.Fatal("Canceled() = false")
-	}
 }
 
 func TestHorizon(t *testing.T) {
@@ -294,14 +291,17 @@ func TestChanTryRecvAndDrain(t *testing.T) {
 	}
 }
 
+// TestStalledReported: a process waiting on a channel nobody sends on
+// is still parked when the queue drains, and Run returns regardless.
 func TestStalledReported(t *testing.T) {
 	s := New(1)
 	c := NewChan[int](s)
-	s.Spawn("stuck", func(p *Proc) { c.Recv(p, 0) })
+	stuck := s.Spawn("stuck", func(p *Proc) { c.Recv(p, 0) })
 	s.Run(0)
-	if s.Stalled() != 1 {
-		t.Fatalf("Stalled = %d, want 1", s.Stalled())
+	if stuck.Exited() {
+		t.Fatal("a process blocked on an empty channel exited")
 	}
+	s.Shutdown()
 }
 
 func TestDeterminism(t *testing.T) {
@@ -340,19 +340,22 @@ func TestManyProcesses(t *testing.T) {
 	s := New(1)
 	const n = 200
 	count := 0
+	var procs []*Proc
 	for i := 0; i < n; i++ {
 		i := i
-		s.Spawn("w", func(p *Proc) {
+		procs = append(procs, s.Spawn("w", func(p *Proc) {
 			p.Sleep(time.Duration(i) * time.Millisecond)
 			count++
-		})
+		}))
 	}
 	s.Run(0)
 	if count != n {
 		t.Fatalf("count = %d", count)
 	}
-	if s.Stalled() != 0 {
-		t.Fatalf("stalled = %d", s.Stalled())
+	for i, p := range procs {
+		if !p.Exited() {
+			t.Fatalf("process %d still parked after Run", i)
+		}
 	}
 }
 
@@ -376,16 +379,30 @@ func TestSpawnFromProcess(t *testing.T) {
 }
 
 func TestPending(t *testing.T) {
-	s := New(1)
+	s, reg := observed(1)
 	e1 := s.After(time.Second, func() {})
 	s.After(2*time.Second, func() {})
-	if s.Pending() != 2 {
-		t.Fatalf("Pending = %d", s.Pending())
+	if n := pending(reg); n != 2 {
+		t.Fatalf("pending = %d", n)
 	}
 	e1.Cancel()
-	if s.Pending() != 1 {
-		t.Fatalf("Pending after cancel = %d", s.Pending())
+	if n := pending(reg); n != 1 {
+		t.Fatalf("pending after cancel = %d", n)
 	}
+}
+
+// observed returns a simulator writing into a fresh registry.
+func observed(seed int64) (*Sim, *obs.Registry) {
+	s, reg := New(seed), obs.NewRegistry()
+	s.SetObs(reg)
+	return s, reg
+}
+
+// pending is the number of scheduled, uncanceled events as the
+// registry counts them: scheduled − fired − canceled.
+func pending(reg *obs.Registry) int {
+	c := reg.Snapshot().Counters
+	return int(c[obs.CSimEventsScheduled] - c[obs.CSimEventsFired] - c[obs.CSimEventsCanceled])
 }
 
 // settledGoroutines reads a goroutine-count baseline once the count
@@ -439,14 +456,15 @@ func TestShutdownReleasesGoroutines(t *testing.T) {
 			const procs = 50
 			cleaned := 0
 			ch := NewChan[int](s)
+			var servers []*Proc
 			for i := 0; i < procs; i++ {
-				s.Spawn("server", func(p *Proc) {
+				servers = append(servers, s.Spawn("server", func(p *Proc) {
 					defer func() { cleaned++ }()
 					// Parks forever: nothing ever sends, like a probe
 					// still waiting for a reply when its testbed is
 					// abandoned.
 					ch.Recv(p, 0)
-				})
+				}))
 			}
 			// Short processes run beside the servers, so each needs a
 			// worker of its own; all of them are idle once they exit.
@@ -464,8 +482,10 @@ func TestShutdownReleasesGoroutines(t *testing.T) {
 			} else {
 				s.Run(0)
 			}
-			if s.Stalled() != procs {
-				t.Fatalf("stalled = %d, want %d", s.Stalled(), procs)
+			for i, p := range servers {
+				if p.Exited() {
+					t.Fatalf("server %d exited, want it parked", i)
+				}
 			}
 			if len(s.idle) != tc.idle {
 				t.Fatalf("idle workers = %d, want %d", len(s.idle), tc.idle)
@@ -508,7 +528,7 @@ func TestProcPanicSurfacesFromRun(t *testing.T) {
 	var panicked *Proc
 	panicked = s.Spawn("faulty", func(p *Proc) {
 		p.Sleep(time.Second)
-		panic(fmt.Errorf("probe: %s failed", p.Name()))
+		panic(fmt.Errorf("probe: %s failed", p.name))
 	})
 	r := runRecover(s)
 	err, ok := r.(error)
@@ -545,11 +565,12 @@ func TestRecycledWorkerIgnoresStaleWake(t *testing.T) {
 	})
 	var woke []Time
 	var second *worker
+	var p2 *Proc
 	s.After(600*time.Millisecond, func() {
 		if !p1.Exited() {
 			t.Error("first process still running at 600 ms")
 		}
-		s.Spawn("second", func(p *Proc) {
+		p2 = s.Spawn("second", func(p *Proc) {
 			second = p.w
 			p.Sleep(10 * time.Second)
 			woke = append(woke, p.Now())
@@ -569,8 +590,8 @@ func TestRecycledWorkerIgnoresStaleWake(t *testing.T) {
 	if len(woke) != 1 || woke[0] != 10600*time.Millisecond {
 		t.Fatalf("second process woke at %v, want only [10.6s]", woke)
 	}
-	if s.Stalled() != 1 {
-		t.Fatalf("stalled = %d, want 1", s.Stalled())
+	if p2.Exited() {
+		t.Fatal("second process exited, want it parked")
 	}
 	s.Shutdown()
 }

@@ -24,11 +24,11 @@ func chain(s *sim.Sim, arp bool) (a, r, b *Host) {
 	netem.Connect(s, rb.Link, ib.Link, netem.LinkConfig{})
 	a.AddRoute(netip.MustParsePrefix("0.0.0.0/0"), ra.Addr, ia)
 	b.AddRoute(netip.MustParsePrefix("0.0.0.0/0"), rb.Addr, ib)
-	ia.AddARP(ra.Addr, ra.Link.MAC)
-	ra.AddARP(ia.Addr, ia.Link.MAC)
-	ib.AddARP(rb.Addr, rb.Link.MAC)
+	ia.arp.set(ra.Addr, ra.Link.MAC)
+	ra.arp.set(ia.Addr, ia.Link.MAC)
+	ib.arp.set(rb.Addr, rb.Link.MAC)
 	if arp {
-		rb.AddARP(ib.Addr, ib.Link.MAC)
+		rb.arp.set(ib.Addr, ib.Link.MAC)
 	}
 	r.ForwardHook = func(in *NetIf, ip *netpkt.IPv4) { r.Send(ip) }
 	return a, r, b
@@ -128,7 +128,7 @@ func TestParkedPacketKeepsBuffer(t *testing.T) {
 func TestReservedSendIsInPlace(t *testing.T) {
 	s := sim.New(1)
 	ha, hb := twoHosts(s)
-	ha.ifaces[0].AddARP(netpkt.Addr4(10, 0, 0, 2), hb.ifaces[0].Link.MAC)
+	ha.ifaces[0].arp.set(netpkt.Addr4(10, 0, 0, 2), hb.ifaces[0].Link.MAC)
 	var wire []byte
 	hb.ifaces[0].Link.Tap = func(dir string, f *netpkt.Frame) {
 		if dir == "rx" {
@@ -160,7 +160,7 @@ func TestAllocsSendVia(t *testing.T) {
 	s := sim.New(1)
 	ha, hb := twoHosts(s)
 	ifc, dst := ha.ifaces[0], netpkt.Addr4(10, 0, 0, 2)
-	ifc.AddARP(dst, hb.ifaces[0].Link.MAC)
+	ifc.arp.set(dst, hb.ifaces[0].Link.MAC)
 	got := 0
 	hb.Handle(242, func(ifc *NetIf, ip *netpkt.IPv4) bool {
 		got++
@@ -234,8 +234,8 @@ func TestTablesOverwrite(t *testing.T) {
 	s := sim.New(1)
 	ha, hb := twoHosts(s)
 	ifc, dst := ha.ifaces[0], netpkt.Addr4(10, 0, 0, 2)
-	ifc.AddARP(dst, netpkt.MAC{2, 0, 0, 0, 0, 9})
-	ifc.AddARP(dst, hb.ifaces[0].Link.MAC)
+	ifc.arp.set(dst, netpkt.MAC{2, 0, 0, 0, 0, 9})
+	ifc.arp.set(dst, hb.ifaces[0].Link.MAC)
 	if mac, ok := ifc.arp.get(dst); !ok || mac != hb.ifaces[0].Link.MAC || len(ifc.arp) != 1 {
 		t.Fatalf("neighbour table %v, want one entry for %v", ifc.arp, dst)
 	}

@@ -26,14 +26,14 @@ func linearLookup(routes []Route, dst netip.Addr) (Route, bool) {
 }
 
 // FuzzLookup replays a byte string as a sequence of AddRoute,
-// RemoveRoutesVia and Lookup operations against both Host.Lookup and
+// removeRoutesVia and Lookup operations against both Host.Lookup and
 // linearLookup. Each operation takes four bytes [op x y z]:
 //
 //   - op%4 in {0,1}: AddRoute(10.0.(x&3).y/(z%33)) via interface
 //     (op>>2)&3 — unmasked as given, so host bits survive in the
 //     stored prefix — with a next hop numbering the route, so equal
 //     prefixes stay distinguishable;
-//   - op%4 == 2: RemoveRoutesVia(interface (op>>2)&3);
+//   - op%4 == 2: removeRoutesVia(interface (op>>2)&3);
 //   - op%4 == 3: no change.
 //
 // After every operation both lookups are compared for the destination
@@ -58,7 +58,7 @@ func FuzzLookup(f *testing.F) {
 				h.AddRoute(p, nh, ifc)
 				ref = append(ref, Route{Prefix: p, NextHop: nh, If: ifc})
 			case 2:
-				h.RemoveRoutesVia(ifc)
+				removeRoutesVia(h, ifc)
 				out := ref[:0]
 				for _, r := range ref {
 					if r.If != ifc {
@@ -123,4 +123,16 @@ func BenchmarkHostLookup(b *testing.B) {
 			}
 		})
 	}
+}
+
+// removeRoutesVia removes every route through ifc, keeping the order of
+// the rest.
+func removeRoutesVia(h *Host, ifc *NetIf) {
+	out := h.routes[:0]
+	for _, r := range h.routes {
+		if r.If != ifc {
+			out = append(out, r)
+		}
+	}
+	h.routes = out
 }

@@ -32,6 +32,8 @@ type ProtoHandler func(ifc *NetIf, ip *netpkt.IPv4) (kept bool)
 
 // ICMPListener observes ICMP messages addressed to the host. For error
 // messages, inner is the parsed embedded datagram (nil if unparseable).
+// ic and inner alias the received packet's buffer, which goes back to
+// the pool when the listeners return: a listener copies what it keeps.
 type ICMPListener func(from netip.Addr, ic *netpkt.ICMP, inner *netpkt.IPv4)
 
 // Host is an IPv4 endpoint with one or more interfaces.
@@ -50,11 +52,15 @@ type Host struct {
 	// RawHook, if set, sees every received IPv4 packet (local or not)
 	// before normal processing; returning true consumes the packet. The
 	// ICMP prober uses it to "hijack" flows as in the paper's §3.2.3.
+	// A hook that returns true owns the packet and its buffer (ip.Buf)
+	// from then on: it hands them on (Send, SendVia) or ends them with
+	// Drop. A hook that returns false must keep no reference to either.
 	RawHook func(ifc *NetIf, ip *netpkt.IPv4) bool
 
 	// ForwardHook, if set, receives packets whose destination is not
-	// local. Home gateways install their NAT engine here. Without it,
-	// non-local packets are dropped (hosts do not forward).
+	// local, and owns each as a consuming RawHook does. Home gateways
+	// install their NAT engine here. Without it, non-local packets are
+	// dropped (hosts do not forward).
 	ForwardHook func(ifc *NetIf, ip *netpkt.IPv4)
 
 	// DropBadIPChecksum controls whether packets failing IP header
@@ -89,7 +95,6 @@ type NetIf struct {
 	Link  *netem.Iface
 	Addr  netip.Addr
 	Plen  int // prefix length of the connected subnet
-	name  string
 	arp   table[netip.Addr, netpkt.MAC]
 	await table[netip.Addr, []*netpkt.IPv4] // packets parked behind ARP
 }
@@ -136,9 +141,6 @@ func (t *table[K, V]) take(k K) (v V, ok bool) {
 	return v, false
 }
 
-// Name returns the interface name.
-func (n *NetIf) Name() string { return n.name }
-
 // Prefix returns the connected subnet.
 func (n *NetIf) Prefix() netip.Prefix {
 	p, _ := n.Addr.Prefix(n.Plen)
@@ -170,7 +172,6 @@ func (h *Host) AddIf(name string, addr netip.Addr, plen int) *NetIf {
 		Host: h,
 		Addr: addr,
 		Plen: plen,
-		name: name,
 	}
 	n.Link = &netem.Iface{Name: h.Name + "." + name, MAC: h.NewMAC()}
 	n.Link.Recv = func(f *netpkt.Frame) { h.recvFrame(n, f) }
@@ -188,9 +189,6 @@ func (n *NetIf) SetAddr(addr netip.Addr, plen int) {
 	n.Plen = plen
 	n.Host.AddRoute(n.Prefix(), netip.Addr{}, n)
 }
-
-// Ifaces returns the host's interfaces.
-func (h *Host) Ifaces() []*NetIf { return h.ifaces }
 
 // route is a routing-table entry with its precomputed sort key: bits is
 // the IPv4 prefix length (-1 for a prefix that can match no IPv4
@@ -230,17 +228,6 @@ func (h *Host) AddRoute(prefix netip.Prefix, nextHop netip.Addr, ifc *NetIf) {
 		e.net = addr32(prefix.Addr()) & mask(e.bits)
 	}
 	h.routes = slices.Insert(h.routes, after(h.routes, 0, e.bits, e.net), e)
-}
-
-// RemoveRoutesVia removes all routes using the given interface.
-func (h *Host) RemoveRoutesVia(ifc *NetIf) {
-	out := h.routes[:0]
-	for _, r := range h.routes {
-		if r.If != ifc {
-			out = append(out, r)
-		}
-	}
-	h.routes = out
 }
 
 // Lookup finds the best route for dst (longest prefix; latest
@@ -286,6 +273,7 @@ func (h *Host) NextIPID() uint16 {
 func (h *Host) Send(ip *netpkt.IPv4) bool {
 	r, ok := h.Lookup(ip.Dst)
 	if !ok {
+		h.Drop(ip)
 		return false
 	}
 	nh := r.NextHop
@@ -324,10 +312,27 @@ func (h *Host) SendVia(ifc *NetIf, nextHop netip.Addr, ip *netpkt.IPv4) {
 		ifc.sendARPRequest(nextHop)
 		h.S.After(arpTimeout, func() {
 			if _, ok := ifc.arp.get(nextHop); !ok {
-				ifc.await.take(nextHop) // unresolved: drop the queue
+				// Unresolved: drop the queue.
+				q, _ := ifc.await.take(nextHop)
+				for _, ip := range q {
+					h.Drop(ip)
+				}
 			}
 		})
 	}
+}
+
+// Drop ends a packet that goes nowhere: a pooled record goes back to
+// the host's pool, then the buffer it owns. A packet its sender built
+// itself owns no pooled buffer, and the pool ignores its record. Code
+// that owns a received packet (a consuming RawHook, a ForwardHook)
+// drops it here.
+func (h *Host) Drop(ip *netpkt.IPv4) {
+	pool := h.S.Pool()
+	buf := ip.Buf
+	ip.Buf = nil
+	pool.PutPacket(ip)
+	pool.PutBuf(buf)
 }
 
 // emit marshals ip into a pooled frame addressed to dst and sends it.
@@ -360,10 +365,6 @@ func (n *NetIf) sendARPRequest(target netip.Addr) {
 	f.Type, f.Payload = netpkt.EtherTypeARP, req.AppendMarshal(pool.GetBuf(28))
 	n.Link.Send(f)
 }
-
-// AddARP seeds a static ARP entry (used by tests and by DHCP clients that
-// learned the server's MAC from the exchange).
-func (n *NetIf) AddARP(addr netip.Addr, mac netpkt.MAC) { n.arp.set(addr, mac) }
 
 func (h *Host) recvFrame(ifc *NetIf, f *netpkt.Frame) {
 	pool := h.S.Pool()
@@ -435,8 +436,9 @@ func (h *Host) recvIP(ifc *NetIf, f *netpkt.Frame) {
 	// the buffer (ip.Buf). It may be retained by forwarding queues,
 	// transport stacks or ARP wait queues, so only the points below
 	// where the view provably dies recycle it, and the pooled record
-	// with it: the drop paths, and a local delivery whose handler kept
-	// nothing. Forwarded packets give both back in SendVia.
+	// with it: the drop paths, ICMP once its listeners return, and a
+	// local delivery whose handler kept nothing. Forwarded packets give
+	// both back in SendVia, and a consuming RawHook owns what it took.
 	pool := h.S.Pool()
 	ip, err := pool.ParsePooled(f.Payload)
 	if err != nil {
@@ -459,27 +461,30 @@ func (h *Host) recvIP(ifc *NetIf, f *netpkt.Frame) {
 	if ip.Dst != ifc.Addr && !h.IsLocal(ip.Dst) {
 		if h.ForwardHook != nil {
 			h.ForwardHook(ifc, ip)
+			return
 		}
-		return
-	}
-	// Honor Record Route for locally delivered packets (few gateways do
-	// on the forwarding path; the quirk lives in the gateway package).
-	if len(ip.Options) > 0 {
-		netpkt.RecordRoute(ip.Options, ifc.Addr)
-	}
-	if ip.Protocol == netpkt.ProtoICMP {
-		h.recvICMP(ifc, ip)
-		return
-	}
-	if fn, ok := h.protos.get(ip.Protocol); ok {
-		if !fn(ifc, ip) {
-			pool.PutPacket(ip)
-			pool.PutBuf(f.Payload)
+		// Hosts do not forward: the packet dies here.
+	} else {
+		// Honor Record Route for locally delivered packets (few gateways
+		// do on the forwarding path; the quirk lives in the gateway
+		// package).
+		if len(ip.Options) > 0 {
+			netpkt.RecordRoute(ip.Options, ifc.Addr)
 		}
-		return
+		if ip.Protocol == netpkt.ProtoICMP {
+			h.recvICMP(ifc, ip)
+		} else if fn, ok := h.protos.get(ip.Protocol); ok {
+			if fn(ifc, ip) {
+				return // the handler kept the packet
+			}
+		} else {
+			// No handler: emit Protocol Unreachable, mirroring a real
+			// host. The error copies what it embeds.
+			h.SendICMPError(ip, netpkt.ICMPDestUnreachable, netpkt.ICMPCodeProtoUnreachable, 0)
+		}
 	}
-	// No handler: emit Protocol Unreachable, mirroring a real host.
-	h.SendICMPError(ip, netpkt.ICMPDestUnreachable, netpkt.ICMPCodeProtoUnreachable, 0)
+	pool.PutPacket(ip)
+	pool.PutBuf(f.Payload)
 }
 
 func (h *Host) recvICMP(ifc *NetIf, ip *netpkt.IPv4) {
@@ -528,24 +533,6 @@ func (h *Host) SendICMPError(orig *netpkt.IPv4, typ, code uint8, rest uint32) bo
 		Dst:      orig.Src,
 		Payload:  ic.Marshal(),
 	})
-}
-
-// Ping sends an ICMP echo request to dst and returns true when a reply
-// arrives within timeout. It must be called from a simulator process.
-func (h *Host) Ping(p *sim.Proc, dst netip.Addr, timeout time.Duration) bool {
-	id := uint32(h.NextIPID())<<16 | 1
-	got := sim.NewChan[struct{}](h.S)
-	h.ListenICMP(func(from netip.Addr, ic *netpkt.ICMP, inner *netpkt.IPv4) {
-		if ic.Type == netpkt.ICMPEchoReply && ic.Rest == id {
-			got.Send(struct{}{})
-		}
-	})
-	req := &netpkt.ICMP{Type: netpkt.ICMPEchoRequest, Rest: id, Body: []byte("hgw-ping")}
-	if !h.Send(&netpkt.IPv4{Protocol: netpkt.ProtoICMP, Dst: dst, Payload: req.Marshal()}) {
-		return false
-	}
-	_, ok := got.Recv(p, timeout)
-	return ok
 }
 
 // String implements fmt.Stringer.

@@ -33,7 +33,7 @@ func TestARPAndDelivery(t *testing.T) {
 	}
 	// Second packet must not re-ARP: count ARP frames.
 	arps := 0
-	ha.Ifaces()[0].Link.Tap = func(dir string, f *netpkt.Frame) {
+	ha.ifaces[0].Link.Tap = func(dir string, f *netpkt.Frame) {
 		if dir == "tx" && f.Type == netpkt.EtherTypeARP {
 			arps++
 		}
@@ -95,11 +95,29 @@ func TestRoutingLongestPrefix(t *testing.T) {
 	if r, ok = h.Lookup(netip.MustParseAddr("::ffff:8.8.8.8")); ok {
 		t.Fatalf("IPv4-mapped IPv6 lookup -> %+v", r)
 	}
-	h.RemoveRoutesVia(if2)
+	removeRoutesVia(h, if2)
 	r, ok = h.Lookup(netpkt.Addr4(192, 168, 5, 5))
 	if !ok || r.If != if1 {
 		t.Fatalf("after removal lookup -> %+v ok=%v", r, ok)
 	}
+}
+
+// ping sends an ICMP echo request to dst and reports whether a reply
+// arrives within timeout.
+func ping(h *Host, p *sim.Proc, dst netip.Addr, timeout time.Duration) bool {
+	id := uint32(h.NextIPID())<<16 | 1
+	got := sim.NewChan[struct{}](h.S)
+	h.ListenICMP(func(from netip.Addr, ic *netpkt.ICMP, inner *netpkt.IPv4) {
+		if ic.Type == netpkt.ICMPEchoReply && ic.Rest == id {
+			got.Send(struct{}{})
+		}
+	})
+	req := &netpkt.ICMP{Type: netpkt.ICMPEchoRequest, Rest: id, Body: []byte("hgw-ping")}
+	if !h.Send(&netpkt.IPv4{Protocol: netpkt.ProtoICMP, Dst: dst, Payload: req.Marshal()}) {
+		return false
+	}
+	_, ok := got.Recv(p, timeout)
+	return ok
 }
 
 func TestPing(t *testing.T) {
@@ -107,8 +125,8 @@ func TestPing(t *testing.T) {
 	ha, _ := twoHosts(s)
 	var alive, dead bool
 	s.Spawn("pinger", func(p *sim.Proc) {
-		alive = ha.Ping(p, netpkt.Addr4(10, 0, 0, 2), time.Second)
-		dead = ha.Ping(p, netpkt.Addr4(10, 0, 0, 77), time.Second)
+		alive = ping(ha, p, netpkt.Addr4(10, 0, 0, 2), time.Second)
+		dead = ping(ha, p, netpkt.Addr4(10, 0, 0, 77), time.Second)
 	})
 	s.Run(0)
 	if !alive {
@@ -202,8 +220,8 @@ func TestForwardHookSeesNonLocal(t *testing.T) {
 	s.After(0, func() {
 		// Address on b's subnet but not b itself; ARP resolves to b only
 		// if we seed it (simulating a gateway MAC).
-		ha.Ifaces()[0].AddARP(netpkt.Addr4(10, 0, 0, 99), hb.Ifaces()[0].Link.MAC)
-		ha.AddRoute(parsePrefix(t, "99.0.0.0/8"), netpkt.Addr4(10, 0, 0, 99), ha.Ifaces()[0])
+		ha.ifaces[0].arp.set(netpkt.Addr4(10, 0, 0, 99), hb.ifaces[0].Link.MAC)
+		ha.AddRoute(parsePrefix(t, "99.0.0.0/8"), netpkt.Addr4(10, 0, 0, 99), ha.ifaces[0])
 		ha.Send(&netpkt.IPv4{Protocol: 200, Dst: netpkt.Addr4(99, 1, 2, 3), Payload: []byte("fwd")})
 	})
 	s.Run(0)
@@ -226,7 +244,7 @@ func TestBroadcastDelivery(t *testing.T) {
 		})
 	})
 	// Need a broadcast route.
-	ha.AddRoute(parsePrefix(t, "255.255.255.255/32"), netipAddr{}, ha.Ifaces()[0])
+	ha.AddRoute(parsePrefix(t, "255.255.255.255/32"), netipAddr{}, ha.ifaces[0])
 	s.Run(0)
 	if !got {
 		t.Fatal("broadcast not delivered")

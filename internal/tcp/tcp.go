@@ -97,9 +97,6 @@ func New(h *stack.Host) *Stack {
 	return st
 }
 
-// NumConns returns the number of live connections (any state).
-func (st *Stack) NumConns() int { return len(st.conns) }
-
 // SetEphemeralBase moves the ephemeral port range (gateways use a range
 // distinct from their NAT pool and from client stacks).
 func (st *Stack) SetEphemeralBase(p uint16) { st.nextPort = p }
@@ -196,7 +193,6 @@ type Conn struct {
 	rcvBuf store
 	ooo    map[uint32][]byte // created on the first out-of-order segment
 	gotFin bool
-	finSeq uint32
 
 	// App notification.
 	// Keepalive (RFC 1122 4.2.3.6).
@@ -209,25 +205,10 @@ type Conn struct {
 	err     error
 	removed bool
 	parent  *Listener
-
-	// Stats.
-	BytesIn, BytesOut   int64
-	SegsIn, SegsOut     int64
-	Retransmits         int64
-	openTime, estabTime sim.Time
 }
-
-// State returns the connection state.
-func (c *Conn) State() State { return c.state }
 
 // Local returns the local address and port.
 func (c *Conn) Local() (netip.Addr, uint16) { return c.key.local, c.key.lport }
-
-// Remote returns the remote address and port.
-func (c *Conn) Remote() (netip.Addr, uint16) { return c.key.remote, c.key.rport }
-
-// Err returns the terminal error, if any.
-func (c *Conn) Err() error { return c.err }
 
 // SetKeepAlive enables RFC 1122 keepalive probes on an idle
 // established connection: after each interval of silence the stack
@@ -290,7 +271,6 @@ func (st *Stack) newConn(key fourTuple) *Conn {
 		st: st, key: key,
 		cwnd: initCwndSegs * MSS, ssthresh: 1 << 30,
 		rto: initialRTO, peerWnd: recvWndMax,
-		openTime: st.s.Now(),
 	}
 	c.rtoFn = c.onRTO
 	c.rxN.Init(st.s)
@@ -351,7 +331,6 @@ func (c *Conn) sendSeg(seq, ack uint32, flags uint8, payload []byte) {
 	ip := pool.GetPacket()
 	ip.Protocol, ip.Src, ip.Dst = netpkt.ProtoTCP, c.key.local, c.key.remote
 	ip.Payload = seg.AppendMarshal(ip.Reserve(pool, seg.HeaderLen()+len(payload)), c.key.local, c.key.remote)
-	c.SegsOut++
 	c.st.h.Send(ip)
 }
 
@@ -439,7 +418,6 @@ func (c *Conn) output() {
 		}
 		c.sndNxt += uint32(n)
 		c.bumpSndMax()
-		c.BytesOut += int64(n)
 		c.armRTO()
 	}
 }
@@ -491,7 +469,6 @@ func (c *Conn) Read(p *sim.Proc, buf []byte, timeout time.Duration) (int, error)
 		if c.rcvBuf.len() > 0 {
 			n := copy(buf, c.rcvBuf.bytes())
 			c.rcvBuf.consume(n)
-			c.BytesIn += int64(n)
 			return n, nil
 		}
 		if c.gotFin {
@@ -595,9 +572,6 @@ func (c *Conn) disarmRTO() {
 func (c *Conn) onRTO() {
 	c.rtoTimer = sim.Event{}
 	c.retries++
-	if DebugRTO != nil {
-		DebugRTO(c)
-	}
 	switch c.state {
 	case StateSynSent, StateSynRcvd:
 		if c.retries > maxSynRetries {
@@ -611,7 +585,6 @@ func (c *Conn) onRTO() {
 			flags |= netpkt.TCPAck
 			ack = c.rcvNxt
 		}
-		c.Retransmits++
 		c.sendSeg(c.sndUna, ack, flags, nil)
 	case StateClosed, StateTimeWait:
 		return
@@ -626,7 +599,6 @@ func (c *Conn) onRTO() {
 			c.sendSeg(c.sndNxt, c.rcvNxt, netpkt.TCPAck, c.sndBuf.bytes()[:1])
 			c.sndNxt++
 			c.bumpSndMax()
-			c.Retransmits++
 			break
 		}
 		// Reno loss response: collapse to one segment, halve ssthresh,
@@ -647,7 +619,6 @@ func (c *Conn) onRTO() {
 		if c.finSent {
 			c.finSent = false // re-send FIN after the data
 		}
-		c.Retransmits++
 		c.output()
 	}
 	c.rto *= 2
@@ -666,7 +637,6 @@ func (c *Conn) retransmitOne() {
 			c.sendSeg(c.sndNxt, c.rcvNxt, netpkt.TCPAck, c.sndBuf.bytes()[:1])
 			c.sndNxt++
 			c.bumpSndMax()
-			c.Retransmits++
 		}
 		return
 	}
@@ -679,12 +649,10 @@ func (c *Conn) retransmitOne() {
 		if n > MSS {
 			n = MSS
 		}
-		c.Retransmits++
 		c.sendSeg(c.sndUna, c.rcvNxt, netpkt.TCPAck, c.sndBuf.bytes()[:n])
 		return
 	}
 	if c.finSent {
-		c.Retransmits++
 		c.sendSeg(c.sndUna, c.rcvNxt, netpkt.TCPFin|netpkt.TCPAck, nil)
 	}
 }
@@ -750,7 +718,6 @@ func (st *Stack) acceptSyn(l *Listener, key fourTuple, seg *netpkt.TCP) {
 }
 
 func (c *Conn) segment(seg *netpkt.TCP) {
-	c.SegsIn++
 	switch c.state {
 	case StateSynSent:
 		c.segSynSent(seg)
@@ -803,7 +770,6 @@ func (c *Conn) segSynSent(seg *netpkt.TCP) {
 	c.rcvNxt = seg.Seq + 1
 	c.peerWnd = int(seg.Window)
 	c.state = StateEstablished
-	c.estabTime = c.st.s.Now()
 	c.disarmRTO()
 	c.rto = initialRTO
 	c.sendAck()
@@ -825,7 +791,6 @@ func (c *Conn) segSynRcvd(seg *netpkt.TCP) {
 	}
 	c.sndUna = seg.Ack
 	c.state = StateEstablished
-	c.estabTime = c.st.s.Now()
 	c.peerWnd = int(seg.Window)
 	c.disarmRTO()
 	c.rto = initialRTO
@@ -1009,7 +974,6 @@ func (c *Conn) processData(seg *netpkt.TCP) {
 	if seg.Flags&netpkt.TCPFin != 0 && seq+uint32(len(payload)) == c.rcvNxt {
 		c.rcvNxt++
 		c.gotFin = true
-		c.finSeq = c.rcvNxt - 1
 		//hgwlint:allow exhaustlint a peer FIN only moves the three states that were still open to receive one; re-FIN in later states is a no-op
 		switch c.state {
 		case StateEstablished:

@@ -265,8 +265,8 @@ func TestOutOfWindowRSTIgnored(t *testing.T) {
 			Payload: bogus.Marshal(src, dst)})
 		_ = ha
 		p.Sleep(time.Second)
-		if c.State() != StateEstablished {
-			t.Errorf("state = %v after out-of-window RST, want Established", c.State())
+		if c.state != StateEstablished {
+			t.Errorf("state = %v after out-of-window RST, want Established", c.state)
 		}
 		c.Abort()
 	})
@@ -307,8 +307,8 @@ func TestManyParallelConnections(t *testing.T) {
 	if okCount != n || accepted != n {
 		t.Fatalf("ok=%d accepted=%d, want %d", okCount, accepted, n)
 	}
-	if ta.NumConns() != n {
-		t.Fatalf("client conns = %d", ta.NumConns())
+	if len(ta.conns) != n {
+		t.Fatalf("client conns = %d", len(ta.conns))
 	}
 }
 
@@ -390,7 +390,7 @@ func TestIdleConnectionSurvives(t *testing.T) {
 		if err != nil || string(data) != "still-there" {
 			t.Errorf("read after idle: %q %v", data, err)
 		}
-		final = c.State()
+		final = c.state
 	})
 	s.Run(0)
 	if final != StateEstablished {

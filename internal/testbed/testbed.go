@@ -132,11 +132,10 @@ type Testbed struct {
 	dnsZone   dnsmsg.Zone
 	vlanBase  int
 
-	// DNSQueriesUDP / DNSQueriesTCP count queries answered by the
-	// testbed DNS server per transport (used to detect gateways that
-	// forward TCP-received queries upstream over UDP, like ap).
+	// DNSQueriesUDP counts queries the testbed DNS server answered
+	// over UDP (used to detect gateways that forward TCP-received
+	// queries upstream over UDP, like ap).
 	DNSQueriesUDP int
-	DNSQueriesTCP int
 }
 
 // Build constructs the testbed topology (links, switches, gateways,
@@ -231,7 +230,9 @@ func Build(s *sim.Sim, cfg Config) *Testbed {
 	// traffic, e.g. for the hole-punching experiments, relies on this.
 	tb.Server.Host.ForwardHook = func(in *stack.NetIf, ip *netpkt.IPv4) {
 		if ip.TTL <= 1 {
+			// The error copies what it embeds; the packet dies here.
 			tb.Server.Host.SendICMPError(ip, netpkt.ICMPTimeExceeded, netpkt.ICMPCodeTTLExceeded, 0)
+			tb.Server.Host.Drop(ip)
 			return
 		}
 		ip.TTL--
@@ -250,16 +251,6 @@ func Build(s *sim.Sim, cfg Config) *Testbed {
 // disjoint ranges into the 12-bit VLAN space of real switches.
 func (tb *Testbed) wanVLAN(idx int) uint16 { return uint16(tb.vlanBase + 2*idx) }
 func (tb *Testbed) lanVLAN(idx int) uint16 { return uint16(tb.vlanBase + 2*idx + 1) }
-
-// Node returns the node for a tag.
-func (tb *Testbed) Node(tag string) *Node {
-	for _, n := range tb.Nodes {
-		if n.Tag == tag {
-			return n
-		}
-	}
-	return nil
-}
 
 // Start boots every gateway and then configures every client interface
 // via DHCP, installing interface-specific routes to the corresponding
@@ -357,7 +348,6 @@ func (tb *Testbed) startDNSServer() {
 				if err != nil {
 					continue
 				}
-				tb.DNSQueriesTCP++
 				resp, err := tb.dnsZone.Answer(q).Marshal()
 				if err != nil {
 					continue
@@ -369,9 +359,6 @@ func (tb *Testbed) startDNSServer() {
 		})
 	})
 }
-
-// Zone returns the testbed's DNS zone for extension by examples/tests.
-func (tb *Testbed) Zone() dnsmsg.Zone { return tb.dnsZone }
 
 // AddWANHost attaches an additional host to a node's WAN segment and
 // configures it via the server's per-VLAN DHCP service, returning the

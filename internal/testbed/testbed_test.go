@@ -1,12 +1,14 @@
 package testbed
 
 import (
+	"net/netip"
 	"testing"
 	"time"
 
 	"hgw/internal/nat"
 	"hgw/internal/netpkt"
 	"hgw/internal/sim"
+	"hgw/internal/udp"
 )
 
 func TestSetupThreeDevices(t *testing.T) {
@@ -25,18 +27,26 @@ func TestSetupThreeDevices(t *testing.T) {
 			t.Fatalf("%s: WAN = %v", n.Tag, n.WANAddr)
 		}
 	}
-	// Client can reach the per-node server address through each NAT.
-	var okJe, okLs1 bool
+	// Client can reach the per-node server address through each NAT:
+	// an ICMP echo request sent by the client's stack is answered.
+	replied := map[netip.Addr]bool{}
+	tb.Client.Host.ListenICMP(func(from netip.Addr, ic *netpkt.ICMP, inner *netpkt.IPv4) {
+		if ic.Type == netpkt.ICMPEchoReply {
+			replied[from] = true
+		}
+	})
 	s.Spawn("ping", func(p *sim.Proc) {
-		okJe = tb.Client.Host.Ping(p, tb.Node("je").ServerAddr, 2*time.Second)
-		okLs1 = tb.Client.Host.Ping(p, tb.Node("ls1").ServerAddr, 2*time.Second)
+		for i, n := range tb.Nodes[:2] { // je, ls1
+			req := &netpkt.ICMP{Type: netpkt.ICMPEchoRequest, Rest: uint32(i + 1), Body: []byte("hgw-ping")}
+			tb.Client.Host.Send(&netpkt.IPv4{Protocol: netpkt.ProtoICMP, Dst: n.ServerAddr, Payload: req.Marshal()})
+			p.Sleep(2 * time.Second)
+		}
 	})
 	s.Run(0)
-	if !okJe {
-		t.Fatal("ping through je failed")
-	}
-	if !okLs1 {
-		t.Fatal("ping through ls1 failed")
+	for _, n := range tb.Nodes[:2] {
+		if !replied[n.ServerAddr] {
+			t.Fatalf("ping through %s failed", n.Tag)
+		}
 	}
 }
 
@@ -53,17 +63,18 @@ func TestUDPEchoThroughNAT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var observedSrc netip.Addr
 	s.Spawn("echo-server", func(p *sim.Proc) {
 		for {
 			d, ok := srv.Recv(p, 30*time.Second)
 			if !ok {
 				return
 			}
+			observedSrc = d.From
 			srv.SendTo(d.From, d.FromPort, d.Data)
 		}
 	})
 	var echoed bool
-	var observedSrc string
 	s.Spawn("client", func(p *sim.Proc) {
 		c, err := tb.Client.UDP.Dial(n.ServerAddr, 7)
 		if err != nil {
@@ -73,7 +84,6 @@ func TestUDPEchoThroughNAT(t *testing.T) {
 		c.Send([]byte("ping"))
 		d, ok := c.Recv(p, 5*time.Second)
 		echoed = ok && string(d.Data) == "ping"
-		_ = observedSrc
 	})
 	s.Run(0)
 	if !echoed {
@@ -81,14 +91,21 @@ func TestUDPEchoThroughNAT(t *testing.T) {
 	}
 	// The server must have seen the gateway's WAN address, not the
 	// client's private one — i.e. translation actually happened.
-	if n.Dev.Engine.Translations == 0 {
-		t.Fatal("no translations recorded")
+	if observedSrc != n.WANAddr {
+		t.Fatalf("server saw the datagram from %v, want the WAN address %v", observedSrc, n.WANAddr)
 	}
 }
 
 func TestTCPThroughNAT(t *testing.T) {
 	tb, s := Run(Config{Tags: []string{"bu1"}})
 	n := tb.Nodes[0]
+	// The connection must appear to come from the WAN address.
+	var peers []netip.Addr
+	n.ServerIf.Link.Tap = func(dir string, f *netpkt.Frame) {
+		if ip, err := netpkt.ParseIPv4(f.Payload); dir == "rx" && err == nil && ip.Protocol == netpkt.ProtoTCP {
+			peers = append(peers, ip.Src)
+		}
+	}
 	lis, err := tb.Server.TCP.Listen(8080)
 	if err != nil {
 		t.Fatal(err)
@@ -99,11 +116,6 @@ func TestTCPThroughNAT(t *testing.T) {
 		if err != nil {
 			t.Errorf("accept: %v", err)
 			return
-		}
-		// The connection must appear to come from the WAN address.
-		peer, _ := c.Remote()
-		if peer != n.WANAddr {
-			t.Errorf("peer = %v, want %v", peer, n.WANAddr)
 		}
 		var buf [1024]byte
 		k, err := c.Read(p, buf[:], 10*time.Second)
@@ -126,6 +138,14 @@ func TestTCPThroughNAT(t *testing.T) {
 	s.Run(0)
 	if got != "hello-through-nat" {
 		t.Fatalf("got %q", got)
+	}
+	if len(peers) == 0 {
+		t.Fatal("no TCP segment reached the server")
+	}
+	for _, peer := range peers {
+		if peer != n.WANAddr {
+			t.Fatalf("segment from %v, want %v", peer, n.WANAddr)
+		}
 	}
 }
 
@@ -201,21 +221,30 @@ func TestVLANIsolationBetweenNodes(t *testing.T) {
 	tb, s := Run(Config{Tags: []string{"je", "to"}})
 	a, b := tb.Nodes[0], tb.Nodes[1]
 	srv, _ := tb.Server.UDP.BindIf(a.ServerIf, 4100)
+	seenByB := 0
+	b.Dev.LANIf.Link.Tap = func(dir string, f *netpkt.Frame) {
+		if ip, err := netpkt.ParseIPv4(f.Payload); err == nil && ip.Dst == a.ServerAddr {
+			seenByB++
+		}
+	}
+	var from netip.Addr
 	var ok bool
 	s.Spawn("probe", func(p *sim.Proc) {
 		c, _ := tb.Client.UDP.Dial(a.ServerAddr, 4100)
 		c.Send([]byte("via-A"))
-		_, ok = srv.Recv(p, 2*time.Second)
+		var d udp.Datagram
+		d, ok = srv.Recv(p, 2*time.Second)
+		from = d.From
 	})
 	s.Run(0)
 	if !ok {
 		t.Fatal("probe via node A failed")
 	}
-	if a.Dev.Engine.Translations == 0 {
-		t.Fatal("node A translated nothing")
+	if from != a.WANAddr {
+		t.Fatalf("probe arrived from %v, want node A's WAN address %v", from, a.WANAddr)
 	}
-	if b.Dev.Engine.Translations != 0 {
-		t.Fatalf("node B translated %d packets of node A's flow", b.Dev.Engine.Translations)
+	if seenByB != 0 {
+		t.Fatalf("node B's LAN port saw %d packets of node A's flow", seenByB)
 	}
 }
 

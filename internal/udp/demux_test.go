@@ -47,26 +47,10 @@ func refDemux(open []*Conn, ifc *stack.NetIf, dst, src netip.Addr, sport, dport 
 	return best
 }
 
-// refICMP is the reference ICMP error target: the first open socket on
-// sport, in bind order, that is unconnected or connected to dst:dport.
-func refICMP(open []*Conn, sport uint16, dst netip.Addr, dport uint16) *Conn {
-	for _, c := range open {
-		if c.localPort != sport {
-			continue
-		}
-		if c.remoteAddr.IsValid() && (c.remoteAddr != dst || c.remotePort != dport) {
-			continue
-		}
-		return c
-	}
-	return nil
-}
-
 // TestDemuxMatchesLinearScan draws random socket sets — wildcard,
 // address-bound, interface-bound and connected sockets, bound and
 // closed in random order, ephemeral ports steered onto the service
-// ports — and checks every delivery and every ICMP error target
-// against the linear scan, bind conflicts against the open set, and
+// ports — and checks every delivery against the linear scan, bind conflicts against the open set, and
 // that an ephemeral port is never one a socket holds.
 func TestDemuxMatchesLinearScan(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {
@@ -130,7 +114,7 @@ func demuxTrial(t *testing.T, seed int64) {
 			want := conflict(netip.Addr{}, ifc, port)
 			c, err := st.BindIf(ifc, port)
 			if (err != nil) != want {
-				t.Fatalf("op %d: BindIf(%s, %d) error %v, want conflict %v", op, ifc.Name(), port, err, want)
+				t.Fatalf("op %d: BindIf(%s, %d) error %v, want conflict %v", op, ifc.Link.Name, port, err, want)
 			}
 			if c != nil {
 				open = append(open, c)
@@ -168,10 +152,7 @@ func demuxTrial(t *testing.T, seed int64) {
 				dport = open[pick(len(open))].localPort
 			}
 			if got, want := st.demux(ifc, dst, src, sport, dport), refDemux(open, ifc, dst, src, sport, dport); got != want {
-				t.Fatalf("op %d: datagram %v:%d -> %v:%d on %s delivered to %+v, linear scan %+v", op, src, sport, dst, dport, ifc.Name(), got, want)
-			}
-			if got, want := st.icmpTarget(dport, src, sport), refICMP(open, dport, src, sport); got != want {
-				t.Fatalf("op %d: ICMP error about %d -> %v:%d goes to %+v, linear scan %+v", op, dport, src, sport, got, want)
+				t.Fatalf("op %d: datagram %v:%d -> %v:%d on %s delivered to %+v, linear scan %+v", op, src, sport, dst, dport, ifc.Link.Name, got, want)
 			}
 		}
 	}
@@ -206,7 +187,7 @@ func newBoundServer(tb testing.TB, n int) *boundServer {
 		srv.conns = append(srv.conns, c)
 		srv.pkts = append(srv.pkts, &netpkt.IPv4{
 			Protocol: netpkt.ProtoUDP, Src: src, Dst: ifc.Addr, TTL: 64,
-			Payload: u.Marshal(src, ifc.Addr),
+			Payload: u.AppendMarshal(nil, src, ifc.Addr),
 		})
 	}
 	return srv
@@ -215,7 +196,7 @@ func newBoundServer(tb testing.TB, n int) *boundServer {
 // deliver hands the datagram for socket i to the stack and reads it.
 func (srv *boundServer) deliver(tb testing.TB, i int) {
 	st, ip := srv.st, srv.pkts[i]
-	st.input(st.h.Ifaces()[i], ip)
+	st.input(srv.conns[i].iface, ip)
 	if _, ok := srv.conns[i].TryRecv(); !ok {
 		tb.Fatalf("datagram for vlan%d not delivered", i)
 	}

@@ -42,7 +42,6 @@ type Stack struct {
 	// of a chunk is written again once handed out, so a Datagram's
 	// Data stays valid for as long as its holder keeps it.
 	chunk    []byte
-	binds    uint64 // sockets bound so far; orders ICMP delivery
 	nextPort uint16
 
 	// GeneratePortUnreachable controls whether datagrams to closed
@@ -83,20 +82,11 @@ type Conn struct {
 	localAddr  netip.Addr   // zero = any local address
 	iface      *stack.NetIf // non-nil = only packets arriving on this interface
 	remoteAddr netip.Addr
-	next       *Conn  // next socket in the same Stack.conns entry
-	seq        uint64 // bind order within the stack
+	next       *Conn // next socket in the same Stack.conns entry
 	localPort  uint16
 	remotePort uint16
 	closed     bool
 	rx         sim.Chan[Datagram]
-	icmp       *sim.Chan[ICMPEvent] // created on first use; most sockets never see ICMP
-}
-
-// ICMPEvent reports an ICMP error received about this socket's traffic.
-type ICMPEvent struct {
-	From netip.Addr
-	Type uint8
-	Code uint8
 }
 
 var errPortInUse = errors.New("udp: port in use")
@@ -134,13 +124,11 @@ func (st *Stack) bind(addr netip.Addr, ifc *stack.NetIf, port uint16) (*Conn, er
 		}
 		last = &c.next
 	}
-	st.binds++
 	c := &Conn{
 		st:        st,
 		localAddr: addr,
 		iface:     ifc,
 		localPort: port,
-		seq:       st.binds,
 	}
 	c.rx.Init(st.s)
 	*last = c
@@ -220,21 +208,6 @@ func (c *Conn) Close() {
 		st.addBound(c.localPort, -1)
 	}
 	c.rx.Close()
-	if c.icmp != nil {
-		c.icmp.Close()
-	}
-}
-
-// icmpChan returns the socket's ICMP error channel, creating it on
-// first use (closed already if the socket is).
-func (c *Conn) icmpChan() *sim.Chan[ICMPEvent] {
-	if c.icmp == nil {
-		c.icmp = sim.NewChan[ICMPEvent](c.st.s)
-		if c.closed {
-			c.icmp.Close()
-		}
-	}
-	return c.icmp
 }
 
 // SendTo transmits a datagram to dst:dport. It returns false if the host
@@ -329,11 +302,6 @@ func (c *Conn) Serve(fn func(Datagram)) { c.rx.Serve(fn) }
 // TryRecv returns a buffered datagram without blocking.
 func (c *Conn) TryRecv() (Datagram, bool) { return c.rx.TryRecv() }
 
-// RecvICMP waits for an ICMP error concerning this socket.
-func (c *Conn) RecvICMP(p *sim.Proc, timeout time.Duration) (ICMPEvent, bool) {
-	return c.icmpChan().Recv(p, timeout)
-}
-
 // Drain discards buffered datagrams.
 func (c *Conn) Drain() int { return c.rx.Drain() }
 
@@ -427,54 +395,4 @@ func (st *Stack) keep(p []byte) []byte {
 	off := len(st.chunk)
 	st.chunk = append(st.chunk, p...)
 	return st.chunk[off:len(st.chunk):len(st.chunk)]
-}
-
-// DeliverICMP routes an ICMP error to the socket that sent the embedded
-// datagram. The stack wires this up automatically.
-func (st *Stack) deliverICMP(from netip.Addr, ic *netpkt.ICMP, inner *netpkt.IPv4) {
-	if inner == nil || inner.Protocol != netpkt.ProtoUDP {
-		return
-	}
-	sport, dport, ok := netpkt.UDPPorts(inner.Payload)
-	if !ok {
-		return
-	}
-	if c := st.icmpTarget(sport, inner.Dst, dport); c != nil {
-		c.icmpChan().Send(ICMPEvent{From: from, Type: ic.Type, Code: ic.Code})
-	}
-}
-
-// icmpTarget returns the socket an ICMP error about a datagram sent
-// from port sport to dst:dport concerns: the first bound, on any
-// interface or none, that is unconnected or connected to dst:dport.
-func (st *Stack) icmpTarget(sport uint16, dst netip.Addr, dport uint16) *Conn {
-	e, ok := st.conns[ifPort{sport, nil}]
-	if !ok {
-		return nil
-	}
-	var first *Conn
-	consider := func(head *Conn) {
-		for c := head; c != nil; c = c.next {
-			if c.remoteAddr.IsValid() && (c.remoteAddr != dst || c.remotePort != dport) {
-				continue
-			}
-			if first == nil || c.seq < first.seq {
-				first = c
-			}
-			return
-		}
-	}
-	consider(e.head)
-	if e.bound > 0 {
-		for _, ifc := range st.h.Ifaces() {
-			consider(st.conns[ifPort{sport, ifc}].head)
-		}
-	}
-	return first
-}
-
-// EnableICMPErrors subscribes the UDP stack to host ICMP errors so that
-// sockets can observe them via RecvICMP.
-func (st *Stack) EnableICMPErrors() {
-	st.h.ListenICMP(st.deliverICMP)
 }

@@ -2,6 +2,7 @@ package udp
 
 import (
 	"bytes"
+	"net/netip"
 	"testing"
 	"time"
 
@@ -103,39 +104,43 @@ func TestConnectedFilters(t *testing.T) {
 	}
 }
 
-func TestPortUnreachable(t *testing.T) {
+// icmpErrors sends one datagram from a to b's closed port 4242 and
+// returns the ICMP errors about it that reach a.
+func icmpErrors(t *testing.T, portUnreachable bool) []*netpkt.ICMP {
+	t.Helper()
 	s := sim.New(1)
-	_, _, ua, _ := pair(s)
-	var ev ICMPEvent
-	var got bool
-	s.Spawn("client", func(p *sim.Proc) {
-		ua.EnableICMPErrors()
-		c, _ := ua.Dial(netpkt.Addr4(10, 0, 0, 2), 4242) // nothing listening
-		c.Send([]byte("anyone?"))
-		ev, got = c.RecvICMP(p, 2*time.Second)
+	ha, _, ua, ub := pair(s)
+	ub.GeneratePortUnreachable = portUnreachable
+	var got []*netpkt.ICMP
+	ha.ListenICMP(func(from netip.Addr, ic *netpkt.ICMP, inner *netpkt.IPv4) {
+		if inner == nil {
+			return
+		}
+		if sport, dport, ok := netpkt.UDPPorts(inner.Payload); ok && from == netpkt.Addr4(10, 0, 0, 2) && dport == 4242 && sport != 0 {
+			got = append(got, &netpkt.ICMP{Type: ic.Type, Code: ic.Code})
+		}
 	})
-	s.Run(0)
-	if !got {
-		t.Fatal("no ICMP error")
+	c, err := ua.Dial(netpkt.Addr4(10, 0, 0, 2), 4242) // nothing listening
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ev.Type != netpkt.ICMPDestUnreachable || ev.Code != netpkt.ICMPCodePortUnreachable {
-		t.Fatalf("ICMP %d/%d", ev.Type, ev.Code)
+	c.Send([]byte("anyone?"))
+	s.Run(0)
+	return got
+}
+
+func TestPortUnreachable(t *testing.T) {
+	got := icmpErrors(t, true)
+	if len(got) != 1 {
+		t.Fatalf("%d ICMP errors, want 1", len(got))
+	}
+	if got[0].Type != netpkt.ICMPDestUnreachable || got[0].Code != netpkt.ICMPCodePortUnreachable {
+		t.Fatalf("ICMP %d/%d", got[0].Type, got[0].Code)
 	}
 }
 
 func TestPortUnreachableSuppressed(t *testing.T) {
-	s := sim.New(1)
-	_, _, ua, ub := pair(s)
-	ub.GeneratePortUnreachable = false
-	got := false
-	s.Spawn("client", func(p *sim.Proc) {
-		ua.EnableICMPErrors()
-		c, _ := ua.Dial(netpkt.Addr4(10, 0, 0, 2), 4242)
-		c.Send([]byte("anyone?"))
-		_, got = c.RecvICMP(p, 2*time.Second)
-	})
-	s.Run(0)
-	if got {
+	if got := icmpErrors(t, false); len(got) != 0 {
 		t.Fatal("ICMP generated despite suppression")
 	}
 }

@@ -641,7 +641,7 @@ func (r *Runner) sweepShards(ctx context.Context, exps []*Experiment) ([][]stats
 				r.emit(Progress{Kind: ProgressShard, Shard: i, Index: i, Total: n})
 				b.pts = make([][]stats.DevicePoint, len(exps))
 				for j := range rows {
-					b.pts[j] = pointsFromRows(rows[j])
+					b.pts[j] = report.Points(rows[j])
 				}
 				if r.set.deviceCB != nil {
 					b.rows = rows
@@ -686,10 +686,9 @@ func (r *Runner) sweepShards(ctx context.Context, exps []*Experiment) ([][]stats
 				if err := ctx.Err(); err != nil {
 					return err // interrupted mid-sweep: rows are incomplete
 				}
-				// Reduce rows to points here, matching report.NewFigure's
-				// reduction, so the merge accumulates three floats per
-				// device instead of every raw sample.
-				b.pts[j] = pointsFromRows(rows)
+				// Reduce rows to points here, so the merge accumulates
+				// three floats per device instead of every raw sample.
+				b.pts[j] = report.Points(rows)
 				if b.rows != nil {
 					b.rows[j] = rows
 				}

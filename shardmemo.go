@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"hgw/internal/memo"
-	"hgw/internal/stats"
 	"hgw/internal/testbed"
 )
 
@@ -159,19 +158,4 @@ func decodeShardRows(blob []byte, wantExps int) ([][]DeviceResult, error) {
 		return nil, fmt.Errorf("memo blob holds %d experiments, want %d", len(rows), wantExps)
 	}
 	return rows, nil
-}
-
-// pointsFromRows reduces one sweep's device rows to population points,
-// matching report.NewFigure's reduction (devices with no samples are
-// dropped). Cold sweeps and memo replays share this one reduction, so a
-// memo hit merges byte-identically to the execution it recorded.
-func pointsFromRows(rows []DeviceResult) []stats.DevicePoint {
-	pts := make([]stats.DevicePoint, 0, len(rows))
-	for _, dr := range rows {
-		if len(dr.Samples) == 0 {
-			continue
-		}
-		pts = append(pts, dr.Point())
-	}
-	return pts
 }
