@@ -133,7 +133,7 @@ func TestCacheKeyFaults(t *testing.T) {
 	if empty != base {
 		t.Error("zero FaultSpec changed the cache key; pre-fault clients lose their cache entries")
 	}
-	faulted, err := hgw.CacheKey([]string{"udp1"}, hgw.WithSeed(1), hgw.WithFaultRate(0.1))
+	faulted, err := hgw.CacheKey([]string{"udp1"}, hgw.WithSeed(1), hgw.WithFaults(hgw.FaultSpec{Rate: 0.1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,9 +149,9 @@ func TestCacheKeyFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fanned != faulted {
-		t.Error("WithFaultRate(0.1) does not hash like its per-class expansion")
+		t.Error("Rate 0.1 does not hash like its per-class expansion")
 	}
-	other, err := hgw.CacheKey([]string{"udp1"}, hgw.WithSeed(1), hgw.WithFaultRate(0.2))
+	other, err := hgw.CacheKey([]string{"udp1"}, hgw.WithSeed(1), hgw.WithFaults(hgw.FaultSpec{Rate: 0.2}))
 	if err != nil {
 		t.Fatal(err)
 	}

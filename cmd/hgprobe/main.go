@@ -68,7 +68,7 @@ func main() {
 		opts = append(opts, hgw.WithTags(strings.Split(*tags, ",")...))
 	}
 	if *faults > 0 {
-		opts = append(opts, hgw.WithFaultRate(*faults))
+		opts = append(opts, hgw.WithFaults(hgw.FaultSpec{Rate: *faults}))
 	}
 	if *retries > 0 {
 		opts = append(opts, hgw.WithRetries(*retries))

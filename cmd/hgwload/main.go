@@ -1,37 +1,21 @@
-// Command hgwload is the load generator for hgwd: it drives the
-// measurement service with configurable request mixes and reports what
-// the reuse stack (DESIGN.md §15) did about them. It is a regression
-// test for queue, cache and coalescing behavior under heavy traffic
-// (CI runs a duplicate-heavy mix against a live daemon and asserts the
-// coalesce and cache-hit counters moved), and its reuse scenario gates
-// itself: it exits 1 when a reuse floor or count check fails.
+// Command hgwload is the reuse-stack gate for hgwd: it measures the
+// reuse stack (DESIGN.md §15) end to end with four timed runs and exits
+// 1 when a reuse floor or count check fails.
 //
-// Two scenarios:
+// The runs are a cold fleet job, the identical job re-submitted to a
+// freshly restarted daemon sharing the same -cache-dir (served from the
+// persistent result cache), the fleet grown by one shard at constant
+// per-shard size (every surviving shard served from the shard memo
+// store), and the grown fleet against an empty cache dir (the memo
+// run's cold control). The warm re-submit must execute no job and run
+// at least 50x faster than cold; the grown fleet must miss the memo
+// exactly once (its new shard) and run at least 4x faster than its cold
+// control.
 //
-//	-scenario mix (default) fires -requests jobs at -concurrency from a
-//	seeded schedule in which a -dup fraction repeats an earlier spec,
-//	then reports throughput, latency percentiles, per-status counts and
-//	the server's /v1/stats delta (how many requests were served by the
-//	cache tiers, coalesced onto an in-flight run, or actually executed).
+// hgwload serves itself: it starts an in-process hgwd on a loopback
+// port, and restarts it to prove persistence. Example:
 //
-//	-scenario reuse measures the reuse stack end to end with four
-//	timed runs: a cold fleet job, the identical job re-submitted to a
-//	freshly restarted daemon sharing the same -cache-dir (served from
-//	the persistent result cache), the fleet grown by one shard at
-//	constant per-shard size (every surviving shard served from the
-//	shard memo store), and the grown fleet against an empty cache dir
-//	(the memo run's cold control). The warm re-submit must execute no
-//	job and run at least 50x faster than cold; the grown fleet must
-//	miss the memo exactly once (its new shard) and run at least 4x
-//	faster than its cold control.
-//
-// With -addr empty, hgwload self-serves: it starts an in-process hgwd
-// on a loopback port (required for the reuse scenario, which restarts
-// the daemon to prove persistence). Examples:
-//
-//	hgwload -requests 64 -concurrency 8 -dup 0.7 -fleet 128 -shards 4
-//	hgwload -addr 127.0.0.1:8080 -requests 100 -dup 1 -json
-//	hgwload -scenario reuse -fleet 1024 -shards 8
+//	hgwload -fleet 1024 -shards 8
 package main
 
 import (
@@ -41,51 +25,33 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math/rand"
 	"net"
 	"net/http"
 	"os"
-	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"hgw/internal/service"
 )
 
 var (
-	addr        = flag.String("addr", "", "target hgwd address (host:port); empty self-serves an in-process daemon")
-	scenario    = flag.String("scenario", "mix", "mix | reuse")
-	requests    = flag.Int("requests", 64, "total requests to issue (mix)")
-	concurrency = flag.Int("concurrency", 8, "in-flight client requests (mix)")
-	dup         = flag.Float64("dup", 0.5, "fraction of requests repeating an earlier spec (mix)")
-	loadSeed    = flag.Int64("loadseed", 1, "rng seed for the request schedule (mix)")
-	expID       = flag.String("exp", "udp1", "experiment id the specs request")
-	fleet       = flag.Int("fleet", 128, "fleet size per spec (reuse default: 1024)")
-	shards      = flag.Int("shards", 4, "shard count per spec (reuse default: 8)")
-	iters       = flag.Int("iters", 1, "iterations per device")
-	seedBase    = flag.Int64("seed", 1, "base spec seed; fresh specs increment from it")
-	workers     = flag.Int("workers", 2, "self-served daemon's worker pool size")
-	queueDepth  = flag.Int("queue", 64, "self-served daemon's queue depth")
-	cacheDir    = flag.String("cache-dir", "", "self-served daemon's persistent cache dir (reuse: empty uses a temp dir)")
-	jsonOut     = flag.Bool("json", false, "emit the mix report as JSON")
-	pollEvery   = flag.Duration("poll", 5*time.Millisecond, "job status poll interval")
-	timeout     = flag.Duration("timeout", 5*time.Minute, "per-request completion timeout")
+	expID      = flag.String("exp", "udp1", "experiment id the specs request")
+	fleet      = flag.Int("fleet", 1024, "fleet size per spec")
+	shards     = flag.Int("shards", 8, "shard count per spec")
+	iters      = flag.Int("iters", 1, "iterations per device")
+	seedBase   = flag.Int64("seed", 1, "spec seed")
+	workers    = flag.Int("workers", 2, "self-served daemon's worker pool size")
+	queueDepth = flag.Int("queue", 64, "self-served daemon's queue depth")
+	cacheDir   = flag.String("cache-dir", "", "self-served daemon's persistent cache dir (empty uses a temp dir)")
+	pollEvery  = flag.Duration("poll", 5*time.Millisecond, "job status poll interval")
+	timeout    = flag.Duration("timeout", 5*time.Minute, "per-request completion timeout")
 )
 
 func main() {
 	flag.Parse()
 	log.SetFlags(0)
-	switch *scenario {
-	case "mix":
-		runMixScenario()
-	case "reuse":
-		if !runReuseScenario() {
-			os.Exit(1)
-		}
-	default:
-		log.Fatalf("hgwload: unknown -scenario %q (want mix or reuse)", *scenario)
+	if !runReuseScenario() {
+		os.Exit(1)
 	}
 }
 
@@ -219,173 +185,21 @@ func (d *daemon) stop() {
 	d.svc.Shutdown()
 }
 
-func specFor(seed int64) service.Spec {
-	return service.Spec{
-		IDs:        []string{*expID},
-		Seed:       seed,
-		Iterations: *iters,
-		Fleet:      *fleet,
-		Shards:     *shards,
-	}
-}
-
-// statsDelta is the server-side story of one load run: how the
-// requests were actually served.
+// statsDelta is the server-side story of one run: how the request
+// was actually served.
 type statsDelta struct {
-	CacheHits     uint64 `json:"cache_hits"`
-	CacheDiskHits uint64 `json:"cache_disk_hits"`
-	CacheMisses   uint64 `json:"cache_misses"`
-	MemoHits      uint64 `json:"memo_hits"`
-	MemoMisses    uint64 `json:"memo_misses"`
-	Coalesced     uint64 `json:"coalesced"`
-	JobsExecuted  uint64 `json:"jobs_executed"`
+	CacheDiskHits uint64
+	MemoHits      uint64
+	MemoMisses    uint64
+	JobsExecuted  uint64
 }
 
 func delta(before, after service.Stats) statsDelta {
 	return statsDelta{
-		CacheHits:     after.Cache.Hits - before.Cache.Hits,
 		CacheDiskHits: after.Cache.DiskHits - before.Cache.DiskHits,
-		CacheMisses:   after.Cache.Misses - before.Cache.Misses,
 		MemoHits:      (after.Memo.MemHits + after.Memo.DiskHits) - (before.Memo.MemHits + before.Memo.DiskHits),
 		MemoMisses:    after.Memo.Misses - before.Memo.Misses,
-		Coalesced:     after.Coalesced - before.Coalesced,
 		JobsExecuted:  after.JobsExecuted - before.JobsExecuted,
-	}
-}
-
-// mixReport is the mix scenario's output (-json emits it verbatim).
-type mixReport struct {
-	Scenario    string             `json:"scenario"`
-	Requests    int                `json:"requests"`
-	Concurrency int                `json:"concurrency"`
-	DupRatio    float64            `json:"dup_ratio"`
-	WallMS      float64            `json:"wall_ms"`
-	ReqPerSec   float64            `json:"req_per_sec"`
-	Errors      int                `json:"errors"`
-	Statuses    map[string]int     `json:"statuses"`
-	Cached      int                `json:"cached"`
-	Coalesced   int                `json:"coalesced"`
-	LatencyMS   map[string]float64 `json:"latency_ms"`
-	StatsDelta  statsDelta         `json:"stats_delta"`
-}
-
-func runMixScenario() {
-	var c *client
-	if *addr != "" {
-		c = newClient(*addr)
-	} else {
-		d := startDaemon(*cacheDir)
-		defer d.stop()
-		c = d.c
-	}
-	before, err := c.stats()
-	if err != nil {
-		log.Fatalf("hgwload: reading /v1/stats: %v", err)
-	}
-
-	// The request schedule is drawn up front from -loadseed, so a given
-	// flag set always issues the same specs in the same order: request
-	// i either repeats a uniformly-chosen earlier spec (probability
-	// -dup) or introduces the next fresh seed.
-	rng := rand.New(rand.NewSource(*loadSeed))
-	seeds := make([]int64, *requests)
-	fresh := int64(0)
-	for i := range seeds {
-		if fresh > 0 && rng.Float64() < *dup {
-			seeds[i] = *seedBase + rng.Int63n(fresh)
-		} else {
-			seeds[i] = *seedBase + fresh
-			fresh++
-		}
-	}
-
-	views := make([]service.View, *requests)
-	lats := make([]time.Duration, *requests)
-	errs := make([]error, *requests)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < *concurrency; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= *requests {
-					return
-				}
-				views[i], lats[i], errs[i] = c.run(specFor(seeds[i]))
-			}
-		}()
-	}
-	wg.Wait()
-	wall := time.Since(start)
-	after, err := c.stats()
-	if err != nil {
-		log.Fatalf("hgwload: reading /v1/stats: %v", err)
-	}
-
-	rep := mixReport{
-		Scenario:    "mix",
-		Requests:    *requests,
-		Concurrency: *concurrency,
-		DupRatio:    *dup,
-		WallMS:      float64(wall) / float64(time.Millisecond),
-		ReqPerSec:   float64(*requests) / wall.Seconds(),
-		Statuses:    map[string]int{},
-		LatencyMS:   map[string]float64{},
-		StatsDelta:  delta(before, after),
-	}
-	var ok []time.Duration
-	for i := range views {
-		if errs[i] != nil {
-			rep.Errors++
-			log.Printf("hgwload: request %d: %v", i, errs[i])
-			continue
-		}
-		rep.Statuses[string(views[i].Status)]++
-		if views[i].Cached {
-			rep.Cached++
-		}
-		if views[i].Coalesced {
-			rep.Coalesced++
-		}
-		ok = append(ok, lats[i])
-	}
-	if len(ok) > 0 {
-		sort.Slice(ok, func(i, j int) bool { return ok[i] < ok[j] })
-		pct := func(p float64) float64 {
-			idx := int(p * float64(len(ok)-1))
-			return float64(ok[idx]) / float64(time.Millisecond)
-		}
-		var sum time.Duration
-		for _, l := range ok {
-			sum += l
-		}
-		rep.LatencyMS["p50"] = pct(0.50)
-		rep.LatencyMS["p90"] = pct(0.90)
-		rep.LatencyMS["p99"] = pct(0.99)
-		rep.LatencyMS["max"] = float64(ok[len(ok)-1]) / float64(time.Millisecond)
-		rep.LatencyMS["mean"] = float64(sum) / float64(len(ok)) / float64(time.Millisecond)
-	}
-
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		enc.Encode(rep)
-	} else {
-		fmt.Printf("hgwload mix: %d requests, concurrency %d, dup %.2f\n",
-			rep.Requests, rep.Concurrency, rep.DupRatio)
-		fmt.Printf("  wall %.1f ms  (%.1f req/s), errors %d\n", rep.WallMS, rep.ReqPerSec, rep.Errors)
-		fmt.Printf("  latency ms: p50 %.1f  p90 %.1f  p99 %.1f  max %.1f  mean %.1f\n",
-			rep.LatencyMS["p50"], rep.LatencyMS["p90"], rep.LatencyMS["p99"],
-			rep.LatencyMS["max"], rep.LatencyMS["mean"])
-		fmt.Printf("  served: %d cached, %d coalesced, %d executed (cache hits %d mem + %d disk, memo hits %d)\n",
-			rep.Cached, rep.Coalesced, rep.StatsDelta.JobsExecuted,
-			rep.StatsDelta.CacheHits, rep.StatsDelta.CacheDiskHits, rep.StatsDelta.MemoHits)
-	}
-	if rep.Errors > 0 {
-		os.Exit(1)
 	}
 }
 
@@ -393,12 +207,6 @@ func runMixScenario() {
 // held. It returns rather than exiting so its deferred temp-dir removal
 // runs on failure too.
 func runReuseScenario() bool {
-	if flagUnset("fleet") {
-		*fleet = 1024
-	}
-	if flagUnset("shards") {
-		*shards = 8
-	}
 	dir := *cacheDir
 	if dir == "" {
 		var err error
@@ -415,8 +223,14 @@ func runReuseScenario() bool {
 
 	// MaxProcs 1 keeps the cold runs serial, so the ratios measure
 	// reuse, not how many cores the machine has.
-	spec := specFor(*seedBase)
-	spec.MaxProcs = 1
+	spec := service.Spec{
+		IDs:        []string{*expID},
+		Seed:       *seedBase,
+		Iterations: *iters,
+		Fleet:      *fleet,
+		Shards:     *shards,
+		MaxProcs:   1,
+	}
 	grown := spec
 	grown.Fleet += spec.Fleet / spec.Shards
 	grown.Shards++
@@ -507,16 +321,4 @@ func ratio(num, den time.Duration) float64 {
 		return 0
 	}
 	return float64(num) / float64(den)
-}
-
-// flagUnset reports whether the user left name at its default, letting
-// the reuse scenario pick its own (larger) geometry defaults.
-func flagUnset(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return !set
 }

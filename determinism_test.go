@@ -180,7 +180,7 @@ func TestFaultedFleetDeterminismMatrix(t *testing.T) {
 		return []hgw.Option{
 			hgw.WithSeed(11), hgw.WithFleet(96), hgw.WithShards(4),
 			hgw.WithIterations(1), hgw.WithMaxProcs(procs),
-			hgw.WithFaultRate(1), hgw.WithRetries(2),
+			hgw.WithFaults(hgw.FaultSpec{Rate: 1}), hgw.WithRetries(2),
 		}
 	}
 	baseRender, baseTrace := fleetTrace(t, ids, opts(1)...)

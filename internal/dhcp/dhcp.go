@@ -392,7 +392,6 @@ type Lease struct {
 	Router netip.Addr
 	DNS    netip.Addr
 	Server netip.Addr
-	TTL    time.Duration
 }
 
 // ClientConfig controls how the DHCP client applies a lease.
@@ -403,22 +402,19 @@ type ClientConfig struct {
 	// DefaultRoute false to reproduce that.
 	ExtraRoutes  []netip.Prefix
 	DefaultRoute bool
-	// Timeout bounds each request round-trip (default 3 s).
-	Timeout time.Duration
-	// Retries is the number of DISCOVER attempts (default 3).
-	Retries int
 }
+
+// The client's retransmission schedule: acquireAttempts DISCOVERs,
+// each waiting acquireTimeout for the OFFER and again for the ACK.
+const (
+	acquireAttempts = 3
+	acquireTimeout  = 3 * time.Second
+)
 
 // Acquire runs a DISCOVER/OFFER/REQUEST/ACK exchange on ifc, configures
 // the interface address and routes per cfg, and returns the lease. It
 // must be called from a simulator process.
 func Acquire(p *sim.Proc, us *udp.Stack, ifc *stack.NetIf, cfg ClientConfig) (*Lease, error) {
-	if cfg.Timeout == 0 {
-		cfg.Timeout = 3 * time.Second
-	}
-	if cfg.Retries == 0 {
-		cfg.Retries = 3
-	}
 	conn, err := us.BindIf(ifc, ClientPort)
 	if err != nil {
 		return nil, fmt.Errorf("dhcp: %w", err)
@@ -439,7 +435,7 @@ func Acquire(p *sim.Proc, us *udp.Stack, ifc *stack.NetIf, cfg ClientConfig) (*L
 		broadcast(ifc, netpkt.Addr4(0, 0, 0, 0), ClientPort, ServerPort, m)
 	}
 	recvType := func(want uint8) bool {
-		deadline := h.S.Now() + cfg.Timeout
+		deadline := h.S.Now() + acquireTimeout
 		for {
 			remain := deadline - h.S.Now()
 			if remain <= 0 {
@@ -458,7 +454,7 @@ func Acquire(p *sim.Proc, us *udp.Stack, ifc *stack.NetIf, cfg ClientConfig) (*L
 		}
 	}
 
-	for attempt := 0; attempt < cfg.Retries; attempt++ {
+	for attempt := 0; attempt < acquireAttempts; attempt++ {
 		sendBcast(Discover, netip.Addr{})
 		if !recvType(Offer) {
 			continue
@@ -473,9 +469,6 @@ func Acquire(p *sim.Proc, us *udp.Stack, ifc *stack.NetIf, cfg ClientConfig) (*L
 		}
 		lease.Router, _ = m.AddrOption(OptRouter)
 		lease.DNS, _ = m.AddrOption(OptDNS)
-		if v, ok := m.Option(OptLeaseTime); ok && len(v) == 4 {
-			lease.TTL = time.Duration(binary.BigEndian.Uint32(v)) * time.Second
-		}
 		// Apply: address, connected route, and per-config routes.
 		ifc.SetAddr(lease.Addr, lease.Plen)
 		if lease.Router.IsValid() {

@@ -70,6 +70,17 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
+// How long each fault class lasts once it strikes (DESIGN.md §14). A
+// plan draws only when and where faults strike; their lengths are
+// fixed.
+const (
+	flapDown     = 2 * time.Second  // brief WAN carrier loss
+	lossDur      = 30 * time.Second // a loss window
+	corruptDur   = 30 * time.Second // a corrupt window
+	blackholeDur = 60 * time.Second // a WAN outage
+	rebootDown   = 10 * time.Second // down before the DHCP re-lease
+)
+
 // Spec parameterizes Compile. Rates are expected event counts per node
 // over the horizon; fractional parts are resolved by one Bernoulli draw
 // per node and class.
@@ -91,13 +102,6 @@ type Spec struct {
 	// (default 0.25).
 	LossP float64
 
-	// Window durations.
-	FlapDown     time.Duration // default 2s
-	LossDur      time.Duration // default 30s
-	CorruptDur   time.Duration // default 30s
-	BlackholeDur time.Duration // default 60s
-	RebootDown   time.Duration // default 10s before DHCP re-lease
-
 	// Horizon is the span after Install over which event start times
 	// are drawn (default 10 minutes).
 	Horizon time.Duration
@@ -106,21 +110,6 @@ type Spec struct {
 func (s Spec) withDefaults() Spec {
 	if s.LossP <= 0 {
 		s.LossP = 0.25
-	}
-	if s.FlapDown <= 0 {
-		s.FlapDown = 2 * time.Second
-	}
-	if s.LossDur <= 0 {
-		s.LossDur = 30 * time.Second
-	}
-	if s.CorruptDur <= 0 {
-		s.CorruptDur = 30 * time.Second
-	}
-	if s.BlackholeDur <= 0 {
-		s.BlackholeDur = 60 * time.Second
-	}
-	if s.RebootDown <= 0 {
-		s.RebootDown = 10 * time.Second
 	}
 	if s.Horizon <= 0 {
 		s.Horizon = 10 * time.Minute

@@ -106,14 +106,14 @@ func TestInjectorFlapDownsLink(t *testing.T) {
 	reg := obs.NewRegistry()
 	s.SetObs(reg)
 	a, got, l := faultLink(s)
-	p := &Plan{spec: Spec{FlapDown: 2 * time.Second}.withDefaults(),
+	p := &Plan{spec: Spec{}.withDefaults(),
 		Events: []Event{{At: time.Second, Node: 0, Kind: KindFlap}}}
 	p.Install(s, []NodeFaults{{WAN: l}})
 
-	// Before, during and after the 1s..3s down window.
+	// Before, during and after the down window from 1s.
 	s.After(500*time.Millisecond, func() { a.Send(&netpkt.Frame{}) })
-	s.After(2*time.Second, func() { a.Send(&netpkt.Frame{}) })
-	s.After(4*time.Second, func() { a.Send(&netpkt.Frame{}) })
+	s.After(time.Second+flapDown/2, func() { a.Send(&netpkt.Frame{}) })
+	s.After(2*time.Second+flapDown, func() { a.Send(&netpkt.Frame{}) })
 	s.Run(0)
 	if *got != 2 {
 		t.Fatalf("delivered %d frames, want 2 (one shed in the down window)", *got)
@@ -132,14 +132,13 @@ func TestInjectorFlapDownsLink(t *testing.T) {
 func TestInjectorNestedWindows(t *testing.T) {
 	s := sim.New(1)
 	a, got, l := faultLink(s)
-	spec := Spec{FlapDown: 4 * time.Second, BlackholeDur: 10 * time.Second}.withDefaults()
-	p := &Plan{spec: spec, Events: []Event{
-		{At: 1 * time.Second, Node: 0, Kind: KindFlap},      // down 1s..5s
-		{At: 2 * time.Second, Node: 0, Kind: KindBlackhole}, // down 2s..12s
+	p := &Plan{spec: Spec{}.withDefaults(), Events: []Event{
+		{At: 1 * time.Second, Node: 0, Kind: KindFlap},      // down 1s..1s+flapDown
+		{At: 2 * time.Second, Node: 0, Kind: KindBlackhole}, // down 2s..2s+blackholeDur
 	}}
 	p.Install(s, []NodeFaults{{WAN: l}})
-	s.After(6*time.Second, func() { a.Send(&netpkt.Frame{}) })  // flap closed, blackhole open
-	s.After(13*time.Second, func() { a.Send(&netpkt.Frame{}) }) // all closed
+	s.After(2*time.Second+flapDown, func() { a.Send(&netpkt.Frame{}) })     // flap closed, blackhole open
+	s.After(3*time.Second+blackholeDur, func() { a.Send(&netpkt.Frame{}) }) // all closed
 	s.Run(0)
 	if *got != 1 {
 		t.Fatalf("delivered %d, want 1: link must stay down until the last window closes", *got)
@@ -179,12 +178,12 @@ func TestInjectorRebootCallback(t *testing.T) {
 	s := sim.New(1)
 	var gotDowntime time.Duration
 	calls := 0
-	p := &Plan{spec: Spec{RebootDown: 7 * time.Second}.withDefaults(),
+	p := &Plan{spec: Spec{}.withDefaults(),
 		Events: []Event{{At: time.Second, Node: 0, Kind: KindReboot}}}
 	p.Install(s, []NodeFaults{{Reboot: func(d time.Duration) { calls++; gotDowntime = d }}})
 	s.Run(0)
-	if calls != 1 || gotDowntime != 7*time.Second {
-		t.Fatalf("reboot fired %d times with downtime %v, want once with 7s", calls, gotDowntime)
+	if calls != 1 || gotDowntime != rebootDown {
+		t.Fatalf("reboot fired %d times with downtime %v, want once with %v", calls, gotDowntime, rebootDown)
 	}
 }
 

@@ -68,10 +68,10 @@ func (inj *Injector) fire(ev Event) {
 	switch ev.Kind {
 	case KindFlap:
 		r.Inc(obs.CFaultLinkFlaps)
-		inj.linkDown(ev.Node, spec.FlapDown)
+		inj.linkDown(ev.Node, flapDown)
 	case KindBlackhole:
 		r.Inc(obs.CFaultBlackholes)
-		inj.linkDown(ev.Node, spec.BlackholeDur)
+		inj.linkDown(ev.Node, blackholeDur)
 	case KindLoss:
 		if n.WAN == nil {
 			return
@@ -79,7 +79,7 @@ func (inj *Injector) fire(ev Event) {
 		r.Inc(obs.CFaultLossWindows)
 		inj.lossDepth[ev.Node]++
 		n.WAN.SetLoss(spec.LossP)
-		inj.s.After(spec.LossDur, func() {
+		inj.s.After(lossDur, func() {
 			inj.lossDepth[ev.Node]--
 			if inj.lossDepth[ev.Node] == 0 {
 				n.WAN.SetLoss(0)
@@ -92,7 +92,7 @@ func (inj *Injector) fire(ev Event) {
 		r.Inc(obs.CFaultCorruptWindows)
 		inj.corruptDepth[ev.Node]++
 		n.WAN.SetCorrupt(spec.LossP)
-		inj.s.After(spec.CorruptDur, func() {
+		inj.s.After(corruptDur, func() {
 			inj.corruptDepth[ev.Node]--
 			if inj.corruptDepth[ev.Node] == 0 {
 				n.WAN.SetCorrupt(0)
@@ -103,7 +103,7 @@ func (inj *Injector) fire(ev Event) {
 			return
 		}
 		r.Inc(obs.CFaultReboots)
-		n.Reboot(spec.RebootDown)
+		n.Reboot(rebootDown)
 	}
 }
 

@@ -81,7 +81,7 @@ func TestBehaviorProfileAndNATClass(t *testing.T) {
 		t.Fatalf("owrt NATClass = %q", got)
 	}
 	smc, _ := ByTag("smc")
-	if got := natClass(smc); got != "APDM/APDF no-preservation" {
+	if got := natClass(smc); got != "APDM/APDF sequential" {
 		t.Fatalf("smc NATClass = %q", got)
 	}
 	be1, _ := ByTag("be1")
@@ -100,7 +100,7 @@ type behaviorCell struct {
 
 // defaultBehaviorMix is a plausible wide-area joint mapping×filtering
 // distribution for traversal studies. The paper's own inventory is
-// degenerate — all 34 devices are APDM×APDF (see classSymmetric) — so
+// degenerate — all 34 devices are APDM×APDF (see profileRow.ports) — so
 // fleets that should exercise the traversal-relevant axes need an
 // explicit mix; this one follows the shape STUN-era surveys report for
 // broader populations: endpoint-independent mapping dominates, mostly
@@ -157,22 +157,11 @@ func synthesizeBehaviors(n int, seed int64, mix []behaviorCell) []Profile {
 // natClass renders a profile's RFC 4787 behavior classes in the
 // conventional shorthand, e.g. "APDM/APDF preserve+reuse".
 func natClass(p Profile) string {
-	var alloc string
-	switch p.NAT.PortAlloc {
-	case nat.PortAllocSequential:
-		alloc = "sequential"
-	case nat.PortAllocContiguous:
-		alloc = "contiguous"
-	case nat.PortAllocRandom:
-		alloc = "random"
-	default: // preserving, explicitly or via the legacy flag
-		switch {
-		case !p.NAT.PortPreservation && p.NAT.PortAlloc == nat.PortAllocDefault:
-			alloc = "no-preservation"
-		case p.NAT.ReuseExpiredBinding:
+	alloc := p.NAT.PortAlloc.String()
+	if p.NAT.PortAlloc == nat.PortAllocPreserving {
+		alloc = "preserve+new-binding"
+		if p.NAT.ReuseExpiredBinding {
 			alloc = "preserve+reuse"
-		default:
-			alloc = "preserve+new-binding"
 		}
 	}
 	return p.NAT.Mapping.Short() + "/" + p.NAT.Filtering.Short() + " " + alloc

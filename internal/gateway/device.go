@@ -55,9 +55,9 @@ type Profile struct {
 	// BufBytes is each direction's forwarding queue size.
 	BufBytes int
 
-	// DNS proxy behavior.
-	DNSProxyUDP bool
-	DNSTCP      DNSTCPMode
+	// DNSTCP is the DNS proxy's TCP behavior; every device proxies DNS
+	// over UDP.
+	DNSTCP DNSTCPMode
 
 	// Quirks (§4.4).
 	SameMACBothPorts bool
@@ -91,10 +91,8 @@ type Device struct {
 // Config sets the per-instance parameters of a device.
 type Config struct {
 	// LANAddr is the gateway's LAN-side address (e.g. 192.168.1.1); it
-	// serves a /24 around it.
+	// serves a /24 around it and leases from .100 on.
 	LANAddr netip.Addr
-	// LANPoolStart is the first DHCP-leasable LAN address.
-	LANPoolStart netip.Addr
 }
 
 // New builds (but does not start) a device.
@@ -129,14 +127,10 @@ func New(s *sim.Sim, prof Profile, cfg Config) *Device {
 	host.ForwardHook = d.forward
 	host.RawHook = d.rawWAN
 
-	lan := cfg.LANPoolStart
-	if !lan.IsValid() {
-		a := cfg.LANAddr.As4()
-		lan = netip.AddrFrom4([4]byte{a[0], a[1], a[2], 100})
-	}
+	a := cfg.LANAddr.As4()
 	_, err := dhcp.NewServer(d.udpStack, dhcp.ServerConfig{
 		If:        d.LANIf,
-		PoolStart: lan,
+		PoolStart: netip.AddrFrom4([4]byte{a[0], a[1], a[2], 100}),
 		PoolSize:  50,
 		Mask:      24,
 		Router:    cfg.LANAddr,
@@ -453,11 +447,9 @@ func (q *fwdQueue) next() {
 // startDNSProxy brings up the UDP (and, per profile, TCP) DNS proxy on
 // the LAN address.
 func (d *Device) startDNSProxy() {
-	if d.Profile.DNSProxyUDP {
-		conn, err := d.udpStack.Bind(d.lanAddr, 53)
-		if err == nil {
-			conn.Serve(func(q udp.Datagram) { d.dnsProxyUDP(conn, q) })
-		}
+	conn, err := d.udpStack.Bind(d.lanAddr, 53)
+	if err == nil {
+		conn.Serve(func(q udp.Datagram) { d.dnsProxyUDP(conn, q) })
 	}
 	if d.Profile.DNSTCP != DNSTCPRefuse {
 		lis, err := d.tcpStack.Listen(53)

@@ -83,7 +83,7 @@ func TestPopulationCountsFromProse(t *testing.T) {
 		default:
 			drop++
 		}
-		if p.NAT.PortPreservation {
+		if p.NAT.PortAlloc == nat.PortAllocPreserving {
 			preserve++
 			if p.NAT.ReuseExpiredBinding {
 				reuse++

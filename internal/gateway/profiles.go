@@ -66,22 +66,6 @@ const (
 	portNoPreserve
 )
 
-// behaviorClass pairs the two RFC 4787 behavior axes for a Table 1
-// row. The axes are stated explicitly per device even though the whole
-// inventory shares one class: what used to be an implicit hard-coding
-// of the engine is now a per-row calibration fact, and BehaviorProfile
-// varies it.
-type behaviorClass struct {
-	mapping   nat.MappingBehavior
-	filtering nat.FilteringBehavior
-}
-
-// classSymmetric is APDM×APDF — the classic "symmetric" NAT. The
-// paper's measurements put every Table 1 device here: §4.1's UDP-4
-// observations key bindings by the full destination endpoint, and no
-// device passed unsolicited inbound traffic in any test.
-var classSymmetric = behaviorClass{nat.MappingAddressAndPortDependent, nat.FilteringAddressAndPortDependent}
-
 // profileRow is the compact calibration record for one device.
 type profileRow struct {
 	tag, vendor, model, fw string
@@ -90,8 +74,12 @@ type profileRow struct {
 	granularity      int // seconds; coarse refresh timers
 	dnsUDPTimeout    int // seconds; 0 = no per-service override (UDP-5)
 
-	ports   portClass
-	rfc4787 behaviorClass // mapping × filtering axes (Table 1: all symmetric)
+	// ports sets port preservation and reuse. The RFC 4787 mapping and
+	// filtering axes are not a column: the paper's measurements put
+	// every Table 1 device at nat.Policy's zero APDM×APDF (§4.1's UDP-4
+	// observations key bindings by the full destination endpoint, and
+	// no device passed unsolicited inbound traffic in any test).
+	ports portClass
 
 	tcp1Min float64 // minutes; 0 = kept > 24 h
 	maxTCP  int
@@ -116,172 +104,172 @@ var profileRows = []profileRow{
 		udp1: 35, udp2: 210, udp3: 210, granularity: 45,
 		ports: portPreserveReuse, tcp1Min: 8, maxTCP: 800,
 		upMbps: 0, downMbps: 0, bidirFactor: 0.90, delayMs: 4,
-		unknown: unkIPOnly, icmp: icmpFull, dnsTCP: DNSTCPAnswer, rfc4787: classSymmetric},
+		unknown: unkIPOnly, icmp: icmpFull, dnsTCP: DNSTCPAnswer},
 	{tag: "ap", vendor: "Apple", model: "Airport Express", fw: "7.4.2",
 		udp1: 65, udp2: 54, udp3: 130,
 		ports: portPreserveReuse, tcp1Min: 0, maxTCP: 1024,
 		upMbps: 12, downMbps: 12, bidirFactor: 0.60, delayMs: 65,
-		unknown: unkIPOnly, icmp: icmpFull, dnsTCP: DNSTCPAnswerViaUDP, hairpin: true, rfc4787: classSymmetric},
+		unknown: unkIPOnly, icmp: icmpFull, dnsTCP: DNSTCPAnswerViaUDP, hairpin: true},
 	{tag: "as1", vendor: "Asus", model: "RT-N15", fw: "2.0.1.1",
 		udp1: 88, udp2: 170, udp3: 170,
 		ports: portPreserveReuse, tcp1Min: 20, maxTCP: 600,
 		upMbps: 0, downMbps: 0, bidirFactor: 0.70, delayMs: 8,
-		unknown: unkDrop, icmp: icmpFullNI, dnsTCP: DNSTCPAcceptOnly, rfc4787: classSymmetric},
+		unknown: unkDrop, icmp: icmpFullNI, dnsTCP: DNSTCPAcceptOnly},
 	{tag: "be1", vendor: "Belkin", model: "Wireless N Router", fw: "F5D8236-4_WW_3.00.02",
 		udp1: 110, udp2: 120, udp3: 185,
 		ports: portPreserveNew, tcp1Min: 3.98, maxTCP: 128,
 		upMbps: 0, downMbps: 0, bidirFactor: 0.80, delayMs: 5,
-		unknown: unkDrop, icmp: icmpBasic4, dnsTCP: DNSTCPRefuse, rfc4787: classSymmetric},
+		unknown: unkDrop, icmp: icmpBasic4, dnsTCP: DNSTCPRefuse},
 	{tag: "be2", vendor: "Belkin", model: "Enhanced N150", fw: "F6D4230-4_WW_1.00.03",
 		udp1: 490, udp2: 202, udp3: 490,
 		ports: portPreserveNew, tcp1Min: 5.5, maxTCP: 130,
 		upMbps: 0, downMbps: 0, bidirFactor: 0.80, delayMs: 5,
-		unknown: unkDrop, icmp: icmpBasic4, dnsTCP: DNSTCPRefuse, rfc4787: classSymmetric},
+		unknown: unkDrop, icmp: icmpBasic4, dnsTCP: DNSTCPRefuse},
 	{tag: "bu1", vendor: "Buffalo", model: "WZR-AGL300NH", fw: "R1.06/B1.05",
 		udp1: 90, udp2: 175, udp3: 175,
 		ports: portPreserveReuse, tcp1Min: 0, maxTCP: 768,
 		upMbps: 0, downMbps: 0, bidirFactor: 1.0, delayMs: 8,
-		unknown: unkIPOnly, icmp: icmpFull, dnsTCP: DNSTCPAnswer, hairpin: true, rfc4787: classSymmetric},
+		unknown: unkIPOnly, icmp: icmpFull, dnsTCP: DNSTCPAnswer, hairpin: true},
 	{tag: "dl1", vendor: "D-Link", model: "DIR-300", fw: "1.03",
 		udp1: 85, udp2: 178, udp3: 178,
 		ports: portPreserveReuse, tcp1Min: 90, maxTCP: 176,
 		upMbps: 98, downMbps: 98, bidirFactor: 0.75, delayMs: 12,
-		unknown: unkIPOnly, icmp: icmpFullNI, dnsTCP: DNSTCPRefuse, rfc4787: classSymmetric},
+		unknown: unkIPOnly, icmp: icmpFullNI, dnsTCP: DNSTCPRefuse},
 	{tag: "dl2", vendor: "D-Link", model: "DIR-300", fw: "1.04",
 		udp1: 85, udp2: 180, udp3: 180,
 		ports: portPreserveReuse, tcp1Min: 95, maxTCP: 134,
 		upMbps: 95, downMbps: 95, bidirFactor: 0.75, delayMs: 10,
-		unknown: unkIPOnly, icmp: icmpFull, dnsTCP: DNSTCPAnswer, rfc4787: classSymmetric},
+		unknown: unkIPOnly, icmp: icmpFull, dnsTCP: DNSTCPAnswer},
 	{tag: "dl3", vendor: "D-Link", model: "DI-524up", fw: "v1.06",
 		udp1: 100, udp2: 120, udp3: 120,
 		ports: portPreserveReuse, tcp1Min: 58, maxTCP: 512,
 		upMbps: 0, downMbps: 0, bidirFactor: 0.95, delayMs: 3,
-		unknown: unkIPOnly, icmp: icmpFullNI, dnsTCP: DNSTCPRefuse, rfc4787: classSymmetric},
+		unknown: unkIPOnly, icmp: icmpFullNI, dnsTCP: DNSTCPRefuse},
 	{tag: "dl4", vendor: "D-Link", model: "DI-524", fw: "v2.0.4",
 		udp1: 150, udp2: 230, udp3: 260,
 		ports: portPreserveReuse, tcp1Min: 80, maxTCP: 48,
 		upMbps: 0, downMbps: 0, bidirFactor: 1.0, delayMs: 6,
-		unknown: unkUntouched, icmp: icmpBasic2, dnsTCP: DNSTCPRefuse, noTTLDec: true, rfc4787: classSymmetric},
+		unknown: unkUntouched, icmp: icmpBasic2, dnsTCP: DNSTCPRefuse, noTTLDec: true},
 	{tag: "dl5", vendor: "D-Link", model: "DIR-100", fw: "v1.12",
 		udp1: 100, udp2: 120, udp3: 120,
 		ports: portPreserveReuse, tcp1Min: 57, maxTCP: 640,
 		upMbps: 0, downMbps: 0, bidirFactor: 0.85, delayMs: 2,
-		unknown: unkIPOnly, icmp: icmpFullNI, dnsTCP: DNSTCPRefuse, rfc4787: classSymmetric},
+		unknown: unkIPOnly, icmp: icmpFullNI, dnsTCP: DNSTCPRefuse},
 	{tag: "dl6", vendor: "D-Link", model: "DIR-600", fw: "v2.01",
 		udp1: 85, udp2: 180, udp3: 180,
 		ports: portPreserveReuse, tcp1Min: 110, maxTCP: 137,
 		upMbps: 0, downMbps: 0, bidirFactor: 1.0, delayMs: 6,
-		unknown: unkIPOnly, icmp: icmpFull, dnsTCP: DNSTCPAnswer, rfc4787: classSymmetric},
+		unknown: unkIPOnly, icmp: icmpFull, dnsTCP: DNSTCPAnswer},
 	{tag: "dl7", vendor: "D-Link", model: "DIR-615", fw: "v4.00",
 		udp1: 85, udp2: 180, udp3: 180,
 		ports: portPreserveReuse, tcp1Min: 100, maxTCP: 512,
 		upMbps: 0, downMbps: 0, bidirFactor: 0.75, delayMs: 3,
-		unknown: unkIPOnly, icmp: icmpFull, dnsTCP: DNSTCPAnswer, rfc4787: classSymmetric},
+		unknown: unkIPOnly, icmp: icmpFull, dnsTCP: DNSTCPAnswer},
 	{tag: "dl8", vendor: "D-Link", model: "DIR-635", fw: "v2.33EU",
 		udp1: 160, udp2: 250, udp3: 280, dnsUDPTimeout: 40,
 		ports: portPreserveReuse, tcp1Min: 120, maxTCP: 200,
 		upMbps: 0, downMbps: 0, bidirFactor: 0.90, delayMs: 60,
-		unknown: unkIPOnly, icmp: icmpFullNI, dnsTCP: DNSTCPAcceptOnly, rfc4787: classSymmetric},
+		unknown: unkIPOnly, icmp: icmpFullNI, dnsTCP: DNSTCPAcceptOnly},
 	{tag: "dl9", vendor: "D-Link", model: "DI-604", fw: "v3.09",
 		udp1: 180, udp2: 270, udp3: 300,
 		ports: portNoPreserve, tcp1Min: 58, maxTCP: 16,
 		upMbps: 30, downMbps: 30, bidirFactor: 0.55, delayMs: 25,
-		unknown: unkUntouched, icmp: icmpBasic2, dnsTCP: DNSTCPRefuse, noTTLDec: true, rfc4787: classSymmetric},
+		unknown: unkUntouched, icmp: icmpBasic2, dnsTCP: DNSTCPRefuse, noTTLDec: true},
 	{tag: "dl10", vendor: "D-Link", model: "DI-713P", fw: "2.60 build 6a",
 		udp1: 120, udp2: 130, udp3: 240,
 		ports: portNoPreserve, tcp1Min: 55, maxTCP: 30,
 		upMbps: 6, downMbps: 6, bidirFactor: 1.0, delayMs: 74,
-		unknown: unkUntouched, icmp: icmpBasic2, dnsTCP: DNSTCPRefuse, sameMAC: true, rfc4787: classSymmetric},
+		unknown: unkUntouched, icmp: icmpBasic2, dnsTCP: DNSTCPRefuse, sameMAC: true},
 	{tag: "ed", vendor: "Edimax", model: "6104WG", fw: "2.63",
 		udp1: 30, udp2: 180, udp3: 181,
 		ports: portPreserveReuse, tcp1Min: 0, maxTCP: 400,
 		upMbps: 35, downMbps: 35, bidirFactor: 0.55, delayMs: 45,
-		unknown: unkIPOnly, icmp: icmpFull, dnsTCP: DNSTCPAnswer, rfc4787: classSymmetric},
+		unknown: unkIPOnly, icmp: icmpFull, dnsTCP: DNSTCPAnswer},
 	{tag: "je", vendor: "Jensen", model: "Air:Link 59300", fw: "1.15",
 		udp1: 30, udp2: 80, udp3: 80, granularity: 20,
 		ports: portPreserveReuse, tcp1Min: 40, maxTCP: 448,
 		upMbps: 90, downMbps: 90, bidirFactor: 0.65, delayMs: 10,
-		unknown: unkIPOnly, icmp: icmpFull, dnsTCP: DNSTCPAnswer, rfc4787: classSymmetric},
+		unknown: unkIPOnly, icmp: icmpFull, dnsTCP: DNSTCPAnswer},
 	{tag: "ls1", vendor: "Linksys", model: "BEFSR41c2", fw: "1.45.11",
 		udp1: 691, udp2: 380, udp3: 691,
 		ports: portNoPreserve, tcp1Min: 15, maxTCP: 32,
 		upMbps: 6, downMbps: 8, bidirFactor: 1.0, delayMs: 110,
-		unknown: unkUntouched, icmp: icmpBadSum12, dnsTCP: DNSTCPRefuse, sameMAC: true, rfc4787: classSymmetric},
+		unknown: unkUntouched, icmp: icmpBadSum12, dnsTCP: DNSTCPRefuse, sameMAC: true},
 	{tag: "ls2", vendor: "Linksys", model: "WR54G", fw: "v7.00.1",
 		udp1: 90, udp2: 90, udp3: 90,
 		ports: portPreserveReuse, tcp1Min: 10, maxTCP: 130,
 		upMbps: 65, downMbps: 65, bidirFactor: 0.55, delayMs: 28,
-		unknown: unkDrop, icmp: icmpRST, dnsTCP: DNSTCPRefuse, rfc4787: classSymmetric},
+		unknown: unkDrop, icmp: icmpRST, dnsTCP: DNSTCPRefuse},
 	{tag: "ls3", vendor: "Linksys", model: "WRT54GL v1.1", fw: "v4.30.7",
 		udp1: 75, udp2: 180, udp3: 181,
 		ports: portPreserveReuse, tcp1Min: 0, maxTCP: 112,
 		upMbps: 58, downMbps: 58, bidirFactor: 0.55, delayMs: 32,
-		unknown: unkIPOnly, icmp: icmpFullNI, dnsTCP: DNSTCPRefuse, rfc4787: classSymmetric},
+		unknown: unkIPOnly, icmp: icmpFullNI, dnsTCP: DNSTCPRefuse},
 	{tag: "ls5", vendor: "Linksys", model: "WRT54GL-EU", fw: "v4.30.7",
 		udp1: 75, udp2: 180, udp3: 181,
 		ports: portPreserveReuse, tcp1Min: 0, maxTCP: 64,
 		upMbps: 58, downMbps: 58, bidirFactor: 0.55, delayMs: 32,
-		unknown: unkIPOnly, icmp: icmpFullNI, dnsTCP: DNSTCPRefuse, rfc4787: classSymmetric},
+		unknown: unkIPOnly, icmp: icmpFullNI, dnsTCP: DNSTCPRefuse},
 	{tag: "owrt", vendor: "Linksys", model: "WRT54G OpenWRT", fw: "RC5",
 		udp1: 30, udp2: 180, udp3: 181,
 		ports: portPreserveReuse, tcp1Min: 900, maxTCP: 256,
 		upMbps: 18, downMbps: 18, bidirFactor: 0.60, delayMs: 50,
-		unknown: unkIPOnly, icmp: icmpFull, dnsTCP: DNSTCPAnswer, honorRR: true, hairpin: true, rfc4787: classSymmetric},
+		unknown: unkIPOnly, icmp: icmpFull, dnsTCP: DNSTCPAnswer, honorRR: true, hairpin: true},
 	{tag: "to", vendor: "Linksys", model: "WRT54GL v1.1 tomato", fw: "1.27",
 		udp1: 30, udp2: 180, udp3: 181,
 		ports: portPreserveReuse, tcp1Min: 400, maxTCP: 100,
 		upMbps: 62, downMbps: 62, bidirFactor: 0.60, delayMs: 18,
-		unknown: unkIPOnly, icmp: icmpFull, dnsTCP: DNSTCPAnswer, honorRR: true, hairpin: true, rfc4787: classSymmetric},
+		unknown: unkIPOnly, icmp: icmpFull, dnsTCP: DNSTCPAnswer, honorRR: true, hairpin: true},
 	{tag: "ng1", vendor: "Netgear", model: "RP614 v4", fw: "V1.0.2_06.29",
 		udp1: 300, udp2: 290, udp3: 320,
 		ports: portPreserveReuse, tcp1Min: 0, maxTCP: 1024,
 		upMbps: 0, downMbps: 0, bidirFactor: 0.85, delayMs: 2,
-		unknown: unkIPOnlyNR, icmp: icmpFullNI, dnsTCP: DNSTCPRefuse, rfc4787: classSymmetric},
+		unknown: unkIPOnlyNR, icmp: icmpFullNI, dnsTCP: DNSTCPRefuse},
 	{tag: "ng2", vendor: "Netgear", model: "WGR614 v7", fw: "(1.0.13_1.0.13)",
 		udp1: 60, udp2: 60, udp3: 60,
 		ports: portPreserveReuse, tcp1Min: 30, maxTCP: 64,
 		upMbps: 70, downMbps: 70, bidirFactor: 0.60, delayMs: 30,
-		unknown: unkIPOnlyNR, icmp: icmpFullNI, dnsTCP: DNSTCPRefuse, rfc4787: classSymmetric},
+		unknown: unkIPOnlyNR, icmp: icmpFullNI, dnsTCP: DNSTCPRefuse},
 	{tag: "ng3", vendor: "Netgear", model: "WGR614 v9", fw: "V1.2.6_18.0.17",
 		udp1: 330, udp2: 150, udp3: 350,
 		ports: portPreserveNew, tcp1Min: 48, maxTCP: 96,
 		upMbps: 50, downMbps: 50, bidirFactor: 0.60, delayMs: 35,
-		unknown: unkDrop, icmp: icmpFullNI, dnsTCP: DNSTCPRefuse, rfc4787: classSymmetric},
+		unknown: unkDrop, icmp: icmpFullNI, dnsTCP: DNSTCPRefuse},
 	{tag: "ng4", vendor: "Netgear", model: "WNR2000-100PES", fw: "v.1.0.0.34_29.0.45",
 		udp1: 330, udp2: 150, udp3: 350,
 		ports: portPreserveNew, tcp1Min: 52, maxTCP: 320,
 		upMbps: 45, downMbps: 45, bidirFactor: 0.60, delayMs: 70,
-		unknown: unkDrop, icmp: icmpFullNI, dnsTCP: DNSTCPRefuse, rfc4787: classSymmetric},
+		unknown: unkDrop, icmp: icmpFullNI, dnsTCP: DNSTCPRefuse},
 	{tag: "ng5", vendor: "Netgear", model: "WGR614 v4", fw: "V5.0_07",
 		udp1: 600, udp2: 160, udp3: 600, granularity: 20,
 		ports: portNoPreserve, tcp1Min: 5, maxTCP: 120,
 		upMbps: 48, downMbps: 48, bidirFactor: 0.60, delayMs: 38,
-		unknown: unkDrop, icmp: icmpBasic4, dnsTCP: DNSTCPRefuse, rfc4787: classSymmetric},
+		unknown: unkDrop, icmp: icmpBasic4, dnsTCP: DNSTCPRefuse},
 	{tag: "nw1", vendor: "Netwjork", model: "54M", fw: "Ver 1.2.6",
 		udp1: 95, udp2: 100, udp3: 100,
 		ports: portNoPreserve, tcp1Min: 25, maxTCP: 128,
 		upMbps: 55, downMbps: 55, bidirFactor: 0.60, delayMs: 15,
-		unknown: unkDrop, icmp: icmpNone, dnsTCP: DNSTCPRefuse, rfc4787: classSymmetric},
+		unknown: unkDrop, icmp: icmpNone, dnsTCP: DNSTCPRefuse},
 	{tag: "smc", vendor: "SMC", model: "Barricade SMC7004VBR", fw: "R1.07",
 		udp1: 170, udp2: 310, udp3: 340,
 		ports: portNoPreserve, tcp1Min: 62, maxTCP: 16,
 		upMbps: 41, downMbps: 27, bidirFactor: 0.80, delayMs: 20,
-		unknown: unkDrop, icmp: icmpBasic2, dnsTCP: DNSTCPRefuse, noTTLDec: true, rfc4787: classSymmetric},
+		unknown: unkDrop, icmp: icmpBasic2, dnsTCP: DNSTCPRefuse, noTTLDec: true},
 	{tag: "te", vendor: "Telewell", model: "TW-3G", fw: "V7.04b3",
 		udp1: 30, udp2: 180, udp3: 181,
 		ports: portPreserveReuse, tcp1Min: 0, maxTCP: 136,
 		upMbps: 15, downMbps: 15, bidirFactor: 0.60, delayMs: 55,
-		unknown: unkIPOnly, icmp: icmpFullNI, dnsTCP: DNSTCPAcceptOnly, rfc4787: classSymmetric},
+		unknown: unkIPOnly, icmp: icmpFullNI, dnsTCP: DNSTCPAcceptOnly},
 	{tag: "we", vendor: "Webee", model: "Wireless N Router", fw: "e2.0.9D",
 		udp1: 40, udp2: 70, udp3: 70, granularity: 45,
 		ports: portPreserveReuse, tcp1Min: 12, maxTCP: 896,
 		upMbps: 0, downMbps: 0, bidirFactor: 0.70, delayMs: 4,
-		unknown: unkIPOnly, icmp: icmpFull, dnsTCP: DNSTCPAcceptOnly, rfc4787: classSymmetric},
+		unknown: unkIPOnly, icmp: icmpFull, dnsTCP: DNSTCPAcceptOnly},
 	{tag: "zy1", vendor: "ZyXel", model: "P-335U", fw: "V3.60(AMB.2)C0",
 		udp1: 420, udp2: 330, udp3: 420,
 		ports: portNoPreserve, tcp1Min: 180, maxTCP: 300,
 		upMbps: 40, downMbps: 40, bidirFactor: 0.60, delayMs: 40,
-		unknown: unkDrop, icmp: icmpBadSum, dnsTCP: DNSTCPRefuse, rfc4787: classSymmetric},
+		unknown: unkDrop, icmp: icmpBadSum, dnsTCP: DNSTCPRefuse},
 }
 
 // ls1Kinds are the six error kinds (per transport) that ls1 forwards.
@@ -311,15 +299,15 @@ func (r profileRow) build() Profile {
 			Bidir:    time.Duration(r.udp3) * time.Second,
 		},
 		TimerGranularity:    time.Duration(r.granularity) * time.Second,
-		Mapping:             r.rfc4787.mapping,
-		Filtering:           r.rfc4787.filtering,
-		PortPreservation:    r.ports != portNoPreserve,
 		ReuseExpiredBinding: r.ports == portPreserveReuse,
 		TCPEstablished:      time.Duration(r.tcp1Min * float64(time.Minute)),
 		MaxTCPBindings:      r.maxTCP,
 		DecrementTTL:        !r.noTTLDec,
 		HonorRecordRoute:    r.honorRR,
 		Hairpinning:         r.hairpin,
+	}
+	if r.ports != portNoPreserve {
+		pol.PortAlloc = nat.PortAllocPreserving
 	}
 	if r.dnsUDPTimeout > 0 {
 		pol.UDPServices = map[uint16]nat.UDPTimeouts{
@@ -396,7 +384,6 @@ func (r profileRow) build() Profile {
 		UpMbps: r.upMbps, DownMbps: r.downMbps,
 		BidirFactor:      r.bidirFactor,
 		BufBytes:         buf,
-		DNSProxyUDP:      true,
 		DNSTCP:           r.dnsTCP,
 		SameMACBothPorts: r.sameMAC,
 	}

@@ -220,7 +220,6 @@ func BehaviorProfile(tag string, m nat.MappingBehavior, f nat.FilteringBehavior,
 			Mapping:             m,
 			Filtering:           f,
 			PortAlloc:           alloc,
-			PortPreservation:    alloc == nat.PortAllocPreserving,
 			ReuseExpiredBinding: true,
 			TCPEstablished:      time.Hour,
 			ICMPTCP:             nat.AllICMP(nat.ICMPTranslate),
@@ -231,6 +230,5 @@ func BehaviorProfile(tag string, m nat.MappingBehavior, f nat.FilteringBehavior,
 		},
 		BidirFactor: 1.0,
 		BufBytes:    64 << 10,
-		DNSProxyUDP: true,
 	}
 }

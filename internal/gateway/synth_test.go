@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"hgw/internal/nat"
 	"hgw/internal/stats"
 )
 
@@ -99,7 +100,7 @@ func TestSynthesizeClassFrequencies(t *testing.T) {
 	profs := Synthesize(n, 99)
 	var preserve, over24, wireSpeed, dnsAccept int
 	for _, p := range profs {
-		if p.NAT.PortPreservation {
+		if p.NAT.PortAlloc == nat.PortAllocPreserving {
 			preserve++
 		}
 		if p.NAT.TCPEstablished == 0 {

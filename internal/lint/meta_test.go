@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -116,6 +117,186 @@ func TestNoTestOnlyExports(t *testing.T) {
 	for _, u := range unused {
 		t.Errorf("%s has no caller outside tests", u)
 	}
+}
+
+// knobExempt names the fields TestNoUnsetKnobs lets stay settable
+// although the product reads them without setting them, each with the
+// reason.
+var knobExempt = map[string]string{
+	"hgw/internal/probe.Options.Resolution": "the search-resolution ablation (DESIGN.md §6) varies it through hgw.WithOptions",
+}
+
+// TestNoUnsetKnobs keeps configuration to the values the product uses:
+// every exported field of an exported struct declared in internal/
+// that the module's non-test code reads must also be written there. A
+// write is a keyed or unkeyed composite literal, an assignment, ++ or
+// -- or a taken address; a constant assigned under an if that tests
+// the same field is the field's own default, not a write. A field only
+// its default ever sets is a constant under another name. Types with
+// JSON-tagged fields are skipped: encoding/json fills them.
+func TestNoUnsetKnobs(t *testing.T) {
+	pkgs := loadModule(t)
+	read := make(map[*types.Var]bool)
+	written := make(map[*types.Var]bool)
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			fieldUses(pkg.TypesInfo, f, read, written)
+		}
+	}
+	var unset []string
+	for _, pkg := range pkgs {
+		if !strings.Contains(pkg.PkgPath, "/internal/") {
+			continue
+		}
+		scope := pkg.Types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || tn.IsAlias() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok || jsonTagged(st) {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				fv := st.Field(i)
+				if !fv.Exported() || fv.Embedded() || !read[fv] || written[fv] {
+					continue
+				}
+				id := pkg.PkgPath + "." + name + "." + fv.Name()
+				if knobExempt[id] != "" {
+					continue
+				}
+				unset = append(unset, pkg.Fset.Position(fv.Pos()).String()+": "+id)
+			}
+		}
+	}
+	sort.Strings(unset)
+	for _, u := range unset {
+		t.Errorf("%s is read but only its default sets it; make it a constant", u)
+	}
+}
+
+// jsonTagged reports whether any field of st carries a json tag.
+func jsonTagged(st *types.Struct) bool {
+	for i := 0; i < st.NumFields(); i++ {
+		if _, ok := reflect.StructTag(st.Tag(i)).Lookup("json"); ok {
+			return true
+		}
+	}
+	return false
+}
+
+// fieldUses records, for every struct field that file f selects or
+// keys, whether f reads or writes it (see TestNoUnsetKnobs for what
+// counts as a write).
+func fieldUses(info *types.Info, f *ast.File, read, written map[*types.Var]bool) {
+	field := func(e ast.Expr) *types.Var {
+		se, ok := ast.Unparen(e).(*ast.SelectorExpr)
+		if !ok {
+			return nil
+		}
+		if sel := info.Selections[se]; sel != nil && sel.Kind() == types.FieldVal {
+			return sel.Obj().(*types.Var).Origin()
+		}
+		return nil
+	}
+	// lhsField is the field an assignment to e writes: x.F, or an
+	// element of it (x.F[i]).
+	lhsField := func(e ast.Expr) *types.Var {
+		for {
+			ix, ok := ast.Unparen(e).(*ast.IndexExpr)
+			if !ok {
+				return field(e)
+			}
+			e = ix.X
+		}
+	}
+	// lhs holds the selectors that are written, not read.
+	lhs := make(map[ast.Expr]bool)
+	var stack []ast.Node
+	ast.Inspect(f, func(n ast.Node) bool {
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		stack = append(stack, n)
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for i, l := range n.Lhs {
+				fv := lhsField(l)
+				if fv == nil {
+					continue
+				}
+				lhs[ast.Unparen(l)] = true
+				constant := len(n.Rhs) == len(n.Lhs) && n.Tok == token.ASSIGN &&
+					info.Types[n.Rhs[i]].Value != nil
+				if !constant || !defaulting(info, stack, fv) {
+					written[fv] = true
+				}
+			}
+		case *ast.IncDecStmt:
+			if fv := lhsField(n.X); fv != nil {
+				lhs[ast.Unparen(n.X)] = true
+				written[fv] = true
+			}
+		case *ast.UnaryExpr:
+			if fv := field(n.X); n.Op == token.AND && fv != nil {
+				written[fv] = true
+			}
+		case *ast.CompositeLit:
+			t := info.TypeOf(n)
+			if p, ok := t.Underlying().(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			st, ok := t.Underlying().(*types.Struct)
+			if !ok {
+				return true
+			}
+			for i, el := range n.Elts {
+				if kv, ok := el.(*ast.KeyValueExpr); ok {
+					if id, ok := kv.Key.(*ast.Ident); ok {
+						if fv, ok := info.Uses[id].(*types.Var); ok {
+							written[fv.Origin()] = true
+						}
+					}
+				} else if i < st.NumFields() {
+					written[st.Field(i).Origin()] = true
+				}
+			}
+		case *ast.SelectorExpr:
+			if fv := field(n); fv != nil && !lhs[n] {
+				read[fv] = true
+			}
+		}
+		return true
+	})
+}
+
+// defaulting reports whether an if enclosing the innermost node of
+// stack tests field fv (an Origin): the `if x.F == 0 { x.F = c }`
+// idiom.
+func defaulting(info *types.Info, stack []ast.Node, fv *types.Var) bool {
+	for i := len(stack) - 1; i >= 0; i-- {
+		ifs, ok := stack[i].(*ast.IfStmt)
+		if !ok {
+			continue
+		}
+		tests := false
+		ast.Inspect(ifs.Cond, func(n ast.Node) bool {
+			if se, ok := n.(*ast.SelectorExpr); ok {
+				if sel := info.Selections[se]; sel != nil && sel.Kind() == types.FieldVal &&
+					sel.Obj().(*types.Var).Origin() == fv {
+					tests = true
+				}
+			}
+			return !tests
+		})
+		if tests {
+			return true
+		}
+	}
+	return false
 }
 
 // benchSelections parses the benchmark harness and returns the names

@@ -49,20 +49,14 @@ const (
 	sumLen     = sha256.Size
 )
 
-// OpenDisk opens (creating if needed) a disk tier rooted at dir.
-// Non-positive bounds select the Config defaults (4096 entries, 1
-// GiB). The directory must be writable: a probe file is created and
-// removed at open so an unusable dir fails here, at startup, rather
-// than silently on the first Put. Blobs already present are adopted;
+// OpenDisk opens (creating if needed) a disk tier rooted at dir,
+// bounded to diskMaxEntries blobs of diskMaxBytes in all. The
+// directory must be writable: a probe file is created and removed at
+// open so an unusable dir fails here, at startup, rather than silently
+// on the first Put. Blobs already present are adopted;
 // the index file, when readable, restores their LRU order, and files
 // missing from it are appended coldest-last.
-func OpenDisk(dir string, maxEntries int, maxBytes int64) (*Disk, error) {
-	if maxEntries <= 0 {
-		maxEntries = 4096
-	}
-	if maxBytes <= 0 {
-		maxBytes = 1 << 30
-	}
+func OpenDisk(dir string) (*Disk, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("memo: open disk tier: %w", err)
 	}
@@ -74,8 +68,8 @@ func OpenDisk(dir string, maxEntries int, maxBytes int64) (*Disk, error) {
 
 	d := &Disk{
 		dir:        dir,
-		maxEntries: maxEntries,
-		maxBytes:   maxBytes,
+		maxEntries: diskMaxEntries,
+		maxBytes:   diskMaxBytes,
 		ll:         list.New(),
 		byKey:      make(map[string]*list.Element),
 	}

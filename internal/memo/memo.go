@@ -20,44 +20,31 @@ import (
 // Config bounds a Store. Zero values select the defaults; Dir == ""
 // runs memory-only.
 type Config struct {
-	// MaxEntries / MaxBytes bound the in-memory tier (defaults 512
-	// entries, 256 MiB).
+	// MaxEntries bounds the in-memory tier's entries (default 512).
 	MaxEntries int
-	MaxBytes   int64
 	// Dir, when non-empty, enables the disk tier rooted there. The
 	// directory is created if missing.
 	Dir string
-	// MaxDiskEntries / MaxDiskBytes bound the disk tier (defaults 4096
-	// entries, 1 GiB).
-	MaxDiskEntries int
-	MaxDiskBytes   int64
 }
 
-func (c Config) withDefaults() Config {
-	if c.MaxEntries <= 0 {
-		c.MaxEntries = 512
-	}
-	if c.MaxBytes <= 0 {
-		c.MaxBytes = 256 << 20
-	}
-	if c.MaxDiskEntries <= 0 {
-		c.MaxDiskEntries = 4096
-	}
-	if c.MaxDiskBytes <= 0 {
-		c.MaxDiskBytes = 1 << 30
-	}
-	return c
-}
+// The tiers' fixed bounds: memory also holds at most memMaxBytes, and
+// the disk tier diskMaxEntries files of diskMaxBytes in all.
+const (
+	memMaxBytes    = 256 << 20 // 256 MiB
+	diskMaxEntries = 4096
+	diskMaxBytes   = 1 << 30 // 1 GiB
+)
 
 // Store is the two-tier blob cache. All methods are safe for
 // concurrent use.
 type Store struct {
-	mu    sync.Mutex
-	cfg   Config
-	ll    *list.List // of *memEntry; front = most recently used
-	byKey map[string]*list.Element
-	bytes int64
-	disk  *Disk // nil when memory-only
+	mu         sync.Mutex
+	maxEntries int
+	maxBytes   int64
+	ll         *list.List // of *memEntry; front = most recently used
+	byKey      map[string]*list.Element
+	bytes      int64
+	disk       *Disk // nil when memory-only
 
 	memHits  uint64
 	diskHits uint64
@@ -75,16 +62,19 @@ type memEntry struct {
 // memory-only Store alongside the error, so callers can degrade
 // gracefully: log the error, keep the store.
 func Open(cfg Config) (*Store, error) {
-	cfg = cfg.withDefaults()
 	s := &Store{
-		cfg:   cfg,
-		ll:    list.New(),
-		byKey: make(map[string]*list.Element),
+		maxEntries: cfg.MaxEntries,
+		maxBytes:   memMaxBytes,
+		ll:         list.New(),
+		byKey:      make(map[string]*list.Element),
+	}
+	if s.maxEntries <= 0 {
+		s.maxEntries = 512
 	}
 	if cfg.Dir == "" {
 		return s, nil
 	}
-	d, err := OpenDisk(cfg.Dir, cfg.MaxDiskEntries, cfg.MaxDiskBytes)
+	d, err := OpenDisk(cfg.Dir)
 	if err != nil {
 		return s, err
 	}
@@ -196,7 +186,7 @@ func (s *Store) insert(key string, blob []byte) {
 // evict drops least recently used entries past the memory bounds,
 // always keeping the newest. Callers hold s.mu.
 func (s *Store) evict() {
-	for s.ll.Len() > 1 && (s.ll.Len() > s.cfg.MaxEntries || s.bytes > s.cfg.MaxBytes) {
+	for s.ll.Len() > 1 && (s.ll.Len() > s.maxEntries || s.bytes > s.maxBytes) {
 		el := s.ll.Back()
 		ent := el.Value.(*memEntry)
 		s.ll.Remove(el)

@@ -50,10 +50,11 @@ func TestMemoryLRUEviction(t *testing.T) {
 }
 
 func TestMemoryByteBound(t *testing.T) {
-	s, err := Open(Config{MaxEntries: 100, MaxBytes: 10})
+	s, err := Open(Config{MaxEntries: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.maxBytes = 10
 	s.Put("big1", make([]byte, 8))
 	s.Put("big2", make([]byte, 8))
 	if _, ok := s.Get("big1", anyBlob); ok {
@@ -240,10 +241,11 @@ func TestDiskBitRotIsMiss(t *testing.T) {
 
 func TestDiskEvictionRemovesFiles(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(Config{Dir: dir, MaxDiskEntries: 2})
+	s, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.disk.maxEntries = 2
 	for i := 0; i < 4; i++ {
 		s.Put(fmt.Sprintf("ev%02d", i), []byte("x"))
 	}

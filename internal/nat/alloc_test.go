@@ -11,8 +11,8 @@ import (
 // benchPolicy gives bindings the UDP timers of a typical profile, so
 // every created or refreshed binding arms an expiry event.
 var benchPolicy = Policy{
-	PortPreservation: true,
-	UDP:              UDPTimeouts{Outbound: 30 * time.Second, Inbound: 180 * time.Second, Bidir: 180 * time.Second},
+	PortAlloc: PortAllocPreserving,
+	UDP:       UDPTimeouts{Outbound: 30 * time.Second, Inbound: 180 * time.Second, Bidir: 180 * time.Second},
 }
 
 // outboundBench replays one client datagram through e.Outbound from

@@ -4,11 +4,10 @@ package nat
 // RFC 5382 (TCP): how a NAT maps internal endpoints to external ports
 // (the mapping behavior), which inbound packets it lets through (the
 // filtering behavior), and how it picks external port numbers (the port
-// allocation behavior). The engine composes one policy per axis; the
-// zero value of every axis reproduces the monolithic pre-refactor
-// engine exactly — address-and-port-dependent in both dimensions, with
-// preservation-or-sequential allocation — which is the behavior of the
-// paper's entire Table 1 population.
+// allocation behavior). The engine composes one policy per axis. The
+// zero values are address-and-port-dependent mapping and filtering and
+// sequential allocation; the paper's entire Table 1 population shares
+// the first two and differs only in whether it preserves ports.
 
 // MappingBehavior says when two outbound flows from the same internal
 // endpoint reuse one external port (RFC 4787 §4.1). It decides the
@@ -108,18 +107,13 @@ func (f FilteringBehavior) Short() string {
 type PortAllocBehavior int
 
 const (
-	// PortAllocDefault derives the behavior from the legacy
-	// Policy.PortPreservation flag: PortAllocPreserving when it is
-	// set, PortAllocSequential otherwise. This keeps the 34 calibrated
-	// profiles (and every existing Policy literal) byte-identical.
-	PortAllocDefault PortAllocBehavior = iota
+	// PortAllocSequential hands out ports from a monotonically
+	// advancing counter starting at 30000 (the zero value).
+	PortAllocSequential PortAllocBehavior = iota
 	// PortAllocPreserving prefers the internal source port (port
 	// preservation, with overloading across remote endpoints), falling
 	// back to the sequential scan on conflict.
 	PortAllocPreserving
-	// PortAllocSequential hands out ports from a monotonically
-	// advancing counter starting at 30000.
-	PortAllocSequential
 	// PortAllocContiguous allocates each internal endpoint's next
 	// mapping adjacent to its previous one (the port-prediction-
 	// friendly delta-1 allocation some devices exhibit).
@@ -132,8 +126,6 @@ const (
 // String implements fmt.Stringer.
 func (a PortAllocBehavior) String() string {
 	switch a {
-	case PortAllocDefault:
-		return "default"
 	case PortAllocPreserving:
 		return "preserving"
 	case PortAllocSequential:

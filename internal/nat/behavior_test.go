@@ -254,7 +254,6 @@ func TestFilteringInboundTCPSynStaysTransitory(t *testing.T) {
 		Filtering:      FilteringEndpointIndependent,
 		PortAlloc:      PortAllocSequential,
 		TCPEstablished: time.Hour,
-		TCPTransitory:  30 * time.Second,
 	})
 	if !outboundSYN(e, 10000) {
 		t.Fatal("outbound SYN dropped")
@@ -278,11 +277,11 @@ func TestFilteringInboundTCPSynStaysTransitory(t *testing.T) {
 	// Never answered: the phantom session must drain on the transitory
 	// timeout, not pin a slot for TCPEstablished.
 	gone := false
-	s.After(40*time.Second, func() {
+	s.After(tcpTransitory+10*time.Second, func() {
 		_, still := e.byFlow[flowOf(netpkt.ProtoTCP, client, 10000, scanner, 6666)]
 		gone = !still
 	})
-	s.Run(40 * time.Second)
+	s.Run(tcpTransitory + 10*time.Second)
 	if !gone {
 		t.Fatal("unanswered inbound session survived the transitory timeout")
 	}
@@ -346,18 +345,19 @@ func TestPortAllocRandomDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-// TestPortAllocDefaultDerivesFromPreservationFlag pins the zero-value
-// compatibility contract.
-func TestPortAllocDefaultDerivesFromPreservationFlag(t *testing.T) {
+// TestPortAllocZeroIsSequential pins the zero value: a Policy that
+// names no allocation behavior scans sequentially, and only
+// PortAllocPreserving keeps the internal source port.
+func TestPortAllocZeroIsSequential(t *testing.T) {
 	s := sim.New(1)
-	e := newEng(s, Policy{PortPreservation: true, ReuseExpiredBinding: true})
+	e := newEng(s, Policy{PortAlloc: PortAllocPreserving, ReuseExpiredBinding: true})
 	if got := outboundUDPTo(t, e, 5000, dstA, 7000); got != 5000 {
-		t.Fatalf("default alloc with PortPreservation did not preserve: %d", got)
+		t.Fatalf("preserving alloc did not preserve: %d", got)
 	}
 	s2 := sim.New(1)
 	e2 := newEng(s2, Policy{})
-	if got := outboundUDPTo(t, e2, 5000, dstA, 7000); got == 5000 {
-		t.Fatal("default alloc without PortPreservation preserved")
+	if got := outboundUDPTo(t, e2, 5000, dstA, 7000); got != 30000 {
+		t.Fatalf("zero alloc chose port %d, want the sequential scan's first, 30000", got)
 	}
 }
 

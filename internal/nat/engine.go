@@ -420,7 +420,7 @@ func (e *Engine) armQ(b *Binding, timeout time.Duration, quantise bool) {
 func (e *Engine) expire(b *Binding) {
 	e.s.Obs().Inc(obs.CNATBindingsExpired)
 	if !e.pol.ReuseExpiredBinding {
-		e.quarantine[b.flow] = quarEntry{port: b.ext, until: e.s.Now() + e.pol.ReuseQuarantine}
+		e.quarantine[b.flow] = quarEntry{port: b.ext, until: e.s.Now() + reuseQuarantine}
 	}
 	e.remove(b)
 }
@@ -519,24 +519,12 @@ func (e *Engine) lostReason(proto uint8, ext uint16, reason DropReason) DropReas
 	return reason
 }
 
-// portAllocMode resolves the configured allocation behavior, deriving
-// the legacy PortPreservation flag for the zero value.
-func (e *Engine) portAllocMode() PortAllocBehavior {
-	if e.pol.PortAlloc != PortAllocDefault {
-		return e.pol.PortAlloc
-	}
-	if e.pol.PortPreservation {
-		return PortAllocPreserving
-	}
-	return PortAllocSequential
-}
-
 // allocPort chooses an external port for a new mapping, per the port
 // allocation behavior. The quarantine/reuse decision (UDP-4) is shared
 // by every mode: a flow whose previous binding expired under a
-// no-reuse policy has its old port blocked for ReuseQuarantine.
+// no-reuse policy has its old port blocked for reuseQuarantine.
 func (e *Engine) allocPort(proto uint8, flow flowKey, desired uint16) uint16 {
-	mode := e.portAllocMode()
+	mode := e.pol.PortAlloc
 	var blocked uint16
 	if q, ok := e.quarantine[flow]; ok {
 		if e.s.Now() < q.until {
@@ -561,10 +549,9 @@ func (e *Engine) allocPort(proto uint8, flow flowKey, desired uint16) uint16 {
 		e.lastContig = make(map[mapKey]uint16)
 	}
 	switch mode {
-	case PortAllocDefault, PortAllocPreserving, PortAllocSequential:
-		// Sequential scan below. (Default and preserving were resolved
-		// above: preservation either hit its port already or falls back
-		// to the scan, matching the legacy PortPreservation flag.)
+	case PortAllocSequential, PortAllocPreserving:
+		// Sequential scan below. (Preservation either hit its port
+		// above or falls back to the scan.)
 	case PortAllocRandom:
 		for i := 0; i < 64; i++ {
 			p := uint16(30000 + e.s.Rand().Intn(65536-30000))
@@ -732,7 +719,7 @@ func (e *Engine) refreshTCP(b *Binding, flags uint8, inbound bool) {
 			e.arm(b, e.pol.TCPEstablished)
 			return
 		}
-		e.arm(b, e.pol.TCPTransitory)
+		e.arm(b, tcpTransitory)
 	}
 }
 

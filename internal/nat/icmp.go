@@ -43,7 +43,7 @@ func (e *Engine) outboundICMP(ip *netpkt.IPv4) bool {
 				return false
 			}
 		}
-		e.arm(b, e.pol.ICMPQueryTimeout)
+		e.arm(b, icmpQueryTimeout)
 		setEchoID(ip.Payload, b.ext)
 		ip.Src = e.wan
 		e.translated()
@@ -101,7 +101,7 @@ func (e *Engine) inboundICMP(ip *netpkt.IPv4) bool {
 			e.drop(DropICMPNoBinding)
 			return false
 		}
-		e.arm(b, e.pol.ICMPQueryTimeout)
+		e.arm(b, icmpQueryTimeout)
 		setEchoID(ip.Payload, b.flow.cport)
 		ip.Dst = b.flow.client.addr()
 		e.translated()

@@ -47,7 +47,7 @@ func inboundUDP(e *Engine, extPort, sport uint16) bool {
 
 func TestUDPTranslationAndChecksum(t *testing.T) {
 	s := sim.New(1)
-	e := newEng(s, Policy{PortPreservation: true, ReuseExpiredBinding: true})
+	e := newEng(s, Policy{PortAlloc: PortAllocPreserving, ReuseExpiredBinding: true})
 	ip, ok := outboundUDP(e, 5000, 7000)
 	if !ok {
 		t.Fatal("outbound dropped")
@@ -187,7 +187,7 @@ func TestTimerGranularityQuantises(t *testing.T) {
 
 func TestPortOverloadingSameEndpoint(t *testing.T) {
 	s := sim.New(1)
-	e := newEng(s, Policy{PortPreservation: true, ReuseExpiredBinding: true})
+	e := newEng(s, Policy{PortAlloc: PortAllocPreserving, ReuseExpiredBinding: true})
 	// Two flows from the same internal endpoint to different servers
 	// share the preserved external port (port overloading): the reverse
 	// map keyed by remote endpoint keeps them unambiguous. This is what
@@ -207,7 +207,7 @@ func TestPortOverloadingSameEndpoint(t *testing.T) {
 
 func TestPortPreservationConflictAcrossClients(t *testing.T) {
 	s := sim.New(1)
-	e := newEng(s, Policy{PortPreservation: true, ReuseExpiredBinding: true})
+	e := newEng(s, Policy{PortAlloc: PortAllocPreserving, ReuseExpiredBinding: true})
 	// A different internal host wanting the same source port must not
 	// steal or share the first host's external port.
 	outboundUDP(e, 5000, 7000)
@@ -229,7 +229,7 @@ func TestPortPreservationConflictAcrossClients(t *testing.T) {
 
 func TestNoPreservationAllocatesSequential(t *testing.T) {
 	s := sim.New(1)
-	e := newEng(s, Policy{PortPreservation: false})
+	e := newEng(s, Policy{})
 	outboundUDP(e, 5000, 7000)
 	b, _ := e.byFlow[flowOf(netpkt.ProtoUDP, client, 5000, server, 7000)]
 	if b.ext == 5000 {
@@ -239,9 +239,8 @@ func TestNoPreservationAllocatesSequential(t *testing.T) {
 
 func TestQuarantinePreventsImmediateReuse(t *testing.T) {
 	pol := Policy{
-		UDP:              UDPTimeouts{Outbound: 10 * time.Second},
-		PortPreservation: true, ReuseExpiredBinding: false,
-		ReuseQuarantine: 60 * time.Second,
+		UDP:       UDPTimeouts{Outbound: 10 * time.Second},
+		PortAlloc: PortAllocPreserving, ReuseExpiredBinding: false,
 	}
 	s := sim.New(1)
 	e := newEng(s, pol)
@@ -265,8 +264,8 @@ func TestQuarantinePreventsImmediateReuse(t *testing.T) {
 
 func TestReuseExpiredBinding(t *testing.T) {
 	pol := Policy{
-		UDP:              UDPTimeouts{Outbound: 10 * time.Second},
-		PortPreservation: true, ReuseExpiredBinding: true,
+		UDP:       UDPTimeouts{Outbound: 10 * time.Second},
+		PortAlloc: PortAllocPreserving, ReuseExpiredBinding: true,
 	}
 	s := sim.New(1)
 	e := newEng(s, pol)
@@ -426,7 +425,7 @@ func buildICMPError(t *testing.T, e *Engine, kind netpkt.ICMPKind, extPort uint1
 
 func TestICMPErrorFullTranslation(t *testing.T) {
 	s := sim.New(1)
-	e := newEng(s, Policy{PortPreservation: true, ReuseExpiredBinding: true,
+	e := newEng(s, Policy{PortAlloc: PortAllocPreserving, ReuseExpiredBinding: true,
 		ICMPUDP: AllICMP(ICMPTranslate)})
 	outboundUDP(e, 5000, 7000)
 	b, _ := e.byFlow[flowOf(netpkt.ProtoUDP, client, 5000, server, 7000)]
@@ -461,7 +460,7 @@ func TestICMPErrorFullTranslation(t *testing.T) {
 
 func TestICMPErrorNoInnerFix(t *testing.T) {
 	s := sim.New(1)
-	e := newEng(s, Policy{PortPreservation: true, ReuseExpiredBinding: true,
+	e := newEng(s, Policy{PortAlloc: PortAllocPreserving, ReuseExpiredBinding: true,
 		ICMPUDP: AllICMP(ICMPNoInnerFix)})
 	outboundUDP(e, 5000, 7000)
 	b, _ := e.byFlow[flowOf(netpkt.ProtoUDP, client, 5000, server, 7000)]
@@ -481,7 +480,7 @@ func TestICMPErrorNoInnerFix(t *testing.T) {
 
 func TestICMPErrorBadInnerChecksum(t *testing.T) {
 	s := sim.New(1)
-	e := newEng(s, Policy{PortPreservation: true, ReuseExpiredBinding: true,
+	e := newEng(s, Policy{PortAlloc: PortAllocPreserving, ReuseExpiredBinding: true,
 		ICMPUDP: AllICMP(ICMPBadInnerIPChecksum)})
 	outboundUDP(e, 5000, 7000)
 	b, _ := e.byFlow[flowOf(netpkt.ProtoUDP, client, 5000, server, 7000)]
@@ -504,7 +503,7 @@ func TestICMPErrorBadInnerChecksum(t *testing.T) {
 
 func TestICMPErrorToRST(t *testing.T) {
 	s := sim.New(1)
-	e := newEng(s, Policy{PortPreservation: true, ReuseExpiredBinding: true,
+	e := newEng(s, Policy{PortAlloc: PortAllocPreserving, ReuseExpiredBinding: true,
 		TCPEstablished: time.Hour, ICMPTCP: AllICMP(ICMPToRST)})
 	outboundSYN(e, 10000)
 	b, _ := e.byFlow[flowOf(netpkt.ProtoTCP, client, 10000, server, 80)]
@@ -569,7 +568,7 @@ func TestInboundWithoutBindingDropped(t *testing.T) {
 
 func TestExpiredTCPBindingFreesSlot(t *testing.T) {
 	s := sim.New(1)
-	e := newEng(s, Policy{MaxTCPBindings: 2, TCPTransitory: 5 * time.Second})
+	e := newEng(s, Policy{MaxTCPBindings: 2})
 	outboundSYN(e, 10000)
 	outboundSYN(e, 10001)
 	if outboundSYN(e, 10002) {
@@ -577,7 +576,7 @@ func TestExpiredTCPBindingFreesSlot(t *testing.T) {
 	}
 	ok := false
 	count := -1
-	s.After(10*time.Second, func() { // transitory expired
+	s.After(tcpTransitory+5*time.Second, func() { // transitory expired
 		ok = outboundSYN(e, 10003)
 		count = e.tcpCount
 	})

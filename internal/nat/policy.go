@@ -94,14 +94,29 @@ type UDPTimeouts struct {
 	Bidir    time.Duration
 }
 
+// Timeouts every device shares: the paper measured none of them
+// separately, so no profile varies them.
+const (
+	// reuseQuarantine is how long an expired flow's port stays blocked
+	// under a no-reuse policy (!ReuseExpiredBinding).
+	reuseQuarantine = 120 * time.Second
+	// tcpTransitory is the timeout of half-open or closing TCP
+	// bindings (RFC 5382's 4 min floor for transitory connections).
+	tcpTransitory = 4 * time.Minute
+	// icmpQueryTimeout bounds ICMP echo (query) bindings (RFC 5508's
+	// 60 s floor).
+	icmpQueryTimeout = 60 * time.Second
+)
+
 // Policy is the complete behavioral profile of one NAT device. All
 // fields are externally observable via the paper's measurements.
 //
 // The Mapping, Filtering and PortAlloc axes compose the RFC 4787/5382
-// behavior modules (see behavior.go); their zero values reproduce the
-// pre-refactor engine exactly, so a Policy that does not mention them
-// behaves as every Table 1 device does: address-and-port-dependent in
-// both dimensions.
+// behavior modules (see behavior.go). Their zero values are
+// address-and-port-dependent mapping, address-and-port-dependent
+// filtering and sequential port allocation. Every Table 1 device is
+// APDM×APDF, so its profile sets only PortAlloc, to
+// PortAllocPreserving where the device preserves ports.
 type Policy struct {
 	// Mapping selects the RFC 4787 mapping behavior: when flows from
 	// one internal endpoint share an external port. Zero = APDM.
@@ -110,7 +125,7 @@ type Policy struct {
 	// inbound path, independently of Mapping. Zero = APDF.
 	Filtering FilteringBehavior
 	// PortAlloc selects how new mappings' external ports are chosen.
-	// Zero derives preservation-or-sequential from PortPreservation.
+	// Zero = sequential.
 	PortAlloc PortAllocBehavior
 
 	// UDP is the default UDP timeout triple.
@@ -125,29 +140,19 @@ type Policy struct {
 	// inter-quartile ranges the paper saw on we/al/je/ng5.
 	TimerGranularity time.Duration
 
-	// PortPreservation: prefer the internal source port as external port.
-	PortPreservation bool
 	// ReuseExpiredBinding: a flow recreated shortly after its binding
 	// expired gets the same external port again. When false the old
 	// port is quarantined and a different one is chosen (the paper's
-	// UDP-4 "new binding" devices).
+	// UDP-4 "new binding" devices); it stays blocked for
+	// reuseQuarantine.
 	ReuseExpiredBinding bool
-	// ReuseQuarantine is how long an expired flow's port stays blocked
-	// when ReuseExpiredBinding is false (default 120 s).
-	ReuseQuarantine time.Duration
 
 	// TCPEstablished is the idle timeout of established TCP bindings
 	// (TCP-1). Zero means bindings are kept forever (the paper's ">24 h"
 	// devices).
 	TCPEstablished time.Duration
-	// TCPTransitory is the timeout for half-open or closing TCP
-	// bindings (not separately measured by the paper; defaults 4 min).
-	TCPTransitory time.Duration
 	// MaxTCPBindings caps the TCP binding table (TCP-4). Zero = 65535.
 	MaxTCPBindings int
-
-	// ICMPQueryTimeout bounds ICMP echo (query) bindings.
-	ICMPQueryTimeout time.Duration
 
 	// ICMPTCP and ICMPUDP give the handling mode per error kind for
 	// errors relating to TCP and UDP flows; ICMPEcho is the mode for
@@ -187,17 +192,8 @@ func (p Policy) withDefaults() Policy {
 	if p.UDP.Bidir == 0 {
 		p.UDP.Bidir = p.UDP.Inbound
 	}
-	if p.ReuseQuarantine == 0 {
-		p.ReuseQuarantine = 120 * time.Second
-	}
-	if p.TCPTransitory == 0 {
-		p.TCPTransitory = 4 * time.Minute
-	}
 	if p.MaxTCPBindings == 0 {
 		p.MaxTCPBindings = 65535
-	}
-	if p.ICMPQueryTimeout == 0 {
-		p.ICMPQueryTimeout = 60 * time.Second
 	}
 	return p
 }

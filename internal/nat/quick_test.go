@@ -19,8 +19,12 @@ func TestQuickExternalPortsUniquePerProto(t *testing.T) {
 		if len(ports) > 40 {
 			ports = ports[:40]
 		}
+		alloc := PortAllocSequential
+		if preserve {
+			alloc = PortAllocPreserving
+		}
 		s := sim.New(3)
-		e := newEng(s, Policy{PortPreservation: preserve, ReuseExpiredBinding: true})
+		e := newEng(s, Policy{PortAlloc: alloc, ReuseExpiredBinding: true})
 		type key struct {
 			ext   uint16
 			sport uint16
@@ -60,8 +64,8 @@ func TestQuickBindingCountsConsistent(t *testing.T) {
 		}
 		s := sim.New(4)
 		e := newEng(s, Policy{
-			UDP:              UDPTimeouts{Outbound: 30 * time.Second},
-			PortPreservation: true, ReuseExpiredBinding: true,
+			UDP:       UDPTimeouts{Outbound: 30 * time.Second},
+			PortAlloc: PortAllocPreserving, ReuseExpiredBinding: true,
 		})
 		for _, sp := range ports {
 			if sp == 0 {
@@ -95,7 +99,7 @@ func TestQuickTranslationRoundtrip(t *testing.T) {
 			payload = payload[:256]
 		}
 		s := sim.New(5)
-		e := newEng(s, Policy{PortPreservation: false})
+		e := newEng(s, Policy{})
 		u := &netpkt.UDP{SrcPort: sp, DstPort: dp, Payload: payload}
 		out := &netpkt.IPv4{Protocol: netpkt.ProtoUDP, TTL: 64, Src: client, Dst: server,
 			Payload: u.AppendMarshal(nil, client, server)}

@@ -14,7 +14,7 @@ import (
 // (EIM), so mappings hold several sessions and extra session records
 // come from the free list too.
 var recyclePolicy = Policy{
-	PortPreservation:    true,
+	PortAlloc:           PortAllocPreserving,
 	ReuseExpiredBinding: true,
 	Mapping:             MappingEndpointIndependent,
 	UDP:                 UDPTimeouts{Outbound: 30 * time.Second, Inbound: 30 * time.Second, Bidir: 30 * time.Second},

@@ -14,7 +14,7 @@ func TestWipeBindings(t *testing.T) {
 	s := sim.New(1)
 	reg := obs.NewRegistry()
 	s.SetObs(reg)
-	e := newEng(s, Policy{PortPreservation: true})
+	e := newEng(s, Policy{PortAlloc: PortAllocPreserving})
 	var exts []uint16
 	for i := 0; i < 4; i++ {
 		outboundUDP(e, uint16(5000+i), 7000)
@@ -61,7 +61,7 @@ func TestWipeBindings(t *testing.T) {
 // typing again once the port is back in use and then expires.
 func TestWipeBindingsLostPortReclaim(t *testing.T) {
 	s := sim.New(1)
-	e := newEng(s, Policy{PortPreservation: true})
+	e := newEng(s, Policy{PortAlloc: PortAllocPreserving})
 	outboundUDP(e, 5000, 7000)
 	b, _ := e.byFlow[flowOf(netpkt.ProtoUDP, client, 5000, server, 7000)]
 	ext := b.ext
@@ -95,7 +95,7 @@ func TestWipeBindingsEmptyEngine(t *testing.T) {
 // plan produces — must not allocate.
 func TestWipedInboundDropAllocs(t *testing.T) {
 	s := sim.New(1)
-	e := newEng(s, Policy{PortPreservation: true})
+	e := newEng(s, Policy{PortAlloc: PortAllocPreserving})
 	outboundUDP(e, 5000, 7000)
 	b, _ := e.byFlow[flowOf(netpkt.ProtoUDP, client, 5000, server, 7000)]
 	ext := b.ext

@@ -111,9 +111,9 @@ func TestBufPoolRoundTrip(t *testing.T) {
 	pool.PutBuf(big) // oversize: ignored, must not panic
 
 	f := pool.GetFrame()
-	f.VLAN = 42
+	f.Type = 42
 	pool.PutFrame(f)
-	if g := pool.GetFrame(); g != f || g.VLAN != 0 {
+	if g := pool.GetFrame(); g != f || g.Type != 0 {
 		t.Fatal("PutFrame leaked fields into the pool")
 	}
 }
@@ -182,39 +182,37 @@ func TestMarshalPooledBytesIdentical(t *testing.T) {
 // TestReserveMarshalsInPlace checks the Reserve path: the header is
 // written in front of the payload the sender appended, over whatever
 // stale bytes the buffer held, and the wire image is the reserved
-// buffer itself, byte-identical to a plain marshal (bad-checksum
-// flag and option padding included). A payload moved out of the
-// reserved buffer falls back to a copying marshal.
+// buffer itself, byte-identical to a plain marshal (option padding
+// included). A payload moved out of the reserved buffer falls back to
+// a copying marshal.
 func TestReserveMarshalsInPlace(t *testing.T) {
 	src, dst := Addr4(10, 0, 0, 2), Addr4(192, 0, 2, 1)
 	var pool Pool
-	for _, bad := range []bool{false, true} {
-		ip := &IPv4{
-			ID: 7, TTL: 9, Protocol: ProtoUDP, Src: src, Dst: dst, BadChecksum: bad,
-			Options: []byte{IPOptNop, IPOptNop, IPOptEnd},
-		}
-		p := ip.Reserve(&pool, 16)
-		full := ip.Buf[:cap(ip.Buf)]
-		for i := range full {
-			full[i] = 0xff
-		}
-		ip.Payload = append(p, "in-place-payload"...)
-		plain := ip.Marshal()
-		buf := ip.Buf[:1]
-		wire := ip.MarshalPooled(&pool)
-		if !bytes.Equal(plain, wire) {
-			t.Fatalf("bad=%v: in-place marshal differs:\nplain %x\nwire  %x", bad, plain, wire)
-		}
-		if &wire[0] != &buf[0] || ip.Buf != nil {
-			t.Fatalf("bad=%v: wire image is not the reserved buffer handed over", bad)
-		}
-		pool.PutBuf(wire)
+	ip := &IPv4{
+		ID: 7, TTL: 9, Protocol: ProtoUDP, Src: src, Dst: dst,
+		Options: []byte{IPOptNop, IPOptNop, IPOptEnd},
 	}
+	p := ip.Reserve(&pool, 16)
+	full := ip.Buf[:cap(ip.Buf)]
+	for i := range full {
+		full[i] = 0xff
+	}
+	ip.Payload = append(p, "in-place-payload"...)
+	plain := ip.Marshal()
+	buf := ip.Buf[:1]
+	wire := ip.MarshalPooled(&pool)
+	if !bytes.Equal(plain, wire) {
+		t.Fatalf("in-place marshal differs:\nplain %x\nwire  %x", plain, wire)
+	}
+	if &wire[0] != &buf[0] || ip.Buf != nil {
+		t.Fatal("wire image is not the reserved buffer handed over")
+	}
+	pool.PutBuf(wire)
 
-	ip := &IPv4{TTL: 9, Protocol: ProtoUDP, Src: src, Dst: dst}
+	ip = &IPv4{TTL: 9, Protocol: ProtoUDP, Src: src, Dst: dst}
 	ip.Reserve(&pool, 8)
 	ip.Payload = []byte("elsewhere")
-	buf := ip.Buf[:1]
+	buf = ip.Buf[:1]
 	if wire := ip.MarshalPooled(&pool); &wire[0] == &buf[0] || !bytes.Equal(wire, ip.Marshal()) || ip.Buf == nil {
 		t.Fatalf("moved payload: wire %x, Buf kept %v", wire, ip.Buf != nil)
 	}

@@ -2,6 +2,8 @@ package netpkt
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -14,6 +16,8 @@ import (
 // although the input has spare capacity, as a pooled frame buffer
 // does. A message that parses cleanly must round-trip: marshaling it
 // and parsing the result (checksum verified) gives the same message.
+// ParseIPv4Lenient must agree, in value and error, with
+// parseIPv4LenientCopy.
 func FuzzParseCodecs(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b := append(make([]byte, 0, len(data)+64), data...)
@@ -68,13 +72,47 @@ func FuzzParseCodecs(f *testing.F) {
 			}
 		}
 
-		if ip, err := ParseIPv4Lenient(b); ip != nil {
+		ip, err := ParseIPv4Lenient(b)
+		if ip != nil {
 			inside(t, "lenient Options", ip.Options, b)
 			inside(t, "lenient Payload", ip.Payload, b)
 		} else if err == nil {
 			t.Fatal("ParseIPv4Lenient returned neither a packet nor an error")
 		}
+		ref, rerr := parseIPv4LenientCopy(b)
+		if !reflect.DeepEqual(ip, ref) || fmt.Sprint(err) != fmt.Sprint(rerr) {
+			t.Fatalf("ParseIPv4Lenient = %+v, %v; the copying reference %+v, %v", ip, err, ref, rerr)
+		}
 	})
+}
+
+// parseIPv4LenientCopy is the reference form of ParseIPv4Lenient: it
+// parses a truncated embedding from a copy whose Total Length is
+// patched to the bytes present, then parses the header again from the
+// original, whose checksum covers the Total Length as sent.
+func parseIPv4LenientCopy(b []byte) (*IPv4, error) {
+	if len(b) < 20 {
+		return nil, ErrShortPacket
+	}
+	hl := int(b[0]&0x0f) * 4
+	if b[0]>>4 != 4 || hl < 20 || len(b) < hl {
+		return nil, ErrShortPacket
+	}
+	total := int(binary.BigEndian.Uint16(b[2:4]))
+	if total > len(b) {
+		cp := append([]byte(nil), b...)
+		binary.BigEndian.PutUint16(cp[2:4], uint16(len(b)))
+		ip, err := ParseIPv4(cp)
+		if err == ErrBadChecksum || err == nil {
+			orig, err2 := parseHeaderOnly(b)
+			if orig != nil {
+				orig.Payload = b[hl:len(b):len(b)]
+			}
+			return orig, err2
+		}
+		return ip, err
+	}
+	return ParseIPv4(b)
 }
 
 // sameUDP compares datagrams by value; nil and empty payloads match.

@@ -24,14 +24,14 @@ func FuzzParseIPv4(f *testing.F) {
 			inside(t, "Payload", fresh.Payload, b)
 		}
 
-		// A record that carried a packet with options, a payload, a
-		// buffer and the checksum bug, then recycled and reused.
+		// A record that carried a packet with options, a payload and a
+		// buffer, then recycled and reused.
 		var pool Pool
 		prev := pool.GetPacket()
 		if err := prev.Parse(richPacket()); err != nil {
 			t.Fatal(err)
 		}
-		prev.Buf, prev.BadChecksum = make([]byte, 0, bufCapSmall), true
+		prev.Buf = make([]byte, 0, bufCapSmall)
 		//hgwlint:allow poollint the next draw must hand this very record back, zeroed
 		pool.PutPacket(prev)
 		if got := pool.GetPacket(); got != prev || !reflect.DeepEqual(*got, IPv4{pooled: true}) {
@@ -39,7 +39,7 @@ func FuzzParseIPv4(f *testing.F) {
 		}
 		reused := prev
 		reused.Parse(richPacket())
-		reused.Buf, reused.BadChecksum = make([]byte, 0, bufCapSmall), true
+		reused.Buf = make([]byte, 0, bufCapSmall)
 		rerr := reused.Parse(b)
 		if fmt.Sprint(rerr) != fmt.Sprint(ferr) {
 			t.Fatalf("reused record: err %v, fresh: %v", rerr, ferr)

@@ -43,9 +43,6 @@ type ICMP struct {
 	// pointer, depending on Type.
 	Rest uint32
 	Body []byte
-
-	// BadChecksum deliberately corrupts the ICMP checksum on Marshal.
-	BadChecksum bool
 }
 
 // IsError reports whether the message is an ICMP error (carries an
@@ -71,11 +68,7 @@ func (ic *ICMP) AppendMarshal(dst []byte) []byte {
 	b[1] = ic.Code
 	binary.BigEndian.PutUint32(b[4:8], ic.Rest)
 	copy(b[8:], ic.Body)
-	csum := Checksum(b)
-	if ic.BadChecksum {
-		csum ^= 0x5555
-	}
-	binary.BigEndian.PutUint16(b[2:4], csum)
+	binary.BigEndian.PutUint16(b[2:4], Checksum(b))
 	return dst
 }
 

@@ -33,11 +33,6 @@ type IPv4 struct {
 	Options  []byte // raw options, padded to 4 bytes on marshal
 	Payload  []byte
 
-	// BadChecksum, when set before Marshal, deliberately corrupts the
-	// header checksum. It models buggy middlebox rewrites (the paper's
-	// zy1/ls1 ICMP-payload checksum bug).
-	BadChecksum bool
-
 	// Buf, when set, is a pooled buffer (Pool.GetBuf) that Options and
 	// Payload may alias, and the packet owns it: whoever ends the
 	// packet's life recycles it. A received packet owns its frame
@@ -130,11 +125,7 @@ func (ip *IPv4) putHeader(b []byte) {
 	copy(b[12:16], s4[:])
 	copy(b[16:20], d4[:])
 	clear(b[20+copy(b[20:], ip.Options):])
-	csum := Checksum(b)
-	if ip.BadChecksum {
-		csum ^= 0x5555
-	}
-	binary.BigEndian.PutUint16(b[10:12], csum)
+	binary.BigEndian.PutUint16(b[10:12], Checksum(b))
 }
 
 // Clone returns a deep copy whose Options and Payload no longer alias
@@ -346,19 +337,10 @@ func ParseIPv4Lenient(b []byte) (*IPv4, error) {
 	}
 	total := int(binary.BigEndian.Uint16(b[2:4]))
 	if total > len(b) {
-		// Truncated embedding: keep what we have.
-		cp := append([]byte(nil), b...)
-		binary.BigEndian.PutUint16(cp[2:4], uint16(len(b)))
-		ip, err := ParseIPv4(cp)
-		if err == ErrBadChecksum || err == nil {
-			// Re-verify against the original bytes: the checksum was
-			// computed over the original Total Length.
-			orig, err2 := parseHeaderOnly(b)
-			if orig != nil {
-				orig.Payload = b[hl:len(b):len(b)]
-			}
-			return orig, err2
-		}
+		// Truncated embedding: keep what we have. The checksum covers
+		// the header as sent, original Total Length included.
+		ip, err := parseHeaderOnly(b)
+		ip.Payload = b[hl:len(b):len(b)]
 		return ip, err
 	}
 	return ParseIPv4(b)

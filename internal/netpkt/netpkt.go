@@ -71,19 +71,16 @@ var BroadcastMAC = MAC{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
 type Frame struct {
 	Dst     MAC
 	Src     MAC
-	VLAN    uint16 // 0 means untagged
 	Type    uint16 // EtherTypeIPv4 or EtherTypeARP
 	Payload []byte
 }
 
-// Len returns the on-wire frame length in bytes (header + optional
-// 802.1Q tag + payload, padded to the Ethernet minimum of 64 bytes
-// including FCS). Link serialization delays use this.
+// Len returns the on-wire frame length in bytes (header + payload,
+// padded to the Ethernet minimum of 64 bytes including FCS). Frames
+// carry no 802.1Q tag: switches assign VLANs per port. Link
+// serialization delays use this.
 func (f *Frame) Len() int {
 	n := 14 + len(f.Payload) + 4 // hdr + payload + FCS
-	if f.VLAN != 0 {
-		n += 4
-	}
 	if n < 64 {
 		n = 64
 	}

@@ -66,10 +66,6 @@ func TestFrameLen(t *testing.T) {
 	if f.Len() != 118 {
 		t.Fatalf("Len = %d, want 118", f.Len())
 	}
-	f.VLAN = 5
-	if f.Len() != 122 {
-		t.Fatalf("tagged Len = %d, want 122", f.Len())
-	}
 	small := &Frame{Payload: make([]byte, 10)}
 	if small.Len() != 64 {
 		t.Fatalf("min Len = %d, want 64", small.Len())
@@ -109,13 +105,6 @@ func TestIPv4ChecksumDetectsCorruption(t *testing.T) {
 	b := ip.Marshal()
 	b[8] = 3 // corrupt TTL
 	if _, err := ParseIPv4(b); !errors.Is(err, ErrBadChecksum) {
-		t.Fatalf("err = %v, want ErrBadChecksum", err)
-	}
-}
-
-func TestIPv4BadChecksumFlag(t *testing.T) {
-	ip := &IPv4{TTL: 64, Protocol: ProtoTCP, Src: srcA, Dst: dstA, BadChecksum: true}
-	if _, err := ParseIPv4(ip.Marshal()); !errors.Is(err, ErrBadChecksum) {
 		t.Fatalf("err = %v, want ErrBadChecksum", err)
 	}
 }
@@ -305,8 +294,10 @@ func TestICMPEchoNotError(t *testing.T) {
 }
 
 func TestICMPBadChecksum(t *testing.T) {
-	ic := &ICMP{Type: ICMPTimeExceeded, BadChecksum: true}
-	if _, err := ParseICMP(ic.Marshal(), true); !errors.Is(err, ErrBadChecksum) {
+	ic := &ICMP{Type: ICMPTimeExceeded}
+	b := ic.Marshal()
+	b[2] ^= 0x55 // corrupt the checksum
+	if _, err := ParseICMP(b, true); !errors.Is(err, ErrBadChecksum) {
 		t.Fatalf("err = %v", err)
 	}
 }

@@ -169,7 +169,7 @@ func probeICMPUDP(p *sim.Proc, tb *testbed.Testbed, n *testbed.Node,
 	}
 	events.Drain()
 	cli.Send([]byte("icmp-probe"))
-	if _, ok := srv.Recv(p, opts.Verdict); !ok || hj.captured == nil {
+	if _, ok := srv.Recv(p, verdictGrace); !ok || hj.captured == nil {
 		hj.match = nil
 		return VerdictNone
 	}
@@ -177,7 +177,7 @@ func probeICMPUDP(p *sim.Proc, tb *testbed.Testbed, n *testbed.Node,
 	tb.Server.Host.SendICMPError(hj.captured, typ, code, 0)
 	hj.match = nil
 
-	ev, ok := events.Recv(p, opts.Verdict)
+	ev, ok := events.Recv(p, verdictGrace)
 	if !ok {
 		return VerdictNone
 	}
@@ -240,7 +240,7 @@ func probeICMPTCP(p *sim.Proc, tb *testbed.Testbed, n *testbed.Node,
 		return VerdictNone
 	}
 	var buf [64]byte
-	if _, err := sc.Read(p, buf[:], opts.Verdict); err != nil || hj.captured == nil {
+	if _, err := sc.Read(p, buf[:], verdictGrace); err != nil || hj.captured == nil {
 		hj.match = nil
 		return VerdictNone
 	}
@@ -248,7 +248,7 @@ func probeICMPTCP(p *sim.Proc, tb *testbed.Testbed, n *testbed.Node,
 	tb.Server.Host.SendICMPError(hj.captured, typ, code, 0)
 	hj.match = nil
 
-	ev, ok := events.Recv(p, opts.Verdict)
+	ev, ok := events.Recv(p, verdictGrace)
 	if !ok {
 		if sawRST {
 			return VerdictRST
@@ -289,7 +289,7 @@ func probeICMPEcho(p *sim.Proc, tb *testbed.Testbed, n *testbed.Node,
 	hj.match = nil
 	hj.consume = false
 
-	ev, ok := events.Recv(p, opts.Verdict)
+	ev, ok := events.Recv(p, verdictGrace)
 	if !ok {
 		return VerdictNone
 	}

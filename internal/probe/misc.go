@@ -110,7 +110,7 @@ func DNSProxy(tb *testbed.Testbed, s *sim.Sim, opts Options) []DNSResult {
 			if c, err := tb.Client.UDP.Dial(gw, 53); err == nil {
 				q, _ := dnsmsg.NewQuery(uint16(100+i), testbed.ServerName).Marshal()
 				c.Send(q)
-				if d, ok := c.Recv(p, opts.Verdict+3*time.Second); ok {
+				if d, ok := c.Recv(p, verdictGrace+3*time.Second); ok {
 					if m, err := dnsmsg.Parse(d.Data); err == nil && m.Response() && len(m.Answers) > 0 {
 						r.UDPAnswers = true
 					}
@@ -125,7 +125,7 @@ func DNSProxy(tb *testbed.Testbed, s *sim.Sim, opts Options) []DNSResult {
 				q, _ := dnsmsg.NewQuery(uint16(200+i), testbed.ServerName).Marshal()
 				if err := c.Write(p, dnsmsg.FrameTCP(q)); err == nil {
 					var buf []byte
-					deadline := s.Now() + opts.Verdict + 5*time.Second
+					deadline := s.Now() + verdictGrace + 5*time.Second
 					for s.Now() < deadline {
 						var err error
 						if buf, err = c.ReadAppend(p, buf, 4096, deadline-s.Now()); err != nil {
@@ -201,7 +201,7 @@ func IPQuirks(tb *testbed.Testbed, s *sim.Sim, opts Options) []QuirkResult {
 
 			// TTL: send with TTL 32 and check what the server observes.
 			cli.SendTTL(n.ServerAddr, port, []byte("ttl-probe"), 32)
-			if d, ok := srv.Recv(p, opts.Verdict); ok {
+			if d, ok := srv.Recv(p, verdictGrace); ok {
 				r.DecrementsTTL = d.TTL < 32
 			}
 
@@ -217,7 +217,7 @@ func IPQuirks(tb *testbed.Testbed, s *sim.Sim, opts Options) []QuirkResult {
 			}
 			cli.SendWithOptions(n.ServerAddr, port, []byte("rr-probe"), netpkt.RecordRouteOption(4))
 			_ = cli
-			srv.Recv(p, opts.Verdict)
+			srv.Recv(p, verdictGrace)
 			if hj.captured != nil {
 				r.RecordsRoute = len(netpkt.RecordedRoute(hj.captured.Options)) > 0
 			}
@@ -226,11 +226,11 @@ func IPQuirks(tb *testbed.Testbed, s *sim.Sim, opts Options) []QuirkResult {
 			// Hairpin: a second socket sends to the first one's external
 			// mapping via the WAN address.
 			cli.SendTo(n.ServerAddr, port, []byte("bind"))
-			if d, ok := srv.Recv(p, opts.Verdict); ok {
+			if d, ok := srv.Recv(p, verdictGrace); ok {
 				ext := d.FromPort
 				if c2, err := tb.Client.UDP.Dial(n.WANAddr, ext); err == nil {
 					c2.Send([]byte("hairpin-probe"))
-					if d2, ok := cli.Recv(p, opts.Verdict); ok && string(d2.Data) == "hairpin-probe" {
+					if d2, ok := cli.Recv(p, verdictGrace); ok && string(d2.Data) == "hairpin-probe" {
 						r.Hairpins = true
 					}
 					c2.Close()

@@ -141,7 +141,7 @@ func natMapOne(p *sim.Proc, tb *testbed.Testbed, n *testbed.Node, opts Options) 
 	}
 	defer blk.Close()
 	blk.SendTo(n.ServerAddr, natmapPort, []byte("natmap-block"))
-	if _, ok := s1.Recv(p, opts.Verdict); !ok {
+	if _, ok := s1.Recv(p, verdictGrace); !ok {
 		panic("probe: natmap blocker packet lost on " + n.Tag)
 	}
 
@@ -153,7 +153,7 @@ func natMapOne(p *sim.Proc, tb *testbed.Testbed, n *testbed.Node, opts Options) 
 	defer sock.Close()
 	observe := func(dst netip.Addr, dport uint16, srv *udp.Conn, what string) (netip.Addr, uint16) {
 		sock.SendTo(dst, dport, []byte("natmap-"+what))
-		d, ok := srv.Recv(p, opts.Verdict)
+		d, ok := srv.Recv(p, verdictGrace)
 		if !ok {
 			panic(fmt.Sprintf("probe: natmap %s observation lost on %s", what, n.Tag))
 		}
@@ -180,7 +180,7 @@ func natMapOne(p *sim.Proc, tb *testbed.Testbed, n *testbed.Node, opts Options) 
 	}
 	defer fsock.Close()
 	fsock.SendTo(n.ServerAddr, natmapPort, []byte("natmap-f0"))
-	d, ok := s1.Recv(p, opts.Verdict)
+	d, ok := s1.Recv(p, verdictGrace)
 	if !ok {
 		panic("probe: natmap filter session lost on " + n.Tag)
 	}
@@ -188,7 +188,7 @@ func natMapOne(p *sim.Proc, tb *testbed.Testbed, n *testbed.Node, opts Options) 
 	s2.SendTo(wan1, extF, []byte("fprobe-port"))
 	a1.SendTo(wan1, extF, []byte("fprobe-addr"))
 	var fromPort, fromAddr bool
-	deadline := p.Now() + opts.Verdict + time.Second
+	deadline := p.Now() + verdictGrace + time.Second
 	for p.Now() < deadline {
 		d, ok := fsock.Recv(p, deadline-p.Now())
 		if !ok {

@@ -17,6 +17,19 @@ import (
 	"hgw/internal/testbed"
 )
 
+// The probes' fixed method constants (§3.2).
+const (
+	// maxUDPTimeout bounds the UDP binding-timeout searches, above
+	// the longest UDP timeout in the Table 1 calibration (691 s).
+	maxUDPTimeout = 20 * time.Minute
+	// maxTCPTimeout is the TCP-1 cut-off (paper: 24 h): devices whose
+	// idle bindings outlive it report it.
+	maxTCPTimeout = 24 * time.Hour
+	// verdictGrace is how long a probe waits before deciding a
+	// response is not coming.
+	verdictGrace = 2 * time.Second
+)
+
 // Options tunes probe executions.
 type Options struct {
 	// Iterations is the number of repeated measurements per device
@@ -24,17 +37,12 @@ type Options struct {
 	// 100 Iter."). Defaults to 5.
 	Iterations int
 	// Resolution is the binary-search convergence bound (paper: 1 s).
+	// It is the one search parameter left settable: the
+	// search-resolution ablation (DESIGN.md §6) varies it.
 	Resolution time.Duration
-	// MaxUDPTimeout bounds the UDP searches (default 20 min).
-	MaxUDPTimeout time.Duration
-	// MaxTCPTimeout is the TCP-1 cut-off (paper: 24 h).
-	MaxTCPTimeout time.Duration
 	// TransferBytes sizes the TCP-2 bulk transfers (paper: 100 MB;
 	// default here 8 MB to keep test runs quick — benchmarks override).
 	TransferBytes int
-	// Verdict is the grace period for deciding a probe response is not
-	// coming.
-	Verdict time.Duration
 	// Retries is the per-exchange retry budget for probe setup traffic
 	// under injected loss (fault plans): a lost binding-create exchange
 	// is retried with exponential backoff instead of failing the whole
@@ -55,17 +63,8 @@ func (o Options) withDefaults() Options {
 	if o.Resolution <= 0 {
 		o.Resolution = time.Second
 	}
-	if o.MaxUDPTimeout <= 0 {
-		o.MaxUDPTimeout = 20 * time.Minute
-	}
-	if o.MaxTCPTimeout <= 0 {
-		o.MaxTCPTimeout = 24 * time.Hour
-	}
 	if o.TransferBytes <= 0 {
 		o.TransferBytes = 8 << 20
-	}
-	if o.Verdict <= 0 {
-		o.Verdict = 2 * time.Second
 	}
 	return o
 }

@@ -121,7 +121,7 @@ func TestUDP5ServiceOverride(t *testing.T) {
 func TestPortReuseClasses(t *testing.T) {
 	// dl2: preserve+reuse; be1: preserve+new binding; smc: no preservation.
 	tb, s := testbed.Run(testbed.Config{Tags: []string{"dl2", "be1", "smc"}})
-	res := PortReuse(tb, s, Options{Iterations: 1, MaxUDPTimeout: 3 * time.Minute})
+	res := PortReuse(tb, s, Options{Iterations: 1})
 	byTag := map[string]PortReuseResult{}
 	for _, r := range res {
 		byTag[r.Tag] = r

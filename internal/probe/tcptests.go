@@ -17,7 +17,7 @@ const tcpProbeBasePort = 8000
 
 // TCPTimeouts measures idle TCP binding timeouts (TCP-1) for all nodes
 // in parallel. Samples are in minutes; devices whose bindings survive
-// the 24-hour cut-off report opts.MaxTCPTimeout.
+// the 24-hour cut-off (maxTCPTimeout) report it.
 func TCPTimeouts(tb *testbed.Testbed, s *sim.Sim, opts Options) []DeviceResult {
 	opts = opts.withDefaults()
 	return RunPerDevice(tb, s, "tcp-timeout", func(p *sim.Proc, n *testbed.Node) DeviceResult {
@@ -33,7 +33,7 @@ func TCPTimeouts(tb *testbed.Testbed, s *sim.Sim, opts Options) []DeviceResult {
 			p.Sleep(time.Duration(s.Rand().Int63n(int64(5 * time.Second))))
 			sample, _ := binarySearch(func(t time.Duration) bool {
 				return tcpAlive(p, tb, n, lis, port, t, opts)
-			}, 2*time.Minute, opts.MaxTCPTimeout, opts.Resolution)
+			}, 2*time.Minute, maxTCPTimeout, opts.Resolution)
 			res.Samples = append(res.Samples, sample.Minutes())
 		}
 		return res
@@ -65,7 +65,7 @@ func tcpAlive(p *sim.Proc, tb *testbed.Testbed, n *testbed.Node,
 	alive := false
 	if err := sc.Write(p, []byte("binding-check")); err == nil {
 		var buf [64]byte
-		n, err := c.Read(p, buf[:], opts.Verdict+3*time.Second)
+		n, err := c.Read(p, buf[:], verdictGrace+3*time.Second)
 		alive = err == nil && n > 0
 	}
 	c.Abort()
@@ -306,7 +306,7 @@ func MaxBindings(tb *testbed.Testbed, s *sim.Sim, opts Options) []DeviceResult {
 				break
 			}
 			var buf [16]byte
-			if _, err := sc.Read(p, buf[:], opts.Verdict); err != nil {
+			if _, err := sc.Read(p, buf[:], verdictGrace); err != nil {
 				c.Abort()
 				sc.Abort()
 				break

@@ -49,7 +49,7 @@ func KeepaliveSurvival(tb *testbed.Testbed, s *sim.Sim, interval, idleFor time.D
 				p.Sleep(idleFor)
 				if err := sc.Write(p, []byte("still-there?")); err == nil {
 					var buf [64]byte
-					n, err := c.Read(p, buf[:], opts.Verdict+3*time.Second)
+					n, err := c.Read(p, buf[:], verdictGrace+3*time.Second)
 					survived = err == nil && n > 0
 				}
 				sc.Abort()

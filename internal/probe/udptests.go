@@ -68,7 +68,7 @@ func UDPTimeouts(tb *testbed.Testbed, s *sim.Sim, mode UDPMode, serverPort uint1
 			p.Sleep(time.Duration(s.Rand().Int63n(int64(5 * time.Second))))
 			sample, _ := binarySearch(func(t time.Duration) bool {
 				return udpAlive(p, tb, n, cli, srv, mode, t, opts)
-			}, 15*time.Second, opts.MaxUDPTimeout, opts.Resolution)
+			}, 15*time.Second, maxUDPTimeout, opts.Resolution)
 			res.Samples = append(res.Samples, sample.Seconds())
 		}
 		return res
@@ -84,7 +84,7 @@ func udpAlive(p *sim.Proc, tb *testbed.Testbed, n *testbed.Node,
 	// Let any binding from the previous probe expire, so every probe
 	// starts from the identical (no-binding) state — the paper's
 	// "modified" search property.
-	p.Sleep(opts.MaxUDPTimeout + time.Minute)
+	p.Sleep(maxUDPTimeout + time.Minute)
 	cli.Drain()
 	srv.Drain()
 
@@ -98,7 +98,7 @@ func udpAlive(p *sim.Proc, tb *testbed.Testbed, n *testbed.Node,
 		if !cli.Send([]byte("probe-create")) {
 			return false
 		}
-		d, ok := srv.Recv(p, opts.Verdict)
+		d, ok := srv.Recv(p, verdictGrace)
 		if !ok {
 			return false
 		}
@@ -114,19 +114,19 @@ func udpAlive(p *sim.Proc, tb *testbed.Testbed, n *testbed.Node,
 	case UDPSolitary:
 		p.Sleep(t)
 		srv.SendTo(from, fport, []byte("verdict"))
-		_, ok = cli.Recv(p, opts.Verdict)
+		_, ok = cli.Recv(p, verdictGrace)
 		return ok
 
 	case UDPInbound:
 		// Prime the binding's inbound state quickly, then idle for t.
 		p.Sleep(time.Second)
 		srv.SendTo(from, fport, []byte("prime"))
-		if _, ok = cli.Recv(p, opts.Verdict); !ok {
+		if _, ok = cli.Recv(p, verdictGrace); !ok {
 			return false
 		}
 		p.Sleep(t)
 		srv.SendTo(from, fport, []byte("verdict"))
-		_, ok = cli.Recv(p, opts.Verdict)
+		_, ok = cli.Recv(p, verdictGrace)
 		return ok
 
 	case UDPEcho:
@@ -134,16 +134,16 @@ func udpAlive(p *sim.Proc, tb *testbed.Testbed, n *testbed.Node,
 		// the binding into its bidirectional state, then idle for t.
 		p.Sleep(time.Second)
 		srv.SendTo(from, fport, []byte("prime"))
-		if _, ok = cli.Recv(p, opts.Verdict); !ok {
+		if _, ok = cli.Recv(p, verdictGrace); !ok {
 			return false
 		}
 		cli.Send([]byte("echo"))
-		if _, ok = srv.Recv(p, opts.Verdict); !ok {
+		if _, ok = srv.Recv(p, verdictGrace); !ok {
 			return false
 		}
 		p.Sleep(t)
 		srv.SendTo(from, fport, []byte("verdict"))
-		_, ok = cli.Recv(p, opts.Verdict)
+		_, ok = cli.Recv(p, verdictGrace)
 		return ok
 	}
 	return false
@@ -228,13 +228,13 @@ func PortReuse(tb *testbed.Testbed, s *sim.Sim, opts Options) []PortReuseResult 
 		// previous binding expires — within any reuse-quarantine window.
 		timeout, _ := binarySearch(func(t time.Duration) bool {
 			return udpAlive(p, tb, n, cli, srv, UDPSolitary, t, opts)
-		}, 15*time.Second, opts.MaxUDPTimeout, opts.Resolution)
-		p.Sleep(opts.MaxUDPTimeout + time.Minute) // clean slate
+		}, 15*time.Second, maxUDPTimeout, opts.Resolution)
+		p.Sleep(maxUDPTimeout + time.Minute) // clean slate
 
 		r := PortReuseResult{Tag: n.Tag, SourcePort: cli.LocalPort()}
 		for i := 0; i < 3; i++ {
 			cli.Send([]byte("probe"))
-			d, ok := srv.Recv(p, opts.Verdict)
+			d, ok := srv.Recv(p, verdictGrace)
 			if !ok {
 				break
 			}

@@ -332,7 +332,7 @@ func TestDiskCacheLegacyEnvelopeReplaced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := memo.OpenDisk(filepath.Join(dir, "results"), 0, 0)
+	legacy, err := memo.OpenDisk(filepath.Join(dir, "results"))
 	if err != nil {
 		t.Fatal(err)
 	}

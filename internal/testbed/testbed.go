@@ -83,8 +83,6 @@ type Config struct {
 	// profiles exist only in the caller's hands, not in the Table 1
 	// inventory.
 	Profiles []gateway.Profile
-	// LinkConfig overrides the 100 Mb/s defaults.
-	Link netem.LinkConfig
 	// Seed seeds the simulator when Build creates one.
 	Seed int64
 	// VLANBase is the first VLAN id the testbed allocates (default
@@ -97,6 +95,11 @@ type Config struct {
 	// (obslint), so attaching a registry never changes the run.
 	Obs *obs.Registry
 }
+
+// switchLink is every testbed link: 100 Mb/s with generous switch/NIC
+// queues, because the interesting queueing happens inside the
+// gateways, as on the paper's testbed.
+var switchLink = netem.LinkConfig{QueueBytes: 256 * 1024}
 
 // MaxNodes bounds the devices a single testbed can address: node
 // subnets are carved from 10.0.0.0/8 (WAN) and 192.168.0.0/16 plus
@@ -164,13 +167,6 @@ func Build(s *sim.Sim, cfg Config) *Testbed {
 	if vlanBase <= 0 {
 		vlanBase = 1000
 	}
-	link := cfg.Link
-	if link.QueueBytes == 0 {
-		// Generous switch/NIC queues: the interesting queueing happens
-		// inside the gateways, as on the paper's testbed.
-		link.QueueBytes = 256 * 1024
-	}
-
 	tb := &Testbed{
 		S:         s,
 		Server:    newEndpoint(s, "server"),
@@ -217,10 +213,10 @@ func Build(s *sim.Sim, cfg Config) *Testbed {
 		// because of the shared-MAC devices).
 		wanVLAN := tb.wanVLAN(idx)
 		lanVLAN := tb.lanVLAN(idx)
-		netem.Connect(s, sif.Link, tb.wanSwitch.AddPort(wanVLAN), link)
-		node.wanLink = netem.Connect(s, node.Dev.WANIf.Link, tb.wanSwitch.AddPort(wanVLAN), link)
-		netem.Connect(s, node.Dev.LANIf.Link, tb.lanSwitch.AddPort(lanVLAN), link)
-		netem.Connect(s, cif.Link, tb.lanSwitch.AddPort(lanVLAN), link)
+		netem.Connect(s, sif.Link, tb.wanSwitch.AddPort(wanVLAN), switchLink)
+		node.wanLink = netem.Connect(s, node.Dev.WANIf.Link, tb.wanSwitch.AddPort(wanVLAN), switchLink)
+		netem.Connect(s, node.Dev.LANIf.Link, tb.lanSwitch.AddPort(lanVLAN), switchLink)
+		netem.Connect(s, cif.Link, tb.lanSwitch.AddPort(lanVLAN), switchLink)
 
 		tb.Nodes = append(tb.Nodes, node)
 	}
@@ -371,7 +367,7 @@ func (tb *Testbed) startDNSServer() {
 func (tb *Testbed) AddWANHost(p *sim.Proc, n *Node, name string) (*Endpoint, netip.Addr, error) {
 	ep := newEndpoint(tb.S, name)
 	ifc := ep.Host.AddIf("wan0", netip.Addr{}, 0)
-	netem.Connect(tb.S, ifc.Link, tb.wanSwitch.AddPort(tb.wanVLAN(n.Index)), netem.LinkConfig{QueueBytes: 256 * 1024})
+	netem.Connect(tb.S, ifc.Link, tb.wanSwitch.AddPort(tb.wanVLAN(n.Index)), switchLink)
 	lease, err := dhcp.Acquire(p, ep.UDP, ifc, dhcp.ClientConfig{DefaultRoute: true})
 	if err != nil {
 		return nil, netip.Addr{}, fmt.Errorf("testbed: wan host %s dhcp: %w", name, err)
@@ -387,7 +383,7 @@ func (tb *Testbed) AddWANHost(p *sim.Proc, n *Node, name string) (*Endpoint, net
 func (tb *Testbed) AddLANHost(p *sim.Proc, n *Node, name string) (*Endpoint, error) {
 	ep := newEndpoint(tb.S, name)
 	ifc := ep.Host.AddIf("lan0", netip.Addr{}, 0)
-	netem.Connect(tb.S, ifc.Link, tb.lanSwitch.AddPort(tb.lanVLAN(n.Index)), netem.LinkConfig{QueueBytes: 256 * 1024})
+	netem.Connect(tb.S, ifc.Link, tb.lanSwitch.AddPort(tb.lanVLAN(n.Index)), switchLink)
 	if _, err := dhcp.Acquire(p, ep.UDP, ifc, dhcp.ClientConfig{DefaultRoute: true}); err != nil {
 		return nil, fmt.Errorf("testbed: lan host %s dhcp: %w", name, err)
 	}

@@ -94,38 +94,38 @@ func CacheKey(ids []string, opts ...Option) (string, error) {
 // device results) are deliberately absent: they observe a run without
 // influencing its output.
 func (s settings) canonical(exps []*Experiment) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "tags=%s\n", strings.Join(s.tags, ","))
+	// maxProcs is absent: domains are sealed, so output is independent
+	// of the worker count.
+	fmt.Fprintf(&sb, "fleet=%d\nshards=%d\n", s.fleet, s.shards)
+	s.writeRunInputs(&sb, exps)
+	return sb.String()
+}
+
+// writeRunInputs writes the inputs CacheKey and ShardKey share: the
+// experiment ids in run order, the seed, the normalized probe options
+// and an enabled fault plan.
+func (s settings) writeRunInputs(sb *strings.Builder, exps []*Experiment) {
 	ids := make([]string, len(exps))
 	for i, e := range exps {
 		ids[i] = e.ID
 	}
+	fmt.Fprintf(sb, "ids=%s\nseed=%d\n", strings.Join(ids, ","), s.seed)
 	o := s.probeOpts.Normalized()
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "ids=%s\n", strings.Join(ids, ","))
-	fmt.Fprintf(&sb, "seed=%d\n", s.seed)
-	fmt.Fprintf(&sb, "tags=%s\n", strings.Join(s.tags, ","))
-	fmt.Fprintf(&sb, "opts=iters:%d,res:%d,maxudp:%d,maxtcp:%d,bytes:%d,verdict:%d\n",
-		o.Iterations, int64(o.Resolution), int64(o.MaxUDPTimeout),
-		int64(o.MaxTCPTimeout), o.TransferBytes, int64(o.Verdict))
-	// maxProcs is absent: domains are sealed, so output is independent
-	// of the worker count.
-	fmt.Fprintf(&sb, "fleet=%d\nshards=%d\n", s.fleet, s.shards)
-	if o.Retries > 0 {
-		// Appended (rather than folded into the opts line) and omitted
-		// at the zero default, so pre-existing keys are untouched.
-		fmt.Fprintf(&sb, "retries=%d\n", o.Retries)
-	}
+	fmt.Fprintf(sb, "opts=iters:%d,res:%d,bytes:%d,retries:%d\n",
+		o.Iterations, int64(o.Resolution), o.TransferBytes, o.Retries)
 	if s.faults.Enabled() {
 		// Fault plans change the output, so they key — but only when
 		// enabled: an absent faults field and an explicit zero FaultSpec
-		// hash identically to a pre-fault request. The normalized form
-		// is hashed so WithFaultRate(r) and its expanded per-class spec
-		// share a key.
+		// hash identically to a request without faults. The normalized
+		// form is hashed so the Rate shorthand and its expanded
+		// per-class spec share a key.
 		f := s.faults.normalized()
-		fmt.Fprintf(&sb, "faults=flap:%g,loss:%g,corrupt:%g,blackhole:%g,reboot:%g,lossp:%g,horizon:%d\n",
+		fmt.Fprintf(sb, "faults=flap:%g,loss:%g,corrupt:%g,blackhole:%g,reboot:%g,lossp:%g,horizon:%d\n",
 			f.Flaps, f.LossWindows, f.Corrupts, f.Blackholes, f.Reboots,
 			f.LossP, int64(f.Horizon))
 	}
-	return sb.String()
 }
 
 // WithTags selects the gateways under test by their paper tag
@@ -155,9 +155,8 @@ func WithTransferBytes(n int) Option {
 	return func(s *settings) { s.probeOpts.TransferBytes = n }
 }
 
-// WithOptions replaces the probe options wholesale, for tuning knobs
-// without a dedicated Option (search resolution, timeout caps, verdict
-// grace period).
+// WithOptions replaces the probe options wholesale, for the one
+// setting without a dedicated Option: the search resolution.
 func WithOptions(o Options) Option {
 	return func(s *settings) { s.probeOpts = o }
 }
@@ -319,13 +318,6 @@ func (f FaultSpec) normalized() FaultSpec {
 // a no-op.
 func WithFaults(f FaultSpec) Option {
 	return func(s *settings) { s.faults = f }
-}
-
-// WithFaultRate is WithFaults shorthand: every fault class (flap, loss
-// window, corrupt window, blackhole, reboot) runs at rate expected
-// events per device over the default horizon.
-func WithFaultRate(rate float64) Option {
-	return WithFaults(FaultSpec{Rate: rate})
 }
 
 // WithRetries sets the probe-side retry budget for setup exchanges

@@ -106,32 +106,12 @@ func shardKey(s settings, exps []*Experiment, shard, lo, hi int) string {
 // them), fleet/shard totals and every concurrency knob (pure
 // throughput), and the callback options (observation, not influence).
 func (s settings) canonicalShard(exps []*Experiment, shard, lo, hi int) string {
-	ids := make([]string, len(exps))
-	for i, e := range exps {
-		ids[i] = e.ID
-	}
-	o := s.probeOpts.Normalized()
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "shard=%d\ndevices=%d:%d\n", shard, lo, hi)
-	fmt.Fprintf(&sb, "ids=%s\n", strings.Join(ids, ","))
-	fmt.Fprintf(&sb, "seed=%d\n", s.seed)
-	fmt.Fprintf(&sb, "opts=iters:%d,res:%d,maxudp:%d,maxtcp:%d,bytes:%d,verdict:%d\n",
-		o.Iterations, int64(o.Resolution), int64(o.MaxUDPTimeout),
-		int64(o.MaxTCPTimeout), o.TransferBytes, int64(o.Verdict))
-	if o.Retries > 0 {
-		fmt.Fprintf(&sb, "retries=%d\n", o.Retries)
-	}
-	if s.faults.Enabled() {
-		// Fault plans perturb the shard's frames and bindings, so an
-		// enabled spec must key — serving a faulted run's rows for a
-		// clean request (or vice versa) would be a silent wrong answer.
-		// The normalized form is hashed so WithFaultRate(r) and its
-		// expanded per-class spec share a key, mirroring CacheKey.
-		f := s.faults.normalized()
-		fmt.Fprintf(&sb, "faults=flap:%g,loss:%g,corrupt:%g,blackhole:%g,reboot:%g,lossp:%g,horizon:%d\n",
-			f.Flaps, f.LossWindows, f.Corrupts, f.Blackholes, f.Reboots,
-			f.LossP, int64(f.Horizon))
-	}
+	// An enabled fault plan perturbs the shard's frames and bindings,
+	// so it keys: serving a faulted run's rows for a clean request (or
+	// vice versa) would be a silent wrong answer.
+	s.writeRunInputs(&sb, exps)
 	return sb.String()
 }
 

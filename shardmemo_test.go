@@ -73,7 +73,7 @@ func TestShardKeyContract(t *testing.T) {
 	for name, opts := range map[string][]hgw.Option{
 		"seed":    {hgw.WithSeed(8), hgw.WithIterations(1), hgw.WithFleet(96), hgw.WithShards(4)},
 		"iters":   {hgw.WithSeed(7), hgw.WithIterations(2), hgw.WithFleet(96), hgw.WithShards(4)},
-		"faults":  {hgw.WithSeed(7), hgw.WithIterations(1), hgw.WithFleet(96), hgw.WithShards(4), hgw.WithFaultRate(1)},
+		"faults":  {hgw.WithSeed(7), hgw.WithIterations(1), hgw.WithFleet(96), hgw.WithShards(4), hgw.WithFaults(hgw.FaultSpec{Rate: 1})},
 		"retries": {hgw.WithSeed(7), hgw.WithIterations(1), hgw.WithFleet(96), hgw.WithShards(4), hgw.WithRetries(2)},
 	} {
 		k, err := hgw.ShardKey(0, ids, opts...)
@@ -149,7 +149,7 @@ func TestShardMemoFaultedReplay(t *testing.T) {
 	}
 	faulted := []hgw.Option{hgw.WithSeed(11), hgw.WithIterations(1),
 		hgw.WithFleet(64), hgw.WithShards(2),
-		hgw.WithFaultRate(1), hgw.WithRetries(2), hgw.WithShardMemo(store)}
+		hgw.WithFaults(hgw.FaultSpec{Rate: 1}), hgw.WithRetries(2), hgw.WithShardMemo(store)}
 	clean := []hgw.Option{hgw.WithSeed(11), hgw.WithIterations(1),
 		hgw.WithFleet(64), hgw.WithShards(2), hgw.WithShardMemo(store)}
 
