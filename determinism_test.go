@@ -327,7 +327,10 @@ func TestFleetMillion(t *testing.T) {
 // built its testbeds one after another (tcp2 on a private pool). Its
 // sim_compactions and sim_slab_slots lines were re-recorded once, when
 // NAT timer refreshes began moving pending events in place: they
-// describe the event queue's representation, not the run's work.
+// describe the event queue's representation, not the run's work. Its
+// sim_events_fired and sim_events_scheduled lines were re-recorded
+// once, when a link hop became one event: both fell by the frames that
+// finished serializing.
 func TestStandalonePoolDeterminism(t *testing.T) {
 	ids := []string{"bindrate", "tcp2", "fig2", "holepunch", "punchmatrix"}
 	run := func(procs int) string {

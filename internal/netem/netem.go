@@ -148,31 +148,30 @@ func (p *pipe) faultFilter(f *netpkt.Frame) bool {
 	return false
 }
 
-// pipe is one direction of a link. Its transmit machinery is
-// deliberately closure-free: the two event callbacks (serialization
-// done, propagation done) are cached once per pipe, and the frames in
-// flight ride FIFO queues, so steady-state forwarding allocates
-// nothing per frame.
+// pipe is one direction of a link: a drop-tail FIFO transmitter and a
+// propagation delay. A frame starts serializing at the later of its
+// arrival and the previous frame's finish (Lindley's recursion), so
+// send schedules a frame's one event, its delivery, when it admits the
+// frame. The cached callback and one FIFO keep a hop allocation-free.
 type pipe struct {
-	s      *sim.Sim
-	cfg    LinkConfig
-	dst    *Iface
-	queue  sim.FIFO[*netpkt.Frame] // awaiting serialization
-	queued int                     // bytes in queue
-	busy   bool
+	s   *sim.Sim
+	cfg LinkConfig
+	dst *Iface
 
-	txFrame *netpkt.Frame           // currently serializing
-	propq   sim.FIFO[*netpkt.Frame] // serialized, propagating (delivery order)
+	free  sim.Time                // when the last admitted frame finishes serializing
+	propq sim.FIFO[*netpkt.Frame] // admitted, undelivered frames in delivery order
+	// propq's last waiting frames, queued bytes in all, had not started
+	// serializing when last looked at; the oldest of them starts at next.
+	waiting, queued int
+	next            sim.Time
 
 	flt *linkFault // shared with the owning Link's other direction
 
-	txDoneFn  func()
 	deliverFn func()
 }
 
 func newPipe(s *sim.Sim, cfg LinkConfig, dst *Iface) *pipe {
 	p := &pipe{s: s, cfg: cfg, dst: dst}
-	p.txDoneFn = p.txDone
 	p.deliverFn = p.deliverHead
 	return p
 }
@@ -191,11 +190,16 @@ func Connect(s *sim.Sim, a, b *Iface, cfg LinkConfig) *Link {
 	return l
 }
 
+// send admits f unless it must wait and the bytes waiting to start
+// serializing would then exceed the queue bound.
 func (p *pipe) send(f *netpkt.Frame) {
 	if p.faultFilter(f) {
 		return
 	}
-	if p.busy {
+	now := p.s.Now()
+	p.dequeue(now)
+	start := max(now, p.free)
+	if start > now {
 		if p.queued+f.Len() > p.cfg.QueueBytes {
 			// Nobody saw the frame die: recycle it.
 			pool := p.s.Pool()
@@ -203,44 +207,37 @@ func (p *pipe) send(f *netpkt.Frame) {
 			pool.PutFrame(f)
 			return
 		}
-		p.queue.Push(f)
+		if p.waiting == 0 {
+			p.next = start
+		}
+		p.waiting++
 		p.queued += f.Len()
-		return
 	}
-	p.transmit(f)
-}
-
-func (p *pipe) transmit(f *netpkt.Frame) {
-	p.busy = true
-	p.txFrame = f
-	txTime := time.Duration(float64(f.Len()*8) / p.cfg.Rate * float64(time.Second))
-	if txTime <= 0 {
-		txTime = time.Nanosecond
-	}
-	p.s.After(txTime, p.txDoneFn)
-}
-
-// txDone runs when the current frame's serialization finishes: the
-// frame starts propagating (deliveries are FIFO — each is scheduled at
-// a later-or-equal instant than the one before, and equal instants
-// fire in schedule order) and the next queued frame starts
-// serializing.
-func (p *pipe) txDone() {
-	f := p.txFrame
-	p.txFrame = nil
+	p.free = start + p.txTime(f)
 	p.propq.Push(f)
-	p.s.After(p.cfg.Delay, p.deliverFn)
-	if p.queue.Len() > 0 {
-		next := p.queue.Pop()
-		p.queued -= next.Len()
-		p.transmit(next)
-		return
-	}
-	p.busy = false
+	p.s.At(p.free+p.cfg.Delay, p.deliverFn)
 }
 
-// deliverHead hands the oldest propagating frame to the destination.
+// dequeue retires the waiting frames that have started serializing by
+// now; each starts when the one before it finishes.
+func (p *pipe) dequeue(now sim.Time) {
+	for p.waiting > 0 && p.next <= now {
+		f := p.propq.At(p.propq.Len() - p.waiting)
+		p.waiting--
+		p.queued -= f.Len()
+		p.next += p.txTime(f)
+	}
+}
+
+// txTime is f's serialization time at the line rate, at least 1 ns.
+func (p *pipe) txTime(f *netpkt.Frame) time.Duration {
+	return max(time.Duration(float64(f.Len()*8)/p.cfg.Rate*float64(time.Second)), time.Nanosecond)
+}
+
+// deliverHead hands the oldest frame to the destination. It started
+// serializing before now, so dequeue first retires it if still waiting.
 func (p *pipe) deliverHead() {
+	p.dequeue(p.s.Now())
 	p.dst.deliver(p.propq.Pop())
 }
 

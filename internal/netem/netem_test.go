@@ -102,7 +102,7 @@ func TestLinkDropTail(t *testing.T) {
 	if n != 3 {
 		t.Fatalf("delivered %d, want 3", n)
 	}
-	if l.ab.busy || l.ab.queue.Len() != 0 || l.ab.propq.Len() != 0 {
+	if l.ab.waiting != 0 || l.ab.queued != 0 || l.ab.propq.Len() != 0 {
 		t.Fatal("frames still queued after the run drained")
 	}
 }
@@ -496,10 +496,10 @@ func BenchmarkSwitchFlood(b *testing.B) {
 }
 
 // TestLinkBacklogKeepsStorage keeps a link's transmit queue and its
-// propagation queue busy for thousands of frames, so neither ever
-// drains. Their backing arrays must stay bounded by their live lengths
-// rather than grow with every frame served, and frames must arrive in
-// the order sent.
+// propagation delay busy for thousands of frames, so the pipe's one
+// FIFO never drains. Its backing array must stay bounded by its live
+// length rather than grow with every frame served, and frames must
+// arrive in the order sent.
 func TestLinkBacklogKeepsStorage(t *testing.T) {
 	s := sim.New(1)
 	a, b := mkIface("a"), mkIface("b")
@@ -527,7 +527,7 @@ func TestLinkBacklogKeepsStorage(t *testing.T) {
 			return
 		}
 		burst = 1
-		longestQ = max(longestQ, l.ab.queue.Len())
+		longestQ = max(longestQ, l.ab.waiting)
 		longestP = max(longestP, l.ab.propq.Len())
 		s.After(80*time.Microsecond, tick)
 	}
@@ -539,11 +539,71 @@ func TestLinkBacklogKeepsStorage(t *testing.T) {
 	if longestQ == 0 || longestP < 40 {
 		t.Fatalf("no standing backlog: at most %d queued and %d in flight", longestQ, longestP)
 	}
-	if c := fifoCap(&l.ab.queue); c > 4*longestQ+8 {
-		t.Errorf("transmit queue holds at most %d frames but its array grew to %d", longestQ, c)
-	}
 	if c := fifoCap(&l.ab.propq); c > 4*longestP+8 {
-		t.Errorf("propagation queue holds at most %d frames but its array grew to %d", longestP, c)
+		t.Errorf("the pipe holds at most %d frames but its array grew to %d", longestP, c)
 	}
+}
 
+// hopRig builds one link direction at the testbed's link config whose
+// receiver recycles every frame, as a host stack does. Each call of
+// offer sends burst 1000-byte frames at one instant and runs the
+// simulator until all of them are delivered; every frame of a burst
+// but the first waits for the transmitter.
+func hopRig(burst int) (offer func(), reg *obs.Registry) {
+	s, reg := observed(1)
+	a, b := mkIface("a"), mkIface("b")
+	pool := s.Pool()
+	b.Recv = func(f *netpkt.Frame) { pool.PutBuf(f.Payload); pool.PutFrame(f) }
+	Connect(s, a, b, DefaultLinkConfig())
+	offer = func() {
+		for range burst {
+			f := pool.GetFrame()
+			f.Src, f.Dst = a.MAC, b.MAC
+			f.Payload = pool.GetBuf(982)
+			a.Send(f)
+		}
+		s.Run(0)
+	}
+	offer() // warm the pools and the pipe's FIFO
+	return offer, reg
+}
+
+// hopBursts are the link hop's two regimes: a frame onto an idle line,
+// and bursts of 32 frames (32 KB, half the queue) onto a busy one.
+var hopBursts = []struct {
+	name  string
+	burst int
+}{{"idle", 1}, {"backlogged", 32}}
+
+// TestLinkHopAllocs pins a link hop at 0 allocations per frame in
+// steady state, on an idle line and through a backlog.
+func TestLinkHopAllocs(t *testing.T) {
+	for _, h := range hopBursts {
+		offer, _ := hopRig(h.burst)
+		if n := testing.AllocsPerRun(100, offer); n != 0 {
+			t.Errorf("%s: a burst of %d frames allocates %.1f objects, want 0", h.name, h.burst, n)
+		}
+	}
+}
+
+// BenchmarkLinkHop times frames through one link direction, idle and
+// backlogged, and reports the cost and the simulator events of one
+// frame's hop from send to delivery.
+func BenchmarkLinkHop(b *testing.B) {
+	for _, h := range hopBursts {
+		b.Run(h.name, func(b *testing.B) {
+			offer, reg := hopRig(h.burst)
+			fired := func() uint64 { return reg.Snapshot().Counters[obs.CSimEventsFired] }
+			before := fired()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				offer()
+			}
+			b.StopTimer()
+			frames := float64(b.N * h.burst)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/frames, "ns/frame")
+			b.ReportMetric(float64(fired()-before)/frames, "sim_events_fired/frame")
+		})
+	}
 }

@@ -319,6 +319,9 @@ func (q *FIFO[T]) Push(v T) {
 	q.items = append(q.items, v)
 }
 
+// At returns the item i places behind the oldest (0 <= i < Len).
+func (q *FIFO[T]) At(i int) T { return q.items[q.head+i] }
+
 // Pop removes and returns the oldest item; the queue must be non-empty.
 func (q *FIFO[T]) Pop() T {
 	v := q.items[q.head]
