@@ -208,6 +208,71 @@ func TestFaultedFleetDeterminismMatrix(t *testing.T) {
 	}
 }
 
+// TestFaultedStandaloneDeterminism extends the chaos contract to the
+// Standalone experiments: every testbed they ask for is a domain of
+// the Runner's, drawing its own fault plan from (seed, experiment
+// position, testbed position), so a faulted run of all four renders
+// byte-identically at maxProcs 1, 2 and NumCPU, and its fig2 differs
+// from the clean run's. A plan whose faults strike inside tcp2's bulk
+// transfers (a one-second horizon) fails tcp2 with the same error at
+// every worker count instead of hanging on a dead connection.
+func TestFaultedStandaloneDeterminism(t *testing.T) {
+	run := func(ids []string, procs int, extra ...hgw.Option) (hgw.Results, string) {
+		t.Helper()
+		opts := append([]hgw.Option{
+			hgw.WithTags("je", "owrt"), hgw.WithSeed(1), hgw.WithIterations(1),
+			hgw.WithTransferBytes(1 << 20), hgw.WithMaxProcs(procs),
+		}, extra...)
+		type out struct {
+			res hgw.Results
+			err error
+		}
+		done := make(chan out, 1)
+		go func() {
+			res, err := hgw.Run(context.Background(), ids, opts...)
+			done <- out{res, err}
+		}()
+		select {
+		case o := <-done:
+			text := o.res.Render()
+			if o.err != nil {
+				text += "error: " + o.err.Error() + "\n"
+			}
+			return o.res, text
+		case <-time.After(2 * time.Minute):
+			t.Fatalf("%v at maxProcs=%d did not return within 2 minutes", ids, procs)
+			return nil, ""
+		}
+	}
+	ids := []string{"fig2", "tcp2", "holepunch", "punchmatrix"}
+	faulted := []hgw.Option{hgw.WithFaults(hgw.FaultSpec{Rate: 1}), hgw.WithRetries(2)}
+	baseRes, base := run(ids, 1, faulted...)
+	if len(baseRes) != len(ids) {
+		t.Fatalf("faulted run returned %d results, want %d:\n%s", len(baseRes), len(ids), base)
+	}
+	cleanRes, _ := run(ids, 1)
+	if baseRes.Get("fig2").Render() == cleanRes.Get("fig2").Render() {
+		t.Error("faulted fig2 renders like the clean run; faults never reached its testbeds")
+	}
+	for _, procs := range []int{2, runtime.NumCPU()} {
+		if _, got := run(ids, procs, faulted...); got != base {
+			t.Errorf("faulted render at maxProcs=%d differs from maxProcs=1\n--- got ---\n%s\n--- want ---\n%s",
+				procs, got, base)
+		}
+	}
+
+	inTransfer := hgw.WithFaults(hgw.FaultSpec{Rate: 1, Horizon: time.Second})
+	_, broken := run([]string{"tcp2"}, 1, inTransfer)
+	if !strings.Contains(broken, "error: experiment tcp2: probe: ") {
+		t.Fatalf("tcp2 with faults inside its transfers did not fail:\n%s", broken)
+	}
+	for _, procs := range []int{2, runtime.NumCPU()} {
+		if _, got := run([]string{"tcp2"}, procs, inTransfer); got != broken {
+			t.Errorf("failed tcp2 at maxProcs=%d reads %q, at maxProcs=1 %q", procs, got, broken)
+		}
+	}
+}
+
 // TestShardStreamIndependence pins the seed-split scheme: a shard's rng
 // stream, device slice and VLAN range are pure functions of (seed,
 // shard index), so adding shards to the fleet — or however completion

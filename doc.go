@@ -21,24 +21,24 @@
 //	}
 //	fmt.Print(results.Render())
 //
-// Run executes experiments concurrently, each in a sealed domain: every
-// experiment except the Standalone ones gets a freshly built Figure 1
-// testbed of its own (bring-up of all 34 devices costs milliseconds of
-// wall time), so it observes exactly what a run of it alone observes;
-// the Standalone ones build a testbed per device, mode or pair, each
-// under the same WithMaxProcs bound.
-// Registry, ExperimentIDs and Lookup expose the catalog,
-// so front-ends render table-driven instead of hand-maintaining
-// experiment lists; new experiments plug in once via Register.
+// Run executes experiments concurrently in sealed domains, each a
+// freshly built Figure 1 testbed (bring-up of all 34 devices costs
+// milliseconds of wall time) that the Runner builds, bounds, faults,
+// observes and shuts down the same way: every experiment except the
+// Standalone ones gets one of its own, so it observes exactly what a
+// run of it alone observes, and the Standalone ones get one per
+// device, mode or pair. Registry, ExperimentIDs and Lookup expose the
+// catalog, so front-ends render table-driven instead of
+// hand-maintaining experiment lists; new experiments plug in once via
+// Register.
 //
 // # Synthetic fleets
 //
 // The Table 1 inventory caps a run at the paper's 34 physical devices;
 // fleet mode scales past it. WithFleet(n) replaces the inventory with
 // n synthetic profiles sampled from the paper's published population
-// distributions (see SyntheticDevices and DESIGN.md §7), and
-// WithShards(k) partitions them across k independent sub-testbeds that
-// build and probe concurrently:
+// distributions (DESIGN.md §7), and WithShards(k) partitions them
+// across k independent sub-testbeds that build and probe concurrently:
 //
 //	results, err := hgw.Run(ctx, nil, // nil = hgw.FleetIDs()
 //		hgw.WithFleet(1000),
@@ -89,9 +89,9 @@
 // of, which is what lets the hgwd daemon (internal/service, DESIGN.md
 // §8) answer repeated requests from cache byte-identically.
 //
-// Run (with Results.Table2 and Result.ThroughputFigures) is the only
-// way to execute an experiment; the earlier per-experiment entry
-// points (RunUDP1, RunICMP, ...) have been removed.
+// Run (with Results.Table2) is the only way to execute an experiment;
+// the earlier per-experiment entry points (RunUDP1, RunICMP, ...) have
+// been removed.
 //
 // Lower-level building blocks (the simulator, packet codecs, transport
 // stacks, the NAT engine, the device profiles and the probers) live in

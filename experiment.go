@@ -2,13 +2,11 @@ package hgw
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
-	"hgw/internal/gateway"
 	"hgw/internal/probe"
 	"hgw/internal/report"
 	"hgw/internal/testbed"
@@ -31,10 +29,11 @@ type Experiment struct {
 	Note string
 	// LogScale renders the figure on a log axis (Figures 7 and 10).
 	LogScale bool
-	// Standalone experiments build their own testbeds (per device, mode
-	// or pair) instead of running on a shared one; their Env carries a
-	// nil Testbed. The built-in ones queue each testbed on the run's
-	// slot pool, so WithMaxProcs bounds them too.
+	// Standalone experiments run on testbeds of their own (per device,
+	// mode or pair) instead of a shared one; their Env carries a nil
+	// Testbed. The built-in ones get each from the Runner (Env.each),
+	// as a domain like any other, so their Run works only when a Runner
+	// calls it.
 	Standalone bool
 	// ExplicitOnly excludes the experiment from DefaultIDs (fig2
 	// duplicates udp1-3; bindrate/keepalive/holepunch go beyond the
@@ -42,7 +41,8 @@ type Experiment struct {
 	ExplicitOnly bool
 	// Run executes the experiment. It must be deterministic given the
 	// Env and may be called concurrently with other experiments (never
-	// concurrently on the same Testbed).
+	// concurrently on the same Testbed). A Standalone experiment's Run
+	// fails unless a Runner built its Env.
 	Run func(ctx context.Context, env *Env) (*Result, error)
 	// Sweep, when non-nil, runs the experiment's per-device measurement
 	// over every node of env.Testbed and returns the raw samples. It is
@@ -55,8 +55,7 @@ type Experiment struct {
 
 // Env is the execution environment the Runner hands to an experiment:
 // the run's device selection, seed and probe options, plus the shared
-// testbed (nil for Standalone experiments, which build their own from
-// Tags and Seed).
+// testbed (nil for Standalone experiments, which get theirs from each).
 type Env struct {
 	Tags    []string
 	Seed    int64
@@ -64,47 +63,24 @@ type Env struct {
 	Testbed *Testbed
 	Sim     *Sim
 
-	// pool is the run's slot pool, on which a Standalone experiment
-	// queues each testbed it builds (each); nil outside a Runner.
-	pool pool
+	// testbeds implements each; only a Runner sets it (Runner.testbeds).
+	testbeds eachFunc
 }
 
-// each runs task(0), ..., task(n-1), one per testbed a Standalone
-// experiment builds, each holding one of the run's slots, and returns
-// once all have finished. Slots are taken in index order and the caller
-// waits holding none. Tasks write their results by index, so the output
-// does not depend on the schedule. Once ctx is cancelled no further
-// task starts. A task's panic (the lowest index's, if several) is
-// re-raised here after all have finished, so the Runner charges it to
-// the experiment. An Env built outside a Runner gets a private pool of
-// NumCPU slots. Only a Standalone experiment may call it: a
+// eachFunc is the signature of Env.each.
+type eachFunc func(ctx context.Context, n int, cfg func(i int) testbed.Config,
+	fn func(i int, tb *Testbed, s *Sim) error) error
+
+// each runs fn(i, tb, s) for i < n, each on a fresh testbed built from
+// cfg(i) as a domain of its own (Runner.testbeds); fn writes its results
+// by index. Only a Standalone experiment run by a Runner may call it: a
 // shared-testbed experiment's domain already holds a slot, and at
 // maxProcs 1 it would wait for itself.
-func (env *Env) each(ctx context.Context, n int, task func(i int)) {
-	p := env.pool
-	if p == nil {
-		p = make(pool, runtime.NumCPU())
+func (env *Env) each(ctx context.Context, n int, cfg func(i int) testbed.Config, fn func(i int, tb *Testbed, s *Sim) error) error {
+	if env.testbeds == nil {
+		return errors.New("hgw: a Standalone experiment runs only under a Runner")
 	}
-	panics := make([]any, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n && ctx.Err() == nil; i++ {
-		p.acquire()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer p.release()
-			defer func() { panics[i] = recover() }()
-			if ctx.Err() == nil {
-				task(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, v := range panics {
-		if v != nil {
-			panic(v)
-		}
-	}
+	return env.testbeds(ctx, n, cfg, fn)
 }
 
 // result wraps an experiment's output in the uniform envelope.
@@ -297,10 +273,15 @@ func newPunchMatrixExperiment() *Experiment {
 	e.Run = func(ctx context.Context, env *Env) (*Result, error) {
 		pairs := probe.PunchPairs(probe.PunchClasses)
 		res := make([]probe.PunchMatrixResult, len(pairs))
-		env.each(ctx, len(pairs), func(i int) {
-			res[i] = probe.PunchPair(pairs[i][0], pairs[i][1], env.Seed)
-		})
-		if err := ctx.Err(); err != nil {
+		err := env.each(ctx, len(pairs),
+			func(i int) testbed.Config {
+				return testbed.Config{Profiles: probe.PunchProfiles(pairs[i][0], pairs[i][1]), Seed: env.Seed}
+			},
+			func(i int, tb *Testbed, s *Sim) error {
+				res[i] = probe.PunchPair(pairs[i][0], pairs[i][1], tb, s)
+				return nil
+			})
+		if err != nil {
 			return nil, err
 		}
 		var sb strings.Builder
@@ -320,8 +301,8 @@ func newPunchMatrixExperiment() *Experiment {
 
 // newFig2Experiment overlays the UDP-1/2/3 series, ordered by the
 // UDP-1 medians like the paper's Figure 2. It is Standalone and runs
-// each sweep on a fresh testbed, one task per mode, so its columns
-// reproduce the standalone udp1/udp2/udp3 figures exactly.
+// each sweep on a fresh testbed of the run's tags and seed, so its
+// columns reproduce the standalone udp1/udp2/udp3 figures exactly.
 func newFig2Experiment() *Experiment {
 	e := &Experiment{ID: "fig2", Title: "Figure 2: UDP-1/2/3 combined (ordered by UDP-1)",
 		Unit: "sec", Ref: "Figure 2", Standalone: true, ExplicitOnly: true}
@@ -331,13 +312,12 @@ func newFig2Experiment() *Experiment {
 	}{{"UDP-1", probe.UDPSolitary}, {"UDP-2", probe.UDPInbound}, {"UDP-3", probe.UDPEcho}}
 	e.Run = func(ctx context.Context, env *Env) (*Result, error) {
 		res := make([]Figure, len(sweeps))
-		env.each(ctx, len(sweeps), func(i int) {
-			tb, s := testbed.Run(testbed.Config{Tags: env.Tags, Seed: env.Seed})
-			defer s.Shutdown()
-			s.SetInterrupt(func() bool { return ctx.Err() != nil })
-			res[i] = report.NewFigure(sweeps[i].name, "sec", probe.UDPTimeouts(tb, s, sweeps[i].mode, 0, env.Options))
-		})
-		if err := ctx.Err(); err != nil {
+		err := env.each(ctx, len(sweeps), func(int) testbed.Config { return testbed.Config{Tags: env.Tags, Seed: env.Seed} },
+			func(i int, tb *Testbed, s *Sim) error {
+				res[i] = report.NewFigure(sweeps[i].name, "sec", probe.UDPTimeouts(tb, s, sweeps[i].mode, 0, env.Options))
+				return nil
+			})
+		if err != nil {
 			return nil, err
 		}
 		figs := map[string]Figure{}
@@ -403,14 +383,27 @@ func newICMPExperiment() *Experiment {
 
 // newThroughputExperiment runs the TCP-2 bulk transfers and TCP-3
 // embedded-timestamp delay measurement, each device on fresh testbeds
-// of its own (as the paper does), one task per device on the run's
-// pool.
+// of its own (as the paper does), probe.ThroughputRuns per device.
 func newThroughputExperiment() *Experiment {
 	e := &Experiment{ID: "tcp2", Title: "TCP-2/TCP-3: throughput and queuing delay (Figures 8 & 9)",
 		Ref: "Figures 8-9", Standalone: true,
 		Note: "paper: 13 devices at wire speed; dl10/ls1 worst; best delay ~2 ms, ls1 110 ms"}
 	e.Run = func(ctx context.Context, env *Env) (*Result, error) {
-		res, err := measureThroughputAll(ctx, env)
+		tags := env.Tags
+		if len(tags) == 0 {
+			tags = DeviceTags()
+		}
+		// Testbed i makes run i%runs of device i/runs.
+		const runs = probe.ThroughputRuns
+		res := make([]Throughput, len(tags))
+		for i, tag := range tags {
+			res[i].Tag = tag
+		}
+		err := env.each(ctx, len(tags)*runs,
+			func(i int) testbed.Config { return testbed.Config{Tags: tags[i/runs : i/runs+1], Seed: env.Seed} },
+			func(i int, tb *Testbed, s *Sim) error {
+				return throughputRun(i%runs, tb, s, env.Options, &res[i/runs])
+			})
 		if err != nil {
 			return nil, err
 		}
@@ -432,32 +425,9 @@ func newThroughputExperiment() *Experiment {
 	return e
 }
 
-// measureThroughput is the per-device TCP-2/TCP-3 measurement; tests
-// replace it to watch how many run at once.
-var measureThroughput = probe.MeasureThroughputInterruptible
-
-func measureThroughputAll(ctx context.Context, env *Env) ([]Throughput, error) {
-	tags := env.Tags
-	if len(tags) == 0 {
-		tags = DeviceTags()
-	}
-	// Validate up front, so a bad tag fails with a clean error instead of
-	// a panic in every device's task.
-	for _, tag := range tags {
-		if _, ok := gateway.ByTag(tag); !ok {
-			return nil, fmt.Errorf("unknown gateway tag %q", tag)
-		}
-	}
-	interrupt := func() bool { return ctx.Err() != nil }
-	results := make([]Throughput, len(tags))
-	env.each(ctx, len(tags), func(i int) {
-		results[i] = measureThroughput(tags[i], env.Options, env.Seed, interrupt)
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return results, nil
-}
+// throughputRun is tcp2's per-testbed run; tests replace it to watch
+// how many run at once.
+var throughputRun = probe.ThroughputRun
 
 func orderThroughput(res []Throughput, key func(Throughput) float64) []string {
 	cp := append([]Throughput(nil), res...)
@@ -512,19 +482,17 @@ func newHolePunchExperiment() *Experiment {
 			}
 			pairs = nil
 			for i := 0; i+1 < len(env.Tags); i += 2 {
-				for _, tag := range env.Tags[i : i+2] {
-					if _, ok := gateway.ByTag(tag); !ok {
-						return nil, fmt.Errorf("unknown gateway tag %q", tag)
-					}
-				}
 				pairs = append(pairs, [2]string{env.Tags[i], env.Tags[i+1]})
 			}
 		}
 		res := make([]HolePunchResult, len(pairs))
-		env.each(ctx, len(pairs), func(i int) {
-			res[i] = probe.HolePunch(pairs[i][0], pairs[i][1], env.Seed)
-		})
-		if err := ctx.Err(); err != nil {
+		err := env.each(ctx, len(pairs),
+			func(i int) testbed.Config { return testbed.Config{Tags: pairs[i][:], Seed: env.Seed} },
+			func(i int, tb *Testbed, s *Sim) error {
+				res[i] = probe.HolePunch(tb, s)
+				return nil
+			})
+		if err != nil {
 			return nil, err
 		}
 		var sb strings.Builder

@@ -13,10 +13,14 @@ func Unregister(id string) {
 	}
 }
 
-// SetThroughputProbe replaces tcp2's per-device measurement with f
-// until the returned restore func runs.
-func SetThroughputProbe(f func(tag string) Throughput) (restore func()) {
-	old := measureThroughput
-	measureThroughput = func(tag string, _ Options, _ int64, _ func() bool) Throughput { return f(tag) }
-	return func() { measureThroughput = old }
+// SetThroughputProbe replaces each of tcp2's per-testbed runs with f,
+// called with the testbed's device tag, until the returned restore func
+// runs.
+func SetThroughputProbe(f func(tag string)) (restore func()) {
+	old := throughputRun
+	throughputRun = func(_ int, tb *Testbed, _ *Sim, _ Options, _ *Throughput) error {
+		f(tb.Nodes[0].Tag)
+		return nil
+	}
+	return func() { throughputRun = old }
 }

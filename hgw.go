@@ -73,13 +73,6 @@ func Devices() []Profile { return gateway.Profiles() }
 // DeviceTags returns the 34 device tags.
 func DeviceTags() []string { return gateway.Tags() }
 
-// SyntheticDevices samples n synthetic gateway profiles from the
-// paper's population distributions (Figures 3-10 and Table 2),
-// deterministically from seed. Fleet runs (WithFleet) synthesize their
-// populations with exactly this function; it is exported so callers can
-// inspect a fleet's profiles or build custom testbeds from them.
-func SyntheticDevices(n int, seed int64) []Profile { return gateway.Synthesize(n, seed) }
-
 // UDP4Counts tallies UDP-4 classes like the paper's prose (27 preserve,
 // of which 23 reuse and 4 rebind; 7 never preserve).
 func UDP4Counts(results []PortReuseResult) (preserveReuse, preserveNew, noPreserve int) {

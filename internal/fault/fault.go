@@ -26,14 +26,21 @@ import (
 // plan seeds off the shard-seed lattice entirely, so fault draws can
 // never collide with fleet profile draws at any shard index.
 const (
-	planSeedStride = 104729
-	planSeedOffset = 524287
+	planSeedStride    = 104729
+	planSeedOffset    = 524287
+	testbedSeedStride = 15485863
 )
 
 // PlanSeed derives the fault-plan rng seed for one fleet shard or
 // inventory experiment from the run seed.
 func PlanSeed(seed int64, index int) int64 {
 	return seed + int64(index)*planSeedStride + planSeedOffset
+}
+
+// TestbedPlanSeed derives the plan seed for testbed j of the inventory
+// experiment at index, off every PlanSeed by a third prime stride.
+func TestbedPlanSeed(seed int64, index, j int) int64 {
+	return PlanSeed(seed, index) + int64(j+1)*testbedSeedStride
 }
 
 // Kind enumerates the fault event classes.

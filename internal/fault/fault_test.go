@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -77,6 +78,28 @@ func TestPlanSeedOffShardLattice(t *testing.T) {
 	}
 	if PlanSeed(seed, 0) == PlanSeed(seed, 1) {
 		t.Fatal("plan seeds not index-distinct")
+	}
+}
+
+// TestTestbedPlanSeedDistinct checks that the testbeds of a Standalone
+// experiment draw plans no other domain of the run draws: across 64
+// experiment positions with up to 256 testbeds each (tcp2 over the 34
+// devices builds 102), every testbed seed differs from every other and
+// from every shared-testbed experiment's PlanSeed.
+func TestTestbedPlanSeedDistinct(t *testing.T) {
+	const seed = 1
+	seen := map[int64]string{}
+	for i := 0; i < 64; i++ {
+		seen[PlanSeed(seed, i)] = fmt.Sprintf("PlanSeed(%d)", i)
+	}
+	for i := 0; i < 64; i++ {
+		for j := 0; j < 256; j++ {
+			ps := TestbedPlanSeed(seed, i, j)
+			if prev, dup := seen[ps]; dup {
+				t.Fatalf("TestbedPlanSeed(%d, %d) = %d collides with %s", i, j, ps, prev)
+			}
+			seen[ps] = fmt.Sprintf("TestbedPlanSeed(%d, %d)", i, j)
+		}
 	}
 }
 

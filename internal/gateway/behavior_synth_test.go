@@ -13,7 +13,7 @@ import (
 // perturb the base profile stream — a behavior-annotated fleet is the
 // plain fleet plus classes.
 func TestSynthesizeBehaviorsPreservesBase(t *testing.T) {
-	base := Synthesize(64, 5)
+	base := NewSynthStream(5).Next(64)
 	mixed := synthesizeBehaviors(64, 5, defaultBehaviorMix)
 	if len(mixed) != len(base) {
 		t.Fatalf("len = %d, want %d", len(mixed), len(base))
@@ -60,7 +60,7 @@ func TestSynthesizeBehaviorsDeterministicAndMixed(t *testing.T) {
 }
 
 func TestSynthesizeBehaviorsNilMix(t *testing.T) {
-	plain := Synthesize(8, 3)
+	plain := NewSynthStream(3).Next(8)
 	same := synthesizeBehaviors(8, 3, nil)
 	for i := range plain {
 		if plain[i].Tag != same[i].Tag ||
@@ -117,15 +117,15 @@ var defaultBehaviorMix = []behaviorCell{
 // base profile stream (any fixed odd constant works).
 const behaviorSeedSalt = 0x4787
 
-// synthesizeBehaviors samples a fleet exactly like Synthesize and then
+// synthesizeBehaviors samples a fleet exactly like a SynthStream and then
 // overlays (mapping, filtering) classes drawn jointly from mix. The
 // class draws come from an independent rng stream, so the base
-// profiles are bit-identical to Synthesize(n, seed): a
+// profiles are bit-identical to NewSynthStream(seed).Next(n): a
 // behavior-annotated fleet is the plain fleet plus behavior classes,
 // and existing fleet results stay reproducible. A nil or all-zero mix
 // returns the plain fleet unchanged.
 func synthesizeBehaviors(n int, seed int64, mix []behaviorCell) []Profile {
-	out := Synthesize(n, seed)
+	out := NewSynthStream(seed).Next(n)
 	var total float64
 	for _, c := range mix {
 		if c.Weight < 0 {

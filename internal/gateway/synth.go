@@ -11,7 +11,7 @@ import (
 )
 
 // This file grows the paper's fixed 34-device inventory into device
-// populations of arbitrary size. Synthesize samples profile parameters
+// populations of arbitrary size. SynthStream samples profile parameters
 // from the empirical distributions the paper publishes — the UDP-1/2/3
 // timeout CDFs of Figures 3-5, the TCP-1 timeouts of Figure 7, the
 // throughput and buffering classes of Figures 8-9, the binding caps of
@@ -162,25 +162,14 @@ func (p *population) synthRow(rng *rand.Rand, seq int, seed int64) profileRow {
 	return r
 }
 
-// Synthesize samples n synthetic device profiles from the paper's
-// population distributions, deterministically from seed: equal (n,
-// seed) arguments yield identical fleets, and a fleet is a prefix of
-// every longer fleet with the same seed.
-func Synthesize(n int, seed int64) []Profile {
-	if n <= 0 {
-		return nil
-	}
-	return NewSynthStream(seed).Next(n)
-}
-
-// SynthStream is the sequential profile sampler behind Synthesize,
-// exposed so fleet runners can synthesize a population in shard-sized
-// chunks instead of materializing millions of profiles up front. The
-// stream is the single rng sequence of Synthesize: concatenating Next
-// calls of any sizes yields exactly Synthesize(total, seed), so a
-// device's profile is a pure function of (seed, fleet index) — how the
-// fleet is chunked (and therefore sharded) cannot perturb any device's
-// draws. A SynthStream is not safe for concurrent use; chunk producers
+// SynthStream samples synthetic device profiles from the paper's
+// population distributions, deterministically from seed, in shard-sized
+// chunks, so fleet runners never materialize millions of profiles up
+// front. It is one rng sequence: concatenating Next calls of any sizes
+// yields exactly NewSynthStream(seed).Next(total), so a device's
+// profile is a pure function of (seed, fleet index) — how the fleet is
+// chunked (and therefore sharded) cannot perturb any device's draws,
+// and a fleet is a prefix of every longer fleet with the same seed. A SynthStream is not safe for concurrent use; chunk producers
 // serialize on it in fleet order.
 type SynthStream struct {
 	pop  *population

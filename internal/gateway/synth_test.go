@@ -13,8 +13,8 @@ import (
 )
 
 func TestSynthesizeDeterministic(t *testing.T) {
-	a := Synthesize(100, 42)
-	b := Synthesize(100, 42)
+	a := NewSynthStream(42).Next(100)
+	b := NewSynthStream(42).Next(100)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("equal (n, seed) fleets differ")
 	}
@@ -23,20 +23,20 @@ func TestSynthesizeDeterministic(t *testing.T) {
 	if fmt.Sprintf("%+v", a) != fmt.Sprintf("%+v", b) {
 		t.Fatal("equal (n, seed) fleets render differently")
 	}
-	c := Synthesize(100, 43)
+	c := NewSynthStream(43).Next(100)
 	if reflect.DeepEqual(a, c) {
 		t.Fatal("different seeds produced identical fleets")
 	}
 	// A fleet is a prefix of every longer fleet with the same seed, so
 	// growing a fleet never re-rolls existing devices.
-	long := Synthesize(150, 42)
+	long := NewSynthStream(42).Next(150)
 	if !reflect.DeepEqual(a, long[:100]) {
 		t.Fatal("shorter fleet is not a prefix of the longer one")
 	}
 }
 
 func TestSynthesizeTags(t *testing.T) {
-	profs := Synthesize(50, 7)
+	profs := NewSynthStream(7).Next(50)
 	if len(profs) != 50 {
 		t.Fatalf("profiles = %d, want 50", len(profs))
 	}
@@ -67,7 +67,7 @@ func TestSynthesizeTags(t *testing.T) {
 // (90/180/181 s) within 10%, and that every device keeps the
 // UDP-3 >= UDP-1 invariant the comonotone draw guarantees.
 func TestSynthesizePopulationMedians(t *testing.T) {
-	profs := Synthesize(1000, 1)
+	profs := NewSynthStream(1).Next(1000)
 	var u1, u2, u3 []float64
 	for _, p := range profs {
 		u1 = append(u1, p.NAT.UDP.Outbound.Seconds())
@@ -97,7 +97,7 @@ func TestSynthesizePopulationMedians(t *testing.T) {
 // classes appear at roughly the paper's Table 1 / Table 2 rates.
 func TestSynthesizeClassFrequencies(t *testing.T) {
 	const n = 2000
-	profs := Synthesize(n, 99)
+	profs := NewSynthStream(99).Next(n)
 	var preserve, over24, wireSpeed, dnsAccept int
 	for _, p := range profs {
 		if p.NAT.PortAlloc == nat.PortAllocPreserving {
@@ -149,11 +149,11 @@ func TestSynthesizeClassFrequencies(t *testing.T) {
 // TestSynthStreamChunkInvariant pins the property the fleet pipeline
 // leans on to avoid materializing million-device populations: drawing
 // a fleet from a SynthStream in chunks of any sizes yields exactly
-// Synthesize(total, seed), so per-shard profile slices generated on
+// NewSynthStream(seed).Next(total), so per-shard profile slices generated on
 // demand are byte-identical to slices of the whole fleet.
 func TestSynthStreamChunkInvariant(t *testing.T) {
 	const n, seed = 120, 42
-	whole := Synthesize(n, seed)
+	whole := NewSynthStream(seed).Next(n)
 	for _, chunks := range [][]int{
 		{n},
 		{1, n - 1},
@@ -169,7 +169,7 @@ func TestSynthStreamChunkInvariant(t *testing.T) {
 			got = append(got, st.Next(c)...)
 		}
 		if !reflect.DeepEqual(got, whole) {
-			t.Fatalf("chunks %v: chunked stream differs from Synthesize(%d, %d)", chunks, n, seed)
+			t.Fatalf("chunks %v: chunked stream differs from NewSynthStream(%d).Next(%d)", chunks, n, seed)
 		}
 	}
 	// Zero and negative draws are no-ops, not stream perturbations.

@@ -84,7 +84,9 @@ func TestPunchMatrixMatchesPrediction(t *testing.T) {
 	}
 	byPair := map[string]PunchMatrixResult{}
 	for _, pr := range pairs {
-		r := PunchPair(pr[0], pr[1], 3)
+		tb, s := testbed.Run(testbed.Config{Profiles: PunchProfiles(pr[0], pr[1]), Seed: 3})
+		r := PunchPair(pr[0], pr[1], tb, s)
+		s.Shutdown()
 		if !r.Agree {
 			t.Errorf("%s x %s: simulated %v, predicted %v (extA=%v extB=%v)",
 				r.ClassA, r.ClassB, r.Simulated, r.Predicted, r.ExtA, r.ExtB)

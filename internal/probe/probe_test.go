@@ -344,14 +344,23 @@ func TestKeepaliveSurvival(t *testing.T) {
 }
 
 func TestHolePunch(t *testing.T) {
+	punch := func(tagA, tagB string) HolePunchResult {
+		tb, s := testbed.Run(testbed.Config{Tags: []string{tagA, tagB}, Seed: 3})
+		defer s.Shutdown()
+		r := HolePunch(tb, s)
+		if r.TagA != tagA || r.TagB != tagB {
+			t.Errorf("punch %s<->%s reports tags %s, %s", tagA, tagB, r.TagA, r.TagB)
+		}
+		return r
+	}
 	// Two port-preserving NATs: the punch succeeds.
-	r := HolePunch("owrt", "bu1", 3)
+	r := punch("owrt", "bu1")
 	if !r.Success {
 		t.Errorf("punch owrt<->bu1 failed (extA=%v extB=%v)", r.ExtA, r.ExtB)
 	}
 	// A non-preserving NAT (smc) allocates a fresh external port for the
 	// peer flow, so the predicted endpoint is wrong and the punch fails.
-	r2 := HolePunch("owrt", "smc", 3)
+	r2 := punch("owrt", "smc")
 	if r2.Success {
 		t.Error("punch through non-preserving smc unexpectedly succeeded")
 	}

@@ -93,74 +93,74 @@ type Throughput struct {
 const blockSize = 2048
 
 // MeasureThroughput runs the TCP-2/TCP-3 workload against a single
-// device on a fresh testbed (the paper measures throughput one gateway
-// at a time to avoid overloading the test network).
+// device, each of its ThroughputRuns on a fresh testbed of its own (the
+// paper measures throughput one gateway at a time to avoid overloading
+// the test network). A run that fails panics.
 func MeasureThroughput(tag string, opts Options, seed int64) Throughput {
-	return MeasureThroughputInterruptible(tag, opts, seed, nil)
-}
-
-// MeasureThroughputInterruptible is MeasureThroughput with an optional
-// interrupt polled between simulator events (nil never interrupts).
-// When it fires the measurement is abandoned and the remainder of the
-// result stays zero; callers detect the abort through their own
-// cancellation signal.
-func MeasureThroughputInterruptible(tag string, opts Options, seed int64, interrupt func() bool) Throughput {
-	opts = opts.withDefaults()
 	res := Throughput{Tag: tag}
-
-	// Unidirectional upload.
-	run1 := func(up bool) (float64, float64) {
+	for k := 0; k < ThroughputRuns; k++ {
 		tb, s := testbed.Run(testbed.Config{Tags: []string{tag}, Seed: seed})
-		defer s.Shutdown()
-		s.SetInterrupt(interrupt)
-		n := tb.Nodes[0]
-		var mbps, delay float64
-		done := s.Spawn("xfer", func(p *sim.Proc) {
-			mbps, delay = oneTransfer(p, tb, n, up, opts.TransferBytes)
-		})
-		s.Run(0)
-		if s.Interrupted() {
-			return 0, 0
+		err := ThroughputRun(k, tb, s, opts, &res)
+		s.Shutdown()
+		if err != nil {
+			panic(err)
 		}
-		if !done.Exited() {
-			panic("probe: transfer stalled for " + tag)
-		}
-		return mbps, delay
 	}
-	res.UpMbps, res.DelayUpMs = run1(true)
-	res.DownMbps, res.DelayDownMs = run1(false)
-
-	// Bidirectional: both directions at once on one testbed.
-	tb, s := testbed.Run(testbed.Config{Tags: []string{tag}, Seed: seed})
-	defer s.Shutdown()
-	s.SetInterrupt(interrupt)
-	n := tb.Nodes[0]
-	var upM, upD, downM, downD float64
-	p1 := s.Spawn("xfer-up", func(p *sim.Proc) {
-		upM, upD = oneTransfer(p, tb, n, true, opts.TransferBytes)
-	})
-	p2 := s.Spawn("xfer-down", func(p *sim.Proc) {
-		downM, downD = oneTransfer(p, tb, n, false, opts.TransferBytes)
-	})
-	s.Run(0)
-	if s.Interrupted() {
-		return res
-	}
-	if !p1.Exited() || !p2.Exited() {
-		panic("probe: bidirectional transfer stalled for " + tag)
-	}
-	res.BiUpMbps, res.BiDelayUpMs = upM, upD
-	res.BiDownMbps, res.BiDelayDownMs = downM, downD
 	return res
 }
 
+// ThroughputRuns is how many testbeds one device's TCP-2/TCP-3
+// measurement takes: an upload, a download, and both at once.
+const ThroughputRuns = 3
+
+// ThroughputRun makes run k on tb, a fresh testbed of the one device,
+// filling only that run's fields of res (the runs of a device may share
+// it concurrently). A transfer that falls short of its bytes is an error.
+func ThroughputRun(k int, tb *testbed.Testbed, s *sim.Sim, opts Options, res *Throughput) error {
+	xs := [ThroughputRuns][]transfer{
+		{{"upload", &res.UpMbps, &res.DelayUpMs}},
+		{{"download", &res.DownMbps, &res.DelayDownMs}},
+		{{"upload", &res.BiUpMbps, &res.BiDelayUpMs}, {"download", &res.BiDownMbps, &res.BiDelayDownMs}},
+	}[k]
+	opts = opts.withDefaults()
+	n := tb.Nodes[0]
+	procs := make([]*sim.Proc, len(xs))
+	moved := make([]int, len(xs))
+	for i, x := range xs {
+		procs[i] = s.Spawn(x.dir, func(p *sim.Proc) {
+			*x.mbps, *x.delay, moved[i] = oneTransfer(p, tb, n, x.dir == "upload", opts.TransferBytes)
+		})
+	}
+	s.Run(0)
+	if s.Interrupted() {
+		return nil
+	}
+	for i, x := range xs {
+		if !procs[i].Exited() {
+			return fmt.Errorf("probe: %s through %s stalled", x.dir, n.Tag)
+		}
+		if moved[i] < opts.TransferBytes {
+			return fmt.Errorf("probe: %s through %s moved %d of %d bytes", x.dir, n.Tag, moved[i], opts.TransferBytes)
+		}
+	}
+	return nil
+}
+
+// transfer is one bulk transfer of a throughput run, "upload" or
+// "download", and where its goodput and delay go.
+type transfer struct {
+	dir         string
+	mbps, delay *float64
+}
+
 // oneTransfer moves opts.TransferBytes through the device in the given
-// direction, returning goodput (Mb/s) and the TCP-3 delay (ms).
+// direction, returning goodput (Mb/s), the TCP-3 delay (ms) and the
+// bytes the receiver got.
 // The sender embeds an 8-byte virtual-clock timestamp at the start of
 // every 2 KB block; the receiver reports the median of the normalized
 // (minimum-subtracted) deltas, which discards the constant propagation
 // component and is robust to retransmissions, as in the paper.
-func oneTransfer(p *sim.Proc, tb *testbed.Testbed, n *testbed.Node, up bool, total int) (mbps, delayMs float64) {
+func oneTransfer(p *sim.Proc, tb *testbed.Testbed, n *testbed.Node, up bool, total int) (mbps, delayMs float64, moved int) {
 	port := uint16(tcpProbeBasePort + 500)
 	if !up {
 		port++
@@ -224,6 +224,9 @@ func oneTransfer(p *sim.Proc, tb *testbed.Testbed, n *testbed.Node, up bool, tot
 		const sndBuf = 60 * 1024
 		for sent := 0; sent < total; sent += blockSize {
 			for c.Buffered() > sndBuf {
+				if c.Err() != nil {
+					return // the connection died with data unsent
+				}
 				sp.Sleep(200 * time.Microsecond)
 			}
 			binary.BigEndian.PutUint64(block[:8], uint64(sp.Now()))
@@ -237,12 +240,12 @@ func oneTransfer(p *sim.Proc, tb *testbed.Testbed, n *testbed.Node, up bool, tot
 	// Establish the connection through the NAT (always client-initiated).
 	cli, err := tb.Client.TCP.Connect(p, n.ServerAddr, port, 0, 15*time.Second)
 	if err != nil {
-		return 0, 0
+		return 0, 0, 0
 	}
 	srv, err := lis.Accept(p, 5*time.Second)
 	if err != nil {
 		cli.Abort()
-		return 0, 0
+		return 0, 0, 0
 	}
 
 	var sender, receiver *tcp.Conn
@@ -259,7 +262,7 @@ func oneTransfer(p *sim.Proc, tb *testbed.Testbed, n *testbed.Node, up bool, tot
 	srv.Abort()
 
 	if rx.bytes == 0 || rx.end <= rx.start {
-		return 0, 0
+		return 0, 0, rx.bytes
 	}
 	if d := rx.end - rx.start; d > 0 {
 		mbps = float64(rx.bytes) * 8 / d.Seconds() / 1e6
@@ -268,7 +271,7 @@ func oneTransfer(p *sim.Proc, tb *testbed.Testbed, n *testbed.Node, up bool, tot
 		minD := stats.Min(rx.delays)
 		delayMs = stats.Median(rx.delays) - minD
 	}
-	return mbps, delayMs
+	return mbps, delayMs, rx.bytes
 }
 
 // MaxBindings measures the maximum number of concurrent TCP bindings to

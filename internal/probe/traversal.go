@@ -75,8 +75,8 @@ type HolePunchResult struct {
 }
 
 // HolePunch runs the classic UDP hole-punching procedure (Ford et al.,
-// cited in the paper's §2) between a host behind gateway tagA and one
-// behind tagB, using the test server as the rendezvous point:
+// cited in the paper's §2) between a host behind tb's first gateway and
+// one behind its second, using the test server as the rendezvous point:
 //
 //  1. both hosts send to the rendezvous from a local port, which
 //     observes their translated (external) endpoints;
@@ -88,28 +88,12 @@ type HolePunchResult struct {
 // dominate the paper's population this succeeds; NATs that do not
 // preserve ports allocate a fresh external port for the peer flow and
 // the punch fails — reproducing the success/failure split the paper's
-// related work reports.
-func HolePunch(tagA, tagB string, seed int64) HolePunchResult {
-	profA, ok := gateway.ByTag(tagA)
-	if !ok {
-		panic("probe: holepunch: unknown tag " + tagA)
-	}
-	profB, ok := gateway.ByTag(tagB)
-	if !ok {
-		panic("probe: holepunch: unknown tag " + tagB)
-	}
-	return HolePunchProfiles(profA, profB, seed)
-}
-
-// HolePunchProfiles runs the hole-punching procedure between hosts
-// behind two explicitly supplied gateway profiles (which need not be
-// in the Table 1 inventory — the punchmatrix experiment sweeps
-// synthetic RFC 4787 behavior classes through here).
-func HolePunchProfiles(profA, profB gateway.Profile, seed int64) HolePunchResult {
-	tb, s := testbed.Run(testbed.Config{Profiles: []gateway.Profile{profA, profB}, Seed: seed})
-	defer s.Shutdown()
-	res := HolePunchResult{TagA: profA.Tag, TagB: profB.Tag}
+// related work reports. The gateways need not be in the Table 1
+// inventory: the punchmatrix experiment punches through synthetic RFC
+// 4787 behavior classes (PunchProfiles).
+func HolePunch(tb *testbed.Testbed, s *sim.Sim) HolePunchResult {
 	nA, nB := tb.Nodes[0], tb.Nodes[1]
+	res := HolePunchResult{TagA: nA.Tag, TagB: nB.Tag}
 
 	const rendezvousPort = 3478 // STUN's well-known port, in homage
 	rvA, err := tb.Server.UDP.BindIf(nA.ServerIf, rendezvousPort)
@@ -180,7 +164,7 @@ func HolePunchProfiles(profA, profB gateway.Profile, seed int64) HolePunchResult
 		res.Success = gotA && gotB
 	})
 	s.Run(0)
-	if !done.Exited() {
+	if !s.Interrupted() && !done.Exited() {
 		panic("probe: holepunch stalled")
 	}
 	return res
@@ -236,13 +220,22 @@ func PunchPairs(classes []PunchClass) [][2]PunchClass {
 	return out
 }
 
-// PunchPair punches a UDP hole between hosts behind synthetic gateways
-// of classes ca and cb, on a fresh two-gateway testbed, and checks the
-// simulated outcome against the analytic traversal prediction.
-func PunchPair(ca, cb PunchClass, seed int64) PunchMatrixResult {
-	profA := gateway.BehaviorProfile(ca.Label+"-a", ca.Mapping, ca.Filtering, ca.Alloc)
-	profB := gateway.BehaviorProfile(cb.Label+"-b", cb.Mapping, cb.Filtering, cb.Alloc)
-	hp := HolePunchProfiles(profA, profB, seed)
+// PunchProfiles returns the synthetic gateways of a punchmatrix pair,
+// class ca's first: the profiles of the two-gateway testbed PunchPair
+// punches through.
+func PunchProfiles(ca, cb PunchClass) []gateway.Profile {
+	return []gateway.Profile{
+		gateway.BehaviorProfile(ca.Label+"-a", ca.Mapping, ca.Filtering, ca.Alloc),
+		gateway.BehaviorProfile(cb.Label+"-b", cb.Mapping, cb.Filtering, cb.Alloc),
+	}
+}
+
+// PunchPair punches a UDP hole between hosts behind gateways of
+// classes ca and cb, on tb built from PunchProfiles(ca, cb), and
+// checks the simulated outcome against the analytic traversal
+// prediction.
+func PunchPair(ca, cb PunchClass, tb *testbed.Testbed, s *sim.Sim) PunchMatrixResult {
+	hp := HolePunch(tb, s)
 	r := PunchMatrixResult{
 		ClassA:    ca.Label,
 		ClassB:    cb.Label,

@@ -244,6 +244,10 @@ func (c *Conn) armKeepAlive() {
 // writes on this.
 func (c *Conn) Buffered() int { return c.sndBuf.len() }
 
+// Err returns the error that tore the connection down (ErrClosed after
+// Abort), or nil while it lives.
+func (c *Conn) Err() error { return c.err }
+
 func (st *Stack) allocPort() uint16 {
 	for i := 0; i < 65536; i++ {
 		p := st.nextPort

@@ -10,7 +10,7 @@ import (
 // devices (topology, DHCP on every WAN and LAN, ARP) and tears it down:
 // the bring-up cost every fleet shard pays before its first probe.
 func BenchmarkBuildShard(b *testing.B) {
-	profiles := gateway.Synthesize(256, 1)
+	profiles := gateway.NewSynthStream(1).Next(256)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

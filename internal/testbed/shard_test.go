@@ -48,7 +48,7 @@ func buildShards(t *testing.T, profiles []gateway.Profile, k int, seed int64) []
 }
 
 func TestBuildFleetShards(t *testing.T) {
-	profiles := gateway.Synthesize(10, 5)
+	profiles := gateway.NewSynthStream(5).Next(10)
 	shards := buildShards(t, profiles, 3, 5)
 	if len(shards) != 3 {
 		t.Fatalf("shards = %d, want 3", len(shards))
@@ -93,7 +93,7 @@ func TestBuildLargeIndexAddressing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("300-device bring-up")
 	}
-	profiles := gateway.Synthesize(300, 11)
+	profiles := gateway.NewSynthStream(11).Next(300)
 	shards := buildShards(t, profiles, 1, 11)
 	nodes := shards[0].Testbed.Nodes
 	if len(nodes) != 300 {

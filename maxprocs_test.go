@@ -38,18 +38,16 @@ func (c *liveCounter) takePeak() int {
 	return p
 }
 
-// TestThroughputHonorsMaxProcs: tcp2 builds a testbed per device, and
-// WithMaxProcs bounds how many of them are alive at once. Each stand-in
-// measurement stays alive long enough for a peer to start beside it, so
-// a pool wider than the bound shows as overlap; at maxProcs 2 the
-// overlap must show, which proves the test can see it.
+// TestThroughputHonorsMaxProcs: tcp2 runs each device's transfers on
+// testbeds of their own, and WithMaxProcs bounds how many of them are
+// alive at once. Each stand-in run stays alive long enough for a peer
+// to start beside it, so a pool wider than the bound shows as overlap;
+// at maxProcs 2 the overlap must show, which proves the test can see
+// it.
 func TestThroughputHonorsMaxProcs(t *testing.T) {
 	for _, procs := range []int{1, 2} {
 		var c liveCounter
-		restore := hgw.SetThroughputProbe(func(tag string) hgw.Throughput {
-			c.hold(50 * time.Millisecond)
-			return hgw.Throughput{Tag: tag}
-		})
+		restore := hgw.SetThroughputProbe(func(string) { c.hold(50 * time.Millisecond) })
 		res, err := hgw.Run(context.Background(), []string{"tcp2"},
 			hgw.WithTags("al", "ap", "je"), hgw.WithMaxProcs(procs))
 		restore()
@@ -68,12 +66,12 @@ func TestThroughputHonorsMaxProcs(t *testing.T) {
 
 // TestRunWideDomainBound: WithMaxProcs bounds the testbeds alive at
 // once across the whole run, not per experiment. A shared-testbed
-// experiment registered here and tcp2's per-device stand-in both count
-// themselves live; the shared one outlives all three tcp2 devices run
-// one after another, so a Standalone pool beside the run's (the layout
-// that let a run keep 2·maxProcs−1 testbeds alive) shows as overlap
-// above the bound. At maxProcs 2 the peak must reach 2, which proves
-// the test sees overlap at all.
+// experiment registered here and tcp2's per-testbed stand-in both count
+// themselves live; tcp2's nine testbeds (three devices, three runs
+// each) outlast the shared one, so a Standalone pool beside the run's
+// (the layout that let a run keep 2·maxProcs−1 testbeds alive) shows
+// as overlap above the bound. At maxProcs 2 the peak must reach 2,
+// which proves the test sees overlap at all.
 func TestRunWideDomainBound(t *testing.T) {
 	var c liveCounter
 	const id = "test-shared-bound"
@@ -90,10 +88,7 @@ func TestRunWideDomainBound(t *testing.T) {
 		},
 	})
 	t.Cleanup(func() { hgw.Unregister(id) })
-	restore := hgw.SetThroughputProbe(func(tag string) hgw.Throughput {
-		c.hold(50 * time.Millisecond)
-		return hgw.Throughput{Tag: tag}
-	})
+	restore := hgw.SetThroughputProbe(func(string) { c.hold(50 * time.Millisecond) })
 	defer restore()
 	for _, procs := range []int{1, 2} {
 		res, err := hgw.Run(context.Background(), []string{id, "tcp2"},
@@ -114,18 +109,54 @@ func TestRunWideDomainBound(t *testing.T) {
 	}
 }
 
-// TestStandaloneTaskPanicFailsExperiment: a panic inside one of a
-// Standalone experiment's pooled tasks (fig2 building a testbed for an
-// unknown device) fails that experiment alone, with the panic as its
-// error, instead of killing the program.
+// TestStandaloneTaskPanicFailsExperiment: a panic in the measurement
+// on one of a Standalone experiment's testbeds (tcp2's throughput run)
+// fails that experiment alone, with the panic as its error, instead of
+// killing the program; a testbed that cannot be built (fig2 for an
+// unknown device) fails it with the build error.
 func TestStandaloneTaskPanicFailsExperiment(t *testing.T) {
-	_, err := hgw.Run(context.Background(), []string{"fig2"},
-		hgw.WithTags("nosuch"), hgw.WithIterations(1), hgw.WithMaxProcs(2))
+	restore := hgw.SetThroughputProbe(func(string) { panic("boom") })
+	_, err := hgw.Run(context.Background(), []string{"udp1", "tcp2"},
+		hgw.WithTags("je", "owrt"), hgw.WithIterations(1), hgw.WithMaxProcs(2))
+	restore()
 	var re *hgw.RunError
 	if !errors.As(err, &re) {
 		t.Fatalf("error %v (%T) does not unwrap to *RunError", err, err)
 	}
-	if ids := re.IDs(); len(ids) != 1 || ids[0] != "fig2" || !strings.Contains(err.Error(), "panic") {
-		t.Errorf("RunError = %v (ids %v), want fig2 failed with the panic value", err, ids)
+	if ids := re.IDs(); len(ids) != 1 || ids[0] != "tcp2" || !strings.Contains(err.Error(), "panic: boom") {
+		t.Errorf("RunError = %v (ids %v), want tcp2 alone failed with the panic value", err, ids)
+	}
+
+	_, err = hgw.Run(context.Background(), []string{"fig2"},
+		hgw.WithTags("nosuch"), hgw.WithIterations(1), hgw.WithMaxProcs(2))
+	if !errors.As(err, &re) {
+		t.Fatalf("error %v (%T) does not unwrap to *RunError", err, err)
+	}
+	if ids := re.IDs(); len(ids) != 1 || ids[0] != "fig2" || !strings.Contains(err.Error(), "testbed setup: ") {
+		t.Errorf("RunError = %v (ids %v), want fig2 failed with the build error", err, ids)
+	}
+}
+
+// TestStandaloneNeedsRunner: a Standalone experiment's Run called on an
+// Env no Runner built fails with an error instead of waiting forever.
+func TestStandaloneNeedsRunner(t *testing.T) {
+	for _, id := range []string{"fig2", "tcp2", "holepunch", "punchmatrix"} {
+		e, err := hgw.Lookup(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := e.Run(context.Background(), &hgw.Env{Tags: []string{"je", "owrt"}, Seed: 1})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "only under a Runner") {
+				t.Errorf("%s: Run on a bare Env = %v, want the Runner error", id, err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s: Run on a bare Env did not return", id)
+		}
 	}
 }

@@ -103,15 +103,20 @@ func (s settings) canonical(exps []*Experiment) string {
 	return sb.String()
 }
 
+// runModel changes when some request renders differently with equal
+// settings, so results persisted under the old model (hgwd -cache-dir,
+// shard memo blobs) miss. 1: Standalone testbeds take fault plans.
+const runModel = 1
+
 // writeRunInputs writes the inputs CacheKey and ShardKey share: the
-// experiment ids in run order, the seed, the normalized probe options
-// and an enabled fault plan.
+// execution model, the experiment ids in run order, the seed, the
+// normalized probe options and an enabled fault plan.
 func (s settings) writeRunInputs(sb *strings.Builder, exps []*Experiment) {
 	ids := make([]string, len(exps))
 	for i, e := range exps {
 		ids[i] = e.ID
 	}
-	fmt.Fprintf(sb, "ids=%s\nseed=%d\n", strings.Join(ids, ","), s.seed)
+	fmt.Fprintf(sb, "model=%d\nids=%s\nseed=%d\n", runModel, strings.Join(ids, ","), s.seed)
 	o := s.probeOpts.Normalized()
 	fmt.Fprintf(sb, "opts=iters:%d,res:%d,bytes:%d,retries:%d\n",
 		o.Iterations, int64(o.Resolution), o.TransferBytes, o.Retries)
@@ -213,7 +218,7 @@ func WithShards(k int) Option {
 }
 
 // WithRunReport requests run telemetry: each domain (fleet shard or
-// non-Standalone inventory experiment) gets its own obs registry, and
+// inventory testbed) gets its own obs registry, and
 // when the run finishes fn receives the assembled RunReport (fn may be
 // nil to collect the report for Runner.Report only). Telemetry observes a run without
 // influencing it — registries are write-only from simulation code
@@ -309,9 +314,9 @@ func (f FaultSpec) normalized() FaultSpec {
 }
 
 // WithFaults installs a fault-injection plan on the run: every domain
-// (fleet shard or non-Standalone inventory experiment) compiles its
-// own plan from the spec and its index-split plan seed and executes it
-// against its devices.
+// (fleet shard or inventory testbed, a Standalone experiment's
+// included) compiles its own plan from the spec and its index-split
+// plan seed and executes it against its devices.
 // Faults are part of the output contract — CacheKey folds an enabled
 // spec in — and of the determinism contract: equal-seed faulted runs
 // render byte-identically at any WithMaxProcs setting. A zero spec is

@@ -122,9 +122,10 @@ func TestFleetRenderDeterministicPooled(t *testing.T) {
 }
 
 // TestRunTestbedPerExperiment checks the sealed-domain contract: every
-// non-Standalone experiment gets a testbed of its own, Standalone ones
-// (tcp2 here) get none from the Runner, and results come back in
-// requested order whatever order the domains finish in.
+// non-Standalone experiment gets a testbed of its own, the Runner
+// builds every testbed of a Standalone one too (tcp2 here: three per
+// device, for je and owrt), and results come back in requested order
+// whatever order the domains finish in.
 func TestRunTestbedPerExperiment(t *testing.T) {
 	ids := []string{"udp1", "tcp2", "udp4", "quirks", "sctp", "dns"}
 	r := hgw.NewRunner(smallOpts(hgw.WithMaxProcs(2))...)
@@ -135,8 +136,8 @@ func TestRunTestbedPerExperiment(t *testing.T) {
 	if len(results) != len(ids) {
 		t.Fatalf("got %d results, want %d", len(results), len(ids))
 	}
-	if built := r.TestbedsBuilt(); built != len(ids)-1 {
-		t.Errorf("built %d testbeds for %d non-Standalone experiments", built, len(ids)-1)
+	if built, want := r.TestbedsBuilt(), len(ids)-1+3*2; built != want {
+		t.Errorf("built %d testbeds, want %d: one per non-Standalone experiment, three per tcp2 device", built, want)
 	}
 	for i, id := range ids {
 		if results[i].ID != id {

@@ -88,9 +88,11 @@ func TestFleetRunReport(t *testing.T) {
 }
 
 // TestInventoryRunReport checks inventory (non-fleet) runs report one
-// section per non-Standalone experiment, in id order, with each
-// domain's registry accounting its whole build+probe trajectory;
-// Standalone experiments (tcp2) build private testbeds and get none.
+// section per testbed the Runner built, in id order: one per
+// shared-testbed experiment and one per testbed of a Standalone
+// experiment (tcp2: three per device), each domain's registry
+// accounting its whole build+probe trajectory, and TestbedsBuilt
+// counting every one.
 func TestInventoryRunReport(t *testing.T) {
 	var rep *hgw.RunReport
 	r := hgw.NewRunner(
@@ -107,17 +109,30 @@ func TestInventoryRunReport(t *testing.T) {
 	if rep.Fleet {
 		t.Error("inventory report marked fleet")
 	}
-	if len(rep.Shards) != 2 {
-		t.Fatalf("report has %d sections, want one per non-Standalone experiment (2)", len(rep.Shards))
+	// Positions in the id list: udp1, then tcp2's six testbeds, then udp3.
+	want := []int{0, 1, 1, 1, 1, 1, 1, 2}
+	if len(rep.Shards) != len(want) {
+		t.Fatalf("report has %d sections, want one per testbed (%d)", len(rep.Shards), len(want))
 	}
-	for i, want := range []int{0, 2} { // udp1 and udp3's positions in the id list
+	if built := r.TestbedsBuilt(); built != len(want) {
+		t.Errorf("TestbedsBuilt = %d, want %d", built, len(want))
+	}
+	var shared uint64
+	for i, idx := range want {
 		sec := rep.Shards[i]
-		if sec.Index != want {
-			t.Errorf("section %d has index %d, want %d", i, sec.Index, want)
+		if sec.Index != idx {
+			t.Errorf("section %d has index %d, want %d", i, sec.Index, idx)
 		}
 		if sec.Metrics.Counters["sim_events_fired"] == 0 {
 			t.Errorf("section %d fired no simulator events", i)
 		}
+		if idx != 1 {
+			shared += sec.Metrics.Counters["sim_events_fired"]
+		}
+	}
+	// Totals merge the shared-testbed sections only, not tcp2's.
+	if got := rep.Totals.Counters["sim_events_fired"]; got != shared {
+		t.Errorf("totals fired %d events, want the shared-testbed sections' %d", got, shared)
 	}
 	if rep.Totals.Counters["nat_translations"] == 0 {
 		t.Error("merged totals show no NAT translations")

@@ -77,19 +77,9 @@ func (r *Result) Throughputs() ([]Throughput, error) {
 	return th, nil
 }
 
-// ThroughputFigures splits a tcp2 result into the four series of
+// throughputSeries splits tcp2's results into the four series of
 // Figure 8 (throughput) and Figure 9 (queuing delay), keyed by series
 // name then device tag.
-func (r *Result) ThroughputFigures() (fig8, fig9 map[string]map[string]float64, err error) {
-	th, err := r.Throughputs()
-	if err != nil {
-		return nil, nil, err
-	}
-	fig8, fig9 = throughputSeries(th)
-	return fig8, fig9, nil
-}
-
-// throughputSeries is the shared Figure 8/9 series builder.
 func throughputSeries(results []Throughput) (fig8, fig9 map[string]map[string]float64) {
 	fig8 = map[string]map[string]float64{
 		"Upload": {}, "Download": {}, "Up|Down": {}, "Down|Up": {},

@@ -1,6 +1,7 @@
 package hgw
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -157,23 +158,23 @@ func runError(exps []*Experiment, errs []error) error {
 	return &RunError{Failures: failures}
 }
 
-// Runner executes registry experiments, each in its own sealed domain.
+// Runner executes registry experiments in sealed domains.
 //
 // A domain is one freshly built Figure 1 testbed with its own
 // simulator, fault plan, interrupt hook and (with WithRunReport)
 // telemetry registry; it is built, run and shut down on its own, and
-// nothing else ever touches it. Inventory runs give every experiment
-// except the Standalone ones a domain of its own — built from the
-// run's tags and seed, so an experiment observes exactly what a
-// single-experiment run of it observes — and fleet runs (WithFleet)
-// give every shard one, swept by each experiment in turn. Standalone
-// experiments build their own testbeds (per device, mode or pair).
+// nothing else ever touches it. Every testbed a Runner builds is one:
+// inventory runs give each shared-testbed experiment one — built from
+// the run's tags and seed, so an experiment observes exactly what a
+// single-experiment run of it observes — and Standalone experiments
+// one per device, mode or pair; fleet runs (WithFleet) give every
+// shard one, swept by each experiment in turn.
 //
 // Domains share nothing, so scheduling cannot reach the output: up to
 // WithMaxProcs testbeds are alive at once, run-wide (an inventory run's
-// domains and the Standalone experiments' own testbeds draw on one
-// pool), and results are assembled in request (or shard) order, so
-// runs with equal seeds render byte-identically at any worker count.
+// domains all draw on one pool), and results are assembled in request
+// (or shard) order, so runs with equal seeds render byte-identically
+// at any worker count.
 // Domains are ephemeral — nothing carries over between runs — so a
 // Runner stays reusable even after a cancelled or failed run.
 type Runner struct {
@@ -251,14 +252,14 @@ func (r *Runner) Run(ctx context.Context, ids []string) (Results, error) {
 	total := len(exps)
 	slots := make([]*Result, total)
 	errs := make([]error, total)
-	doms := make([]*domain, total)
+	doms := make([][]*domain, total)
 	p := make(pool, r.set.maxProcs)
 	var wg sync.WaitGroup
 	for i, e := range exps {
 		// A domain holds its slot from before its build until its
 		// simulator is shut down. Taking it here, in id order, starts
 		// domains in id order; a Standalone experiment takes none itself
-		// and queues its testbeds on the same pool (Env.each).
+		// and queues its domains on the same pool (Env.each).
 		if !e.Standalone {
 			p.acquire()
 		}
@@ -276,14 +277,20 @@ func (r *Runner) Run(ctx context.Context, ids []string) (Results, error) {
 
 	if r.set.report {
 		// Domains are sealed and finished (wg.Wait published them), so
-		// their sections fold in id order, like fleet shards do.
+		// their sections fold in id, then testbed order, like shards do.
+		// Totals merge only the shared-testbed ones (RunReport.Totals).
 		rep := &RunReport{}
 		var snaps []*obs.Snapshot
-		for _, d := range doms {
-			if d != nil && d.reg != nil {
+		for i, ds := range doms {
+			for _, d := range ds {
+				if d == nil || d.reg == nil {
+					continue
+				}
 				sec, snap := d.section()
 				rep.Shards = append(rep.Shards, sec)
-				snaps = append(snaps, snap)
+				if !exps[i].Standalone {
+					snaps = append(snaps, snap)
+				}
 			}
 		}
 		rep.Totals = metricsFromSnapshot(obs.Merge(snaps...))
@@ -302,32 +309,31 @@ func (r *Runner) Run(ctx context.Context, ids []string) (Results, error) {
 }
 
 // runExperiment runs inventory experiment e (position i of total): a
-// Standalone experiment directly, its testbeds queued on the run's
-// pool p, any other in a sealed domain of its own, which it returns for
-// the run report. A panicking experiment fails alone, with the panic as
-// its error.
-func (r *Runner) runExperiment(ctx context.Context, e *Experiment, i, total int, p pool) (res *Result, d *domain, err error) {
+// Standalone experiment directly, its domains queued on the run's pool
+// p (testbeds), any other in a sealed domain of its own. It returns
+// the domains for the run report. A panicking experiment fails alone,
+// with the panic as its error.
+func (r *Runner) runExperiment(ctx context.Context, e *Experiment, i, total int, p pool) (res *Result, doms []*domain, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	env := &Env{Tags: r.set.tags, Seed: r.set.seed, Options: r.set.probeOpts, pool: p}
+	env := &Env{Tags: r.set.tags, Seed: r.set.seed, Options: r.set.probeOpts}
 	call := func() (res *Result, err error) {
-		defer func() {
-			if p := recover(); p != nil {
-				res, err = nil, fmt.Errorf("panic: %v", p)
-			}
-		}()
+		defer catch(&err)
 		r.emit(Progress{ID: e.ID, Index: i, Total: total})
 		return e.Run(ctx, env)
 	}
 	if e.Standalone {
+		env.testbeds = r.testbeds(i, p, &doms)
 		res, err = call()
 	} else {
-		d, err = r.runDomain(ctx, i, r.buildTestbed, func(tb *Testbed, s *Sim) error {
-			env.Testbed, env.Sim = tb, s
-			res, err = call()
-			return err
-		})
+		doms = make([]*domain, 1)
+		doms[0], err = r.runDomain(ctx, i, fault.PlanSeed(r.set.seed, i), buildTestbed(testbed.Config{Tags: env.Tags, Seed: env.Seed}),
+			func(tb *Testbed, s *Sim) error {
+				env.Testbed, env.Sim = tb, s
+				res, err = call()
+				return err
+			})
 	}
 	if err == nil {
 		// A cancelled context may have interrupted the probe
@@ -336,17 +342,57 @@ func (r *Runner) runExperiment(ctx context.Context, e *Experiment, i, total int,
 			res, err = nil, cerr
 		}
 	}
-	return res, d, err
+	return res, doms, err
 }
 
-// pool is an inventory run's WithMaxProcs slots. Every testbed the run
-// builds is alive only while it holds one: a shared-testbed
-// experiment's domain holds one for its whole life, and a Standalone
-// experiment's tasks hold one each (Env.each). So at most cap(p)
-// testbeds are alive and simulating at once, run-wide. No slot holder
-// ever waits for another slot, so every size, 1 included, makes
-// progress. Waiting acquirers are served in arrival order, since a
-// full channel queues its senders first come, first served.
+// testbeds implements Env.each for the Standalone experiment at
+// position pos: testbed i is a domain (runDomain) built from cfg(i),
+// holding a slot of the run's pool p, with the fault plan
+// fault.TestbedPlanSeed(seed, pos, i). Slots are taken in index order
+// and the caller waits holding none; once ctx is cancelled no further
+// testbed starts. It appends the domains to *doms in index order and
+// returns the lowest index's error, a panic in fn included.
+func (r *Runner) testbeds(pos int, p pool, doms *[]*domain) eachFunc {
+	return func(ctx context.Context, n int, cfg func(i int) testbed.Config, fn func(i int, tb *Testbed, s *Sim) error) error {
+		ds := make([]*domain, n)
+		errs := make([]error, n)
+		var wg sync.WaitGroup
+		for i := 0; i < n && ctx.Err() == nil; i++ {
+			p.acquire()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer p.release()
+				if ctx.Err() != nil {
+					return
+				}
+				ds[i], errs[i] = r.runDomain(ctx, pos, fault.TestbedPlanSeed(r.set.seed, pos, i), buildTestbed(cfg(i)),
+					func(tb *Testbed, s *Sim) (err error) {
+						defer catch(&err)
+						return fn(i, tb, s)
+					})
+			}()
+		}
+		wg.Wait()
+		*doms = append(*doms, ds...)
+		return cmp.Or(errs...)
+	}
+}
+
+// catch, deferred, turns a panic in experiment code into its caller's
+// error, so the experiment fails alone.
+func catch(err *error) {
+	if v := recover(); v != nil {
+		*err = fmt.Errorf("panic: %v", v)
+	}
+}
+
+// pool is an inventory run's WithMaxProcs slots. Every domain the run
+// builds holds one for its whole life, so at most cap(p) testbeds are
+// alive and simulating at once, run-wide. No slot holder ever waits for
+// another slot, so every size, 1 included, makes progress. Waiting
+// acquirers are served in arrival order, since a full channel queues
+// its senders first come, first served.
 type pool chan struct{}
 
 func (p pool) acquire() { p <- struct{}{} }
@@ -364,13 +410,13 @@ type domain struct {
 }
 
 // runDomain is the lifecycle every testbed the Runner builds goes
-// through, inventory experiment and fleet shard alike: attach a
-// registry (WithRunReport), build, count the build, hook ctx into the
-// simulator, install the fault plan seed-split by index, run, and
-// shut the simulator down. The calling goroutine owns the simulator
-// throughout. build's error, else run's, is returned; the domain
-// record is returned either way.
-func (r *Runner) runDomain(ctx context.Context, index int,
+// through, inventory testbed and fleet shard alike: attach a registry
+// (WithRunReport), build, count the build, hook ctx into the simulator,
+// install the fault plan drawn from planSeed, run, and shut the
+// simulator down. The calling goroutine owns the simulator throughout.
+// build's error, else run's, is returned; the domain record is
+// returned either way.
+func (r *Runner) runDomain(ctx context.Context, index int, planSeed int64,
 	build func(reg *obs.Registry) (*Testbed, *Sim, error),
 	run func(tb *Testbed, s *Sim) error) (*domain, error) {
 
@@ -403,7 +449,7 @@ func (r *Runner) runDomain(ctx context.Context, index int,
 	s.SetInterrupt(func() bool { return ctx.Err() != nil })
 	// Chaos: the plan schedules its events before anything runs,
 	// mirroring real faults striking mid-measurement.
-	r.installFaults(s, tb, index)
+	r.installFaults(s, tb, planSeed)
 	err = run(tb, s)
 	if r.set.report {
 		d.simEnd = time.Duration(s.Now())
@@ -666,7 +712,7 @@ func (r *Runner) sweepShards(ctx context.Context, exps []*Experiment) ([][]stats
 			return sh.Testbed, sh.Sim, nil
 		}
 		b.devices = len(profiles)
-		b.dom, b.err = r.runDomain(ctx, i, build, func(tb *Testbed, s *Sim) error {
+		b.dom, b.err = r.runDomain(ctx, i, fault.PlanSeed(r.set.seed, i), build, func(tb *Testbed, s *Sim) error {
 			b.pts = make([][]stats.DevicePoint, len(exps))
 			if r.set.deviceCB != nil {
 				b.rows = make([][]DeviceResult, len(exps))
@@ -802,20 +848,18 @@ func (r *Runner) sweepShards(ctx context.Context, exps []*Experiment) ([][]stats
 	return pts, rep, nil
 }
 
-// installFaults compiles the run's fault plan for one domain (a fleet
-// shard or an inventory experiment) and schedules it on the simulator.
-// index seed-splits the plan (fault.PlanSeed), so each domain draws an
-// independent event schedule while equal-seed runs reproduce it
+// installFaults compiles the run's fault plan for one domain and
+// schedules it on the simulator. The caller seed-splits the plan per
+// domain (fault.PlanSeed, fault.TestbedPlanSeed), so each domain draws
+// an independent event schedule while equal-seed runs reproduce it
 // exactly; a disabled spec is a no-op, costing unfaulted runs nothing.
-// Standalone experiments build their own testbeds out of the Runner's
-// sight and run unfaulted.
-func (r *Runner) installFaults(s *Sim, tb *Testbed, index int) {
+func (r *Runner) installFaults(s *Sim, tb *Testbed, planSeed int64) {
 	if !r.set.faults.Enabled() {
 		return
 	}
 	f := r.set.faults.normalized()
 	plan := fault.Compile(fault.Spec{
-		Seed:        fault.PlanSeed(r.set.seed, index),
+		Seed:        planSeed,
 		Nodes:       len(tb.Nodes),
 		Flaps:       f.Flaps,
 		LossWindows: f.LossWindows,
@@ -845,18 +889,20 @@ func (r *Runner) emitDevice(ev DeviceEvent) {
 	r.set.deviceCB(ev)
 }
 
-// buildTestbed builds and boots the run's Figure 1 testbed for one
-// inventory domain, translating the testbed package's setup panics into
-// errors. reg, when non-nil, is attached to the simulator before any
-// event runs (WithRunReport).
-func (r *Runner) buildTestbed(reg *obs.Registry) (tb *Testbed, s *Sim, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			tb, s, err = nil, nil, fmt.Errorf("testbed setup: %v", p)
-		}
-	}()
-	tb, s = testbed.Run(testbed.Config{Tags: r.set.tags, Seed: r.set.seed, Obs: reg})
-	return tb, s, nil
+// buildTestbed builds and boots an inventory domain's testbed from cfg,
+// translating the testbed package's setup panics into errors. reg,
+// when non-nil, is attached before any event runs (WithRunReport).
+func buildTestbed(cfg testbed.Config) func(reg *obs.Registry) (*Testbed, *Sim, error) {
+	return func(reg *obs.Registry) (tb *Testbed, s *Sim, err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				tb, s, err = nil, nil, fmt.Errorf("testbed setup: %v", p)
+			}
+		}()
+		cfg.Obs = reg
+		tb, s = testbed.Run(cfg)
+		return tb, s, nil
+	}
 }
 
 // emit serializes progress callbacks.

@@ -13,7 +13,7 @@ import (
 )
 
 // A RunReport is the telemetry side-channel of one Run: per-shard (or,
-// for inventory runs, per-experiment) metric sections plus a deterministic
+// for inventory runs, per-testbed) metric sections plus a deterministic
 // merged total and a handful of process-wide diagnostics. Reports
 // observe a run without influencing it — CacheKey ignores
 // WithRunReport, and the instrumented packages only ever write their
@@ -27,17 +27,22 @@ import (
 // any worker count.
 type RunReport struct {
 	// Fleet is true for WithFleet runs; Shards then holds one section
-	// per fleet shard. Inventory runs report one section per
-	// non-Standalone experiment instead (Standalone experiments build
-	// private testbeds and are not sectioned).
+	// per fleet shard. Inventory runs report one section per testbed
+	// instead: one per shared-testbed experiment, and one per testbed
+	// a Standalone experiment runs on.
 	Fleet bool `json:"fleet"`
 	// Devices is the fleet population (0 for inventory runs).
 	Devices int `json:"devices,omitempty"`
-	// Shards holds the per-shard (or per-experiment) sections, in
-	// shard (or id) order — the same order the merge consumes them.
+	// Shards holds the per-shard (or per-testbed) sections, in shard
+	// (or id, then testbed) order — the same order the merge consumes
+	// them.
 	Shards []ShardReport `json:"shards"`
-	// Totals is the deterministic merge of every section's metrics,
-	// folded in shard order.
+	// Totals is the deterministic merge of the sections' metrics,
+	// folded in shard order: every fleet shard, and of an inventory run
+	// the shared-testbed experiments' sections. A Standalone
+	// experiment's testbeds are sectioned but not totalled, so an
+	// inventory run's Totals count the same work whichever Standalone
+	// experiments ride along.
 	Totals MetricsSnapshot `json:"totals"`
 	// WallMS is the run's wall-clock duration. Excluded from
 	// Canonical.
@@ -49,11 +54,12 @@ type RunReport struct {
 	Process ProcessStats `json:"process"`
 }
 
-// ShardReport is one fleet shard's (or inventory experiment's)
-// telemetry section.
+// ShardReport is one fleet shard's (or inventory testbed's) telemetry
+// section.
 type ShardReport struct {
 	// Index is the shard index (fleet) or the experiment's position in
-	// the run's id list (inventory).
+	// the run's id list (inventory; every testbed of a Standalone
+	// experiment carries its position).
 	Index int `json:"index"`
 	// Devices is the shard's device count (0 for inventory runs).
 	Devices int `json:"devices,omitempty"`
@@ -91,18 +97,12 @@ type GaugeStat struct {
 }
 
 // HistogramStat is one histogram's per-bucket counts (not cumulative;
-// bucket i counts observations <= HistogramBounds()[i], the last
-// bucket is +Inf).
+// bucket i counts observations up to 4^i ms, the last bucket is +Inf).
 type HistogramStat struct {
 	Count   uint64   `json:"count"`
 	SumNS   int64    `json:"sum_ns"`
 	Buckets []uint64 `json:"buckets"`
 }
-
-// HistogramBounds returns the finite bucket upper bounds shared by
-// every report histogram (len(Buckets)-1 entries; the final bucket is
-// +Inf).
-func HistogramBounds() []time.Duration { return obs.BucketBounds() }
 
 // TraceEntry is one sampled shard trace event.
 type TraceEntry struct {
@@ -234,7 +234,7 @@ func (r *RunReport) Render() string {
 		fmt.Fprintf(&sb, "run telemetry: fleet, %d devices, %d shards, %.1f ms wall\n",
 			r.Devices, len(r.Shards), r.WallMS)
 	} else {
-		fmt.Fprintf(&sb, "run telemetry: inventory, %d experiments, %.1f ms wall\n",
+		fmt.Fprintf(&sb, "run telemetry: inventory, %d testbeds, %.1f ms wall\n",
 			len(r.Shards), r.WallMS)
 	}
 	sb.WriteString("totals:\n")
